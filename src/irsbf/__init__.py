@@ -12,17 +12,13 @@ from .channels import (
 )
 from .los import LOSSolution, asymptotic_snr, los_snr_closed, solve_los
 from .mm import (
-    MMIterate,
     MMResult,
     MMSettings,
     lambda_max_power_iteration,
     lifted_objective,
-    mm_step,
-    ones_lifted_init,
     quantize_phases,
     random_lifted_init,
     run_mm,
-    squarem_accelerate,
     surrogate_value,
 )
 from .model import (
@@ -37,7 +33,6 @@ from .model import (
     ReflectConfig,
     SystemConfig,
     build_composite,
-    effective_power,
     extract_reflect,
     lift_reflect,
     validate_config,
@@ -47,7 +42,6 @@ from .sdr import (
     project_elliptope,
     rank_one_start,
     relaxed_objective,
-    snr_bound,
     solve_sdr,
 )
 from .sim import (
@@ -64,7 +58,6 @@ from .sim import (
 from .txbf import (
     evaluate_snr,
     optimal_transmit_beam,
-    psi_from_psi_tilde,
     psi_tilde,
     snr_from_psi_tilde,
 )

@@ -7,6 +7,7 @@ boundary; the library below works in linear units only.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import replace
@@ -25,6 +26,7 @@ from .sim import (
     SimResult,
     SweepSpec,
     SweepVariable,
+    _csv_rows,
     child_seed,
     db2pow,
     pow2db,
@@ -147,24 +149,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _result_rows(res: SimResult, schemes) -> list[list[str]]:
-    def fmt(x):
-        return "" if x is None else f"{x:.10g}"
-
-    rows = []
-    for scheme in schemes:
-        st = res.stats[scheme]
-        rows.append(
-            [
-                res.sweep_variable.value,
-                fmt(res.sweep_value),
-                scheme.value,
-                fmt(st.mean_snr_db),
-                fmt(st.ser),
-                fmt(st.mean_iterations),
-            ]
-        )
-    return rows
+def _write_csv(path: str, header, rows: list[list[str]]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _print_table(rows: list[list[str]], header) -> None:
@@ -194,15 +183,15 @@ def _run_sweep_command(args, variable: SweepVariable) -> int:
     writer_rows: list[list[str]] = []
     if args.out:
         out_fh = open(args.out, "w", encoding="utf-8", newline="")
-        out_fh.write(",".join(CSV_HEADER) + "\n")
+        out_csv = csv.writer(out_fh, lineterminator="\n")
+        out_csv.writerow(CSV_HEADER)
         out_fh.flush()
 
     def on_point(res: SimResult) -> None:
-        rows = _result_rows(res, schemes)
+        rows = _csv_rows(res, schemes)
         writer_rows.extend(rows)
         if out_fh is not None:
-            for row in rows:
-                out_fh.write(",".join(row) + "\n")
+            out_csv.writerows(rows)
             out_fh.flush()
 
     try:
@@ -251,10 +240,7 @@ def _run_iteration_study(args) -> int:
         for r in rows
     ]
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in table:
-                fh.write(",".join(row) + "\n")
+        _write_csv(args.out, header, table)
     if args.json:
         print(json.dumps({"iteration_study": [r.__dict__ for r in rows]}, indent=2))
     else:
@@ -316,10 +302,7 @@ def _run_bound_check(args) -> int:
         )
     header = ("channel", "psi_tilde_mm", "psi_tilde_bound", "snr_mm_db", "snr_bound_db", "gap_db")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
+        _write_csv(args.out, header, rows)
     summary = {
         "channels": args.channels,
         "mean_gap_db": float(np.mean(gaps)),

@@ -1,14 +1,16 @@
 """Reflect-beamforming optimizer over the lifted unit-modulus vector.
 
-Each iteration minorizes the separable objective with a tight
-linear-plus-constant surrogate built from the previous iterate, whose
-unconstrained maximizer over the torus is obtained entrywise by taking
-phases of a single matrix-vector product.  The quadratic coupling term is
-bounded by shifting with the dominant eigenvalue of a positive
-semidefinite coupling matrix, found by power iteration.  The objective is
-therefore non-decreasing step to step, with an optional squared
-extrapolation (SQUAREM-style) cycle that preserves monotonicity through
-backtracking.
+``run_mm`` is the one optimizer loop.  Each step minorizes the separable
+objective with a tight linear-plus-constant surrogate built at the previous
+iterate; the surrogate's maximizer over the torus takes the phases of a
+single matrix-vector product.  The quadratic coupling term is bounded by
+shifting with the dominant eigenvalue of a positive semidefinite coupling
+matrix, found by power iteration on an n_s x n_s Gram matrix, so the
+objective never decreases from step to step.  With
+``MMSettings.accelerate`` each pass of the loop is a SQUAREM cycle
+(Varadhan & Roland, Scand. J. Stat. 2008) instead: two steps, a squared
+extrapolation, and backtracking that keeps the sequence monotone.
+``surrogate_value`` evaluates the minorizer itself, for checking.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .model import (
     check_unit_modulus,
     extract_reflect,
 )
-from .txbf import psi_tilde_from_v, snr_at_optimal_beam_from_v, psi_from_psi_tilde
+from .txbf import psi_tilde_from_v, snr_at_optimal_beam_from_v
 
 # Multiplicative safety margin applied to the power-iteration eigenvalue so
 # the shifted coupling matrix stays dominated even with a slightly
@@ -53,31 +55,12 @@ class MMSettings:
     epsilon: float = 1e-5
     max_iter: int = 5000
     accelerate: bool = True
-    power_iter_tol: float = 1e-12
-    power_iter_max: int = 10000
 
     def __post_init__(self):
         if not (self.epsilon > 0.0):
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-
-
-@dataclass(frozen=True)
-class MMIterate:
-    """One iterate plus the surrogate quantities that produced it.
-
-    ``xi0``, ``lambda_max`` and ``alpha`` are the cached quantities of the
-    expansion point (the previous iterate); they are ``None`` on the
-    initial iterate which no step produced.
-    """
-
-    theta_tilde: np.ndarray
-    objective: float
-    xi0: np.ndarray | None
-    lambda_max: float | None
-    alpha: np.ndarray | None
-    iteration: int
 
 
 def lifted_objective(theta_tilde: np.ndarray, psi: CompositeChannel, cfg: SystemConfig) -> float:
@@ -89,7 +72,6 @@ def lambda_max_power_iteration(
     omega: np.ndarray,
     tol: float = 1e-12,
     max_iter: int = 10000,
-    start: np.ndarray | None = None,
 ) -> float:
     """Dominant eigenvalue of a Hermitian PSD matrix by power iteration.
 
@@ -101,11 +83,8 @@ def lambda_max_power_iteration(
     n = omega.shape[0]
     if n == 0 or not np.any(omega):
         return 0.0
-    if start is None:
-        rng = np.random.default_rng(0x9E3779B9)
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    else:
-        x = np.asarray(start, dtype=complex).ravel().copy()
+    rng = np.random.default_rng(0x9E3779B9)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x /= np.linalg.norm(x)
     lam_prev = None
     for _ in range(max_iter):
@@ -128,32 +107,27 @@ def _mm_quantities(
     tt0: np.ndarray,
     psi: CompositeChannel,
     cfg: SystemConfig,
-    settings: MMSettings,
-    gram: np.ndarray | None = None,
+    gram: np.ndarray,
 ):
     """Per-antenna weights and shifted-coupling eigenvalue at the expansion point.
 
     Returns (v0, xi, d, lam) with v0 the effective channel at tt0, xi the
     diagonal weight, d the diagonal of the coupling matrix factor, and lam
     the (margin-inflated) dominant eigenvalue of the coupling matrix.
+    ``gram`` is psi.psi @ psi.psi^H, which does not change between steps.
     """
     m = psi.psi
     v0 = m @ tt0
-    a = (1.0 + cfg.kappa_d) * cfg.kappa_s
-    c = (1.0 + cfg.kappa_d) * cfg.sigma_n2 / cfg.p_tilde
+    a, c = cfg.objective_coeffs
     xi = a * np.abs(v0) ** 2 + c
     if a == 0.0:
         return v0, xi, np.zeros_like(xi), 0.0
     d = np.abs(v0 / xi) ** 2
     # lambda_max of m^H diag(d) m equals that of the small Gram
     # sqrt(d) (m m^H) sqrt(d), which power iteration handles cheaply.
-    if gram is None:
-        gram = m @ m.conj().T
     sd = np.sqrt(d)
     small = sd[:, None] * gram * sd[None, :]
-    lam = lambda_max_power_iteration(
-        small, tol=settings.power_iter_tol, max_iter=settings.power_iter_max
-    )
+    lam = lambda_max_power_iteration(small)
     lam = max(lam, 0.0) * (1.0 + _LAMBDA_MARGIN)
     return v0, xi, d, lam
 
@@ -161,7 +135,7 @@ def _mm_quantities(
 def _mm_alpha(tt0, psi, cfg, v0, xi, d, lam):
     """Surrogate linear coefficient: one application of the surrogate matrix."""
     m = psi.psi
-    a = (1.0 + cfg.kappa_d) * cfg.kappa_s
+    a, _ = cfg.objective_coeffs
     alpha = m.conj().T @ (v0 / xi)
     if a > 0.0:
         alpha = alpha - a * (m.conj().T @ (d * v0) - lam * tt0)
@@ -174,53 +148,10 @@ def _phases_of(alpha: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mm_map(tt0, psi, cfg, settings, gram=None):
-    v0, xi, d, lam = _mm_quantities(tt0, psi, cfg, settings, gram=gram)
-    alpha = _mm_alpha(tt0, psi, cfg, v0, xi, d, lam)
-    return _phases_of(alpha, tt0), xi, lam, alpha
-
-
-def initial_iterate(theta_tilde: np.ndarray, psi: CompositeChannel, cfg: SystemConfig) -> MMIterate:
-    tt = check_unit_modulus(theta_tilde)
-    return MMIterate(
-        theta_tilde=tt,
-        objective=lifted_objective(tt, psi, cfg),
-        xi0=None,
-        lambda_max=None,
-        alpha=None,
-        iteration=0,
-    )
-
-
-def mm_step(
-    prev: MMIterate,
-    psi: CompositeChannel,
-    cfg: SystemConfig,
-    settings: MMSettings = MMSettings(),
-) -> MMIterate:
-    """One minorize-maximize step from ``prev``; objective never decreases."""
-    tt_new, xi, lam, alpha = _mm_map(prev.theta_tilde, psi, cfg, settings)
-    return MMIterate(
-        theta_tilde=tt_new,
-        objective=lifted_objective(tt_new, psi, cfg),
-        xi0=xi,
-        lambda_max=lam,
-        alpha=alpha,
-        iteration=prev.iteration + 1,
-    )
-
-
-def omega_matrix(
-    tt0: np.ndarray,
-    psi: CompositeChannel,
-    cfg: SystemConfig,
-    settings: MMSettings = MMSettings(),
-) -> np.ndarray:
-    """Materialize the PSD coupling matrix at an expansion point (test hook)."""
-    m = psi.psi
-    v0, xi, d, _ = _mm_quantities(tt0, psi, cfg, settings)
-    del v0
-    return m.conj().T @ (d[:, None] * m)
+def _mm_map(tt0, psi, cfg, gram):
+    """One minorize-maximize step: the maximizer of the surrogate built at tt0."""
+    v0, xi, d, lam = _mm_quantities(tt0, psi, cfg, gram)
+    return _phases_of(_mm_alpha(tt0, psi, cfg, v0, xi, d, lam), tt0)
 
 
 def surrogate_value(
@@ -228,26 +159,21 @@ def surrogate_value(
     tt0: np.ndarray,
     psi: CompositeChannel,
     cfg: SystemConfig,
-    settings: MMSettings = MMSettings(),
 ) -> float:
     """Minorizer of the lifted objective, expanded at ``tt0`` and evaluated at ``tt``.
 
     Lower-bounds the objective everywhere on the torus, touches it at the
-    expansion point, and matches its first-order behavior there.
+    expansion point, and matches its first-order behavior there.  Its
+    linear term is Re<alpha, tt> with ``alpha`` the coefficient whose phases
+    the optimizer step takes.
     """
-    m = psi.psi
     tt = np.asarray(tt, dtype=complex).ravel()
     tt0 = np.asarray(tt0, dtype=complex).ravel()
-    n = tt0.shape[0]
-    a = (1.0 + cfg.kappa_d) * cfg.kappa_s
-    v0, xi, d, lam = _mm_quantities(tt0, psi, cfg, settings)
-    vt = m @ tt
-    # linear term: tt0^H (Psi^H Xi0^-1 Psi - a*(Omega - lam I)) tt
-    lin = np.vdot(v0 / xi, vt)
-    if a > 0.0:
-        lin = lin - a * (np.vdot(d * v0, vt) - lam * np.vdot(tt0, tt))
-    term1 = 2.0 * float(np.real(lin))
-    term2 = -2.0 * a * n * lam
+    a, _ = cfg.objective_coeffs
+    v0, xi, d, lam = _mm_quantities(tt0, psi, cfg, psi.psi @ psi.psi.conj().T)
+    alpha = _mm_alpha(tt0, psi, cfg, v0, xi, d, lam)
+    term1 = 2.0 * float(np.real(np.vdot(alpha, tt)))
+    term2 = -2.0 * a * tt0.shape[0] * lam
     term3 = 2.0 * a * float(np.sum(d * np.abs(v0) ** 2)) - float(np.sum(np.abs(v0) ** 2 / xi))
     return term1 + term2 + term3
 
@@ -258,14 +184,18 @@ def _project_unit(vec: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return out
 
 
-def _squarem_cycle(tt, psi, cfg, settings, gram=None):
+def _squarem_cycle(tt, psi, cfg, gram):
     """One accelerated cycle: two MM maps plus a safeguarded extrapolation.
 
-    The returned objective is never below the plain two-step value, so
-    monotonicity of the outer sequence is preserved.
+    Extrapolates through the two maps with a negative squared step length,
+    reprojects onto the torus, and backtracks the step toward the plain
+    composition until the objective does not decrease.  The returned
+    objective is therefore never below the plain two-step value, so
+    monotonicity of the outer sequence is preserved; at a fixed point the
+    cycle degenerates to the plain steps.
     """
-    x1, _, _, _ = _mm_map(tt, psi, cfg, settings, gram=gram)
-    x2, _, _, _ = _mm_map(x1, psi, cfg, settings, gram=gram)
+    x1 = _mm_map(tt, psi, cfg, gram)
+    x2 = _mm_map(x1, psi, cfg, gram)
     obj2 = lifted_objective(x2, psi, cfg)
     r = x1 - tt
     v = x2 - x1 - r
@@ -285,32 +215,6 @@ def _squarem_cycle(tt, psi, cfg, settings, gram=None):
     return x2, obj2
 
 
-def squarem_accelerate(
-    state: MMIterate,
-    psi: CompositeChannel,
-    cfg: SystemConfig,
-    settings: MMSettings = MMSettings(),
-) -> MMIterate:
-    """Accelerated counterpart of ``mm_step``.
-
-    Extrapolates through two fixed-point maps with a negative squared step
-    length, reprojects onto the torus, and backtracks the step toward the
-    plain composition until the objective does not decrease.  At a fixed
-    point it degenerates to the plain step.
-    """
-    v0, xi, d, lam = _mm_quantities(state.theta_tilde, psi, cfg, settings)
-    alpha = _mm_alpha(state.theta_tilde, psi, cfg, v0, xi, d, lam)
-    tt_new, obj_new = _squarem_cycle(state.theta_tilde, psi, cfg, settings)
-    return MMIterate(
-        theta_tilde=tt_new,
-        objective=obj_new,
-        xi0=xi,
-        lambda_max=lam,
-        alpha=alpha,
-        iteration=state.iteration + 1,
-    )
-
-
 @dataclass(frozen=True)
 class MMResult:
     """Outcome of a full optimizer run."""
@@ -328,11 +232,6 @@ def random_lifted_init(rng: np.random.Generator, n_i: int) -> np.ndarray:
     mags = np.abs(z)
     z = np.where(mags > 0.0, z / np.where(mags > 0.0, mags, 1.0), 1.0 + 0.0j)
     return z
-
-
-def ones_lifted_init(n_i: int) -> np.ndarray:
-    """Deterministic all-ones starting point, for regression tests."""
-    return np.ones(n_i + 1, dtype=complex)
 
 
 def run_mm(
@@ -358,9 +257,9 @@ def run_mm(
     iterations = 0
     for _ in range(settings.max_iter):
         if settings.accelerate:
-            tt_new, obj_new = _squarem_cycle(tt, psi, cfg, settings, gram=gram)
+            tt_new, obj_new = _squarem_cycle(tt, psi, cfg, gram)
         else:
-            tt_new, _, _, _ = _mm_map(tt, psi, cfg, settings, gram=gram)
+            tt_new = _mm_map(tt, psi, cfg, gram)
             obj_new = lifted_objective(tt_new, psi, cfg)
         iterations += 1
         objectives.append(obj_new)
@@ -374,7 +273,6 @@ def run_mm(
     pt = psi_tilde_from_v(v, cfg)
     result = EvalResult(
         snr=snr_at_optimal_beam_from_v(v, cfg),
-        psi_val=psi_from_psi_tilde(pt, cfg),
         psi_tilde_val=pt,
     )
     return MMResult(

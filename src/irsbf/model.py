@@ -55,6 +55,17 @@ class SystemConfig:
         """Effective beam power budget after the transmit-distortion overhead."""
         return self.p / (1.0 + self.kappa_s)
 
+    @property
+    def objective_coeffs(self) -> tuple[float, float]:
+        """Coefficients (a, c) of the separable reflect objective sum q / (a q + c).
+
+        ``q`` is the received power per source antenna; a q + c is also the
+        diagonal distortion weight of the optimal transmit beam.
+        """
+        a = (1.0 + self.kappa_d) * self.kappa_s
+        c = (1.0 + self.kappa_d) * self.sigma_n2 / self.p_tilde
+        return a, c
+
 
 def validate_config(cfg: SystemConfig) -> SystemConfig:
     """Check all scalar invariants; return ``cfg`` unchanged if they hold."""
@@ -71,11 +82,6 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
     if not (cfg.sigma_n2 > 0.0) or not np.isfinite(cfg.sigma_n2):
         raise ConfigError(f"sigma_n2 must be positive and finite, got {cfg.sigma_n2}")
     return cfg
-
-
-def effective_power(cfg: SystemConfig) -> float:
-    """Beam power budget p/(1+kappa_s); decreasing in kappa_s, linear in p."""
-    return cfg.p / (1.0 + cfg.kappa_s)
 
 
 @dataclass(frozen=True)
@@ -258,11 +264,9 @@ def check_unit_modulus(vec: np.ndarray, tol: float = UNIT_MODULUS_TOL) -> np.nda
 class EvalResult:
     """SNR and reflect-objective values for one (beam, reflection) pair.
 
-    ``snr`` is the physical receive SNR, ``psi_tilde_val`` the separable
-    reflect objective, and ``psi_val`` the power-scaled objective
-    p_tilde * psi_tilde / (kappa_d * psi_tilde + 1).
+    ``snr`` is the physical receive SNR and ``psi_tilde_val`` the separable
+    reflect objective.
     """
 
     snr: float
-    psi_val: float
     psi_tilde_val: float

@@ -38,12 +38,6 @@ class UpperBoundResult:
     iterations: int
 
 
-def _coeffs(cfg: SystemConfig) -> tuple[float, float]:
-    a = (1.0 + cfg.kappa_d) * cfg.kappa_s
-    c = (1.0 + cfg.kappa_d) * cfg.sigma_n2 / cfg.p_tilde
-    return a, c
-
-
 def _diag_quad(psi_m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Real diagonal of psi_m @ x @ psi_m^H."""
     return np.real(np.einsum("mi,ij,mj->m", psi_m, x, psi_m.conj(), optimize=True))
@@ -51,14 +45,14 @@ def _diag_quad(psi_m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def relaxed_objective(theta_big: np.ndarray, psi: CompositeChannel, cfg: SystemConfig) -> float:
     """Separable concave objective evaluated at a Hermitian matrix."""
-    a, c = _coeffs(cfg)
+    a, c = cfg.objective_coeffs
     q = np.maximum(_diag_quad(psi.psi, np.asarray(theta_big)), 0.0)
     return float(np.sum(q / (a * q + c)))
 
 
 def _objective_gradient(theta_big: np.ndarray, psi: CompositeChannel, cfg: SystemConfig) -> np.ndarray:
     """Hermitian ascent direction: weighted sum of per-antenna rank-one terms."""
-    a, c = _coeffs(cfg)
+    a, c = cfg.objective_coeffs
     q = np.maximum(_diag_quad(psi.psi, theta_big), 0.0)
     weights = c / (a * q + c) ** 2
     return psi.psi.conj().T @ (weights[:, None] * psi.psi)
@@ -159,7 +153,7 @@ def solve_sdr(
             # the start value floors the reported bound, so it must come
             # from a genuinely feasible point
             x0 = project_elliptope(x0, tol=1e-9, max_iter=50000)
-    a, c = _coeffs(cfg)
+    a, c = cfg.objective_coeffs
     sum_norms4 = float(np.sum(np.sum(np.abs(psi.psi) ** 2, axis=1) ** 2))
     start_val = relaxed_objective(x0, psi, cfg)
     x, val = x0, start_val
@@ -231,8 +225,3 @@ def solve_sdr(
         converged=converged,
         iterations=iterations,
     )
-
-
-def snr_bound(ub: UpperBoundResult, cfg: SystemConfig) -> float:
-    """Map the relaxed objective value to the SNR benchmark."""
-    return snr_from_psi_tilde(ub.bound_psi_tilde, cfg)

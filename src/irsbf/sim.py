@@ -19,10 +19,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import Geometry, generate_channels
-from .mm import MMSettings, quantize_phases, random_lifted_init, run_mm
+from .mm import MMSettings, PowerIterationError, quantize_phases, random_lifted_init, run_mm
 from .model import (
     ChannelSet,
     ConfigError,
+    DegenerateChannelError,
     PhaseConstraint,
     PhaseKind,
     ReflectConfig,
@@ -175,6 +176,10 @@ def _design_all(
     dominate the nonrobust scheme's per realization, not just on average.
     Nonrobust beams keep the feasible norm sqrt(p_tilde): the hardware
     consumes the distortion overhead no matter what the designer assumed.
+
+    Also returns the profile the robust scheme kept, before quantization.
+    The relaxation bound is floored at its warm start, so it starts there
+    rather than at the robust MM phases, which the robust scheme may drop.
     """
     psi = build_composite(ch)
     cfg0 = _nonrobust_config(cfg)
@@ -184,9 +189,9 @@ def _design_all(
     if phase.kind is PhaseKind.DISCRETE:
         theta_r = quantize_phases(theta_r, phase)
         theta_n = quantize_phases(theta_n, phase)
-    theta_star = theta_r
+    theta_star, kept = theta_r, res_r.reflect
     if psi_tilde(theta_n, ch, cfg) > psi_tilde(theta_r, ch, cfg):
-        theta_star = theta_n
+        theta_star, kept = theta_n, res_n.reflect
     w_r = optimal_transmit_beam(theta_star, ch, cfg)
     budget_scale = math.sqrt(cfg.p_tilde / cfg0.p_tilde)
     w_n = optimal_beam_from_v(composite_vector(theta_n, ch), cfg0) * budget_scale
@@ -198,7 +203,7 @@ def _design_all(
         Scheme.ROBUST_NO_IRS: DesignResult(w_rn, None, None, None),
         Scheme.NONROBUST_NO_IRS: DesignResult(w_nn, None, None, None),
     }
-    return designs, res_r
+    return designs, kept
 
 
 def design_beams(
@@ -331,22 +336,22 @@ def _realization_stats(args) -> dict:
     Everything it consumes is derived from ``seed`` alone, so placement on
     any worker gives identical output.
     """
-    (cfg, geo, settings, phase, n_symbols, seed, schemes, sdr_tol, sdr_max_iter) = args
+    (cfg, geo, settings, phase, n_symbols, seed, schemes) = args
     try:
         rng = np.random.default_rng(seed)
         ch = generate_channels(rng, cfg, geo)
         init = random_lifted_init(rng, cfg.n_i)
-        designs, res_r = _design_all(ch, cfg, settings, phase, init)
+        designs, kept = _design_all(ch, cfg, settings, phase, init)
         out = {}
         for scheme in schemes:
             if scheme is Scheme.UPPER_BOUND:
                 psi = build_composite(ch)
-                warm = rank_one_start(lift_reflect(res_r.reflect))
+                warm = rank_one_start(lift_reflect(kept))
                 ub = solve_sdr(
                     psi,
                     cfg,
-                    tol=sdr_tol,
-                    max_iter=sdr_max_iter,
+                    tol=1e-4,
+                    max_iter=10,
                     init=warm,
                     stall_window=5,
                     proj_tol=1e-5,
@@ -362,7 +367,7 @@ def _realization_stats(args) -> dict:
                 ser = simulate_ser(d.w, d.theta, ch, cfg, n_symbols, ser_rng)
             out[scheme.value] = (snr, ser, d.iterations)
         return out
-    except Exception as exc:  # noqa: BLE001 - skipped realizations are counted
+    except (DegenerateChannelError, ConfigError, PowerIterationError) as exc:
         return {"failed": f"{type(exc).__name__}: {exc}"}
 
 
@@ -379,15 +384,15 @@ def run_sweep(
     geo: Geometry,
     workers: int = 1,
     mm_settings: MMSettings | None = None,
-    sdr_tol: float = 1e-4,
-    sdr_max_iter: int = 10,
     on_point=None,
 ) -> list[SimResult]:
     """Run every scheme over the sweep grid and aggregate per point.
 
     SNR is averaged in the linear domain and converted to dB afterwards;
-    SER is averaged over channels.  Failed realizations are skipped and
-    counted in the log.  ``on_point`` is invoked with each finished
+    SER is averaged over channels.  Realizations that fail with a domain
+    error (degenerate channel, bad configuration, power iteration not
+    converging) are skipped and counted in the log; any other exception
+    propagates.  ``on_point`` is invoked with each finished
     SimResult, letting callers persist partial output.
     """
     settings = mm_settings or MMSettings()
@@ -403,8 +408,6 @@ def run_sweep(
                 spec.n_symbols,
                 child_seed(spec.seed, vi, r),
                 spec.schemes,
-                sdr_tol,
-                sdr_max_iter,
             )
             for r in range(spec.n_channels)
         ]
@@ -512,60 +515,29 @@ def _fmt(x) -> str:
     return f"{x:.10g}"
 
 
+def _csv_rows(res: SimResult, schemes=None) -> list[list[str]]:
+    """CSV rows of one sweep point, one per scheme, in ``schemes`` order.
+
+    Without ``schemes`` the point's own schemes are written in the
+    canonical order.  Floats carry 10 significant digits.
+    """
+    ordered = schemes if schemes is not None else [s for s in ALL_SCHEMES if s in res.stats]
+    return [
+        [
+            res.sweep_variable.value,
+            _fmt(res.sweep_value),
+            scheme.value,
+            _fmt(res.stats[scheme].mean_snr_db),
+            _fmt(res.stats[scheme].ser),
+            _fmt(res.stats[scheme].mean_iterations),
+        ]
+        for scheme in ordered
+    ]
+
+
 def write_results_csv(fileobj, results: list[SimResult], schemes=None) -> None:
-    """Emit one row per (sweep point, scheme); floats at 10 significant digits."""
+    """Emit the header, then one row per (sweep point, scheme)."""
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for res in results:
-        ordered = schemes if schemes is not None else [s for s in ALL_SCHEMES if s in res.stats]
-        for scheme in ordered:
-            st = res.stats[scheme]
-            writer.writerow(
-                [
-                    res.sweep_variable.value,
-                    _fmt(res.sweep_value),
-                    scheme.value,
-                    _fmt(st.mean_snr_db),
-                    _fmt(st.ser),
-                    _fmt(st.mean_iterations),
-                ]
-            )
-
-
-def read_results_csv(fileobj) -> list[SimResult]:
-    """Parse a results CSV back into SimResult records (inverse of the writer)."""
-    reader = csv.reader(fileobj)
-    header = next(reader)
-    if tuple(header) != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header: {header}")
-    grouped: list[SimResult] = []
-    current_key = None
-    current_stats: dict = {}
-    for row in reader:
-        variable, value, scheme, snr_db, ser, iters = row
-        key = (variable, value)
-        if key != current_key:
-            if current_key is not None:
-                grouped.append(
-                    SimResult(
-                        sweep_variable=SweepVariable(current_key[0]),
-                        sweep_value=float(current_key[1]),
-                        stats=current_stats,
-                    )
-                )
-            current_key = key
-            current_stats = {}
-        current_stats[Scheme(scheme)] = SchemeStats(
-            mean_snr_db=float(snr_db),
-            ser=float(ser) if ser else None,
-            mean_iterations=float(iters) if iters else None,
-        )
-    if current_key is not None:
-        grouped.append(
-            SimResult(
-                sweep_variable=SweepVariable(current_key[0]),
-                sweep_value=float(current_key[1]),
-                stats=current_stats,
-            )
-        )
-    return grouped
+        writer.writerows(_csv_rows(res, schemes))

@@ -14,7 +14,6 @@ import numpy as np
 from .model import (
     ChannelSet,
     DegenerateChannelError,
-    EvalResult,
     ReflectConfig,
     SystemConfig,
 )
@@ -31,18 +30,6 @@ def composite_vector(theta: ReflectConfig | None, ch: ChannelSet) -> np.ndarray:
     if theta.n_i != ch.n_i:
         raise ValueError(f"reflect config has {theta.n_i} elements, channel {ch.n_i}")
     return ch.h_si.conj().T @ (np.conj(theta.theta) * ch.h_id) + ch.h_sd
-
-
-def upsilon_matrices(v: np.ndarray, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-one channel outer product and the diagonal of its distortion weight.
-
-    Returns (upsilon, upsilon_tilde_diag) where upsilon = v v^H and the
-    diagonal entries are (1+kd)*ks*|v_i|^2 + (1+kd)*sigma_n2/p_tilde.
-    """
-    upsilon = np.outer(v, np.conj(v))
-    diag = (1.0 + cfg.kappa_d) * cfg.kappa_s * np.abs(v) ** 2
-    diag = diag + (1.0 + cfg.kappa_d) * cfg.sigma_n2 / cfg.p_tilde
-    return upsilon, diag
 
 
 def evaluate_snr(
@@ -66,7 +53,8 @@ def optimal_beam_from_v(v: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     v = np.asarray(v, dtype=complex).ravel()
     if not np.any(v):
         raise DegenerateChannelError("degenerate channel: composite vector is zero")
-    _, diag = upsilon_matrices(v, cfg)
+    a, c = cfg.objective_coeffs
+    diag = a * np.abs(v) ** 2 + c
     # the direction is scale-invariant in the weights; normalizing them
     # keeps tiny noise powers from overflowing the division
     direction = v / (diag / diag.max())
@@ -120,8 +108,7 @@ def psi_tilde(theta: ReflectConfig | None, ch: ChannelSet, cfg: SystemConfig) ->
 
 def psi_tilde_from_v(v: np.ndarray, cfg: SystemConfig) -> float:
     q = np.abs(np.asarray(v, dtype=complex).ravel()) ** 2
-    a = (1.0 + cfg.kappa_d) * cfg.kappa_s
-    c = (1.0 + cfg.kappa_d) * cfg.sigma_n2 / cfg.p_tilde
+    a, c = cfg.objective_coeffs
     return float(np.sum(q / (a * q + c)))
 
 
@@ -138,26 +125,3 @@ def snr_from_psi_tilde(pt: float, cfg: SystemConfig) -> float:
     if pt < 0.0:
         raise ValueError(f"objective value must be non-negative, got {pt}")
     return float(pt / (cfg.kappa_d * pt + 1.0))
-
-
-def psi_from_psi_tilde(pt: float, cfg: SystemConfig) -> float:
-    """Power-scaled objective p_tilde * pt / (kappa_d * pt + 1)."""
-    return float(cfg.p_tilde * pt / (cfg.kappa_d * pt + 1.0))
-
-
-def evaluate_reflect(
-    theta: ReflectConfig | None,
-    ch: ChannelSet,
-    cfg: SystemConfig,
-) -> EvalResult:
-    """Score a reflection configuration under its own optimal transmit beam."""
-    v = composite_vector(theta, ch)
-    if not np.any(v):
-        return EvalResult(snr=0.0, psi_val=0.0, psi_tilde_val=0.0)
-    w = optimal_transmit_beam(theta, ch, cfg)
-    pt = psi_tilde_from_v(v, cfg)
-    return EvalResult(
-        snr=evaluate_snr(w, theta, ch, cfg),
-        psi_val=psi_from_psi_tilde(pt, cfg),
-        psi_tilde_val=pt,
-    )

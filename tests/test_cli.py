@@ -1,19 +1,27 @@
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import irsbf
 from irsbf.cli import build_setup, main, parse_config_file
-from irsbf.sim import db2pow
+from irsbf.sim import SweepSpec, SweepVariable, db2pow, run_sweep, write_results_csv
 
 
 def run_cli(args):
+    # the child imports the same irsbf as this process, installed or not
+    src = str(Path(irsbf.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "irsbf.cli", *args],
         capture_output=True,
         text=True,
         timeout=600,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -61,6 +69,20 @@ class TestConfigFile:
 
 
 class TestDeterminism:
+    def test_sweep_csv_matches_library_writer(self, tmp_path):
+        out = tmp_path / "cli.csv"
+        assert main([
+            "sweep-n", "--seed", "5", "--channels", "2", "--symbols", "40",
+            "--values", "4,8", "--out", str(out),
+        ]) == 0
+        cfg, geo = build_setup({})
+        spec = SweepSpec(
+            variable=SweepVariable.N_I, values=(4, 8), n_channels=2, n_symbols=40, seed=5
+        )
+        buf = io.StringIO()
+        write_results_csv(buf, run_sweep(spec, cfg, geo))
+        assert out.read_bytes() == buf.getvalue().encode("utf-8")
+
     def test_same_seed_byte_identical_csv(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = [

@@ -5,16 +5,14 @@ from irsbf.channels import sample_los
 from irsbf.mm import (
     MMSettings,
     PowerIterationError,
-    initial_iterate,
+    _mm_alpha,
+    _mm_map,
+    _mm_quantities,
     lambda_max_power_iteration,
     lifted_objective,
-    mm_step,
-    omega_matrix,
-    ones_lifted_init,
     quantize_phases,
     random_lifted_init,
     run_mm,
-    squarem_accelerate,
     surrogate_value,
 )
 from irsbf.model import (
@@ -37,6 +35,17 @@ def random_problem(rng, n_i=8, n_s=4, **cfg_overrides):
     cfg = SystemConfig(**params)
     psi = build_composite(random_channels(rng, n_i, n_s))
     return cfg, psi
+
+
+def run_steps(tt, psi, cfg, steps, accelerate=False):
+    """Run exactly ``steps`` optimizer iterations (no early stop) from ``tt``."""
+    return run_mm(tt, psi, cfg, MMSettings(epsilon=1e-300, max_iter=steps, accelerate=accelerate))
+
+
+def quantities(tt0, psi, cfg):
+    """Surrogate quantities (v0, xi, d, lam) and coefficient alpha at tt0."""
+    v0, xi, d, lam = _mm_quantities(tt0, psi, cfg, psi.psi @ psi.psi.conj().T)
+    return v0, xi, d, lam, _mm_alpha(tt0, psi, cfg, v0, xi, d, lam)
 
 
 class TestLiftedObjective:
@@ -99,21 +108,20 @@ class TestPowerIteration:
 class TestMMStep:
     def test_monotone_over_200_steps(self, rng):
         cfg, psi = random_problem(rng, n_i=8)
-        it = initial_iterate(random_lifted_init(rng, 8), psi, cfg)
-        prev_obj = it.objective
-        for _ in range(200):
-            it = mm_step(it, psi, cfg)
-            assert it.objective >= prev_obj - 1e-12
-            prev_obj = it.objective
-        np.testing.assert_allclose(np.abs(it.theta_tilde), 1.0, atol=1e-12)
+        res = run_steps(random_lifted_init(rng, 8), psi, cfg, 200)
+        objs = res.objectives
+        assert all(b >= a - 1e-12 for a, b in zip(objs, objs[1:]))
+        np.testing.assert_allclose(np.abs(res.reflect.theta), 1.0, atol=1e-12)
 
     def test_scalar_problem_fixed_point_in_one_step(self, rng):
         cfg, psi = random_problem(rng, n_i=0, n_s=3)
-        it = initial_iterate(random_lifted_init(rng, 0), psi, cfg)
-        step1 = mm_step(it, psi, cfg)
-        step2 = mm_step(step1, psi, cfg)
-        assert step2.objective == pytest.approx(step1.objective, rel=1e-12)
-        np.testing.assert_allclose(step2.theta_tilde, step1.theta_tilde, atol=1e-12)
+        gram = psi.psi @ psi.psi.conj().T
+        step1 = _mm_map(random_lifted_init(rng, 0), psi, cfg, gram)
+        step2 = _mm_map(step1, psi, cfg, gram)
+        assert lifted_objective(step2, psi, cfg) == pytest.approx(
+            lifted_objective(step1, psi, cfg), rel=1e-12
+        )
+        np.testing.assert_allclose(step2, step1, atol=1e-12)
 
     def test_rank_one_alignment_matches_closed_form(self, rng):
         # no direct link, ideal hardware, single transmit antenna: the fixed
@@ -129,28 +137,28 @@ class TestMMStep:
 
     def test_cached_quantities(self, rng):
         cfg, psi = random_problem(rng, n_i=5)
-        it = mm_step(initial_iterate(random_lifted_init(rng, 5), psi, cfg), psi, cfg)
+        _, xi, _, lam, alpha = quantities(random_lifted_init(rng, 5), psi, cfg)
         floor = (1 + cfg.kappa_d) * cfg.sigma_n2 / cfg.p_tilde
-        assert np.all(it.xi0 >= floor * (1 - 1e-12))
-        assert it.lambda_max >= 0.0
-        assert it.alpha.shape == (6,)
-        assert it.iteration == 1
+        assert np.all(xi >= floor * (1 - 1e-12))
+        assert lam >= 0.0
+        assert alpha.shape == (6,)
 
 
 class TestLambdaShift:
     def test_shifted_coupling_matrix_is_psd(self, rng):
         for _ in range(10):
             cfg, psi = random_problem(rng, n_i=int(rng.integers(1, 10)))
-            tt0 = random_lifted_init(rng, cfg.n_i)
-            omega = omega_matrix(tt0, psi, cfg)
-            it = mm_step(initial_iterate(tt0, psi, cfg), psi, cfg)
-            shifted = it.lambda_max * np.eye(omega.shape[0]) - omega
+            _, _, d, lam, _ = quantities(random_lifted_init(rng, cfg.n_i), psi, cfg)
+            omega = psi.psi.conj().T @ (d[:, None] * psi.psi)
+            shifted = lam * np.eye(omega.shape[0]) - omega
             min_eig = float(np.linalg.eigvalsh(shifted)[0])
-            assert min_eig >= -1e-9 * max(1.0, it.lambda_max)
+            assert min_eig >= -1e-9 * max(1.0, lam)
 
     def test_omega_psd(self, rng):
         cfg, psi = random_problem(rng, n_i=7)
-        omega = omega_matrix(random_lifted_init(rng, 7), psi, cfg)
+        _, _, d, _, _ = quantities(random_lifted_init(rng, 7), psi, cfg)
+        assert np.all(d >= 0.0)
+        omega = psi.psi.conj().T @ (d[:, None] * psi.psi)
         assert float(np.linalg.eigvalsh(omega)[0]) >= -1e-12
 
 
@@ -224,8 +232,8 @@ class TestRunMM:
 
     def test_deterministic_ones_init(self, rng):
         cfg, psi = random_problem(rng, n_i=4)
-        a = run_mm(ones_lifted_init(4), psi, cfg, MMSettings())
-        b = run_mm(ones_lifted_init(4), psi, cfg, MMSettings())
+        a = run_mm(np.ones(5, dtype=complex), psi, cfg, MMSettings())
+        b = run_mm(np.ones(5, dtype=complex), psi, cfg, MMSettings())
         np.testing.assert_array_equal(a.reflect.theta, b.reflect.theta)
 
 
@@ -233,19 +241,19 @@ class TestSquarem:
     def test_fixed_point_falls_back_to_plain_step(self, rng):
         cfg, psi = random_problem(rng, n_i=6)
         res = run_mm(random_lifted_init(rng, 6), psi, cfg, MMSettings(epsilon=1e-13))
-        state = initial_iterate(lift_reflect(res.reflect), psi, cfg)
-        plain = mm_step(state, psi, cfg)
-        accel = squarem_accelerate(state, psi, cfg)
-        assert accel.objective == pytest.approx(plain.objective, rel=1e-10)
+        state = lift_reflect(res.reflect)
+        plain = run_steps(state, psi, cfg, 1)
+        accel = run_steps(state, psi, cfg, 1, accelerate=True)
+        assert accel.objectives[-1] == pytest.approx(plain.objectives[-1], rel=1e-10)
 
     def test_accelerated_cycle_beats_plain_step(self, rng):
         cfg, psi = random_problem(rng, n_i=16)
-        state = initial_iterate(random_lifted_init(rng, 16), psi, cfg)
+        state = random_lifted_init(rng, 16)
         for _ in range(10):
-            plain = mm_step(state, psi, cfg)
-            accel = squarem_accelerate(state, psi, cfg)
-            assert accel.objective >= plain.objective - 1e-12
-            state = accel
+            plain = run_steps(state, psi, cfg, 1)
+            accel = run_steps(state, psi, cfg, 1, accelerate=True)
+            assert accel.objectives[-1] >= plain.objectives[-1] - 1e-12
+            state = lift_reflect(accel.reflect)
 
     def test_accelerated_converges_faster(self, rng):
         cfg, psi = random_problem(rng, n_i=20)

@@ -8,7 +8,6 @@ from irsbf.model import (
     ReflectConfig,
     SystemConfig,
     build_composite,
-    effective_power,
     extract_reflect,
     lift_reflect,
     validate_config,
@@ -50,24 +49,36 @@ class TestSystemConfig:
             table_config(**{field: value})
 
     def test_effective_power_identity(self):
-        assert effective_power(table_config(p=2.0, kappa_s=0.0)) == 2.0
+        assert table_config(p=2.0, kappa_s=0.0).p_tilde == 2.0
 
     def test_effective_power_symmetry(self):
-        assert effective_power(table_config(p=3.0, kappa_s=0.5)) == pytest.approx(2.0, rel=1e-15)
+        assert table_config(p=3.0, kappa_s=0.5).p_tilde == pytest.approx(2.0, rel=1e-15)
 
     def test_effective_power_table_value(self):
         # 10^1.2 / 1.07 recomputed by hand
-        cfg = table_config()
-        assert effective_power(cfg) == pytest.approx(14.812085910851526, rel=1e-12)
-        assert cfg.p_tilde == effective_power(cfg)
+        assert table_config().p_tilde == pytest.approx(14.812085910851526, rel=1e-12)
 
     def test_effective_power_monotone_in_kappa_linear_in_p(self, rng):
         kappas = np.sort(rng.uniform(0.0, 0.99, 25))
-        values = [effective_power(table_config(kappa_s=float(k))) for k in kappas]
+        values = [table_config(kappa_s=float(k)).p_tilde for k in kappas]
         assert all(b < a for a, b in zip(values, values[1:]))
-        p1 = effective_power(table_config(p=1.0, kappa_s=0.3))
-        p7 = effective_power(table_config(p=7.0, kappa_s=0.3))
+        p1 = table_config(p=1.0, kappa_s=0.3).p_tilde
+        p7 = table_config(p=7.0, kappa_s=0.3).p_tilde
         assert p7 == pytest.approx(7.0 * p1, rel=1e-14)
+
+    def test_objective_coeffs_distortion_diagonal(self, rng):
+        cfg = table_config()
+        a, c = cfg.objective_coeffs
+        assert a == (1 + cfg.kappa_d) * cfg.kappa_s
+        assert c == (1 + cfg.kappa_d) * cfg.sigma_n2 / cfg.p_tilde
+        assert c > 0.0
+        assert table_config(kappa_s=0.0).objective_coeffs[0] == 0.0
+        # a q + c is the diagonal of the beam's distortion weight, computed
+        # term by term as in the model
+        v = complex_gaussian(rng, cfg.n_s)
+        expected = (1 + cfg.kappa_d) * cfg.kappa_s * np.abs(v) ** 2
+        expected += (1 + cfg.kappa_d) * cfg.sigma_n2 / cfg.p_tilde
+        np.testing.assert_allclose(a * np.abs(v) ** 2 + c, expected, rtol=1e-14)
 
 
 class TestChannelSet:

@@ -9,7 +9,6 @@ from irsbf.sdr import (
     project_elliptope,
     rank_one_start,
     relaxed_objective,
-    snr_bound,
     solve_sdr,
 )
 from irsbf.txbf import snr_from_psi_tilde
@@ -177,7 +176,7 @@ class TestSolveSdr:
     def test_snr_bound_map(self, rng):
         cfg, psi = small_problem(rng, n_i=2)
         ub = solve_sdr(psi, cfg, max_iter=20)
-        assert snr_bound(ub, cfg) == ub.bound_snr
+        assert ub.bound_snr == snr_from_psi_tilde(ub.bound_psi_tilde, cfg)
         cfg0 = SystemConfig(n_s=3, n_i=2, p=2.0, kappa_s=0.1, kappa_d=0.0, sigma_n2=0.05)
         assert snr_from_psi_tilde(5.0, cfg0) == pytest.approx(5.0, rel=1e-15)
         assert snr_from_psi_tilde(0.0, cfg0) == 0.0

@@ -1,24 +1,33 @@
+import csv
 import io
+import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import irsbf.sim as sim_mod
 from irsbf.channels import Geometry, generate_channels
-from irsbf.model import ConfigError, PhaseConstraint, SystemConfig
+from irsbf.mm import MMSettings
+from irsbf.model import ConfigError, DegenerateChannelError, PhaseConstraint, SystemConfig
 from irsbf.sim import (
+    ALL_SCHEMES,
+    CSV_HEADER,
     Scheme,
     SweepSpec,
     SweepVariable,
     SymbolTransmission,
+    _fmt,
+    _realization_stats,
     child_seed,
     design_beams,
     pow2db,
-    read_results_csv,
     run_iteration_study,
     run_sweep,
     ser_qpsk_theory,
     simulate_ser,
     simulate_symbols,
+    table_defaults,
     write_results_csv,
 )
 from irsbf.txbf import composite_vector, evaluate_snr, optimal_transmit_beam
@@ -250,10 +259,28 @@ class TestTrends:
         assert high.stats[Scheme.ROBUST_IRS].ser < low.stats[Scheme.ROBUST_IRS].ser
 
 
-class TestFailureHandling:
-    def test_failed_realizations_skipped_and_logged(self, monkeypatch, caplog):
-        import irsbf.sim as sim_mod
+class TestUpperBoundScheme:
+    def test_bound_not_below_designed_schemes(self):
+        # here the robust scheme keeps the nonrobust phases, which beat its
+        # own MM solution; the bound must still dominate both designs
+        cfg, geo = table_defaults()
+        cfg = replace(cfg, n_i=16)
+        seed = child_seed(7, 16, 25)
+        out = _realization_stats(
+            (cfg, geo, MMSettings(), PhaseConstraint.continuous(), 0, seed, ALL_SCHEMES)
+        )
+        bound = out[Scheme.UPPER_BOUND.value][0]
+        assert bound >= out[Scheme.ROBUST_IRS.value][0]
+        assert bound >= out[Scheme.NONROBUST_IRS.value][0]
 
+
+class TestFailureHandling:
+    SPEC = SweepSpec(
+        variable=SweepVariable.N_I, values=(4.0,), n_channels=3, n_symbols=0, seed=1,
+        schemes=(Scheme.ROBUST_IRS, Scheme.ROBUST_NO_IRS),
+    )
+
+    def test_failed_realizations_skipped_and_logged(self, monkeypatch, caplog):
         original = sim_mod._realization_stats
         calls = {"n": 0}
 
@@ -269,12 +296,38 @@ class TestFailureHandling:
             variable=SweepVariable.N_I, values=(4.0,), n_channels=3, n_symbols=0, seed=1,
             schemes=(Scheme.ROBUST_NO_IRS,),
         )
-        import logging
 
         with caplog.at_level(logging.WARNING, logger="irsbf.sim"):
             results = run_sweep(spec, cfg, geo)
         assert len(results) == 1
         assert "skipped 1/3" in caplog.text
+
+    def test_domain_error_in_realization_is_skipped_and_logged(self, monkeypatch, caplog):
+        original = sim_mod.generate_channels
+        calls = {"n": 0}
+
+        def degenerate_second(*args):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise DegenerateChannelError("degenerate channel: injected")
+            return original(*args)
+
+        monkeypatch.setattr(sim_mod, "generate_channels", degenerate_second)
+        cfg, geo = small_setup(n_i=4)
+        with caplog.at_level(logging.WARNING, logger="irsbf.sim"):
+            results = run_sweep(self.SPEC, cfg, geo)
+        assert len(results) == 1
+        assert "skipped 1/3" in caplog.text
+        assert "DegenerateChannelError: degenerate channel: injected" in caplog.text
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(sim_mod, "run_mm", broken)
+        cfg, geo = small_setup(n_i=4)
+        with pytest.raises(TypeError, match="injected"):
+            run_sweep(self.SPEC, cfg, geo)
 
 
 class TestCsv:
@@ -287,21 +340,21 @@ class TestCsv:
         results = run_sweep(spec, cfg, geo)
         buf = io.StringIO()
         write_results_csv(buf, results)
-        parsed = read_results_csv(io.StringIO(buf.getvalue()))
-        buf2 = io.StringIO()
-        write_results_csv(buf2, parsed)
-        assert buf.getvalue() == buf2.getvalue()
-        for orig, back in zip(results, parsed):
-            assert back.sweep_variable == orig.sweep_variable
-            assert back.sweep_value == pytest.approx(orig.sweep_value, rel=1e-9)
-            for scheme in orig.stats:
-                assert back.stats[scheme].mean_snr_db == pytest.approx(
-                    orig.stats[scheme].mean_snr_db, rel=1e-9
-                )
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(ValueError):
-            read_results_csv(io.StringIO("a,b,c\n1,2,3\n"))
+        # parsed back, every value re-formats to the bytes it was read from
+        rows = list(csv.reader(io.StringIO(buf.getvalue())))
+        assert tuple(rows[0]) == CSV_HEADER
+        body = rows[1:]
+        assert len(body) == len(results) * len(spec.schemes)
+        for row, (orig, scheme) in zip(body, [(r, s) for r in results for s in spec.schemes]):
+            variable, value, name, snr_db, ser, iters = row
+            assert (variable, name) == (orig.sweep_variable.value, scheme.value)
+            assert float(value) == pytest.approx(orig.sweep_value, rel=1e-9)
+            st = orig.stats[scheme]
+            assert float(snr_db) == pytest.approx(st.mean_snr_db, rel=1e-9)
+            assert float(ser) == pytest.approx(st.ser, rel=1e-9, abs=1e-12)
+            assert (iters == "") == (st.mean_iterations is None)
+            for text in (value, snr_db, ser, iters):
+                assert _fmt(float(text) if text else None) == text
 
 
 class TestIterationStudy:

@@ -1,21 +1,20 @@
 import numpy as np
 import pytest
 
+from irsbf.mm import MMSettings, random_lifted_init, run_mm
 from irsbf.model import (
     ChannelSet,
     DegenerateChannelError,
     ReflectConfig,
     SystemConfig,
+    build_composite,
 )
 from irsbf.txbf import (
     composite_vector,
-    evaluate_reflect,
     evaluate_snr,
     optimal_transmit_beam,
-    psi_from_psi_tilde,
     psi_tilde,
     snr_from_psi_tilde,
-    upsilon_matrices,
 )
 
 from conftest import complex_gaussian, random_channels
@@ -127,19 +126,6 @@ class TestOptimalBeam:
             optimal_transmit_beam(None, ch, cfg)
 
 
-class TestUpsilon:
-    def test_rank_one_and_diagonal(self, rng, small_cfg):
-        v = complex_gaussian(rng, small_cfg.n_s)
-        ups, diag = upsilon_matrices(v, small_cfg)
-        assert np.linalg.matrix_rank(ups) == 1
-        evals = np.linalg.eigvalsh(ups)
-        assert evals.min() > -1e-12
-        expected = (1 + small_cfg.kappa_d) * small_cfg.kappa_s * np.abs(v) ** 2
-        expected += (1 + small_cfg.kappa_d) * small_cfg.sigma_n2 / small_cfg.p_tilde
-        np.testing.assert_allclose(diag, expected, rtol=1e-14)
-        assert np.all(diag > 0)
-
-
 class TestObjectiveMaps:
     def test_zero_vector(self, small_cfg):
         ch = ChannelSet(
@@ -180,18 +166,15 @@ class TestObjectiveMaps:
         vals = [snr_from_psi_tilde(float(p), small_cfg) for p in pts]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
-    def test_scaled_map(self, small_cfg):
-        pt = 4.2
-        assert psi_from_psi_tilde(pt, small_cfg) == pytest.approx(
-            small_cfg.p_tilde * snr_from_psi_tilde(pt, small_cfg), rel=1e-14
-        )
-
     def test_eval_result_invariants(self, rng, small_cfg):
+        # the optimizer's EvalResult agrees with the objective and with the
+        # SNR of the closed-form beam at the reflection it returns
         ch = random_channels(rng, small_cfg.n_i, small_cfg.n_s)
-        theta = ReflectConfig.from_phases(rng.uniform(0, 2 * np.pi, small_cfg.n_i))
-        res = evaluate_reflect(theta, ch, small_cfg)
-        pt = res.psi_tilde_val
-        assert res.psi_val == pytest.approx(
-            small_cfg.p_tilde * pt / (small_cfg.kappa_d * pt + 1.0), rel=1e-9
+        mm = run_mm(
+            random_lifted_init(rng, small_cfg.n_i), build_composite(ch), small_cfg, MMSettings()
         )
-        assert res.snr * small_cfg.p_tilde == pytest.approx(res.psi_val, rel=1e-9)
+        res = mm.result
+        assert res.psi_tilde_val == pytest.approx(psi_tilde(mm.reflect, ch, small_cfg), rel=1e-9)
+        assert res.snr == pytest.approx(snr_from_psi_tilde(res.psi_tilde_val, small_cfg), rel=1e-9)
+        w = optimal_transmit_beam(mm.reflect, ch, small_cfg)
+        assert res.snr == pytest.approx(evaluate_snr(w, mm.reflect, ch, small_cfg), rel=1e-9)
