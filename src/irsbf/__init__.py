@@ -37,13 +37,7 @@ from .model import (
     lift_reflect,
     validate_config,
 )
-from .sdr import (
-    UpperBoundResult,
-    project_elliptope,
-    rank_one_start,
-    relaxed_objective,
-    solve_sdr,
-)
+from .sdr import UpperBoundResult, relaxed_objective, solve_sdr
 from .sim import (
     Scheme,
     SimResult,

@@ -1,6 +1,6 @@
 """Reflect-beamforming optimizer over the lifted unit-modulus vector.
 
-``run_mm`` is the one optimizer loop.  Each step minorizes the separable
+``run_mm`` runs the one optimizer loop.  Each step minorizes the separable
 objective with a tight linear-plus-constant surrogate built at the previous
 iterate; the surrogate's maximizer over the torus takes the phases of a
 single matrix-vector product.  The quadratic coupling term is bounded by
@@ -11,6 +11,12 @@ objective never decreases from step to step.  With
 (Varadhan & Roland, Scand. J. Stat. 2008) instead: two steps, a squared
 extrapolation, and backtracking that keeps the sequence monotone.
 ``surrogate_value`` evaluates the minorizer itself, for checking.
+
+The loop also ascends a Burer-Monteiro factor V of the relaxation
+X = V V^H (one unit-norm row per element), which ``sdr`` uses: the same
+surrogate coefficient applies with the per-antenna power taken as a row
+norm, rows are normalized where phases are taken, and the coupling
+eigenvalue comes from ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .model import (
     check_unit_modulus,
     extract_reflect,
 )
-from .txbf import psi_tilde_from_v, snr_at_optimal_beam_from_v
+from .txbf import _row_power, psi_tilde_from_v, snr_at_optimal_beam_from_v
 
 # Multiplicative safety margin applied to the power-iteration eigenvalue so
 # the shifted coupling matrix stays dominated even with a slightly
@@ -64,8 +70,12 @@ class MMSettings:
 
 
 def lifted_objective(theta_tilde: np.ndarray, psi: CompositeChannel, cfg: SystemConfig) -> float:
-    """Objective of the lifted problem; equals the reflect objective after extraction."""
-    return psi_tilde_from_v(psi.psi @ np.asarray(theta_tilde, dtype=complex).ravel(), cfg)
+    """Objective of the lifted problem; equals the reflect objective after extraction.
+
+    At a factor (one row per element) it is the relaxed objective at V V^H.
+    """
+    tt = np.asarray(theta_tilde, dtype=complex)
+    return psi_tilde_from_v(psi.psi @ (tt if tt.ndim == 2 else tt.ravel()), cfg)
 
 
 def lambda_max_power_iteration(
@@ -103,6 +113,11 @@ def lambda_max_power_iteration(
     )
 
 
+def _per_row(x: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """A per-row array shaped to broadcast against a vector or a factor."""
+    return x if like.ndim == 1 else x[:, None]
+
+
 def _mm_quantities(
     tt0: np.ndarray,
     psi: CompositeChannel,
@@ -119,15 +134,19 @@ def _mm_quantities(
     m = psi.psi
     v0 = m @ tt0
     a, c = cfg.objective_coeffs
-    xi = a * np.abs(v0) ** 2 + c
+    xi = a * _row_power(v0) + c
     if a == 0.0:
         return v0, xi, np.zeros_like(xi), 0.0
-    d = np.abs(v0 / xi) ** 2
+    d = _row_power(v0 / _per_row(xi, v0))
     # lambda_max of m^H diag(d) m equals that of the small Gram
-    # sqrt(d) (m m^H) sqrt(d), which power iteration handles cheaply.
+    # sqrt(d) (m m^H) sqrt(d).  The phase path finds it by power iteration,
+    # whose rounding the fixed-seed outputs carry; a factor uses eigvalsh.
     sd = np.sqrt(d)
     small = sd[:, None] * gram * sd[None, :]
-    lam = lambda_max_power_iteration(small)
+    if tt0.ndim == 1:
+        lam = lambda_max_power_iteration(small)
+    else:
+        lam = float(np.linalg.eigvalsh(small)[-1])
     lam = max(lam, 0.0) * (1.0 + _LAMBDA_MARGIN)
     return v0, xi, d, lam
 
@@ -136,14 +155,19 @@ def _mm_alpha(tt0, psi, cfg, v0, xi, d, lam):
     """Surrogate linear coefficient: one application of the surrogate matrix."""
     m = psi.psi
     a, _ = cfg.objective_coeffs
-    alpha = m.conj().T @ (v0 / xi)
+    alpha = m.conj().T @ (v0 / _per_row(xi, v0))
     if a > 0.0:
-        alpha = alpha - a * (m.conj().T @ (d * v0) - lam * tt0)
+        alpha = alpha - a * (m.conj().T @ (_per_row(d, v0) * v0) - lam * tt0)
     return alpha
 
 
 def _phases_of(alpha: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Entrywise unit-modulus maximizer; zero coefficients keep the old phase."""
+    """Entrywise unit-modulus maximizer; zero coefficients keep the old phase.
+
+    For a factor the maximizer normalizes each row instead.
+    """
+    if alpha.ndim == 2:
+        return _project_unit(alpha, keep)
     out = np.where(alpha != 0.0, np.exp(1j * np.angle(alpha)), keep)
     return out
 
@@ -179,7 +203,8 @@ def surrogate_value(
 
 
 def _project_unit(vec: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    mags = np.abs(vec)
+    """Scale each entry (each row of a factor) to unit modulus; zeros take ``fallback``."""
+    mags = np.abs(vec) if vec.ndim == 1 else np.linalg.norm(vec, axis=1, keepdims=True)
     out = np.where(mags > 0.0, vec / np.where(mags > 0.0, mags, 1.0), fallback)
     return out
 
@@ -234,6 +259,32 @@ def random_lifted_init(rng: np.random.Generator, n_i: int) -> np.ndarray:
     return z
 
 
+def _ascend(tt, psi, cfg, settings):
+    """The optimizer loop from ``tt``, a phase vector or a unit-row factor.
+
+    Returns the last iterate, the objective after each iteration (the
+    start first) and whether the relative change fell below
+    ``settings.epsilon`` within ``settings.max_iter`` iterations.
+    """
+    gram = psi.psi @ psi.psi.conj().T
+    obj = lifted_objective(tt, psi, cfg)
+    objectives = [obj]
+    converged = False
+    for _ in range(settings.max_iter):
+        if settings.accelerate:
+            tt_new, obj_new = _squarem_cycle(tt, psi, cfg, gram)
+        else:
+            tt_new = _mm_map(tt, psi, cfg, gram)
+            obj_new = lifted_objective(tt_new, psi, cfg)
+        objectives.append(obj_new)
+        delta = abs(obj_new - obj) / max(1.0, abs(obj))
+        tt, obj = tt_new, obj_new
+        if delta < settings.epsilon:
+            converged = True
+            break
+    return tt, objectives, converged
+
+
 def run_mm(
     init: np.ndarray,
     psi: CompositeChannel,
@@ -249,25 +300,7 @@ def run_mm(
     the final lifted vector by dividing out the slack entry, which leaves
     the objective unchanged.
     """
-    tt = check_unit_modulus(init).copy()
-    gram = psi.psi @ psi.psi.conj().T
-    obj = lifted_objective(tt, psi, cfg)
-    objectives = [obj]
-    converged = False
-    iterations = 0
-    for _ in range(settings.max_iter):
-        if settings.accelerate:
-            tt_new, obj_new = _squarem_cycle(tt, psi, cfg, gram)
-        else:
-            tt_new = _mm_map(tt, psi, cfg, gram)
-            obj_new = lifted_objective(tt_new, psi, cfg)
-        iterations += 1
-        objectives.append(obj_new)
-        delta = abs(obj_new - obj) / max(1.0, abs(obj))
-        tt, obj = tt_new, obj_new
-        if delta < settings.epsilon:
-            converged = True
-            break
+    tt, objectives, converged = _ascend(check_unit_modulus(init).copy(), psi, cfg, settings)
     reflect = extract_reflect(tt)
     v = psi.psi @ tt / tt[-1]
     pt = psi_tilde_from_v(v, cfg)
@@ -278,7 +311,7 @@ def run_mm(
     return MMResult(
         reflect=reflect,
         result=result,
-        iterations=iterations,
+        iterations=len(objectives) - 1,
         converged=converged,
         objectives=tuple(objectives),
     )

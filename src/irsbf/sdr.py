@@ -1,12 +1,20 @@
-"""Convex upper bound on the reflect objective over the elliptope.
+"""Certified upper bound on the reflect objective over the elliptope.
 
-Lifting the unit-modulus vector to a rank-one matrix and dropping the rank
-constraint leaves a concave separable objective over Hermitian PSD
-matrices with unit diagonal.  Its optimum dominates every feasible
-unit-modulus value, so it serves as a per-instance benchmark.  The solver
-is first-order: projected gradient ascent with backtracking, projecting
-onto the feasible set by Dykstra's alternating projections between the PSD
-cone and the unit-diagonal affine set.
+Lifting the unit-modulus vector to X = tt tt^H and dropping the rank
+constraint leaves the concave objective f(X) = sum q/(a q + c), with
+q_m = (Psi X Psi^H)_mm, over the elliptope E of Hermitian PSD matrices with
+unit diagonal.  Its maximum f* dominates every unit-modulus value.
+
+``solve_sdr`` brackets f* from both sides.  The primal side is a
+Burer-Monteiro factor X = V V^H with unit-norm rows, ascended from the
+given phases by the optimizer loop of ``mm``; any such X is feasible, so
+f(X) <= f*.  The dual side holds at any X: f depends on X only through q,
+so its gradient is G = B^H B with B the n_s x (n_i+1) matrix
+diag(sqrt(c) / (a q + c)) Psi, and by concavity
+f* <= f(X) + max_E <G, X'> - <G, X>.  MaxCut-style weak duality bounds the
+maximum by t sum(y) for any y > 0, where t = lambda_max(B diag(1/y) B^H) is
+an n_s x n_s eigenproblem solved exactly.  The bound is therefore certified
+from any start and needs no eigendecomposition of an (n_i+1)-square matrix.
 """
 
 from __future__ import annotations
@@ -15,27 +23,50 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CompositeChannel, SystemConfig
-from .txbf import snr_from_psi_tilde
+from .mm import MMSettings, _ascend, lifted_objective
+from .model import CompositeChannel, SystemConfig, check_unit_modulus
+from .txbf import _row_power, psi_tilde_from_powers, snr_from_psi_tilde
 
-
-class ProjectionError(RuntimeError):
-    """Dykstra projection hit its iteration cap; carries the last iterate."""
-
-    def __init__(self, message: str, last: np.ndarray):
-        super().__init__(message)
-        self.last = last
+# Relative inflation of the exactly computed lambda_max: covers the rounding
+# of the n_s x n_s matrix and of its eigenvalue, so t sum(y) stays a bound.
+_T_MARGIN = 1e-9
+# Size of the fixed perturbation that moves the rank-one start, a critical
+# point of the factor ascent, into the extra columns.
+_PERTURBATION = 0.3
+_PERTURBATION_SEED = 0x5D12
+# Weight of the identity mixed into the first dual iterate, which keeps it
+# positive definite on the range of B.
+_DUAL_BLEND = 0.3
+_DUAL_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
 class UpperBoundResult:
-    """Solution of the relaxation and its mapped SNR benchmark."""
+    """Certified bound on the relaxation, the primal point behind it, and its SNR map.
 
-    theta_big: np.ndarray
+    ``bound_psi_tilde`` is at least f*, and so at least every unit-modulus
+    objective value; ``primal_psi_tilde`` is f at the feasible point
+    ``theta_big`` = factor factor^H, so ``gap`` is the certified distance
+    of either from f*.  ``dual`` is the certificate: with G the gradient of
+    f at ``theta_big``, diag(dual) - G is positive semidefinite and
+    ``bound_psi_tilde`` = f(theta_big) + sum(dual) - <G, theta_big>.
+    """
+
+    factor: np.ndarray
+    dual: np.ndarray
+    primal_psi_tilde: float
     bound_psi_tilde: float
     bound_snr: float
     converged: bool
     iterations: int
+
+    @property
+    def theta_big(self) -> np.ndarray:
+        return self.factor @ self.factor.conj().T
+
+    @property
+    def gap(self) -> float:
+        return self.bound_psi_tilde - self.primal_psi_tilde
 
 
 def _diag_quad(psi_m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -45,75 +76,68 @@ def _diag_quad(psi_m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def relaxed_objective(theta_big: np.ndarray, psi: CompositeChannel, cfg: SystemConfig) -> float:
     """Separable concave objective evaluated at a Hermitian matrix."""
+    return psi_tilde_from_powers(np.maximum(_diag_quad(psi.psi, np.asarray(theta_big)), 0.0), cfg)
+
+
+def _gradient_factor(q: np.ndarray, psi: CompositeChannel, cfg: SystemConfig) -> np.ndarray:
+    """B with B^H B the gradient of the relaxed objective where the received powers are ``q``."""
     a, c = cfg.objective_coeffs
-    q = np.maximum(_diag_quad(psi.psi, np.asarray(theta_big)), 0.0)
-    return float(np.sum(q / (a * q + c)))
+    return (np.sqrt(c) / (a * q + c))[:, None] * psi.psi
 
 
-def _objective_gradient(theta_big: np.ndarray, psi: CompositeChannel, cfg: SystemConfig) -> np.ndarray:
-    """Hermitian ascent direction: weighted sum of per-antenna rank-one terms."""
-    a, c = cfg.objective_coeffs
-    q = np.maximum(_diag_quad(psi.psi, theta_big), 0.0)
-    weights = c / (a * q + c) ** 2
-    return psi.psi.conj().T @ (weights[:, None] * psi.psi)
+def _dual_certificate(b: np.ndarray, m: np.ndarray, tol: float) -> np.ndarray:
+    """y >= 0 with diag(y) - b^H b PSD, so that max_E <b^H b, X> <= sum(y).
 
-
-def _project_psd(x: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((x + x.conj().T) / 2.0)
-    vals = np.maximum(vals, 0.0)
-    return (vecs * vals) @ vecs.conj().T
-
-
-def _project_unit_diag(x: np.ndarray) -> np.ndarray:
-    out = x.copy()
-    np.fill_diagonal(out, 1.0)
-    return out
-
-
-def _dykstra(m: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, float, bool]:
-    x = (np.asarray(m, dtype=complex) + np.asarray(m, dtype=complex).conj().T) / 2.0
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    residual = np.inf
-    for _ in range(max_iter):
-        y = _project_psd(x + p)
-        p = x + p - y
-        x = _project_unit_diag(y + q)
-        q = y + q - x
-        residual = float(np.linalg.norm(x - y))
-        if residual <= tol:
-            return x, residual, True
-    return x, residual, False
-
-
-def project_elliptope(m: np.ndarray, tol: float = 1e-8, max_iter: int = 5000) -> np.ndarray:
-    """Nearest-point projection onto PSD matrices with unit diagonal.
-
-    Dykstra's scheme with one correction per set; converges to the true
-    Frobenius-nearest point, unlike naive alternating projections.  Stops
-    once the PSD-projected and diagonal-corrected iterates agree within
-    ``tol`` in Frobenius norm: the returned matrix then has an exact unit
-    diagonal and sits within ``tol`` of the PSD cone.
+    Starts from the primal point x with b x b^H = m m^H, mixed with the
+    identity, and runs the MaxCut ascent in its n_s-dimensional image
+    z = b x b^H: with u_i = sqrt(b_i^H z b_i) and s = b diag(1/u) b^H, the
+    step z <- s z s is the image of the feasible point with rows
+    b_i^H m / u_i.  Each u, scaled by t = lambda_max(s), is a certificate
+    t u; each z gives the feasible value trace(z).  The smallest
+    certificate is kept, and the loop stops once it is within ``tol``
+    (relative) of the feasible value.  The Cauchy-Schwarz certificate
+    |b_i| sum_j |b_j| is the fallback; zero columns get y_i = 0.
     """
-    x, residual, ok = _dykstra(m, tol, max_iter)
-    if not ok:
-        raise ProjectionError(
-            f"alternating projections stalled at residual {residual:.3e} "
-            f"(tol={tol}) after {max_iter} iterations",
-            last=x,
-        )
-    return x
+    norms = np.linalg.norm(b, axis=0)
+    best = norms * np.sum(norms)
+    live = norms > 0.0
+    b = b[:, live]
+    z = (1.0 - _DUAL_BLEND) * (m @ m.conj().T) + _DUAL_BLEND * (b @ b.conj().T)
+    for _ in range(_DUAL_MAX_ITER):
+        u = np.sqrt(np.maximum(np.real(np.sum(b.conj() * (z @ b), axis=0)), 0.0))
+        if not np.all(u > 0.0):
+            break
+        s = (b / u) @ b.conj().T
+        t = float(np.linalg.eigvalsh(s)[-1]) * (1.0 + _T_MARGIN)
+        if t * np.sum(u) < np.sum(best):
+            best = np.zeros_like(norms)
+            best[live] = t * u
+        z = s @ z @ s
+        if np.sum(best) - float(np.real(np.trace(z))) <= tol * np.sum(best):
+            break
+    return best
 
 
-def rank_one_start(theta_tilde: np.ndarray) -> np.ndarray:
-    """Feasible warm start from a unit-modulus vector."""
-    tt = np.asarray(theta_tilde, dtype=complex).ravel()
-    return np.outer(tt, tt.conj())
+def _certify(v: np.ndarray, psi: CompositeChannel, cfg: SystemConfig, tol: float):
+    """Relaxed objective f(X) at X = v v^H, the dual certificate y at X, and the bound.
+
+    The bound is f(X) + sum(y) - <G, X>, with G = b^H b the gradient at X.
+    """
+    q = _row_power(psi.psi @ v)
+    b = _gradient_factor(q, psi, cfg)
+    m = b @ v
+    primal = psi_tilde_from_powers(q, cfg)
+    dual = _dual_certificate(b, m, tol)
+    return primal, dual, primal + float(np.sum(dual)) - float(np.sum(np.abs(m) ** 2))
 
 
-def _project_capped(m: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, float]:
-    x, residual, _ = _dykstra(m, tol, max_iter)
-    return x, residual
+def _warm_factor(tt: np.ndarray, rank: int) -> np.ndarray:
+    """Factor with first column ``tt`` and a fixed perturbation in the others, rows normalized."""
+    rng = np.random.default_rng(_PERTURBATION_SEED)
+    shape = (tt.shape[0], rank - 1)
+    extra = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    v = np.concatenate([tt[:, None], _PERTURBATION * extra], axis=1)
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def solve_sdr(
@@ -122,106 +146,32 @@ def solve_sdr(
     tol: float = 1e-4,
     max_iter: int = 30,
     init: np.ndarray | None = None,
-    stall_window: int = 8,
-    proj_tol: float = 1e-6,
-    proj_max_iter: int = 300,
 ) -> UpperBoundResult:
-    """Maximize the relaxed objective over the elliptope.
+    """Bracket the maximum of the relaxed objective over the elliptope.
 
-    Ascent steps start at the inverse of a curvature bound on the smooth
-    concave objective and backtrack until the value does not drop; with
-    ideal transmit hardware the objective is linear and normalized
-    diminishing steps are used instead.  Terminates when the best value
-    stalls below ``tol`` (relative) over ``stall_window`` iterations.
-
-    Mid-ascent projections run at ``proj_tol`` with a cycle cap, which is
-    why the best mid-ascent iterate is re-projected tightly at the end and
-    its value re-evaluated there.  The reported value is never below the
-    value at the (feasible) starting point, so warm-starting from an
-    optimizer solution guarantees the benchmark dominates it.
+    ``init`` is a lifted unit-modulus vector (all ones if omitted).  The
+    factor ascent starts there with rank min(n_s + 1, n_i + 1), which is
+    enough for the optimum (its rank is at most n_s), and stops when the
+    relative change of one accelerated cycle drops below ``tol`` or after
+    ``max_iter`` cycles; the better of its last iterate and the start is
+    certified.  The dual ascent shares ``tol``.
     """
     n = psi.n_i + 1
-    if init is None:
-        x0 = rank_one_start(np.ones(n, dtype=complex))
-    else:
-        x0 = np.asarray(init, dtype=complex).copy()
-        if x0.shape != (n, n):
-            raise ValueError(f"init must be {n}x{n}, got {x0.shape}")
-        diag_off = np.max(np.abs(np.diagonal(x0) - 1.0))
-        min_eig = float(np.linalg.eigvalsh((x0 + x0.conj().T) / 2.0)[0])
-        if diag_off > 1e-9 or min_eig < -1e-9:
-            # the start value floors the reported bound, so it must come
-            # from a genuinely feasible point
-            x0 = project_elliptope(x0, tol=1e-9, max_iter=50000)
-    a, c = cfg.objective_coeffs
-    sum_norms4 = float(np.sum(np.sum(np.abs(psi.psi) ** 2, axis=1) ** 2))
-    start_val = relaxed_objective(x0, psi, cfg)
-    x, val = x0, start_val
-    best_x, best_val = x0, start_val
-    window_anchor = best_val
-    anchor_iter = 0
-    converged = False
-    iterations = 0
-    step = None
-    for k in range(max_iter):
-        iterations = k + 1
-        grad = _objective_gradient(x, psi, cfg)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm == 0.0:
-            converged = True
-            break
-        if a == 0.0:
-            # linear objective: normalized diminishing supergradient steps
-            step = (1.0 / (1.0 + 0.01 * k)) / gnorm
-        elif step is None:
-            # worst-antenna inverse curvature as a safe opening step; the
-            # expand/shrink search below adapts it across iterations
-            q_min = float(np.min(np.maximum(_diag_quad(psi.psi, x), 0.0)))
-            step = min((a * q_min + c) ** 3 / (2.0 * a * c * sum_norms4), 1.0 / gnorm)
-
-        def try_step(t):
-            cand, residual = _project_capped(x + t * grad, tol=proj_tol, max_iter=proj_max_iter)
-            # inexact projections perturb the objective by roughly the
-            # gradient norm times the achieved residual; changes below that
-            # noise floor are null steps, not signals for the step search
-            noise = 1e-9 * max(1.0, abs(val)) + 10.0 * gnorm * residual
-            return cand, relaxed_objective(cand, psi, cfg), noise
-
-        cand, cand_val, slack = try_step(step)
-        if a > 0.0:
-            if cand_val > val + slack:
-                for _ in range(8):
-                    cand2, cand2_val, slack2 = try_step(step * 3.0)
-                    if cand2_val <= cand_val + max(slack, slack2):
-                        break
-                    cand, cand_val, slack = cand2, cand2_val, slack2
-                    step *= 3.0
-            elif cand_val < val - slack:
-                for _ in range(10):
-                    step /= 3.0
-                    cand, cand_val, slack = try_step(step)
-                    if cand_val >= val - slack:
-                        break
-        x, val = cand, cand_val
-        if val > best_val:
-            best_val = val
-            best_x = x
-        if k + 1 - anchor_iter >= stall_window:
-            if best_val - window_anchor <= tol * max(1.0, abs(best_val)):
-                converged = True
-                break
-            window_anchor = best_val
-            anchor_iter = k + 1
-    # certify feasibility of the returned matrix and keep the better of the
-    # re-evaluated value and the feasible starting value
-    final_x, _ = _project_capped(best_x, tol=5e-8, max_iter=50000)
-    final_val = relaxed_objective(final_x, psi, cfg)
-    if start_val > final_val:
-        final_x, final_val = x0, start_val
+    tt = np.ones(n, dtype=complex) if init is None else check_unit_modulus(init)
+    if tt.shape != (n,):
+        raise ValueError(f"init must have {n} entries, got {tt.shape[0]}")
+    v, objectives, converged = _ascend(
+        _warm_factor(tt, min(psi.n_s + 1, n)), psi, cfg, MMSettings(epsilon=tol, max_iter=max_iter)
+    )
+    if objectives[-1] < lifted_objective(tt, psi, cfg):
+        v = tt[:, None]
+    primal, dual, bound = _certify(v, psi, cfg, tol)
     return UpperBoundResult(
-        theta_big=final_x,
-        bound_psi_tilde=final_val,
-        bound_snr=snr_from_psi_tilde(final_val, cfg),
+        factor=v,
+        dual=dual,
+        primal_psi_tilde=primal,
+        bound_psi_tilde=bound,
+        bound_snr=snr_from_psi_tilde(bound, cfg),
         converged=converged,
-        iterations=iterations,
+        iterations=len(objectives) - 1,
     )

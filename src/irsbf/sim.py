@@ -31,7 +31,7 @@ from .model import (
     build_composite,
     lift_reflect,
 )
-from .sdr import rank_one_start, solve_sdr
+from .sdr import solve_sdr
 from .txbf import (
     composite_vector,
     evaluate_snr,
@@ -178,8 +178,9 @@ def _design_all(
     consumes the distortion overhead no matter what the designer assumed.
 
     Also returns the profile the robust scheme kept, before quantization.
-    The relaxation bound is floored at its warm start, so it starts there
-    rather than at the robust MM phases, which the robust scheme may drop.
+    The relaxation bound is certified from any start, but its primal
+    ascent starts there: it is the best unit-modulus point at hand, better
+    than the robust MM phases whenever the robust scheme drops them.
     """
     psi = build_composite(ch)
     cfg0 = _nonrobust_config(cfg)
@@ -345,18 +346,7 @@ def _realization_stats(args) -> dict:
         out = {}
         for scheme in schemes:
             if scheme is Scheme.UPPER_BOUND:
-                psi = build_composite(ch)
-                warm = rank_one_start(lift_reflect(kept))
-                ub = solve_sdr(
-                    psi,
-                    cfg,
-                    tol=1e-4,
-                    max_iter=10,
-                    init=warm,
-                    stall_window=5,
-                    proj_tol=1e-5,
-                    proj_max_iter=150,
-                )
+                ub = solve_sdr(build_composite(ch), cfg, init=lift_reflect(kept))
                 out[scheme.value] = (ub.bound_snr, None, None)
                 continue
             d = designs[scheme]

@@ -106,8 +106,24 @@ def psi_tilde(theta: ReflectConfig | None, ch: ChannelSet, cfg: SystemConfig) ->
     return psi_tilde_from_v(v, cfg)
 
 
+def _row_power(v: np.ndarray) -> np.ndarray:
+    """|v|^2 per entry of a vector, or summed along each row of a matrix."""
+    p = np.abs(v) ** 2
+    return p if p.ndim == 1 else p.sum(axis=1)
+
+
 def psi_tilde_from_v(v: np.ndarray, cfg: SystemConfig) -> float:
-    q = np.abs(np.asarray(v, dtype=complex).ravel()) ** 2
+    """Reflect objective at the effective channel ``v``.
+
+    An n_s x r matrix stands for a relaxed point Psi V: the norm of its
+    row m takes the place of |v_m|.
+    """
+    v = np.asarray(v, dtype=complex)
+    return psi_tilde_from_powers(_row_power(v if v.ndim == 2 else v.ravel()), cfg)
+
+
+def psi_tilde_from_powers(q: np.ndarray, cfg: SystemConfig) -> float:
+    """Reflect objective sum q / (a q + c) at received powers ``q``, one per source antenna."""
     a, c = cfg.objective_coeffs
     return float(np.sum(q / (a * q + c)))
 

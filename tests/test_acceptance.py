@@ -30,7 +30,7 @@ from irsbf.model import (
     build_composite,
     lift_reflect,
 )
-from irsbf.sdr import rank_one_start, solve_sdr
+from irsbf.sdr import solve_sdr
 from irsbf.sim import (
     Scheme,
     SweepSpec,
@@ -196,10 +196,7 @@ def test_criterion_05_bound_dominates_and_matches_tiny_oracle():
             ch = generate_channels(rng, cfg, geo)
             psi = build_composite(ch)
             res = run_mm(random_lifted_init(rng, cfg.n_i), psi, cfg, MMSettings())
-            ub = solve_sdr(
-                psi, cfg, tol=1e-5, max_iter=15, stall_window=6,
-                init=rank_one_start(lift_reflect(res.reflect)),
-            )
+            ub = solve_sdr(psi, cfg, tol=1e-5, max_iter=15, init=lift_reflect(res.reflect))
             if ub.bound_psi_tilde < res.result.psi_tilde_val - 1e-6:
                 failures += 1
         assert failures == 0, f"{failures}/500 dominance violations"
@@ -220,10 +217,7 @@ def test_criterion_05_bound_dominates_and_matches_tiny_oracle():
                 0.0,
             )
             oracle = float(np.sum(q / (a * q + c), axis=0).max())
-            ub = solve_sdr(
-                psi, cfg, tol=1e-9, max_iter=2000, stall_window=40,
-                proj_tol=1e-10, proj_max_iter=5000,
-            )
+            ub = solve_sdr(psi, cfg, tol=1e-9, max_iter=2000)
             assert ub.bound_psi_tilde == pytest.approx(oracle, rel=1e-3)
 
 

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -162,6 +163,22 @@ class TestSubcommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["dominance_violations"] == 0
         assert payload["mean_gap_db"] >= 0.0
+
+    def test_bound_check_reports_certified_gap(self, capsys, tmp_path):
+        out = tmp_path / "bound.csv"
+        rc = main(["bound-check", "--seed", "6", "--channels", "3", "--json", "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert 0.0 <= payload["mean_certified_gap_db"] <= payload["max_certified_gap_db"]
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert len(rows) == 3
+        for row in rows:
+            primal, bound = float(row["psi_tilde_primal"]), float(row["psi_tilde_bound"])
+            assert float(row["psi_tilde_mm"]) <= bound and primal <= bound
+            assert float(row["certified_gap_db"]) >= 0.0
+        assert max(float(r["certified_gap_db"]) for r in rows) == pytest.approx(
+            payload["max_certified_gap_db"], rel=1e-9, abs=1e-12
+        )
 
     def test_usage_error_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,4 @@
-"""Property tests of the MM reflect optimizer over randomly drawn problems.
+"""Property tests of the optimizer, the bound, the beam and the helpers.
 
 Hypothesis draws the system size, the impairment levels, the power budget
 (1e-6 to 1e6 W against -85 dBW noise), the channel scale and whether the
@@ -9,12 +9,29 @@ direct link.  Runs are derandomized so the suite is reproducible.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from irsbf.mm import MMSettings, lifted_objective, random_lifted_init, run_mm, surrogate_value
-from irsbf.model import ChannelSet, SystemConfig, build_composite, lift_reflect
-from irsbf.sim import db2pow
+from irsbf.mm import (
+    MMSettings,
+    lifted_objective,
+    quantize_phases,
+    random_lifted_init,
+    run_mm,
+    surrogate_value,
+)
+from irsbf.model import (
+    ChannelSet,
+    PhaseConstraint,
+    ReflectConfig,
+    SystemConfig,
+    build_composite,
+    lift_reflect,
+)
+from irsbf.sdr import _diag_quad, _gradient_factor, solve_sdr
+from irsbf.sim import child_seed, db2pow
+from irsbf.txbf import composite_vector, evaluate_snr, optimal_transmit_beam
 
 from conftest import complex_gaussian
 
@@ -36,8 +53,8 @@ problems = st.fixed_dictionaries(
 )
 
 
-def make_problem(n_s, n_i, kappa_s, kappa_d, log10_p, log10_snr, direct, seed):
-    """Problem whose per-path receive SNR p |h|^2 / sigma_n2 is about 10**log10_snr."""
+def make_channels(n_s, n_i, kappa_s, kappa_d, log10_p, log10_snr, direct, seed):
+    """Channels whose per-path receive SNR p |h|^2 / sigma_n2 is about 10**log10_snr."""
     cfg = SystemConfig(
         n_s=n_s, n_i=n_i, p=10.0**log10_p, kappa_s=kappa_s, kappa_d=kappa_d, sigma_n2=SIGMA_N2
     )
@@ -49,6 +66,11 @@ def make_problem(n_s, n_i, kappa_s, kappa_d, log10_p, log10_snr, direct, seed):
         h_id=complex_gaussian(rng, n_i),
         h_sd=h_sd,
     )
+    return cfg, ch, rng
+
+
+def make_problem(**problem):
+    cfg, ch, rng = make_channels(**problem)
     return cfg, build_composite(ch), rng
 
 
@@ -98,3 +120,78 @@ def test_surrogate_tight_and_minorizing(problem):
     for _ in range(200):
         tt = random_lifted_init(rng, cfg.n_i)
         assert surrogate_value(tt, tt0, psi, cfg) <= lifted_objective(tt, psi, cfg) + tol
+
+
+@PROPERTY_SETTINGS
+@given(problem=problems)
+@with_edges
+def test_certified_bound_dominates_and_certificate_is_dual_feasible(problem):
+    cfg, psi, rng = make_problem(**problem)
+    mm = run_mm(random_lifted_init(rng, cfg.n_i), psi, cfg, MMSettings(max_iter=200))
+    ub = solve_sdr(psi, cfg, init=lift_reflect(mm.reflect))
+    tol = 1e-12 * max(1.0, abs(ub.bound_psi_tilde))
+    assert ub.bound_psi_tilde >= mm.result.psi_tilde_val - tol
+    assert ub.bound_psi_tilde >= ub.primal_psi_tilde - tol
+    for _ in range(50):
+        assert ub.bound_psi_tilde >= lifted_objective(random_lifted_init(rng, cfg.n_i), psi, cfg) - tol
+    # diag(dual) dominates the gradient at the certified point, and the
+    # bound is f there plus sum(dual) minus the gradient's inner product
+    x = ub.theta_big
+    b = _gradient_factor(_diag_quad(psi.psi, x), psi, cfg)
+    g = b.conj().T @ b
+    assert np.linalg.eigvalsh(np.diag(ub.dual) - g)[0] >= -1e-9 * np.max(ub.dual, initial=0.0)
+    linear = float(np.real(np.sum(g * x.T)))
+    expected = ub.primal_psi_tilde + float(np.sum(ub.dual)) - linear
+    assert abs(ub.bound_psi_tilde - expected) <= 1e-9 * max(1.0, abs(ub.bound_psi_tilde))
+
+
+@PROPERTY_SETTINGS
+@given(problem=problems)
+@with_edges
+def test_closed_form_beam_beats_random_beams_of_equal_norm(problem):
+    cfg, ch, rng = make_channels(**problem)
+    theta = ReflectConfig.from_phases(rng.uniform(0.0, 2.0 * np.pi, cfg.n_i))
+    if not np.any(composite_vector(theta, ch)):
+        return  # no beam direction exists without any channel
+    w = optimal_transmit_beam(theta, ch, cfg)
+    assert np.linalg.norm(w) ** 2 == pytest.approx(cfg.p_tilde, rel=1e-12)
+    best = evaluate_snr(w, theta, ch, cfg)
+    for _ in range(50):
+        z = complex_gaussian(rng, cfg.n_s)
+        z *= np.sqrt(cfg.p_tilde) / np.linalg.norm(z)
+        assert evaluate_snr(z, theta, ch, cfg) <= best * (1.0 + 1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(
+    bits=st.integers(1, 5),
+    phases=st.lists(st.floats(-4.0 * np.pi, 4.0 * np.pi), min_size=1, max_size=12),
+)
+def test_quantize_phases_picks_the_nearest_level(bits, phases):
+    pc = PhaseConstraint.discrete(bits)
+    picked = quantize_phases(ReflectConfig.from_phases(np.array(phases)), pc).phases
+    levels = 2.0 * np.pi * np.arange(pc.levels) / pc.levels
+
+    def wrapped(a, b):
+        d = np.abs(a - b) % (2.0 * np.pi)
+        return np.minimum(d, 2.0 * np.pi - d)
+
+    for phase, choice in zip(phases, picked):
+        assert np.any(np.isclose(choice, levels, rtol=0.0, atol=1e-15))
+        assert wrapped(phase, choice) <= np.min(wrapped(phase, levels)) + 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(
+    master=st.integers(0, 2**64 - 1),
+    indices=st.lists(st.integers(0, 2**32), min_size=1, max_size=4),
+)
+def test_child_seed_deterministic_and_sensitive_to_each_index(master, indices):
+    seed = child_seed(master, *indices)
+    assert seed == child_seed(master, *indices)
+    assert 0 <= seed < 2**64
+    assert child_seed((master + 1) % 2**64, *indices) != seed
+    for k in range(len(indices)):
+        moved = list(indices)
+        moved[k] += 1
+        assert child_seed(master, *moved) != seed
