@@ -3,7 +3,6 @@
 from .channels import (
     Geometry,
     LOSChannel,
-    RayleighSpec,
     derive_distances,
     generate_channels,
     path_loss_linear,
@@ -41,9 +40,9 @@ from .sdr import UpperBoundResult, relaxed_objective, solve_sdr
 from .sim import (
     Scheme,
     SimResult,
+    SweepFailedError,
     SweepSpec,
     SweepVariable,
-    design_beams,
     run_iteration_study,
     run_sweep,
     simulate_ser,

@@ -93,17 +93,6 @@ class LOSChannel:
         return self.eta * np.outer(self.a_i, np.conj(self.a_s))
 
 
-@dataclass(frozen=True)
-class RayleighSpec:
-    """Per-entry variance of the IRS-to-destination fade, for asymptotic checks."""
-
-    sigma_id2: float
-
-    def __post_init__(self):
-        if not (self.sigma_id2 > 0.0):
-            raise ConfigError(f"sigma_id2 must be positive, got {self.sigma_id2}")
-
-
 def ula_response(n: int, angle: float) -> np.ndarray:
     """Half-wavelength uniform linear array steering vector, unit-modulus entries."""
     return np.exp(1j * np.pi * np.arange(n) * np.cos(angle))

@@ -24,6 +24,7 @@ from .sim import (
     CSV_HEADER,
     Scheme,
     SimResult,
+    SweepFailedError,
     SweepSpec,
     SweepVariable,
     _csv_rows,
@@ -119,7 +120,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_sweep_args(parser: argparse.ArgumentParser, default_values: str) -> None:
     _add_common(parser)
     parser.add_argument("--channels", type=int, default=500, help="channel realizations per point")
-    parser.add_argument("--symbols", type=int, default=2000, help="QPSK symbols per realization (0 skips SER)")
+    parser.add_argument("--symbols", type=int, default=2000, help="0 skips the QPSK SER; any positive value gives the exact SER")
     parser.add_argument("--bits", type=int, default=None, help="discrete phase bits; omit for continuous")
     parser.add_argument("--values", default=default_values, help="comma-separated sweep values")
     parser.add_argument("--no-bound", action="store_true", help="skip the relaxation benchmark")
@@ -338,7 +339,7 @@ def main(argv=None) -> int:
         if args.command == "bound-check":
             return _run_bound_check(args)
         parser.error(f"unknown command {args.command}")
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SweepFailedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2

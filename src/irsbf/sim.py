@@ -1,4 +1,4 @@
-"""Monte-Carlo experiment engine: scheme comparisons, SER link simulation, sweeps.
+"""Monte-Carlo experiment engine: scheme comparisons, exact conditional SER, sweeps.
 
 Determinism contract: every channel realization draws from its own
 generator whose seed is derived from the master seed and the realization
@@ -41,8 +41,6 @@ from .txbf import (
 )
 
 log = logging.getLogger(__name__)
-
-QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
 _MASK64 = (1 << 64) - 1
 
@@ -88,6 +86,10 @@ ALL_SCHEMES = (
 )
 
 
+class SweepFailedError(RuntimeError):
+    """Every realization of a sweep point failed with a domain error."""
+
+
 class SweepVariable(enum.Enum):
     N_I = "n_i"
     D_SD_H = "d_sd_h"
@@ -111,7 +113,7 @@ class SweepSpec:
     variable: SweepVariable
     values: tuple
     n_channels: int = 500
-    n_symbols: int = 2000
+    n_symbols: int = 2000  # 0 leaves the SER out; any positive value gives the exact SER
     seed: int = 0
     phase_mode: PhaseConstraint = PhaseConstraint.continuous()
     schemes: tuple = ALL_SCHEMES
@@ -207,100 +209,25 @@ def _design_all(
     return designs, kept
 
 
-def design_beams(
-    scheme: Scheme,
-    ch: ChannelSet,
-    cfg: SystemConfig,
-    settings: MMSettings = MMSettings(),
-    rng: np.random.Generator | None = None,
-    phase: PhaseConstraint = PhaseConstraint.continuous(),
-) -> DesignResult:
-    """Beams for one scheme; the same seeded rng yields the shared MM init."""
-    if scheme is Scheme.UPPER_BOUND:
-        raise ConfigError("the upper bound is a benchmark value, not a beam design")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    init = random_lifted_init(rng, ch.n_i)
-    designs, _ = _design_all(ch, cfg, settings, phase, init)
-    return designs[scheme]
-
-
-@dataclass(frozen=True)
-class SymbolTransmission:
-    """One batch of transmitted symbols with every signal-chain term kept.
-
-    Arrays are indexed by symbol; ``z_s`` has one row per source antenna.
-    The receive-distortion variance uses the analytic second moment of the
-    undistorted received signal, conditioned on beams and channel.
-    """
-
-    x: np.ndarray
-    z_s: np.ndarray
-    z_d: np.ndarray
-    n: np.ndarray
-    y: np.ndarray
-    y_tilde: np.ndarray
-
-    @property
-    def symbol_indices(self) -> np.ndarray:
-        re_neg = (self.x.real < 0).astype(int)
-        im_neg = (self.x.imag < 0).astype(int)
-        return re_neg * 2 + im_neg
-
-
-def _cn_samples(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
-def simulate_symbols(
-    w: np.ndarray,
-    theta: ReflectConfig | None,
-    ch: ChannelSet,
-    cfg: SystemConfig,
-    n_symbols: int,
-    rng: np.random.Generator,
-) -> SymbolTransmission:
-    """Push unit-power QPSK symbols through the impaired link.
-
-    Draw order is fixed (symbols, transmit distortion, receive distortion,
-    noise) so schemes simulated from identically seeded generators share
-    the same underlying randomness and differ only through their beams.
-    """
-    w = np.asarray(w, dtype=complex).ravel()
-    v = composite_vector(theta, ch)
-    g = np.vdot(v, w)
-    x = QPSK[rng.integers(0, 4, n_symbols)]
-    z_s = np.sqrt(cfg.kappa_s) * np.abs(w)[:, None] * _cn_samples(rng, (w.shape[0], n_symbols))
-    tx_dist_power = cfg.kappa_s * float(np.sum(np.abs(v) ** 2 * np.abs(w) ** 2))
-    m2 = float(np.abs(g) ** 2) + tx_dist_power + cfg.sigma_n2
-    z_d = np.sqrt(cfg.kappa_d * m2) * _cn_samples(rng, n_symbols)
-    noise = np.sqrt(cfg.sigma_n2) * _cn_samples(rng, n_symbols)
-    y_tilde = g * x + np.conj(v) @ z_s + noise
-    y = y_tilde + z_d
-    return SymbolTransmission(x=x, z_s=z_s, z_d=z_d, n=noise, y=y, y_tilde=y_tilde)
-
-
 def simulate_ser(
     w: np.ndarray,
     theta: ReflectConfig | None,
     ch: ChannelSet,
     cfg: SystemConfig,
     n_symbols: int,
-    rng: np.random.Generator,
 ) -> float:
-    """Symbol error fraction of equalized nearest-constellation decisions.
+    """Exact QPSK symbol error rate of one realization, given its beams.
 
-    A vanishing effective channel leaves nothing to equalize; that
-    degenerate case reports the random-guess level 0.75.
+    With the channel and the beams fixed, the equalized symbol is x + e
+    with e circular Gaussian of variance 1/SNR (the distortion is Gaussian
+    by the model), so the conditional SER is the closed form at the
+    realization's SNR; a vanishing effective channel gives the
+    random-guess level 0.75.  ``n_symbols`` does not change the value: it
+    is the nominal link length a symbol-level simulation would use, kept
+    because the benchmark's tracer (``bench/tracing.py``) wraps this name
+    and counts symbols from that argument.
     """
-    v = composite_vector(theta, ch)
-    g = np.vdot(v, np.asarray(w, dtype=complex).ravel())
-    if np.abs(g) == 0.0:
-        return 0.75
-    batch = simulate_symbols(w, theta, ch, cfg, n_symbols, rng)
-    eq = batch.y / g
-    decided = (eq.real < 0).astype(int) * 2 + (eq.imag < 0).astype(int)
-    return float(np.mean(decided != batch.symbol_indices))
+    return ser_qpsk_theory(evaluate_snr(w, theta, ch, cfg))
 
 
 def ser_qpsk_theory(snr: float) -> float:
@@ -327,9 +254,6 @@ def apply_sweep_value(
     raise ConfigError(f"unknown sweep variable {variable}")
 
 
-_SER_SALT = 0x5E12
-
-
 def _realization_stats(args) -> dict:
     """Worker body: one channel realization at one sweep point.
 
@@ -351,10 +275,7 @@ def _realization_stats(args) -> dict:
                 continue
             d = designs[scheme]
             snr = evaluate_snr(d.w, d.theta, ch, cfg)
-            ser = None
-            if n_symbols > 0:
-                ser_rng = np.random.default_rng(child_seed(seed, _SER_SALT))
-                ser = simulate_ser(d.w, d.theta, ch, cfg, n_symbols, ser_rng)
+            ser = simulate_ser(d.w, d.theta, ch, cfg, n_symbols) if n_symbols > 0 else None
             out[scheme.value] = (snr, ser, d.iterations)
         return out
     except (DegenerateChannelError, ConfigError, PowerIterationError) as exc:
@@ -379,11 +300,13 @@ def run_sweep(
     """Run every scheme over the sweep grid and aggregate per point.
 
     SNR is averaged in the linear domain and converted to dB afterwards;
-    SER is averaged over channels.  Realizations that fail with a domain
-    error (degenerate channel, bad configuration, power iteration not
-    converging) are skipped and counted in the log; any other exception
-    propagates.  ``on_point`` is invoked with each finished
-    SimResult, letting callers persist partial output.
+    SER is the mean over channels of each realization's exact conditional
+    SER, or None when ``spec.n_symbols`` is 0.  Realizations that fail
+    with a domain error (degenerate channel, bad configuration, power
+    iteration not converging) are skipped and counted in the log; if every
+    realization of a point fails, SweepFailedError names the first reason.
+    Any other exception propagates.  ``on_point`` is invoked with each
+    finished SimResult, letting callers persist partial output.
     """
     settings = mm_settings or MMSettings()
     results = []
@@ -414,7 +337,10 @@ def run_sweep(
             )
         good = [r for r in rows if "failed" not in r]
         if not good:
-            raise RuntimeError(f"all realizations failed at {spec.variable.value}={value}")
+            raise SweepFailedError(
+                f"all {len(rows)} realizations failed at {spec.variable.value}={value:g}"
+                f" (first: {failed[0]})"
+            )
         stats = {}
         for scheme in spec.schemes:
             snrs = np.array([r[scheme.value][0] for r in good])

@@ -25,6 +25,7 @@ from irsbf.mm import (
 from irsbf.model import (
     ChannelSet,
     CompositeChannel,
+    PhaseConstraint,
     ReflectConfig,
     SystemConfig,
     build_composite,
@@ -35,7 +36,7 @@ from irsbf.sim import (
     Scheme,
     SweepSpec,
     SweepVariable,
-    design_beams,
+    _design_all,
     run_iteration_study,
     run_sweep,
     table_defaults,
@@ -250,8 +251,9 @@ def test_criterion_08_robust_dominance_and_kappa_gap_trend():
         cfg, geo = table_defaults()
         for seed in range(30):
             ch = generate_channels(np.random.default_rng(80_000 + seed), cfg, geo)
-            r = design_beams(Scheme.ROBUST_IRS, ch, cfg, rng=np.random.default_rng(seed))
-            n = design_beams(Scheme.NONROBUST_IRS, ch, cfg, rng=np.random.default_rng(seed))
+            init = random_lifted_init(np.random.default_rng(seed), cfg.n_i)
+            designs, _ = _design_all(ch, cfg, MMSettings(), PhaseConstraint.continuous(), init)
+            r, n = designs[Scheme.ROBUST_IRS], designs[Scheme.NONROBUST_IRS]
             snr_r = evaluate_snr(r.w, r.theta, ch, cfg)
             snr_n = evaluate_snr(n.w, n.theta, ch, cfg)
             assert snr_r >= snr_n - 1e-9, f"violated at seed {seed}"

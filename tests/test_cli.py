@@ -68,6 +68,20 @@ class TestConfigFile:
         rc = main(["sweep-n", "--config", str(path), "--channels", "1"])
         assert rc != 0
 
+    def test_sweep_with_every_realization_failed_reports_error(self, tmp_path, capsys):
+        # the destination sits on the surface, so every channel draw is rejected
+        path = tmp_path / "on_surface.cfg"
+        path.write_text("d_v = 0\nd_sd_h = 50\n")
+        rc = main([
+            "sweep-n", "--config", str(path), "--values", "4", "--channels", "2",
+            "--symbols", "0", "--no-bound",
+        ])
+        assert rc == 1
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1
+        assert "all 2 realizations failed at n_i=4" in errors[0]
+        assert "ConfigError: destination coincides with the IRS" in errors[0]
+
 
 class TestDeterminism:
     def test_sweep_csv_matches_library_writer(self, tmp_path):
@@ -102,6 +116,14 @@ class TestDeterminism:
         ]
         assert main([*args, "--workers", "1", "--out", str(out1)]) == 0
         assert main([*args, "--workers", "2", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_symbol_count_does_not_change_csv(self, tmp_path):
+        # the SER column is exact, so the nominal symbol count cannot move it
+        out1, out2 = tmp_path / "s60.csv", tmp_path / "s2000.csv"
+        args = ["sweep-n", "--seed", "3", "--channels", "3", "--values", "4,16", "--no-bound"]
+        assert main([*args, "--symbols", "60", "--out", str(out1)]) == 0
+        assert main([*args, "--symbols", "2000", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_bound_column_deterministic(self, tmp_path):

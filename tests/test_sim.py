@@ -8,7 +8,7 @@ import pytest
 
 import irsbf.sim as sim_mod
 from irsbf.channels import Geometry, generate_channels
-from irsbf.mm import MMSettings
+from irsbf.mm import MMSettings, random_lifted_init
 from irsbf.model import ConfigError, DegenerateChannelError, PhaseConstraint, SystemConfig
 from irsbf.sim import (
     ALL_SCHEMES,
@@ -16,17 +16,14 @@ from irsbf.sim import (
     Scheme,
     SweepSpec,
     SweepVariable,
-    SymbolTransmission,
+    _design_all,
     _fmt,
     _realization_stats,
     child_seed,
-    design_beams,
     pow2db,
     run_iteration_study,
     run_sweep,
-    ser_qpsk_theory,
     simulate_ser,
-    simulate_symbols,
     table_defaults,
     write_results_csv,
 )
@@ -39,6 +36,42 @@ def small_setup(n_i=12):
     cfg = SystemConfig(n_s=4, n_i=n_i, p=10**1.2, kappa_s=0.07, kappa_d=0.07, sigma_n2=10**-8.5)
     geo = Geometry(d_si=50.0, d_v=2.0, d_sd_h=49.0)
     return cfg, geo
+
+
+def design(ch, cfg, seed=0, phase=PhaseConstraint.continuous()):
+    """The four schemes' designs from the MM init drawn by ``default_rng(seed)``."""
+    init = random_lifted_init(np.random.default_rng(seed), ch.n_i)
+    return _design_all(ch, cfg, MMSettings(), phase, init)[0]
+
+
+QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
+
+
+def cn(rng, shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def symbol_oracle(w, theta, ch, cfg, n, rng):
+    """Symbol-level link: x, z_s, z_d, y_tilde (before receive distortion) and y.
+
+    Draws symbols, transmit distortion, receive distortion with the analytic
+    second moment of the undistorted received signal, then noise.
+    """
+    v = composite_vector(theta, ch)
+    g = np.vdot(v, w)
+    x = QPSK[rng.integers(0, 4, n)]
+    z_s = np.sqrt(cfg.kappa_s) * np.abs(w)[:, None] * cn(rng, (w.size, n))
+    m2 = abs(g) ** 2 + cfg.kappa_s * np.sum(np.abs(v) ** 2 * np.abs(w) ** 2) + cfg.sigma_n2
+    z_d = np.sqrt(cfg.kappa_d * m2) * cn(rng, n)
+    y_tilde = g * x + np.conj(v) @ z_s + np.sqrt(cfg.sigma_n2) * cn(rng, n)
+    return x, z_s, z_d, y_tilde, y_tilde + z_d
+
+
+def oracle_ser(w, theta, ch, cfg, n, rng):
+    """Error fraction of the oracle's equalized nearest-constellation decisions."""
+    x, _, _, _, y = symbol_oracle(w, theta, ch, cfg, n, rng)
+    eq = y / np.vdot(composite_vector(theta, ch), w)
+    return float(np.mean(((eq.real < 0) != (x.real < 0)) | ((eq.imag < 0) != (x.imag < 0))))
 
 
 class TestSeeding:
@@ -55,8 +88,8 @@ class TestDesignBeams:
         cfg, geo = small_setup()
         cfg0 = SystemConfig(n_s=4, n_i=12, p=cfg.p, kappa_s=0.0, kappa_d=0.0, sigma_n2=cfg.sigma_n2)
         ch = generate_channels(np.random.default_rng(1), cfg0, geo)
-        robust = design_beams(Scheme.ROBUST_IRS, ch, cfg0, rng=np.random.default_rng(5))
-        nonrobust = design_beams(Scheme.NONROBUST_IRS, ch, cfg0, rng=np.random.default_rng(5))
+        designs = design(ch, cfg0, 5)
+        robust, nonrobust = designs[Scheme.ROBUST_IRS], designs[Scheme.NONROBUST_IRS]
         assert evaluate_snr(robust.w, robust.theta, ch, cfg0) == pytest.approx(
             evaluate_snr(nonrobust.w, nonrobust.theta, ch, cfg0), rel=1e-9
         )
@@ -65,15 +98,15 @@ class TestDesignBeams:
         cfg, geo = small_setup()
         for seed in range(15):
             ch = generate_channels(np.random.default_rng(seed), cfg, geo)
-            r = design_beams(Scheme.ROBUST_IRS, ch, cfg, rng=np.random.default_rng(seed))
-            n = design_beams(Scheme.NONROBUST_IRS, ch, cfg, rng=np.random.default_rng(seed))
+            designs = design(ch, cfg, seed)
+            r, n = designs[Scheme.ROBUST_IRS], designs[Scheme.NONROBUST_IRS]
             assert evaluate_snr(r.w, r.theta, ch, cfg) >= evaluate_snr(n.w, n.theta, ch, cfg) - 1e-9
 
     def test_no_irs_schemes(self):
         cfg, geo = small_setup()
         ch = generate_channels(np.random.default_rng(2), cfg, geo)
-        robust = design_beams(Scheme.ROBUST_NO_IRS, ch, cfg)
-        mf = design_beams(Scheme.NONROBUST_NO_IRS, ch, cfg)
+        designs = design(ch, cfg)
+        robust, mf = designs[Scheme.ROBUST_NO_IRS], designs[Scheme.NONROBUST_NO_IRS]
         assert robust.theta is None and mf.theta is None
         np.testing.assert_allclose(np.linalg.norm(mf.w) ** 2, cfg.p_tilde, rtol=1e-12)
         direction = mf.w / np.linalg.norm(mf.w)
@@ -84,26 +117,16 @@ class TestDesignBeams:
     def test_all_beams_respect_true_power_budget(self):
         cfg, geo = small_setup()
         ch = generate_channels(np.random.default_rng(3), cfg, geo)
-        for scheme in (Scheme.ROBUST_IRS, Scheme.NONROBUST_IRS, Scheme.ROBUST_NO_IRS, Scheme.NONROBUST_NO_IRS):
-            d = design_beams(scheme, ch, cfg, rng=np.random.default_rng(3))
+        for d in design(ch, cfg, 3).values():
             assert np.linalg.norm(d.w) ** 2 <= cfg.p_tilde * (1 + 1e-9)
 
     def test_discrete_mode_quantizes(self):
         cfg, geo = small_setup()
         ch = generate_channels(np.random.default_rng(4), cfg, geo)
-        d = design_beams(
-            Scheme.ROBUST_IRS, ch, cfg, rng=np.random.default_rng(4),
-            phase=PhaseConstraint.discrete(2),
-        )
+        d = design(ch, cfg, 4, PhaseConstraint.discrete(2))[Scheme.ROBUST_IRS]
         levels = 2 * np.pi * np.arange(4) / 4
         for phase in d.theta.phases:
             assert min(abs(phase - lv) for lv in levels) < 1e-12
-
-    def test_upper_bound_has_no_design(self):
-        cfg, geo = small_setup()
-        ch = generate_channels(np.random.default_rng(5), cfg, geo)
-        with pytest.raises(ConfigError):
-            design_beams(Scheme.UPPER_BOUND, ch, cfg)
 
 
 class TestSymbolSimulation:
@@ -114,12 +137,12 @@ class TestSymbolSimulation:
 
         theta = ReflectConfig.from_phases(rng.uniform(0, 2 * np.pi, 4))
         w = optimal_transmit_beam(theta, ch, cfg)
-        assert simulate_ser(w, theta, ch, cfg, 2000, np.random.default_rng(0)) == 0.0
+        assert simulate_ser(w, theta, ch, cfg, 2000) == 0.0
 
     def test_zero_beam_reports_random_guess(self, rng):
         cfg = SystemConfig(n_s=3, n_i=4, p=2.0, kappa_s=0.1, kappa_d=0.1, sigma_n2=0.1)
         ch = random_channels(rng, 4, 3)
-        assert simulate_ser(np.zeros(3, complex), None, ch, cfg, 100, rng) == 0.75
+        assert simulate_ser(np.zeros(3, complex), None, ch, cfg, 100) == 0.75
 
     def test_moment_structure(self, rng):
         cfg = SystemConfig(n_s=4, n_i=5, p=2.0, kappa_s=0.08, kappa_d=0.12, sigma_n2=0.3)
@@ -128,18 +151,17 @@ class TestSymbolSimulation:
 
         theta = ReflectConfig.from_phases(rng.uniform(0, 2 * np.pi, 5))
         w = optimal_transmit_beam(theta, ch, cfg)
-        batch = simulate_symbols(w, theta, ch, cfg, 200_000, np.random.default_rng(8))
-        assert isinstance(batch, SymbolTransmission)
+        x, z_s, z_d, y_tilde, _ = symbol_oracle(w, theta, ch, cfg, 200_000, np.random.default_rng(8))
         v = composite_vector(theta, ch)
         g = np.vdot(v, w)
         m2 = abs(g) ** 2 + cfg.kappa_s * np.sum(np.abs(v) ** 2 * np.abs(w) ** 2) + cfg.sigma_n2
-        assert np.mean(np.abs(batch.y_tilde) ** 2) == pytest.approx(m2, rel=0.02)
-        assert np.mean(np.abs(batch.z_d) ** 2) == pytest.approx(cfg.kappa_d * m2, rel=0.02)
+        assert np.mean(np.abs(y_tilde) ** 2) == pytest.approx(m2, rel=0.02)
+        assert np.mean(np.abs(z_d) ** 2) == pytest.approx(cfg.kappa_d * m2, rel=0.02)
         for i in range(4):
-            assert np.mean(np.abs(batch.z_s[i]) ** 2) == pytest.approx(
+            assert np.mean(np.abs(z_s[i]) ** 2) == pytest.approx(
                 cfg.kappa_s * abs(w[i]) ** 2, rel=0.03
             )
-        np.testing.assert_allclose(np.abs(batch.x), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(x), 1.0, atol=1e-12)
 
     def test_ser_matches_gaussian_formula(self, rng):
         cfg = SystemConfig(n_s=4, n_i=6, p=2.0, kappa_s=0.05, kappa_d=0.05, sigma_n2=0.4)
@@ -148,10 +170,9 @@ class TestSymbolSimulation:
 
         theta = ReflectConfig.from_phases(rng.uniform(0, 2 * np.pi, 6))
         w = optimal_transmit_beam(theta, ch, cfg)
-        snr = evaluate_snr(w, theta, ch, cfg)
         n = 200_000
-        ser = simulate_ser(w, theta, ch, cfg, n, np.random.default_rng(77))
-        expected = ser_qpsk_theory(snr)
+        ser = oracle_ser(w, theta, ch, cfg, n, np.random.default_rng(77))
+        expected = simulate_ser(w, theta, ch, cfg, n)
         stderr = np.sqrt(expected * (1 - expected) / n)
         assert abs(ser - expected) < 3 * stderr
 
@@ -230,10 +251,10 @@ class TestTrends:
     def test_no_irs_collapse_at_zero_elements(self):
         cfg, geo = small_setup(n_i=0)
         ch = generate_channels(np.random.default_rng(17), cfg, geo)
-        snrs = {}
-        for scheme in (Scheme.ROBUST_IRS, Scheme.NONROBUST_IRS, Scheme.ROBUST_NO_IRS, Scheme.NONROBUST_NO_IRS):
-            d = design_beams(scheme, ch, cfg, rng=np.random.default_rng(17))
-            snrs[scheme] = evaluate_snr(d.w, d.theta, ch, cfg)
+        snrs = {
+            scheme: evaluate_snr(d.w, d.theta, ch, cfg)
+            for scheme, d in design(ch, cfg, 17).items()
+        }
         assert snrs[Scheme.ROBUST_IRS] == pytest.approx(snrs[Scheme.ROBUST_NO_IRS], rel=1e-9)
         assert snrs[Scheme.NONROBUST_IRS] == pytest.approx(snrs[Scheme.NONROBUST_NO_IRS], rel=1e-9)
         assert snrs[Scheme.ROBUST_IRS] >= snrs[Scheme.NONROBUST_IRS] - 1e-12
@@ -272,6 +293,27 @@ class TestUpperBoundScheme:
         bound = out[Scheme.UPPER_BOUND.value][0]
         assert bound >= out[Scheme.ROBUST_IRS.value][0]
         assert bound >= out[Scheme.NONROBUST_IRS.value][0]
+
+
+class TestSerOrdering:
+    @pytest.mark.parametrize("n_i", [0, 8, 32])
+    def test_robust_ser_not_above_nonrobust_per_realization(self, n_i):
+        # the robust design's SNR never falls below the nonrobust one's, so
+        # neither may its SER, with and without the surface
+        cfg, geo = table_defaults()
+        cfg = replace(cfg, n_i=n_i)
+        schemes = tuple(s for s in ALL_SCHEMES if s is not Scheme.UPPER_BOUND)
+        pairs = (
+            (Scheme.ROBUST_IRS, Scheme.NONROBUST_IRS),
+            (Scheme.ROBUST_NO_IRS, Scheme.NONROBUST_NO_IRS),
+        )
+        for s in range(20):
+            out = _realization_stats(
+                (cfg, geo, MMSettings(), PhaseConstraint.continuous(), 2000,
+                 child_seed(5, n_i, s), schemes)
+            )
+            for robust, nonrobust in pairs:
+                assert out[robust.value][1] <= out[nonrobust.value][1], (s, robust)
 
 
 class TestFailureHandling:
