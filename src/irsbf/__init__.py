@@ -13,7 +13,6 @@ from .los import LOSSolution, asymptotic_snr, los_snr_closed, solve_los
 from .mm import (
     MMResult,
     MMSettings,
-    lambda_max_power_iteration,
     lifted_objective,
     quantize_phases,
     random_lifted_init,

@@ -5,8 +5,8 @@ objective with a tight linear-plus-constant surrogate built at the previous
 iterate; the surrogate's maximizer over the torus takes the phases of a
 single matrix-vector product.  The quadratic coupling term is bounded by
 shifting with the dominant eigenvalue of a positive semidefinite coupling
-matrix, found by power iteration on an n_s x n_s Gram matrix, so the
-objective never decreases from step to step.  With
+matrix, computed exactly by ``eigvalsh`` on an n_s x n_s Gram matrix, so
+the objective never decreases from step to step.  With
 ``MMSettings.accelerate`` each pass of the loop is a SQUAREM cycle
 (Varadhan & Roland, Scand. J. Stat. 2008) instead: two steps, a squared
 extrapolation, and backtracking that keeps the sequence monotone.
@@ -15,8 +15,7 @@ extrapolation, and backtracking that keeps the sequence monotone.
 The loop also ascends a Burer-Monteiro factor V of the relaxation
 X = V V^H (one unit-norm row per element), which ``sdr`` uses: the same
 surrogate coefficient applies with the per-antenna power taken as a row
-norm, rows are normalized where phases are taken, and the coupling
-eigenvalue comes from ``eigvalsh``.
+norm, and rows are normalized where phases are taken.
 """
 
 from __future__ import annotations
@@ -38,20 +37,11 @@ from .model import (
 )
 from .txbf import _row_power, psi_tilde_from_v, snr_at_optimal_beam_from_v
 
-# Multiplicative safety margin applied to the power-iteration eigenvalue so
-# the shifted coupling matrix stays dominated even with a slightly
-# underconverged estimate.  The surrogate's tightness and gradient at the
-# expansion point are independent of the shift, so this only strengthens
-# the minorization.
+# Multiplicative safety margin applied to the coupling eigenvalue so the
+# shifted coupling matrix stays dominated despite the eigensolver's
+# rounding.  The surrogate's tightness and gradient at the expansion point
+# are independent of the shift, so this only strengthens the minorization.
 _LAMBDA_MARGIN = 1e-6
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge; carries the last estimate."""
-
-    def __init__(self, message: str, estimate: float):
-        super().__init__(message)
-        self.estimate = estimate
 
 
 @dataclass(frozen=True)
@@ -78,39 +68,18 @@ def lifted_objective(theta_tilde: np.ndarray, psi: CompositeChannel, cfg: System
     return psi_tilde_from_v(psi.psi @ (tt if tt.ndim == 2 else tt.ravel()), cfg)
 
 
-def lambda_max_power_iteration(
-    omega: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 10000,
-) -> float:
-    """Dominant eigenvalue of a Hermitian PSD matrix by power iteration.
+def lambda_max_power_iteration(omega: np.ndarray) -> float:
+    """Largest eigenvalue of a Hermitian matrix, by an exact eigensolve.
 
-    Uses the Rayleigh quotient as the running estimate and stops when its
-    relative change drops below ``tol``.  Raises PowerIterationError
-    (carrying the last estimate) if ``max_iter`` is exhausted first.
+    Returns 0.0 for the empty and the all-zero matrix.  This is no longer a
+    power iteration: the name stays only as the hook that the benchmark's
+    tracer wraps for the ``mm.lambda_max`` span, and goes when the library
+    owns its spans (ROADMAP item 2).
     """
     omega = np.asarray(omega)
-    n = omega.shape[0]
-    if n == 0 or not np.any(omega):
+    if omega.shape[0] == 0 or not np.any(omega):
         return 0.0
-    rng = np.random.default_rng(0x9E3779B9)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    lam_prev = None
-    for _ in range(max_iter):
-        y = omega @ x
-        lam = float(np.real(np.vdot(x, y)))
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        x = y / ny
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
-            return lam
-        lam_prev = lam
-    raise PowerIterationError(
-        f"power iteration did not converge within {max_iter} iterations",
-        estimate=lam_prev if lam_prev is not None else 0.0,
-    )
+    return float(np.linalg.eigvalsh(omega)[-1])
 
 
 def _per_row(x: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -139,14 +108,9 @@ def _mm_quantities(
         return v0, xi, np.zeros_like(xi), 0.0
     d = _row_power(v0 / _per_row(xi, v0))
     # lambda_max of m^H diag(d) m equals that of the small Gram
-    # sqrt(d) (m m^H) sqrt(d).  The phase path finds it by power iteration,
-    # whose rounding the fixed-seed outputs carry; a factor uses eigvalsh.
+    # sqrt(d) (m m^H) sqrt(d), the same for a phase vector and a factor.
     sd = np.sqrt(d)
-    small = sd[:, None] * gram * sd[None, :]
-    if tt0.ndim == 1:
-        lam = lambda_max_power_iteration(small)
-    else:
-        lam = float(np.linalg.eigvalsh(small)[-1])
+    lam = lambda_max_power_iteration(sd[:, None] * gram * sd[None, :])
     lam = max(lam, 0.0) * (1.0 + _LAMBDA_MARGIN)
     return v0, xi, d, lam
 

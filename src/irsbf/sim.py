@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import Geometry, generate_channels
-from .mm import MMSettings, PowerIterationError, quantize_phases, random_lifted_init, run_mm
+from .mm import MMSettings, quantize_phases, random_lifted_init, run_mm
 from .model import (
     ChannelSet,
     ConfigError,
@@ -278,7 +278,7 @@ def _realization_stats(args) -> dict:
             ser = simulate_ser(d.w, d.theta, ch, cfg, n_symbols) if n_symbols > 0 else None
             out[scheme.value] = (snr, ser, d.iterations)
         return out
-    except (DegenerateChannelError, ConfigError, PowerIterationError) as exc:
+    except (DegenerateChannelError, ConfigError) as exc:
         return {"failed": f"{type(exc).__name__}: {exc}"}
 
 
@@ -302,11 +302,11 @@ def run_sweep(
     SNR is averaged in the linear domain and converted to dB afterwards;
     SER is the mean over channels of each realization's exact conditional
     SER, or None when ``spec.n_symbols`` is 0.  Realizations that fail
-    with a domain error (degenerate channel, bad configuration, power
-    iteration not converging) are skipped and counted in the log; if every
-    realization of a point fails, SweepFailedError names the first reason.
-    Any other exception propagates.  ``on_point`` is invoked with each
-    finished SimResult, letting callers persist partial output.
+    with a domain error (degenerate channel, bad configuration) are
+    skipped and counted in the log; if every realization of a point fails,
+    SweepFailedError names the first reason.  Any other exception
+    propagates.  ``on_point`` is invoked with each finished SimResult,
+    letting callers persist partial output.
     """
     settings = mm_settings or MMSettings()
     results = []

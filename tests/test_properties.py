@@ -14,7 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irsbf.mm import (
+    _LAMBDA_MARGIN,
     MMSettings,
+    _mm_quantities,
     lifted_objective,
     quantize_phases,
     random_lifted_init,
@@ -118,6 +120,28 @@ def test_surrogate_tight_and_minorizing(problem):
     tol = 1e-9 * max(1.0, abs(f0))
     assert abs(surrogate_value(tt0, tt0, psi, cfg) - f0) <= tol
     for _ in range(200):
+        tt = random_lifted_init(rng, cfg.n_i)
+        assert surrogate_value(tt, tt0, psi, cfg) <= lifted_objective(tt, psi, cfg) + tol
+
+
+@PROPERTY_SETTINGS
+@given(problem=problems)
+@with_edges
+def test_shift_is_the_exact_coupling_eigenvalue(problem):
+    # the n_s x n_s Gram gives lambda_max of the full (n_i+1)-square
+    # coupling matrix m^H diag(d) m, margin included; with kappa_s = 0
+    # there is no coupling and the shift is exactly 0
+    cfg, psi, rng = make_problem(**problem)
+    tt0 = random_lifted_init(rng, cfg.n_i)
+    m = psi.psi
+    _, _, d, lam = _mm_quantities(tt0, psi, cfg, m @ m.conj().T)
+    expected = (1.0 + _LAMBDA_MARGIN) * float(np.linalg.eigvalsh(m.conj().T @ (d[:, None] * m))[-1])
+    if cfg.objective_coeffs[0] == 0.0:
+        assert lam == 0.0
+    assert abs(lam - expected) <= 1e-9 * abs(expected)
+    f0 = lifted_objective(tt0, psi, cfg)
+    tol = 1e-9 * max(1.0, abs(f0))
+    for _ in range(20):
         tt = random_lifted_init(rng, cfg.n_i)
         assert surrogate_value(tt, tt0, psi, cfg) <= lifted_objective(tt, psi, cfg) + tol
 
