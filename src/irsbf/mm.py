@@ -2,25 +2,31 @@
 
 ``run_mm`` runs the one optimizer loop.  Each step minorizes the separable
 objective with a tight linear-plus-constant surrogate built at the previous
-iterate; the surrogate's maximizer over the torus takes the phases of a
-single matrix-vector product.  The quadratic coupling term is bounded by
-shifting with the dominant eigenvalue of a positive semidefinite coupling
-matrix, computed exactly by ``eigvalsh`` on an n_s x n_s Gram matrix, so
-the objective never decreases from step to step.  With
-``MMSettings.accelerate`` each pass of the loop is a SQUAREM cycle
-(Varadhan & Roland, Scand. J. Stat. 2008) instead: two steps, a squared
-extrapolation, and backtracking that keeps the sequence monotone.
-``surrogate_value`` evaluates the minorizer itself, for checking.
+iterate; the surrogate's maximizer over the torus is the unit projection
+of its linear coefficient, which takes a single matrix-vector product.
+The quadratic coupling term is bounded by shifting with the dominant
+eigenvalue of a positive semidefinite coupling matrix, computed exactly by
+``eigvalsh`` on an n_s x n_s Gram matrix, so the objective never decreases
+from step to step.  Each iterate is evaluated once: the effective channel
+Psi tt, the per-antenna weights and the objective computed there serve the
+convergence test, the SQUAREM acceptance test and the next step alike, so
+a plain step costs two products with Psi.  With ``MMSettings.accelerate``
+each pass of the loop is a SQUAREM cycle (Varadhan & Roland, Scand. J.
+Stat. 2008) instead: two steps, a squared extrapolation, and backtracking
+that keeps the sequence monotone.  ``surrogate_value`` evaluates the
+minorizer itself, for checking.
 
 The loop also ascends a Burer-Monteiro factor V of the relaxation
 X = V V^H (one unit-norm row per element), which ``sdr`` uses: the same
 surrogate coefficient applies with the per-antenna power taken as a row
-norm, and rows are normalized where phases are taken.
+norm, and the unit projection normalizes rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,15 +77,33 @@ def lifted_objective(theta_tilde: np.ndarray, psi: CompositeChannel, cfg: System
 def lambda_max_power_iteration(omega: np.ndarray) -> float:
     """Largest eigenvalue of a Hermitian matrix, by an exact eigensolve.
 
-    Returns 0.0 for the empty and the all-zero matrix.  This is no longer a
-    power iteration: the name stays only as the hook that the benchmark's
-    tracer wraps for the ``mm.lambda_max`` span, and goes when the library
-    owns its spans (ROADMAP item 2).
+    Returns 0.0 for the empty matrix, and ``eigvalsh`` gives exactly 0.0
+    for the all-zero one.  This is no longer a power iteration: the name
+    stays only as the hook that the benchmark's tracer wraps for the
+    ``mm.lambda_max`` span, and goes when the library owns its spans
+    (ROADMAP item 2).
     """
     omega = np.asarray(omega)
-    if omega.shape[0] == 0 or not np.any(omega):
+    if omega.shape[0] == 0:
         return 0.0
     return float(np.linalg.eigvalsh(omega)[-1])
+
+
+class _Run(NamedTuple):
+    """Constants of one optimizer run: Psi, Psi^H, the Gram Psi Psi^H and (a, c)."""
+
+    m: np.ndarray
+    mh: np.ndarray
+    gram: np.ndarray
+    a: float
+    c: float
+
+
+def _run_constants(psi: CompositeChannel, cfg: SystemConfig) -> _Run:
+    m = psi.psi
+    mh = m.conj().T
+    a, c = cfg.objective_coeffs
+    return _Run(m, mh, m @ mh, a, c)
 
 
 def _per_row(x: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -87,59 +111,61 @@ def _per_row(x: np.ndarray, like: np.ndarray) -> np.ndarray:
     return x if like.ndim == 1 else x[:, None]
 
 
-def _mm_quantities(
-    tt0: np.ndarray,
-    psi: CompositeChannel,
-    cfg: SystemConfig,
-    gram: np.ndarray,
-):
-    """Per-antenna weights and shifted-coupling eigenvalue at the expansion point.
+def _evaluate(tt: np.ndarray, run: _Run):
+    """The one evaluation of an iterate: (v, xi, obj).
 
-    Returns (v0, xi, d, lam) with v0 the effective channel at tt0, xi the
-    diagonal weight, d the diagonal of the coupling matrix factor, and lam
-    the (margin-inflated) dominant eigenvalue of the coupling matrix.
-    ``gram`` is psi.psi @ psi.psi^H, which does not change between steps.
+    ``v = Psi tt`` is the effective channel (one row per source antenna for
+    a factor), ``xi = a |v|^2 + c`` the per-antenna weight, and ``obj`` the
+    lifted objective sum |v|^2 / xi, computed exactly as
+    ``lifted_objective`` computes it.
     """
-    m = psi.psi
-    v0 = m @ tt0
-    a, c = cfg.objective_coeffs
-    xi = a * _row_power(v0) + c
-    if a == 0.0:
-        return v0, xi, np.zeros_like(xi), 0.0
-    d = _row_power(v0 / _per_row(xi, v0))
-    # lambda_max of m^H diag(d) m equals that of the small Gram
-    # sqrt(d) (m m^H) sqrt(d), the same for a phase vector and a factor.
-    sd = np.sqrt(d)
-    lam = lambda_max_power_iteration(sd[:, None] * gram * sd[None, :])
-    lam = max(lam, 0.0) * (1.0 + _LAMBDA_MARGIN)
-    return v0, xi, d, lam
+    v = run.m @ tt
+    q = _row_power(v)
+    xi = run.a * q + run.c
+    return v, xi, float(np.sum(q / xi))
 
 
-def _mm_alpha(tt0, psi, cfg, v0, xi, d, lam):
-    """Surrogate linear coefficient: one application of the surrogate matrix."""
-    m = psi.psi
-    a, _ = cfg.objective_coeffs
-    alpha = m.conj().T @ (v0 / _per_row(xi, v0))
-    if a > 0.0:
-        alpha = alpha - a * (m.conj().T @ (_per_row(d, v0) * v0) - lam * tt0)
-    return alpha
+def _surrogate_coefficient(tt0: np.ndarray, v0: np.ndarray, xi: np.ndarray, run: _Run):
+    """Linear coefficient of the minorizer built at ``tt0``: (alpha, d, lam).
 
-
-def _phases_of(alpha: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Entrywise unit-modulus maximizer; zero coefficients keep the old phase.
-
-    For a factor the maximizer normalizes each row instead.
+    With u = v0 / xi, ``d`` = |u|^2 per antenna is the diagonal of the
+    coupling matrix factor, ``lam`` the margin-inflated dominant eigenvalue
+    of the coupling matrix Psi^H diag(d) Psi, and
+    alpha = Psi^H (u - a d v0) + a lam tt0, one matrix-vector product.
     """
-    if alpha.ndim == 2:
-        return _project_unit(alpha, keep)
-    out = np.where(alpha != 0.0, np.exp(1j * np.angle(alpha)), keep)
-    return out
+    u = v0 / _per_row(xi, v0)
+    if run.a == 0.0:
+        return run.mh @ u, np.zeros_like(xi), 0.0
+    d = _row_power(u)
+    lam = 0.0
+    if d.any():
+        # lambda_max of m^H diag(d) m equals that of the small Gram
+        # sqrt(d) (m m^H) sqrt(d), the same for a phase vector and a factor.
+        sd = np.sqrt(d)
+        lam = lambda_max_power_iteration(sd[:, None] * run.gram * sd[None, :])
+        lam = max(lam, 0.0) * (1.0 + _LAMBDA_MARGIN)
+    alpha = run.mh @ (u - run.a * _per_row(d, v0) * v0) + (run.a * lam) * tt0
+    return alpha, d, lam
 
 
-def _mm_map(tt0, psi, cfg, gram):
-    """One minorize-maximize step: the maximizer of the surrogate built at tt0."""
-    v0, xi, d, lam = _mm_quantities(tt0, psi, cfg, gram)
-    return _phases_of(_mm_alpha(tt0, psi, cfg, v0, xi, d, lam), tt0)
+def _project_unit(vec: np.ndarray, fallback) -> np.ndarray:
+    """Scale each entry (each row of a factor) to unit modulus; zeros take ``fallback``.
+
+    This is the surrogate's maximizer over the torus (over unit-norm rows
+    for a factor) when ``vec`` is its linear coefficient.
+    """
+    mags = np.abs(vec) if vec.ndim == 1 else np.linalg.norm(vec, axis=1, keepdims=True)
+    if mags.all():
+        return vec / mags
+    return np.where(mags > 0.0, vec / np.where(mags > 0.0, mags, 1.0), fallback)
+
+
+def _step(tt0: np.ndarray, ev, run: _Run) -> np.ndarray:
+    """One minorize-maximize step from ``tt0``, whose evaluation is ``ev``.
+
+    Zero coefficients keep the old entry.
+    """
+    return _project_unit(_surrogate_coefficient(tt0, ev[0], ev[1], run)[0], tt0)
 
 
 def surrogate_value(
@@ -157,51 +183,44 @@ def surrogate_value(
     """
     tt = np.asarray(tt, dtype=complex).ravel()
     tt0 = np.asarray(tt0, dtype=complex).ravel()
-    a, _ = cfg.objective_coeffs
-    v0, xi, d, lam = _mm_quantities(tt0, psi, cfg, psi.psi @ psi.psi.conj().T)
-    alpha = _mm_alpha(tt0, psi, cfg, v0, xi, d, lam)
+    run = _run_constants(psi, cfg)
+    v0, xi, f0 = _evaluate(tt0, run)
+    alpha, d, lam = _surrogate_coefficient(tt0, v0, xi, run)
     term1 = 2.0 * float(np.real(np.vdot(alpha, tt)))
-    term2 = -2.0 * a * tt0.shape[0] * lam
-    term3 = 2.0 * a * float(np.sum(d * np.abs(v0) ** 2)) - float(np.sum(np.abs(v0) ** 2 / xi))
+    term2 = -2.0 * run.a * tt0.shape[0] * lam
+    term3 = 2.0 * run.a * float(np.sum(d * _row_power(v0))) - f0
     return term1 + term2 + term3
 
 
-def _project_unit(vec: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """Scale each entry (each row of a factor) to unit modulus; zeros take ``fallback``."""
-    mags = np.abs(vec) if vec.ndim == 1 else np.linalg.norm(vec, axis=1, keepdims=True)
-    out = np.where(mags > 0.0, vec / np.where(mags > 0.0, mags, 1.0), fallback)
-    return out
+def _squarem_cycle(tt, ev, run):
+    """One accelerated cycle from ``tt``, whose evaluation is ``ev``.
 
-
-def _squarem_cycle(tt, psi, cfg, gram):
-    """One accelerated cycle: two MM maps plus a safeguarded extrapolation.
-
-    Extrapolates through the two maps with a negative squared step length,
-    reprojects onto the torus, and backtracks the step toward the plain
-    composition until the objective does not decrease.  The returned
-    objective is therefore never below the plain two-step value, so
-    monotonicity of the outer sequence is preserved; at a fixed point the
-    cycle degenerates to the plain steps.
+    Takes two MM steps, extrapolates through them with a negative squared
+    step length, reprojects onto the torus, and backtracks the step toward
+    the plain composition until the objective does not decrease.  Returns
+    the new iterate and its evaluation, whose objective is never below the
+    plain two-step value, so monotonicity of the outer sequence is
+    preserved; at a fixed point the cycle degenerates to the plain steps.
     """
-    x1 = _mm_map(tt, psi, cfg, gram)
-    x2 = _mm_map(x1, psi, cfg, gram)
-    obj2 = lifted_objective(x2, psi, cfg)
+    x1 = _step(tt, ev, run)
+    x2 = _step(x1, _evaluate(x1, run), run)
+    ev2 = _evaluate(x2, run)
     r = x1 - tt
     v = x2 - x1 - r
-    nr = np.linalg.norm(r)
-    nv = np.linalg.norm(v)
+    nr = math.sqrt(np.vdot(r, r).real)
+    nv = math.sqrt(np.vdot(v, v).real)
     if nr == 0.0 or nv == 0.0:
-        return x2, obj2
+        return x2, ev2
     alpha = -nr / nv
     for _ in range(60):
         if abs(alpha + 1.0) < 1e-4:
             break
         cand = _project_unit(tt - 2.0 * alpha * r + alpha**2 * v, fallback=x2)
-        obj_c = lifted_objective(cand, psi, cfg)
-        if obj_c >= obj2:
-            return cand, obj_c
+        ev_c = _evaluate(cand, run)
+        if ev_c[2] >= ev2[2]:
+            return cand, ev_c
         alpha = (alpha - 1.0) / 2.0
-    return x2, obj2
+    return x2, ev2
 
 
 @dataclass(frozen=True)
@@ -218,9 +237,7 @@ class MMResult:
 def random_lifted_init(rng: np.random.Generator, n_i: int) -> np.ndarray:
     """Entrywise-normalized random complex vector of length n_i + 1."""
     z = rng.standard_normal(n_i + 1) + 1j * rng.standard_normal(n_i + 1)
-    mags = np.abs(z)
-    z = np.where(mags > 0.0, z / np.where(mags > 0.0, mags, 1.0), 1.0 + 0.0j)
-    return z
+    return _project_unit(z, 1.0 + 0.0j)
 
 
 def _ascend(tt, psi, cfg, settings):
@@ -228,21 +245,25 @@ def _ascend(tt, psi, cfg, settings):
 
     Returns the last iterate, the objective after each iteration (the
     start first) and whether the relative change fell below
-    ``settings.epsilon`` within ``settings.max_iter`` iterations.
+    ``settings.epsilon`` within ``settings.max_iter`` iterations.  Each
+    iterate is evaluated once; that evaluation serves the convergence
+    test, the SQUAREM acceptance test and the next step.
     """
-    gram = psi.psi @ psi.psi.conj().T
-    obj = lifted_objective(tt, psi, cfg)
+    run = _run_constants(psi, cfg)
+    ev = _evaluate(tt, run)
+    obj = ev[2]
     objectives = [obj]
     converged = False
     for _ in range(settings.max_iter):
         if settings.accelerate:
-            tt_new, obj_new = _squarem_cycle(tt, psi, cfg, gram)
+            tt, ev = _squarem_cycle(tt, ev, run)
         else:
-            tt_new = _mm_map(tt, psi, cfg, gram)
-            obj_new = lifted_objective(tt_new, psi, cfg)
+            tt = _step(tt, ev, run)
+            ev = _evaluate(tt, run)
+        obj_new = ev[2]
         objectives.append(obj_new)
         delta = abs(obj_new - obj) / max(1.0, abs(obj))
-        tt, obj = tt_new, obj_new
+        obj = obj_new
         if delta < settings.epsilon:
             converged = True
             break

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mm import MMSettings, _ascend, lifted_objective
+from .mm import MMSettings, _ascend, _project_unit, lifted_objective
 from .model import CompositeChannel, SystemConfig, check_unit_modulus
 from .txbf import _row_power, psi_tilde_from_powers, snr_from_psi_tilde
 
@@ -137,7 +137,8 @@ def _warm_factor(tt: np.ndarray, rank: int) -> np.ndarray:
     shape = (tt.shape[0], rank - 1)
     extra = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     v = np.concatenate([tt[:, None], _PERTURBATION * extra], axis=1)
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    # every row holds a unit-modulus entry, so none falls back
+    return _project_unit(v, fallback=v)
 
 
 def solve_sdr(

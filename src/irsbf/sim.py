@@ -14,6 +14,7 @@ import enum
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -282,11 +283,21 @@ def _realization_stats(args) -> dict:
         return {"failed": f"{type(exc).__name__}: {exc}"}
 
 
-def _map_tasks(fn, tasks, workers: int):
+@contextmanager
+def _task_map(workers: int):
+    """A map of a function over a task list, for a whole run.
+
+    With one worker the tasks run in this process; otherwise one process
+    pool serves every call until the run ends.  Results come back in task
+    order either way.
+    """
     if workers <= 1:
-        return [fn(t) for t in tasks]
+        yield lambda fn, tasks: [fn(t) for t in tasks]
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+        yield lambda fn, tasks: list(
+            pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+        )
 
 
 def run_sweep(
@@ -310,51 +321,52 @@ def run_sweep(
     """
     settings = mm_settings or MMSettings()
     results = []
-    for vi, value in enumerate(spec.values):
-        cfg_v, geo_v = apply_sweep_value(spec.variable, value, base_cfg, geo)
-        tasks = [
-            (
-                cfg_v,
-                geo_v,
-                settings,
-                spec.phase_mode,
-                spec.n_symbols,
-                child_seed(spec.seed, vi, r),
-                spec.schemes,
-            )
-            for r in range(spec.n_channels)
-        ]
-        rows = _map_tasks(_realization_stats, tasks, workers)
-        failed = [r["failed"] for r in rows if "failed" in r]
-        if failed:
-            log.warning(
-                "sweep %s=%g: skipped %d/%d realizations (first: %s)",
-                spec.variable.value,
-                value,
-                len(failed),
-                len(rows),
-                failed[0],
-            )
-        good = [r for r in rows if "failed" not in r]
-        if not good:
-            raise SweepFailedError(
-                f"all {len(rows)} realizations failed at {spec.variable.value}={value:g}"
-                f" (first: {failed[0]})"
-            )
-        stats = {}
-        for scheme in spec.schemes:
-            snrs = np.array([r[scheme.value][0] for r in good])
-            sers = [r[scheme.value][1] for r in good]
-            iters = [r[scheme.value][2] for r in good]
-            stats[scheme] = SchemeStats(
-                mean_snr_db=pow2db(float(np.mean(snrs))),
-                ser=float(np.mean(sers)) if sers[0] is not None else None,
-                mean_iterations=float(np.mean(iters)) if iters[0] is not None else None,
-            )
-        point = SimResult(sweep_variable=spec.variable, sweep_value=value, stats=stats)
-        results.append(point)
-        if on_point is not None:
-            on_point(point)
+    with _task_map(workers) as map_tasks:
+        for vi, value in enumerate(spec.values):
+            cfg_v, geo_v = apply_sweep_value(spec.variable, value, base_cfg, geo)
+            tasks = [
+                (
+                    cfg_v,
+                    geo_v,
+                    settings,
+                    spec.phase_mode,
+                    spec.n_symbols,
+                    child_seed(spec.seed, vi, r),
+                    spec.schemes,
+                )
+                for r in range(spec.n_channels)
+            ]
+            rows = map_tasks(_realization_stats, tasks)
+            failed = [r["failed"] for r in rows if "failed" in r]
+            if failed:
+                log.warning(
+                    "sweep %s=%g: skipped %d/%d realizations (first: %s)",
+                    spec.variable.value,
+                    value,
+                    len(failed),
+                    len(rows),
+                    failed[0],
+                )
+            good = [r for r in rows if "failed" not in r]
+            if not good:
+                raise SweepFailedError(
+                    f"all {len(rows)} realizations failed at {spec.variable.value}={value:g}"
+                    f" (first: {failed[0]})"
+                )
+            stats = {}
+            for scheme in spec.schemes:
+                snrs = np.array([r[scheme.value][0] for r in good])
+                sers = [r[scheme.value][1] for r in good]
+                iters = [r[scheme.value][2] for r in good]
+                stats[scheme] = SchemeStats(
+                    mean_snr_db=pow2db(float(np.mean(snrs))),
+                    ser=float(np.mean(sers)) if sers[0] is not None else None,
+                    mean_iterations=float(np.mean(iters)) if iters[0] is not None else None,
+                )
+            point = SimResult(sweep_variable=spec.variable, sweep_value=value, stats=stats)
+            results.append(point)
+            if on_point is not None:
+                on_point(point)
     return results
 
 
@@ -403,22 +415,23 @@ def run_iteration_study(
     same bookkeeping used by ``run_mm``.
     """
     rows = []
-    for ni_idx, n_i in enumerate(n_i_list):
-        cfg = replace(base_cfg, n_i=int(n_i))
-        tasks = [
-            (cfg, geo, child_seed(seed, _STUDY_SALT, ni_idx, r), epsilon, max_iter)
-            for r in range(n_channels)
-        ]
-        counts = np.array(_map_tasks(_study_task, tasks, workers), dtype=float)
-        rows.append(
-            IterationStudyRow(
-                n_i=int(n_i),
-                robust_plain=float(np.mean(counts[:, 0])),
-                robust_accel=float(np.mean(counts[:, 1])),
-                nonrobust_plain=float(np.mean(counts[:, 2])),
-                nonrobust_accel=float(np.mean(counts[:, 3])),
+    with _task_map(workers) as map_tasks:
+        for ni_idx, n_i in enumerate(n_i_list):
+            cfg = replace(base_cfg, n_i=int(n_i))
+            tasks = [
+                (cfg, geo, child_seed(seed, _STUDY_SALT, ni_idx, r), epsilon, max_iter)
+                for r in range(n_channels)
+            ]
+            counts = np.array(map_tasks(_study_task, tasks), dtype=float)
+            rows.append(
+                IterationStudyRow(
+                    n_i=int(n_i),
+                    robust_plain=float(np.mean(counts[:, 0])),
+                    robust_accel=float(np.mean(counts[:, 1])),
+                    nonrobust_plain=float(np.mean(counts[:, 2])),
+                    nonrobust_accel=float(np.mean(counts[:, 3])),
+                )
             )
-        )
     return rows
 
 

@@ -118,6 +118,17 @@ class TestDeterminism:
         assert main([*args, "--workers", "2", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_shared_pool_does_not_change_csv(self, tmp_path):
+        # one process pool serves all three points of the run
+        out1, out2 = tmp_path / "n1.csv", tmp_path / "n2.csv"
+        args = [
+            "sweep-n", "--seed", "11", "--channels", "3", "--symbols", "40",
+            "--values", "4,8,12", "--no-bound",
+        ]
+        assert main([*args, "--workers", "1", "--out", str(out1)]) == 0
+        assert main([*args, "--workers", "2", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_symbol_count_does_not_change_csv(self, tmp_path):
         # the SER column is exact, so the nominal symbol count cannot move it
         out1, out2 = tmp_path / "s60.csv", tmp_path / "s2000.csv"

@@ -4,9 +4,11 @@ import pytest
 from irsbf.channels import sample_los
 from irsbf.mm import (
     MMSettings,
-    _mm_alpha,
-    _mm_map,
-    _mm_quantities,
+    _evaluate,
+    _project_unit,
+    _run_constants,
+    _step,
+    _surrogate_coefficient,
     lambda_max_power_iteration,
     lifted_objective,
     quantize_phases,
@@ -43,8 +45,22 @@ def run_steps(tt, psi, cfg, steps, accelerate=False):
 
 def quantities(tt0, psi, cfg):
     """Surrogate quantities (v0, xi, d, lam) and coefficient alpha at tt0."""
-    v0, xi, d, lam = _mm_quantities(tt0, psi, cfg, psi.psi @ psi.psi.conj().T)
-    return v0, xi, d, lam, _mm_alpha(tt0, psi, cfg, v0, xi, d, lam)
+    run = _run_constants(psi, cfg)
+    v0, xi, _ = _evaluate(tt0, run)
+    alpha, d, lam = _surrogate_coefficient(tt0, v0, xi, run)
+    return v0, xi, d, lam, alpha
+
+
+def mm_step(tt0, psi, cfg):
+    """One optimizer step from tt0."""
+    run = _run_constants(psi, cfg)
+    return _step(tt0, _evaluate(tt0, run), run)
+
+
+def random_factor(rng, n_i, rank):
+    """A factor with unit-norm rows, one per lifted entry."""
+    v = complex_gaussian(rng, n_i + 1, rank)
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 class TestLiftedObjective:
@@ -107,9 +123,8 @@ class TestMMStep:
 
     def test_scalar_problem_fixed_point_in_one_step(self, rng):
         cfg, psi = random_problem(rng, n_i=0, n_s=3)
-        gram = psi.psi @ psi.psi.conj().T
-        step1 = _mm_map(random_lifted_init(rng, 0), psi, cfg, gram)
-        step2 = _mm_map(step1, psi, cfg, gram)
+        step1 = mm_step(random_lifted_init(rng, 0), psi, cfg)
+        step2 = mm_step(step1, psi, cfg)
         assert lifted_objective(step2, psi, cfg) == pytest.approx(
             lifted_objective(step1, psi, cfg), rel=1e-12
         )
@@ -136,6 +151,73 @@ class TestMMStep:
         assert alpha.shape == (6,)
 
 
+class TestKernels:
+    def test_evaluation_objective_is_bitwise_lifted_objective(self, rng):
+        for n_i, n_s in ((0, 1), (5, 3), (40, 4)):
+            cfg, psi = random_problem(rng, n_i=n_i, n_s=n_s)
+            run = _run_constants(psi, cfg)
+            tt = random_lifted_init(rng, n_i)
+            v, xi, obj = _evaluate(tt, run)
+            assert obj == lifted_objective(tt, psi, cfg)
+            np.testing.assert_array_equal(v, psi.psi @ tt)
+            a, c = cfg.objective_coeffs
+            np.testing.assert_array_equal(xi, a * np.abs(v) ** 2 + c)
+            factor = random_factor(rng, n_i, min(n_s + 1, n_i + 1))
+            assert _evaluate(factor, run)[2] == lifted_objective(factor, psi, cfg)
+
+    def test_fused_alpha_matches_the_two_product_form(self, rng):
+        for n_i, n_s in ((0, 1), (6, 4), (50, 4)):
+            cfg, psi = random_problem(rng, n_i=n_i, n_s=n_s)
+            m = psi.psi
+            a, _ = cfg.objective_coeffs
+            for tt0 in (random_lifted_init(rng, n_i), random_factor(rng, n_i, 3)):
+                v0, xi, d, lam, alpha = quantities(tt0, psi, cfg)
+                per_row = (lambda x: x) if tt0.ndim == 1 else (lambda x: x[:, None])
+                two = m.conj().T @ (v0 / per_row(xi)) - a * (
+                    m.conj().T @ (per_row(d) * v0) - lam * tt0
+                )
+                assert np.linalg.norm(alpha - two) <= 1e-12 * np.linalg.norm(two)
+
+    def test_zero_channel_skips_the_eigenvalue(self):
+        cfg = SystemConfig(n_s=3, n_i=4, p=1.0, kappa_s=0.1, kappa_d=0.1, sigma_n2=0.1)
+        ch = ChannelSet(
+            h_si=np.zeros((4, 3), complex), h_id=np.zeros(4, complex), h_sd=np.zeros(3, complex)
+        )
+        _, _, d, lam, alpha = quantities(np.ones(5, complex), build_composite(ch), cfg)
+        assert lam == 0.0
+        np.testing.assert_array_equal(d, 0.0)
+        np.testing.assert_array_equal(alpha, 0.0)
+
+    def test_unit_projection_matches_the_phase_map(self, rng):
+        z = complex_gaussian(rng, 200)
+        np.testing.assert_allclose(
+            _project_unit(z, 1.0), np.exp(1j * np.angle(z)), rtol=0, atol=1e-15
+        )
+        f = complex_gaussian(rng, 30, 4)
+        np.testing.assert_allclose(
+            _project_unit(f, 0.0), f / np.linalg.norm(f, axis=1, keepdims=True), rtol=0, atol=1e-15
+        )
+
+    def test_unit_projection_keeps_the_fallback_at_zeros(self, rng):
+        z = complex_gaussian(rng, 6)
+        z[[1, 4]] = 0.0
+        keep = random_lifted_init(rng, 5)
+        out = _project_unit(z, keep)
+        assert out[1] == keep[1] and out[4] == keep[4]
+        live = [0, 2, 3, 5]
+        np.testing.assert_allclose(out[live], np.exp(1j * np.angle(z[live])), rtol=0, atol=1e-15)
+        f = complex_gaussian(rng, 4, 3)
+        f[2] = 0.0
+        keep_f = random_factor(rng, 3, 3)
+        out_f = _project_unit(f, keep_f)
+        np.testing.assert_array_equal(out_f[2], keep_f[2])
+        np.testing.assert_allclose(np.linalg.norm(out_f, axis=1), 1.0, atol=1e-15)
+
+    def test_random_init_is_unit_modulus(self, rng):
+        z = random_lifted_init(rng, 30)
+        np.testing.assert_allclose(np.abs(z), 1.0, atol=1e-15)
+
+
 class TestLambdaShift:
     def test_shifted_coupling_matrix_is_psd(self, rng):
         for _ in range(10):
@@ -150,10 +232,9 @@ class TestLambdaShift:
         for n_i, n_s in ((0, 1), (3, 1), (8, 4), (40, 3)):
             cfg, psi = random_problem(rng, n_i=n_i, n_s=n_s)
             tt = random_lifted_init(rng, n_i)
-            gram = psi.psi @ psi.psi.conj().T
-            lam = _mm_quantities(tt, psi, cfg, gram)[3]
+            lam = quantities(tt, psi, cfg)[3]
             assert lam > 0.0
-            assert _mm_quantities(tt[:, None], psi, cfg, gram)[3] == lam
+            assert quantities(tt[:, None], psi, cfg)[3] == lam
 
     def test_omega_psd(self, rng):
         cfg, psi = random_problem(rng, n_i=7)

@@ -16,7 +16,10 @@ from hypothesis import strategies as st
 from irsbf.mm import (
     _LAMBDA_MARGIN,
     MMSettings,
-    _mm_quantities,
+    _evaluate,
+    _run_constants,
+    _step,
+    _surrogate_coefficient,
     lifted_objective,
     quantize_phases,
     random_lifted_init,
@@ -134,7 +137,9 @@ def test_shift_is_the_exact_coupling_eigenvalue(problem):
     cfg, psi, rng = make_problem(**problem)
     tt0 = random_lifted_init(rng, cfg.n_i)
     m = psi.psi
-    _, _, d, lam = _mm_quantities(tt0, psi, cfg, m @ m.conj().T)
+    run = _run_constants(psi, cfg)
+    v0, xi, _ = _evaluate(tt0, run)
+    _, d, lam = _surrogate_coefficient(tt0, v0, xi, run)
     expected = (1.0 + _LAMBDA_MARGIN) * float(np.linalg.eigvalsh(m.conj().T @ (d[:, None] * m))[-1])
     if cfg.objective_coeffs[0] == 0.0:
         assert lam == 0.0
@@ -144,6 +149,30 @@ def test_shift_is_the_exact_coupling_eigenvalue(problem):
     for _ in range(20):
         tt = random_lifted_init(rng, cfg.n_i)
         assert surrogate_value(tt, tt0, psi, cfg) <= lifted_objective(tt, psi, cfg) + tol
+
+
+@pytest.mark.parametrize("edge", EDGES)
+def test_step_from_the_shared_evaluation_maximizes_a_tight_minorizer_at_the_edges(edge):
+    # the surrogate built from the one evaluation of tt0 touches the
+    # objective there and stays below it; the step taken from that same
+    # evaluation maximizes it over the torus, so the objective cannot drop
+    cfg, psi, rng = make_problem(**edge)
+    run = _run_constants(psi, cfg)
+    tt0 = random_lifted_init(rng, cfg.n_i)
+    ev0 = _evaluate(tt0, run)
+    f0 = ev0[2]
+    tol = 1e-9 * max(1.0, abs(f0))
+    assert abs(surrogate_value(tt0, tt0, psi, cfg) - f0) <= tol
+    x1 = _step(tt0, ev0, run)
+    np.testing.assert_allclose(np.abs(x1), 1.0, atol=1e-15)
+    s1 = surrogate_value(x1, tt0, psi, cfg)
+    assert s1 >= f0 - tol
+    assert _evaluate(x1, run)[2] >= s1 - tol
+    for _ in range(200):
+        tt = random_lifted_init(rng, cfg.n_i)
+        s = surrogate_value(tt, tt0, psi, cfg)
+        assert s <= lifted_objective(tt, psi, cfg) + tol
+        assert s <= s1 + tol
 
 
 @PROPERTY_SETTINGS
