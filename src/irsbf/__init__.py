@@ -21,13 +21,10 @@ from .mm import (
 )
 from .model import (
     ChannelSet,
-    CompositeChannel,
     ConfigError,
     DegenerateChannelError,
     DimensionError,
     EvalResult,
-    PhaseConstraint,
-    PhaseKind,
     ReflectConfig,
     SystemConfig,
     build_composite,

@@ -17,12 +17,10 @@ import numpy as np
 from .channels import Geometry, generate_channels, sample_los, sample_rayleigh
 from .los import solve_los
 from .mm import MMSettings, random_lifted_init, run_mm
-from .model import ChannelSet, PhaseConstraint, SystemConfig, build_composite, lift_reflect
+from .model import ChannelSet, ConfigError, SystemConfig, build_composite, lift_reflect
 from .sdr import solve_sdr
 from .sim import (
-    ALL_SCHEMES,
     CSV_HEADER,
-    Scheme,
     SimResult,
     SweepFailedError,
     SweepSpec,
@@ -109,11 +107,24 @@ def _parse_values(text: str) -> tuple:
         raise ValueError(f"bad value list {text!r}: {exc}") from None
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master seed (64-bit unsigned)")
+def _seed(text: str) -> int:
+    """The master seed, checked here once for every command."""
+    try:
+        if 0 <= int(text) < 2**64:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2**64), got {text!r}")
+
+
+def _add_common(parser: argparse.ArgumentParser, workers: bool = True, out: bool = True) -> None:
+    """The flags shared by the commands; ``workers`` and ``out`` only where they act."""
+    parser.add_argument("--seed", type=_seed, default=0, help="master seed (64-bit unsigned)")
     parser.add_argument("--config", metavar="FILE", help="key = value overrides of the defaults")
-    parser.add_argument("--workers", type=int, default=1, help="worker processes")
-    parser.add_argument("--out", metavar="CSV", help="write results to this CSV file")
+    if workers:
+        parser.add_argument("--workers", type=int, default=1, help="worker processes")
+    if out:
+        parser.add_argument("--out", metavar="CSV", help="write results to this CSV file")
     parser.add_argument("--json", action="store_true", help="print a JSON summary instead of a table")
 
 
@@ -142,10 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channels", type=int, default=100)
     p.add_argument("--epsilon", type=float, default=1e-5)
     p = sub.add_parser("los-demo", help="closed forms for the rank-one no-direct-link case")
-    _add_common(p)
+    _add_common(p, workers=False, out=False)
     p.add_argument("--n-i", type=int, default=50)
     p = sub.add_parser("bound-check", help="per-channel optimizer vs relaxation benchmark")
-    _add_common(p)
+    _add_common(p, workers=False)
     p.add_argument("--channels", type=int, default=10)
     return parser
 
@@ -166,19 +177,15 @@ def _print_table(rows: list[list[str]], header) -> None:
         print("  ".join(str(c).ljust(w) for c, w in zip(r, widths)))
 
 
-def _run_sweep_command(args, variable: SweepVariable) -> int:
-    overrides = parse_config_file(args.config) if args.config else {}
-    cfg, geo = build_setup(overrides)
-    phase = PhaseConstraint.discrete(args.bits) if args.bits else PhaseConstraint.continuous()
-    schemes = ALL_SCHEMES if not args.no_bound else tuple(s for s in ALL_SCHEMES if s is not Scheme.UPPER_BOUND)
+def _run_sweep_command(args, cfg: SystemConfig, geo: Geometry) -> int:
     spec = SweepSpec(
-        variable=variable,
+        variable=_SWEEP_DEFAULTS[args.command][0],
         values=_parse_values(args.values),
         n_channels=args.channels,
         n_symbols=args.symbols,
         seed=args.seed,
-        phase_mode=phase,
-        schemes=schemes,
+        bits=args.bits,
+        bound=not args.no_bound,
     )
     out_fh = None
     writer_rows: list[list[str]] = []
@@ -189,7 +196,7 @@ def _run_sweep_command(args, variable: SweepVariable) -> int:
         out_fh.flush()
 
     def on_point(res: SimResult) -> None:
-        rows = _csv_rows(res, schemes)
+        rows = _csv_rows(res)
         writer_rows.extend(rows)
         if out_fh is not None:
             out_csv.writerows(rows)
@@ -213,12 +220,12 @@ def _run_sweep_command(args, variable: SweepVariable) -> int:
                 "sweep_variable": r.sweep_variable.value,
                 "value": r.sweep_value,
                 "scheme": s.value,
-                "mean_snr_db": r.stats[s].mean_snr_db,
-                "ser": r.stats[s].ser,
-                "mean_iterations": r.stats[s].mean_iterations,
+                "mean_snr_db": st.mean_snr_db,
+                "ser": st.ser,
+                "mean_iterations": st.mean_iterations,
             }
             for r in results
-            for s in schemes
+            for s, st in r.stats.items()
         ]
         print(json.dumps({"results": payload}, indent=2))
     else:
@@ -226,12 +233,9 @@ def _run_sweep_command(args, variable: SweepVariable) -> int:
     return 0
 
 
-def _run_iteration_study(args) -> int:
-    overrides = parse_config_file(args.config) if args.config else {}
-    cfg, geo = build_setup(overrides)
-    n_i_list = [int(v) for v in _parse_values(args.values)]
+def _run_iteration_study(args, cfg: SystemConfig, geo: Geometry) -> int:
     rows = run_iteration_study(
-        n_i_list, cfg, geo, seed=args.seed, n_channels=args.channels,
+        _parse_values(args.values), cfg, geo, seed=args.seed, n_channels=args.channels,
         epsilon=args.epsilon, workers=args.workers,
     )
     header = ("n_i", "robust_plain", "robust_accel", "nonrobust_plain", "nonrobust_accel")
@@ -249,9 +253,7 @@ def _run_iteration_study(args) -> int:
     return 0
 
 
-def _run_los_demo(args) -> int:
-    overrides = parse_config_file(args.config) if args.config else {}
-    cfg, geo = build_setup(overrides)
+def _run_los_demo(args, cfg: SystemConfig, geo: Geometry) -> int:
     cfg = replace(cfg, n_i=args.n_i)
     rng = np.random.default_rng(child_seed(args.seed, 0xD0E0))
     los = sample_los(rng, cfg.n_s, cfg.n_i, gain=1e-6)
@@ -277,9 +279,9 @@ def _run_los_demo(args) -> int:
     return 0
 
 
-def _run_bound_check(args) -> int:
-    overrides = parse_config_file(args.config) if args.config else {}
-    cfg, geo = build_setup(overrides)
+def _run_bound_check(args, cfg: SystemConfig, geo: Geometry) -> int:
+    if args.channels < 1:
+        raise ConfigError(f"n_channels must be >= 1, got {args.channels}")
     rows = []
     gaps = []
     certified_gaps = []
@@ -326,23 +328,23 @@ def _run_bound_check(args) -> int:
     return 0 if violations == 0 else 1
 
 
+# every other command is a sweep, run by _run_sweep_command
+_COMMANDS = {
+    "iteration-study": _run_iteration_study,
+    "los-demo": _run_los_demo,
+    "bound-check": _run_bound_check,
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    run = _COMMANDS.get(args.command, _run_sweep_command)
     try:
-        if args.command in _SWEEP_DEFAULTS:
-            return _run_sweep_command(args, _SWEEP_DEFAULTS[args.command][0])
-        if args.command == "iteration-study":
-            return _run_iteration_study(args)
-        if args.command == "los-demo":
-            return _run_los_demo(args)
-        if args.command == "bound-check":
-            return _run_bound_check(args)
-        parser.error(f"unknown command {args.command}")
+        cfg, geo = build_setup(parse_config_file(args.config) if args.config else {})
+        return run(args, cfg, geo)
     except (ValueError, OSError, SweepFailedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

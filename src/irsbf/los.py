@@ -44,7 +44,7 @@ def solve_los(ch: LOSChannel, h_id: np.ndarray, cfg: SystemConfig, sigma_id2: fl
     """
     h_id = np.asarray(h_id, dtype=complex).ravel()
     phases = -(np.angle(np.conj(h_id)) + np.angle(ch.a_i))
-    theta = ReflectConfig.from_phases(phases)
+    theta = ReflectConfig(phases)
     w = np.sqrt(cfg.p_tilde / cfg.n_s) * ch.a_s
     eta_abs2 = float(np.abs(ch.eta) ** 2)
     snr = los_snr_closed(cfg, eta_abs2, float(np.sum(np.abs(h_id))))

@@ -14,7 +14,10 @@ a plain step costs two products with Psi.  With ``MMSettings.accelerate``
 each pass of the loop is a SQUAREM cycle (Varadhan & Roland, Scand. J.
 Stat. 2008) instead: two steps, a squared extrapolation, and backtracking
 that keeps the sequence monotone.  ``surrogate_value`` evaluates the
-minorizer itself, for checking.
+minorizer itself, for checking.  The channel argument ``psi`` of every
+function here is the plain n_s x (n_i + 1) composite array of
+``model.build_composite``; ``quantize_phases`` rounds a continuous
+solution to the 2**bits levels of a b-bit phase set.
 
 The loop also ascends a Burer-Monteiro factor V of the relaxation
 X = V V^H (one unit-norm row per element), which ``sdr`` uses: the same
@@ -31,11 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
-    CompositeChannel,
     ConfigError,
     EvalResult,
-    PhaseConstraint,
-    PhaseKind,
     ReflectConfig,
     SystemConfig,
     check_unit_modulus,
@@ -65,13 +65,13 @@ class MMSettings:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
-def lifted_objective(theta_tilde: np.ndarray, psi: CompositeChannel, cfg: SystemConfig) -> float:
+def lifted_objective(theta_tilde: np.ndarray, psi: np.ndarray, cfg: SystemConfig) -> float:
     """Objective of the lifted problem; equals the reflect objective after extraction.
 
     At a factor (one row per element) it is the relaxed objective at V V^H.
     """
     tt = np.asarray(theta_tilde, dtype=complex)
-    return psi_tilde_from_v(psi.psi @ (tt if tt.ndim == 2 else tt.ravel()), cfg)
+    return psi_tilde_from_v(psi @ (tt if tt.ndim == 2 else tt.ravel()), cfg)
 
 
 def lambda_max_power_iteration(omega: np.ndarray) -> float:
@@ -99,11 +99,10 @@ class _Run(NamedTuple):
     c: float
 
 
-def _run_constants(psi: CompositeChannel, cfg: SystemConfig) -> _Run:
-    m = psi.psi
-    mh = m.conj().T
+def _run_constants(psi: np.ndarray, cfg: SystemConfig) -> _Run:
+    mh = psi.conj().T
     a, c = cfg.objective_coeffs
-    return _Run(m, mh, m @ mh, a, c)
+    return _Run(psi, mh, psi @ mh, a, c)
 
 
 def _per_row(x: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -171,7 +170,7 @@ def _step(tt0: np.ndarray, ev, run: _Run) -> np.ndarray:
 def surrogate_value(
     tt: np.ndarray,
     tt0: np.ndarray,
-    psi: CompositeChannel,
+    psi: np.ndarray,
     cfg: SystemConfig,
 ) -> float:
     """Minorizer of the lifted objective, expanded at ``tt0`` and evaluated at ``tt``.
@@ -272,7 +271,7 @@ def _ascend(tt, psi, cfg, settings):
 
 def run_mm(
     init: np.ndarray,
-    psi: CompositeChannel,
+    psi: np.ndarray,
     cfg: SystemConfig,
     settings: MMSettings = MMSettings(),
 ) -> MMResult:
@@ -287,7 +286,7 @@ def run_mm(
     """
     tt, objectives, converged = _ascend(check_unit_modulus(init).copy(), psi, cfg, settings)
     reflect = extract_reflect(tt)
-    v = psi.psi @ tt / tt[-1]
+    v = psi @ tt / tt[-1]
     pt = psi_tilde_from_v(v, cfg)
     result = EvalResult(
         snr=snr_at_optimal_beam_from_v(v, cfg),
@@ -302,15 +301,23 @@ def run_mm(
     )
 
 
-def quantize_phases(theta: ReflectConfig, pc: PhaseConstraint) -> ReflectConfig:
-    """Project each phase onto the nearest discrete level under angular distance.
+def check_bits(bits) -> None:
+    """Reject a phase resolution other than None (continuous) or an integer >= 1."""
+    if bits is not None and not (int(bits) == bits and bits >= 1):
+        raise ConfigError(f"discrete phases need bits >= 1, got {bits}")
+
+
+def quantize_phases(theta: ReflectConfig, bits: int) -> ReflectConfig:
+    """Project each phase onto the nearest of the 2**bits levels under angular distance.
 
     Distances wrap around the circle; exact ties go to the smaller level.
     """
-    if pc.kind is not PhaseKind.DISCRETE:
-        raise ConfigError("quantize_phases requires a discrete phase constraint")
-    levels = 2.0 * np.pi * np.arange(pc.levels) / pc.levels
+    if bits is None:
+        raise ConfigError("quantize_phases needs bits >= 1, got None")
+    check_bits(bits)
+    n_levels = 2 ** int(bits)
+    levels = 2.0 * np.pi * np.arange(n_levels) / n_levels
     diff = theta.phases[:, None] - levels[None, :]
     wrapped = np.abs((diff + np.pi) % (2.0 * np.pi) - np.pi)
     picks = np.argmin(wrapped, axis=1)
-    return ReflectConfig.from_phases(levels[picks])
+    return ReflectConfig(levels[picks])

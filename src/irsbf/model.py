@@ -2,13 +2,13 @@
 
 All powers are linear watts internally; dB conversion happens only at the
 CLI boundary.  All types are immutable value objects and safe to share
-across parallel workers.
+across parallel workers.  The composite channel is a plain
+n_s x (n_i + 1) array, built by ``build_composite``.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,100 +134,39 @@ class ChannelSet:
         return self
 
 
-@dataclass(frozen=True)
-class CompositeChannel:
-    """Stacked effective channel: IRS columns scaled by the drop link, plus direct.
+def build_composite(ch: ChannelSet) -> np.ndarray:
+    """The n_s x (n_i + 1) composite channel: IRS columns scaled by the drop link, plus direct.
 
-    ``psi`` has shape n_s x (n_i + 1).  Multiplying it by a lifted phase
-    vector reproduces the end-to-end channel seen by the destination.
+    Multiplying it by a lifted phase vector reproduces the end-to-end
+    channel seen by the destination.
     """
-
-    psi: np.ndarray
-
-    @property
-    def n_s(self) -> int:
-        return self.psi.shape[0]
-
-    @property
-    def n_i(self) -> int:
-        return self.psi.shape[1] - 1
-
-
-def build_composite(ch: ChannelSet) -> CompositeChannel:
-    """Assemble the n_s x (n_i+1) composite matrix from the channel blocks."""
     reflect_cols = ch.h_si.conj().T * ch.h_id[None, :]
-    psi = np.concatenate([reflect_cols, ch.h_sd[:, None]], axis=1)
-    return CompositeChannel(psi=psi)
-
-
-class PhaseKind(enum.Enum):
-    CONTINUOUS = "continuous"
-    DISCRETE = "discrete"
-
-
-@dataclass(frozen=True)
-class PhaseConstraint:
-    """Feasible set for each reflecting element's phase."""
-
-    kind: PhaseKind
-    bits: int | None = None
-
-    def __post_init__(self):
-        if self.kind is PhaseKind.DISCRETE:
-            if self.bits is None or int(self.bits) != self.bits or self.bits < 1:
-                raise ConfigError(f"discrete phases need bits >= 1, got {self.bits}")
-        elif self.bits is not None:
-            raise ConfigError("bits only applies to discrete phase sets")
-
-    @classmethod
-    def continuous(cls) -> "PhaseConstraint":
-        return cls(kind=PhaseKind.CONTINUOUS)
-
-    @classmethod
-    def discrete(cls, bits: int) -> "PhaseConstraint":
-        return cls(kind=PhaseKind.DISCRETE, bits=bits)
-
-    @property
-    def levels(self) -> int:
-        if self.kind is not PhaseKind.DISCRETE:
-            raise ConfigError("levels only defined for discrete phase sets")
-        return 2 ** self.bits
+    return np.concatenate([reflect_cols, ch.h_sd[:, None]], axis=1)
 
 
 @dataclass(frozen=True)
 class ReflectConfig:
     """Unit-modulus reflection coefficients, stored as the physical diagonal.
 
-    ``phases`` is canonical; ``theta`` is exp(1j*phases) and therefore
-    unit-modulus by construction.
+    ``phases`` is canonical; ``theta`` is exp(1j*phases), derived from it
+    and therefore unit-modulus by construction.
     """
 
-    theta: np.ndarray
     phases: np.ndarray
+    theta: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=complex).ravel()
         phases = np.asarray(self.phases, dtype=float).ravel()
-        if theta.shape != phases.shape:
-            raise DimensionError("theta and phases must have equal length")
-        if np.any(np.abs(np.abs(theta) - 1.0) > UNIT_MODULUS_TOL):
-            raise ConfigError("reflection coefficients must be unit modulus")
-        object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "phases", phases)
-
-    @classmethod
-    def from_phases(cls, phases: np.ndarray) -> "ReflectConfig":
-        phases = np.asarray(phases, dtype=float).ravel()
-        return cls(theta=np.exp(1j * phases), phases=phases)
+        object.__setattr__(self, "theta", np.exp(1j * phases))
 
     @classmethod
     def from_theta(cls, theta: np.ndarray) -> "ReflectConfig":
         """Build from arbitrary nonzero coefficients, renormalizing each entry."""
         theta = np.asarray(theta, dtype=complex).ravel()
-        mags = np.abs(theta)
-        if np.any(mags == 0.0):
+        if np.any(np.abs(theta) == 0.0):
             raise ConfigError("cannot normalize a zero reflection coefficient")
-        return cls.from_phases(np.angle(theta))
+        return cls(np.angle(theta))
 
     @property
     def n_i(self) -> int:

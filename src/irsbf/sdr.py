@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mm import MMSettings, _ascend, _project_unit, lifted_objective
-from .model import CompositeChannel, SystemConfig, check_unit_modulus
+from .model import SystemConfig, check_unit_modulus
 from .txbf import _row_power, psi_tilde_from_powers, snr_from_psi_tilde
 
 # Relative inflation of the exactly computed lambda_max: covers the rounding
@@ -74,15 +74,15 @@ def _diag_quad(psi_m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("mi,ij,mj->m", psi_m, x, psi_m.conj(), optimize=True))
 
 
-def relaxed_objective(theta_big: np.ndarray, psi: CompositeChannel, cfg: SystemConfig) -> float:
+def relaxed_objective(theta_big: np.ndarray, psi: np.ndarray, cfg: SystemConfig) -> float:
     """Separable concave objective evaluated at a Hermitian matrix."""
-    return psi_tilde_from_powers(np.maximum(_diag_quad(psi.psi, np.asarray(theta_big)), 0.0), cfg)
+    return psi_tilde_from_powers(np.maximum(_diag_quad(psi, np.asarray(theta_big)), 0.0), cfg)
 
 
-def _gradient_factor(q: np.ndarray, psi: CompositeChannel, cfg: SystemConfig) -> np.ndarray:
+def _gradient_factor(q: np.ndarray, psi: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """B with B^H B the gradient of the relaxed objective where the received powers are ``q``."""
     a, c = cfg.objective_coeffs
-    return (np.sqrt(c) / (a * q + c))[:, None] * psi.psi
+    return (np.sqrt(c) / (a * q + c))[:, None] * psi
 
 
 def _dual_certificate(b: np.ndarray, m: np.ndarray, tol: float) -> np.ndarray:
@@ -118,12 +118,12 @@ def _dual_certificate(b: np.ndarray, m: np.ndarray, tol: float) -> np.ndarray:
     return best
 
 
-def _certify(v: np.ndarray, psi: CompositeChannel, cfg: SystemConfig, tol: float):
+def _certify(v: np.ndarray, psi: np.ndarray, cfg: SystemConfig, tol: float):
     """Relaxed objective f(X) at X = v v^H, the dual certificate y at X, and the bound.
 
     The bound is f(X) + sum(y) - <G, X>, with G = b^H b the gradient at X.
     """
-    q = _row_power(psi.psi @ v)
+    q = _row_power(psi @ v)
     b = _gradient_factor(q, psi, cfg)
     m = b @ v
     primal = psi_tilde_from_powers(q, cfg)
@@ -142,7 +142,7 @@ def _warm_factor(tt: np.ndarray, rank: int) -> np.ndarray:
 
 
 def solve_sdr(
-    psi: CompositeChannel,
+    psi: np.ndarray,
     cfg: SystemConfig,
     tol: float = 1e-4,
     max_iter: int = 30,
@@ -150,19 +150,20 @@ def solve_sdr(
 ) -> UpperBoundResult:
     """Bracket the maximum of the relaxed objective over the elliptope.
 
-    ``init`` is a lifted unit-modulus vector (all ones if omitted).  The
-    factor ascent starts there with rank min(n_s + 1, n_i + 1), which is
-    enough for the optimum (its rank is at most n_s), and stops when the
-    relative change of one accelerated cycle drops below ``tol`` or after
-    ``max_iter`` cycles; the better of its last iterate and the start is
-    certified.  The dual ascent shares ``tol``.
+    ``psi`` is the n_s x (n_i + 1) composite array and ``init`` a lifted
+    unit-modulus vector (all ones if omitted).  The factor ascent starts
+    there with rank min(n_s + 1, n_i + 1), which is enough for the optimum
+    (its rank is at most n_s), and stops when the relative change of one
+    accelerated cycle drops below ``tol`` or after ``max_iter`` cycles; the
+    better of its last iterate and the start is certified.  The dual
+    ascent shares ``tol``.
     """
-    n = psi.n_i + 1
+    n_s, n = psi.shape
     tt = np.ones(n, dtype=complex) if init is None else check_unit_modulus(init)
     if tt.shape != (n,):
         raise ValueError(f"init must have {n} entries, got {tt.shape[0]}")
     v, objectives, converged = _ascend(
-        _warm_factor(tt, min(psi.n_s + 1, n)), psi, cfg, MMSettings(epsilon=tol, max_iter=max_iter)
+        _warm_factor(tt, min(n_s + 1, n)), psi, cfg, MMSettings(epsilon=tol, max_iter=max_iter)
     )
     if objectives[-1] < lifted_objective(tt, psi, cfg):
         v = tt[:, None]

@@ -1,5 +1,11 @@
 """Monte-Carlo experiment engine: scheme comparisons, exact conditional SER, sweeps.
 
+A sweep takes the paper's three inputs as plain values: the channel
+statistics (configuration and geometry), the distortion levels, and the
+phase set as ``bits`` (None for continuous phases).  Every sweep point
+reports the four designed schemes, plus the relaxation bound when
+``bound`` is set, always in the order of ``Scheme``.
+
 Determinism contract: every channel realization draws from its own
 generator whose seed is derived from the master seed and the realization
 index through a 64-bit mixing function.  Workers therefore produce
@@ -20,13 +26,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import Geometry, generate_channels
-from .mm import MMSettings, quantize_phases, random_lifted_init, run_mm
+from .mm import MMSettings, check_bits, quantize_phases, random_lifted_init, run_mm
 from .model import (
     ChannelSet,
     ConfigError,
     DegenerateChannelError,
-    PhaseConstraint,
-    PhaseKind,
     ReflectConfig,
     SystemConfig,
     build_composite,
@@ -78,13 +82,7 @@ class Scheme(enum.Enum):
     UPPER_BOUND = "upper_bound"
 
 
-ALL_SCHEMES = (
-    Scheme.ROBUST_IRS,
-    Scheme.NONROBUST_IRS,
-    Scheme.ROBUST_NO_IRS,
-    Scheme.NONROBUST_NO_IRS,
-    Scheme.UPPER_BOUND,
-)
+ALL_SCHEMES = tuple(Scheme)
 
 
 class SweepFailedError(RuntimeError):
@@ -109,15 +107,19 @@ def table_defaults() -> tuple[SystemConfig, Geometry]:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One experiment: a variable, its grid, and the Monte-Carlo sizes."""
+    """One experiment: a variable, its grid, the Monte-Carlo sizes and the phase set.
+
+    ``bits`` is None for continuous phases, else the resolution of a
+    2**bits-level phase set; ``bound`` adds the relaxation bound's row.
+    """
 
     variable: SweepVariable
     values: tuple
     n_channels: int = 500
     n_symbols: int = 2000  # 0 leaves the SER out; any positive value gives the exact SER
     seed: int = 0
-    phase_mode: PhaseConstraint = PhaseConstraint.continuous()
-    schemes: tuple = ALL_SCHEMES
+    bits: int | None = None
+    bound: bool = True
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
@@ -131,8 +133,8 @@ class SweepSpec:
             raise ConfigError(f"n_symbols must be >= 0, got {self.n_symbols}")
         if not (0 <= self.seed <= _MASK64):
             raise ConfigError("seed must fit in 64 unsigned bits")
+        check_bits(self.bits)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "schemes", tuple(self.schemes))
 
 
 @dataclass(frozen=True)
@@ -169,7 +171,7 @@ def _design_all(
     ch: ChannelSet,
     cfg: SystemConfig,
     settings: MMSettings,
-    phase: PhaseConstraint,
+    bits: int | None,
     init: np.ndarray,
 ):
     """Design the four beam schemes on one realization from a shared init.
@@ -190,9 +192,9 @@ def _design_all(
     res_r = run_mm(init, psi, cfg, settings)
     res_n = run_mm(init, psi, cfg0, settings)
     theta_r, theta_n = res_r.reflect, res_n.reflect
-    if phase.kind is PhaseKind.DISCRETE:
-        theta_r = quantize_phases(theta_r, phase)
-        theta_n = quantize_phases(theta_n, phase)
+    if bits is not None:
+        theta_r = quantize_phases(theta_r, bits)
+        theta_n = quantize_phases(theta_n, bits)
     theta_star, kept = theta_r, res_r.reflect
     if psi_tilde(theta_n, ch, cfg) > psi_tilde(theta_r, ch, cfg):
         theta_star, kept = theta_n, res_n.reflect
@@ -245,7 +247,9 @@ def apply_sweep_value(
 ) -> tuple[SystemConfig, Geometry]:
     """Instantiate one sweep point; power values arrive in dBW."""
     if variable is SweepVariable.N_I:
-        return replace(cfg, n_i=int(round(value))), geo
+        if not float(value).is_integer():
+            raise ConfigError(f"n_i must be an integer, got {value:g}")
+        return replace(cfg, n_i=int(value)), geo
     if variable is SweepVariable.D_SD_H:
         return cfg, replace(geo, d_sd_h=float(value))
     if variable is SweepVariable.P_DBW:
@@ -258,26 +262,25 @@ def apply_sweep_value(
 def _realization_stats(args) -> dict:
     """Worker body: one channel realization at one sweep point.
 
-    Returns per-scheme (snr, ser, iterations) tuples, or {'failed': msg}.
-    Everything it consumes is derived from ``seed`` alone, so placement on
-    any worker gives identical output.
+    Returns per-scheme (snr, ser, iterations) tuples keyed by scheme name
+    in ``Scheme`` order, the bound's last and only with ``bound``; or
+    {'failed': msg}.  Everything it consumes is derived from ``seed``
+    alone, so placement on any worker gives identical output.
     """
-    (cfg, geo, settings, phase, n_symbols, seed, schemes) = args
+    (cfg, geo, settings, bits, n_symbols, seed, bound) = args
     try:
         rng = np.random.default_rng(seed)
         ch = generate_channels(rng, cfg, geo)
         init = random_lifted_init(rng, cfg.n_i)
-        designs, kept = _design_all(ch, cfg, settings, phase, init)
+        designs, kept = _design_all(ch, cfg, settings, bits, init)
         out = {}
-        for scheme in schemes:
-            if scheme is Scheme.UPPER_BOUND:
-                ub = solve_sdr(build_composite(ch), cfg, init=lift_reflect(kept))
-                out[scheme.value] = (ub.bound_snr, None, None)
-                continue
-            d = designs[scheme]
+        for scheme, d in designs.items():
             snr = evaluate_snr(d.w, d.theta, ch, cfg)
             ser = simulate_ser(d.w, d.theta, ch, cfg, n_symbols) if n_symbols > 0 else None
             out[scheme.value] = (snr, ser, d.iterations)
+        if bound:
+            ub = solve_sdr(build_composite(ch), cfg, init=lift_reflect(kept))
+            out[Scheme.UPPER_BOUND.value] = (ub.bound_snr, None, None)
         return out
     except (DegenerateChannelError, ConfigError) as exc:
         return {"failed": f"{type(exc).__name__}: {exc}"}
@@ -316,23 +319,24 @@ def run_sweep(
     with a domain error (degenerate channel, bad configuration) are
     skipped and counted in the log; if every realization of a point fails,
     SweepFailedError names the first reason.  Any other exception
-    propagates.  ``on_point`` is invoked with each finished SimResult,
-    letting callers persist partial output.
+    propagates.  Every point is instantiated before the first one runs,
+    so a bad value fails at once.  ``on_point`` is invoked with each
+    finished SimResult, letting callers persist partial output.
     """
     settings = mm_settings or MMSettings()
+    points = [apply_sweep_value(spec.variable, value, base_cfg, geo) for value in spec.values]
     results = []
     with _task_map(workers) as map_tasks:
-        for vi, value in enumerate(spec.values):
-            cfg_v, geo_v = apply_sweep_value(spec.variable, value, base_cfg, geo)
+        for vi, (value, (cfg_v, geo_v)) in enumerate(zip(spec.values, points)):
             tasks = [
                 (
                     cfg_v,
                     geo_v,
                     settings,
-                    spec.phase_mode,
+                    spec.bits,
                     spec.n_symbols,
                     child_seed(spec.seed, vi, r),
-                    spec.schemes,
+                    spec.bound,
                 )
                 for r in range(spec.n_channels)
             ]
@@ -354,11 +358,11 @@ def run_sweep(
                     f" (first: {failed[0]})"
                 )
             stats = {}
-            for scheme in spec.schemes:
-                snrs = np.array([r[scheme.value][0] for r in good])
-                sers = [r[scheme.value][1] for r in good]
-                iters = [r[scheme.value][2] for r in good]
-                stats[scheme] = SchemeStats(
+            for name in good[0]:
+                snrs = np.array([r[name][0] for r in good])
+                sers = [r[name][1] for r in good]
+                iters = [r[name][2] for r in good]
+                stats[Scheme(name)] = SchemeStats(
                     mean_snr_db=pow2db(float(np.mean(snrs))),
                     ser=float(np.mean(sers)) if sers[0] is not None else None,
                     mean_iterations=float(np.mean(iters)) if iters[0] is not None else None,
@@ -412,12 +416,15 @@ def run_iteration_study(
     """Average iterations to convergence, robust/nonrobust x plain/accelerated.
 
     Accelerated counts are outer cycles (two fixed-point maps each), the
-    same bookkeeping used by ``run_mm``.
+    same bookkeeping used by ``run_mm``.  Surface sizes must be integers;
+    all are checked before the first one runs.
     """
+    if n_channels < 1:
+        raise ConfigError(f"n_channels must be >= 1, got {n_channels}")
+    cfgs = [apply_sweep_value(SweepVariable.N_I, n_i, base_cfg, geo)[0] for n_i in n_i_list]
     rows = []
     with _task_map(workers) as map_tasks:
-        for ni_idx, n_i in enumerate(n_i_list):
-            cfg = replace(base_cfg, n_i=int(n_i))
+        for ni_idx, cfg in enumerate(cfgs):
             tasks = [
                 (cfg, geo, child_seed(seed, _STUDY_SALT, ni_idx, r), epsilon, max_iter)
                 for r in range(n_channels)
@@ -425,7 +432,7 @@ def run_iteration_study(
             counts = np.array(map_tasks(_study_task, tasks), dtype=float)
             rows.append(
                 IterationStudyRow(
-                    n_i=int(n_i),
+                    n_i=cfg.n_i,
                     robust_plain=float(np.mean(counts[:, 0])),
                     robust_accel=float(np.mean(counts[:, 1])),
                     nonrobust_plain=float(np.mean(counts[:, 2])),
@@ -444,13 +451,11 @@ def _fmt(x) -> str:
     return f"{x:.10g}"
 
 
-def _csv_rows(res: SimResult, schemes=None) -> list[list[str]]:
-    """CSV rows of one sweep point, one per scheme, in ``schemes`` order.
+def _csv_rows(res: SimResult) -> list[list[str]]:
+    """CSV rows of one sweep point, one per scheme, in ``Scheme`` order.
 
-    Without ``schemes`` the point's own schemes are written in the
-    canonical order.  Floats carry 10 significant digits.
+    Floats carry 10 significant digits.
     """
-    ordered = schemes if schemes is not None else [s for s in ALL_SCHEMES if s in res.stats]
     return [
         [
             res.sweep_variable.value,
@@ -460,13 +465,14 @@ def _csv_rows(res: SimResult, schemes=None) -> list[list[str]]:
             _fmt(res.stats[scheme].ser),
             _fmt(res.stats[scheme].mean_iterations),
         ]
-        for scheme in ordered
+        for scheme in ALL_SCHEMES
+        if scheme in res.stats
     ]
 
 
-def write_results_csv(fileobj, results: list[SimResult], schemes=None) -> None:
+def write_results_csv(fileobj, results: list[SimResult]) -> None:
     """Emit the header, then one row per (sweep point, scheme)."""
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for res in results:
-        writer.writerows(_csv_rows(res, schemes))
+        writer.writerows(_csv_rows(res))

@@ -24,8 +24,6 @@ from irsbf.mm import (
 )
 from irsbf.model import (
     ChannelSet,
-    CompositeChannel,
-    PhaseConstraint,
     ReflectConfig,
     SystemConfig,
     build_composite,
@@ -74,7 +72,7 @@ def test_criterion_01_transmit_beam_closed_form_equivalence():
                 sigma_n2=float(rng.uniform(0.01, 1.0)),
             )
             ch = random_channels(rng, n_i, n_s)
-            theta = ReflectConfig.from_phases(rng.uniform(0, 2 * np.pi, n_i))
+            theta = ReflectConfig(rng.uniform(0, 2 * np.pi, n_i))
             v = composite_vector(theta, ch)
             dense = cfg.kappa_d * np.outer(v, np.conj(v)) + np.diag(
                 (1 + cfg.kappa_d) * cfg.kappa_s * np.abs(v) ** 2
@@ -104,7 +102,7 @@ def test_criterion_02_mm_matches_grid_oracles_at_tiny_scale():
             res = run_mm(random_lifted_init(rng, 1), psi, cfg1, MMSettings(epsilon=1e-9))
             phis = np.linspace(0, 2 * np.pi, 100_000, endpoint=False)
             tts = np.stack([np.exp(1j * phis), np.ones_like(phis)])
-            q = np.abs(psi.psi @ tts) ** 2
+            q = np.abs(psi @ tts) ** 2
             a = (1 + cfg1.kappa_d) * cfg1.kappa_s
             c = (1 + cfg1.kappa_d) * cfg1.sigma_n2 / cfg1.p_tilde
             oracle = float(np.sum(q / (a * q + c), axis=0).max())
@@ -122,7 +120,7 @@ def test_criterion_02_mm_matches_grid_oracles_at_tiny_scale():
             res = run_mm(random_lifted_init(rng, 2), psi, cfg2, MMSettings(epsilon=1e-10))
             a = (1 + cfg2.kappa_d) * cfg2.kappa_s
             c = (1 + cfg2.kappa_d) * cfg2.sigma_n2 / cfg2.p_tilde
-            cols = psi.psi[:, 0][:, None], psi.psi[:, 1][:, None], psi.psi[:, 2][:, None]
+            cols = psi[:, 0][:, None], psi[:, 1][:, None], psi[:, 2][:, None]
             best = 0.0
             for i in range(n):
                 q = np.abs(cols[0] * e1[i] + cols[1] * e1[None, :] + cols[2]) ** 2
@@ -142,7 +140,7 @@ def test_criterion_03_surrogate_three_conditions():
                 kappa_s=float(rng.uniform(0.01, 0.5)), kappa_d=float(rng.uniform(0.0, 0.5)),
                 sigma_n2=float(rng.uniform(0.01, 0.5)),
             )
-            psi = CompositeChannel(psi=complex_gaussian(rng, n_s, n_i + 1))
+            psi = complex_gaussian(rng, n_s, n_i + 1)
             tt0 = random_lifted_init(rng, n_i)
             f0 = lifted_objective(tt0, psi, cfg)
             s0 = surrogate_value(tt0, tt0, psi, cfg)
@@ -205,13 +203,13 @@ def test_criterion_05_bound_dominates_and_matches_tiny_oracle():
         for seed in range(5):
             rng = np.random.default_rng(55_000 + seed)
             cfg = SystemConfig(n_s=4, n_i=1, p=2.0, kappa_s=0.1, kappa_d=0.1, sigma_n2=0.05)
-            psi = CompositeChannel(psi=complex_gaussian(rng, 4, 2))
+            psi = complex_gaussian(rng, 4, 2)
             a = (1 + cfg.kappa_d) * cfg.kappa_s
             c = (1 + cfg.kappa_d) * cfg.sigma_n2 / cfg.p_tilde
             radii = np.linspace(0.0, 1.0, 600)
             phases = np.linspace(0.0, 2 * np.pi, 1200, endpoint=False)
             z = (radii[:, None] * np.exp(1j * phases)[None, :]).ravel()
-            p0, p1 = psi.psi[:, 0], psi.psi[:, 1]
+            p0, p1 = psi[:, 0], psi[:, 1]
             q = np.maximum(
                 (np.abs(p0) ** 2 + np.abs(p1) ** 2)[:, None]
                 + 2 * np.real((np.conj(p0) * p1)[:, None] * z[None, :]),
@@ -227,7 +225,7 @@ def test_criterion_06_bound_near_tightness_at_defaults():
         cfg, geo = table_defaults()
         spec = SweepSpec(
             variable=SweepVariable.N_I, values=(50.0,), n_channels=50, n_symbols=0,
-            seed=606, schemes=(Scheme.ROBUST_IRS, Scheme.UPPER_BOUND),
+            seed=606,
         )
         res = run_sweep(spec, cfg, geo)[0]
         gap_db = res.stats[Scheme.UPPER_BOUND].mean_snr_db - res.stats[Scheme.ROBUST_IRS].mean_snr_db
@@ -252,14 +250,14 @@ def test_criterion_08_robust_dominance_and_kappa_gap_trend():
         for seed in range(30):
             ch = generate_channels(np.random.default_rng(80_000 + seed), cfg, geo)
             init = random_lifted_init(np.random.default_rng(seed), cfg.n_i)
-            designs, _ = _design_all(ch, cfg, MMSettings(), PhaseConstraint.continuous(), init)
+            designs, _ = _design_all(ch, cfg, MMSettings(), None, init)
             r, n = designs[Scheme.ROBUST_IRS], designs[Scheme.NONROBUST_IRS]
             snr_r = evaluate_snr(r.w, r.theta, ch, cfg)
             snr_n = evaluate_snr(n.w, n.theta, ch, cfg)
             assert snr_r >= snr_n - 1e-9, f"violated at seed {seed}"
         spec = SweepSpec(
             variable=SweepVariable.KAPPA, values=(0.02, 0.15), n_channels=100, n_symbols=0,
-            seed=808, schemes=(Scheme.ROBUST_IRS, Scheme.NONROBUST_IRS),
+            seed=808, bound=False,
         )
         results = run_sweep(spec, cfg, geo)
         gaps = [
@@ -310,7 +308,7 @@ def test_criterion_10_saturation_and_error_floors():
     with criterion(10, "SNR saturates with power; robust error floor is lower"):
         cfg, geo = table_defaults()
         ch = generate_channels(np.random.default_rng(1001), cfg, geo)
-        theta = ReflectConfig.from_phases(
+        theta = ReflectConfig(
             np.random.default_rng(1002).uniform(0, 2 * np.pi, cfg.n_i)
         )
         rngd = np.random.default_rng(1003)
@@ -326,7 +324,7 @@ def test_criterion_10_saturation_and_error_floors():
 
         spec = SweepSpec(
             variable=SweepVariable.P_DBW, values=(34.0, 40.0), n_channels=500,
-            n_symbols=2000, seed=1010, schemes=(Scheme.ROBUST_IRS, Scheme.NONROBUST_IRS),
+            n_symbols=2000, seed=1010, bound=False,
         )
         results = run_sweep(spec, cfg, geo)
         for res in results:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -223,3 +224,72 @@ class TestSubcommands:
                         "--values", "4", "--no-bound"])
         assert proc.returncode == 0
         assert "robust_irs" in proc.stdout
+
+
+def error_lines(capsys):
+    return [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+
+
+class TestArgumentChecks:
+    def test_iteration_study_without_channels_is_one_error_line(self, capsys):
+        rc = main(["iteration-study", "--channels", "0", "--values", "4"])
+        assert rc == 1
+        assert error_lines(capsys) == ["error: n_channels must be >= 1, got 0"]
+
+    def test_bound_check_without_channels_is_rejected_up_front(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["bound-check", "--channels", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: n_channels must be >= 1, got 0"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["los-demo", "--out", "ignored.csv"],
+            ["los-demo", "--workers", "2"],
+            ["bound-check", "--workers", "2"],
+        ],
+    )
+    def test_flags_a_command_does_not_act_on_are_usage_errors(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not (tmp_path / "ignored.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep-n", "--channels", "1", "--values", "4", "--symbols", "0", "--no-bound"],
+            ["iteration-study", "--channels", "1", "--values", "4"],
+            ["los-demo", "--n-i", "4"],
+            ["bound-check", "--channels", "1"],
+        ],
+    )
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "seven"])
+    def test_seed_checked_for_every_command(self, command, seed, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--seed", seed])
+        assert exc.value.code == 2
+        assert "seed must be an integer in [0, 2**64)" in capsys.readouterr().err
+
+    def test_largest_seed_accepted(self, capsys):
+        assert main(["los-demo", "--n-i", "4", "--seed", str(2**64 - 1), "--json"]) == 0
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep-n", "--channels", "1", "--symbols", "0", "--no-bound"],
+            ["iteration-study", "--channels", "1"],
+        ],
+    )
+    def test_non_integer_surface_size_rejected(self, command, capsys):
+        assert main([*command, "--values", "4,4.6"]) == 1
+        assert error_lines(capsys) == ["error: n_i must be an integer, got 4.6"]
+
+    def test_zero_bits_is_an_error_not_continuous(self, capsys):
+        rc = main(["sweep-n", "--channels", "1", "--values", "4", "--symbols", "0", "--bits", "0"])
+        assert rc == 1
+        assert error_lines(capsys) == ["error: discrete phases need bits >= 1, got 0"]

@@ -57,7 +57,7 @@ class TestClosedForm:
         cfg, los, h_id, ch = los_instance(rng, n_i=8)
         sol = solve_los(los, h_id, cfg)
         for _ in range(10_000):
-            rc = ReflectConfig.from_phases(rng.uniform(0, 2 * np.pi, 8))
+            rc = ReflectConfig(rng.uniform(0, 2 * np.pi, 8))
             assert psi_tilde(rc, ch, cfg) <= psi_tilde(sol.theta, ch, cfg) * (1 + 1e-12)
 
     def test_mm_reaches_closed_form(self, rng):

@@ -109,8 +109,8 @@ class TestComposite:
     def test_no_irs_single_column(self, rng):
         ch = random_channels(rng, 0, 3)
         psi = build_composite(ch)
-        assert psi.psi.shape == (3, 1)
-        np.testing.assert_allclose(psi.psi[:, 0], ch.h_sd)
+        assert psi.shape == (3, 1)
+        np.testing.assert_allclose(psi[:, 0], ch.h_sd)
 
     def test_zero_drop_link_zeroes_reflect_columns(self, rng):
         ch = ChannelSet(
@@ -118,7 +118,7 @@ class TestComposite:
             h_id=np.zeros(5, dtype=complex),
             h_sd=complex_gaussian(rng, 3),
         )
-        psi = build_composite(ch).psi
+        psi = build_composite(ch)
         assert np.all(psi[:, :5] == 0)
         np.testing.assert_allclose(psi[:, 5], ch.h_sd)
 
@@ -127,18 +127,18 @@ class TestComposite:
         for _ in range(20):
             n_i, n_s = int(rng.integers(1, 9)), int(rng.integers(1, 5))
             ch = random_channels(rng, n_i, n_s)
-            rc = ReflectConfig.from_phases(rng.uniform(0, 2 * np.pi, n_i))
+            rc = ReflectConfig(rng.uniform(0, 2 * np.pi, n_i))
             direct = ch.h_si.conj().T @ (np.conj(rc.theta) * ch.h_id) + ch.h_sd
-            via_psi = build_composite(ch).psi @ lift_reflect(rc)
+            via_psi = build_composite(ch) @ lift_reflect(rc)
             np.testing.assert_allclose(via_psi, direct, atol=1e-12 * max(1.0, np.abs(direct).max()))
 
     def test_numerator_reconstruction_2x2(self, rng):
         ch = random_channels(rng, 2, 2)
-        rc = ReflectConfig.from_phases(rng.uniform(0, 2 * np.pi, 2))
+        rc = ReflectConfig(rng.uniform(0, 2 * np.pi, 2))
         w = complex_gaussian(rng, 2)
         v = ch.h_si.conj().T @ (np.conj(rc.theta) * ch.h_id) + ch.h_sd
         lhs = np.abs(np.vdot(v, w))
-        rhs = np.abs(np.vdot(build_composite(ch).psi @ lift_reflect(rc), w))
+        rhs = np.abs(np.vdot(build_composite(ch) @ lift_reflect(rc), w))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -152,12 +152,15 @@ class TestReflectConfig:
         with pytest.raises(ConfigError):
             ReflectConfig.from_theta(np.array([1.0 + 0j, 0.0 + 0j]))
 
-    def test_non_unit_modulus_rejected(self):
-        with pytest.raises(ConfigError):
+    def test_theta_is_derived_from_phases(self):
+        # theta is not an argument, so it cannot disagree with the phases
+        rc = ReflectConfig([0.0, np.pi / 2.0])
+        np.testing.assert_array_equal(rc.theta, np.exp(1j * rc.phases))
+        with pytest.raises(TypeError):
             ReflectConfig(theta=np.array([0.5 + 0j]), phases=np.array([0.0]))
 
     def test_lift_extract_round_trip(self, rng):
-        rc = ReflectConfig.from_phases(rng.uniform(0, 2 * np.pi, 6))
+        rc = ReflectConfig(rng.uniform(0, 2 * np.pi, 6))
         back = extract_reflect(lift_reflect(rc))
         np.testing.assert_allclose(back.theta, rc.theta, atol=1e-14)
 

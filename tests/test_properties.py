@@ -28,7 +28,6 @@ from irsbf.mm import (
 )
 from irsbf.model import (
     ChannelSet,
-    PhaseConstraint,
     ReflectConfig,
     SystemConfig,
     build_composite,
@@ -136,7 +135,7 @@ def test_shift_is_the_exact_coupling_eigenvalue(problem):
     # there is no coupling and the shift is exactly 0
     cfg, psi, rng = make_problem(**problem)
     tt0 = random_lifted_init(rng, cfg.n_i)
-    m = psi.psi
+    m = psi
     run = _run_constants(psi, cfg)
     v0, xi, _ = _evaluate(tt0, run)
     _, d, lam = _surrogate_coefficient(tt0, v0, xi, run)
@@ -190,7 +189,7 @@ def test_certified_bound_dominates_and_certificate_is_dual_feasible(problem):
     # diag(dual) dominates the gradient at the certified point, and the
     # bound is f there plus sum(dual) minus the gradient's inner product
     x = ub.theta_big
-    b = _gradient_factor(_diag_quad(psi.psi, x), psi, cfg)
+    b = _gradient_factor(_diag_quad(psi, x), psi, cfg)
     g = b.conj().T @ b
     assert np.linalg.eigvalsh(np.diag(ub.dual) - g)[0] >= -1e-9 * np.max(ub.dual, initial=0.0)
     linear = float(np.real(np.sum(g * x.T)))
@@ -203,7 +202,7 @@ def test_certified_bound_dominates_and_certificate_is_dual_feasible(problem):
 @with_edges
 def test_closed_form_beam_beats_random_beams_of_equal_norm(problem):
     cfg, ch, rng = make_channels(**problem)
-    theta = ReflectConfig.from_phases(rng.uniform(0.0, 2.0 * np.pi, cfg.n_i))
+    theta = ReflectConfig(rng.uniform(0.0, 2.0 * np.pi, cfg.n_i))
     if not np.any(composite_vector(theta, ch)):
         return  # no beam direction exists without any channel
     w = optimal_transmit_beam(theta, ch, cfg)
@@ -221,9 +220,8 @@ def test_closed_form_beam_beats_random_beams_of_equal_norm(problem):
     phases=st.lists(st.floats(-4.0 * np.pi, 4.0 * np.pi), min_size=1, max_size=12),
 )
 def test_quantize_phases_picks_the_nearest_level(bits, phases):
-    pc = PhaseConstraint.discrete(bits)
-    picked = quantize_phases(ReflectConfig.from_phases(np.array(phases)), pc).phases
-    levels = 2.0 * np.pi * np.arange(pc.levels) / pc.levels
+    picked = quantize_phases(ReflectConfig(np.array(phases)), bits).phases
+    levels = 2.0 * np.pi * np.arange(2**bits) / 2**bits
 
     def wrapped(a, b):
         d = np.abs(a - b) % (2.0 * np.pi)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from irsbf.mm import MMSettings, lifted_objective, random_lifted_init, run_mm
-from irsbf.model import CompositeChannel, SystemConfig, lift_reflect
+from irsbf.model import SystemConfig, lift_reflect
 from irsbf.sdr import _diag_quad, _gradient_factor, relaxed_objective, solve_sdr
 from irsbf.txbf import snr_from_psi_tilde
 
@@ -10,7 +10,7 @@ from conftest import complex_gaussian
 
 
 def random_composite(rng, n_s, n_i):
-    return CompositeChannel(psi=complex_gaussian(rng, n_s, n_i + 1))
+    return complex_gaussian(rng, n_s, n_i + 1)
 
 
 def small_problem(rng, n_i=4, n_s=3, **overrides):
@@ -30,7 +30,7 @@ def elliptope_grid_max(psi, cfg, nr=600, nphi=1200):
     radii = np.linspace(0.0, 1.0, nr)
     phases = np.linspace(0.0, 2.0 * np.pi, nphi, endpoint=False)
     z = (radii[:, None] * np.exp(1j * phases)[None, :]).ravel()
-    p0, p1 = psi.psi[:, 0], psi.psi[:, 1]
+    p0, p1 = psi[:, 0], psi[:, 1]
     q = (np.abs(p0) ** 2 + np.abs(p1) ** 2)[:, None] + 2.0 * np.real(
         (np.conj(p0) * p1)[:, None] * z[None, :]
     )
@@ -49,7 +49,7 @@ class TestRelaxedObjective:
 
     def test_single_unit_entry(self):
         cfg = SystemConfig(n_s=2, n_i=1, p=1.0, kappa_s=0.2, kappa_d=0.1, sigma_n2=0.3)
-        psi = CompositeChannel(psi=np.array([[1.0 + 0j, 0.0], [0.0, 0.0]]))
+        psi = np.array([[1.0 + 0j, 0.0], [0.0, 0.0]])
         a = (1 + cfg.kappa_d) * cfg.kappa_s
         c = (1 + cfg.kappa_d) * cfg.sigma_n2 / cfg.p_tilde
         assert relaxed_objective(np.eye(2, dtype=complex), psi, cfg) == pytest.approx(
@@ -58,7 +58,7 @@ class TestRelaxedObjective:
 
     def test_saturation_bound(self, rng):
         cfg, psi = small_problem(rng, n_i=3)
-        big = CompositeChannel(psi=psi.psi * 1e6)
+        big = psi * 1e6
         ceiling = cfg.n_s / ((1 + cfg.kappa_d) * cfg.kappa_s)
         val = relaxed_objective(np.eye(4, dtype=complex), big, cfg)
         assert val == pytest.approx(ceiling, rel=1e-6)
@@ -77,7 +77,7 @@ class TestRelaxedObjective:
     def test_gradient_matches_finite_differences(self, rng):
         cfg, psi = small_problem(rng, n_i=3)
         x = 0.95 * rank_one_start(random_lifted_init(rng, 3)) + 0.05 * np.eye(4)
-        b = _gradient_factor(_diag_quad(psi.psi, x), psi, cfg)
+        b = _gradient_factor(_diag_quad(psi, x), psi, cfg)
         grad = b.conj().T @ b
         h = 1e-6
         for _ in range(10):

@@ -9,7 +9,7 @@ import pytest
 import irsbf.sim as sim_mod
 from irsbf.channels import Geometry, generate_channels
 from irsbf.mm import MMSettings, random_lifted_init
-from irsbf.model import ConfigError, DegenerateChannelError, PhaseConstraint, SystemConfig
+from irsbf.model import ConfigError, DegenerateChannelError, SystemConfig
 from irsbf.sim import (
     ALL_SCHEMES,
     CSV_HEADER,
@@ -19,6 +19,7 @@ from irsbf.sim import (
     _design_all,
     _fmt,
     _realization_stats,
+    apply_sweep_value,
     child_seed,
     pow2db,
     run_iteration_study,
@@ -38,10 +39,10 @@ def small_setup(n_i=12):
     return cfg, geo
 
 
-def design(ch, cfg, seed=0, phase=PhaseConstraint.continuous()):
+def design(ch, cfg, seed=0, bits=None):
     """The four schemes' designs from the MM init drawn by ``default_rng(seed)``."""
     init = random_lifted_init(np.random.default_rng(seed), ch.n_i)
-    return _design_all(ch, cfg, MMSettings(), phase, init)[0]
+    return _design_all(ch, cfg, MMSettings(), bits, init)[0]
 
 
 QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
@@ -123,7 +124,7 @@ class TestDesignBeams:
     def test_discrete_mode_quantizes(self):
         cfg, geo = small_setup()
         ch = generate_channels(np.random.default_rng(4), cfg, geo)
-        d = design(ch, cfg, 4, PhaseConstraint.discrete(2))[Scheme.ROBUST_IRS]
+        d = design(ch, cfg, 4, 2)[Scheme.ROBUST_IRS]
         levels = 2 * np.pi * np.arange(4) / 4
         for phase in d.theta.phases:
             assert min(abs(phase - lv) for lv in levels) < 1e-12
@@ -135,7 +136,7 @@ class TestSymbolSimulation:
         ch = random_channels(rng, 4, 3)
         from irsbf.model import ReflectConfig
 
-        theta = ReflectConfig.from_phases(rng.uniform(0, 2 * np.pi, 4))
+        theta = ReflectConfig(rng.uniform(0, 2 * np.pi, 4))
         w = optimal_transmit_beam(theta, ch, cfg)
         assert simulate_ser(w, theta, ch, cfg, 2000) == 0.0
 
@@ -149,7 +150,7 @@ class TestSymbolSimulation:
         ch = random_channels(rng, 5, 4)
         from irsbf.model import ReflectConfig
 
-        theta = ReflectConfig.from_phases(rng.uniform(0, 2 * np.pi, 5))
+        theta = ReflectConfig(rng.uniform(0, 2 * np.pi, 5))
         w = optimal_transmit_beam(theta, ch, cfg)
         x, z_s, z_d, y_tilde, _ = symbol_oracle(w, theta, ch, cfg, 200_000, np.random.default_rng(8))
         v = composite_vector(theta, ch)
@@ -168,7 +169,7 @@ class TestSymbolSimulation:
         ch = random_channels(rng, 6, 4)
         from irsbf.model import ReflectConfig
 
-        theta = ReflectConfig.from_phases(rng.uniform(0, 2 * np.pi, 6))
+        theta = ReflectConfig(rng.uniform(0, 2 * np.pi, 6))
         w = optimal_transmit_beam(theta, ch, cfg)
         n = 200_000
         ser = oracle_ser(w, theta, ch, cfg, n, np.random.default_rng(77))
@@ -186,11 +187,27 @@ class TestSweep:
         with pytest.raises(ConfigError):
             SweepSpec(variable=SweepVariable.N_I, values=(4,), n_channels=0)
 
+    @pytest.mark.parametrize("bits", [0, -1, 1.5])
+    def test_bits_must_be_a_positive_integer(self, bits):
+        with pytest.raises(ConfigError, match="bits >= 1"):
+            SweepSpec(variable=SweepVariable.N_I, values=(4,), bits=bits)
+
+    def test_non_integer_surface_size_rejected_before_any_point_runs(self):
+        cfg, geo = small_setup()
+        assert apply_sweep_value(SweepVariable.N_I, 6.0, cfg, geo)[0].n_i == 6
+        with pytest.raises(ConfigError, match="n_i must be an integer, got 4.6"):
+            apply_sweep_value(SweepVariable.N_I, 4.6, cfg, geo)
+        spec = SweepSpec(variable=SweepVariable.N_I, values=(4, 4.5), n_channels=1, n_symbols=0)
+        finished = []
+        with pytest.raises(ConfigError, match="got 4.5"):
+            run_sweep(spec, cfg, geo, on_point=finished.append)
+        assert finished == []
+
     def test_deterministic_under_seed(self):
         cfg, geo = small_setup()
         spec = SweepSpec(
             variable=SweepVariable.N_I, values=(4.0,), n_channels=3, n_symbols=200, seed=13,
-            schemes=(Scheme.ROBUST_IRS, Scheme.NONROBUST_IRS),
+            bound=False,
         )
         r1 = run_sweep(spec, cfg, geo)
         r2 = run_sweep(spec, cfg, geo)
@@ -200,7 +217,7 @@ class TestSweep:
         cfg, geo = small_setup()
         spec = SweepSpec(
             variable=SweepVariable.N_I, values=(4.0, 24.0, 48.0), n_channels=20, n_symbols=0,
-            seed=3, schemes=(Scheme.ROBUST_IRS, Scheme.NONROBUST_IRS, Scheme.ROBUST_NO_IRS),
+            seed=3, bound=False,
         )
         results = run_sweep(spec, cfg, geo)
         robust = [r.stats[Scheme.ROBUST_IRS].mean_snr_db for r in results]
@@ -212,7 +229,7 @@ class TestSweep:
         cfg, geo = small_setup(n_i=32)
         spec = SweepSpec(
             variable=SweepVariable.D_SD_H, values=(40.0, 50.0, 60.0), n_channels=20,
-            n_symbols=0, seed=5, schemes=(Scheme.ROBUST_IRS,),
+            n_symbols=0, seed=5, bound=False,
         )
         results = run_sweep(spec, cfg, geo)
         snrs = {r.sweep_value: r.stats[Scheme.ROBUST_IRS].mean_snr_db for r in results}
@@ -233,7 +250,7 @@ class TestSweep:
         cfg, geo = small_setup(n_i=4)
         spec = SweepSpec(
             variable=SweepVariable.N_I, values=(4.0,), n_channels=4, n_symbols=0, seed=9,
-            schemes=(Scheme.NONROBUST_NO_IRS,),
+            bound=False,
         )
         res = run_sweep(spec, cfg, geo)[0]
         snrs = []
@@ -262,9 +279,9 @@ class TestTrends:
     def test_two_bit_phases_cost_little(self):
         cfg, geo = small_setup(n_i=32)
         base = dict(variable=SweepVariable.N_I, values=(32.0,), n_channels=15, n_symbols=0,
-                    seed=23, schemes=(Scheme.ROBUST_IRS,))
+                    seed=23, bound=False)
         cont = run_sweep(SweepSpec(**base), cfg, geo)[0]
-        disc = run_sweep(SweepSpec(**base, phase_mode=PhaseConstraint.discrete(2)), cfg, geo)[0]
+        disc = run_sweep(SweepSpec(**base, bits=2), cfg, geo)[0]
         gap = cont.stats[Scheme.ROBUST_IRS].mean_snr_db - disc.stats[Scheme.ROBUST_IRS].mean_snr_db
         assert gap >= -1e-9
         assert gap < 1.5
@@ -273,7 +290,7 @@ class TestTrends:
         cfg, geo = small_setup(n_i=16)
         spec = SweepSpec(
             variable=SweepVariable.P_DBW, values=(0.0, 8.0), n_channels=25, n_symbols=1500,
-            seed=29, schemes=(Scheme.ROBUST_IRS,),
+            seed=29, bound=False,
         )
         low, high = run_sweep(spec, cfg, geo)
         assert high.stats[Scheme.ROBUST_IRS].mean_snr_db > low.stats[Scheme.ROBUST_IRS].mean_snr_db
@@ -288,7 +305,7 @@ class TestUpperBoundScheme:
         cfg = replace(cfg, n_i=16)
         seed = child_seed(7, 16, 25)
         out = _realization_stats(
-            (cfg, geo, MMSettings(), PhaseConstraint.continuous(), 0, seed, ALL_SCHEMES)
+            (cfg, geo, MMSettings(), None, 0, seed, True)
         )
         bound = out[Scheme.UPPER_BOUND.value][0]
         assert bound >= out[Scheme.ROBUST_IRS.value][0]
@@ -302,15 +319,14 @@ class TestSerOrdering:
         # neither may its SER, with and without the surface
         cfg, geo = table_defaults()
         cfg = replace(cfg, n_i=n_i)
-        schemes = tuple(s for s in ALL_SCHEMES if s is not Scheme.UPPER_BOUND)
         pairs = (
             (Scheme.ROBUST_IRS, Scheme.NONROBUST_IRS),
             (Scheme.ROBUST_NO_IRS, Scheme.NONROBUST_NO_IRS),
         )
         for s in range(20):
             out = _realization_stats(
-                (cfg, geo, MMSettings(), PhaseConstraint.continuous(), 2000,
-                 child_seed(5, n_i, s), schemes)
+                (cfg, geo, MMSettings(), None, 2000,
+                 child_seed(5, n_i, s), False)
             )
             for robust, nonrobust in pairs:
                 assert out[robust.value][1] <= out[nonrobust.value][1], (s, robust)
@@ -319,7 +335,7 @@ class TestSerOrdering:
 class TestFailureHandling:
     SPEC = SweepSpec(
         variable=SweepVariable.N_I, values=(4.0,), n_channels=3, n_symbols=0, seed=1,
-        schemes=(Scheme.ROBUST_IRS, Scheme.ROBUST_NO_IRS),
+        bound=False,
     )
 
     def test_failed_realizations_skipped_and_logged(self, monkeypatch, caplog):
@@ -336,7 +352,7 @@ class TestFailureHandling:
         cfg, geo = small_setup(n_i=4)
         spec = SweepSpec(
             variable=SweepVariable.N_I, values=(4.0,), n_channels=3, n_symbols=0, seed=1,
-            schemes=(Scheme.ROBUST_NO_IRS,),
+            bound=False,
         )
 
         with caplog.at_level(logging.WARNING, logger="irsbf.sim"):
@@ -377,17 +393,19 @@ class TestCsv:
         cfg, geo = small_setup(n_i=6)
         spec = SweepSpec(
             variable=SweepVariable.N_I, values=(4.0, 6.0), n_channels=2, n_symbols=100, seed=2,
-            schemes=(Scheme.ROBUST_IRS, Scheme.ROBUST_NO_IRS),
+            bound=False,
         )
         results = run_sweep(spec, cfg, geo)
+        # without the bound, the four designed schemes in canonical order
+        schemes = ALL_SCHEMES[:4]
         buf = io.StringIO()
         write_results_csv(buf, results)
         # parsed back, every value re-formats to the bytes it was read from
         rows = list(csv.reader(io.StringIO(buf.getvalue())))
         assert tuple(rows[0]) == CSV_HEADER
         body = rows[1:]
-        assert len(body) == len(results) * len(spec.schemes)
-        for row, (orig, scheme) in zip(body, [(r, s) for r in results for s in spec.schemes]):
+        assert len(body) == len(results) * len(schemes)
+        for row, (orig, scheme) in zip(body, [(r, s) for r in results for s in schemes]):
             variable, value, name, snr_db, ser, iters = row
             assert (variable, name) == (orig.sweep_variable.value, scheme.value)
             assert float(value) == pytest.approx(orig.sweep_value, rel=1e-9)
@@ -400,6 +418,16 @@ class TestCsv:
 
 
 class TestIterationStudy:
+    def test_rejects_zero_channels(self):
+        cfg, geo = small_setup()
+        with pytest.raises(ConfigError, match="n_channels must be >= 1, got 0"):
+            run_iteration_study([4], cfg, geo, seed=1, n_channels=0)
+
+    def test_rejects_non_integer_surface_size(self):
+        cfg, geo = small_setup()
+        with pytest.raises(ConfigError, match="n_i must be an integer, got 4.6"):
+            run_iteration_study([4, 4.6], cfg, geo, seed=1, n_channels=1)
+
     def test_acceleration_and_robustness_ordering(self):
         cfg, geo = small_setup()
         rows = run_iteration_study([6, 16], cfg, geo, seed=31, n_channels=8)

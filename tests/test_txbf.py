@@ -36,7 +36,7 @@ def full_inverse_beam(theta, ch, cfg):
 class TestEvaluateSnr:
     def test_zero_beam(self, rng, small_cfg):
         ch = random_channels(rng, small_cfg.n_i, small_cfg.n_s)
-        theta = ReflectConfig.from_phases(rng.uniform(0, 2 * np.pi, small_cfg.n_i))
+        theta = ReflectConfig(rng.uniform(0, 2 * np.pi, small_cfg.n_i))
         assert evaluate_snr(np.zeros(small_cfg.n_s, complex), theta, ch, small_cfg) == 0.0
 
     def test_matched_filter_limit(self, rng):
@@ -48,7 +48,7 @@ class TestEvaluateSnr:
 
     def test_saturation_with_power(self, rng, small_cfg):
         ch = random_channels(rng, small_cfg.n_i, small_cfg.n_s)
-        theta = ReflectConfig.from_phases(rng.uniform(0, 2 * np.pi, small_cfg.n_i))
+        theta = ReflectConfig(rng.uniform(0, 2 * np.pi, small_cfg.n_i))
         direction = complex_gaussian(rng, small_cfg.n_s)
         direction /= np.linalg.norm(direction)
 
@@ -63,7 +63,7 @@ class TestEvaluateSnr:
 
     def test_global_phase_invariance(self, rng, small_cfg):
         ch = random_channels(rng, small_cfg.n_i, small_cfg.n_s)
-        theta = ReflectConfig.from_phases(rng.uniform(0, 2 * np.pi, small_cfg.n_i))
+        theta = ReflectConfig(rng.uniform(0, 2 * np.pi, small_cfg.n_i))
         w = optimal_transmit_beam(theta, ch, small_cfg)
         rotated = w * np.exp(1j * 1.234)
         assert evaluate_snr(rotated, theta, ch, small_cfg) == pytest.approx(
@@ -75,7 +75,7 @@ class TestOptimalBeam:
     def test_matched_filter_at_zero_kappa(self, rng):
         cfg = SystemConfig(n_s=4, n_i=3, p=2.0, kappa_s=0.0, kappa_d=0.0, sigma_n2=0.1)
         ch = random_channels(rng, 3, 4)
-        theta = ReflectConfig.from_phases(rng.uniform(0, 2 * np.pi, 3))
+        theta = ReflectConfig(rng.uniform(0, 2 * np.pi, 3))
         v = composite_vector(theta, ch)
         w = optimal_transmit_beam(theta, ch, cfg)
         mf = np.sqrt(cfg.p_tilde) * v / np.linalg.norm(v)
@@ -84,7 +84,7 @@ class TestOptimalBeam:
 
     def test_full_budget(self, rng, small_cfg):
         ch = random_channels(rng, small_cfg.n_i, small_cfg.n_s)
-        theta = ReflectConfig.from_phases(rng.uniform(0, 2 * np.pi, small_cfg.n_i))
+        theta = ReflectConfig(rng.uniform(0, 2 * np.pi, small_cfg.n_i))
         w = optimal_transmit_beam(theta, ch, small_cfg)
         assert np.linalg.norm(w) ** 2 == pytest.approx(small_cfg.p_tilde, rel=1e-12)
 
@@ -98,7 +98,7 @@ class TestOptimalBeam:
                 sigma_n2=float(rng.uniform(0.01, 1.0)),
             )
             ch = random_channels(rng, n_i, n_s)
-            theta = ReflectConfig.from_phases(rng.uniform(0, 2 * np.pi, n_i))
+            theta = ReflectConfig(rng.uniform(0, 2 * np.pi, n_i))
             w = optimal_transmit_beam(theta, ch, cfg)
             oracle = full_inverse_beam(theta, ch, cfg)
             worst = max(worst, np.linalg.norm(w - oracle) / np.linalg.norm(oracle))
@@ -107,7 +107,7 @@ class TestOptimalBeam:
     def test_beats_random_search(self, rng):
         cfg = SystemConfig(n_s=3, n_i=4, p=1.5, kappa_s=0.2, kappa_d=0.1, sigma_n2=0.3)
         ch = random_channels(rng, 4, 3)
-        theta = ReflectConfig.from_phases(rng.uniform(0, 2 * np.pi, 4))
+        theta = ReflectConfig(rng.uniform(0, 2 * np.pi, 4))
         w_star = optimal_transmit_beam(theta, ch, cfg)
         best = evaluate_snr(w_star, theta, ch, cfg)
         draws = complex_gaussian(rng, 10_000, 3)
@@ -136,7 +136,7 @@ class TestObjectiveMaps:
     def test_kappa_s_zero_closed_form(self, rng):
         cfg = SystemConfig(n_s=4, n_i=5, p=2.0, kappa_s=0.0, kappa_d=0.3, sigma_n2=0.07)
         ch = random_channels(rng, 5, 4)
-        theta = ReflectConfig.from_phases(rng.uniform(0, 2 * np.pi, 5))
+        theta = ReflectConfig(rng.uniform(0, 2 * np.pi, 5))
         v = composite_vector(theta, ch)
         expected = cfg.p_tilde * np.linalg.norm(v) ** 2 / ((1 + cfg.kappa_d) * cfg.sigma_n2)
         assert psi_tilde(theta, ch, cfg) == pytest.approx(expected, rel=1e-12)
@@ -145,7 +145,7 @@ class TestObjectiveMaps:
         # the mapped objective must equal the actual receive SNR at the
         # optimal beam, which pins down the map without any power prefactor
         ch = random_channels(rng, small_cfg.n_i, small_cfg.n_s)
-        theta = ReflectConfig.from_phases(rng.uniform(0, 2 * np.pi, small_cfg.n_i))
+        theta = ReflectConfig(rng.uniform(0, 2 * np.pi, small_cfg.n_i))
         w = optimal_transmit_beam(theta, ch, small_cfg)
         direct = evaluate_snr(w, theta, ch, small_cfg)
         mapped = snr_from_psi_tilde(psi_tilde(theta, ch, small_cfg), small_cfg)
