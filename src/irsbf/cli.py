@@ -1,7 +1,12 @@
 """Command-line front end: sweeps, the iteration study, and demo checks.
 
 All powers are entered in dB (dBW) here and converted to watts at this
-boundary; the library below works in linear units only.
+boundary; the library below works in linear units only.  The library
+returns plain values and this module formats them: every command that
+prints rows (the sweeps, ``iteration-study``, ``bound-check``) goes
+through one writer, ``_table``, which streams the ``--out`` CSV and
+prints the same cells as a table, or the rows as JSON objects keyed by
+the CSV header.
 """
 
 from __future__ import annotations
@@ -10,7 +15,8 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from contextlib import contextmanager, nullcontext
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
@@ -20,12 +26,11 @@ from .mm import MMSettings, random_lifted_init, run_mm
 from .model import ChannelSet, ConfigError, SystemConfig, build_composite, lift_reflect
 from .sdr import solve_sdr
 from .sim import (
-    CSV_HEADER,
+    IterationStudyRow,
     SimResult,
     SweepFailedError,
     SweepSpec,
     SweepVariable,
-    _csv_rows,
     child_seed,
     db2pow,
     pow2db,
@@ -161,20 +166,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_csv(path: str, header, rows: list[list[str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+CSV_HEADER = ("sweep_variable", "value", "scheme", "mean_snr_db", "ser", "mean_iterations")
 
 
-def _print_table(rows: list[list[str]], header) -> None:
-    widths = [max(len(str(r[i])) for r in [list(header)] + rows) for i in range(len(header))]
-    line = "  ".join(str(h).ljust(w) for h, w in zip(header, widths))
-    print(line)
-    print("-" * len(line))
-    for r in rows:
-        print("  ".join(str(c).ljust(w) for c, w in zip(r, widths)))
+def _cell(x) -> str:
+    """One output cell: strings verbatim, numbers at 10 significant digits, None empty."""
+    if x is None:
+        return ""
+    return x if isinstance(x, str) else f"{x:.10g}"
+
+
+@contextmanager
+def _table(args, header, json_key: str | None = None):
+    """The one writer of a command's rows; yields ``add(rows)``.
+
+    Rows are lists of plain values in ``header`` order, and each cell is
+    formatted once by ``_cell``.  With ``--out`` the CSV is opened before
+    any work and each batch of rows is written and flushed as it arrives.
+    When the command finishes, the cells are printed as a table; with
+    ``--json`` they are not, and with a ``json_key`` the rows are printed
+    instead as ``{json_key: [dict(zip(header, row)), ...]}``.
+    """
+    rows, cells = [], [list(header)]
+    with open(args.out, "w", encoding="utf-8", newline="") if args.out else nullcontext() as fh:
+        out = csv.writer(fh, lineterminator="\n") if fh else None
+
+        def add(batch) -> None:
+            batch_cells = [[_cell(x) for x in row] for row in batch]
+            rows.extend(batch)
+            cells.extend(batch_cells)
+            if out:
+                out.writerows(batch_cells)
+                fh.flush()
+
+        if out:
+            out.writerow(header)
+            fh.flush()
+        yield add
+    if args.json:
+        if json_key:
+            print(json.dumps({json_key: [dict(zip(header, r)) for r in rows]}, indent=2))
+        return
+    widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in cells]
+    print("\n".join([lines[0], "-" * len(lines[0]), *lines[1:]]))
 
 
 def _run_sweep_command(args, cfg: SystemConfig, geo: Geometry) -> int:
@@ -187,69 +222,34 @@ def _run_sweep_command(args, cfg: SystemConfig, geo: Geometry) -> int:
         bits=args.bits,
         bound=not args.no_bound,
     )
-    out_fh = None
-    writer_rows: list[list[str]] = []
-    if args.out:
-        out_fh = open(args.out, "w", encoding="utf-8", newline="")
-        out_csv = csv.writer(out_fh, lineterminator="\n")
-        out_csv.writerow(CSV_HEADER)
-        out_fh.flush()
 
-    def on_point(res: SimResult) -> None:
-        rows = _csv_rows(res)
-        writer_rows.extend(rows)
-        if out_fh is not None:
-            out_csv.writerows(rows)
-            out_fh.flush()
+    def rows(res: SimResult) -> list:
+        return [
+            [res.sweep_variable.value, res.sweep_value, scheme.value,
+             st.mean_snr_db, st.ser, st.mean_iterations]
+            for scheme, st in res.stats.items()
+        ]
 
-    try:
-        results = run_sweep(
+    with _table(args, CSV_HEADER, "results") as add:
+        run_sweep(
             spec,
             cfg,
             geo,
             workers=args.workers,
             mm_settings=MMSettings(epsilon=args.epsilon),
-            on_point=on_point,
+            on_point=lambda res: add(rows(res)),
         )
-    finally:
-        if out_fh is not None:
-            out_fh.close()
-    if args.json:
-        payload = [
-            {
-                "sweep_variable": r.sweep_variable.value,
-                "value": r.sweep_value,
-                "scheme": s.value,
-                "mean_snr_db": st.mean_snr_db,
-                "ser": st.ser,
-                "mean_iterations": st.mean_iterations,
-            }
-            for r in results
-            for s, st in r.stats.items()
-        ]
-        print(json.dumps({"results": payload}, indent=2))
-    else:
-        _print_table(writer_rows, CSV_HEADER)
     return 0
 
 
 def _run_iteration_study(args, cfg: SystemConfig, geo: Geometry) -> int:
-    rows = run_iteration_study(
-        _parse_values(args.values), cfg, geo, seed=args.seed, n_channels=args.channels,
-        epsilon=args.epsilon, workers=args.workers,
-    )
-    header = ("n_i", "robust_plain", "robust_accel", "nonrobust_plain", "nonrobust_accel")
-    table = [
-        [str(r.n_i), f"{r.robust_plain:.10g}", f"{r.robust_accel:.10g}",
-         f"{r.nonrobust_plain:.10g}", f"{r.nonrobust_accel:.10g}"]
-        for r in rows
-    ]
-    if args.out:
-        _write_csv(args.out, header, table)
-    if args.json:
-        print(json.dumps({"iteration_study": [r.__dict__ for r in rows]}, indent=2))
-    else:
-        _print_table(table, header)
+    header = [f.name for f in fields(IterationStudyRow)]
+    with _table(args, header, "iteration_study") as add:
+        rows = run_iteration_study(
+            _parse_values(args.values), cfg, geo, seed=args.seed, n_channels=args.channels,
+            epsilon=args.epsilon, workers=args.workers,
+        )
+        add([astuple(r) for r in rows])
     return 0
 
 
@@ -282,33 +282,29 @@ def _run_los_demo(args, cfg: SystemConfig, geo: Geometry) -> int:
 def _run_bound_check(args, cfg: SystemConfig, geo: Geometry) -> int:
     if args.channels < 1:
         raise ConfigError(f"n_channels must be >= 1, got {args.channels}")
-    rows = []
-    gaps = []
-    certified_gaps = []
-    violations = 0
-    for r in range(args.channels):
-        rng = np.random.default_rng(child_seed(args.seed, 0xB0, r))
-        ch = generate_channels(rng, cfg, geo)
-        psi = build_composite(ch)
-        res = run_mm(random_lifted_init(rng, cfg.n_i), psi, cfg, MMSettings())
-        ub = solve_sdr(psi, cfg, init=lift_reflect(res.reflect))
-        gap_db = pow2db(ub.bound_snr) - pow2db(res.result.snr)
-        certified_db = pow2db(ub.bound_snr) - pow2db(snr_from_psi_tilde(ub.primal_psi_tilde, cfg))
-        gaps.append(gap_db)
-        certified_gaps.append(certified_db)
-        if ub.bound_psi_tilde < res.result.psi_tilde_val - 1e-6:
-            violations += 1
-        rows.append(
-            [str(r), f"{res.result.psi_tilde_val:.10g}", f"{ub.primal_psi_tilde:.10g}",
-             f"{ub.bound_psi_tilde:.10g}", f"{pow2db(res.result.snr):.10g}",
-             f"{pow2db(ub.bound_snr):.10g}", f"{gap_db:.10g}", f"{certified_db:.10g}"]
-        )
     header = (
         "channel", "psi_tilde_mm", "psi_tilde_primal", "psi_tilde_bound",
         "snr_mm_db", "snr_bound_db", "gap_db", "certified_gap_db",
     )
-    if args.out:
-        _write_csv(args.out, header, rows)
+    gaps = []
+    certified_gaps = []
+    violations = 0
+    with _table(args, header) as add:
+        for r in range(args.channels):
+            rng = np.random.default_rng(child_seed(args.seed, 0xB0, r))
+            ch = generate_channels(rng, cfg, geo)
+            psi = build_composite(ch)
+            res = run_mm(random_lifted_init(rng, cfg.n_i), psi, cfg, MMSettings())
+            ub = solve_sdr(psi, cfg, init=lift_reflect(res.reflect))
+            gap_db = pow2db(ub.bound_snr) - pow2db(res.result.snr)
+            primal_snr = snr_from_psi_tilde(ub.primal_psi_tilde, cfg)
+            certified_db = pow2db(ub.bound_snr) - pow2db(primal_snr)
+            gaps.append(gap_db)
+            certified_gaps.append(certified_db)
+            if ub.bound_psi_tilde < res.result.psi_tilde_val - 1e-6:
+                violations += 1
+            add([[r, res.result.psi_tilde_val, ub.primal_psi_tilde, ub.bound_psi_tilde,
+                  pow2db(res.result.snr), pow2db(ub.bound_snr), gap_db, certified_db]])
     summary = {
         "channels": args.channels,
         "mean_gap_db": float(np.mean(gaps)),
@@ -320,7 +316,6 @@ def _run_bound_check(args, cfg: SystemConfig, geo: Geometry) -> int:
     if args.json:
         print(json.dumps(summary, indent=2))
     else:
-        _print_table(rows, header)
         print(
             f"mean gap: {summary['mean_gap_db']:.4f} dB, mean certified gap: "
             f"{summary['mean_certified_gap_db']:.4f} dB, violations: {violations}"

@@ -126,13 +126,6 @@ class ChannelSet:
     def n_s(self) -> int:
         return self.h_si.shape[1]
 
-    def check_against(self, cfg: SystemConfig) -> "ChannelSet":
-        if (self.n_i, self.n_s) != (cfg.n_i, cfg.n_s):
-            raise DimensionError(
-                f"channel is {self.n_i}x{self.n_s}, config wants {cfg.n_i}x{cfg.n_s}"
-            )
-        return self
-
 
 def build_composite(ch: ChannelSet) -> np.ndarray:
     """The n_s x (n_i + 1) composite channel: IRS columns scaled by the drop link, plus direct.

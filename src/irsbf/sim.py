@@ -1,26 +1,29 @@
 """Monte-Carlo experiment engine: scheme comparisons, exact conditional SER, sweeps.
 
+This module computes and returns plain results; formatting them as
+tables, CSV or JSON is the command line's job (``irsbf.cli``).
+
 A sweep takes the paper's three inputs as plain values: the channel
 statistics (configuration and geometry), the distortion levels, and the
 phase set as ``bits`` (None for continuous phases).  Every sweep point
 reports the four designed schemes, plus the relaxation bound when
 ``bound`` is set, always in the order of ``Scheme``.
 
-Determinism contract: every channel realization draws from its own
-generator whose seed is derived from the master seed and the realization
-index through a 64-bit mixing function.  Workers therefore produce
-identical results regardless of how tasks are distributed, and the
-aggregation is an ordered reduction.
+Determinism contract: sweeps and the iteration study run their
+realizations through one loop, ``_realizations``.  Every realization draws
+from its own generator whose seed is derived from the master seed, the
+point index and the realization index through a 64-bit mixing function.
+Workers therefore produce identical results regardless of how tasks are
+distributed, and the aggregation is an ordered reduction.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,9 +83,6 @@ class Scheme(enum.Enum):
     ROBUST_NO_IRS = "robust_no_irs"
     NONROBUST_NO_IRS = "nonrobust_no_irs"
     UPPER_BOUND = "upper_bound"
-
-
-ALL_SCHEMES = tuple(Scheme)
 
 
 class SweepFailedError(RuntimeError):
@@ -169,12 +169,15 @@ def _nonrobust_config(cfg: SystemConfig) -> SystemConfig:
 
 def _design_all(
     ch: ChannelSet,
+    psi: np.ndarray,
     cfg: SystemConfig,
     settings: MMSettings,
     bits: int | None,
     init: np.ndarray,
 ):
     """Design the four beam schemes on one realization from a shared init.
+
+    ``psi`` is the realization's composite channel, ``build_composite(ch)``.
 
     The robust scheme also scores the nonrobust phase profile under the
     true distortion levels and keeps the better one, which makes its SNR
@@ -187,7 +190,6 @@ def _design_all(
     ascent starts there: it is the best unit-modulus point at hand, better
     than the robust MM phases whenever the robust scheme drops them.
     """
-    psi = build_composite(ch)
     cfg0 = _nonrobust_config(cfg)
     res_r = run_mm(init, psi, cfg, settings)
     res_n = run_mm(init, psi, cfg0, settings)
@@ -267,40 +269,45 @@ def _realization_stats(args) -> dict:
     {'failed': msg}.  Everything it consumes is derived from ``seed``
     alone, so placement on any worker gives identical output.
     """
-    (cfg, geo, settings, bits, n_symbols, seed, bound) = args
+    (cfg, geo, settings, bits, n_symbols, bound, seed) = args
     try:
         rng = np.random.default_rng(seed)
         ch = generate_channels(rng, cfg, geo)
+        psi = build_composite(ch)
         init = random_lifted_init(rng, cfg.n_i)
-        designs, kept = _design_all(ch, cfg, settings, bits, init)
+        designs, kept = _design_all(ch, psi, cfg, settings, bits, init)
         out = {}
         for scheme, d in designs.items():
             snr = evaluate_snr(d.w, d.theta, ch, cfg)
             ser = simulate_ser(d.w, d.theta, ch, cfg, n_symbols) if n_symbols > 0 else None
             out[scheme.value] = (snr, ser, d.iterations)
         if bound:
-            ub = solve_sdr(build_composite(ch), cfg, init=lift_reflect(kept))
+            ub = solve_sdr(psi, cfg, init=lift_reflect(kept))
             out[Scheme.UPPER_BOUND.value] = (ub.bound_snr, None, None)
         return out
     except (DegenerateChannelError, ConfigError) as exc:
         return {"failed": f"{type(exc).__name__}: {exc}"}
 
 
-@contextmanager
-def _task_map(workers: int):
-    """A map of a function over a task list, for a whole run.
+def _realizations(task, points, n_channels: int, seed: int, salt: tuple, workers: int):
+    """The one realization loop: yields each point's task results in realization order.
 
+    Realization r of point i runs ``task((*points[i], child_seed(seed, *salt, i, r)))``.
     With one worker the tasks run in this process; otherwise one process
-    pool serves every call until the run ends.  Results come back in task
-    order either way.
+    pool serves every point until the run ends.  The counts are checked
+    before the first task runs.
     """
-    if workers <= 1:
-        yield lambda fn, tasks: [fn(t) for t in tasks]
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield lambda fn, tasks: list(
-            pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
-        )
+    if n_channels < 1:
+        raise ConfigError(f"n_channels must be >= 1, got {n_channels}")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for i, point in enumerate(points):
+            tasks = [(*point, child_seed(seed, *salt, i, r)) for r in range(n_channels)]
+            if pool is None:
+                yield [task(t) for t in tasks]
+            else:
+                yield list(pool.map(task, tasks, chunksize=max(1, n_channels // (4 * workers))))
 
 
 def run_sweep(
@@ -324,23 +331,16 @@ def run_sweep(
     finished SimResult, letting callers persist partial output.
     """
     settings = mm_settings or MMSettings()
-    points = [apply_sweep_value(spec.variable, value, base_cfg, geo) for value in spec.values]
+    points = [
+        (*apply_sweep_value(spec.variable, value, base_cfg, geo),
+         settings, spec.bits, spec.n_symbols, spec.bound)
+        for value in spec.values
+    ]
     results = []
-    with _task_map(workers) as map_tasks:
-        for vi, (value, (cfg_v, geo_v)) in enumerate(zip(spec.values, points)):
-            tasks = [
-                (
-                    cfg_v,
-                    geo_v,
-                    settings,
-                    spec.bits,
-                    spec.n_symbols,
-                    child_seed(spec.seed, vi, r),
-                    spec.bound,
-                )
-                for r in range(spec.n_channels)
-            ]
-            rows = map_tasks(_realization_stats, tasks)
+    with closing(
+        _realizations(_realization_stats, points, spec.n_channels, spec.seed, (), workers)
+    ) as realizations:
+        for rows, value in zip(realizations, spec.values):
             failed = [r["failed"] for r in rows if "failed" in r]
             if failed:
                 log.warning(
@@ -389,7 +389,7 @@ _STUDY_SALT = 0xA11E
 
 
 def _study_task(args) -> tuple:
-    (cfg, geo, seed, epsilon, max_iter) = args
+    (cfg, geo, epsilon, max_iter, seed) = args
     rng = np.random.default_rng(seed)
     ch = generate_channels(rng, cfg, geo)
     psi = build_composite(ch)
@@ -419,60 +419,15 @@ def run_iteration_study(
     same bookkeeping used by ``run_mm``.  Surface sizes must be integers;
     all are checked before the first one runs.
     """
-    if n_channels < 1:
-        raise ConfigError(f"n_channels must be >= 1, got {n_channels}")
-    cfgs = [apply_sweep_value(SweepVariable.N_I, n_i, base_cfg, geo)[0] for n_i in n_i_list]
-    rows = []
-    with _task_map(workers) as map_tasks:
-        for ni_idx, cfg in enumerate(cfgs):
-            tasks = [
-                (cfg, geo, child_seed(seed, _STUDY_SALT, ni_idx, r), epsilon, max_iter)
-                for r in range(n_channels)
-            ]
-            counts = np.array(map_tasks(_study_task, tasks), dtype=float)
-            rows.append(
-                IterationStudyRow(
-                    n_i=cfg.n_i,
-                    robust_plain=float(np.mean(counts[:, 0])),
-                    robust_accel=float(np.mean(counts[:, 1])),
-                    nonrobust_plain=float(np.mean(counts[:, 2])),
-                    nonrobust_accel=float(np.mean(counts[:, 3])),
-                )
-            )
-    return rows
-
-
-CSV_HEADER = ("sweep_variable", "value", "scheme", "mean_snr_db", "ser", "mean_iterations")
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return f"{x:.10g}"
-
-
-def _csv_rows(res: SimResult) -> list[list[str]]:
-    """CSV rows of one sweep point, one per scheme, in ``Scheme`` order.
-
-    Floats carry 10 significant digits.
-    """
-    return [
-        [
-            res.sweep_variable.value,
-            _fmt(res.sweep_value),
-            scheme.value,
-            _fmt(res.stats[scheme].mean_snr_db),
-            _fmt(res.stats[scheme].ser),
-            _fmt(res.stats[scheme].mean_iterations),
-        ]
-        for scheme in ALL_SCHEMES
-        if scheme in res.stats
+    points = [
+        (apply_sweep_value(SweepVariable.N_I, n_i, base_cfg, geo)[0], geo, epsilon, max_iter)
+        for n_i in n_i_list
     ]
-
-
-def write_results_csv(fileobj, results: list[SimResult]) -> None:
-    """Emit the header, then one row per (sweep point, scheme)."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for res in results:
-        writer.writerows(_csv_rows(res))
+    rows = []
+    with closing(
+        _realizations(_study_task, points, n_channels, seed, (_STUDY_SALT,), workers)
+    ) as realizations:
+        for counts, (cfg, *_) in zip(realizations, points):
+            means = np.mean(np.array(counts, dtype=float), axis=0)
+            rows.append(IterationStudyRow(cfg.n_i, *(float(m) for m in means)))
+    return rows

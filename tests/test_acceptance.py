@@ -250,7 +250,7 @@ def test_criterion_08_robust_dominance_and_kappa_gap_trend():
         for seed in range(30):
             ch = generate_channels(np.random.default_rng(80_000 + seed), cfg, geo)
             init = random_lifted_init(np.random.default_rng(seed), cfg.n_i)
-            designs, _ = _design_all(ch, cfg, MMSettings(), None, init)
+            designs, _ = _design_all(ch, build_composite(ch), cfg, MMSettings(), None, init)
             r, n = designs[Scheme.ROBUST_IRS], designs[Scheme.NONROBUST_IRS]
             snr_r = evaluate_snr(r.w, r.theta, ch, cfg)
             snr_n = evaluate_snr(n.w, n.theta, ch, cfg)

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import irsbf
-from irsbf.cli import build_setup, main, parse_config_file
-from irsbf.sim import SweepSpec, SweepVariable, db2pow, run_sweep, write_results_csv
+import irsbf.cli as cli_mod
+from irsbf.cli import CSV_HEADER, _cell, build_setup, main, parse_config_file
+from irsbf.sim import Scheme, SweepSpec, SweepVariable, db2pow, run_sweep
 
 
 def run_cli(args):
@@ -85,7 +86,7 @@ class TestConfigFile:
 
 
 class TestDeterminism:
-    def test_sweep_csv_matches_library_writer(self, tmp_path):
+    def test_sweep_csv_matches_run_sweep(self, tmp_path):
         out = tmp_path / "cli.csv"
         assert main([
             "sweep-n", "--seed", "5", "--channels", "2", "--symbols", "40",
@@ -95,9 +96,14 @@ class TestDeterminism:
         spec = SweepSpec(
             variable=SweepVariable.N_I, values=(4, 8), n_channels=2, n_symbols=40, seed=5
         )
-        buf = io.StringIO()
-        write_results_csv(buf, run_sweep(spec, cfg, geo))
-        assert out.read_bytes() == buf.getvalue().encode("utf-8")
+        expected = [list(CSV_HEADER)] + [
+            [res.sweep_variable.value, f"{res.sweep_value:.10g}", scheme.value,
+             f"{st.mean_snr_db:.10g}", "" if st.ser is None else f"{st.ser:.10g}",
+             "" if st.mean_iterations is None else f"{st.mean_iterations:.10g}"]
+            for res in run_sweep(spec, cfg, geo)
+            for scheme, st in res.stats.items()
+        ]
+        assert list(csv.reader(io.StringIO(out.read_text()))) == expected
 
     def test_same_seed_byte_identical_csv(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -144,6 +150,96 @@ class TestDeterminism:
         assert main([*args, "--out", str(out1)]) == 0
         assert main([*args, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def table_cells(stdout):
+    """The cells of the table a command prints, cut at the header's column starts."""
+    lines = stdout.splitlines()
+    starts, pos = [], 0
+    for name in lines[0].split():
+        pos = lines[0].index(name, pos)
+        starts.append(pos)
+        pos += len(name)
+    assert set(lines[1]) == {"-"}
+    body = [ln for ln in lines[2:] if not ln.startswith("mean gap:")]
+    return [lines[0].split()] + [
+        [ln[a:b].strip() for a, b in zip(starts, starts[1:] + [None])] for ln in body
+    ]
+
+
+class TestTable:
+    COMMANDS = {
+        "sweep-n": ["sweep-n", "--seed", "4", "--channels", "2", "--symbols", "30",
+                    "--values", "4,8"],
+        "iteration-study": ["iteration-study", "--seed", "4", "--channels", "2",
+                            "--values", "4,6"],
+        "bound-check": ["bound-check", "--seed", "4", "--channels", "2"],
+    }
+    JSON_KEYS = {"sweep-n": "results", "iteration-study": "iteration_study"}
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_csv_table_and_json_carry_the_same_cells(self, command, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        argv = self.COMMANDS[command]
+        assert main([*argv, "--out", str(out)]) == 0
+        printed = table_cells(capsys.readouterr().out)
+        written = list(csv.reader(io.StringIO(out.read_text())))
+        assert written == printed
+        assert len(written) > 2
+        if command in self.JSON_KEYS:
+            assert main([*argv, "--json"]) == 0
+            rows = json.loads(capsys.readouterr().out)[self.JSON_KEYS[command]]
+            assert [list(rows[0])] + [[_cell(v) for v in r.values()] for r in rows] == written
+
+    def test_round_trip_is_serialization_fixed_point(self, tmp_path):
+        out = tmp_path / "rt.csv"
+        assert main([
+            "sweep-n", "--seed", "2", "--channels", "2", "--symbols", "100",
+            "--values", "4,6", "--no-bound", "--out", str(out),
+        ]) == 0
+        cfg, geo = build_setup({})
+        spec = SweepSpec(
+            variable=SweepVariable.N_I, values=(4.0, 6.0), n_channels=2, n_symbols=100, seed=2,
+            bound=False,
+        )
+        results = run_sweep(spec, cfg, geo)
+        # without the bound, the four designed schemes in canonical order
+        schemes = tuple(Scheme)[:4]
+        # parsed back, every value re-formats to the bytes it was read from
+        rows = list(csv.reader(io.StringIO(out.read_text())))
+        assert tuple(rows[0]) == CSV_HEADER
+        body = rows[1:]
+        assert len(body) == len(results) * len(schemes)
+        for row, (orig, scheme) in zip(body, [(r, s) for r in results for s in schemes]):
+            variable, value, name, snr_db, ser, iters = row
+            assert (variable, name) == (orig.sweep_variable.value, scheme.value)
+            assert float(value) == pytest.approx(orig.sweep_value, rel=1e-9)
+            st = orig.stats[scheme]
+            assert float(snr_db) == pytest.approx(st.mean_snr_db, rel=1e-9)
+            assert float(ser) == pytest.approx(st.ser, rel=1e-9, abs=1e-12)
+            assert (iters == "") == (st.mean_iterations is None)
+            for text in (value, snr_db, ser, iters):
+                assert _cell(float(text) if text else None) == text
+
+    @pytest.mark.parametrize(
+        "argv, computation",
+        [
+            (["sweep-n", "--channels", "1", "--values", "4"], "run_sweep"),
+            (["iteration-study", "--channels", "1", "--values", "4"], "run_iteration_study"),
+            (["bound-check", "--channels", "1"], "generate_channels"),
+        ],
+    )
+    def test_out_is_opened_before_any_computation(
+        self, argv, computation, tmp_path, monkeypatch, capsys
+    ):
+        def computed(*args, **kwargs):
+            raise AssertionError("computed before --out was opened")
+
+        monkeypatch.setattr(cli_mod, computation, computed)
+        rc = main([*argv, "--out", str(tmp_path / "missing" / "rows.csv")])
+        assert rc == 1
+        errors = error_lines(capsys)
+        assert len(errors) == 1 and "No such file or directory" in errors[0]
 
 
 class TestSubcommands:
@@ -288,6 +384,18 @@ class TestArgumentChecks:
     def test_non_integer_surface_size_rejected(self, command, capsys):
         assert main([*command, "--values", "4,4.6"]) == 1
         assert error_lines(capsys) == ["error: n_i must be an integer, got 4.6"]
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep-n", "--channels", "1", "--values", "4", "--symbols", "0", "--no-bound"],
+            ["iteration-study", "--channels", "1", "--values", "4"],
+        ],
+    )
+    def test_workers_below_one_rejected(self, command, workers, capsys):
+        assert main([*command, "--workers", workers]) == 1
+        assert error_lines(capsys) == [f"error: workers must be >= 1, got {workers}"]
 
     def test_zero_bits_is_an_error_not_continuous(self, capsys):
         rc = main(["sweep-n", "--channels", "1", "--values", "4", "--symbols", "0", "--bits", "0"])

@@ -96,14 +96,6 @@ class TestChannelSet:
         with pytest.raises(DimensionError, match="h_si"):
             ChannelSet(h_si=h_si, h_id=complex_gaussian(rng, 2), h_sd=complex_gaussian(rng, 2))
 
-    def test_check_against_config(self, rng):
-        ch = random_channels(rng, 4, 3)
-        cfg = SystemConfig(n_s=3, n_i=4, p=1.0, kappa_s=0.1, kappa_d=0.1, sigma_n2=0.1)
-        assert ch.check_against(cfg) is ch
-        bad = SystemConfig(n_s=3, n_i=5, p=1.0, kappa_s=0.1, kappa_d=0.1, sigma_n2=0.1)
-        with pytest.raises(DimensionError):
-            ch.check_against(bad)
-
 
 class TestComposite:
     def test_no_irs_single_column(self, rng):

@@ -1,5 +1,3 @@
-import csv
-import io
 import logging
 from dataclasses import replace
 
@@ -9,15 +7,12 @@ import pytest
 import irsbf.sim as sim_mod
 from irsbf.channels import Geometry, generate_channels
 from irsbf.mm import MMSettings, random_lifted_init
-from irsbf.model import ConfigError, DegenerateChannelError, SystemConfig
+from irsbf.model import ConfigError, DegenerateChannelError, SystemConfig, build_composite
 from irsbf.sim import (
-    ALL_SCHEMES,
-    CSV_HEADER,
     Scheme,
     SweepSpec,
     SweepVariable,
     _design_all,
-    _fmt,
     _realization_stats,
     apply_sweep_value,
     child_seed,
@@ -26,7 +21,6 @@ from irsbf.sim import (
     run_sweep,
     simulate_ser,
     table_defaults,
-    write_results_csv,
 )
 from irsbf.txbf import composite_vector, evaluate_snr, optimal_transmit_beam
 
@@ -42,7 +36,7 @@ def small_setup(n_i=12):
 def design(ch, cfg, seed=0, bits=None):
     """The four schemes' designs from the MM init drawn by ``default_rng(seed)``."""
     init = random_lifted_init(np.random.default_rng(seed), ch.n_i)
-    return _design_all(ch, cfg, MMSettings(), bits, init)[0]
+    return _design_all(ch, build_composite(ch), cfg, MMSettings(), bits, init)[0]
 
 
 QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
@@ -305,7 +299,7 @@ class TestUpperBoundScheme:
         cfg = replace(cfg, n_i=16)
         seed = child_seed(7, 16, 25)
         out = _realization_stats(
-            (cfg, geo, MMSettings(), None, 0, seed, True)
+            (cfg, geo, MMSettings(), None, 0, True, seed)
         )
         bound = out[Scheme.UPPER_BOUND.value][0]
         assert bound >= out[Scheme.ROBUST_IRS.value][0]
@@ -325,8 +319,8 @@ class TestSerOrdering:
         )
         for s in range(20):
             out = _realization_stats(
-                (cfg, geo, MMSettings(), None, 2000,
-                 child_seed(5, n_i, s), False)
+                (cfg, geo, MMSettings(), None, 2000, False,
+                 child_seed(5, n_i, s))
             )
             for robust, nonrobust in pairs:
                 assert out[robust.value][1] <= out[nonrobust.value][1], (s, robust)
@@ -388,33 +382,24 @@ class TestFailureHandling:
             run_sweep(self.SPEC, cfg, geo)
 
 
-class TestCsv:
-    def test_round_trip_is_serialization_fixed_point(self):
-        cfg, geo = small_setup(n_i=6)
+class TestCompositeOncePerRealization:
+    def test_bound_reuses_the_designs_composite(self, monkeypatch):
+        original = sim_mod.build_composite
+        calls = {"n": 0}
+
+        def counting(ch):
+            calls["n"] += 1
+            return original(ch)
+
+        monkeypatch.setattr(sim_mod, "build_composite", counting)
+        cfg, geo = small_setup(n_i=4)
         spec = SweepSpec(
-            variable=SweepVariable.N_I, values=(4.0, 6.0), n_channels=2, n_symbols=100, seed=2,
-            bound=False,
+            variable=SweepVariable.N_I, values=(4.0, 6.0), n_channels=3, n_symbols=0, seed=3,
+            bound=True,
         )
         results = run_sweep(spec, cfg, geo)
-        # without the bound, the four designed schemes in canonical order
-        schemes = ALL_SCHEMES[:4]
-        buf = io.StringIO()
-        write_results_csv(buf, results)
-        # parsed back, every value re-formats to the bytes it was read from
-        rows = list(csv.reader(io.StringIO(buf.getvalue())))
-        assert tuple(rows[0]) == CSV_HEADER
-        body = rows[1:]
-        assert len(body) == len(results) * len(schemes)
-        for row, (orig, scheme) in zip(body, [(r, s) for r in results for s in schemes]):
-            variable, value, name, snr_db, ser, iters = row
-            assert (variable, name) == (orig.sweep_variable.value, scheme.value)
-            assert float(value) == pytest.approx(orig.sweep_value, rel=1e-9)
-            st = orig.stats[scheme]
-            assert float(snr_db) == pytest.approx(st.mean_snr_db, rel=1e-9)
-            assert float(ser) == pytest.approx(st.ser, rel=1e-9, abs=1e-12)
-            assert (iters == "") == (st.mean_iterations is None)
-            for text in (value, snr_db, ser, iters):
-                assert _fmt(float(text) if text else None) == text
+        assert all(Scheme.UPPER_BOUND in r.stats for r in results)
+        assert calls["n"] == 2 * 3
 
 
 class TestIterationStudy:
