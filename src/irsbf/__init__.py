@@ -24,7 +24,6 @@ from .model import (
     ConfigError,
     DegenerateChannelError,
     DimensionError,
-    EvalResult,
     ReflectConfig,
     SystemConfig,
     build_composite,
@@ -32,7 +31,7 @@ from .model import (
     lift_reflect,
     validate_config,
 )
-from .sdr import UpperBoundResult, relaxed_objective, solve_sdr
+from .sdr import UpperBoundResult, solve_sdr
 from .sim import (
     Scheme,
     SimResult,

@@ -137,7 +137,7 @@ def _add_sweep_args(parser: argparse.ArgumentParser, default_values: str) -> Non
     _add_common(parser)
     parser.add_argument("--channels", type=int, default=500, help="channel realizations per point")
     parser.add_argument("--symbols", type=int, default=2000, help="0 skips the QPSK SER; any positive value gives the exact SER")
-    parser.add_argument("--bits", type=int, default=None, help="discrete phase bits; omit for continuous")
+    parser.add_argument("--bits", type=int, default=None, help="discrete phase bits, 1 to 52; omit for continuous")
     parser.add_argument("--values", default=default_values, help="comma-separated sweep values")
     parser.add_argument("--no-bound", action="store_true", help="skip the relaxation benchmark")
     parser.add_argument("--epsilon", type=float, default=1e-5, help="optimizer convergence accuracy")
@@ -267,7 +267,7 @@ def _run_los_demo(args, cfg: SystemConfig, geo: Geometry) -> int:
     payload = {
         "closed_form_snr_db": pow2db(sol.snr),
         "direct_evaluation_snr_db": pow2db(direct),
-        "mm_psi_tilde": mm_res.result.psi_tilde_val,
+        "mm_psi_tilde": mm_res.objectives[-1],
         "closed_form_psi_tilde": psi_tilde(sol.theta, ch, cfg),
         "asymptotic_snr_db": pow2db(sol.snr_asymptotic),
     }
@@ -296,15 +296,14 @@ def _run_bound_check(args, cfg: SystemConfig, geo: Geometry) -> int:
             psi = build_composite(ch)
             res = run_mm(random_lifted_init(rng, cfg.n_i), psi, cfg, MMSettings())
             ub = solve_sdr(psi, cfg, init=lift_reflect(res.reflect))
-            gap_db = pow2db(ub.bound_snr) - pow2db(res.result.snr)
-            primal_snr = snr_from_psi_tilde(ub.primal_psi_tilde, cfg)
-            certified_db = pow2db(ub.bound_snr) - pow2db(primal_snr)
-            gaps.append(gap_db)
-            certified_gaps.append(certified_db)
-            if ub.bound_psi_tilde < res.result.psi_tilde_val - 1e-6:
-                violations += 1
-            add([[r, res.result.psi_tilde_val, ub.primal_psi_tilde, ub.bound_psi_tilde,
-                  pow2db(res.result.snr), pow2db(ub.bound_snr), gap_db, certified_db]])
+            mm_pt = res.objectives[-1]
+            mm_db = pow2db(snr_from_psi_tilde(mm_pt, cfg))
+            bound_db = pow2db(ub.bound_snr)
+            gaps.append(bound_db - mm_db)
+            certified_gaps.append(bound_db - pow2db(snr_from_psi_tilde(ub.primal_psi_tilde, cfg)))
+            violations += ub.bound_psi_tilde < mm_pt - 1e-6
+            add([[r, mm_pt, ub.primal_psi_tilde, ub.bound_psi_tilde,
+                  mm_db, bound_db, gaps[-1], certified_gaps[-1]]])
     summary = {
         "channels": args.channels,
         "mean_gap_db": float(np.mean(gaps)),

@@ -13,7 +13,10 @@ convergence test, the SQUAREM acceptance test and the next step alike, so
 a plain step costs two products with Psi.  With ``MMSettings.accelerate``
 each pass of the loop is a SQUAREM cycle (Varadhan & Roland, Scand. J.
 Stat. 2008) instead: two steps, a squared extrapolation, and backtracking
-that keeps the sequence monotone.  ``surrogate_value`` evaluates the
+that keeps the sequence monotone.  ``run_mm`` returns the objective of
+each iterate; the last is the objective at the returned reflection, and
+``txbf.snr_from_psi_tilde`` maps it to the SNR of the optimal beam, so no
+beam is built to score a design.  ``surrogate_value`` evaluates the
 minorizer itself, for checking.  The channel argument ``psi`` of every
 function here is the plain n_s x (n_i + 1) composite array of
 ``model.build_composite``; ``quantize_phases`` rounds a continuous
@@ -33,15 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (
-    ConfigError,
-    EvalResult,
-    ReflectConfig,
-    SystemConfig,
-    check_unit_modulus,
-    extract_reflect,
-)
-from .txbf import _row_power, psi_tilde_from_v, snr_at_optimal_beam_from_v
+from .model import ConfigError, ReflectConfig, SystemConfig, check_unit_modulus, extract_reflect
+from .txbf import _row_power, psi_tilde_from_powers
 
 # Multiplicative safety margin applied to the coupling eigenvalue so the
 # shifted coupling matrix stays dominated despite the eigensolver's
@@ -71,7 +67,7 @@ def lifted_objective(theta_tilde: np.ndarray, psi: np.ndarray, cfg: SystemConfig
     At a factor (one row per element) it is the relaxed objective at V V^H.
     """
     tt = np.asarray(theta_tilde, dtype=complex)
-    return psi_tilde_from_v(psi @ (tt if tt.ndim == 2 else tt.ravel()), cfg)
+    return psi_tilde_from_powers(_row_power(psi @ (tt if tt.ndim == 2 else tt.ravel())), cfg)
 
 
 def lambda_max_power_iteration(omega: np.ndarray) -> float:
@@ -224,10 +220,9 @@ def _squarem_cycle(tt, ev, run):
 
 @dataclass(frozen=True)
 class MMResult:
-    """Outcome of a full optimizer run."""
+    """Outcome of a full optimizer run; ``objectives[-1]`` is the objective at ``reflect``."""
 
     reflect: ReflectConfig
-    result: EvalResult
     iterations: int
     converged: bool
     objectives: tuple
@@ -285,39 +280,36 @@ def run_mm(
     the objective unchanged.
     """
     tt, objectives, converged = _ascend(check_unit_modulus(init).copy(), psi, cfg, settings)
-    reflect = extract_reflect(tt)
-    v = psi @ tt / tt[-1]
-    pt = psi_tilde_from_v(v, cfg)
-    result = EvalResult(
-        snr=snr_at_optimal_beam_from_v(v, cfg),
-        psi_tilde_val=pt,
-    )
-    return MMResult(
-        reflect=reflect,
-        result=result,
-        iterations=len(objectives) - 1,
-        converged=converged,
-        objectives=tuple(objectives),
-    )
+    return MMResult(extract_reflect(tt), len(objectives) - 1, converged, tuple(objectives))
+
+
+# Beyond this many bits, x = mod(phase, 2 pi) / step (below 2**bits) no
+# longer holds the half-integers that the rounding rule compares against.
+_MAX_BITS = 52
 
 
 def check_bits(bits) -> None:
-    """Reject a phase resolution other than None (continuous) or an integer >= 1."""
-    if bits is not None and not (int(bits) == bits and bits >= 1):
+    """Reject a phase resolution other than None (continuous) or an integer in [1, 52]."""
+    if bits is None:
+        return
+    if not (int(bits) == bits and bits >= 1):
         raise ConfigError(f"discrete phases need bits >= 1, got {bits}")
+    if bits > _MAX_BITS:
+        raise ConfigError(f"discrete phases need bits <= {_MAX_BITS}, got {bits}")
 
 
 def quantize_phases(theta: ReflectConfig, bits: int) -> ReflectConfig:
-    """Project each phase onto the nearest of the 2**bits levels under angular distance.
+    """Round each phase to the nearest of the levels 2 pi k / 2**bits, in O(n_i).
 
-    Distances wrap around the circle; exact ties go to the smaller level.
+    With x = mod(phase, 2 pi) / (2 pi / 2**bits), the index is
+    k = ceil(x - 1/2) mod 2**bits, the nearest level under angular distance.
+    An exact tie (x a half-integer) goes to the lower index, and at the
+    wrap (x = 2**bits - 1/2) to 2**bits - 1.
     """
     if bits is None:
         raise ConfigError("quantize_phases needs bits >= 1, got None")
     check_bits(bits)
     n_levels = 2 ** int(bits)
-    levels = 2.0 * np.pi * np.arange(n_levels) / n_levels
-    diff = theta.phases[:, None] - levels[None, :]
-    wrapped = np.abs((diff + np.pi) % (2.0 * np.pi) - np.pi)
-    picks = np.argmin(wrapped, axis=1)
-    return ReflectConfig(levels[picks])
+    x = np.mod(theta.phases, 2.0 * np.pi) / (2.0 * np.pi / n_levels)
+    k = np.mod(np.ceil(x - 0.5), n_levels)
+    return ReflectConfig(2.0 * np.pi * k / n_levels)

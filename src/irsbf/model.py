@@ -190,15 +190,3 @@ def check_unit_modulus(vec: np.ndarray, tol: float = UNIT_MODULUS_TOL) -> np.nda
     if err > tol:
         raise ConfigError(f"entries deviate from unit modulus by {err:.3e}")
     return vec
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    """SNR and reflect-objective values for one (beam, reflection) pair.
-
-    ``snr`` is the physical receive SNR and ``psi_tilde_val`` the separable
-    reflect objective.
-    """
-
-    snr: float
-    psi_tilde_val: float

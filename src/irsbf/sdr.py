@@ -15,6 +15,7 @@ f* <= f(X) + max_E <G, X'> - <G, X>.  MaxCut-style weak duality bounds the
 maximum by t sum(y) for any y > 0, where t = lambda_max(B diag(1/y) B^H) is
 an n_s x n_s eigenproblem solved exactly.  The bound is therefore certified
 from any start and needs no eigendecomposition of an (n_i+1)-square matrix.
+X itself is never formed: q is the row power of Psi V, read from the factor.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ class UpperBoundResult:
 
     ``bound_psi_tilde`` is at least f*, and so at least every unit-modulus
     objective value; ``primal_psi_tilde`` is f at the feasible point
-    ``theta_big`` = factor factor^H, so ``gap`` is the certified distance
-    of either from f*.  ``dual`` is the certificate: with G the gradient of
-    f at ``theta_big``, diag(dual) - G is positive semidefinite and
-    ``bound_psi_tilde`` = f(theta_big) + sum(dual) - <G, theta_big>.
+    X = factor factor^H, so ``gap`` is the certified distance of either
+    from f*.  ``dual`` is the certificate: with G the gradient of f at X,
+    diag(dual) - G is positive semidefinite and
+    ``bound_psi_tilde`` = f(X) + sum(dual) - <G, X>.
     """
 
     factor: np.ndarray
@@ -61,22 +62,8 @@ class UpperBoundResult:
     iterations: int
 
     @property
-    def theta_big(self) -> np.ndarray:
-        return self.factor @ self.factor.conj().T
-
-    @property
     def gap(self) -> float:
         return self.bound_psi_tilde - self.primal_psi_tilde
-
-
-def _diag_quad(psi_m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Real diagonal of psi_m @ x @ psi_m^H."""
-    return np.real(np.einsum("mi,ij,mj->m", psi_m, x, psi_m.conj(), optimize=True))
-
-
-def relaxed_objective(theta_big: np.ndarray, psi: np.ndarray, cfg: SystemConfig) -> float:
-    """Separable concave objective evaluated at a Hermitian matrix."""
-    return psi_tilde_from_powers(np.maximum(_diag_quad(psi, np.asarray(theta_big)), 0.0), cfg)
 
 
 def _gradient_factor(q: np.ndarray, psi: np.ndarray, cfg: SystemConfig) -> np.ndarray:

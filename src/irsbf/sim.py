@@ -214,29 +214,18 @@ def _design_all(
     return designs, kept
 
 
-def simulate_ser(
-    w: np.ndarray,
-    theta: ReflectConfig | None,
-    ch: ChannelSet,
-    cfg: SystemConfig,
-    n_symbols: int,
-) -> float:
-    """Exact QPSK symbol error rate of one realization, given its beams.
+def simulate_ser(snr: float, n_symbols: int) -> float:
+    """Exact QPSK symbol error rate of one realization at its receive SNR.
 
     With the channel and the beams fixed, the equalized symbol is x + e
     with e circular Gaussian of variance 1/SNR (the distortion is Gaussian
-    by the model), so the conditional SER is the closed form at the
-    realization's SNR; a vanishing effective channel gives the
-    random-guess level 0.75.  ``n_symbols`` does not change the value: it
-    is the nominal link length a symbol-level simulation would use, kept
-    because the benchmark's tracer (``bench/tracing.py``) wraps this name
-    and counts symbols from that argument.
+    by the model), so the conditional SER is the Gray-mapped closed form
+    2q - q^2 with q = Q(sqrt(SNR)); a vanishing effective channel (SNR 0)
+    gives the random-guess level 0.75.  ``n_symbols`` does not change the
+    value: it is the nominal link length a symbol-level simulation would
+    use, kept because the benchmark's tracer (``bench/tracing.py``) wraps
+    this name and counts symbols from that argument.
     """
-    return ser_qpsk_theory(evaluate_snr(w, theta, ch, cfg))
-
-
-def ser_qpsk_theory(snr: float) -> float:
-    """Gray-mapped QPSK symbol error probability at a given post-equalizer SNR."""
     q = 0.5 * math.erfc(math.sqrt(max(snr, 0.0) / 2.0))
     return 2.0 * q - q * q
 
@@ -279,7 +268,7 @@ def _realization_stats(args) -> dict:
         out = {}
         for scheme, d in designs.items():
             snr = evaluate_snr(d.w, d.theta, ch, cfg)
-            ser = simulate_ser(d.w, d.theta, ch, cfg, n_symbols) if n_symbols > 0 else None
+            ser = simulate_ser(snr, n_symbols) if n_symbols > 0 else None
             out[scheme.value] = (snr, ser, d.iterations)
         if bound:
             ub = solve_sdr(psi, cfg, init=lift_reflect(kept))
@@ -416,13 +405,15 @@ def run_iteration_study(
     """Average iterations to convergence, robust/nonrobust x plain/accelerated.
 
     Accelerated counts are outer cycles (two fixed-point maps each), the
-    same bookkeeping used by ``run_mm``.  Surface sizes must be integers;
-    all are checked before the first one runs.
+    same bookkeeping used by ``run_mm``.  Surface sizes must be integers,
+    and at least one is needed; all are checked before the first one runs.
     """
     points = [
         (apply_sweep_value(SweepVariable.N_I, n_i, base_cfg, geo)[0], geo, epsilon, max_iter)
         for n_i in n_i_list
     ]
+    if not points:
+        raise ConfigError("sweep needs at least one value")
     rows = []
     with closing(
         _realizations(_study_task, points, n_channels, seed, (_STUDY_SALT,), workers)

@@ -4,7 +4,8 @@ The receive SNR of the impaired link is a generalized Rayleigh quotient in
 the beam vector, so its maximizer is a weighted matched filter: the
 composite channel scaled entrywise by the inverse of a diagonal distortion
 matrix.  With ideal hardware the weights collapse and the beam reduces to
-the conventional matched filter.
+the conventional matched filter.  The SNR that beam achieves is a monotone
+function of the reflect objective, ``snr_from_psi_tilde``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,16 @@ def evaluate_snr(
     and thermal noise; it is strictly positive, so the ratio is always
     defined.
     """
-    return snr_from_v_and_w(composite_vector(theta, ch), w, cfg)
+    v = composite_vector(theta, ch)
+    w = np.asarray(w, dtype=complex).ravel()
+    num = np.abs(np.vdot(v, w)) ** 2
+    tx_dist = np.sum(np.abs(v) ** 2 * np.abs(w) ** 2)
+    den = (
+        cfg.kappa_d * num
+        + (1.0 + cfg.kappa_d) * cfg.kappa_s * tx_dist
+        + (1.0 + cfg.kappa_d) * cfg.sigma_n2
+    )
+    return float(num / den)
 
 
 def optimal_beam_from_v(v: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -78,48 +88,15 @@ def optimal_transmit_beam(
     return optimal_beam_from_v(composite_vector(theta, ch), cfg)
 
 
-def snr_from_v_and_w(v: np.ndarray, w: np.ndarray, cfg: SystemConfig) -> float:
-    """Receive SNR given the effective channel and a beam (shared kernel)."""
-    v = np.asarray(v, dtype=complex).ravel()
-    w = np.asarray(w, dtype=complex).ravel()
-    num = np.abs(np.vdot(v, w)) ** 2
-    tx_dist = np.sum(np.abs(v) ** 2 * np.abs(w) ** 2)
-    den = (
-        cfg.kappa_d * num
-        + (1.0 + cfg.kappa_d) * cfg.kappa_s * tx_dist
-        + (1.0 + cfg.kappa_d) * cfg.sigma_n2
-    )
-    return float(num / den)
-
-
-def snr_at_optimal_beam_from_v(v: np.ndarray, cfg: SystemConfig) -> float:
-    """Receive SNR achieved by the optimal beam for effective channel ``v``."""
-    v = np.asarray(v, dtype=complex).ravel()
-    if not np.any(v):
-        return 0.0
-    return snr_from_v_and_w(v, optimal_beam_from_v(v, cfg), cfg)
-
-
 def psi_tilde(theta: ReflectConfig | None, ch: ChannelSet, cfg: SystemConfig) -> float:
     """Separable reflect-beamforming objective: sum of saturating per-antenna terms."""
-    v = composite_vector(theta, ch)
-    return psi_tilde_from_v(v, cfg)
+    return psi_tilde_from_powers(_row_power(composite_vector(theta, ch)), cfg)
 
 
 def _row_power(v: np.ndarray) -> np.ndarray:
     """|v|^2 per entry of a vector, or summed along each row of a matrix."""
     p = np.abs(v) ** 2
     return p if p.ndim == 1 else p.sum(axis=1)
-
-
-def psi_tilde_from_v(v: np.ndarray, cfg: SystemConfig) -> float:
-    """Reflect objective at the effective channel ``v``.
-
-    An n_s x r matrix stands for a relaxed point Psi V: the norm of its
-    row m takes the place of |v_m|.
-    """
-    v = np.asarray(v, dtype=complex)
-    return psi_tilde_from_powers(_row_power(v if v.ndim == 2 else v.ravel()), cfg)
 
 
 def psi_tilde_from_powers(q: np.ndarray, cfg: SystemConfig) -> float:

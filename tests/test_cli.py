@@ -401,3 +401,20 @@ class TestArgumentChecks:
         rc = main(["sweep-n", "--channels", "1", "--values", "4", "--symbols", "0", "--bits", "0"])
         assert rc == 1
         assert error_lines(capsys) == ["error: discrete phases need bits >= 1, got 0"]
+
+    @pytest.mark.parametrize("bits", ["53", "1024"])
+    def test_bits_beyond_float64_resolution_is_an_error(self, bits, capsys):
+        rc = main(["sweep-n", "--channels", "1", "--values", "4", "--symbols", "0",
+                   "--no-bound", "--bits", bits])
+        assert rc == 1
+        assert error_lines(capsys) == [f"error: discrete phases need bits <= 52, got {bits}"]
+
+    def test_fine_bits_run_without_a_level_table(self, capsys):
+        rc = main(["sweep-n", "--channels", "1", "--values", "4", "--symbols", "0",
+                   "--no-bound", "--bits", "40"])
+        assert rc == 0
+        assert "robust_irs" in capsys.readouterr().out
+
+    def test_iteration_study_needs_a_value(self, capsys):
+        assert main(["iteration-study", "--channels", "1", "--values", ""]) == 1
+        assert error_lines(capsys) == ["error: sweep needs at least one value"]

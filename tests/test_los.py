@@ -65,7 +65,7 @@ class TestClosedForm:
         sol = solve_los(los, h_id, cfg)
         psi = build_composite(ch)
         res = run_mm(random_lifted_init(rng, 10), psi, cfg, MMSettings(epsilon=1e-10))
-        assert res.result.psi_tilde_val == pytest.approx(
+        assert res.objectives[-1] == pytest.approx(
             psi_tilde(sol.theta, ch, cfg), rel=1e-6
         )
 

@@ -298,7 +298,7 @@ class TestRunMM:
         rc = res.reflect
         tt = lift_reflect(rc)
         assert lifted_objective(tt, ch_free, cfg) == pytest.approx(
-            res.result.psi_tilde_val, rel=1e-12
+            res.objectives[-1], rel=1e-12
         )
 
     def test_max_iter_flagging(self, rng):
@@ -372,13 +372,46 @@ class TestQuantize:
         with pytest.raises(ConfigError):
             quantize_phases(ReflectConfig(np.zeros(2)), None)
 
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_matches_the_distance_matrix_oracle(self, bits):
+        # the nearest of all 2**bits levels under wrapped angular distance,
+        # found by brute force over an n_i x 2**bits distance matrix
+        phases = np.random.default_rng(100 + bits).uniform(-4.0 * np.pi, 4.0 * np.pi, 5_000)
+        levels = 2.0 * np.pi * np.arange(2**bits) / 2**bits
+        wrapped = np.abs((phases[:, None] - levels[None, :] + np.pi) % (2.0 * np.pi) - np.pi)
+        oracle = levels[np.argmin(wrapped, axis=1)]
+        np.testing.assert_array_equal(quantize_phases(ReflectConfig(phases), bits).phases, oracle)
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_exact_ties_go_to_the_lower_index(self, bits):
+        # phases whose index is an exact half-integer; at the wrap the
+        # lower index is the last level, not level 0
+        n = 2**bits
+        step = 2.0 * np.pi / n
+        for j in (0, n // 2, n - 1):
+            phase = (j + 0.5) * step
+            if np.mod(phase, 2.0 * np.pi) / step != j + 0.5:
+                continue  # the phase itself rounded off the midpoint
+            assert quantize_phases(ReflectConfig(np.array([phase])), bits).phases[0] == (
+                2.0 * np.pi * j / n
+            )
+        assert quantize_phases(ReflectConfig(np.array([np.pi / n])), bits).phases[0] == 0.0
+
+    def test_fine_resolution_needs_no_level_table(self):
+        phases = np.array([0.1, 3.0, -2.0])
+        fine = quantize_phases(ReflectConfig(phases), 40).phases
+        np.testing.assert_allclose(fine, np.mod(phases, 2.0 * np.pi), rtol=0.0, atol=1e-11)
+        quantize_phases(ReflectConfig(phases), 52)
+        with pytest.raises(ConfigError, match="bits <= 52, got 53"):
+            quantize_phases(ReflectConfig(phases), 53)
+
     def test_quantized_never_beats_continuous(self, rng):
         for seed in range(10):
             local = np.random.default_rng(seed)
             cfg, psi = random_problem(local, n_i=6)
             res = run_mm(random_lifted_init(local, 6), psi, cfg, MMSettings())
             quant = quantize_phases(res.reflect, 2)
-            cont_val = res.result.psi_tilde_val
+            cont_val = res.objectives[-1]
             quant_val = lifted_objective(lift_reflect(quant), psi, cfg)
             assert quant_val <= cont_val * (1 + 1e-9)
             assert quant_val >= 0.0
@@ -397,4 +430,4 @@ class TestQuantize:
                 rc = ReflectConfig(np.array([p1, p2]))
                 best = max(best, lifted_objective(lift_reflect(rc), psi, cfg))
         assert best >= quant_val - 1e-12
-        assert best <= res.result.psi_tilde_val * (1 + 1e-9)
+        assert best <= res.objectives[-1] * (1 + 1e-9)

@@ -33,11 +33,12 @@ from irsbf.model import (
     build_composite,
     lift_reflect,
 )
-from irsbf.sdr import _diag_quad, _gradient_factor, solve_sdr
+from irsbf.sdr import _gradient_factor, solve_sdr
 from irsbf.sim import child_seed, db2pow
 from irsbf.txbf import composite_vector, evaluate_snr, optimal_transmit_beam
 
 from conftest import complex_gaussian
+from test_sdr import _diag_quad
 
 SIGMA_N2 = db2pow(-85.0)
 
@@ -108,8 +109,8 @@ def test_run_mm_monotone_unit_modulus_and_consistent(problem):
         assert np.all(objs[1:] >= objs[:-1] - 1e-11 * np.maximum(1.0, np.abs(objs[:-1])))
         np.testing.assert_allclose(np.abs(res.reflect.theta), 1.0, atol=1e-12)
         pt = lifted_objective(lift_reflect(res.reflect), psi, cfg)
-        assert abs(pt - res.result.psi_tilde_val) <= 1e-9 * max(1.0, abs(pt))
-        assert res.result.psi_tilde_val >= objs[0] - 1e-11 * max(1.0, abs(objs[0]))
+        assert abs(pt - res.objectives[-1]) <= 1e-9 * max(1.0, abs(pt))
+        assert res.objectives[-1] >= objs[0] - 1e-11 * max(1.0, abs(objs[0]))
 
 
 @PROPERTY_SETTINGS
@@ -182,13 +183,13 @@ def test_certified_bound_dominates_and_certificate_is_dual_feasible(problem):
     mm = run_mm(random_lifted_init(rng, cfg.n_i), psi, cfg, MMSettings(max_iter=200))
     ub = solve_sdr(psi, cfg, init=lift_reflect(mm.reflect))
     tol = 1e-12 * max(1.0, abs(ub.bound_psi_tilde))
-    assert ub.bound_psi_tilde >= mm.result.psi_tilde_val - tol
+    assert ub.bound_psi_tilde >= mm.objectives[-1] - tol
     assert ub.bound_psi_tilde >= ub.primal_psi_tilde - tol
     for _ in range(50):
         assert ub.bound_psi_tilde >= lifted_objective(random_lifted_init(rng, cfg.n_i), psi, cfg) - tol
     # diag(dual) dominates the gradient at the certified point, and the
     # bound is f there plus sum(dual) minus the gradient's inner product
-    x = ub.theta_big
+    x = ub.factor @ ub.factor.conj().T
     b = _gradient_factor(_diag_quad(psi, x), psi, cfg)
     g = b.conj().T @ b
     assert np.linalg.eigvalsh(np.diag(ub.dual) - g)[0] >= -1e-9 * np.max(ub.dual, initial=0.0)

@@ -132,12 +132,12 @@ class TestSymbolSimulation:
 
         theta = ReflectConfig(rng.uniform(0, 2 * np.pi, 4))
         w = optimal_transmit_beam(theta, ch, cfg)
-        assert simulate_ser(w, theta, ch, cfg, 2000) == 0.0
+        assert simulate_ser(evaluate_snr(w, theta, ch, cfg), 2000) == 0.0
 
     def test_zero_beam_reports_random_guess(self, rng):
         cfg = SystemConfig(n_s=3, n_i=4, p=2.0, kappa_s=0.1, kappa_d=0.1, sigma_n2=0.1)
         ch = random_channels(rng, 4, 3)
-        assert simulate_ser(np.zeros(3, complex), None, ch, cfg, 100) == 0.75
+        assert simulate_ser(evaluate_snr(np.zeros(3, complex), None, ch, cfg), 100) == 0.75
 
     def test_moment_structure(self, rng):
         cfg = SystemConfig(n_s=4, n_i=5, p=2.0, kappa_s=0.08, kappa_d=0.12, sigma_n2=0.3)
@@ -167,7 +167,7 @@ class TestSymbolSimulation:
         w = optimal_transmit_beam(theta, ch, cfg)
         n = 200_000
         ser = oracle_ser(w, theta, ch, cfg, n, np.random.default_rng(77))
-        expected = simulate_ser(w, theta, ch, cfg, n)
+        expected = simulate_ser(evaluate_snr(w, theta, ch, cfg), n)
         stderr = np.sqrt(expected * (1 - expected) / n)
         assert abs(ser - expected) < 3 * stderr
 
