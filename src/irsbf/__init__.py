@@ -17,7 +17,6 @@ from .mm import (
     quantize_phases,
     random_lifted_init,
     run_mm,
-    surrogate_value,
 )
 from .model import (
     ChannelSet,
@@ -29,19 +28,20 @@ from .model import (
     build_composite,
     extract_reflect,
     lift_reflect,
-    validate_config,
 )
 from .sdr import UpperBoundResult, solve_sdr
 from .sim import (
+    SETTINGS,
     Scheme,
     SimResult,
     SweepFailedError,
     SweepSpec,
-    SweepVariable,
+    load_setup,
     run_iteration_study,
     run_sweep,
     simulate_ser,
     table_defaults,
+    with_setting,
 )
 from .txbf import (
     evaluate_snr,

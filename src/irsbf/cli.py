@@ -1,12 +1,13 @@
 """Command-line front end: sweeps, the iteration study, and demo checks.
 
-All powers are entered in dB (dBW) here and converted to watts at this
-boundary; the library below works in linear units only.  The library
-returns plain values and this module formats them: every command that
-prints rows (the sweeps, ``iteration-study``, ``bound-check``) goes
-through one writer, ``_table``, which streams the ``--out`` CSV and
-prints the same cells as a table, or the rows as JSON objects keyed by
-the CSV header.
+The operating point is ``sim.table_defaults()`` with the lines of the
+``--config`` file applied in order by ``sim.load_setup``.  Its names, and
+the variables the sweep commands step through, are those of
+``sim.SETTINGS`` (powers in dBW).  The library returns plain values and
+this module formats them: every command that prints rows (the sweeps,
+``iteration-study``, ``bound-check``) goes through one writer, ``_table``,
+which streams the ``--out`` CSV and prints the same cells as a table, or
+the rows as JSON objects keyed by the CSV header.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import csv
 import json
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import astuple, fields, replace
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -30,80 +31,23 @@ from .sim import (
     SimResult,
     SweepFailedError,
     SweepSpec,
-    SweepVariable,
     child_seed,
-    db2pow,
+    load_setup,
     pow2db,
     run_iteration_study,
     run_sweep,
     table_defaults,
+    with_setting,
 )
 from .txbf import evaluate_snr, psi_tilde, snr_from_psi_tilde
 
+# command -> (the SETTINGS name it sweeps, its default values)
 _SWEEP_DEFAULTS = {
-    "sweep-n": (SweepVariable.N_I, "4,18,32,46,60"),
-    "sweep-distance": (SweepVariable.D_SD_H, "30,35,40,45,48,50,52,55,60,70"),
-    "sweep-power": (SweepVariable.P_DBW, "0,6,12,18,24,30"),
-    "sweep-kappa": (SweepVariable.KAPPA, "0.02,0.05,0.07,0.1,0.15"),
+    "sweep-n": ("n_i", "4,18,32,46,60"),
+    "sweep-distance": ("d_sd_h", "30,35,40,45,48,50,52,55,60,70"),
+    "sweep-power": ("p_dbw", "0,6,12,18,24,30"),
+    "sweep-kappa": ("kappa", "0.02,0.05,0.07,0.1,0.15"),
 }
-
-_CONFIG_KEYS = {
-    "n_s": ("cfg", "n_s", int),
-    "n_i": ("cfg", "n_i", int),
-    "p_dbw": ("cfg", "p", lambda v: db2pow(float(v))),
-    "kappa": ("cfg", "kappa", float),
-    "kappa_s": ("cfg", "kappa_s", float),
-    "kappa_d": ("cfg", "kappa_d", float),
-    "sigma_n2_dbw": ("cfg", "sigma_n2", lambda v: db2pow(float(v))),
-    "d_0": ("geo", "d0", float),
-    "pl_0": ("geo", "pl0_db", float),
-    "gamma_si": ("geo", "gamma_si", float),
-    "gamma_id": ("geo", "gamma_id", float),
-    "gamma_sd": ("geo", "gamma_sd", float),
-    "d_si": ("geo", "d_si", float),
-    "d_v": ("geo", "d_v", float),
-    "d_sd_h": ("geo", "d_sd_h", float),
-}
-
-
-def parse_config_file(path: str) -> dict:
-    """Read ``key = value`` lines; '#' starts a comment, keys are case-insensitive."""
-    overrides = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.lower()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            overrides[key] = value
-    return overrides
-
-
-def build_setup(overrides: dict) -> tuple[SystemConfig, Geometry]:
-    cfg, geo = table_defaults()
-    cfg_fields = {}
-    geo_fields = {}
-    for key, raw in overrides.items():
-        target, field, conv = _CONFIG_KEYS[key]
-        value = conv(raw)
-        if key == "kappa":
-            cfg_fields["kappa_s"] = value
-            cfg_fields["kappa_d"] = value
-        elif target == "cfg":
-            cfg_fields[field] = value
-        else:
-            geo_fields[field] = value
-    if cfg_fields:
-        cfg = replace(cfg, **cfg_fields)
-    if geo_fields:
-        geo = replace(geo, **geo_fields)
-    return cfg, geo
-
 
 def _parse_values(text: str) -> tuple:
     try:
@@ -150,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (variable, defaults) in _SWEEP_DEFAULTS.items():
-        p = sub.add_parser(name, help=f"sweep {variable.value}")
+        p = sub.add_parser(name, help=f"sweep {variable}")
         _add_sweep_args(p, defaults)
     p = sub.add_parser("iteration-study", help="average iterations to convergence")
     _add_common(p)
@@ -159,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1e-5)
     p = sub.add_parser("los-demo", help="closed forms for the rank-one no-direct-link case")
     _add_common(p, workers=False, out=False)
-    p.add_argument("--n-i", type=int, default=50)
+    p.add_argument("--n-i", type=int, help="surface size (default: the operating point's n_i)")
     p = sub.add_parser("bound-check", help="per-channel optimizer vs relaxation benchmark")
     _add_common(p, workers=False)
     p.add_argument("--channels", type=int, default=10)
@@ -225,7 +169,7 @@ def _run_sweep_command(args, cfg: SystemConfig, geo: Geometry) -> int:
 
     def rows(res: SimResult) -> list:
         return [
-            [res.sweep_variable.value, res.sweep_value, scheme.value,
+            [res.sweep_variable, res.sweep_value, scheme.value,
              st.mean_snr_db, st.ser, st.mean_iterations]
             for scheme, st in res.stats.items()
         ]
@@ -254,21 +198,23 @@ def _run_iteration_study(args, cfg: SystemConfig, geo: Geometry) -> int:
 
 
 def _run_los_demo(args, cfg: SystemConfig, geo: Geometry) -> int:
-    cfg = replace(cfg, n_i=args.n_i)
+    if args.n_i is not None:
+        cfg, geo = with_setting(cfg, geo, "n_i", args.n_i)
     rng = np.random.default_rng(child_seed(args.seed, 0xD0E0))
     los = sample_los(rng, cfg.n_s, cfg.n_i, gain=1e-6)
     sigma_id2 = 1e-4
     h_id = sample_rayleigh(rng, cfg.n_i, 1, sigma_id2).ravel()
     sol = solve_los(los, h_id, cfg, sigma_id2=sigma_id2)
-    ch = ChannelSet(h_si=los.h_si, h_id=h_id, h_sd=np.zeros(cfg.n_s, dtype=complex))
-    direct = evaluate_snr(sol.w, sol.theta, ch, cfg)
-    psi = build_composite(ch)
+    psi = build_composite(
+        ChannelSet(h_si=los.h_si, h_id=h_id, h_sd=np.zeros(cfg.n_s, dtype=complex))
+    )
+    direct = evaluate_snr(sol.w, sol.theta, psi, cfg)
     mm_res = run_mm(random_lifted_init(rng, cfg.n_i), psi, cfg, MMSettings(epsilon=1e-9))
     payload = {
         "closed_form_snr_db": pow2db(sol.snr),
         "direct_evaluation_snr_db": pow2db(direct),
         "mm_psi_tilde": mm_res.objectives[-1],
-        "closed_form_psi_tilde": psi_tilde(sol.theta, ch, cfg),
+        "closed_form_psi_tilde": psi_tilde(sol.theta, psi, cfg),
         "asymptotic_snr_db": pow2db(sol.snr_asymptotic),
     }
     if args.json:
@@ -334,7 +280,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     run = _COMMANDS.get(args.command, _run_sweep_command)
     try:
-        cfg, geo = build_setup(parse_config_file(args.config) if args.config else {})
+        cfg, geo = load_setup(args.config) if args.config else table_defaults()
         return run(args, cfg, geo)
     except (ValueError, OSError, SweepFailedError) as exc:
         print(f"error: {exc}", file=sys.stderr)

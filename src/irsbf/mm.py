@@ -16,8 +16,7 @@ Stat. 2008) instead: two steps, a squared extrapolation, and backtracking
 that keeps the sequence monotone.  ``run_mm`` returns the objective of
 each iterate; the last is the objective at the returned reflection, and
 ``txbf.snr_from_psi_tilde`` maps it to the SNR of the optimal beam, so no
-beam is built to score a design.  ``surrogate_value`` evaluates the
-minorizer itself, for checking.  The channel argument ``psi`` of every
+beam is built to score a design.  The channel argument ``psi`` of every
 function here is the plain n_s x (n_i + 1) composite array of
 ``model.build_composite``; ``quantize_phases`` rounds a continuous
 solution to the 2**bits levels of a b-bit phase set.
@@ -161,30 +160,6 @@ def _step(tt0: np.ndarray, ev, run: _Run) -> np.ndarray:
     Zero coefficients keep the old entry.
     """
     return _project_unit(_surrogate_coefficient(tt0, ev[0], ev[1], run)[0], tt0)
-
-
-def surrogate_value(
-    tt: np.ndarray,
-    tt0: np.ndarray,
-    psi: np.ndarray,
-    cfg: SystemConfig,
-) -> float:
-    """Minorizer of the lifted objective, expanded at ``tt0`` and evaluated at ``tt``.
-
-    Lower-bounds the objective everywhere on the torus, touches it at the
-    expansion point, and matches its first-order behavior there.  Its
-    linear term is Re<alpha, tt> with ``alpha`` the coefficient whose phases
-    the optimizer step takes.
-    """
-    tt = np.asarray(tt, dtype=complex).ravel()
-    tt0 = np.asarray(tt0, dtype=complex).ravel()
-    run = _run_constants(psi, cfg)
-    v0, xi, f0 = _evaluate(tt0, run)
-    alpha, d, lam = _surrogate_coefficient(tt0, v0, xi, run)
-    term1 = 2.0 * float(np.real(np.vdot(alpha, tt)))
-    term2 = -2.0 * run.a * tt0.shape[0] * lam
-    term3 = 2.0 * run.a * float(np.sum(d * _row_power(v0))) - f0
-    return term1 + term2 + term3
 
 
 def _squarem_cycle(tt, ev, run):

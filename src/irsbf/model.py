@@ -1,7 +1,7 @@
 """Core domain types: system configuration, channel blocks, reflect configs.
 
-All powers are linear watts internally; dB conversion happens only at the
-CLI boundary.  All types are immutable value objects and safe to share
+All powers are linear watts internally; dB values are converted only
+where an operating point is set by name (``sim.SETTINGS``).  All types are immutable value objects and safe to share
 across parallel workers.  The composite channel is a plain
 n_s x (n_i + 1) array, built by ``build_composite``.
 """
@@ -48,7 +48,18 @@ class SystemConfig:
     sigma_n2: float
 
     def __post_init__(self):
-        validate_config(self)
+        if int(self.n_s) != self.n_s or self.n_s < 1:
+            raise ConfigError(f"n_s must be a positive integer, got {self.n_s}")
+        if int(self.n_i) != self.n_i or self.n_i < 0:
+            raise ConfigError(f"n_i must be a non-negative integer, got {self.n_i}")
+        if not (self.p > 0.0) or not np.isfinite(self.p):
+            raise ConfigError(f"p must be positive and finite, got {self.p}")
+        if not (0.0 <= self.kappa_s < 1.0):
+            raise ConfigError(f"kappa_s out of range [0, 1): {self.kappa_s}")
+        if not (0.0 <= self.kappa_d < 1.0):
+            raise ConfigError(f"kappa_d out of range [0, 1): {self.kappa_d}")
+        if not (self.sigma_n2 > 0.0) or not np.isfinite(self.sigma_n2):
+            raise ConfigError(f"sigma_n2 must be positive and finite, got {self.sigma_n2}")
 
     @property
     def p_tilde(self) -> float:
@@ -65,23 +76,6 @@ class SystemConfig:
         a = (1.0 + self.kappa_d) * self.kappa_s
         c = (1.0 + self.kappa_d) * self.sigma_n2 / self.p_tilde
         return a, c
-
-
-def validate_config(cfg: SystemConfig) -> SystemConfig:
-    """Check all scalar invariants; return ``cfg`` unchanged if they hold."""
-    if int(cfg.n_s) != cfg.n_s or cfg.n_s < 1:
-        raise ConfigError(f"n_s must be a positive integer, got {cfg.n_s}")
-    if int(cfg.n_i) != cfg.n_i or cfg.n_i < 0:
-        raise ConfigError(f"n_i must be a non-negative integer, got {cfg.n_i}")
-    if not (cfg.p > 0.0) or not np.isfinite(cfg.p):
-        raise ConfigError(f"p must be positive and finite, got {cfg.p}")
-    if not (0.0 <= cfg.kappa_s < 1.0):
-        raise ConfigError(f"kappa_s out of range [0, 1): {cfg.kappa_s}")
-    if not (0.0 <= cfg.kappa_d < 1.0):
-        raise ConfigError(f"kappa_d out of range [0, 1): {cfg.kappa_d}")
-    if not (cfg.sigma_n2 > 0.0) or not np.isfinite(cfg.sigma_n2):
-        raise ConfigError(f"sigma_n2 must be positive and finite, got {cfg.sigma_n2}")
-    return cfg
 
 
 @dataclass(frozen=True)
@@ -118,14 +112,6 @@ class ChannelSet:
         object.__setattr__(self, "h_id", h_id)
         object.__setattr__(self, "h_sd", h_sd)
 
-    @property
-    def n_i(self) -> int:
-        return self.h_si.shape[0]
-
-    @property
-    def n_s(self) -> int:
-        return self.h_si.shape[1]
-
 
 def build_composite(ch: ChannelSet) -> np.ndarray:
     """The n_s x (n_i + 1) composite channel: IRS columns scaled by the drop link, plus direct.
@@ -160,10 +146,6 @@ class ReflectConfig:
         if np.any(np.abs(theta) == 0.0):
             raise ConfigError("cannot normalize a zero reflection coefficient")
         return cls(np.angle(theta))
-
-    @property
-    def n_i(self) -> int:
-        return self.theta.shape[0]
 
 
 def lift_reflect(rc: ReflectConfig) -> np.ndarray:

@@ -3,6 +3,12 @@
 This module computes and returns plain results; formatting them as
 tables, CSV or JSON is the command line's job (``irsbf.cli``).
 
+An operating point is a ``SystemConfig`` and a ``Geometry``.  ``SETTINGS``
+is the one table of the names that set it, with their units (powers in
+dBW) and types; ``with_setting`` applies one name and value.  Config-file
+lines (``load_setup``), the sweep variable of a ``SweepSpec`` and the
+iteration study's surface sizes all go through it.
+
 A sweep takes the paper's three inputs as plain values: the channel
 statistics (configuration and geometry), the distortion levels, and the
 phase set as ``bits`` (None for continuous phases).  Every sweep point
@@ -31,7 +37,6 @@ import numpy as np
 from .channels import Geometry, generate_channels
 from .mm import MMSettings, check_bits, quantize_phases, random_lifted_init, run_mm
 from .model import (
-    ChannelSet,
     ConfigError,
     DegenerateChannelError,
     ReflectConfig,
@@ -89,19 +94,83 @@ class SweepFailedError(RuntimeError):
     """Every realization of a sweep point failed with a domain error."""
 
 
-class SweepVariable(enum.Enum):
-    N_I = "n_i"
-    D_SD_H = "d_sd_h"
-    P_DBW = "p_dbw"
-    KAPPA = "kappa"
-
-
 def table_defaults() -> tuple[SystemConfig, Geometry]:
     """Default desk-scale operating point (50-element surface, 12 dBW budget)."""
     cfg = SystemConfig(
         n_s=4, n_i=50, p=db2pow(12.0), kappa_s=0.07, kappa_d=0.07, sigma_n2=db2pow(-85.0)
     )
     geo = Geometry(d_si=50.0, d_v=2.0, d_sd_h=49.0)
+    return cfg, geo
+
+
+def _integer(value) -> int:
+    x = float(value)
+    if not x.is_integer():
+        raise ValueError
+    return int(x)
+
+
+# name -> (the dataclass it sets, the fields it sets, the parse of its value)
+SETTINGS = {
+    "n_s": (SystemConfig, ("n_s",), _integer),
+    "n_i": (SystemConfig, ("n_i",), _integer),
+    "p_dbw": (SystemConfig, ("p",), lambda v: db2pow(float(v))),
+    "kappa": (SystemConfig, ("kappa_s", "kappa_d"), float),
+    "kappa_s": (SystemConfig, ("kappa_s",), float),
+    "kappa_d": (SystemConfig, ("kappa_d",), float),
+    "sigma_n2_dbw": (SystemConfig, ("sigma_n2",), lambda v: db2pow(float(v))),
+    "d_0": (Geometry, ("d0",), float),
+    "pl_0": (Geometry, ("pl0_db",), float),
+    "gamma_si": (Geometry, ("gamma_si",), float),
+    "gamma_id": (Geometry, ("gamma_id",), float),
+    "gamma_sd": (Geometry, ("gamma_sd",), float),
+    "d_si": (Geometry, ("d_si",), float),
+    "d_v": (Geometry, ("d_v",), float),
+    "d_sd_h": (Geometry, ("d_sd_h",), float),
+}
+
+
+def with_setting(
+    cfg: SystemConfig, geo: Geometry, name: str, value
+) -> tuple[SystemConfig, Geometry]:
+    """The operating point with setting ``name`` of ``SETTINGS`` at ``value``.
+
+    ``value`` is a number or its text; powers are in dBW.
+    """
+    if name not in SETTINGS:
+        raise ConfigError(f"unknown setting {name!r}")
+    target, names, parse = SETTINGS[name]
+    try:
+        x = parse(value)
+    except (TypeError, ValueError):
+        kind = "an integer" if parse is _integer else "a number"
+        raise ConfigError(f"{name} must be {kind}, got {value}") from None
+    changes = dict.fromkeys(names, x)
+    if target is SystemConfig:
+        return replace(cfg, **changes), geo
+    return cfg, replace(geo, **changes)
+
+
+def load_setup(path: str) -> tuple[SystemConfig, Geometry]:
+    """The operating point of a file of ``name = value`` lines, over ``table_defaults()``.
+
+    Names are those of ``SETTINGS``, in any case, and '#' starts a comment.
+    Lines apply in file order, so the last line that sets a field wins.
+    An error names the file and the line.
+    """
+    cfg, geo = table_defaults()
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            name, eq, value = (part.strip() for part in line.partition("="))
+            try:
+                if not eq:
+                    raise ConfigError(f"expected 'name = value', got {raw.strip()!r}")
+                cfg, geo = with_setting(cfg, geo, name.lower(), value)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return cfg, geo
 
 
@@ -113,7 +182,7 @@ class SweepSpec:
     2**bits-level phase set; ``bound`` adds the relaxation bound's row.
     """
 
-    variable: SweepVariable
+    variable: str  # a name of SETTINGS
     values: tuple
     n_channels: int = 500
     n_symbols: int = 2000  # 0 leaves the SER out; any positive value gives the exact SER
@@ -122,6 +191,8 @@ class SweepSpec:
     bound: bool = True
 
     def __post_init__(self):
+        if self.variable not in SETTINGS:
+            raise ConfigError(f"unknown sweep variable {self.variable!r}")
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise ConfigError("sweep needs at least one value")
@@ -148,7 +219,7 @@ class SchemeStats:
 class SimResult:
     """Aggregated statistics of one sweep point."""
 
-    sweep_variable: SweepVariable
+    sweep_variable: str
     sweep_value: float
     stats: dict
 
@@ -168,7 +239,6 @@ def _nonrobust_config(cfg: SystemConfig) -> SystemConfig:
 
 
 def _design_all(
-    ch: ChannelSet,
     psi: np.ndarray,
     cfg: SystemConfig,
     settings: MMSettings,
@@ -177,7 +247,7 @@ def _design_all(
 ):
     """Design the four beam schemes on one realization from a shared init.
 
-    ``psi`` is the realization's composite channel, ``build_composite(ch)``.
+    ``psi`` is the realization's composite channel (``build_composite``).
 
     The robust scheme also scores the nonrobust phase profile under the
     true distortion levels and keeps the better one, which makes its SNR
@@ -198,13 +268,13 @@ def _design_all(
         theta_r = quantize_phases(theta_r, bits)
         theta_n = quantize_phases(theta_n, bits)
     theta_star, kept = theta_r, res_r.reflect
-    if psi_tilde(theta_n, ch, cfg) > psi_tilde(theta_r, ch, cfg):
+    if psi_tilde(theta_n, psi, cfg) > psi_tilde(theta_r, psi, cfg):
         theta_star, kept = theta_n, res_n.reflect
-    w_r = optimal_transmit_beam(theta_star, ch, cfg)
+    w_r = optimal_transmit_beam(theta_star, psi, cfg)
     budget_scale = math.sqrt(cfg.p_tilde / cfg0.p_tilde)
-    w_n = optimal_beam_from_v(composite_vector(theta_n, ch), cfg0) * budget_scale
-    w_rn = optimal_transmit_beam(None, ch, cfg)
-    w_nn = optimal_beam_from_v(ch.h_sd, cfg0) * budget_scale
+    w_n = optimal_beam_from_v(composite_vector(theta_n, psi), cfg0) * budget_scale
+    w_rn = optimal_transmit_beam(None, psi, cfg)
+    w_nn = optimal_beam_from_v(composite_vector(None, psi), cfg0) * budget_scale
     designs = {
         Scheme.ROBUST_IRS: DesignResult(w_r, theta_star, res_r.iterations, res_r.converged),
         Scheme.NONROBUST_IRS: DesignResult(w_n, theta_n, res_n.iterations, res_n.converged),
@@ -230,26 +300,6 @@ def simulate_ser(snr: float, n_symbols: int) -> float:
     return 2.0 * q - q * q
 
 
-def apply_sweep_value(
-    variable: SweepVariable,
-    value: float,
-    cfg: SystemConfig,
-    geo: Geometry,
-) -> tuple[SystemConfig, Geometry]:
-    """Instantiate one sweep point; power values arrive in dBW."""
-    if variable is SweepVariable.N_I:
-        if not float(value).is_integer():
-            raise ConfigError(f"n_i must be an integer, got {value:g}")
-        return replace(cfg, n_i=int(value)), geo
-    if variable is SweepVariable.D_SD_H:
-        return cfg, replace(geo, d_sd_h=float(value))
-    if variable is SweepVariable.P_DBW:
-        return replace(cfg, p=db2pow(float(value))), geo
-    if variable is SweepVariable.KAPPA:
-        return replace(cfg, kappa_s=float(value), kappa_d=float(value)), geo
-    raise ConfigError(f"unknown sweep variable {variable}")
-
-
 def _realization_stats(args) -> dict:
     """Worker body: one channel realization at one sweep point.
 
@@ -264,10 +314,10 @@ def _realization_stats(args) -> dict:
         ch = generate_channels(rng, cfg, geo)
         psi = build_composite(ch)
         init = random_lifted_init(rng, cfg.n_i)
-        designs, kept = _design_all(ch, psi, cfg, settings, bits, init)
+        designs, kept = _design_all(psi, cfg, settings, bits, init)
         out = {}
         for scheme, d in designs.items():
-            snr = evaluate_snr(d.w, d.theta, ch, cfg)
+            snr = evaluate_snr(d.w, d.theta, psi, cfg)
             ser = simulate_ser(snr, n_symbols) if n_symbols > 0 else None
             out[scheme.value] = (snr, ser, d.iterations)
         if bound:
@@ -321,7 +371,7 @@ def run_sweep(
     """
     settings = mm_settings or MMSettings()
     points = [
-        (*apply_sweep_value(spec.variable, value, base_cfg, geo),
+        (*with_setting(base_cfg, geo, spec.variable, value),
          settings, spec.bits, spec.n_symbols, spec.bound)
         for value in spec.values
     ]
@@ -334,7 +384,7 @@ def run_sweep(
             if failed:
                 log.warning(
                     "sweep %s=%g: skipped %d/%d realizations (first: %s)",
-                    spec.variable.value,
+                    spec.variable,
                     value,
                     len(failed),
                     len(rows),
@@ -343,7 +393,7 @@ def run_sweep(
             good = [r for r in rows if "failed" not in r]
             if not good:
                 raise SweepFailedError(
-                    f"all {len(rows)} realizations failed at {spec.variable.value}={value:g}"
+                    f"all {len(rows)} realizations failed at {spec.variable}={value:g}"
                     f" (first: {failed[0]})"
                 )
             stats = {}
@@ -375,10 +425,13 @@ class IterationStudyRow:
 
 
 _STUDY_SALT = 0xA11E
+# The iteration cap of every study run: the study counts iterations to
+# convergence, so the cap only has to lie beyond any count it reports.
+_STUDY_MAX_ITER = 20000
 
 
 def _study_task(args) -> tuple:
-    (cfg, geo, epsilon, max_iter, seed) = args
+    (cfg, geo, epsilon, seed) = args
     rng = np.random.default_rng(seed)
     ch = generate_channels(rng, cfg, geo)
     psi = build_composite(ch)
@@ -387,7 +440,7 @@ def _study_task(args) -> tuple:
     counts = []
     for run_cfg in (cfg, cfg0):
         for accel in (False, True):
-            st = MMSettings(epsilon=epsilon, max_iter=max_iter, accelerate=accel)
+            st = MMSettings(epsilon=epsilon, max_iter=_STUDY_MAX_ITER, accelerate=accel)
             counts.append(run_mm(init, psi, run_cfg, st).iterations)
     return tuple(counts)
 
@@ -399,7 +452,6 @@ def run_iteration_study(
     seed: int,
     n_channels: int = 100,
     epsilon: float = 1e-5,
-    max_iter: int = 20000,
     workers: int = 1,
 ) -> list[IterationStudyRow]:
     """Average iterations to convergence, robust/nonrobust x plain/accelerated.
@@ -408,10 +460,7 @@ def run_iteration_study(
     same bookkeeping used by ``run_mm``.  Surface sizes must be integers,
     and at least one is needed; all are checked before the first one runs.
     """
-    points = [
-        (apply_sweep_value(SweepVariable.N_I, n_i, base_cfg, geo)[0], geo, epsilon, max_iter)
-        for n_i in n_i_list
-    ]
+    points = [(*with_setting(base_cfg, geo, "n_i", n_i), epsilon) for n_i in n_i_list]
     if not points:
         raise ConfigError("sweep needs at least one value")
     rows = []

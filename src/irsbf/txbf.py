@@ -6,37 +6,36 @@ composite channel scaled entrywise by the inverse of a diagonal distortion
 matrix.  With ideal hardware the weights collapse and the beam reduces to
 the conventional matched filter.  The SNR that beam achieves is a monotone
 function of the reflect objective, ``snr_from_psi_tilde``.
+
+The channel argument ``psi`` of every function here is the composite
+n_s x (n_i + 1) array of ``model.build_composite``: a reflection enters
+only through the lifted product ``psi @ lift_reflect(theta)``, the
+paper's Psi theta-tilde, so the channel blocks are not needed after the
+draw.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import (
-    ChannelSet,
-    DegenerateChannelError,
-    ReflectConfig,
-    SystemConfig,
-)
+from .model import DegenerateChannelError, ReflectConfig, SystemConfig, lift_reflect
 
 
-def composite_vector(theta: ReflectConfig | None, ch: ChannelSet) -> np.ndarray:
+def composite_vector(theta: ReflectConfig | None, psi: np.ndarray) -> np.ndarray:
     """Effective end-to-end channel seen by the destination.
 
     ``theta=None`` means the IRS is absent or switched off, leaving only
-    the direct link.
+    the direct link, the last column of ``psi``.
     """
-    if theta is None or ch.n_i == 0:
-        return ch.h_sd.copy()
-    if theta.n_i != ch.n_i:
-        raise ValueError(f"reflect config has {theta.n_i} elements, channel {ch.n_i}")
-    return ch.h_si.conj().T @ (np.conj(theta.theta) * ch.h_id) + ch.h_sd
+    if theta is None:
+        return psi[:, -1].copy()
+    return psi @ lift_reflect(theta)
 
 
 def evaluate_snr(
     w: np.ndarray,
     theta: ReflectConfig | None,
-    ch: ChannelSet,
+    psi: np.ndarray,
     cfg: SystemConfig,
 ) -> float:
     """Receive SNR for a given beam and reflection configuration.
@@ -46,7 +45,7 @@ def evaluate_snr(
     and thermal noise; it is strictly positive, so the ratio is always
     defined.
     """
-    v = composite_vector(theta, ch)
+    v = composite_vector(theta, psi)
     w = np.asarray(w, dtype=complex).ravel()
     num = np.abs(np.vdot(v, w)) ** 2
     tx_dist = np.sum(np.abs(v) ** 2 * np.abs(w) ** 2)
@@ -75,7 +74,7 @@ def optimal_beam_from_v(v: np.ndarray, cfg: SystemConfig) -> np.ndarray:
 
 def optimal_transmit_beam(
     theta: ReflectConfig | None,
-    ch: ChannelSet,
+    psi: np.ndarray,
     cfg: SystemConfig,
 ) -> np.ndarray:
     """Closed-form SNR-maximizing beam at full power budget.
@@ -85,12 +84,12 @@ def optimal_transmit_beam(
     is monotone in the beam norm.  The global phase is normalized so the
     first nonzero entry is real positive.
     """
-    return optimal_beam_from_v(composite_vector(theta, ch), cfg)
+    return optimal_beam_from_v(composite_vector(theta, psi), cfg)
 
 
-def psi_tilde(theta: ReflectConfig | None, ch: ChannelSet, cfg: SystemConfig) -> float:
+def psi_tilde(theta: ReflectConfig | None, psi: np.ndarray, cfg: SystemConfig) -> float:
     """Separable reflect-beamforming objective: sum of saturating per-antenna terms."""
-    return psi_tilde_from_powers(_row_power(composite_vector(theta, ch)), cfg)
+    return psi_tilde_from_powers(_row_power(composite_vector(theta, psi)), cfg)
 
 
 def _row_power(v: np.ndarray) -> np.ndarray:

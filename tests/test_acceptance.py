@@ -20,7 +20,6 @@ from irsbf.mm import (
     lifted_objective,
     random_lifted_init,
     run_mm,
-    surrogate_value,
 )
 from irsbf.model import (
     ChannelSet,
@@ -33,7 +32,6 @@ from irsbf.sdr import solve_sdr
 from irsbf.sim import (
     Scheme,
     SweepSpec,
-    SweepVariable,
     _design_all,
     run_iteration_study,
     run_sweep,
@@ -47,6 +45,7 @@ from irsbf.txbf import (
 )
 
 from conftest import complex_gaussian, random_channels
+from test_mm import surrogate_value
 
 
 @contextmanager
@@ -71,9 +70,9 @@ def test_criterion_01_transmit_beam_closed_form_equivalence():
                 kappa_s=float(rng.uniform(0.0, 0.6)), kappa_d=float(rng.uniform(0.0, 0.6)),
                 sigma_n2=float(rng.uniform(0.01, 1.0)),
             )
-            ch = random_channels(rng, n_i, n_s)
+            psi = build_composite(random_channels(rng, n_i, n_s))
             theta = ReflectConfig(rng.uniform(0, 2 * np.pi, n_i))
-            v = composite_vector(theta, ch)
+            v = composite_vector(theta, psi)
             dense = cfg.kappa_d * np.outer(v, np.conj(v)) + np.diag(
                 (1 + cfg.kappa_d) * cfg.kappa_s * np.abs(v) ** 2
                 + (1 + cfg.kappa_d) * cfg.sigma_n2 / cfg.p_tilde
@@ -81,7 +80,7 @@ def test_criterion_01_transmit_beam_closed_form_equivalence():
             oracle = np.linalg.solve(dense, v)
             oracle = np.sqrt(cfg.p_tilde) * oracle / np.linalg.norm(oracle)
             oracle *= np.exp(-1j * np.angle(oracle[np.flatnonzero(np.abs(oracle) > 0)[0]]))
-            w = optimal_transmit_beam(theta, ch, cfg)
+            w = optimal_transmit_beam(theta, psi, cfg)
             worst = max(worst, np.linalg.norm(w - oracle) / np.linalg.norm(oracle))
         elapsed = time.perf_counter() - start
         assert worst < 1e-10, f"worst relative deviation {worst:.3e}"
@@ -224,7 +223,7 @@ def test_criterion_06_bound_near_tightness_at_defaults():
     with criterion(6, "mean benchmark SNR within 1.5 dB of the robust scheme (50 channels)"):
         cfg, geo = table_defaults()
         spec = SweepSpec(
-            variable=SweepVariable.N_I, values=(50.0,), n_channels=50, n_symbols=0,
+            variable="n_i", values=(50.0,), n_channels=50, n_symbols=0,
             seed=606,
         )
         res = run_sweep(spec, cfg, geo)[0]
@@ -248,15 +247,15 @@ def test_criterion_08_robust_dominance_and_kappa_gap_trend():
     with criterion(8, "robust>=nonrobust per realization; gap widens with distortion"):
         cfg, geo = table_defaults()
         for seed in range(30):
-            ch = generate_channels(np.random.default_rng(80_000 + seed), cfg, geo)
+            psi = build_composite(generate_channels(np.random.default_rng(80_000 + seed), cfg, geo))
             init = random_lifted_init(np.random.default_rng(seed), cfg.n_i)
-            designs, _ = _design_all(ch, build_composite(ch), cfg, MMSettings(), None, init)
+            designs, _ = _design_all(psi, cfg, MMSettings(), None, init)
             r, n = designs[Scheme.ROBUST_IRS], designs[Scheme.NONROBUST_IRS]
-            snr_r = evaluate_snr(r.w, r.theta, ch, cfg)
-            snr_n = evaluate_snr(n.w, n.theta, ch, cfg)
+            snr_r = evaluate_snr(r.w, r.theta, psi, cfg)
+            snr_n = evaluate_snr(n.w, n.theta, psi, cfg)
             assert snr_r >= snr_n - 1e-9, f"violated at seed {seed}"
         spec = SweepSpec(
-            variable=SweepVariable.KAPPA, values=(0.02, 0.15), n_channels=100, n_symbols=0,
+            variable="kappa", values=(0.02, 0.15), n_channels=100, n_symbols=0,
             seed=808, bound=False,
         )
         results = run_sweep(spec, cfg, geo)
@@ -279,16 +278,16 @@ def test_criterion_09_los_closed_forms():
             )
             los = sample_los(rng, n_s, n_i, gain=float(rng.uniform(0.1, 2.0)))
             h_id = complex_gaussian(rng, n_i)
-            ch = ChannelSet(h_si=los.h_si, h_id=h_id, h_sd=np.zeros(n_s, complex))
+            psi = build_composite(ChannelSet(h_si=los.h_si, h_id=h_id, h_sd=np.zeros(n_s, complex)))
             sol = solve_los(los, h_id, cfg)
-            direct = evaluate_snr(sol.w, sol.theta, ch, cfg)
+            direct = evaluate_snr(sol.w, sol.theta, psi, cfg)
             assert sol.snr == pytest.approx(direct, rel=1e-10)
             res = run_mm(
-                random_lifted_init(rng, n_i), build_composite(ch), cfg,
+                random_lifted_init(rng, n_i), psi, cfg,
                 MMSettings(epsilon=1e-10),
             )
             assert res.objectives[-1] == pytest.approx(
-                psi_tilde(sol.theta, ch, cfg), rel=1e-6
+                psi_tilde(sol.theta, psi, cfg), rel=1e-6
             )
         n_i, sigma_id2, eta_abs2 = 400, 0.04, 0.5
         cfg = SystemConfig(n_s=4, n_i=n_i, p=2.0, kappa_s=0.07, kappa_d=0.07, sigma_n2=40.0)
@@ -307,7 +306,7 @@ def test_criterion_09_los_closed_forms():
 def test_criterion_10_saturation_and_error_floors():
     with criterion(10, "SNR saturates with power; robust error floor is lower"):
         cfg, geo = table_defaults()
-        ch = generate_channels(np.random.default_rng(1001), cfg, geo)
+        psi = build_composite(generate_channels(np.random.default_rng(1001), cfg, geo))
         theta = ReflectConfig(
             np.random.default_rng(1002).uniform(0, 2 * np.pi, cfg.n_i)
         )
@@ -317,13 +316,13 @@ def test_criterion_10_saturation_and_error_floors():
 
         def snr_at(scale):
             cfg_p = replace(cfg, p=cfg.p * scale)
-            return evaluate_snr(np.sqrt(cfg_p.p_tilde) * direction, theta, ch, cfg_p)
+            return evaluate_snr(np.sqrt(cfg_p.p_tilde) * direction, theta, psi, cfg_p)
 
         low, high = snr_at(1e6), snr_at(1e8)
         assert abs(high - low) / low < 1e-3, f"saturation gap {(high-low)/low:.2e}"
 
         spec = SweepSpec(
-            variable=SweepVariable.P_DBW, values=(34.0, 40.0), n_channels=500,
+            variable="p_dbw", values=(34.0, 40.0), n_channels=500,
             n_symbols=2000, seed=1010, bound=False,
         )
         results = run_sweep(spec, cfg, geo)

@@ -11,8 +11,11 @@ import pytest
 
 import irsbf
 import irsbf.cli as cli_mod
-from irsbf.cli import CSV_HEADER, _cell, build_setup, main, parse_config_file
-from irsbf.sim import Scheme, SweepSpec, SweepVariable, db2pow, run_sweep
+from irsbf.cli import CSV_HEADER, _cell, main
+from irsbf.model import ConfigError
+from irsbf.sim import Scheme, SweepSpec, db2pow, load_setup, run_sweep, table_defaults
+
+SETUP = Path(__file__).resolve().parent / "golden" / "setup.cfg"
 
 
 def run_cli(args):
@@ -40,8 +43,7 @@ class TestConfigFile:
             "sigma_n2_dbw = -80\n"
             "d_sd_h = 45\n"
         )
-        overrides = parse_config_file(str(path))
-        cfg, geo = build_setup(overrides)
+        cfg, geo = load_setup(str(path))
         assert cfg.n_s == 2 and cfg.n_i == 8
         assert cfg.p == pytest.approx(db2pow(6.0))
         assert cfg.kappa_s == cfg.kappa_d == 0.05
@@ -49,7 +51,7 @@ class TestConfigFile:
         assert geo.d_sd_h == 45.0
 
     def test_defaults_match_reference_point(self):
-        cfg, geo = build_setup({})
+        cfg, geo = table_defaults()
         assert (cfg.n_s, cfg.n_i) == (4, 50)
         assert cfg.p == pytest.approx(db2pow(12.0))
         assert cfg.kappa_s == cfg.kappa_d == 0.07
@@ -62,7 +64,45 @@ class TestConfigFile:
         path = tmp_path / "bad.cfg"
         path.write_text("frequency = 2e9\n")
         with pytest.raises(ValueError, match="frequency"):
-            parse_config_file(str(path))
+            load_setup(str(path))
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("n_i = 4.5", "n_i must be an integer, got 4.5"),
+            ("p_dbw = abc", "p_dbw must be a number, got abc"),
+            ("Frequency = 2e9", "unknown setting 'frequency'"),
+            ("nonsense line", "expected 'name = value', got 'nonsense line'"),
+            ("kappa = 1.5", "kappa_s out of range [0, 1): 1.5"),
+        ],
+    )
+    def test_error_names_file_line_and_key(self, tmp_path, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# comment\nn_s = 2\n{line}\n")
+        with pytest.raises(ConfigError) as exc:
+            load_setup(str(path))
+        assert str(exc.value) == f"{path}:3: {message}"
+
+    def test_cli_error_line_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("n_i = 4.5\n")
+        assert main(["los-demo", "--config", str(path)]) == 1
+        assert error_lines(capsys) == [f"error: {path}:1: n_i must be an integer, got 4.5"]
+
+    def test_lines_apply_in_file_order(self, tmp_path):
+        path = tmp_path / "order.cfg"
+        path.write_text("kappa_d = 0.1\nkappa = 0.05\nkappa_d = 0.2\nn_i = 8\nN_I = 12\n")
+        cfg, _ = load_setup(str(path))
+        assert (cfg.kappa_s, cfg.kappa_d, cfg.n_i) == (0.05, 0.2, 12)
+
+    def test_los_demo_takes_n_i_from_the_config(self, capsys):
+        base = ["los-demo", "--seed", "9", "--config", str(SETUP), "--json"]
+        assert main(base) == 0
+        from_config = capsys.readouterr().out
+        assert main([*base, "--n-i", "12"]) == 0
+        assert from_config == capsys.readouterr().out
+        assert main([*base, "--n-i", "16"]) == 0
+        assert from_config != capsys.readouterr().out
 
     def test_bad_config_file_exits_nonzero(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -92,12 +132,12 @@ class TestDeterminism:
             "sweep-n", "--seed", "5", "--channels", "2", "--symbols", "40",
             "--values", "4,8", "--out", str(out),
         ]) == 0
-        cfg, geo = build_setup({})
+        cfg, geo = table_defaults()
         spec = SweepSpec(
-            variable=SweepVariable.N_I, values=(4, 8), n_channels=2, n_symbols=40, seed=5
+            variable="n_i", values=(4, 8), n_channels=2, n_symbols=40, seed=5
         )
         expected = [list(CSV_HEADER)] + [
-            [res.sweep_variable.value, f"{res.sweep_value:.10g}", scheme.value,
+            [res.sweep_variable, f"{res.sweep_value:.10g}", scheme.value,
              f"{st.mean_snr_db:.10g}", "" if st.ser is None else f"{st.ser:.10g}",
              "" if st.mean_iterations is None else f"{st.mean_iterations:.10g}"]
             for res in run_sweep(spec, cfg, geo)
@@ -197,9 +237,9 @@ class TestTable:
             "sweep-n", "--seed", "2", "--channels", "2", "--symbols", "100",
             "--values", "4,6", "--no-bound", "--out", str(out),
         ]) == 0
-        cfg, geo = build_setup({})
+        cfg, geo = table_defaults()
         spec = SweepSpec(
-            variable=SweepVariable.N_I, values=(4.0, 6.0), n_channels=2, n_symbols=100, seed=2,
+            variable="n_i", values=(4.0, 6.0), n_channels=2, n_symbols=100, seed=2,
             bound=False,
         )
         results = run_sweep(spec, cfg, geo)
@@ -212,7 +252,7 @@ class TestTable:
         assert len(body) == len(results) * len(schemes)
         for row, (orig, scheme) in zip(body, [(r, s) for r in results for s in schemes]):
             variable, value, name, snr_db, ser, iters = row
-            assert (variable, name) == (orig.sweep_variable.value, scheme.value)
+            assert (variable, name) == (orig.sweep_variable, scheme.value)
             assert float(value) == pytest.approx(orig.sweep_value, rel=1e-9)
             st = orig.stats[scheme]
             assert float(snr_db) == pytest.approx(st.mean_snr_db, rel=1e-9)

@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SETUP = str(GOLDEN / "setup.cfg")
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # name -> (argv, whether the command takes --out)
@@ -39,6 +40,14 @@ CASES = {
     "bound_check": (["bound-check", "--seed", "2", "--channels", "3"], True),
     "bound_check_json": (["bound-check", "--seed", "2", "--channels", "3", "--json"], False),
     "los_demo_json": (["los-demo", "--seed", "4", "--n-i", "12", "--json"], False),
+    "sweep_distance": (["sweep-distance", "--seed", "6", "--channels", "3", "--symbols", "100",
+                        "--values", "45,50"], True),
+    "sweep_power_bits1": (["sweep-power", "--seed", "8", "--channels", "3", "--symbols", "100",
+                           "--values", "0,20", "--bits", "1", "--no-bound"], True),
+    "sweep_n_config": (["sweep-n", "--seed", "9", "--channels", "2", "--values", "4,8",
+                        "--config", SETUP], True),
+    "los_demo_config_json": (["los-demo", "--seed", "9", "--n-i", "12", "--config", SETUP,
+                              "--json"], False),
 }
 
 

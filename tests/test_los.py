@@ -16,8 +16,8 @@ def los_instance(rng, n_s=4, n_i=12, gain=0.5, **cfg_overrides):
     cfg = SystemConfig(**params)
     los = sample_los(rng, n_s, n_i, gain)
     h_id = complex_gaussian(rng, n_i)
-    ch = ChannelSet(h_si=los.h_si, h_id=h_id, h_sd=np.zeros(n_s, dtype=complex))
-    return cfg, los, h_id, ch
+    psi = build_composite(ChannelSet(h_si=los.h_si, h_id=h_id, h_sd=np.zeros(n_s, dtype=complex)))
+    return cfg, los, h_id, psi
 
 
 class TestClosedForm:
@@ -29,9 +29,9 @@ class TestClosedForm:
 
     def test_closed_ratio_matches_direct_evaluation(self, rng):
         for _ in range(10):
-            cfg, los, h_id, ch = los_instance(rng, n_i=int(rng.integers(2, 20)))
+            cfg, los, h_id, psi = los_instance(rng, n_i=int(rng.integers(2, 20)))
             sol = solve_los(los, h_id, cfg)
-            direct = evaluate_snr(sol.w, sol.theta, ch, cfg)
+            direct = evaluate_snr(sol.w, sol.theta, psi, cfg)
             assert sol.snr == pytest.approx(direct, rel=1e-10)
 
     def test_beam_norm_and_direction(self, rng):
@@ -46,27 +46,26 @@ class TestClosedForm:
         # plugging the aligned phases into the general closed-form beam must
         # match the steering-vector beam in value (directions may differ by
         # a global phase)
-        cfg, los, h_id, ch = los_instance(rng)
+        cfg, los, h_id, psi = los_instance(rng)
         sol = solve_los(los, h_id, cfg)
-        w_general = optimal_transmit_beam(sol.theta, ch, cfg)
-        assert evaluate_snr(w_general, sol.theta, ch, cfg) == pytest.approx(
-            evaluate_snr(sol.w, sol.theta, ch, cfg), rel=1e-9
+        w_general = optimal_transmit_beam(sol.theta, psi, cfg)
+        assert evaluate_snr(w_general, sol.theta, psi, cfg) == pytest.approx(
+            evaluate_snr(sol.w, sol.theta, psi, cfg), rel=1e-9
         )
 
     def test_global_optimality_against_random_reflections(self, rng):
-        cfg, los, h_id, ch = los_instance(rng, n_i=8)
+        cfg, los, h_id, psi = los_instance(rng, n_i=8)
         sol = solve_los(los, h_id, cfg)
         for _ in range(10_000):
             rc = ReflectConfig(rng.uniform(0, 2 * np.pi, 8))
-            assert psi_tilde(rc, ch, cfg) <= psi_tilde(sol.theta, ch, cfg) * (1 + 1e-12)
+            assert psi_tilde(rc, psi, cfg) <= psi_tilde(sol.theta, psi, cfg) * (1 + 1e-12)
 
     def test_mm_reaches_closed_form(self, rng):
-        cfg, los, h_id, ch = los_instance(rng, n_i=10)
+        cfg, los, h_id, psi = los_instance(rng, n_i=10)
         sol = solve_los(los, h_id, cfg)
-        psi = build_composite(ch)
         res = run_mm(random_lifted_init(rng, 10), psi, cfg, MMSettings(epsilon=1e-10))
         assert res.objectives[-1] == pytest.approx(
-            psi_tilde(sol.theta, ch, cfg), rel=1e-6
+            psi_tilde(sol.theta, psi, cfg), rel=1e-6
         )
 
 

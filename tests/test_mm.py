@@ -14,7 +14,6 @@ from irsbf.mm import (
     quantize_phases,
     random_lifted_init,
     run_mm,
-    surrogate_value,
 )
 from irsbf.model import (
     ChannelSet,
@@ -25,6 +24,8 @@ from irsbf.model import (
     lift_reflect,
 )
 
+from irsbf.txbf import _row_power
+
 from conftest import complex_gaussian, random_channels
 
 
@@ -34,6 +35,26 @@ def random_problem(rng, n_i=8, n_s=4, **cfg_overrides):
     cfg = SystemConfig(**params)
     psi = build_composite(random_channels(rng, n_i, n_s))
     return cfg, psi
+
+
+def surrogate_value(tt, tt0, psi, cfg):
+    """Oracle: the minorizer of the lifted objective, expanded at ``tt0`` and evaluated at ``tt``.
+
+    Built from the optimizer's own constants, evaluation and surrogate
+    coefficient.  It lower-bounds the objective everywhere on the torus,
+    touches it at the expansion point, and matches its first-order behavior
+    there; its linear term is Re<alpha, tt> with ``alpha`` the coefficient
+    whose phases the optimizer step takes.
+    """
+    tt = np.asarray(tt, dtype=complex).ravel()
+    tt0 = np.asarray(tt0, dtype=complex).ravel()
+    run = _run_constants(psi, cfg)
+    v0, xi, f0 = _evaluate(tt0, run)
+    alpha, d, lam = _surrogate_coefficient(tt0, v0, xi, run)
+    term1 = 2.0 * float(np.real(np.vdot(alpha, tt)))
+    term2 = -2.0 * run.a * tt0.shape[0] * lam
+    term3 = 2.0 * run.a * float(np.sum(d * _row_power(v0))) - f0
+    return term1 + term2 + term3
 
 
 def run_steps(tt, psi, cfg, steps, accelerate=False):

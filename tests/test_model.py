@@ -10,8 +10,8 @@ from irsbf.model import (
     build_composite,
     extract_reflect,
     lift_reflect,
-    validate_config,
 )
+from irsbf.txbf import composite_vector
 
 from conftest import complex_gaussian, random_channels
 
@@ -24,8 +24,9 @@ def table_config(**overrides):
 
 class TestSystemConfig:
     def test_table_defaults_valid(self):
+        # the checks run in __post_init__, so a value that constructs is valid
         cfg = table_config()
-        assert validate_config(cfg) is cfg
+        assert (cfg.n_s, cfg.n_i) == (4, 50)
 
     def test_zero_kappa_is_valid(self):
         cfg = table_config(kappa_s=0.0, kappa_d=0.0)
@@ -123,6 +124,11 @@ class TestComposite:
             direct = ch.h_si.conj().T @ (np.conj(rc.theta) * ch.h_id) + ch.h_sd
             via_psi = build_composite(ch) @ lift_reflect(rc)
             np.testing.assert_allclose(via_psi, direct, atol=1e-12 * max(1.0, np.abs(direct).max()))
+            np.testing.assert_array_equal(composite_vector(rc, build_composite(ch)), via_psi)
+
+    def test_no_irs_composite_vector_is_the_direct_link(self, rng):
+        ch = random_channels(rng, 6, 3)
+        np.testing.assert_array_equal(composite_vector(None, build_composite(ch)), ch.h_sd)
 
     def test_numerator_reconstruction_2x2(self, rng):
         ch = random_channels(rng, 2, 2)

@@ -24,7 +24,6 @@ from irsbf.mm import (
     quantize_phases,
     random_lifted_init,
     run_mm,
-    surrogate_value,
 )
 from irsbf.model import (
     ChannelSet,
@@ -38,6 +37,7 @@ from irsbf.sim import child_seed, db2pow
 from irsbf.txbf import composite_vector, evaluate_snr, optimal_transmit_beam
 
 from conftest import complex_gaussian
+from test_mm import surrogate_value
 from test_sdr import _diag_quad
 
 SIGMA_N2 = db2pow(-85.0)
@@ -202,17 +202,17 @@ def test_certified_bound_dominates_and_certificate_is_dual_feasible(problem):
 @given(problem=problems)
 @with_edges
 def test_closed_form_beam_beats_random_beams_of_equal_norm(problem):
-    cfg, ch, rng = make_channels(**problem)
+    cfg, psi, rng = make_problem(**problem)
     theta = ReflectConfig(rng.uniform(0.0, 2.0 * np.pi, cfg.n_i))
-    if not np.any(composite_vector(theta, ch)):
+    if not np.any(composite_vector(theta, psi)):
         return  # no beam direction exists without any channel
-    w = optimal_transmit_beam(theta, ch, cfg)
+    w = optimal_transmit_beam(theta, psi, cfg)
     assert np.linalg.norm(w) ** 2 == pytest.approx(cfg.p_tilde, rel=1e-12)
-    best = evaluate_snr(w, theta, ch, cfg)
+    best = evaluate_snr(w, theta, psi, cfg)
     for _ in range(50):
         z = complex_gaussian(rng, cfg.n_s)
         z *= np.sqrt(cfg.p_tilde) / np.linalg.norm(z)
-        assert evaluate_snr(z, theta, ch, cfg) <= best * (1.0 + 1e-12)
+        assert evaluate_snr(z, theta, psi, cfg) <= best * (1.0 + 1e-12)
 
 
 @PROPERTY_SETTINGS

@@ -11,16 +11,15 @@ from irsbf.model import ConfigError, DegenerateChannelError, SystemConfig, build
 from irsbf.sim import (
     Scheme,
     SweepSpec,
-    SweepVariable,
     _design_all,
     _realization_stats,
-    apply_sweep_value,
     child_seed,
     pow2db,
     run_iteration_study,
     run_sweep,
     simulate_ser,
     table_defaults,
+    with_setting,
 )
 from irsbf.txbf import composite_vector, evaluate_snr, optimal_transmit_beam
 
@@ -33,10 +32,10 @@ def small_setup(n_i=12):
     return cfg, geo
 
 
-def design(ch, cfg, seed=0, bits=None):
-    """The four schemes' designs from the MM init drawn by ``default_rng(seed)``."""
-    init = random_lifted_init(np.random.default_rng(seed), ch.n_i)
-    return _design_all(ch, build_composite(ch), cfg, MMSettings(), bits, init)[0]
+def design(psi, cfg, seed=0, bits=None):
+    """The four schemes' designs on ``psi`` from the MM init drawn by ``default_rng(seed)``."""
+    init = random_lifted_init(np.random.default_rng(seed), psi.shape[1] - 1)
+    return _design_all(psi, cfg, MMSettings(), bits, init)[0]
 
 
 QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
@@ -46,13 +45,13 @@ def cn(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def symbol_oracle(w, theta, ch, cfg, n, rng):
+def symbol_oracle(w, theta, psi, cfg, n, rng):
     """Symbol-level link: x, z_s, z_d, y_tilde (before receive distortion) and y.
 
     Draws symbols, transmit distortion, receive distortion with the analytic
     second moment of the undistorted received signal, then noise.
     """
-    v = composite_vector(theta, ch)
+    v = composite_vector(theta, psi)
     g = np.vdot(v, w)
     x = QPSK[rng.integers(0, 4, n)]
     z_s = np.sqrt(cfg.kappa_s) * np.abs(w)[:, None] * cn(rng, (w.size, n))
@@ -62,10 +61,10 @@ def symbol_oracle(w, theta, ch, cfg, n, rng):
     return x, z_s, z_d, y_tilde, y_tilde + z_d
 
 
-def oracle_ser(w, theta, ch, cfg, n, rng):
+def oracle_ser(w, theta, psi, cfg, n, rng):
     """Error fraction of the oracle's equalized nearest-constellation decisions."""
-    x, _, _, _, y = symbol_oracle(w, theta, ch, cfg, n, rng)
-    eq = y / np.vdot(composite_vector(theta, ch), w)
+    x, _, _, _, y = symbol_oracle(w, theta, psi, cfg, n, rng)
+    eq = y / np.vdot(composite_vector(theta, psi), w)
     return float(np.mean(((eq.real < 0) != (x.real < 0)) | ((eq.imag < 0) != (x.imag < 0))))
 
 
@@ -82,43 +81,44 @@ class TestDesignBeams:
     def test_zero_kappa_designs_coincide(self):
         cfg, geo = small_setup()
         cfg0 = SystemConfig(n_s=4, n_i=12, p=cfg.p, kappa_s=0.0, kappa_d=0.0, sigma_n2=cfg.sigma_n2)
-        ch = generate_channels(np.random.default_rng(1), cfg0, geo)
-        designs = design(ch, cfg0, 5)
+        psi = build_composite(generate_channels(np.random.default_rng(1), cfg0, geo))
+        designs = design(psi, cfg0, 5)
         robust, nonrobust = designs[Scheme.ROBUST_IRS], designs[Scheme.NONROBUST_IRS]
-        assert evaluate_snr(robust.w, robust.theta, ch, cfg0) == pytest.approx(
-            evaluate_snr(nonrobust.w, nonrobust.theta, ch, cfg0), rel=1e-9
+        assert evaluate_snr(robust.w, robust.theta, psi, cfg0) == pytest.approx(
+            evaluate_snr(nonrobust.w, nonrobust.theta, psi, cfg0), rel=1e-9
         )
 
     def test_robust_dominates_nonrobust_per_realization(self):
         cfg, geo = small_setup()
         for seed in range(15):
-            ch = generate_channels(np.random.default_rng(seed), cfg, geo)
-            designs = design(ch, cfg, seed)
+            psi = build_composite(generate_channels(np.random.default_rng(seed), cfg, geo))
+            designs = design(psi, cfg, seed)
             r, n = designs[Scheme.ROBUST_IRS], designs[Scheme.NONROBUST_IRS]
-            assert evaluate_snr(r.w, r.theta, ch, cfg) >= evaluate_snr(n.w, n.theta, ch, cfg) - 1e-9
+            assert evaluate_snr(r.w, r.theta, psi, cfg) >= evaluate_snr(n.w, n.theta, psi, cfg) - 1e-9
 
     def test_no_irs_schemes(self):
         cfg, geo = small_setup()
         ch = generate_channels(np.random.default_rng(2), cfg, geo)
-        designs = design(ch, cfg)
+        psi = build_composite(ch)
+        designs = design(psi, cfg)
         robust, mf = designs[Scheme.ROBUST_NO_IRS], designs[Scheme.NONROBUST_NO_IRS]
         assert robust.theta is None and mf.theta is None
         np.testing.assert_allclose(np.linalg.norm(mf.w) ** 2, cfg.p_tilde, rtol=1e-12)
         direction = mf.w / np.linalg.norm(mf.w)
         ref = ch.h_sd / np.linalg.norm(ch.h_sd)
         assert np.abs(np.vdot(direction, ref)) == pytest.approx(1.0, rel=1e-12)
-        assert evaluate_snr(robust.w, None, ch, cfg) >= evaluate_snr(mf.w, None, ch, cfg) - 1e-12
+        assert evaluate_snr(robust.w, None, psi, cfg) >= evaluate_snr(mf.w, None, psi, cfg) - 1e-12
 
     def test_all_beams_respect_true_power_budget(self):
         cfg, geo = small_setup()
-        ch = generate_channels(np.random.default_rng(3), cfg, geo)
-        for d in design(ch, cfg, 3).values():
+        psi = build_composite(generate_channels(np.random.default_rng(3), cfg, geo))
+        for d in design(psi, cfg, 3).values():
             assert np.linalg.norm(d.w) ** 2 <= cfg.p_tilde * (1 + 1e-9)
 
     def test_discrete_mode_quantizes(self):
         cfg, geo = small_setup()
-        ch = generate_channels(np.random.default_rng(4), cfg, geo)
-        d = design(ch, cfg, 4, 2)[Scheme.ROBUST_IRS]
+        psi = build_composite(generate_channels(np.random.default_rng(4), cfg, geo))
+        d = design(psi, cfg, 4, 2)[Scheme.ROBUST_IRS]
         levels = 2 * np.pi * np.arange(4) / 4
         for phase in d.theta.phases:
             assert min(abs(phase - lv) for lv in levels) < 1e-12
@@ -127,27 +127,27 @@ class TestDesignBeams:
 class TestSymbolSimulation:
     def test_perfect_hardware_noiseless_limit(self, rng):
         cfg = SystemConfig(n_s=3, n_i=4, p=2.0, kappa_s=0.0, kappa_d=0.0, sigma_n2=1e-300)
-        ch = random_channels(rng, 4, 3)
+        psi = build_composite(random_channels(rng, 4, 3))
         from irsbf.model import ReflectConfig
 
         theta = ReflectConfig(rng.uniform(0, 2 * np.pi, 4))
-        w = optimal_transmit_beam(theta, ch, cfg)
-        assert simulate_ser(evaluate_snr(w, theta, ch, cfg), 2000) == 0.0
+        w = optimal_transmit_beam(theta, psi, cfg)
+        assert simulate_ser(evaluate_snr(w, theta, psi, cfg), 2000) == 0.0
 
     def test_zero_beam_reports_random_guess(self, rng):
         cfg = SystemConfig(n_s=3, n_i=4, p=2.0, kappa_s=0.1, kappa_d=0.1, sigma_n2=0.1)
-        ch = random_channels(rng, 4, 3)
-        assert simulate_ser(evaluate_snr(np.zeros(3, complex), None, ch, cfg), 100) == 0.75
+        psi = build_composite(random_channels(rng, 4, 3))
+        assert simulate_ser(evaluate_snr(np.zeros(3, complex), None, psi, cfg), 100) == 0.75
 
     def test_moment_structure(self, rng):
         cfg = SystemConfig(n_s=4, n_i=5, p=2.0, kappa_s=0.08, kappa_d=0.12, sigma_n2=0.3)
-        ch = random_channels(rng, 5, 4)
+        psi = build_composite(random_channels(rng, 5, 4))
         from irsbf.model import ReflectConfig
 
         theta = ReflectConfig(rng.uniform(0, 2 * np.pi, 5))
-        w = optimal_transmit_beam(theta, ch, cfg)
-        x, z_s, z_d, y_tilde, _ = symbol_oracle(w, theta, ch, cfg, 200_000, np.random.default_rng(8))
-        v = composite_vector(theta, ch)
+        w = optimal_transmit_beam(theta, psi, cfg)
+        x, z_s, z_d, y_tilde, _ = symbol_oracle(w, theta, psi, cfg, 200_000, np.random.default_rng(8))
+        v = composite_vector(theta, psi)
         g = np.vdot(v, w)
         m2 = abs(g) ** 2 + cfg.kappa_s * np.sum(np.abs(v) ** 2 * np.abs(w) ** 2) + cfg.sigma_n2
         assert np.mean(np.abs(y_tilde) ** 2) == pytest.approx(m2, rel=0.02)
@@ -160,14 +160,14 @@ class TestSymbolSimulation:
 
     def test_ser_matches_gaussian_formula(self, rng):
         cfg = SystemConfig(n_s=4, n_i=6, p=2.0, kappa_s=0.05, kappa_d=0.05, sigma_n2=0.4)
-        ch = random_channels(rng, 6, 4)
+        psi = build_composite(random_channels(rng, 6, 4))
         from irsbf.model import ReflectConfig
 
         theta = ReflectConfig(rng.uniform(0, 2 * np.pi, 6))
-        w = optimal_transmit_beam(theta, ch, cfg)
+        w = optimal_transmit_beam(theta, psi, cfg)
         n = 200_000
-        ser = oracle_ser(w, theta, ch, cfg, n, np.random.default_rng(77))
-        expected = simulate_ser(evaluate_snr(w, theta, ch, cfg), n)
+        ser = oracle_ser(w, theta, psi, cfg, n, np.random.default_rng(77))
+        expected = simulate_ser(evaluate_snr(w, theta, psi, cfg), n)
         stderr = np.sqrt(expected * (1 - expected) / n)
         assert abs(ser - expected) < 3 * stderr
 
@@ -175,23 +175,25 @@ class TestSymbolSimulation:
 class TestSweep:
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
-            SweepSpec(variable=SweepVariable.N_I, values=())
+            SweepSpec(variable="n_i", values=())
         with pytest.raises(ConfigError):
-            SweepSpec(variable=SweepVariable.N_I, values=(4, 2))
+            SweepSpec(variable="n_i", values=(4, 2))
         with pytest.raises(ConfigError):
-            SweepSpec(variable=SweepVariable.N_I, values=(4,), n_channels=0)
+            SweepSpec(variable="n_i", values=(4,), n_channels=0)
+        with pytest.raises(ConfigError, match="unknown sweep variable 'frequency'"):
+            SweepSpec(variable="frequency", values=(4,))
 
     @pytest.mark.parametrize("bits", [0, -1, 1.5])
     def test_bits_must_be_a_positive_integer(self, bits):
         with pytest.raises(ConfigError, match="bits >= 1"):
-            SweepSpec(variable=SweepVariable.N_I, values=(4,), bits=bits)
+            SweepSpec(variable="n_i", values=(4,), bits=bits)
 
     def test_non_integer_surface_size_rejected_before_any_point_runs(self):
         cfg, geo = small_setup()
-        assert apply_sweep_value(SweepVariable.N_I, 6.0, cfg, geo)[0].n_i == 6
+        assert with_setting(cfg, geo, "n_i", 6.0)[0].n_i == 6
         with pytest.raises(ConfigError, match="n_i must be an integer, got 4.6"):
-            apply_sweep_value(SweepVariable.N_I, 4.6, cfg, geo)
-        spec = SweepSpec(variable=SweepVariable.N_I, values=(4, 4.5), n_channels=1, n_symbols=0)
+            with_setting(cfg, geo, "n_i", 4.6)
+        spec = SweepSpec(variable="n_i", values=(4, 4.5), n_channels=1, n_symbols=0)
         finished = []
         with pytest.raises(ConfigError, match="got 4.5"):
             run_sweep(spec, cfg, geo, on_point=finished.append)
@@ -200,7 +202,7 @@ class TestSweep:
     def test_deterministic_under_seed(self):
         cfg, geo = small_setup()
         spec = SweepSpec(
-            variable=SweepVariable.N_I, values=(4.0,), n_channels=3, n_symbols=200, seed=13,
+            variable="n_i", values=(4.0,), n_channels=3, n_symbols=200, seed=13,
             bound=False,
         )
         r1 = run_sweep(spec, cfg, geo)
@@ -210,7 +212,7 @@ class TestSweep:
     def test_snr_grows_with_surface_size(self):
         cfg, geo = small_setup()
         spec = SweepSpec(
-            variable=SweepVariable.N_I, values=(4.0, 24.0, 48.0), n_channels=20, n_symbols=0,
+            variable="n_i", values=(4.0, 24.0, 48.0), n_channels=20, n_symbols=0,
             seed=3, bound=False,
         )
         results = run_sweep(spec, cfg, geo)
@@ -222,7 +224,7 @@ class TestSweep:
     def test_destination_near_surface_is_best(self):
         cfg, geo = small_setup(n_i=32)
         spec = SweepSpec(
-            variable=SweepVariable.D_SD_H, values=(40.0, 50.0, 60.0), n_channels=20,
+            variable="d_sd_h", values=(40.0, 50.0, 60.0), n_channels=20,
             n_symbols=0, seed=5, bound=False,
         )
         results = run_sweep(spec, cfg, geo)
@@ -233,7 +235,7 @@ class TestSweep:
     def test_dominance_chain_with_bound(self):
         cfg, geo = small_setup(n_i=10)
         spec = SweepSpec(
-            variable=SweepVariable.N_I, values=(10.0,), n_channels=6, n_symbols=0, seed=21,
+            variable="n_i", values=(10.0,), n_channels=6, n_symbols=0, seed=21,
         )
         res = run_sweep(spec, cfg, geo)[0]
         assert res.stats[Scheme.UPPER_BOUND].mean_snr_db >= res.stats[Scheme.ROBUST_IRS].mean_snr_db - 1e-6
@@ -243,7 +245,7 @@ class TestSweep:
     def test_linear_domain_averaging(self):
         cfg, geo = small_setup(n_i=4)
         spec = SweepSpec(
-            variable=SweepVariable.N_I, values=(4.0,), n_channels=4, n_symbols=0, seed=9,
+            variable="n_i", values=(4.0,), n_channels=4, n_symbols=0, seed=9,
             bound=False,
         )
         res = run_sweep(spec, cfg, geo)[0]
@@ -251,8 +253,9 @@ class TestSweep:
         for r in range(4):
             rng = np.random.default_rng(child_seed(9, 0, r))
             ch = generate_channels(rng, cfg, geo)
+            psi = build_composite(ch)
             w = np.sqrt(cfg.p_tilde) * ch.h_sd / np.linalg.norm(ch.h_sd)
-            snrs.append(evaluate_snr(w, None, ch, cfg))
+            snrs.append(evaluate_snr(w, None, psi, cfg))
         assert res.stats[Scheme.NONROBUST_NO_IRS].mean_snr_db == pytest.approx(
             pow2db(float(np.mean(snrs))), abs=1e-9
         )
@@ -261,10 +264,10 @@ class TestSweep:
 class TestTrends:
     def test_no_irs_collapse_at_zero_elements(self):
         cfg, geo = small_setup(n_i=0)
-        ch = generate_channels(np.random.default_rng(17), cfg, geo)
+        psi = build_composite(generate_channels(np.random.default_rng(17), cfg, geo))
         snrs = {
-            scheme: evaluate_snr(d.w, d.theta, ch, cfg)
-            for scheme, d in design(ch, cfg, 17).items()
+            scheme: evaluate_snr(d.w, d.theta, psi, cfg)
+            for scheme, d in design(psi, cfg, 17).items()
         }
         assert snrs[Scheme.ROBUST_IRS] == pytest.approx(snrs[Scheme.ROBUST_NO_IRS], rel=1e-9)
         assert snrs[Scheme.NONROBUST_IRS] == pytest.approx(snrs[Scheme.NONROBUST_NO_IRS], rel=1e-9)
@@ -272,7 +275,7 @@ class TestTrends:
 
     def test_two_bit_phases_cost_little(self):
         cfg, geo = small_setup(n_i=32)
-        base = dict(variable=SweepVariable.N_I, values=(32.0,), n_channels=15, n_symbols=0,
+        base = dict(variable="n_i", values=(32.0,), n_channels=15, n_symbols=0,
                     seed=23, bound=False)
         cont = run_sweep(SweepSpec(**base), cfg, geo)[0]
         disc = run_sweep(SweepSpec(**base, bits=2), cfg, geo)[0]
@@ -283,7 +286,7 @@ class TestTrends:
     def test_ser_tracks_snr_across_power(self):
         cfg, geo = small_setup(n_i=16)
         spec = SweepSpec(
-            variable=SweepVariable.P_DBW, values=(0.0, 8.0), n_channels=25, n_symbols=1500,
+            variable="p_dbw", values=(0.0, 8.0), n_channels=25, n_symbols=1500,
             seed=29, bound=False,
         )
         low, high = run_sweep(spec, cfg, geo)
@@ -328,7 +331,7 @@ class TestSerOrdering:
 
 class TestFailureHandling:
     SPEC = SweepSpec(
-        variable=SweepVariable.N_I, values=(4.0,), n_channels=3, n_symbols=0, seed=1,
+        variable="n_i", values=(4.0,), n_channels=3, n_symbols=0, seed=1,
         bound=False,
     )
 
@@ -345,7 +348,7 @@ class TestFailureHandling:
         monkeypatch.setattr(sim_mod, "_realization_stats", flaky)
         cfg, geo = small_setup(n_i=4)
         spec = SweepSpec(
-            variable=SweepVariable.N_I, values=(4.0,), n_channels=3, n_symbols=0, seed=1,
+            variable="n_i", values=(4.0,), n_channels=3, n_symbols=0, seed=1,
             bound=False,
         )
 
@@ -394,7 +397,7 @@ class TestCompositeOncePerRealization:
         monkeypatch.setattr(sim_mod, "build_composite", counting)
         cfg, geo = small_setup(n_i=4)
         spec = SweepSpec(
-            variable=SweepVariable.N_I, values=(4.0, 6.0), n_channels=3, n_symbols=0, seed=3,
+            variable="n_i", values=(4.0, 6.0), n_channels=3, n_symbols=0, seed=3,
             bound=True,
         )
         results = run_sweep(spec, cfg, geo)
