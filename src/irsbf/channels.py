@@ -15,7 +15,8 @@ class Geometry:
 
     The destination sits ``d_sd_h`` meters along the source-to-IRS axis and
     ``d_v`` meters off it, so the two derived link distances follow from
-    right triangles.
+    right triangles; a zero one (the destination at the source or on the
+    surface) is rejected when the geometry is built.
     """
 
     d_si: float
@@ -36,6 +37,11 @@ class Geometry:
             raise ConfigError(f"d_sd_h must be non-negative, got {self.d_sd_h}")
         if not (self.d0 > 0.0):
             raise ConfigError(f"d0 must be positive, got {self.d0}")
+        d_sd, d_id = derive_distances(self)
+        if not (d_sd > 0.0):
+            raise ConfigError("destination coincides with the source (d_sd = 0)")
+        if not (d_id > 0.0):
+            raise ConfigError("destination coincides with the IRS (d_id = 0)")
 
 
 def derive_distances(geo: Geometry) -> tuple[float, float]:
@@ -69,10 +75,8 @@ def generate_channels(rng: np.random.Generator, cfg: SystemConfig, geo: Geometry
     reproducible realization.
     """
     d_sd, d_id = derive_distances(geo)
-    if d_id <= 0.0 and cfg.n_i > 0:
-        raise ConfigError("destination coincides with the IRS (d_id = 0)")
     g_si = path_loss_linear(geo.d_si, geo.gamma_si, geo)
-    g_id = path_loss_linear(d_id, geo.gamma_id, geo) if cfg.n_i > 0 else 0.0
+    g_id = path_loss_linear(d_id, geo.gamma_id, geo)
     g_sd = path_loss_linear(d_sd, geo.gamma_sd, geo)
     h_si = sample_rayleigh(rng, cfg.n_i, cfg.n_s, g_si)
     h_id = sample_rayleigh(rng, cfg.n_i, 1, g_id).ravel()

@@ -21,7 +21,7 @@ from dataclasses import astuple, fields
 
 import numpy as np
 
-from .channels import Geometry, generate_channels, sample_los, sample_rayleigh
+from .channels import Geometry, sample_los, sample_rayleigh
 from .los import solve_los
 from .mm import MMSettings, random_lifted_init, run_mm
 from .model import ChannelSet, ConfigError, SystemConfig, build_composite, lift_reflect
@@ -31,6 +31,7 @@ from .sim import (
     SimResult,
     SweepFailedError,
     SweepSpec,
+    _draw,
     child_seed,
     load_setup,
     pow2db,
@@ -84,7 +85,7 @@ def _add_sweep_args(parser: argparse.ArgumentParser, default_values: str) -> Non
     parser.add_argument("--bits", type=int, default=None, help="discrete phase bits, 1 to 52; omit for continuous")
     parser.add_argument("--values", default=default_values, help="comma-separated sweep values")
     parser.add_argument("--no-bound", action="store_true", help="skip the relaxation benchmark")
-    parser.add_argument("--epsilon", type=float, default=1e-5, help="optimizer convergence accuracy")
+    parser.add_argument("--epsilon", type=float, default=1e-5, help="optimizer convergence accuracy, positive and finite")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,6 +166,7 @@ def _run_sweep_command(args, cfg: SystemConfig, geo: Geometry) -> int:
         seed=args.seed,
         bits=args.bits,
         bound=not args.no_bound,
+        epsilon=args.epsilon,
     )
 
     def rows(res: SimResult) -> list:
@@ -175,14 +177,7 @@ def _run_sweep_command(args, cfg: SystemConfig, geo: Geometry) -> int:
         ]
 
     with _table(args, CSV_HEADER, "results") as add:
-        run_sweep(
-            spec,
-            cfg,
-            geo,
-            workers=args.workers,
-            mm_settings=MMSettings(epsilon=args.epsilon),
-            on_point=lambda res: add(rows(res)),
-        )
+        run_sweep(spec, cfg, geo, workers=args.workers, on_point=lambda res: add(rows(res)))
     return 0
 
 
@@ -237,10 +232,8 @@ def _run_bound_check(args, cfg: SystemConfig, geo: Geometry) -> int:
     violations = 0
     with _table(args, header) as add:
         for r in range(args.channels):
-            rng = np.random.default_rng(child_seed(args.seed, 0xB0, r))
-            ch = generate_channels(rng, cfg, geo)
-            psi = build_composite(ch)
-            res = run_mm(random_lifted_init(rng, cfg.n_i), psi, cfg, MMSettings())
+            psi, init = _draw(cfg, geo, child_seed(args.seed, 0xB0, r))
+            res = run_mm(init, psi, cfg, MMSettings())
             ub = solve_sdr(psi, cfg, init=lift_reflect(res.reflect))
             mm_pt = res.objectives[-1]
             mm_db = pow2db(snr_from_psi_tilde(mm_pt, cfg))

@@ -54,8 +54,8 @@ class MMSettings:
     accelerate: bool = True
 
     def __post_init__(self):
-        if not (self.epsilon > 0.0):
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not (0.0 < self.epsilon < math.inf):
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
 

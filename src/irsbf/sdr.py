@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mm import MMSettings, _ascend, _project_unit, lifted_objective
+from .mm import MMSettings, _ascend, _evaluate, _project_unit, _run_constants, lifted_objective
 from .model import SystemConfig, check_unit_modulus
-from .txbf import _row_power, psi_tilde_from_powers, snr_from_psi_tilde
+from .txbf import snr_from_psi_tilde
 
 # Relative inflation of the exactly computed lambda_max: covers the rounding
 # of the n_s x n_s matrix and of its eigenvalue, so t sum(y) stays a bound.
@@ -66,12 +66,6 @@ class UpperBoundResult:
         return self.bound_psi_tilde - self.primal_psi_tilde
 
 
-def _gradient_factor(q: np.ndarray, psi: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """B with B^H B the gradient of the relaxed objective where the received powers are ``q``."""
-    a, c = cfg.objective_coeffs
-    return (np.sqrt(c) / (a * q + c))[:, None] * psi
-
-
 def _dual_certificate(b: np.ndarray, m: np.ndarray, tol: float) -> np.ndarray:
     """y >= 0 with diag(y) - b^H b PSD, so that max_E <b^H b, X> <= sum(y).
 
@@ -105,15 +99,17 @@ def _dual_certificate(b: np.ndarray, m: np.ndarray, tol: float) -> np.ndarray:
     return best
 
 
-def _certify(v: np.ndarray, psi: np.ndarray, cfg: SystemConfig, tol: float):
+def _certify(v: np.ndarray, run, tol: float):
     """Relaxed objective f(X) at X = v v^H, the dual certificate y at X, and the bound.
 
-    The bound is f(X) + sum(y) - <G, X>, with G = b^H b the gradient at X.
+    ``run`` holds the optimizer's constants (``mm._run_constants``), and
+    f(X) and the weights xi = a q + c are its evaluation at ``v``.  The
+    bound is f(X) + sum(y) - <G, X>, with G = b^H b the gradient at X and
+    b = diag(sqrt(c) / xi) Psi.
     """
-    q = _row_power(psi @ v)
-    b = _gradient_factor(q, psi, cfg)
+    _, xi, primal = _evaluate(v, run)
+    b = (np.sqrt(run.c) / xi)[:, None] * run.m
     m = b @ v
-    primal = psi_tilde_from_powers(q, cfg)
     dual = _dual_certificate(b, m, tol)
     return primal, dual, primal + float(np.sum(dual)) - float(np.sum(np.abs(m) ** 2))
 
@@ -154,7 +150,7 @@ def solve_sdr(
     )
     if objectives[-1] < lifted_objective(tt, psi, cfg):
         v = tt[:, None]
-    primal, dual, bound = _certify(v, psi, cfg, tol)
+    primal, dual, bound = _certify(v, _run_constants(psi, cfg), tol)
     return UpperBoundResult(
         factor=v,
         dual=dual,

@@ -16,11 +16,12 @@ reports the four designed schemes, plus the relaxation bound when
 ``bound`` is set, always in the order of ``Scheme``.
 
 Determinism contract: sweeps and the iteration study run their
-realizations through one loop, ``_realizations``.  Every realization draws
-from its own generator whose seed is derived from the master seed, the
-point index and the realization index through a 64-bit mixing function.
-Workers therefore produce identical results regardless of how tasks are
-distributed, and the aggregation is an ordered reduction.
+realizations through one loop, ``_realizations``, and draw each one by
+``_draw`` from its own generator, whose seed is derived from the master
+seed, the point index and the realization index through a 64-bit mixing
+function.  Workers therefore produce identical results regardless of how
+tasks are distributed, and the aggregation is an ordered reduction.  A
+degenerate channel is the only failure a realization reports.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .mm import MMSettings, check_bits, quantize_phases, random_lifted_init, run
 from .model import (
     ConfigError,
     DegenerateChannelError,
-    ReflectConfig,
     SystemConfig,
     build_composite,
     lift_reflect,
@@ -189,6 +189,7 @@ class SweepSpec:
     seed: int = 0
     bits: int | None = None
     bound: bool = True
+    epsilon: float = 1e-5  # the optimizer's convergence accuracy, in (0, inf)
 
     def __post_init__(self):
         if self.variable not in SETTINGS:
@@ -205,6 +206,7 @@ class SweepSpec:
         if not (0 <= self.seed <= _MASK64):
             raise ConfigError("seed must fit in 64 unsigned bits")
         check_bits(self.bits)
+        MMSettings(epsilon=self.epsilon)
         object.__setattr__(self, "values", vals)
 
 
@@ -224,16 +226,6 @@ class SimResult:
     stats: dict
 
 
-@dataclass(frozen=True)
-class DesignResult:
-    """Beams produced by one scheme for one channel realization."""
-
-    w: np.ndarray
-    theta: ReflectConfig | None
-    iterations: int | None
-    converged: bool | None
-
-
 def _nonrobust_config(cfg: SystemConfig) -> SystemConfig:
     return replace(cfg, kappa_s=0.0, kappa_d=0.0)
 
@@ -244,10 +236,13 @@ def _design_all(
     settings: MMSettings,
     bits: int | None,
     init: np.ndarray,
+    bound: bool,
 ):
     """Design the four beam schemes on one realization from a shared init.
 
     ``psi`` is the realization's composite channel (``build_composite``).
+    Returns each scheme's (w, theta, iterations) in ``Scheme`` order, and
+    the relaxation bound (``UpperBoundResult``), or None without ``bound``.
 
     The robust scheme also scores the nonrobust phase profile under the
     true distortion levels and keeps the better one, which makes its SNR
@@ -255,10 +250,9 @@ def _design_all(
     Nonrobust beams keep the feasible norm sqrt(p_tilde): the hardware
     consumes the distortion overhead no matter what the designer assumed.
 
-    Also returns the profile the robust scheme kept, before quantization.
-    The relaxation bound is certified from any start, but its primal
-    ascent starts there: it is the best unit-modulus point at hand, better
-    than the robust MM phases whenever the robust scheme drops them.
+    The bound is certified from any start, but its ascent starts from the
+    profile the robust scheme kept, before quantization: the best
+    unit-modulus point at hand.
     """
     cfg0 = _nonrobust_config(cfg)
     res_r = run_mm(init, psi, cfg, settings)
@@ -276,12 +270,12 @@ def _design_all(
     w_rn = optimal_transmit_beam(None, psi, cfg)
     w_nn = optimal_beam_from_v(composite_vector(None, psi), cfg0) * budget_scale
     designs = {
-        Scheme.ROBUST_IRS: DesignResult(w_r, theta_star, res_r.iterations, res_r.converged),
-        Scheme.NONROBUST_IRS: DesignResult(w_n, theta_n, res_n.iterations, res_n.converged),
-        Scheme.ROBUST_NO_IRS: DesignResult(w_rn, None, None, None),
-        Scheme.NONROBUST_NO_IRS: DesignResult(w_nn, None, None, None),
+        Scheme.ROBUST_IRS: (w_r, theta_star, res_r.iterations),
+        Scheme.NONROBUST_IRS: (w_n, theta_n, res_n.iterations),
+        Scheme.ROBUST_NO_IRS: (w_rn, None, None),
+        Scheme.NONROBUST_NO_IRS: (w_nn, None, None),
     }
-    return designs, kept
+    return designs, solve_sdr(psi, cfg, init=lift_reflect(kept)) if bound else None
 
 
 def simulate_ser(snr: float, n_symbols: int) -> float:
@@ -300,32 +294,39 @@ def simulate_ser(snr: float, n_symbols: int) -> float:
     return 2.0 * q - q * q
 
 
+def _draw(cfg: SystemConfig, geo: Geometry, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """One realization's composite channel and MM init, from ``seed`` alone.
+
+    Every seeded output depends on this order: channels, then the init.
+    """
+    rng = np.random.default_rng(seed)
+    psi = build_composite(generate_channels(rng, cfg, geo))
+    return psi, random_lifted_init(rng, cfg.n_i)
+
+
 def _realization_stats(args) -> dict:
-    """Worker body: one channel realization at one sweep point.
+    """Worker body: draw, design and score one realization of one sweep point.
 
     Returns per-scheme (snr, ser, iterations) tuples keyed by scheme name
     in ``Scheme`` order, the bound's last and only with ``bound``; or
-    {'failed': msg}.  Everything it consumes is derived from ``seed``
-    alone, so placement on any worker gives identical output.
+    {'failed': msg} for a degenerate channel, the only failure a
+    realization may have: the point's configuration was checked when it
+    was built, so any other error is a fault and propagates.
     """
     (cfg, geo, settings, bits, n_symbols, bound, seed) = args
     try:
-        rng = np.random.default_rng(seed)
-        ch = generate_channels(rng, cfg, geo)
-        psi = build_composite(ch)
-        init = random_lifted_init(rng, cfg.n_i)
-        designs, kept = _design_all(psi, cfg, settings, bits, init)
-        out = {}
-        for scheme, d in designs.items():
-            snr = evaluate_snr(d.w, d.theta, psi, cfg)
-            ser = simulate_ser(snr, n_symbols) if n_symbols > 0 else None
-            out[scheme.value] = (snr, ser, d.iterations)
-        if bound:
-            ub = solve_sdr(psi, cfg, init=lift_reflect(kept))
-            out[Scheme.UPPER_BOUND.value] = (ub.bound_snr, None, None)
-        return out
-    except (DegenerateChannelError, ConfigError) as exc:
+        psi, init = _draw(cfg, geo, seed)
+        designs, ub = _design_all(psi, cfg, settings, bits, init, bound)
+    except DegenerateChannelError as exc:
         return {"failed": f"{type(exc).__name__}: {exc}"}
+    out = {}
+    for scheme, (w, theta, iterations) in designs.items():
+        snr = evaluate_snr(w, theta, psi, cfg)
+        ser = simulate_ser(snr, n_symbols) if n_symbols > 0 else None
+        out[scheme.value] = (snr, ser, iterations)
+    if ub is not None:
+        out[Scheme.UPPER_BOUND.value] = (ub.bound_snr, None, None)
+    return out
 
 
 def _realizations(task, points, n_channels: int, seed: int, salt: tuple, workers: int):
@@ -354,22 +355,21 @@ def run_sweep(
     base_cfg: SystemConfig,
     geo: Geometry,
     workers: int = 1,
-    mm_settings: MMSettings | None = None,
     on_point=None,
 ) -> list[SimResult]:
     """Run every scheme over the sweep grid and aggregate per point.
 
     SNR is averaged in the linear domain and converted to dB afterwards;
     SER is the mean over channels of each realization's exact conditional
-    SER, or None when ``spec.n_symbols`` is 0.  Realizations that fail
-    with a domain error (degenerate channel, bad configuration) are
-    skipped and counted in the log; if every realization of a point fails,
-    SweepFailedError names the first reason.  Any other exception
-    propagates.  Every point is instantiated before the first one runs,
-    so a bad value fails at once.  ``on_point`` is invoked with each
-    finished SimResult, letting callers persist partial output.
+    SER, or None when ``spec.n_symbols`` is 0.  Realizations with a
+    degenerate channel are skipped and counted in the log; if every
+    realization of a point fails, SweepFailedError names the first reason.
+    Any other exception propagates.  Every point, its geometry included,
+    is instantiated before the first one runs, so a bad value fails at
+    once.  ``on_point`` is invoked with each finished SimResult, letting
+    callers persist partial output.
     """
-    settings = mm_settings or MMSettings()
+    settings = MMSettings(epsilon=spec.epsilon)
     points = [
         (*with_setting(base_cfg, geo, spec.variable, value),
          settings, spec.bits, spec.n_symbols, spec.bound)
@@ -431,16 +431,12 @@ _STUDY_MAX_ITER = 20000
 
 
 def _study_task(args) -> tuple:
-    (cfg, geo, epsilon, seed) = args
-    rng = np.random.default_rng(seed)
-    ch = generate_channels(rng, cfg, geo)
-    psi = build_composite(ch)
-    init = random_lifted_init(rng, cfg.n_i)
+    (cfg, geo, plain_accel, seed) = args
+    psi, init = _draw(cfg, geo, seed)
     cfg0 = _nonrobust_config(cfg)
     counts = []
     for run_cfg in (cfg, cfg0):
-        for accel in (False, True):
-            st = MMSettings(epsilon=epsilon, max_iter=_STUDY_MAX_ITER, accelerate=accel)
+        for st in plain_accel:
             counts.append(run_mm(init, psi, run_cfg, st).iterations)
     return tuple(counts)
 
@@ -458,9 +454,11 @@ def run_iteration_study(
 
     Accelerated counts are outer cycles (two fixed-point maps each), the
     same bookkeeping used by ``run_mm``.  Surface sizes must be integers,
-    and at least one is needed; all are checked before the first one runs.
+    and at least one is needed; they and ``epsilon`` are checked before
+    the first realization runs.
     """
-    points = [(*with_setting(base_cfg, geo, "n_i", n_i), epsilon) for n_i in n_i_list]
+    plain_accel = [MMSettings(epsilon, _STUDY_MAX_ITER, accel) for accel in (False, True)]
+    points = [(*with_setting(base_cfg, geo, "n_i", n_i), plain_accel) for n_i in n_i_list]
     if not points:
         raise ConfigError("sweep needs at least one value")
     rows = []

@@ -249,10 +249,11 @@ def test_criterion_08_robust_dominance_and_kappa_gap_trend():
         for seed in range(30):
             psi = build_composite(generate_channels(np.random.default_rng(80_000 + seed), cfg, geo))
             init = random_lifted_init(np.random.default_rng(seed), cfg.n_i)
-            designs, _ = _design_all(psi, cfg, MMSettings(), None, init)
-            r, n = designs[Scheme.ROBUST_IRS], designs[Scheme.NONROBUST_IRS]
-            snr_r = evaluate_snr(r.w, r.theta, psi, cfg)
-            snr_n = evaluate_snr(n.w, n.theta, psi, cfg)
+            designs, _ = _design_all(psi, cfg, MMSettings(), None, init, False)
+            w_r, theta_r, _ = designs[Scheme.ROBUST_IRS]
+            w_n, theta_n, _ = designs[Scheme.NONROBUST_IRS]
+            snr_r = evaluate_snr(w_r, theta_r, psi, cfg)
+            snr_n = evaluate_snr(w_n, theta_n, psi, cfg)
             assert snr_r >= snr_n - 1e-9, f"violated at seed {seed}"
         spec = SweepSpec(
             variable="kappa", values=(0.02, 0.15), n_channels=100, n_symbols=0,

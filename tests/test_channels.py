@@ -54,12 +54,15 @@ class TestGeometry:
         assert d_sd == pytest.approx(np.sqrt(2405.0), rel=1e-14)
         assert d_id == pytest.approx(np.sqrt(5.0), rel=1e-14)
 
-    def test_collinear_degenerate(self):
-        d_sd, d_id = derive_distances(table_geometry(d_sd_h=50.0, d_v=0.0))
-        assert d_id == 0.0
-        cfg = SystemConfig(n_s=2, n_i=4, p=1.0, kappa_s=0.0, kappa_d=0.0, sigma_n2=0.1)
-        with pytest.raises(ConfigError):
-            generate_channels(np.random.default_rng(0), cfg, table_geometry(d_sd_h=50.0, d_v=0.0))
+    @pytest.mark.parametrize(
+        "d_sd_h, node", [(50.0, r"IRS \(d_id = 0\)"), (0.0, r"source \(d_sd = 0\)")]
+    )
+    def test_destination_on_a_node_rejected_when_built(self, d_sd_h, node):
+        # collinear with the source-to-IRS axis, at the surface or the source
+        with pytest.raises(ConfigError, match=f"destination coincides with the {node}"):
+            Geometry(d_si=50.0, d_v=0.0, d_sd_h=d_sd_h)
+        d_sd, d_id = derive_distances(table_geometry(d_sd_h=d_sd_h, d_v=1e-9))
+        assert min(d_sd, d_id) == pytest.approx(1e-9, rel=1e-12)
 
     def test_vertical_only(self):
         d_sd, _ = derive_distances(table_geometry(d_sd_h=0.0))

@@ -11,8 +11,9 @@ import pytest
 
 import irsbf
 import irsbf.cli as cli_mod
+import irsbf.sim as sim_mod
 from irsbf.cli import CSV_HEADER, _cell, main
-from irsbf.model import ConfigError
+from irsbf.model import ConfigError, DegenerateChannelError
 from irsbf.sim import Scheme, SweepSpec, db2pow, load_setup, run_sweep, table_defaults
 
 SETUP = Path(__file__).resolve().parent / "golden" / "setup.cfg"
@@ -110,19 +111,33 @@ class TestConfigFile:
         rc = main(["sweep-n", "--config", str(path), "--channels", "1"])
         assert rc != 0
 
-    def test_sweep_with_every_realization_failed_reports_error(self, tmp_path, capsys):
-        # the destination sits on the surface, so every channel draw is rejected
-        path = tmp_path / "on_surface.cfg"
-        path.write_text("d_v = 0\nd_sd_h = 50\n")
+    def test_sweep_with_every_realization_failed_reports_error(self, monkeypatch, capsys):
+        # every channel draw is degenerate
+        def degenerate(*args):
+            raise DegenerateChannelError("degenerate channel: injected")
+
+        monkeypatch.setattr(sim_mod, "_draw", degenerate)
         rc = main([
-            "sweep-n", "--config", str(path), "--values", "4", "--channels", "2",
-            "--symbols", "0", "--no-bound",
+            "sweep-n", "--values", "4", "--channels", "2", "--symbols", "0", "--no-bound",
         ])
         assert rc == 1
         errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
         assert len(errors) == 1
         assert "all 2 realizations failed at n_i=4" in errors[0]
-        assert "ConfigError: destination coincides with the IRS" in errors[0]
+        assert "DegenerateChannelError: degenerate channel: injected" in errors[0]
+
+    def test_destination_on_the_surface_fails_before_any_row(self, tmp_path, capsys):
+        # the second point puts the destination on the surface (d_v = 0, d_sd_h = d_si)
+        path = tmp_path / "collinear.cfg"
+        path.write_text("d_v = 0\n")
+        out = tmp_path / "rows.csv"
+        rc = main([
+            "sweep-distance", "--config", str(path), "--values", "45,50", "--channels", "1",
+            "--symbols", "0", "--no-bound", "--out", str(out),
+        ])
+        assert rc == 1
+        assert error_lines(capsys) == ["error: destination coincides with the IRS (d_id = 0)"]
+        assert out.read_text() == ",".join(CSV_HEADER) + "\n"
 
 
 class TestDeterminism:
@@ -266,7 +281,7 @@ class TestTable:
         [
             (["sweep-n", "--channels", "1", "--values", "4"], "run_sweep"),
             (["iteration-study", "--channels", "1", "--values", "4"], "run_iteration_study"),
-            (["bound-check", "--channels", "1"], "generate_channels"),
+            (["bound-check", "--channels", "1"], "_draw"),
         ],
     )
     def test_out_is_opened_before_any_computation(
@@ -454,6 +469,17 @@ class TestArgumentChecks:
                    "--no-bound", "--bits", "40"])
         assert rc == 0
         assert "robust_irs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("epsilon", ["inf", "0", "-1"])
+    def test_epsilon_must_be_positive_and_finite(self, epsilon, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        rc = main(["sweep-n", "--channels", "1", "--values", "4", "--symbols", "0",
+                   "--no-bound", "--epsilon", epsilon, "--out", str(out)])
+        assert rc == 1
+        assert error_lines(capsys) == [
+            f"error: epsilon must be positive and finite, got {float(epsilon)}"
+        ]
+        assert not out.exists()
 
     def test_iteration_study_needs_a_value(self, capsys):
         assert main(["iteration-study", "--channels", "1", "--values", ""]) == 1

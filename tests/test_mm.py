@@ -331,6 +331,12 @@ class TestRunMM:
         assert not res.converged
         assert res.iterations == 2
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-5, float("inf"), float("nan")])
+    def test_accuracy_must_be_positive_and_finite(self, epsilon):
+        # an infinite accuracy would stop every run after one iteration
+        with pytest.raises(ConfigError, match="epsilon must be positive and finite"):
+            MMSettings(epsilon=epsilon)
+
     def test_deterministic_ones_init(self, rng):
         cfg, psi = random_problem(rng, n_i=4)
         a = run_mm(np.ones(5, dtype=complex), psi, cfg, MMSettings())

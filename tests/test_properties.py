@@ -32,13 +32,13 @@ from irsbf.model import (
     build_composite,
     lift_reflect,
 )
-from irsbf.sdr import _gradient_factor, solve_sdr
+from irsbf.sdr import solve_sdr
 from irsbf.sim import child_seed, db2pow
 from irsbf.txbf import composite_vector, evaluate_snr, optimal_transmit_beam
 
 from conftest import complex_gaussian
 from test_mm import surrogate_value
-from test_sdr import _diag_quad
+from test_sdr import _diag_quad, _gradient_factor
 
 SIGMA_N2 = db2pow(-85.0)
 

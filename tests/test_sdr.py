@@ -3,7 +3,7 @@ import pytest
 
 from irsbf.mm import MMSettings, lifted_objective, random_lifted_init, run_mm
 from irsbf.model import SystemConfig, lift_reflect
-from irsbf.sdr import _gradient_factor, solve_sdr
+from irsbf.sdr import solve_sdr
 from irsbf.txbf import psi_tilde_from_powers, snr_from_psi_tilde
 
 from conftest import complex_gaussian
@@ -12,6 +12,12 @@ from conftest import complex_gaussian
 def _diag_quad(psi_m, x):
     """Real diagonal of psi_m @ x @ psi_m^H."""
     return np.real(np.einsum("mi,ij,mj->m", psi_m, x, psi_m.conj(), optimize=True))
+
+
+def _gradient_factor(q, psi, cfg):
+    """Oracle: B with B^H B the relaxed objective's gradient at received powers ``q``."""
+    a, c = cfg.objective_coeffs
+    return (np.sqrt(c) / (a * q + c))[:, None] * psi
 
 
 def relaxed_objective(theta_big, psi, cfg):

@@ -33,9 +33,9 @@ def small_setup(n_i=12):
 
 
 def design(psi, cfg, seed=0, bits=None):
-    """The four schemes' designs on ``psi`` from the MM init drawn by ``default_rng(seed)``."""
+    """Each scheme's (w, theta, iterations) on ``psi``, from the init of ``default_rng(seed)``."""
     init = random_lifted_init(np.random.default_rng(seed), psi.shape[1] - 1)
-    return _design_all(psi, cfg, MMSettings(), bits, init)[0]
+    return _design_all(psi, cfg, MMSettings(), bits, init, False)[0]
 
 
 QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
@@ -83,9 +83,10 @@ class TestDesignBeams:
         cfg0 = SystemConfig(n_s=4, n_i=12, p=cfg.p, kappa_s=0.0, kappa_d=0.0, sigma_n2=cfg.sigma_n2)
         psi = build_composite(generate_channels(np.random.default_rng(1), cfg0, geo))
         designs = design(psi, cfg0, 5)
-        robust, nonrobust = designs[Scheme.ROBUST_IRS], designs[Scheme.NONROBUST_IRS]
-        assert evaluate_snr(robust.w, robust.theta, psi, cfg0) == pytest.approx(
-            evaluate_snr(nonrobust.w, nonrobust.theta, psi, cfg0), rel=1e-9
+        w_r, theta_r, _ = designs[Scheme.ROBUST_IRS]
+        w_n, theta_n, _ = designs[Scheme.NONROBUST_IRS]
+        assert evaluate_snr(w_r, theta_r, psi, cfg0) == pytest.approx(
+            evaluate_snr(w_n, theta_n, psi, cfg0), rel=1e-9
         )
 
     def test_robust_dominates_nonrobust_per_realization(self):
@@ -93,34 +94,36 @@ class TestDesignBeams:
         for seed in range(15):
             psi = build_composite(generate_channels(np.random.default_rng(seed), cfg, geo))
             designs = design(psi, cfg, seed)
-            r, n = designs[Scheme.ROBUST_IRS], designs[Scheme.NONROBUST_IRS]
-            assert evaluate_snr(r.w, r.theta, psi, cfg) >= evaluate_snr(n.w, n.theta, psi, cfg) - 1e-9
+            w_r, theta_r, _ = designs[Scheme.ROBUST_IRS]
+            w_n, theta_n, _ = designs[Scheme.NONROBUST_IRS]
+            assert evaluate_snr(w_r, theta_r, psi, cfg) >= evaluate_snr(w_n, theta_n, psi, cfg) - 1e-9
 
     def test_no_irs_schemes(self):
         cfg, geo = small_setup()
         ch = generate_channels(np.random.default_rng(2), cfg, geo)
         psi = build_composite(ch)
         designs = design(psi, cfg)
-        robust, mf = designs[Scheme.ROBUST_NO_IRS], designs[Scheme.NONROBUST_NO_IRS]
-        assert robust.theta is None and mf.theta is None
-        np.testing.assert_allclose(np.linalg.norm(mf.w) ** 2, cfg.p_tilde, rtol=1e-12)
-        direction = mf.w / np.linalg.norm(mf.w)
+        w_r, theta_r, _ = designs[Scheme.ROBUST_NO_IRS]
+        w_mf, theta_mf, _ = designs[Scheme.NONROBUST_NO_IRS]
+        assert theta_r is None and theta_mf is None
+        np.testing.assert_allclose(np.linalg.norm(w_mf) ** 2, cfg.p_tilde, rtol=1e-12)
+        direction = w_mf / np.linalg.norm(w_mf)
         ref = ch.h_sd / np.linalg.norm(ch.h_sd)
         assert np.abs(np.vdot(direction, ref)) == pytest.approx(1.0, rel=1e-12)
-        assert evaluate_snr(robust.w, None, psi, cfg) >= evaluate_snr(mf.w, None, psi, cfg) - 1e-12
+        assert evaluate_snr(w_r, None, psi, cfg) >= evaluate_snr(w_mf, None, psi, cfg) - 1e-12
 
     def test_all_beams_respect_true_power_budget(self):
         cfg, geo = small_setup()
         psi = build_composite(generate_channels(np.random.default_rng(3), cfg, geo))
-        for d in design(psi, cfg, 3).values():
-            assert np.linalg.norm(d.w) ** 2 <= cfg.p_tilde * (1 + 1e-9)
+        for w, _, _ in design(psi, cfg, 3).values():
+            assert np.linalg.norm(w) ** 2 <= cfg.p_tilde * (1 + 1e-9)
 
     def test_discrete_mode_quantizes(self):
         cfg, geo = small_setup()
         psi = build_composite(generate_channels(np.random.default_rng(4), cfg, geo))
-        d = design(psi, cfg, 4, 2)[Scheme.ROBUST_IRS]
+        _, theta, _ = design(psi, cfg, 4, 2)[Scheme.ROBUST_IRS]
         levels = 2 * np.pi * np.arange(4) / 4
-        for phase in d.theta.phases:
+        for phase in theta.phases:
             assert min(abs(phase - lv) for lv in levels) < 1e-12
 
 
@@ -182,6 +185,8 @@ class TestSweep:
             SweepSpec(variable="n_i", values=(4,), n_channels=0)
         with pytest.raises(ConfigError, match="unknown sweep variable 'frequency'"):
             SweepSpec(variable="frequency", values=(4,))
+        with pytest.raises(ConfigError, match="epsilon must be positive and finite, got inf"):
+            SweepSpec(variable="n_i", values=(4,), epsilon=float("inf"))
 
     @pytest.mark.parametrize("bits", [0, -1, 1.5])
     def test_bits_must_be_a_positive_integer(self, bits):
@@ -266,8 +271,8 @@ class TestTrends:
         cfg, geo = small_setup(n_i=0)
         psi = build_composite(generate_channels(np.random.default_rng(17), cfg, geo))
         snrs = {
-            scheme: evaluate_snr(d.w, d.theta, psi, cfg)
-            for scheme, d in design(psi, cfg, 17).items()
+            scheme: evaluate_snr(w, theta, psi, cfg)
+            for scheme, (w, theta, _) in design(psi, cfg, 17).items()
         }
         assert snrs[Scheme.ROBUST_IRS] == pytest.approx(snrs[Scheme.ROBUST_NO_IRS], rel=1e-9)
         assert snrs[Scheme.NONROBUST_IRS] == pytest.approx(snrs[Scheme.NONROBUST_NO_IRS], rel=1e-9)
@@ -375,6 +380,17 @@ class TestFailureHandling:
         assert "skipped 1/3" in caplog.text
         assert "DegenerateChannelError: degenerate channel: injected" in caplog.text
 
+    def test_config_error_in_realization_propagates(self, monkeypatch):
+        # a realization's configuration was checked when its point was
+        # built, so a ConfigError inside one is a fault, not a failed draw
+        def misconfigured(*args):
+            raise ConfigError("injected")
+
+        monkeypatch.setattr(sim_mod, "generate_channels", misconfigured)
+        cfg, geo = small_setup(n_i=4)
+        with pytest.raises(ConfigError, match="injected"):
+            run_sweep(self.SPEC, cfg, geo)
+
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("injected")
@@ -415,6 +431,16 @@ class TestIterationStudy:
         cfg, geo = small_setup()
         with pytest.raises(ConfigError, match="n_i must be an integer, got 4.6"):
             run_iteration_study([4, 4.6], cfg, geo, seed=1, n_channels=1)
+
+    @pytest.mark.parametrize("epsilon", [-1.0, float("inf")])
+    def test_epsilon_checked_before_the_first_draw(self, epsilon, monkeypatch):
+        def drawn(*args):
+            raise AssertionError("a channel was drawn")
+
+        monkeypatch.setattr(sim_mod, "_draw", drawn)
+        cfg, geo = small_setup()
+        with pytest.raises(ConfigError, match="epsilon must be positive and finite"):
+            run_iteration_study([4], cfg, geo, seed=1, n_channels=1, epsilon=epsilon)
 
     def test_acceleration_and_robustness_ordering(self):
         cfg, geo = small_setup()
