@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from contextlib import contextmanager, nullcontext
@@ -88,7 +89,9 @@ def _add_sweep_args(parser: argparse.ArgumentParser, default_values: str) -> Non
     parser.add_argument("--epsilon", type=float, default=1e-5, help="optimizer convergence accuracy, positive and finite")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="irsbf",
         description="Beamforming sweeps and checks for the impaired IRS-assisted link",

@@ -5,21 +5,23 @@ objective with a tight linear-plus-constant surrogate built at the previous
 iterate; the surrogate's maximizer over the torus is the unit projection
 of its linear coefficient, which takes a single matrix-vector product.
 The quadratic coupling term is bounded by shifting with the dominant
-eigenvalue of a positive semidefinite coupling matrix, computed exactly by
-``eigvalsh`` on an n_s x n_s Gram matrix, so the objective never decreases
-from step to step.  Each iterate is evaluated once: the effective channel
-Psi tt, the per-antenna weights and the objective computed there serve the
-convergence test, the SQUAREM acceptance test and the next step alike, so
-a plain step costs two products with Psi.  With ``MMSettings.accelerate``
-each pass of the loop is a SQUAREM cycle (Varadhan & Roland, Scand. J.
-Stat. 2008) instead: two steps, a squared extrapolation, and backtracking
-that keeps the sequence monotone.  ``run_mm`` returns the objective of
-each iterate; the last is the objective at the returned reflection, and
-``txbf.snr_from_psi_tilde`` maps it to the SNR of the optimal beam, so no
-beam is built to score a design.  The channel argument ``psi`` of every
-function here is the plain n_s x (n_i + 1) composite array of
-``model.build_composite``; ``quantize_phases`` rounds a continuous
-solution to the 2**bits levels of a b-bit phase set.
+eigenvalue of a positive semidefinite coupling matrix, computed exactly on
+an n_s x n_s Gram matrix by ``_top_eigenvalue``, which calls the LAPACK
+gufunc behind ``np.linalg.eigvalsh`` directly, so the objective never
+decreases from step to step.  Each iterate is evaluated once: the
+effective channel Psi tt, the per-antenna weights and the objective
+computed there serve the convergence test, the SQUAREM acceptance test and
+the next step alike, so a plain step costs two products with Psi.  With
+``MMSettings.accelerate`` each pass of the loop is a SQUAREM cycle
+(Varadhan & Roland, Scand. J. Stat. 2008) instead: two steps, a squared
+extrapolation, and backtracking that keeps the sequence monotone.
+``run_mm`` returns the objective of each iterate; the last is the
+objective at the returned reflection, and ``txbf.snr_from_psi_tilde`` maps
+it to the SNR of the optimal beam, so no beam is built to score a design.
+The channel argument ``psi`` of every function here is the plain
+n_s x (n_i + 1) composite array of ``model.build_composite``;
+``quantize_phases`` rounds a continuous solution to the 2**bits levels of
+a b-bit phase set.
 
 The loop also ascends a Burer-Monteiro factor V of the relaxation
 X = V V^H (one unit-norm row per element), which ``sdr`` uses: the same
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .model import ConfigError, ReflectConfig, SystemConfig, check_unit_modulus, extract_reflect
 from .txbf import _row_power, psi_tilde_from_powers
@@ -69,19 +72,38 @@ def lifted_objective(theta_tilde: np.ndarray, psi: np.ndarray, cfg: SystemConfig
     return psi_tilde_from_powers(_row_power(psi @ (tt if tt.ndim == 2 else tt.ravel())), cfg)
 
 
+def _top_eigenvalue(h: np.ndarray) -> float:
+    """Largest eigenvalue of a nonempty Hermitian array, bit for bit as ``np.linalg.eigvalsh``.
+
+    It calls the LAPACK gufunc that ``eigvalsh`` wraps (lower triangle,
+    complex or double as ``eigvalsh`` picks them) without the wrapper's
+    per-call checks, which cost more than the eigensolve at n_s = 4.  A NaN
+    result raises ``LinAlgError``: a failed solve, on which ``eigvalsh``
+    raises the same (numpy's default error state also warns of it, which
+    ``eigvalsh`` suppresses), or a NaN that LAPACK passes through, which
+    ``eigvalsh`` would return.
+    """
+    signature = "D->d" if h.dtype.kind == "c" else "d->d"
+    top = float(_umath_linalg.eigvalsh_lo(h, signature=signature)[-1])
+    if math.isnan(top):
+        raise LinAlgError("Eigenvalues did not converge")
+    return top
+
+
 def lambda_max_power_iteration(omega: np.ndarray) -> float:
     """Largest eigenvalue of a Hermitian matrix, by an exact eigensolve.
 
-    Returns 0.0 for the empty matrix, and ``eigvalsh`` gives exactly 0.0
-    for the all-zero one.  This is no longer a power iteration: the name
-    stays only as the hook that the benchmark's tracer wraps for the
+    Returns 0.0 for the empty matrix; otherwise the eigenvalue comes from
+    the LAPACK gufunc through ``_top_eigenvalue``, exactly 0.0 for the
+    all-zero matrix.  This is no longer a power iteration: the name stays
+    only as the hook that the benchmark's tracer wraps for the
     ``mm.lambda_max`` span, and goes when the library owns its spans
     (ROADMAP item 2).
     """
     omega = np.asarray(omega)
     if omega.shape[0] == 0:
         return 0.0
-    return float(np.linalg.eigvalsh(omega)[-1])
+    return _top_eigenvalue(omega)
 
 
 class _Run(NamedTuple):
@@ -100,11 +122,6 @@ def _run_constants(psi: np.ndarray, cfg: SystemConfig) -> _Run:
     return _Run(psi, mh, psi @ mh, a, c)
 
 
-def _per_row(x: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """A per-row array shaped to broadcast against a vector or a factor."""
-    return x if like.ndim == 1 else x[:, None]
-
-
 def _evaluate(tt: np.ndarray, run: _Run):
     """The one evaluation of an iterate: (v, xi, obj).
 
@@ -114,9 +131,11 @@ def _evaluate(tt: np.ndarray, run: _Run):
     ``lifted_objective`` computes it.
     """
     v = run.m @ tt
-    q = _row_power(v)
+    q = np.abs(v) ** 2
+    if q.ndim == 2:
+        q = q.sum(axis=1)
     xi = run.a * q + run.c
-    return v, xi, float(np.sum(q / xi))
+    return v, xi, float((q / xi).sum())
 
 
 def _surrogate_coefficient(tt0: np.ndarray, v0: np.ndarray, xi: np.ndarray, run: _Run):
@@ -127,10 +146,13 @@ def _surrogate_coefficient(tt0: np.ndarray, v0: np.ndarray, xi: np.ndarray, run:
     of the coupling matrix Psi^H diag(d) Psi, and
     alpha = Psi^H (u - a d v0) + a lam tt0, one matrix-vector product.
     """
-    u = v0 / _per_row(xi, v0)
+    factor = v0.ndim == 2
+    u = v0 / (xi[:, None] if factor else xi)
     if run.a == 0.0:
         return run.mh @ u, np.zeros_like(xi), 0.0
-    d = _row_power(u)
+    d = np.abs(u) ** 2
+    if factor:
+        d = d.sum(axis=1)
     lam = 0.0
     if d.any():
         # lambda_max of m^H diag(d) m equals that of the small Gram
@@ -138,7 +160,8 @@ def _surrogate_coefficient(tt0: np.ndarray, v0: np.ndarray, xi: np.ndarray, run:
         sd = np.sqrt(d)
         lam = lambda_max_power_iteration(sd[:, None] * run.gram * sd[None, :])
         lam = max(lam, 0.0) * (1.0 + _LAMBDA_MARGIN)
-    alpha = run.mh @ (u - run.a * _per_row(d, v0) * v0) + (run.a * lam) * tt0
+    ad = run.a * (d[:, None] if factor else d)
+    alpha = run.mh @ (u - ad * v0) + (run.a * lam) * tt0
     return alpha, d, lam
 
 
@@ -209,16 +232,16 @@ def random_lifted_init(rng: np.random.Generator, n_i: int) -> np.ndarray:
     return _project_unit(z, 1.0 + 0.0j)
 
 
-def _ascend(tt, psi, cfg, settings):
+def _ascend(tt, run: _Run, settings: MMSettings):
     """The optimizer loop from ``tt``, a phase vector or a unit-row factor.
 
     Returns the last iterate, the objective after each iteration (the
     start first) and whether the relative change fell below
     ``settings.epsilon`` within ``settings.max_iter`` iterations.  Each
     iterate is evaluated once; that evaluation serves the convergence
-    test, the SQUAREM acceptance test and the next step.
+    test, the SQUAREM acceptance test and the next step.  ``run`` holds
+    the constants of the problem (``_run_constants``).
     """
-    run = _run_constants(psi, cfg)
     ev = _evaluate(tt, run)
     obj = ev[2]
     objectives = [obj]
@@ -254,7 +277,9 @@ def run_mm(
     the final lifted vector by dividing out the slack entry, which leaves
     the objective unchanged.
     """
-    tt, objectives, converged = _ascend(check_unit_modulus(init).copy(), psi, cfg, settings)
+    tt, objectives, converged = _ascend(
+        check_unit_modulus(init).copy(), _run_constants(psi, cfg), settings
+    )
     return MMResult(extract_reflect(tt), len(objectives) - 1, converged, tuple(objectives))
 
 

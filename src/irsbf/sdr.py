@@ -13,8 +13,10 @@ so its gradient is G = B^H B with B the n_s x (n_i+1) matrix
 diag(sqrt(c) / (a q + c)) Psi, and by concavity
 f* <= f(X) + max_E <G, X'> - <G, X>.  MaxCut-style weak duality bounds the
 maximum by t sum(y) for any y > 0, where t = lambda_max(B diag(1/y) B^H) is
-an n_s x n_s eigenproblem solved exactly.  The bound is therefore certified
-from any start and needs no eigendecomposition of an (n_i+1)-square matrix.
+an n_s x n_s eigenproblem solved exactly by the LAPACK gufunc behind
+``np.linalg.eigvalsh``, called directly through ``mm._top_eigenvalue``.
+The bound is therefore certified from any start and needs no
+eigendecomposition of an (n_i+1)-square matrix.
 X itself is never formed: q is the row power of Psi V, read from the factor.
 """
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mm import MMSettings, _ascend, _evaluate, _project_unit, _run_constants, lifted_objective
+from .mm import MMSettings, _ascend, _evaluate, _project_unit, _run_constants, _top_eigenvalue
 from .model import SystemConfig, check_unit_modulus
 from .txbf import snr_from_psi_tilde
 
@@ -81,20 +83,25 @@ def _dual_certificate(b: np.ndarray, m: np.ndarray, tol: float) -> np.ndarray:
     """
     norms = np.linalg.norm(b, axis=0)
     best = norms * np.sum(norms)
+    best_sum = best.sum()
     live = norms > 0.0
     b = b[:, live]
-    z = (1.0 - _DUAL_BLEND) * (m @ m.conj().T) + _DUAL_BLEND * (b @ b.conj().T)
+    bc = b.conj()
+    bh = bc.T
+    z = (1.0 - _DUAL_BLEND) * (m @ m.conj().T) + _DUAL_BLEND * (b @ bh)
     for _ in range(_DUAL_MAX_ITER):
-        u = np.sqrt(np.maximum(np.real(np.sum(b.conj() * (z @ b), axis=0)), 0.0))
-        if not np.all(u > 0.0):
+        u = np.sqrt(np.maximum((bc * (z @ b)).sum(axis=0).real, 0.0))
+        # not u.all(): a NaN in u must stop the ascent too
+        if not (u > 0.0).all():
             break
-        s = (b / u) @ b.conj().T
-        t = float(np.linalg.eigvalsh(s)[-1]) * (1.0 + _T_MARGIN)
-        if t * np.sum(u) < np.sum(best):
+        s = (b / u) @ bh
+        t = _top_eigenvalue(s) * (1.0 + _T_MARGIN)
+        if t * u.sum() < best_sum:
             best = np.zeros_like(norms)
             best[live] = t * u
+            best_sum = best.sum()
         z = s @ z @ s
-        if np.sum(best) - float(np.real(np.trace(z))) <= tol * np.sum(best):
+        if best_sum - float(z.trace().real) <= tol * best_sum:
             break
     return best
 
@@ -145,12 +152,13 @@ def solve_sdr(
     tt = np.ones(n, dtype=complex) if init is None else check_unit_modulus(init)
     if tt.shape != (n,):
         raise ValueError(f"init must have {n} entries, got {tt.shape[0]}")
+    run = _run_constants(psi, cfg)
     v, objectives, converged = _ascend(
-        _warm_factor(tt, min(n_s + 1, n)), psi, cfg, MMSettings(epsilon=tol, max_iter=max_iter)
+        _warm_factor(tt, min(n_s + 1, n)), run, MMSettings(epsilon=tol, max_iter=max_iter)
     )
-    if objectives[-1] < lifted_objective(tt, psi, cfg):
+    if objectives[-1] < _evaluate(tt, run)[2]:
         v = tt[:, None]
-    primal, dual, bound = _certify(v, _run_constants(psi, cfg), tol)
+    primal, dual, bound = _certify(v, run, tol)
     return UpperBoundResult(
         factor=v,
         dual=dual,

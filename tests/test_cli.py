@@ -12,7 +12,7 @@ import pytest
 import irsbf
 import irsbf.cli as cli_mod
 import irsbf.sim as sim_mod
-from irsbf.cli import CSV_HEADER, _cell, main
+from irsbf.cli import CSV_HEADER, _cell, build_parser, main
 from irsbf.model import ConfigError, DegenerateChannelError
 from irsbf.sim import Scheme, SweepSpec, db2pow, load_setup, run_sweep, table_defaults
 
@@ -190,6 +190,20 @@ class TestDeterminism:
         assert main([*args, "--workers", "1", "--out", str(out1)]) == 0
         assert main([*args, "--workers", "2", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path):
+        assert build_parser() is build_parser()
+        first, study, again = (tmp_path / f"{name}.csv" for name in ("first", "study", "again"))
+        # sweep-n takes --epsilon and --workers from their defaults, which the
+        # iteration study in between overrides
+        args = ["sweep-n", "--seed", "4", "--channels", "2", "--symbols", "40", "--values", "4,8"]
+        assert main([*args, "--out", str(first)]) == 0
+        assert main([
+            "iteration-study", "--seed", "9", "--channels", "2", "--values", "4",
+            "--epsilon", "1e-3", "--workers", "2", "--out", str(study),
+        ]) == 0
+        assert main([*args, "--out", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes()
 
     def test_symbol_count_does_not_change_csv(self, tmp_path):
         # the SER column is exact, so the nominal symbol count cannot move it

@@ -3,12 +3,14 @@ import pytest
 
 from irsbf.channels import sample_los
 from irsbf.mm import (
+    _LAMBDA_MARGIN,
     MMSettings,
     _evaluate,
     _project_unit,
     _run_constants,
     _step,
     _surrogate_coefficient,
+    _top_eigenvalue,
     lambda_max_power_iteration,
     lifted_objective,
     quantize_phases,
@@ -80,6 +82,33 @@ def random_factor(rng, n_i, rank):
     """A factor with unit-norm rows, one per lifted entry."""
     v = complex_gaussian(rng, n_i + 1, rank)
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _oracle_per_row(x, like):
+    return x if like.ndim == 1 else x[:, None]
+
+
+def evaluate_oracle(tt, run):
+    """Oracle: the two-pass evaluation, with the objective summed by ``np.sum``."""
+    v = run.m @ tt
+    q = _row_power(v)
+    xi = run.a * q + run.c
+    return v, xi, float(np.sum(q / xi))
+
+
+def surrogate_coefficient_oracle(tt0, v0, xi, run):
+    """Oracle: the surrogate coefficient with the eigenvalue from ``np.linalg.eigvalsh``."""
+    u = v0 / _oracle_per_row(xi, v0)
+    if run.a == 0.0:
+        return run.mh @ u, np.zeros_like(xi), 0.0
+    d = _row_power(u)
+    lam = 0.0
+    if d.any():
+        sd = np.sqrt(d)
+        lam = float(np.linalg.eigvalsh(sd[:, None] * run.gram * sd[None, :])[-1])
+        lam = max(lam, 0.0) * (1.0 + _LAMBDA_MARGIN)
+    alpha = run.mh @ (u - run.a * _oracle_per_row(d, v0) * v0) + (run.a * lam) * tt0
+    return alpha, d, lam
 
 
 class TestLiftedObjective:
@@ -235,6 +264,55 @@ class TestKernels:
     def test_random_init_is_unit_modulus(self, rng):
         z = random_lifted_init(rng, 30)
         np.testing.assert_allclose(np.abs(z), 1.0, atol=1e-15)
+
+
+class TestLeanKernelsMatchTheirOracles:
+    @pytest.mark.parametrize(
+        "n_i, n_s, overrides",
+        [(8, 4, {}), (50, 4, {}), (0, 1, {}), (8, 4, {"kappa_s": 0.0, "kappa_d": 0.0})],
+        ids=["n8", "n50", "n_s1-n_i0", "kappa0"],
+    )
+    def test_evaluation_and_coefficient_are_bitwise_the_oracles(self, rng, n_i, n_s, overrides):
+        cfg, psi = random_problem(rng, n_i=n_i, n_s=n_s, **overrides)
+        run = _run_constants(psi, cfg)
+        assert (run.a == 0.0) == ("kappa_s" in overrides)
+        for tt in (random_lifted_init(rng, n_i), random_factor(rng, n_i, min(n_s + 1, n_i + 1))):
+            # along a run of plain steps, so the iterates are the optimizer's own
+            for _ in range(5):
+                ev = _evaluate(tt, run)
+                for got, want in zip(ev, evaluate_oracle(tt, run)):
+                    np.testing.assert_array_equal(got, want)
+                assert type(ev[2]) is float
+                coefficient = _surrogate_coefficient(tt, ev[0], ev[1], run)
+                oracle = surrogate_coefficient_oracle(tt, ev[0], ev[1], run)
+                for got, want in zip(coefficient, oracle):
+                    np.testing.assert_array_equal(got, want)
+                tt = _step(tt, ev, run)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_top_eigenvalue_is_bitwise_eigvalsh(self, rng, n):
+        for _ in range(50):
+            b = complex_gaussian(rng, n, n)
+            r = rng.standard_normal((n, n))
+            for h in (b @ b.conj().T, b + b.conj().T, r @ r.T, r + r.T):
+                assert _top_eigenvalue(h) == np.linalg.eigvalsh(h)[-1]
+        assert _top_eigenvalue(np.zeros((n, n))) == 0.0
+
+    def test_top_eigenvalue_raises_on_a_nan_matrix(self):
+        # numpy's default error state warns of a failed solve before the raise
+        with np.errstate(invalid="ignore"):
+            full = np.full((3, 3), np.nan, dtype=complex)
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.eigvalsh(full)
+            with pytest.raises(np.linalg.LinAlgError):
+                _top_eigenvalue(full)
+            # a NaN that LAPACK passes through, which eigvalsh returns, raises too
+            partial = np.eye(3, dtype=complex)
+            partial[2, 1] = np.nan
+            assert np.isnan(np.linalg.eigvalsh(partial)[-1])
+            with pytest.raises(np.linalg.LinAlgError):
+                _top_eigenvalue(partial)
+        assert issubclass(np.linalg.LinAlgError, ValueError)
 
 
 class TestLambdaShift:

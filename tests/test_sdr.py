@@ -1,9 +1,23 @@
 import numpy as np
 import pytest
 
-from irsbf.mm import MMSettings, lifted_objective, random_lifted_init, run_mm
+from irsbf.mm import (
+    MMSettings,
+    _evaluate,
+    _run_constants,
+    lifted_objective,
+    random_lifted_init,
+    run_mm,
+)
 from irsbf.model import SystemConfig, lift_reflect
-from irsbf.sdr import solve_sdr
+from irsbf.sdr import (
+    _DUAL_BLEND,
+    _DUAL_MAX_ITER,
+    _T_MARGIN,
+    _dual_certificate,
+    _warm_factor,
+    solve_sdr,
+)
 from irsbf.txbf import psi_tilde_from_powers, snr_from_psi_tilde
 
 from conftest import complex_gaussian
@@ -18,6 +32,36 @@ def _gradient_factor(q, psi, cfg):
     """Oracle: B with B^H B the relaxed objective's gradient at received powers ``q``."""
     a, c = cfg.objective_coeffs
     return (np.sqrt(c) / (a * q + c))[:, None] * psi
+
+
+def dual_certificate_oracle(b, m, tol):
+    """Oracle: the dual ascent with every sum, conjugate and eigenvalue recomputed in the loop."""
+    norms = np.linalg.norm(b, axis=0)
+    best = norms * np.sum(norms)
+    live = norms > 0.0
+    b = b[:, live]
+    z = (1.0 - _DUAL_BLEND) * (m @ m.conj().T) + _DUAL_BLEND * (b @ b.conj().T)
+    for _ in range(_DUAL_MAX_ITER):
+        u = np.sqrt(np.maximum(np.real(np.sum(b.conj() * (z @ b), axis=0)), 0.0))
+        if not np.all(u > 0.0):
+            break
+        s = (b / u) @ b.conj().T
+        t = float(np.linalg.eigvalsh(s)[-1]) * (1.0 + _T_MARGIN)
+        if t * np.sum(u) < np.sum(best):
+            best = np.zeros_like(norms)
+            best[live] = t * u
+        z = s @ z @ s
+        if np.sum(best) - float(np.real(np.trace(z))) <= tol * np.sum(best):
+            break
+    return best
+
+
+def certificate_inputs(v, psi, cfg):
+    """(b, m) of the dual ascent at X = v v^H, built as ``sdr._certify`` builds them."""
+    run = _run_constants(psi, cfg)
+    xi = _evaluate(v, run)[1]
+    b = (np.sqrt(run.c) / xi)[:, None] * run.m
+    return b, b @ v
 
 
 def relaxed_objective(theta_big, psi, cfg):
@@ -104,6 +148,40 @@ class TestRelaxedObjective:
             minus = relaxed_objective(x - h * direction, psi, cfg)
             numeric = (plus - minus) / (2 * h)
             assert analytic == pytest.approx(numeric, abs=1e-5 * max(1.0, abs(numeric)))
+
+
+class TestDualCertificateMatchesItsOracle:
+    @pytest.mark.parametrize(
+        "n_i, n_s, overrides, dead",
+        [
+            (8, 4, {}, False),
+            (50, 4, {}, False),
+            (0, 1, {}, False),
+            (8, 4, {"kappa_s": 0.0, "kappa_d": 0.0}, False),
+            (8, 4, {}, True),
+        ],
+        ids=["n8", "n50", "n_s1-n_i0", "kappa0", "zero-column"],
+    )
+    def test_bitwise_the_oracle(self, rng, n_i, n_s, overrides, dead):
+        cfg, psi = small_problem(rng, n_i=n_i, n_s=n_s, **overrides)
+        if dead:
+            psi[:, 2] = 0.0
+        tt = random_lifted_init(rng, n_i)
+        for v in (tt[:, None], _warm_factor(tt, min(n_s + 1, n_i + 1))):
+            b, m = certificate_inputs(v, psi, cfg)
+            for tol in (1e-4, 1e-8, 0.0):
+                np.testing.assert_array_equal(
+                    _dual_certificate(b, m, tol), dual_certificate_oracle(b, m, tol)
+                )
+
+    def test_a_nan_in_m_stops_the_ascent_as_in_the_oracle(self, rng):
+        cfg, psi = small_problem(rng, n_i=6, n_s=3)
+        b, m = certificate_inputs(random_lifted_init(rng, 6)[:, None], psi, cfg)
+        m[1, 0] = np.nan
+        y = _dual_certificate(b, m, 1e-4)
+        np.testing.assert_array_equal(y, dual_certificate_oracle(b, m, 1e-4))
+        norms = np.linalg.norm(b, axis=0)
+        np.testing.assert_array_equal(y, norms * np.sum(norms))
 
 
 class TestSolveSdr:
