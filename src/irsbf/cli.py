@@ -25,13 +25,14 @@ import numpy as np
 from .channels import Geometry, sample_los, sample_rayleigh
 from .los import solve_los
 from .mm import MMSettings, random_lifted_init, run_mm
-from .model import ChannelSet, ConfigError, SystemConfig, build_composite, lift_reflect
-from .sdr import solve_sdr
+from .model import ChannelSet, ConfigError, SystemConfig, build_composite
 from .sim import (
     IterationStudyRow,
+    Scheme,
     SimResult,
     SweepFailedError,
     SweepSpec,
+    _design_all,
     _draw,
     child_seed,
     load_setup,
@@ -100,15 +101,22 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (variable, defaults) in _SWEEP_DEFAULTS.items():
         p = sub.add_parser(name, help=f"sweep {variable}")
         _add_sweep_args(p, defaults)
-    p = sub.add_parser("iteration-study", help="average iterations to convergence")
+    p = sub.add_parser(
+        "iteration-study",
+        help="average iterations to convergence from one shared random start",
+        description="Average iterations to convergence, robust and nonrobust, plain and"
+        " accelerated.  Both designs of a realization start from one shared random start,"
+        " so the robust counts differ from a sweep's mean_iterations, where the robust"
+        " design continues from the nonrobust one.",
+    )
     _add_common(p)
     p.add_argument("--values", default="4,18,32,46,60", help="surface sizes")
-    p.add_argument("--channels", type=int, default=100)
-    p.add_argument("--epsilon", type=float, default=1e-5)
+    p.add_argument("--channels", type=int, default=100, help="channel realizations per surface size")
+    p.add_argument("--epsilon", type=float, default=1e-5, help="optimizer convergence accuracy, positive and finite")
     p = sub.add_parser("los-demo", help="closed forms for the rank-one no-direct-link case")
     _add_common(p, workers=False, out=False)
     p.add_argument("--n-i", type=int, help="surface size (default: the operating point's n_i)")
-    p = sub.add_parser("bound-check", help="per-channel optimizer vs relaxation benchmark")
+    p = sub.add_parser("bound-check", help="per-channel robust design vs relaxation benchmark")
     _add_common(p, workers=False)
     p.add_argument("--channels", type=int, default=10)
     return parser
@@ -236,9 +244,8 @@ def _run_bound_check(args, cfg: SystemConfig, geo: Geometry) -> int:
     with _table(args, header) as add:
         for r in range(args.channels):
             psi, init = _draw(cfg, geo, child_seed(args.seed, 0xB0, r))
-            res = run_mm(init, psi, cfg, MMSettings())
-            ub = solve_sdr(psi, cfg, init=lift_reflect(res.reflect))
-            mm_pt = res.objectives[-1]
+            designs, ub = _design_all(psi, cfg, MMSettings(), None, init, True)
+            mm_pt = psi_tilde(designs[Scheme.ROBUST_IRS][1], psi, cfg)
             mm_db = pow2db(snr_from_psi_tilde(mm_pt, cfg))
             bound_db = pow2db(ub.bound_snr)
             gaps.append(bound_db - mm_db)

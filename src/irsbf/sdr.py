@@ -33,6 +33,10 @@ from .txbf import snr_from_psi_tilde
 # Relative inflation of the exactly computed lambda_max: covers the rounding
 # of the n_s x n_s matrix and of its eigenvalue, so t sum(y) stays a bound.
 _T_MARGIN = 1e-9
+# Relative inflation of the bound: sum(y) - <G, X> is nonnegative, but it is
+# exactly 0 without a surface (n_i = 0), where rounding can take it below 0,
+# and a design's objective is computed on another path (``txbf.psi_tilde``).
+_BOUND_MARGIN = 1e-12
 # Size of the fixed perturbation that moves the rank-one start, a critical
 # point of the factor ascent, into the extra columns.
 _PERTURBATION = 0.3
@@ -51,8 +55,8 @@ class UpperBoundResult:
     objective value; ``primal_psi_tilde`` is f at the feasible point
     X = factor factor^H, so ``gap`` is the certified distance of either
     from f*.  ``dual`` is the certificate: with G the gradient of f at X,
-    diag(dual) - G is positive semidefinite and
-    ``bound_psi_tilde`` = f(X) + sum(dual) - <G, X>.
+    diag(dual) - G is positive semidefinite and ``bound_psi_tilde`` is
+    f(X) + sum(dual) - <G, X>, inflated by a relative 1e-12 for rounding.
     """
 
     factor: np.ndarray
@@ -112,13 +116,14 @@ def _certify(v: np.ndarray, run, tol: float):
     ``run`` holds the optimizer's constants (``mm._run_constants``), and
     f(X) and the weights xi = a q + c are its evaluation at ``v``.  The
     bound is f(X) + sum(y) - <G, X>, with G = b^H b the gradient at X and
-    b = diag(sqrt(c) / xi) Psi.
+    b = diag(sqrt(c) / xi) Psi, times 1 + ``_BOUND_MARGIN``.
     """
     _, xi, primal = _evaluate(v, run)
     b = (np.sqrt(run.c) / xi)[:, None] * run.m
     m = b @ v
     dual = _dual_certificate(b, m, tol)
-    return primal, dual, primal + float(np.sum(dual)) - float(np.sum(np.abs(m) ** 2))
+    bound = primal + float(np.sum(dual)) - float(np.sum(np.abs(m) ** 2))
+    return primal, dual, bound * (1.0 + _BOUND_MARGIN)
 
 
 def _warm_factor(tt: np.ndarray, rank: int) -> np.ndarray:

@@ -13,7 +13,10 @@ A sweep takes the paper's three inputs as plain values: the channel
 statistics (configuration and geometry), the distortion levels, and the
 phase set as ``bits`` (None for continuous phases).  Every sweep point
 reports the four designed schemes, plus the relaxation bound when
-``bound`` is set, always in the order of ``Scheme``.
+``bound`` is set, always in the order of ``Scheme``.  A realization
+designs the nonrobust reflection from its random start and continues it
+to the robust one (``_design_all``); the iteration study runs both from
+the one random start, so that its iteration counts share a start.
 
 Determinism contract: sweeps and the iteration study run their
 realizations through one loop, ``_realizations``, and draw each one by
@@ -238,44 +241,48 @@ def _design_all(
     init: np.ndarray,
     bound: bool,
 ):
-    """Design the four beam schemes on one realization from a shared init.
+    """Design the four beam schemes on one realization.
 
     ``psi`` is the realization's composite channel (``build_composite``).
     Returns each scheme's (w, theta, iterations) in ``Scheme`` order, and
     the relaxation bound (``UpperBoundResult``), or None without ``bound``.
 
-    The robust scheme also scores the nonrobust phase profile under the
-    true distortion levels and keeps the better one, which makes its SNR
-    dominate the nonrobust scheme's per realization, not just on average.
-    Nonrobust beams keep the feasible norm sqrt(p_tilde): the hardware
-    consumes the distortion overhead no matter what the designer assumed.
+    The nonrobust design runs from ``init``.  The robust design is the
+    kappa = 0 problem continued to the true distortion levels: its run
+    starts at the nonrobust phase profile, so its iterations count only
+    the continuation.  MM never lowers the objective, so with continuous
+    phases the robust SNR dominates the nonrobust one per realization,
+    not just on average.  With ``bits`` the rounding can reorder the two,
+    so the robust scheme keeps the better of both quantized profiles under
+    the true distortion levels.  Nonrobust beams keep the feasible norm
+    sqrt(p_tilde): the hardware consumes the distortion overhead no matter
+    what the designer assumed.
 
     The bound is certified from any start, but its ascent starts from the
-    profile the robust scheme kept, before quantization: the best
-    unit-modulus point at hand.
+    robust run's profile, before quantization: the best unit-modulus point
+    at hand.
     """
     cfg0 = _nonrobust_config(cfg)
-    res_r = run_mm(init, psi, cfg, settings)
     res_n = run_mm(init, psi, cfg0, settings)
+    res_r = run_mm(lift_reflect(res_n.reflect), psi, cfg, settings)
     theta_r, theta_n = res_r.reflect, res_n.reflect
     if bits is not None:
         theta_r = quantize_phases(theta_r, bits)
         theta_n = quantize_phases(theta_n, bits)
-    theta_star, kept = theta_r, res_r.reflect
-    if psi_tilde(theta_n, psi, cfg) > psi_tilde(theta_r, psi, cfg):
-        theta_star, kept = theta_n, res_n.reflect
-    w_r = optimal_transmit_beam(theta_star, psi, cfg)
+        if psi_tilde(theta_n, psi, cfg) > psi_tilde(theta_r, psi, cfg):
+            theta_r = theta_n
+    w_r = optimal_transmit_beam(theta_r, psi, cfg)
     budget_scale = math.sqrt(cfg.p_tilde / cfg0.p_tilde)
     w_n = optimal_beam_from_v(composite_vector(theta_n, psi), cfg0) * budget_scale
     w_rn = optimal_transmit_beam(None, psi, cfg)
     w_nn = optimal_beam_from_v(composite_vector(None, psi), cfg0) * budget_scale
     designs = {
-        Scheme.ROBUST_IRS: (w_r, theta_star, res_r.iterations),
+        Scheme.ROBUST_IRS: (w_r, theta_r, res_r.iterations),
         Scheme.NONROBUST_IRS: (w_n, theta_n, res_n.iterations),
         Scheme.ROBUST_NO_IRS: (w_rn, None, None),
         Scheme.NONROBUST_NO_IRS: (w_nn, None, None),
     }
-    return designs, solve_sdr(psi, cfg, init=lift_reflect(kept)) if bound else None
+    return designs, solve_sdr(psi, cfg, init=lift_reflect(res_r.reflect)) if bound else None
 
 
 def simulate_ser(snr: float, n_symbols: int) -> float:
@@ -433,6 +440,8 @@ _STUDY_MAX_ITER = 20000
 def _study_task(args) -> tuple:
     (cfg, geo, plain_accel, seed) = args
     psi, init = _draw(cfg, geo, seed)
+    # every run starts at init, not continued as in _design_all: the study
+    # compares iteration counts from one start
     cfg0 = _nonrobust_config(cfg)
     counts = []
     for run_cfg in (cfg, cfg0):

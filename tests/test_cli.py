@@ -13,8 +13,19 @@ import irsbf
 import irsbf.cli as cli_mod
 import irsbf.sim as sim_mod
 from irsbf.cli import CSV_HEADER, _cell, build_parser, main
+from irsbf.mm import MMSettings
 from irsbf.model import ConfigError, DegenerateChannelError
-from irsbf.sim import Scheme, SweepSpec, db2pow, load_setup, run_sweep, table_defaults
+from irsbf.sim import (
+    Scheme,
+    SweepSpec,
+    _realization_stats,
+    child_seed,
+    db2pow,
+    load_setup,
+    pow2db,
+    run_sweep,
+    table_defaults,
+)
 
 SETUP = Path(__file__).resolve().parent / "golden" / "setup.cfg"
 
@@ -378,6 +389,23 @@ class TestSubcommands:
         assert max(float(r["certified_gap_db"]) for r in rows) == pytest.approx(
             payload["max_certified_gap_db"], rel=1e-9, abs=1e-12
         )
+
+    def test_bound_check_scores_the_sweeps_design(self, capsys, tmp_path):
+        # channel r is the realization a sweep draws from child_seed(seed, 0xB0, r),
+        # and its design and bound are the ones that sweep reports
+        out = tmp_path / "bound.csv"
+        assert main(["bound-check", "--seed", "6", "--channels", "3", "--out", str(out)]) == 0
+        cfg, geo = table_defaults()
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert len(rows) == 3
+        for r, row in enumerate(rows):
+            stats = _realization_stats(
+                (cfg, geo, MMSettings(), None, 0, True, child_seed(6, 0xB0, r))
+            )
+            for column, scheme in (("snr_mm_db", Scheme.ROBUST_IRS),
+                                   ("snr_bound_db", Scheme.UPPER_BOUND)):
+                reported = pow2db(stats[scheme.value][0])
+                assert float(row[column]) == pytest.approx(reported, rel=1e-9), (r, column)
 
     def test_usage_error_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:

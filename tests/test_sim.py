@@ -6,12 +6,14 @@ import pytest
 
 import irsbf.sim as sim_mod
 from irsbf.channels import Geometry, generate_channels
-from irsbf.mm import MMSettings, random_lifted_init
+from irsbf.mm import MMSettings, random_lifted_init, run_mm
 from irsbf.model import ConfigError, DegenerateChannelError, SystemConfig, build_composite
 from irsbf.sim import (
     Scheme,
     SweepSpec,
     _design_all,
+    _draw,
+    _nonrobust_config,
     _realization_stats,
     child_seed,
     pow2db,
@@ -21,9 +23,10 @@ from irsbf.sim import (
     table_defaults,
     with_setting,
 )
-from irsbf.txbf import composite_vector, evaluate_snr, optimal_transmit_beam
+from irsbf.txbf import composite_vector, evaluate_snr, optimal_transmit_beam, psi_tilde
 
 from conftest import random_channels
+from test_properties import EDGES, make_problem
 
 
 def small_setup(n_i=12):
@@ -125,6 +128,87 @@ class TestDesignBeams:
         levels = 2 * np.pi * np.arange(4) / 4
         for phase in theta.phases:
             assert min(abs(phase - lv) for lv in levels) < 1e-12
+
+
+@pytest.fixture
+def mm_runs(monkeypatch):
+    """The results of the simulator's ``run_mm`` calls, in call order."""
+    runs = []
+    original = sim_mod.run_mm
+
+    def recording(*args, **kwargs):
+        runs.append(original(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(sim_mod, "run_mm", recording)
+    return runs
+
+
+class TestContinuation:
+    """The robust design continues the nonrobust one from kappa = 0 to the true kappa."""
+
+    def test_robust_run_starts_at_the_nonrobust_design(self, mm_runs):
+        cfg, geo = table_defaults()
+        for r in range(5):
+            psi, init = _draw(cfg, geo, child_seed(2, r))
+            mm_runs.clear()
+            designs = _design_all(psi, cfg, MMSettings(), None, init, False)[0]
+            res_n, res_r = mm_runs
+            assert res_n.objectives == run_mm(init, psi, _nonrobust_config(cfg)).objectives
+            assert res_r.objectives[0] == pytest.approx(
+                psi_tilde(res_n.reflect, psi, cfg), rel=1e-12
+            )
+            assert designs[Scheme.ROBUST_IRS][1:] == (res_r.reflect, res_r.iterations)
+            assert designs[Scheme.NONROBUST_IRS][1:] == (res_n.reflect, res_n.iterations)
+
+    @pytest.mark.parametrize("bits", [None, 1, 2])
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_robust_dominates_nonrobust_at_the_edges(self, edge, bits, mm_runs):
+        # MM never lowers the objective, so the continued design dominates
+        # up to rounding (1 ulp seen at n_s = 1); with bits the robust
+        # scheme keeps the better quantized profile, which dominates too
+        cfg, psi, rng = make_problem(**edge)
+        for _ in range(5):
+            init = random_lifted_init(rng, cfg.n_i)
+            mm_runs.clear()
+            if not psi[:, -1].any():
+                # without a direct link there is no no-IRS beam and the
+                # realization fails; the continuation still dominates
+                with pytest.raises(DegenerateChannelError):
+                    _design_all(psi, cfg, MMSettings(), bits, init, False)
+                res_n, res_r = mm_runs
+                nonrobust = psi_tilde(res_n.reflect, psi, cfg)
+                assert res_r.objectives[-1] >= nonrobust * (1.0 - 1e-12)
+                continue
+            designs = _design_all(psi, cfg, MMSettings(), bits, init, False)[0]
+            robust, nonrobust = (
+                evaluate_snr(w, theta, psi, cfg)
+                for w, theta, _ in (designs[Scheme.ROBUST_IRS], designs[Scheme.NONROBUST_IRS])
+            )
+            assert robust >= nonrobust * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("bits", [1, 2])
+    def test_quantized_robust_scheme_keeps_the_better_profile(self, bits):
+        # at kappa 0.02 rounding reorders the two profiles' SNRs in 1 to 5
+        # of these 40 realizations per size and resolution, and keeping the
+        # better quantized profile restores dominance
+        cfg, geo = with_setting(*table_defaults(), "kappa", 0.02)
+        for n_i in (8, 16):
+            point = (replace(cfg, n_i=n_i), geo, MMSettings(), bits, 0, False)
+            for s in range(40):
+                out = _realization_stats((*point, child_seed(3, s)))
+                robust, nonrobust = out["robust_irs"][0], out["nonrobust_irs"][0]
+                assert robust >= nonrobust * (1.0 - 1e-12), (n_i, s)
+
+    def test_continuation_takes_fewer_robust_iterations_than_the_random_start(self):
+        cfg, geo = table_defaults()
+        continued, cold = [], []
+        for r in range(10):
+            psi, init = _draw(cfg, geo, child_seed(1, r))
+            designs = _design_all(psi, cfg, MMSettings(), None, init, False)[0]
+            continued.append(designs[Scheme.ROBUST_IRS][2])
+            cold.append(run_mm(init, psi, cfg, MMSettings()).iterations)
+        assert np.mean(continued) < np.mean(cold)
 
 
 class TestSymbolSimulation:
@@ -300,9 +384,20 @@ class TestTrends:
 
 
 class TestUpperBoundScheme:
+    @pytest.mark.parametrize("n_i", [0, 1, 2, 16])
+    def test_bound_dominates_every_design_per_realization(self, n_i):
+        # without a surface the bound's slack sum(y) - <G, X> is exactly 0,
+        # so only its rounding allowance keeps it above the designs
+        cfg, geo = table_defaults()
+        cfg = replace(cfg, n_i=n_i)
+        for s in range(60):
+            psi, init = _draw(cfg, geo, child_seed(13, n_i, s))
+            designs, ub = _design_all(psi, cfg, MMSettings(), None, init, True)
+            for scheme, (w, theta, _) in designs.items():
+                assert ub.bound_psi_tilde >= psi_tilde(theta, psi, cfg), (s, scheme)
+                assert ub.bound_snr >= evaluate_snr(w, theta, psi, cfg), (s, scheme)
+
     def test_bound_not_below_designed_schemes(self):
-        # here the robust scheme keeps the nonrobust phases, which beat its
-        # own MM solution; the bound must still dominate both designs
         cfg, geo = table_defaults()
         cfg = replace(cfg, n_i=16)
         seed = child_seed(7, 16, 25)
