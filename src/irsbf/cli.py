@@ -250,7 +250,7 @@ def _run_bound_check(args, cfg: SystemConfig, geo: Geometry) -> int:
             bound_db = pow2db(ub.bound_snr)
             gaps.append(bound_db - mm_db)
             certified_gaps.append(bound_db - pow2db(snr_from_psi_tilde(ub.primal_psi_tilde, cfg)))
-            violations += ub.bound_psi_tilde < mm_pt - 1e-6
+            violations += ub.bound_psi_tilde < mm_pt
             add([[r, mm_pt, ub.primal_psi_tilde, ub.bound_psi_tilde,
                   mm_db, bound_db, gaps[-1], certified_gaps[-1]]])
     summary = {

@@ -171,7 +171,12 @@ def _project_unit(vec: np.ndarray, fallback) -> np.ndarray:
     This is the surrogate's maximizer over the torus (over unit-norm rows
     for a factor) when ``vec`` is its linear coefficient.
     """
-    mags = np.abs(vec) if vec.ndim == 1 else np.linalg.norm(vec, axis=1, keepdims=True)
+    if vec.ndim == 1:
+        mags = np.abs(vec)
+    else:
+        # the body of np.linalg.norm(vec, axis=1, keepdims=True), bit for bit,
+        # without its per-call dispatch
+        mags = np.sqrt(np.add.reduce((vec.conj() * vec).real, axis=1, keepdims=True))
     if mags.all():
         return vec / mags
     return np.where(mags > 0.0, vec / np.where(mags > 0.0, mags, 1.0), fallback)

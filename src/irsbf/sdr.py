@@ -6,25 +6,33 @@ q_m = (Psi X Psi^H)_mm, over the elliptope E of Hermitian PSD matrices with
 unit diagonal.  Its maximum f* dominates every unit-modulus value.
 
 ``solve_sdr`` brackets f* from both sides.  The primal side is a
-Burer-Monteiro factor X = V V^H with unit-norm rows, ascended from the
-given phases by the optimizer loop of ``mm``; any such X is feasible, so
-f(X) <= f*.  The dual side holds at any X: f depends on X only through q,
-so its gradient is G = B^H B with B the n_s x (n_i+1) matrix
+Burer-Monteiro factor X = V V^H with unit-norm rows; any such X is
+feasible, so f(X) <= f*.  The dual side holds at any X: f depends on X only
+through q, so its gradient is G = B^H B with B the n_s x (n_i+1) matrix
 diag(sqrt(c) / (a q + c)) Psi, and by concavity
 f* <= f(X) + max_E <G, X'> - <G, X>.  MaxCut-style weak duality bounds the
 maximum by t sum(y) for any y > 0, where t = lambda_max(B diag(1/y) B^H) is
-an n_s x n_s eigenproblem solved exactly by the LAPACK gufunc behind
-``np.linalg.eigvalsh``, called directly through ``mm._top_eigenvalue``.
-The bound is therefore certified from any start and needs no
-eigendecomposition of an (n_i+1)-square matrix.
+an n_s x n_s eigenproblem solved exactly by LAPACK.  The bound is therefore
+certified from any start and needs no eigendecomposition of an
+(n_i+1)-square matrix.
+
+The given phases are certified first, by one dual map at X = tt tt^H, and
+returned at once when that certificate is within ``tol`` of f(X).
+Otherwise the eigenvectors of the same n_s x n_s matrix give the escape
+directions of the rank-one point (Boumal, Voroninski & Bandeira, NeurIPS
+2016), and the factor ascent, the optimizer loop of ``mm``, starts from
+the phases with those directions appended.  Its end point is certified by
+the dual ascent, a fixed-point map accelerated by SQUAREM.
 X itself is never formed: q is the row power of Psi V, read from the factor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .mm import MMSettings, _ascend, _evaluate, _project_unit, _run_constants, _top_eigenvalue
 from .model import SystemConfig, check_unit_modulus
@@ -37,14 +45,14 @@ _T_MARGIN = 1e-9
 # exactly 0 without a surface (n_i = 0), where rounding can take it below 0,
 # and a design's objective is computed on another path (``txbf.psi_tilde``).
 _BOUND_MARGIN = 1e-12
-# Size of the fixed perturbation that moves the rank-one start, a critical
-# point of the factor ascent, into the extra columns.
-_PERTURBATION = 0.3
-_PERTURBATION_SEED = 0x5D12
+# Step lengths tried along the escape directions that move the rank-one
+# start, a critical point of the factor ascent, into extra columns.
+_ESCAPE_STEPS = (0.5, 1.0, 2.0)
 # Weight of the identity mixed into the first dual iterate, which keeps it
 # positive definite on the range of B.
 _DUAL_BLEND = 0.3
-_DUAL_MAX_ITER = 60
+# Cap on the dual ascent's maps, each one n_s x n_s eigensolve.
+_DUAL_MAX_MAPS = 60
 
 
 @dataclass(frozen=True)
@@ -78,11 +86,17 @@ def _dual_certificate(b: np.ndarray, m: np.ndarray, tol: float) -> np.ndarray:
     Starts from the primal point x with b x b^H = m m^H, mixed with the
     identity, and runs the MaxCut ascent in its n_s-dimensional image
     z = b x b^H: with u_i = sqrt(b_i^H z b_i) and s = b diag(1/u) b^H, the
-    step z <- s z s is the image of the feasible point with rows
+    map z <- s z s is the image of the feasible point with rows
     b_i^H m / u_i.  Each u, scaled by t = lambda_max(s), is a certificate
-    t u; each z gives the feasible value trace(z).  The smallest
-    certificate is kept, and the loop stops once it is within ``tol``
-    (relative) of the feasible value.  The Cauchy-Schwarz certificate
+    t u, and each image gives the feasible value trace(z).  Both are
+    invariant to the scale of z, so the ascent runs on the trace-normalized
+    image and is extrapolated by SQUAREM (Varadhan & Roland, Scand. J.
+    Stat. 2008): two maps, a squared extrapolation, and a projection onto
+    the PSD cone, so that the extrapolated z is again the image of a
+    feasible point.  Any u > 0 is a certificate, so no step needs a
+    safeguard.  The smallest certificate is kept, and the loop stops once
+    it is within ``tol`` (relative) of the largest feasible value seen, or
+    after ``_DUAL_MAX_MAPS`` maps.  The Cauchy-Schwarz certificate
     |b_i| sum_j |b_j| is the fallback; zero columns get y_i = 0.
     """
     norms = np.linalg.norm(b, axis=0)
@@ -93,7 +107,10 @@ def _dual_certificate(b: np.ndarray, m: np.ndarray, tol: float) -> np.ndarray:
     bc = b.conj()
     bh = bc.T
     z = (1.0 - _DUAL_BLEND) * (m @ m.conj().T) + _DUAL_BLEND * (b @ bh)
-    for _ in range(_DUAL_MAX_ITER):
+    kept = None
+    feasible = 0.0
+    images = []
+    for _ in range(_DUAL_MAX_MAPS):
         u = np.sqrt(np.maximum((bc * (z @ b)).sum(axis=0).real, 0.0))
         # not u.all(): a NaN in u must stop the ascent too
         if not (u > 0.0).all():
@@ -101,39 +118,115 @@ def _dual_certificate(b: np.ndarray, m: np.ndarray, tol: float) -> np.ndarray:
         s = (b / u) @ bh
         t = _top_eigenvalue(s) * (1.0 + _T_MARGIN)
         if t * u.sum() < best_sum:
-            best = np.zeros_like(norms)
-            best[live] = t * u
-            best_sum = best.sum()
-        z = s @ z @ s
-        if best_sum - float(z.trace().real) <= tol * best_sum:
+            kept = t * u
+            best_sum = kept.sum()
+        image = s @ z @ s
+        trace = float(image.trace().real)
+        feasible = max(feasible, trace)
+        if best_sum - feasible <= tol * best_sum:
             break
+        images.append(z)
+        z = image / trace
+        if len(images) == 2:
+            z = _extrapolate(images[0], images[1], z)
+            images = []
+    if kept is not None:
+        best = np.zeros_like(norms)
+        best[live] = kept
     return best
 
 
-def _certify(v: np.ndarray, run, tol: float):
-    """Relaxed objective f(X) at X = v v^H, the dual certificate y at X, and the bound.
+def _extrapolate(z0: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """SQUAREM point through z0 and its two maps z1, z2, projected onto the PSD cone.
+
+    z1 and z2 have unit trace, and z0 is brought to it.  With r = z1 - z0
+    and v = z2 - 2 z1 + z0, the step length is -|r| / |v|, at least as long
+    as the plain double map (step -1).  The result has unit trace; a zero
+    ``v`` or a projection to zero keeps z2.
+    """
+    z0 = z0 / z0.trace().real
+    r = z1 - z0
+    v = z2 - z1 - r
+    vv = np.vdot(v, v).real
+    if vv == 0.0:
+        return z2
+    alpha = min(-math.sqrt(np.vdot(r, r).real / vv), -1.0)
+    w, q = _umath_linalg.eigh_lo(z0 - 2.0 * alpha * r + alpha**2 * v, signature="D->dD")
+    w = np.maximum(w, 0.0)
+    total = w.sum()
+    if not total > 0.0:
+        return z2
+    return (q * (w / total)) @ q.conj().T
+
+
+def _linearize(v: np.ndarray, run):
+    """f(X) at X = v v^H, and b = diag(sqrt(c) / xi) Psi with b^H b the gradient there.
 
     ``run`` holds the optimizer's constants (``mm._run_constants``), and
-    f(X) and the weights xi = a q + c are its evaluation at ``v``.  The
-    bound is f(X) + sum(y) - <G, X>, with G = b^H b the gradient at X and
-    b = diag(sqrt(c) / xi) Psi, times 1 + ``_BOUND_MARGIN``.
+    f(X) and the weights xi = a q + c are its evaluation at ``v``.
     """
     _, xi, primal = _evaluate(v, run)
-    b = (np.sqrt(run.c) / xi)[:, None] * run.m
+    return primal, (np.sqrt(run.c) / xi)[:, None] * run.m
+
+
+def _bound(primal: float, dual: np.ndarray, m: np.ndarray) -> float:
+    """f(X) + sum(y) - <G, X>, with <G, X> = |m|^2 for m = b v, times 1 + ``_BOUND_MARGIN``."""
+    return (primal + float(np.sum(dual)) - float(np.sum(np.abs(m) ** 2))) * (1.0 + _BOUND_MARGIN)
+
+
+def _certify(v: np.ndarray, run, tol: float):
+    """Relaxed objective f(X) at X = v v^H, the dual certificate y at X, and the bound."""
+    primal, b = _linearize(v, run)
     m = b @ v
     dual = _dual_certificate(b, m, tol)
-    bound = primal + float(np.sum(dual)) - float(np.sum(np.abs(m) ** 2))
-    return primal, dual, bound * (1.0 + _BOUND_MARGIN)
+    return primal, dual, _bound(primal, dual, m)
 
 
-def _warm_factor(tt: np.ndarray, rank: int) -> np.ndarray:
-    """Factor with first column ``tt`` and a fixed perturbation in the others, rows normalized."""
-    rng = np.random.default_rng(_PERTURBATION_SEED)
-    shape = (tt.shape[0], rank - 1)
-    extra = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    v = np.concatenate([tt[:, None], _PERTURBATION * extra], axis=1)
-    # every row holds a unit-modulus entry, so none falls back
-    return _project_unit(v, fallback=v)
+def _certify_phases(tt: np.ndarray, run):
+    """One dual map at X = tt tt^H: (f(X), y, bound, escape directions).
+
+    With m = b tt and u = |b^H m|, the eigenpairs (w_k, p_k) of
+    b diag(1/u) b^H hold the dual ascent's first map from the unblended
+    image m m^H: y = t u with t the inflated largest w_k, a certificate
+    when every u_i > 0 (else y and the bound are None).  The direction
+    x_k = diag(1/u) b^H p_k has x_k^H G x_k - sum_i u_i |x_k,i|^2 =
+    w_k (w_k - 1), and u_i >= Re(conj(tt_i) (G tt)_i), so appending it to
+    the factor raises <G, X> to second order in the step if w_k > 1.
+    Those directions are returned as columns, each weighted by
+    sqrt(w_k - 1).
+    """
+    primal, b = _linearize(tt, run)
+    m = b @ tt
+    bh = b.conj().T
+    u = np.abs(bh @ m)
+    live = u > 0.0
+    inv = np.divide(1.0, u, out=np.zeros_like(u), where=live)
+    w, p = np.linalg.eigh((b * inv) @ bh)
+    escape = w > 1.0
+    directions = (bh @ p[:, escape]) * (inv[:, None] * np.sqrt(w[escape] - 1.0))
+    if not live.all():
+        return primal, None, None, directions
+    dual = (w[-1] * (1.0 + _T_MARGIN)) * u
+    return primal, dual, _bound(primal, dual, m), directions
+
+
+def _escape_start(tt: np.ndarray, directions: np.ndarray, primal: float, run) -> np.ndarray:
+    """The factor ascent's start: ``tt`` with ``directions`` appended at the best step length.
+
+    Tries each step of ``_ESCAPE_STEPS``, rows normalized, and keeps the
+    start with the largest relaxed objective; ``tt`` alone, at objective
+    ``primal``, if none beats it.  The ascent never lowers its objective,
+    so the factor it returns is no worse than ``tt``.
+    """
+    best, start = primal, tt[:, None]
+    for step in _ESCAPE_STEPS:
+        v = np.concatenate([tt[:, None], step * directions], axis=1)
+        # every row holds a unit-modulus entry, so none falls back
+        v = _project_unit(v, fallback=v)
+        obj = _evaluate(v, run)[2]
+        if obj > best:
+            best, start = obj, v
+    return start
 
 
 def solve_sdr(
@@ -146,24 +239,29 @@ def solve_sdr(
     """Bracket the maximum of the relaxed objective over the elliptope.
 
     ``psi`` is the n_s x (n_i + 1) composite array and ``init`` a lifted
-    unit-modulus vector (all ones if omitted).  The factor ascent starts
-    there with rank min(n_s + 1, n_i + 1), which is enough for the optimum
-    (its rank is at most n_s), and stops when the relative change of one
-    accelerated cycle drops below ``tol`` or after ``max_iter`` cycles; the
-    better of its last iterate and the start is certified.  The dual
-    ascent shares ``tol``.
+    unit-modulus vector (all ones if omitted).  The phases are certified
+    first: if one dual map there leaves a certified gap of at most ``tol``
+    times the primal value, they are the result, with ``iterations`` 0 and
+    ``converged`` True.  Otherwise the factor ascent starts at the phases
+    with their escape directions appended (at most n_s columns more; the
+    optimum's rank is at most n_s), never below the phases' value, and its
+    last iterate is certified by the dual ascent, which shares ``tol``.
+    ``iterations`` then counts its accelerated cycles, at least 1, and
+    ``converged`` says whether the relative change of one cycle fell below
+    ``tol`` within ``max_iter`` cycles.
     """
-    n_s, n = psi.shape
-    tt = np.ones(n, dtype=complex) if init is None else check_unit_modulus(init)
-    if tt.shape != (n,):
-        raise ValueError(f"init must have {n} entries, got {tt.shape[0]}")
+    tt = np.ones(psi.shape[1], dtype=complex) if init is None else check_unit_modulus(init)
+    if tt.shape != (psi.shape[1],):
+        raise ValueError(f"init must have {psi.shape[1]} entries, got {tt.shape[0]}")
     run = _run_constants(psi, cfg)
-    v, objectives, converged = _ascend(
-        _warm_factor(tt, min(n_s + 1, n)), run, MMSettings(epsilon=tol, max_iter=max_iter)
-    )
-    if objectives[-1] < _evaluate(tt, run)[2]:
-        v = tt[:, None]
-    primal, dual, bound = _certify(v, run, tol)
+    primal, dual, bound, directions = _certify_phases(tt, run)
+    if dual is not None and bound - primal <= tol * primal:
+        v, converged, iterations = tt[:, None], True, 0
+    else:
+        start = _escape_start(tt, directions, primal, run)
+        v, objectives, converged = _ascend(start, run, MMSettings(epsilon=tol, max_iter=max_iter))
+        iterations = len(objectives) - 1
+        primal, dual, bound = _certify(v, run, tol)
     return UpperBoundResult(
         factor=v,
         dual=dual,
@@ -171,5 +269,5 @@ def solve_sdr(
         bound_psi_tilde=bound,
         bound_snr=snr_from_psi_tilde(bound, cfg),
         converged=converged,
-        iterations=len(objectives) - 1,
+        iterations=iterations,
     )

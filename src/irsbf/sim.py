@@ -32,7 +32,6 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, replace
 
@@ -263,6 +262,11 @@ def _design_all(
     at hand.
     """
     cfg0 = _nonrobust_config(cfg)
+    budget_scale = math.sqrt(cfg.p_tilde / cfg0.p_tilde)
+    # the no-IRS beams first: without a direct link they raise
+    # DegenerateChannelError, and then before any MM run
+    w_rn = optimal_transmit_beam(None, psi, cfg)
+    w_nn = optimal_beam_from_v(composite_vector(None, psi), cfg0) * budget_scale
     res_n = run_mm(init, psi, cfg0, settings)
     res_r = run_mm(lift_reflect(res_n.reflect), psi, cfg, settings)
     theta_r, theta_n = res_r.reflect, res_n.reflect
@@ -272,10 +276,7 @@ def _design_all(
         if psi_tilde(theta_n, psi, cfg) > psi_tilde(theta_r, psi, cfg):
             theta_r = theta_n
     w_r = optimal_transmit_beam(theta_r, psi, cfg)
-    budget_scale = math.sqrt(cfg.p_tilde / cfg0.p_tilde)
     w_n = optimal_beam_from_v(composite_vector(theta_n, psi), cfg0) * budget_scale
-    w_rn = optimal_transmit_beam(None, psi, cfg)
-    w_nn = optimal_beam_from_v(composite_vector(None, psi), cfg0) * budget_scale
     designs = {
         Scheme.ROBUST_IRS: (w_r, theta_r, res_r.iterations),
         Scheme.NONROBUST_IRS: (w_n, theta_n, res_n.iterations),
@@ -348,7 +349,13 @@ def _realizations(task, points, n_channels: int, seed: int, salt: tuple, workers
         raise ConfigError(f"n_channels must be >= 1, got {n_channels}")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    pool = None
+    if workers > 1:
+        # imported here: it loads multiprocessing, which one worker never needs
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
+    with pool or nullcontext():
         for i, point in enumerate(points):
             tasks = [(*point, child_seed(seed, *salt, i, r)) for r in range(n_channels)]
             if pool is None:

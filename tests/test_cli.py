@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from irsbf.sim import (
     run_sweep,
     table_defaults,
 )
+from irsbf.txbf import psi_tilde
 
 SETUP = Path(__file__).resolve().parent / "golden" / "setup.cfg"
 
@@ -374,6 +376,20 @@ class TestSubcommands:
         assert payload["dominance_violations"] == 0
         assert payload["mean_gap_db"] >= 0.0
 
+    def test_bound_check_counts_any_bound_below_the_design(self, capsys, monkeypatch):
+        # a bound 1e-9 relative below the design is a violation: no allowance
+        design_all = cli_mod._design_all
+
+        def below(psi, cfg, *args):
+            designs, ub = design_all(psi, cfg, *args)
+            design = psi_tilde(designs[Scheme.ROBUST_IRS][1], psi, cfg)
+            return designs, replace(ub, bound_psi_tilde=design * (1.0 - 1e-9))
+
+        monkeypatch.setattr(cli_mod, "_design_all", below)
+        rc = main(["bound-check", "--seed", "6", "--channels", "2", "--json"])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().out)["dominance_violations"] == 2
+
     def test_bound_check_reports_certified_gap(self, capsys, tmp_path):
         out = tmp_path / "bound.csv"
         rc = main(["bound-check", "--seed", "6", "--channels", "3", "--json", "--out", str(out)])
@@ -411,6 +427,18 @@ class TestSubcommands:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code != 0
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # only --workers above 1 needs concurrent.futures.process, which
+        # loads multiprocessing
+        src = str(Path(irsbf.__file__).resolve().parents[1])
+        code = "import sys, irsbf.cli; print('concurrent.futures.process' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=600,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_module_entry_point(self):
         proc = run_cli(["sweep-n", "--seed", "1", "--channels", "1", "--symbols", "0",

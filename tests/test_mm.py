@@ -246,6 +246,22 @@ class TestKernels:
             _project_unit(f, 0.0), f / np.linalg.norm(f, axis=1, keepdims=True), rtol=0, atol=1e-15
         )
 
+    def test_factor_projection_is_bitwise_the_norm_division(self, rng):
+        # the factor path inlines np.linalg.norm's body; it must round alike
+        for shape in ((51, 5), (7, 1), (1, 3), (200, 2)):
+            f = complex_gaussian(rng, *shape)
+            np.testing.assert_array_equal(
+                _project_unit(f, 0.0), f / np.linalg.norm(f, axis=1, keepdims=True)
+            )
+        f = complex_gaussian(rng, 6, 3)
+        f[4] = 0.0
+        out = _project_unit(f, f)
+        live = [0, 1, 2, 3, 5]
+        np.testing.assert_array_equal(
+            out[live], f[live] / np.linalg.norm(f[live], axis=1, keepdims=True)
+        )
+        np.testing.assert_array_equal(out[4], 0.0)
+
     def test_unit_projection_keeps_the_fallback_at_zeros(self, rng):
         z = complex_gaussian(rng, 6)
         z[[1, 4]] = 0.0

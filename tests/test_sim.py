@@ -7,7 +7,13 @@ import pytest
 import irsbf.sim as sim_mod
 from irsbf.channels import Geometry, generate_channels
 from irsbf.mm import MMSettings, random_lifted_init, run_mm
-from irsbf.model import ConfigError, DegenerateChannelError, SystemConfig, build_composite
+from irsbf.model import (
+    ConfigError,
+    DegenerateChannelError,
+    SystemConfig,
+    build_composite,
+    lift_reflect,
+)
 from irsbf.sim import (
     Scheme,
     SweepSpec,
@@ -172,11 +178,14 @@ class TestContinuation:
             init = random_lifted_init(rng, cfg.n_i)
             mm_runs.clear()
             if not psi[:, -1].any():
-                # without a direct link there is no no-IRS beam and the
-                # realization fails; the continuation still dominates
+                # without a direct link there is no no-IRS beam, and the
+                # realization fails before any MM run; the continuation,
+                # run here, still dominates
                 with pytest.raises(DegenerateChannelError):
                     _design_all(psi, cfg, MMSettings(), bits, init, False)
-                res_n, res_r = mm_runs
+                assert mm_runs == []
+                res_n = run_mm(init, psi, _nonrobust_config(cfg))
+                res_r = run_mm(lift_reflect(res_n.reflect), psi, cfg)
                 nonrobust = psi_tilde(res_n.reflect, psi, cfg)
                 assert res_r.objectives[-1] >= nonrobust * (1.0 - 1e-12)
                 continue
