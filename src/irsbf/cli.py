@@ -195,11 +195,10 @@ def _run_sweep_command(args, cfg: SystemConfig, geo: Geometry) -> int:
 def _run_iteration_study(args, cfg: SystemConfig, geo: Geometry) -> int:
     header = [f.name for f in fields(IterationStudyRow)]
     with _table(args, header, "iteration_study") as add:
-        rows = run_iteration_study(
+        run_iteration_study(
             _parse_values(args.values), cfg, geo, seed=args.seed, n_channels=args.channels,
-            epsilon=args.epsilon, workers=args.workers,
+            epsilon=args.epsilon, workers=args.workers, on_point=lambda row: add([astuple(row)]),
         )
-        add([astuple(r) for r in rows])
     return 0
 
 

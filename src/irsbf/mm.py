@@ -1,32 +1,39 @@
 """Reflect-beamforming optimizer over the lifted unit-modulus vector.
 
-``run_mm`` runs the one optimizer loop.  Each step minorizes the separable
-objective with a tight linear-plus-constant surrogate built at the previous
-iterate; the surrogate's maximizer over the torus is the unit projection
-of its linear coefficient, which takes a single matrix-vector product.
-The quadratic coupling term is bounded by shifting with the dominant
-eigenvalue of a positive semidefinite coupling matrix, computed exactly on
-an n_s x n_s Gram matrix by ``_top_eigenvalue``, which calls the LAPACK
-gufunc behind ``np.linalg.eigvalsh`` directly, so the objective never
-decreases from step to step.  Each iterate is evaluated once: the
-effective channel Psi tt, the per-antenna weights and the objective
-computed there serve the convergence test, the SQUAREM acceptance test and
-the next step alike, so a plain step costs two products with Psi.  With
-``MMSettings.accelerate`` each pass of the loop is a SQUAREM cycle
-(Varadhan & Roland, Scand. J. Stat. 2008) instead: two steps, a squared
-extrapolation, and backtracking that keeps the sequence monotone.
-``run_mm`` returns the objective of each iterate; the last is the
-objective at the returned reflection, and ``txbf.snr_from_psi_tilde`` maps
-it to the SNR of the optimal beam, so no beam is built to score a design.
-The channel argument ``psi`` of every function here is the plain
-n_s x (n_i + 1) composite array of ``model.build_composite``;
-``quantize_phases`` rounds a continuous solution to the 2**bits levels of
-a b-bit phase set.
+Each step minorizes the separable objective with a tight
+linear-plus-constant surrogate built at the previous iterate; the
+surrogate's maximizer over the torus is the unit projection of its linear
+coefficient, which takes a single matrix-vector product.  The quadratic
+coupling term is bounded by shifting with the dominant eigenvalue of a
+positive semidefinite coupling matrix, computed exactly on an n_s x n_s
+Gram matrix by ``_top_eigenvalue``, which calls the LAPACK gufunc behind
+``np.linalg.eigvalsh`` directly, so the objective never decreases from
+step to step.  Each iterate is evaluated once: the effective channel
+Psi tt, the per-antenna weights and the objective computed there serve the
+convergence test, the SQUAREM acceptance test and the next step alike, so
+a plain step costs two products with Psi.
 
-The loop also ascends a Burer-Monteiro factor V of the relaxation
-X = V V^H (one unit-norm row per element), which ``sdr`` uses: the same
-surrogate coefficient applies with the per-antenna power taken as a row
-norm, and the unit projection normalizes rows.
+Plain steps run in one loop, over rows (``_ascend_rows``).
+``run_plain_mm`` steps a stack of problems that share a configuration in
+lockstep, each operation running once over the stack, the R eigensolves
+in one gufunc call; a row leaves the stack when it converges.  No
+operation mixes rows, and each rounds row by row as it does on one
+problem, so a row's result does not depend on the stack.  ``run_mm`` runs
+one problem, with plain steps as the loop's one row, or with
+``MMSettings.accelerate`` as SQUAREM cycles (Varadhan & Roland, Scand. J.
+Stat. 2008; ``_ascend``): two steps, a squared extrapolation, and
+backtracking that keeps the sequence monotone.  Both return the objective
+of each iterate; the last is the objective at the returned reflection,
+and ``txbf.snr_from_psi_tilde`` maps it to the SNR of the optimal beam, so
+no beam is built to score a design.  The channel argument ``psi`` is the
+plain n_s x (n_i + 1) composite array of ``model.build_composite``, and a
+stack holds R of them; ``quantize_phases`` rounds a continuous solution to
+the 2**bits levels of a b-bit phase set.
+
+The accelerated loop also ascends a Burer-Monteiro factor V of the
+relaxation X = V V^H (one unit-norm row per element), which ``sdr`` uses:
+the same surrogate coefficient applies with the per-antenna power taken as
+a row norm, and the unit projection normalizes rows.
 """
 
 from __future__ import annotations
@@ -72,7 +79,7 @@ def lifted_objective(theta_tilde: np.ndarray, psi: np.ndarray, cfg: SystemConfig
     return psi_tilde_from_powers(_row_power(psi @ (tt if tt.ndim == 2 else tt.ravel())), cfg)
 
 
-def _top_eigenvalue(h: np.ndarray) -> float:
+def _top_eigenvalue(h: np.ndarray):
     """Largest eigenvalue of a nonempty Hermitian array, bit for bit as ``np.linalg.eigvalsh``.
 
     It calls the LAPACK gufunc that ``eigvalsh`` wraps (lower triangle,
@@ -81,17 +88,24 @@ def _top_eigenvalue(h: np.ndarray) -> float:
     result raises ``LinAlgError``: a failed solve, on which ``eigvalsh``
     raises the same (numpy's default error state also warns of it, which
     ``eigvalsh`` suppresses), or a NaN that LAPACK passes through, which
-    ``eigvalsh`` would return.
+    ``eigvalsh`` would return.  A stack of matrices (R, n, n) gives the
+    array of each one's largest eigenvalue, and a NaN in any raises.
     """
     signature = "D->d" if h.dtype.kind == "c" else "d->d"
-    top = float(_umath_linalg.eigvalsh_lo(h, signature=signature)[-1])
+    eigenvalues = _umath_linalg.eigvalsh_lo(h, signature=signature)
+    if h.ndim == 3:
+        top = eigenvalues[:, -1]
+        if np.isnan(top).any():
+            raise LinAlgError("Eigenvalues did not converge")
+        return top
+    top = float(eigenvalues[-1])
     if math.isnan(top):
         raise LinAlgError("Eigenvalues did not converge")
     return top
 
 
-def lambda_max_power_iteration(omega: np.ndarray) -> float:
-    """Largest eigenvalue of a Hermitian matrix, by an exact eigensolve.
+def lambda_max_power_iteration(omega: np.ndarray):
+    """Largest eigenvalue of a Hermitian matrix, or of each in a stack, by an exact eigensolve.
 
     Returns 0.0 for the empty matrix; otherwise the eigenvalue comes from
     the LAPACK gufunc through ``_top_eigenvalue``, exactly 0.0 for the
@@ -107,7 +121,11 @@ def lambda_max_power_iteration(omega: np.ndarray) -> float:
 
 
 class _Run(NamedTuple):
-    """Constants of one optimizer run: Psi, Psi^H, the Gram Psi Psi^H and (a, c)."""
+    """Constants of one optimizer run: Psi, Psi^H, the Gram Psi Psi^H and (a, c).
+
+    For a stack of runs that share (a, c), Psi, Psi^H and the Gram hold one
+    matrix per row: a 3-D ``m`` marks a stack.
+    """
 
     m: np.ndarray
     mh: np.ndarray
@@ -117,9 +135,15 @@ class _Run(NamedTuple):
 
 
 def _run_constants(psi: np.ndarray, cfg: SystemConfig) -> _Run:
-    mh = psi.conj().T
+    """The constants of a run on ``psi``, or of a stack of runs on ``psi`` (R, n_s, n_i + 1)."""
+    mh = np.swapaxes(psi.conj(), -1, -2)
     a, c = cfg.objective_coeffs
     return _Run(psi, mh, psi @ mh, a, c)
+
+
+def _times(mat: np.ndarray, x: np.ndarray, rows: bool) -> np.ndarray:
+    """``mat @ x``; with ``rows``, row r of the vector stack ``x`` times matrix r of ``mat``."""
+    return (mat @ x[:, :, None])[:, :, 0] if rows else mat @ x
 
 
 def _evaluate(tt: np.ndarray, run: _Run):
@@ -128,14 +152,18 @@ def _evaluate(tt: np.ndarray, run: _Run):
     ``v = Psi tt`` is the effective channel (one row per source antenna for
     a factor), ``xi = a |v|^2 + c`` the per-antenna weight, and ``obj`` the
     lifted objective sum |v|^2 / xi, computed exactly as
-    ``lifted_objective`` computes it.
+    ``lifted_objective`` computes it.  On a stack, ``tt`` holds one phase
+    vector per row, v and xi gain a leading row axis, and ``obj`` is the
+    array of the rows' objectives.
     """
-    v = run.m @ tt
+    rows = run.m.ndim == 3
+    v = _times(run.m, tt, rows)
     q = np.abs(v) ** 2
-    if q.ndim == 2:
+    if q.ndim == 2 and not rows:
         q = q.sum(axis=1)
     xi = run.a * q + run.c
-    return v, xi, float((q / xi).sum())
+    obj = (q / xi).sum(axis=-1)
+    return v, xi, obj if rows else float(obj)
 
 
 def _surrogate_coefficient(tt0: np.ndarray, v0: np.ndarray, xi: np.ndarray, run: _Run):
@@ -144,40 +172,54 @@ def _surrogate_coefficient(tt0: np.ndarray, v0: np.ndarray, xi: np.ndarray, run:
     With u = v0 / xi, ``d`` = |u|^2 per antenna is the diagonal of the
     coupling matrix factor, ``lam`` the margin-inflated dominant eigenvalue
     of the coupling matrix Psi^H diag(d) Psi, and
-    alpha = Psi^H (u - a d v0) + a lam tt0, one matrix-vector product.
+    alpha = Psi^H (u - a d v0) + a lam tt0, one matrix-vector product.  On a
+    stack each gains a leading row axis, and the rows' eigenvalues come
+    from one eigensolve of the stacked Grams.
     """
-    factor = v0.ndim == 2
+    rows = run.m.ndim == 3
+    factor = v0.ndim == 2 and not rows
     u = v0 / (xi[:, None] if factor else xi)
     if run.a == 0.0:
-        return run.mh @ u, np.zeros_like(xi), 0.0
+        return _times(run.mh, u, rows), np.zeros_like(xi), np.zeros(len(xi)) if rows else 0.0
     d = np.abs(u) ** 2
     if factor:
         d = d.sum(axis=1)
-    lam = 0.0
-    if d.any():
-        # lambda_max of m^H diag(d) m equals that of the small Gram
-        # sqrt(d) (m m^H) sqrt(d), the same for a phase vector and a factor.
-        sd = np.sqrt(d)
-        lam = lambda_max_power_iteration(sd[:, None] * run.gram * sd[None, :])
-        lam = max(lam, 0.0) * (1.0 + _LAMBDA_MARGIN)
+    # lambda_max of m^H diag(d) m equals that of the small Gram
+    # sqrt(d) (m m^H) sqrt(d), the same for a phase vector and a factor.
+    sd = np.sqrt(d)
+    if rows:
+        top = lambda_max_power_iteration(sd[:, :, None] * run.gram * sd[:, None, :])
+        # max(top, 0.0) per row, keeping -0.0 as Python's max does
+        lam = np.where(top < 0.0, 0.0, top) * (1.0 + _LAMBDA_MARGIN)
+        if np.count_nonzero(d) < d.size:
+            # a row with d = 0 takes 0, as a single run does without an eigensolve
+            lam[~d.any(axis=1)] = 0.0
+        shift = (run.a * lam)[:, None]
+    else:
+        lam = 0.0
+        if np.count_nonzero(d):
+            lam = lambda_max_power_iteration(sd[:, None] * run.gram * sd[None, :])
+            lam = max(lam, 0.0) * (1.0 + _LAMBDA_MARGIN)
+        shift = run.a * lam
     ad = run.a * (d[:, None] if factor else d)
-    alpha = run.mh @ (u - ad * v0) + (run.a * lam) * tt0
+    alpha = _times(run.mh, u - ad * v0, rows) + shift * tt0
     return alpha, d, lam
 
 
-def _project_unit(vec: np.ndarray, fallback) -> np.ndarray:
+def _project_unit(vec: np.ndarray, fallback, rows: bool = False) -> np.ndarray:
     """Scale each entry (each row of a factor) to unit modulus; zeros take ``fallback``.
 
     This is the surrogate's maximizer over the torus (over unit-norm rows
-    for a factor) when ``vec`` is its linear coefficient.
+    for a factor) when ``vec`` is its linear coefficient.  With ``rows``,
+    ``vec`` is a stack of phase vectors, scaled entry by entry.
     """
-    if vec.ndim == 1:
+    if vec.ndim == 1 or rows:
         mags = np.abs(vec)
     else:
         # the body of np.linalg.norm(vec, axis=1, keepdims=True), bit for bit,
         # without its per-call dispatch
         mags = np.sqrt(np.add.reduce((vec.conj() * vec).real, axis=1, keepdims=True))
-    if mags.all():
+    if np.count_nonzero(mags) == mags.size:
         return vec / mags
     return np.where(mags > 0.0, vec / np.where(mags > 0.0, mags, 1.0), fallback)
 
@@ -185,9 +227,10 @@ def _project_unit(vec: np.ndarray, fallback) -> np.ndarray:
 def _step(tt0: np.ndarray, ev, run: _Run) -> np.ndarray:
     """One minorize-maximize step from ``tt0``, whose evaluation is ``ev``.
 
-    Zero coefficients keep the old entry.
+    On a stack it steps each row.  Zero coefficients keep the old entry.
     """
-    return _project_unit(_surrogate_coefficient(tt0, ev[0], ev[1], run)[0], tt0)
+    alpha = _surrogate_coefficient(tt0, ev[0], ev[1], run)[0]
+    return _project_unit(alpha, tt0, run.m.ndim == 3)
 
 
 def _squarem_cycle(tt, ev, run):
@@ -238,25 +281,22 @@ def random_lifted_init(rng: np.random.Generator, n_i: int) -> np.ndarray:
 
 
 def _ascend(tt, run: _Run, settings: MMSettings):
-    """The optimizer loop from ``tt``, a phase vector or a unit-row factor.
+    """The accelerated optimizer loop from ``tt``, a phase vector or a unit-row factor.
 
-    Returns the last iterate, the objective after each iteration (the
-    start first) and whether the relative change fell below
-    ``settings.epsilon`` within ``settings.max_iter`` iterations.  Each
-    iterate is evaluated once; that evaluation serves the convergence
-    test, the SQUAREM acceptance test and the next step.  ``run`` holds
-    the constants of the problem (``_run_constants``).
+    Each pass is a SQUAREM cycle, whatever ``settings.accelerate`` says.
+    Returns the last iterate, the objective after each cycle (the start
+    first) and whether the relative change fell below ``settings.epsilon``
+    within ``settings.max_iter`` cycles.  Each iterate is evaluated once;
+    that evaluation serves the convergence test, the SQUAREM acceptance
+    test and the next step.  ``run`` holds the constants of the problem
+    (``_run_constants``).
     """
     ev = _evaluate(tt, run)
     obj = ev[2]
     objectives = [obj]
     converged = False
     for _ in range(settings.max_iter):
-        if settings.accelerate:
-            tt, ev = _squarem_cycle(tt, ev, run)
-        else:
-            tt = _step(tt, ev, run)
-            ev = _evaluate(tt, run)
+        tt, ev = _squarem_cycle(tt, ev, run)
         obj_new = ev[2]
         objectives.append(obj_new)
         delta = abs(obj_new - obj) / max(1.0, abs(obj))
@@ -265,6 +305,99 @@ def _ascend(tt, run: _Run, settings: MMSettings):
             converged = True
             break
     return tt, objectives, converged
+
+
+def _keep_rows(tt: np.ndarray, ev, run: _Run, keep: list):
+    """The loop state (iterate, evaluation, constants) of rows ``keep`` of a stack.
+
+    A single row leaves the stack for the layout of a single run, whose
+    arithmetic is the same with less dispatch.
+    """
+    if len(keep) == 1:
+        (k,) = keep
+        return (
+            tt[k],
+            (ev[0][k], ev[1][k], float(ev[2][k])),
+            _Run(run.m[k], run.mh[k], run.gram[k], run.a, run.c),
+        )
+    m = run.m[keep]
+    return (
+        tt[keep],
+        tuple(x[keep] for x in ev),
+        _Run(m, np.swapaxes(m.conj(), 1, 2), run.gram[keep], run.a, run.c),
+    )
+
+
+def _ascend_rows(tt: np.ndarray, run: _Run, settings: MMSettings):
+    """The plain optimizer loop, on one phase vector or on the rows of a stack.
+
+    Row r of ``tt`` runs on row r of ``run``, and the rows step in
+    lockstep, each operation running once over the stack.  A row leaves
+    the stack when its relative change falls below ``settings.epsilon``,
+    and the last one left runs on as a single run.  Returns per row what
+    ``_ascend`` returns for one run: the last iterate, the objective after
+    each step (the start first) and whether the row converged within
+    ``settings.max_iter`` steps.  No operation mixes rows, so a row's
+    result does not depend on the others in the stack.
+    """
+    stacked = run.m.ndim == 3
+    live = list(range(len(tt) if stacked else 1))
+    last, converged = [None] * len(live), [False] * len(live)
+    ev = _evaluate(tt, run)
+    objectives = [[obj] for obj in (ev[2].tolist() if stacked else [ev[2]])]
+    if stacked and len(live) == 1:
+        tt, ev, run = _keep_rows(tt, ev, run, [0])
+        stacked = False
+    for _ in range(settings.max_iter):
+        tt = _step(tt, ev, run)
+        ev = _evaluate(tt, run)
+        done = []
+        for k, (r, obj_new) in enumerate(zip(live, ev[2].tolist() if stacked else [ev[2]])):
+            obj = objectives[r][-1]
+            objectives[r].append(obj_new)
+            if abs(obj_new - obj) / max(1.0, abs(obj)) < settings.epsilon:
+                done.append(k)
+        if done:
+            for k in done:
+                last[live[k]] = tt[k] if stacked else tt
+                converged[live[k]] = True
+            keep = [k for k in range(len(live)) if k not in done]
+            live = [live[k] for k in keep]
+            if not live:
+                break
+            tt, ev, run = _keep_rows(tt, ev, run, keep)
+            stacked = len(keep) > 1
+    for k, r in enumerate(live):
+        last[r] = tt[k] if stacked else tt
+    return last, objectives, converged
+
+
+def run_plain_mm(
+    inits: np.ndarray,
+    psis: np.ndarray,
+    cfg: SystemConfig,
+    settings: MMSettings,
+) -> list:
+    """Plain MM on a stack of problems in lockstep, one ``MMResult`` per row.
+
+    Row r starts at ``inits[r]`` (R x (n_i + 1)) on the composite
+    ``psis[r]`` (R x n_s x (n_i + 1)); every row shares ``cfg``.  A row
+    stops as ``run_mm`` does, and its result is bit for bit what
+    ``run_mm`` returns for it with plain steps.  ``settings.accelerate``
+    must be False.
+    """
+    if settings.accelerate:
+        raise ValueError("run_plain_mm runs plain steps; settings.accelerate must be False")
+    inits = np.asarray(inits)
+    tt = check_unit_modulus(inits).reshape(inits.shape).copy()
+    return _results(*_ascend_rows(tt, _run_constants(psis, cfg), settings))
+
+
+def _results(last, objectives, converged) -> list:
+    return [
+        MMResult(extract_reflect(t), len(o) - 1, c, tuple(o))
+        for t, o, c in zip(last, objectives, converged)
+    ]
 
 
 def run_mm(
@@ -280,11 +413,14 @@ def run_mm(
     ``settings.epsilon``, or flags non-convergence after
     ``settings.max_iter`` iterations.  The reflection matrix is read off
     the final lifted vector by dividing out the slack entry, which leaves
-    the objective unchanged.
+    the objective unchanged.  Plain steps run in the loop of
+    ``run_plain_mm``, as its one row.
     """
-    tt, objectives, converged = _ascend(
-        check_unit_modulus(init).copy(), _run_constants(psi, cfg), settings
-    )
+    tt = check_unit_modulus(init).copy()
+    run = _run_constants(psi, cfg)
+    if not settings.accelerate:
+        return _results(*_ascend_rows(tt, run, settings))[0]
+    tt, objectives, converged = _ascend(tt, run, settings)
     return MMResult(extract_reflect(tt), len(objectives) - 1, converged, tuple(objectives))
 
 

@@ -22,9 +22,13 @@ Determinism contract: sweeps and the iteration study run their
 realizations through one loop, ``_realizations``, and draw each one by
 ``_draw`` from its own generator, whose seed is derived from the master
 seed, the point index and the realization index through a 64-bit mixing
-function.  Workers therefore produce identical results regardless of how
-tasks are distributed, and the aggregation is an ordered reduction.  A
-degenerate channel is the only failure a realization reports.
+function.  A sweep task is one realization.  An iteration-study task is
+a chunk of up to ``_STUDY_CHUNK`` consecutive realizations of one point,
+whose plain runs step in lockstep; the chunk size does not depend on
+``--workers``, and no realization's result depends on its chunk.
+Workers therefore produce identical results regardless of how tasks are
+distributed, and the aggregation is an ordered reduction.  A degenerate
+channel is the only failure a realization reports.
 """
 
 from __future__ import annotations
@@ -38,7 +42,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import Geometry, generate_channels
-from .mm import MMSettings, check_bits, quantize_phases, random_lifted_init, run_mm
+from .mm import (
+    MMSettings,
+    check_bits,
+    quantize_phases,
+    random_lifted_init,
+    run_mm,
+    run_plain_mm,
+)
 from .model import (
     ConfigError,
     DegenerateChannelError,
@@ -337,13 +348,18 @@ def _realization_stats(args) -> dict:
     return out
 
 
-def _realizations(task, points, n_channels: int, seed: int, salt: tuple, workers: int):
+def _realizations(
+    task, points, n_channels: int, seed: int, salt: tuple, workers: int, chunk: int | None = None
+):
     """The one realization loop: yields each point's task results in realization order.
 
     Realization r of point i runs ``task((*points[i], child_seed(seed, *salt, i, r)))``.
-    With one worker the tasks run in this process; otherwise one process
-    pool serves every point until the run ends.  The counts are checked
-    before the first task runs.
+    With ``chunk``, a task instead takes the tuple of the seeds of up to
+    ``chunk`` consecutive realizations of one point and returns their
+    results in order; the split depends on ``chunk`` alone, never on
+    ``workers``.  With one worker the tasks run in this process; otherwise
+    one process pool serves every point until the run ends.  The counts
+    are checked before the first task runs.
     """
     if n_channels < 1:
         raise ConfigError(f"n_channels must be >= 1, got {n_channels}")
@@ -357,11 +373,16 @@ def _realizations(task, points, n_channels: int, seed: int, salt: tuple, workers
         pool = ProcessPoolExecutor(max_workers=workers)
     with pool or nullcontext():
         for i, point in enumerate(points):
-            tasks = [(*point, child_seed(seed, *salt, i, r)) for r in range(n_channels)]
-            if pool is None:
-                yield [task(t) for t in tasks]
+            seeds = [child_seed(seed, *salt, i, r) for r in range(n_channels)]
+            if chunk is None:
+                tasks = [(*point, s) for s in seeds]
             else:
-                yield list(pool.map(task, tasks, chunksize=max(1, n_channels // (4 * workers))))
+                tasks = [(*point, tuple(seeds[k:k + chunk])) for k in range(0, n_channels, chunk)]
+            if pool is None:
+                results = map(task, tasks)
+            else:
+                results = pool.map(task, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+            yield list(results) if chunk is None else [x for part in results for x in part]
 
 
 def run_sweep(
@@ -442,19 +463,29 @@ _STUDY_SALT = 0xA11E
 # The iteration cap of every study run: the study counts iterations to
 # convergence, so the cap only has to lie beyond any count it reports.
 _STUDY_MAX_ITER = 20000
+# Realizations of one point per study task, whose plain runs step in
+# lockstep (``run_plain_mm``).  A row's counts do not depend on its chunk.
+_STUDY_CHUNK = 32
 
 
-def _study_task(args) -> tuple:
-    (cfg, geo, plain_accel, seed) = args
-    psi, init = _draw(cfg, geo, seed)
+def _study_task(args) -> list:
+    """Worker body: the four iteration counts of each realization of a chunk of one point.
+
+    The plain runs of the chunk's realizations go through ``run_plain_mm``
+    as one stack; the accelerated ones run one realization at a time.
+    """
+    (cfg, geo, plain_accel, seeds) = args
+    draws = [_draw(cfg, geo, seed) for seed in seeds]
+    psis = np.stack([psi for psi, _ in draws])
+    inits = np.stack([init for _, init in draws])
+    plain, accel = plain_accel
     # every run starts at init, not continued as in _design_all: the study
     # compares iteration counts from one start
-    cfg0 = _nonrobust_config(cfg)
-    counts = []
-    for run_cfg in (cfg, cfg0):
-        for st in plain_accel:
-            counts.append(run_mm(init, psi, run_cfg, st).iterations)
-    return tuple(counts)
+    columns = []
+    for run_cfg in (cfg, _nonrobust_config(cfg)):
+        columns.append([res.iterations for res in run_plain_mm(inits, psis, run_cfg, plain)])
+        columns.append([run_mm(init, psi, run_cfg, accel).iterations for psi, init in draws])
+    return list(zip(*columns))
 
 
 def run_iteration_study(
@@ -465,13 +496,15 @@ def run_iteration_study(
     n_channels: int = 100,
     epsilon: float = 1e-5,
     workers: int = 1,
+    on_point=None,
 ) -> list[IterationStudyRow]:
     """Average iterations to convergence, robust/nonrobust x plain/accelerated.
 
     Accelerated counts are outer cycles (two fixed-point maps each), the
     same bookkeeping used by ``run_mm``.  Surface sizes must be integers,
     and at least one is needed; they and ``epsilon`` are checked before
-    the first realization runs.
+    the first realization runs.  ``on_point`` is invoked with each
+    finished row, letting callers persist partial output.
     """
     plain_accel = [MMSettings(epsilon, _STUDY_MAX_ITER, accel) for accel in (False, True)]
     points = [(*with_setting(base_cfg, geo, "n_i", n_i), plain_accel) for n_i in n_i_list]
@@ -479,9 +512,14 @@ def run_iteration_study(
         raise ConfigError("sweep needs at least one value")
     rows = []
     with closing(
-        _realizations(_study_task, points, n_channels, seed, (_STUDY_SALT,), workers)
+        _realizations(
+            _study_task, points, n_channels, seed, (_STUDY_SALT,), workers, chunk=_STUDY_CHUNK
+        )
     ) as realizations:
         for counts, (cfg, *_) in zip(realizations, points):
             means = np.mean(np.array(counts, dtype=float), axis=0)
-            rows.append(IterationStudyRow(cfg.n_i, *(float(m) for m in means)))
+            row = IterationStudyRow(cfg.n_i, *(float(m) for m in means))
+            rows.append(row)
+            if on_point is not None:
+                on_point(row)
     return rows

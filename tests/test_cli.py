@@ -204,6 +204,15 @@ class TestDeterminism:
         assert main([*args, "--workers", "2", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_worker_count_does_not_change_the_study_csv(self, tmp_path):
+        # more channels than one chunk of the study's lockstep runs
+        assert sim_mod._STUDY_CHUNK < 34
+        out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
+        args = ["iteration-study", "--seed", "6", "--channels", "34", "--values", "4,6"]
+        assert main([*args, "--workers", "1", "--out", str(out1)]) == 0
+        assert main([*args, "--workers", "2", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_parser_is_built_once_and_keeps_no_state(self, tmp_path):
         assert build_parser() is build_parser()
         first, study, again = (tmp_path / f"{name}.csv" for name in ("first", "study", "again"))
@@ -357,6 +366,28 @@ class TestSubcommands:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "n_i,robust_plain,robust_accel,nonrobust_plain,nonrobust_accel"
         assert len(lines) == 3
+
+    def test_iteration_study_writes_each_row_as_its_point_finishes(self, tmp_path, monkeypatch):
+        out = tmp_path / "iters.csv"
+        written = []
+        study = cli_mod.run_iteration_study
+
+        def watched(*args, on_point, **kwargs):
+            def on_row(row):
+                on_point(row)
+                written.append(out.read_text().splitlines())
+
+            return study(*args, on_point=on_row, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "run_iteration_study", watched)
+        args = ["iteration-study", "--seed", "2", "--channels", "3", "--values", "4,8"]
+        assert main([*args, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert written == [lines[:2], lines[:3]]
+        monkeypatch.undo()
+        unwatched = tmp_path / "unwatched.csv"
+        assert main([*args, "--out", str(unwatched)]) == 0
+        assert unwatched.read_bytes() == out.read_bytes()
 
     def test_los_demo_json(self, capsys):
         rc = main(["los-demo", "--seed", "4", "--n-i", "12", "--json"])

@@ -16,13 +16,16 @@ from irsbf.mm import (
     quantize_phases,
     random_lifted_init,
     run_mm,
+    run_plain_mm,
 )
+import irsbf.mm as mm_mod
 from irsbf.model import (
     ChannelSet,
     ConfigError,
     ReflectConfig,
     SystemConfig,
     build_composite,
+    extract_reflect,
     lift_reflect,
 )
 
@@ -329,6 +332,136 @@ class TestLeanKernelsMatchTheirOracles:
             with pytest.raises(np.linalg.LinAlgError):
                 _top_eigenvalue(partial)
         assert issubclass(np.linalg.LinAlgError, ValueError)
+
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_top_eigenvalue_of_a_stack_is_bitwise_each_eigvalsh(self, rng, n):
+        b = complex_gaussian(rng, 7, n, n)
+        stack = b @ b.conj().transpose(0, 2, 1)
+        stack[3] = 0.0
+        top = _top_eigenvalue(stack)
+        assert top.shape == (7,)
+        assert top.tolist() == [np.linalg.eigvalsh(h)[-1] for h in stack]
+        assert lambda_max_power_iteration(stack).tolist() == top.tolist()
+
+    def test_top_eigenvalue_of_a_stack_raises_on_any_nan(self):
+        stack = np.stack([np.eye(3, dtype=complex)] * 4)
+        stack[2, 2, 1] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            _top_eigenvalue(stack)
+
+
+def plain_loop_oracle(tt, psi, cfg, settings):
+    """Oracle: the plain loop on one problem, composed of ``_step`` and ``_evaluate``."""
+    run = _run_constants(psi, cfg)
+    ev = _evaluate(tt, run)
+    objectives = [ev[2]]
+    for _ in range(settings.max_iter):
+        tt = _step(tt, ev, run)
+        ev = _evaluate(tt, run)
+        objectives.append(ev[2])
+        if abs(objectives[-1] - objectives[-2]) / max(1.0, abs(objectives[-2])) < settings.epsilon:
+            return tt, objectives, True
+    return tt, objectives, False
+
+
+def stacked_problems(rng, n_rows, n_i=8, n_s=4, **cfg_overrides):
+    """A shared configuration, and a stack of composites and of inits, one per row."""
+    cfg, _ = random_problem(rng, n_i=n_i, n_s=n_s, **cfg_overrides)
+    psis = np.stack([build_composite(random_channels(rng, n_i, n_s)) for _ in range(n_rows)])
+    inits = np.stack([random_lifted_init(rng, n_i) for _ in range(n_rows)])
+    return cfg, psis, inits
+
+
+PLAIN = MMSettings(epsilon=1e-6, max_iter=3000, accelerate=False)
+
+
+class TestStackedPlainLoop:
+    """Each row of a stack runs bit for bit as the plain loop on that row alone."""
+
+    @staticmethod
+    def assert_rows_match_the_oracle(inits, psis, cfg, settings=PLAIN):
+        results = run_plain_mm(inits, psis, cfg, settings)
+        assert len(results) == len(inits)
+        for init, psi, res in zip(inits, psis, results):
+            tt, objectives, converged = plain_loop_oracle(init.copy(), psi, cfg, settings)
+            assert res.objectives == tuple(objectives)
+            assert res.iterations == len(objectives) - 1
+            assert res.converged is converged
+            np.testing.assert_array_equal(res.reflect.phases, extract_reflect(tt).phases)
+            alone = run_mm(init, psi, cfg, settings)
+            assert alone.objectives == res.objectives
+            np.testing.assert_array_equal(alone.reflect.phases, res.reflect.phases)
+        return results
+
+    @pytest.mark.parametrize("n_rows", [1, 3, 17])
+    def test_rows_are_bitwise_the_single_loop(self, rng, n_rows):
+        cfg, psis, inits = stacked_problems(rng, n_rows)
+        results = self.assert_rows_match_the_oracle(inits, psis, cfg)
+        assert all(res.converged for res in results)
+        if n_rows > 1:
+            # the rows leave the stack at different steps
+            assert len({res.iterations for res in results}) > 1
+
+    @pytest.mark.parametrize(
+        "n_i, n_s, overrides",
+        [(0, 4, {}), (8, 1, {}), (0, 1, {}), (8, 9, {}), (8, 4, {"kappa_s": 0.0, "kappa_d": 0.0})],
+        ids=["n_i0", "n_s1", "n_i0-n_s1", "n_s9", "kappa0"],
+    )
+    def test_edge_sizes_and_kappa_zero(self, rng, n_i, n_s, overrides):
+        cfg, psis, inits = stacked_problems(rng, 5, n_i=n_i, n_s=n_s, **overrides)
+        self.assert_rows_match_the_oracle(inits, psis, cfg)
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.1])
+    def test_one_eigensolve_per_step_over_the_stack(self, rng, monkeypatch, kappa):
+        cfg, psis, inits = stacked_problems(rng, 6, kappa_s=kappa, kappa_d=kappa)
+        calls = []
+        original = mm_mod.lambda_max_power_iteration
+
+        def counting(omega):
+            calls.append(omega.shape)
+            return original(omega)
+
+        monkeypatch.setattr(mm_mod, "lambda_max_power_iteration", counting)
+        results = run_plain_mm(inits, psis, cfg, PLAIN)
+        if kappa == 0.0:
+            # a = 0: the coupling term vanishes, and no eigensolve runs
+            assert calls == []
+        else:
+            assert len(calls) == max(res.iterations for res in results)
+            assert calls[0] == (6, 4, 4)
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.1])
+    def test_zero_channels_fall_back_row_by_row(self, rng, kappa):
+        cfg, psis, inits = stacked_problems(rng, 4, kappa_s=kappa, kappa_d=kappa)
+        psis[0] = 0.0  # an all-zero channel: d = 0, and every entry keeps its start
+        psis[1, 2, :] = 0.0  # one antenna unreached: one zero entry of d
+        psis[2, :, 3] = 0.0  # one element unreached: with kappa 0, its coefficient is 0
+        results = self.assert_rows_match_the_oracle(inits, psis, cfg)
+        assert results[0].objectives == (0.0, 0.0) and results[0].converged
+        np.testing.assert_array_equal(results[0].reflect.phases, extract_reflect(inits[0]).phases)
+
+    def test_rows_cut_at_max_iter_beside_converged_rows(self, rng):
+        cfg, psis, inits = stacked_problems(rng, 4)
+        psis[1] = 0.0  # converges at the first step
+        settings = MMSettings(epsilon=1e-12, max_iter=4, accelerate=False)
+        results = self.assert_rows_match_the_oracle(inits, psis, cfg, settings)
+        assert [res.converged for res in results] == [False, True, False, False]
+        assert [res.iterations for res in results] == [4, 1, 4, 4]
+
+    def test_nan_channel_raises(self, rng):
+        cfg, psis, inits = stacked_problems(rng, 3)
+        psis[1, 0, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(np.linalg.LinAlgError):
+                run_plain_mm(inits, psis, cfg, PLAIN)
+            with pytest.raises(np.linalg.LinAlgError):
+                run_mm(inits[1], psis[1], cfg, PLAIN)
+
+    def test_accelerated_settings_are_rejected(self, rng):
+        cfg, psis, inits = stacked_problems(rng, 2)
+        with pytest.raises(ValueError, match="plain steps"):
+            run_plain_mm(inits, psis, cfg, MMSettings())
 
 
 class TestLambdaShift:

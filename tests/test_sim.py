@@ -546,6 +546,36 @@ class TestIterationStudy:
         with pytest.raises(ConfigError, match="epsilon must be positive and finite"):
             run_iteration_study([4], cfg, geo, seed=1, n_channels=1, epsilon=epsilon)
 
+    def test_on_point_gets_each_row_in_order(self):
+        cfg, geo = small_setup()
+        seen = []
+        rows = run_iteration_study([4, 6, 8], cfg, geo, seed=5, n_channels=3, on_point=seen.append)
+        assert seen == rows
+        assert [row.n_i for row in rows] == [4, 6, 8]
+        assert run_iteration_study([4, 6, 8], cfg, geo, seed=5, n_channels=3) == rows
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_rows_do_not_depend_on_the_chunk(self, monkeypatch, chunk):
+        cfg, geo = small_setup()
+        default = run_iteration_study([4, 8], cfg, geo, seed=13, n_channels=7)
+        monkeypatch.setattr(sim_mod, "_STUDY_CHUNK", chunk)
+        assert run_iteration_study([4, 8], cfg, geo, seed=13, n_channels=7) == default
+
+    def test_chunk_counts_are_each_realizations_own_runs(self):
+        # the oracle: four run_mm calls per realization, each from its own draw
+        cfg, geo = small_setup(n_i=6)
+        plain_accel = [MMSettings(1e-5, sim_mod._STUDY_MAX_ITER, accel) for accel in (False, True)]
+        seeds = tuple(child_seed(3, r) for r in range(4))
+        counts = sim_mod._study_task((cfg, geo, plain_accel, seeds))
+        assert len(counts) == len(seeds)
+        for seed, row in zip(seeds, counts):
+            psi, init = _draw(cfg, geo, seed)
+            assert row == tuple(
+                run_mm(init, psi, run_cfg, settings).iterations
+                for run_cfg in (cfg, _nonrobust_config(cfg))
+                for settings in plain_accel
+            )
+
     def test_acceleration_and_robustness_ordering(self):
         cfg, geo = small_setup()
         rows = run_iteration_study([6, 16], cfg, geo, seed=31, n_channels=8)
