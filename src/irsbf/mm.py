@@ -13,24 +13,27 @@ Psi tt, the per-antenna weights and the objective computed there serve the
 convergence test, the SQUAREM acceptance test and the next step alike, so
 a plain step costs two products with Psi.
 
-Plain steps run in one loop, over rows (``_ascend_rows``).
-``run_plain_mm`` steps a stack of problems that share a configuration in
-lockstep, each operation running once over the stack, the R eigensolves
-in one gufunc call; a row leaves the stack when it converges.  No
-operation mixes rows, and each rounds row by row as it does on one
-problem, so a row's result does not depend on the stack.  ``run_mm`` runs
-one problem, with plain steps as the loop's one row, or with
-``MMSettings.accelerate`` as SQUAREM cycles (Varadhan & Roland, Scand. J.
-Stat. 2008; ``_ascend``): two steps, a squared extrapolation, and
-backtracking that keeps the sequence monotone.  Both return the objective
-of each iterate; the last is the objective at the returned reflection,
-and ``txbf.snr_from_psi_tilde`` maps it to the SNR of the optimal beam, so
-no beam is built to score a design.  The channel argument ``psi`` is the
-plain n_s x (n_i + 1) composite array of ``model.build_composite``, and a
-stack holds R of them; ``quantize_phases`` rounds a continuous solution to
-the 2**bits levels of a b-bit phase set.
+The optimizer has one loop, over rows (``_ascend_rows``), with two kinds of
+pass: a plain step, or with ``MMSettings.accelerate`` a SQUAREM cycle
+(Varadhan & Roland, Scand. J. Stat. 2008; ``_squarem_cycle``): two steps,
+a squared extrapolation, and backtracking that keeps the sequence
+monotone.  ``run_mm`` runs one problem as the loop's one row;
+``run_stacked_mm`` runs a stack of problems that share a configuration in
+lockstep, each operation once over the stack, the R eigensolves in one
+gufunc call, and each row with its own SQUAREM step length and
+backtracking.  A row leaves the stack when it converges, and the last one
+left runs in the layout of a single run.  No operation mixes rows, and
+each rounds row by row as it does on one problem (a stack keeps each
+composite's memory layout), so a row's result does not depend on the
+stack.  Both return the objective of each iterate; the last is the
+objective at the returned reflection, and ``txbf.snr_from_psi_tilde``
+maps it to the SNR of the optimal beam, so no beam is built to score a
+design.  The channel argument ``psi`` is the plain n_s x (n_i + 1)
+composite array of ``model.build_composite``, and a stack holds R of them;
+``quantize_phases`` rounds a continuous solution to the 2**bits levels of
+a b-bit phase set.
 
-The accelerated loop also ascends a Burer-Monteiro factor V of the
+The loop also ascends, as a single run, a Burer-Monteiro factor V of the
 relaxation X = V V^H (one unit-norm row per element), which ``sdr`` uses:
 the same surrogate coefficient applies with the per-antenna power taken as
 a row norm, and the unit projection normalizes rows.
@@ -233,7 +236,38 @@ def _step(tt0: np.ndarray, ev, run: _Run) -> np.ndarray:
     return _project_unit(alpha, tt0, run.m.ndim == 3)
 
 
-def _squarem_cycle(tt, ev, run):
+# Cap on the candidates that one SQUAREM cycle tries per row.
+_BACKTRACKS = 60
+
+
+def _step_length(r: np.ndarray, v: np.ndarray):
+    """SQUAREM's step length -|r| / |v|, or None when r or v is zero."""
+    nr = math.sqrt(np.vdot(r, r).real)
+    nv = math.sqrt(np.vdot(v, v).real)
+    return None if nr == 0.0 or nv == 0.0 else -nr / nv
+
+
+def _backtrack(tt, r, v, x2, ev2, run: _Run, alpha: float, tries: int):
+    """SQUAREM's backtracking on one problem, from step length ``alpha``, at most ``tries`` times.
+
+    Each try reprojects the extrapolation through ``tt`` along ``r`` and
+    ``v`` and keeps it, with its evaluation, if its objective is not below
+    that of ``x2`` (evaluated as ``ev2``); otherwise it halves the step's
+    distance from the plain composition (step -1).  Returns ``x2`` and
+    ``ev2`` when no try is kept or the step reaches -1.
+    """
+    for _ in range(tries):
+        if abs(alpha + 1.0) < 1e-4:
+            break
+        cand = _project_unit(tt - 2.0 * alpha * r + alpha**2 * v, fallback=x2)
+        ev_c = _evaluate(cand, run)
+        if ev_c[2] >= ev2[2]:
+            return cand, ev_c
+        alpha = (alpha - 1.0) / 2.0
+    return x2, ev2
+
+
+def _squarem_cycle(tt, ev, run: _Run):
     """One accelerated cycle from ``tt``, whose evaluation is ``ev``.
 
     Takes two MM steps, extrapolates through them with a negative squared
@@ -242,25 +276,61 @@ def _squarem_cycle(tt, ev, run):
     the new iterate and its evaluation, whose objective is never below the
     plain two-step value, so monotonicity of the outer sequence is
     preserved; at a fixed point the cycle degenerates to the plain steps.
+
+    On a stack the two steps and their evaluations run once over the rows.
+    Each row keeps its own step length (a per-row ``np.vdot``, as on one
+    problem) and its own backtracking: the rows still backtracking
+    evaluate their candidates together, and the last one left backtracks
+    in the layout of a single run.
     """
     x1 = _step(tt, ev, run)
     x2 = _step(x1, _evaluate(x1, run), run)
     ev2 = _evaluate(x2, run)
     r = x1 - tt
     v = x2 - x1 - r
-    nr = math.sqrt(np.vdot(r, r).real)
-    nv = math.sqrt(np.vdot(v, v).real)
-    if nr == 0.0 or nv == 0.0:
-        return x2, ev2
-    alpha = -nr / nv
-    for _ in range(60):
-        if abs(alpha + 1.0) < 1e-4:
+    if run.m.ndim == 2:
+        alpha = _step_length(r, v)
+        if alpha is None:
+            return x2, ev2
+        return _backtrack(tt, r, v, x2, ev2, run, alpha, _BACKTRACKS)
+    alphas = [_step_length(r[k], v[k]) for k in range(len(r))]
+    trying = [k for k, alpha in enumerate(alphas) if alpha is not None]
+    # x2 and ev2 are this cycle's own arrays, and a row whose candidate is
+    # kept is done, so its rows of them are overwritten in place
+    for tried in range(_BACKTRACKS):
+        trying = [k for k in trying if abs(alphas[k] + 1.0) >= 1e-4]
+        if len(trying) == 1:
+            (k,) = trying
+            row_ev = (ev2[0][k], ev2[1][k], float(ev2[2][k]))
+            row_run = _Run(run.m[k], None, None, run.a, run.c)
+            x2[k], ev_k = _backtrack(
+                tt[k], r[k], v[k], x2[k], row_ev, row_run, alphas[k], _BACKTRACKS - tried
+            )
+            for whole, part in zip(ev2, ev_k):
+                whole[k] = part
             break
-        cand = _project_unit(tt - 2.0 * alpha * r + alpha**2 * v, fallback=x2)
+        if not trying:
+            break
+        # every row is extrapolated, so that no stack is gathered: a row not
+        # trying takes step -1, and its candidate is ignored.  The scalars
+        # 2 alpha and alpha**2 are formed per row, as on one problem.
+        steps = [-1.0] * len(r)
+        for k in trying:
+            steps[k] = alphas[k]
+        two = np.array([2.0 * alpha for alpha in steps])[:, None]
+        square = np.array([alpha**2 for alpha in steps])[:, None]
+        cand = tt - two * r
+        cand += square * v
+        cand = _project_unit(cand, x2, True)
         ev_c = _evaluate(cand, run)
-        if ev_c[2] >= ev2[2]:
-            return cand, ev_c
-        alpha = (alpha - 1.0) / 2.0
+        kept = [k for k in trying if ev_c[2][k] >= ev2[2][k]]
+        if kept:
+            x2[kept] = cand[kept]
+            for whole, part in zip(ev2, ev_c):
+                whole[kept] = part[kept]
+            trying = [k for k in trying if k not in kept]
+        for k in trying:
+            alphas[k] = (alphas[k] - 1.0) / 2.0
     return x2, ev2
 
 
@@ -280,33 +350,6 @@ def random_lifted_init(rng: np.random.Generator, n_i: int) -> np.ndarray:
     return _project_unit(z, 1.0 + 0.0j)
 
 
-def _ascend(tt, run: _Run, settings: MMSettings):
-    """The accelerated optimizer loop from ``tt``, a phase vector or a unit-row factor.
-
-    Each pass is a SQUAREM cycle, whatever ``settings.accelerate`` says.
-    Returns the last iterate, the objective after each cycle (the start
-    first) and whether the relative change fell below ``settings.epsilon``
-    within ``settings.max_iter`` cycles.  Each iterate is evaluated once;
-    that evaluation serves the convergence test, the SQUAREM acceptance
-    test and the next step.  ``run`` holds the constants of the problem
-    (``_run_constants``).
-    """
-    ev = _evaluate(tt, run)
-    obj = ev[2]
-    objectives = [obj]
-    converged = False
-    for _ in range(settings.max_iter):
-        tt, ev = _squarem_cycle(tt, ev, run)
-        obj_new = ev[2]
-        objectives.append(obj_new)
-        delta = abs(obj_new - obj) / max(1.0, abs(obj))
-        obj = obj_new
-        if delta < settings.epsilon:
-            converged = True
-            break
-    return tt, objectives, converged
-
-
 def _keep_rows(tt: np.ndarray, ev, run: _Run, keep: list):
     """The loop state (iterate, evaluation, constants) of rows ``keep`` of a stack.
 
@@ -320,26 +363,44 @@ def _keep_rows(tt: np.ndarray, ev, run: _Run, keep: list):
             (ev[0][k], ev[1][k], float(ev[2][k])),
             _Run(run.m[k], run.mh[k], run.gram[k], run.a, run.c),
         )
-    m = run.m[keep]
+    # the stack's constants are the loop's own (``run_stacked_mm``): the
+    # kept rows move to the front in place, one by one, so that no copy of
+    # the stack is made
+    m, mc = run.m, np.swapaxes(run.mh, 1, 2)
+    for j, k in enumerate(keep):
+        if j < k:
+            m[j], mc[j] = m[k], mc[k]
+    n = len(keep)
     return (
         tt[keep],
         tuple(x[keep] for x in ev),
-        _Run(m, np.swapaxes(m.conj(), 1, 2), run.gram[keep], run.a, run.c),
+        _Run(m[:n], np.swapaxes(mc[:n], 1, 2), run.gram[keep], run.a, run.c),
     )
 
 
-def _ascend_rows(tt: np.ndarray, run: _Run, settings: MMSettings):
-    """The plain optimizer loop, on one phase vector or on the rows of a stack.
+def _plain_step(tt: np.ndarray, ev, run: _Run):
+    """A plain step from ``tt``, whose evaluation is ``ev``: the new iterate and its evaluation."""
+    tt = _step(tt, ev, run)
+    return tt, _evaluate(tt, run)
 
-    Row r of ``tt`` runs on row r of ``run``, and the rows step in
+
+def _ascend_rows(tt: np.ndarray, run: _Run, settings: MMSettings):
+    """The optimizer loop, on one phase vector or factor, or on the rows of a stack.
+
+    Each pass is a SQUAREM cycle with ``settings.accelerate``, else a plain
+    step.  Row r of ``tt`` runs on row r of ``run``, and the rows pass in
     lockstep, each operation running once over the stack.  A row leaves
     the stack when its relative change falls below ``settings.epsilon``,
-    and the last one left runs on as a single run.  Returns per row what
-    ``_ascend`` returns for one run: the last iterate, the objective after
-    each step (the start first) and whether the row converged within
-    ``settings.max_iter`` steps.  No operation mixes rows, so a row's
-    result does not depend on the others in the stack.
+    and the last one left runs on as a single run.  Returns per row the
+    last iterate, the objective after each pass (the start first) and
+    whether the row converged within ``settings.max_iter`` passes.  Each
+    iterate is evaluated once; that evaluation serves the convergence
+    test, the SQUAREM acceptance test and the next step.  No operation
+    mixes rows, so a row's result does not depend on the others in the
+    stack.  ``run`` holds the constants of the problem
+    (``_run_constants``).
     """
+    advance = _squarem_cycle if settings.accelerate else _plain_step
     stacked = run.m.ndim == 3
     live = list(range(len(tt) if stacked else 1))
     last, converged = [None] * len(live), [False] * len(live)
@@ -349,8 +410,7 @@ def _ascend_rows(tt: np.ndarray, run: _Run, settings: MMSettings):
         tt, ev, run = _keep_rows(tt, ev, run, [0])
         stacked = False
     for _ in range(settings.max_iter):
-        tt = _step(tt, ev, run)
-        ev = _evaluate(tt, run)
+        tt, ev = advance(tt, ev, run)
         done = []
         for k, (r, obj_new) in enumerate(zip(live, ev[2].tolist() if stacked else [ev[2]])):
             obj = objectives[r][-1]
@@ -359,7 +419,8 @@ def _ascend_rows(tt: np.ndarray, run: _Run, settings: MMSettings):
                 done.append(k)
         if done:
             for k in done:
-                last[live[k]] = tt[k] if stacked else tt
+                # a row's own copy, so that the stack's arrays can be freed
+                last[live[k]] = tt[k].copy() if stacked else tt
                 converged[live[k]] = True
             keep = [k for k in range(len(live)) if k not in done]
             live = [live[k] for k in keep]
@@ -372,25 +433,27 @@ def _ascend_rows(tt: np.ndarray, run: _Run, settings: MMSettings):
     return last, objectives, converged
 
 
-def run_plain_mm(
+def run_stacked_mm(
     inits: np.ndarray,
     psis: np.ndarray,
     cfg: SystemConfig,
     settings: MMSettings,
 ) -> list:
-    """Plain MM on a stack of problems in lockstep, one ``MMResult`` per row.
+    """MM on a stack of problems in lockstep, one ``MMResult`` per row.
 
     Row r starts at ``inits[r]`` (R x (n_i + 1)) on the composite
-    ``psis[r]`` (R x n_s x (n_i + 1)); every row shares ``cfg``.  A row
-    stops as ``run_mm`` does, and its result is bit for bit what
-    ``run_mm`` returns for it with plain steps.  ``settings.accelerate``
-    must be False.
+    ``psis[r]`` (R x n_s x (n_i + 1)), each an array or a sequence of
+    rows; every row shares ``cfg`` and ``settings``, plain steps or
+    SQUAREM cycles alike.  A row stops as ``run_mm`` does, and its result
+    is bit for bit what ``run_mm`` returns for it.
     """
-    if settings.accelerate:
-        raise ValueError("run_plain_mm runs plain steps; settings.accelerate must be False")
     inits = np.asarray(inits)
     tt = check_unit_modulus(inits).reshape(inits.shape).copy()
-    return _results(*_ascend_rows(tt, _run_constants(psis, cfg), settings))
+    # the loop's own copy of the composites, which it compacts in place;
+    # np.stack keeps each matrix's memory layout, and with it the rounding
+    # of its products (the draws are Fortran-ordered, and np.array of a
+    # list of them would be C-ordered)
+    return _results(*_ascend_rows(tt, _run_constants(np.stack(psis), cfg), settings))
 
 
 def _results(last, objectives, converged) -> list:
@@ -413,15 +476,11 @@ def run_mm(
     ``settings.epsilon``, or flags non-convergence after
     ``settings.max_iter`` iterations.  The reflection matrix is read off
     the final lifted vector by dividing out the slack entry, which leaves
-    the objective unchanged.  Plain steps run in the loop of
-    ``run_plain_mm``, as its one row.
+    the objective unchanged.  It runs in the loop of ``run_stacked_mm``,
+    as its one row.
     """
     tt = check_unit_modulus(init).copy()
-    run = _run_constants(psi, cfg)
-    if not settings.accelerate:
-        return _results(*_ascend_rows(tt, run, settings))[0]
-    tt, objectives, converged = _ascend(tt, run, settings)
-    return MMResult(extract_reflect(tt), len(objectives) - 1, converged, tuple(objectives))
+    return _results(*_ascend_rows(tt, _run_constants(psi, cfg), settings))[0]
 
 
 # Beyond this many bits, x = mod(phase, 2 pi) / step (below 2**bits) no

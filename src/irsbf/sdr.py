@@ -34,7 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .mm import MMSettings, _ascend, _evaluate, _project_unit, _run_constants, _top_eigenvalue
+from .mm import (
+    MMSettings,
+    _ascend_rows,
+    _evaluate,
+    _project_unit,
+    _run_constants,
+    _top_eigenvalue,
+)
 from .model import SystemConfig, check_unit_modulus
 from .txbf import snr_from_psi_tilde
 
@@ -259,7 +266,8 @@ def solve_sdr(
         v, converged, iterations = tt[:, None], True, 0
     else:
         start = _escape_start(tt, directions, primal, run)
-        v, objectives, converged = _ascend(start, run, MMSettings(epsilon=tol, max_iter=max_iter))
+        settings = MMSettings(epsilon=tol, max_iter=max_iter)
+        ((v,), (objectives,), (converged,)) = _ascend_rows(start, run, settings)
         iterations = len(objectives) - 1
         primal, dual, bound = _certify(v, run, tol)
     return UpperBoundResult(

@@ -15,20 +15,24 @@ phase set as ``bits`` (None for continuous phases).  Every sweep point
 reports the four designed schemes, plus the relaxation bound when
 ``bound`` is set, always in the order of ``Scheme``.  A realization
 designs the nonrobust reflection from its random start and continues it
-to the robust one (``_design_all``); the iteration study runs both from
+to the robust one (``_design_rows``); the iteration study runs both from
 the one random start, so that its iteration counts share a start.
 
 Determinism contract: sweeps and the iteration study run their
 realizations through one loop, ``_realizations``, and draw each one by
 ``_draw`` from its own generator, whose seed is derived from the master
 seed, the point index and the realization index through a 64-bit mixing
-function.  A sweep task is one realization.  An iteration-study task is
-a chunk of up to ``_STUDY_CHUNK`` consecutive realizations of one point,
-whose plain runs step in lockstep; the chunk size does not depend on
-``--workers``, and no realization's result depends on its chunk.
-Workers therefore produce identical results regardless of how tasks are
-distributed, and the aggregation is an ordered reduction.  A degenerate
-channel is the only failure a realization reports.
+function.  A task is a chunk of consecutive realizations of one point
+(``_chunk``: up to ``_CHUNK``, fewer on large surfaces), whose MM runs
+step in lockstep as stacks (``_run_rows``): a sweep task designs its
+chunk's nonrobust reflections as one stack and the robust ones as
+another, and a study task runs each of its four kinds of run as one
+stack.  The chunk size depends on the point alone, never on
+``--workers``, and no realization's result depends on its chunk: each
+row of a stack is bit for bit its own ``run_mm``.  Workers therefore
+produce identical results regardless of how tasks are distributed, and
+the aggregation is an ordered reduction.  A degenerate channel is the
+only failure a realization reports, and it fails that realization alone.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from contextlib import closing, nullcontext
+from contextlib import closing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,7 +52,7 @@ from .mm import (
     quantize_phases,
     random_lifted_init,
     run_mm,
-    run_plain_mm,
+    run_stacked_mm,
 )
 from .model import (
     ConfigError,
@@ -243,21 +247,52 @@ def _nonrobust_config(cfg: SystemConfig) -> SystemConfig:
     return replace(cfg, kappa_s=0.0, kappa_d=0.0)
 
 
-def _design_all(
-    psi: np.ndarray,
-    cfg: SystemConfig,
-    settings: MMSettings,
-    bits: int | None,
-    init: np.ndarray,
-    bound: bool,
-):
-    """Design the four beam schemes on one realization.
+# Realizations of one point per task, at most.  A task runs their MM
+# designs as stacks (``_run_rows``); the split does not depend on
+# ``--workers``, and no realization's result depends on its chunk.
+_CHUNK = 32
+# Bytes of composites per task, at most (``_chunk``).  A task holds its
+# composites, and a stacked run about two more copies (its own and their
+# conjugates), while a large surface gains less from stacking, its
+# products outweighing the dispatch.
+_CHUNK_BYTES = 1 << 16
+# Fewer rows than this run one at a time through ``run_mm``: on the
+# sweeps' sizes, a stack of two accelerated runs is slower than two single
+# runs.
+_MIN_STACK = 3
 
-    ``psi`` is the realization's composite channel (``build_composite``).
-    Returns each scheme's (w, theta, iterations) in ``Scheme`` order, and
-    the relaxation bound (``UpperBoundResult``), or None without ``bound``.
 
-    The nonrobust design runs from ``init``.  The robust design is the
+def _chunk(cfg: SystemConfig) -> int:
+    """Realizations per task at ``cfg``: ``_CHUNK``, or fewer on a surface too large for it."""
+    psi_bytes = np.dtype(complex).itemsize * cfg.n_s * (cfg.n_i + 1)
+    return max(1, min(_CHUNK, _CHUNK_BYTES // psi_bytes))
+
+
+def _run_rows(inits: list, psis: list, cfg: SystemConfig, settings: MMSettings) -> list:
+    """MM from each init on its composite, one ``MMResult`` each, bit for bit ``run_mm``'s.
+
+    The rows run as one stack (``run_stacked_mm``), or one at a time
+    through ``run_mm`` when there are fewer than ``_MIN_STACK``.
+    """
+    if len(psis) < _MIN_STACK:
+        return [run_mm(init, psi, cfg, settings) for init, psi in zip(inits, psis)]
+    return run_stacked_mm(inits, psis, cfg, settings)
+
+
+def _design_rows(draws: list, cfg: SystemConfig, settings: MMSettings, bits, bound: bool) -> list:
+    """Design the four beam schemes on each realization of a chunk.
+
+    ``draws`` holds each realization's composite channel and MM init
+    (``_draw``), or the ``DegenerateChannelError`` that failed its draw.
+    Returns, in that order, each realization's schemes' (w, theta,
+    iterations) in ``Scheme`` order with the relaxation bound
+    (``UpperBoundResult``, or None without ``bound``), or the
+    ``DegenerateChannelError`` that fails it.
+
+    The no-IRS beams come first: without a direct link they raise
+    ``DegenerateChannelError``, and then before any MM run.  The
+    nonrobust designs run from their inits as one stack, and the robust
+    designs as another (``_run_rows``).  The robust design is the
     kappa = 0 problem continued to the true distortion levels: its run
     starts at the nonrobust phase profile, so its iterations count only
     the continuation.  MM never lowers the objective, so with continuous
@@ -274,27 +309,66 @@ def _design_all(
     """
     cfg0 = _nonrobust_config(cfg)
     budget_scale = math.sqrt(cfg.p_tilde / cfg0.p_tilde)
-    # the no-IRS beams first: without a direct link they raise
-    # DegenerateChannelError, and then before any MM run
-    w_rn = optimal_transmit_beam(None, psi, cfg)
-    w_nn = optimal_beam_from_v(composite_vector(None, psi), cfg0) * budget_scale
-    res_n = run_mm(init, psi, cfg0, settings)
-    res_r = run_mm(lift_reflect(res_n.reflect), psi, cfg, settings)
-    theta_r, theta_n = res_r.reflect, res_n.reflect
-    if bits is not None:
-        theta_r = quantize_phases(theta_r, bits)
-        theta_n = quantize_phases(theta_n, bits)
-        if psi_tilde(theta_n, psi, cfg) > psi_tilde(theta_r, psi, cfg):
-            theta_r = theta_n
-    w_r = optimal_transmit_beam(theta_r, psi, cfg)
-    w_n = optimal_beam_from_v(composite_vector(theta_n, psi), cfg0) * budget_scale
-    designs = {
-        Scheme.ROBUST_IRS: (w_r, theta_r, res_r.iterations),
-        Scheme.NONROBUST_IRS: (w_n, theta_n, res_n.iterations),
-        Scheme.ROBUST_NO_IRS: (w_rn, None, None),
-        Scheme.NONROBUST_NO_IRS: (w_nn, None, None),
-    }
-    return designs, solve_sdr(psi, cfg, init=lift_reflect(res_r.reflect)) if bound else None
+    out, live = list(draws), []
+    for k, draw in enumerate(draws):
+        if isinstance(draw, DegenerateChannelError):
+            continue
+        psi = draw[0]
+        try:
+            out[k] = (
+                optimal_transmit_beam(None, psi, cfg),
+                optimal_beam_from_v(composite_vector(None, psi), cfg0) * budget_scale,
+            )
+            live.append(k)
+        except DegenerateChannelError as exc:
+            out[k] = exc
+    psis = [draws[k][0] for k in live]
+    runs_n = _run_rows([draws[k][1] for k in live], psis, cfg0, settings)
+    runs_r = _run_rows([lift_reflect(res.reflect) for res in runs_n], psis, cfg, settings)
+    for k, psi, res_n, res_r in zip(live, psis, runs_n, runs_r):
+        w_rn, w_nn = out[k]
+        theta_r, theta_n = res_r.reflect, res_n.reflect
+        try:
+            if bits is not None:
+                theta_r = quantize_phases(theta_r, bits)
+                theta_n = quantize_phases(theta_n, bits)
+                if psi_tilde(theta_n, psi, cfg) > psi_tilde(theta_r, psi, cfg):
+                    theta_r = theta_n
+            w_r = optimal_transmit_beam(theta_r, psi, cfg)
+            w_n = optimal_beam_from_v(composite_vector(theta_n, psi), cfg0) * budget_scale
+            designs = {
+                Scheme.ROBUST_IRS: (w_r, theta_r, res_r.iterations),
+                Scheme.NONROBUST_IRS: (w_n, theta_n, res_n.iterations),
+                Scheme.ROBUST_NO_IRS: (w_rn, None, None),
+                Scheme.NONROBUST_NO_IRS: (w_nn, None, None),
+            }
+            ub = solve_sdr(psi, cfg, init=lift_reflect(res_r.reflect)) if bound else None
+        except DegenerateChannelError as exc:
+            out[k] = exc
+        else:
+            out[k] = (designs, ub)
+    return out
+
+
+def _design_all(
+    psi: np.ndarray,
+    cfg: SystemConfig,
+    settings: MMSettings,
+    bits: int | None,
+    init: np.ndarray,
+    bound: bool,
+):
+    """Design the four beam schemes on one realization, as ``_design_rows`` does on a chunk.
+
+    ``psi`` is the realization's composite channel (``build_composite``).
+    Returns each scheme's (w, theta, iterations) in ``Scheme`` order, and
+    the relaxation bound (``UpperBoundResult``), or None without ``bound``;
+    a degenerate channel raises ``DegenerateChannelError``.
+    """
+    (design,) = _design_rows([(psi, init)], cfg, settings, bits, bound)
+    if isinstance(design, DegenerateChannelError):
+        raise design
+    return design
 
 
 def simulate_ser(snr: float, n_symbols: int) -> float:
@@ -324,20 +398,21 @@ def _draw(cfg: SystemConfig, geo: Geometry, seed: int) -> tuple[np.ndarray, np.n
 
 
 def _realization_stats(args) -> dict:
-    """Worker body: draw, design and score one realization of one sweep point.
+    """Score one designed realization of a sweep point.
 
-    Returns per-scheme (snr, ser, iterations) tuples keyed by scheme name
-    in ``Scheme`` order, the bound's last and only with ``bound``; or
-    {'failed': msg} for a degenerate channel, the only failure a
-    realization may have: the point's configuration was checked when it
-    was built, so any other error is a fault and propagates.
+    ``args`` is (cfg, n_symbols, draw, design), with the draw and the
+    design of ``_design_rows``.  Returns per-scheme (snr, ser, iterations)
+    tuples keyed by scheme name in ``Scheme`` order, the bound's last and
+    only with a bound; or {'failed': msg} for a degenerate channel, the
+    only failure a realization may have: the point's configuration was
+    checked when it was built, so any other error is a fault and
+    propagates.
     """
-    (cfg, geo, settings, bits, n_symbols, bound, seed) = args
-    try:
-        psi, init = _draw(cfg, geo, seed)
-        designs, ub = _design_all(psi, cfg, settings, bits, init, bound)
-    except DegenerateChannelError as exc:
-        return {"failed": f"{type(exc).__name__}: {exc}"}
+    (cfg, n_symbols, draw, design) = args
+    if isinstance(design, DegenerateChannelError):
+        return {"failed": f"{type(design).__name__}: {design}"}
+    psi = draw[0]
+    designs, ub = design
     out = {}
     for scheme, (w, theta, iterations) in designs.items():
         snr = evaluate_snr(w, theta, psi, cfg)
@@ -348,41 +423,67 @@ def _realization_stats(args) -> dict:
     return out
 
 
-def _realizations(
-    task, points, n_channels: int, seed: int, salt: tuple, workers: int, chunk: int | None = None
-):
+def _sweep_task(args) -> list:
+    """Worker body: draw, design and score each realization of a chunk of one sweep point.
+
+    ``args`` is the point's (cfg, geo, settings, bits, n_symbols, bound)
+    and the tuple of the chunk's seeds; the results keep their order.
+    """
+    (cfg, geo, settings, bits, n_symbols, bound, seeds) = args
+    draws = []
+    for seed in seeds:
+        try:
+            draws.append(_draw(cfg, geo, seed))
+        except DegenerateChannelError as exc:
+            draws.append(exc)
+    designs = _design_rows(draws, cfg, settings, bits, bound)
+    return [
+        _realization_stats((cfg, n_symbols, draw, design))
+        for draw, design in zip(draws, designs)
+    ]
+
+
+def _realizations(task, points, n_channels: int, seed: int, salt: tuple, workers: int):
     """The one realization loop: yields each point's task results in realization order.
 
-    Realization r of point i runs ``task((*points[i], child_seed(seed, *salt, i, r)))``.
-    With ``chunk``, a task instead takes the tuple of the seeds of up to
-    ``chunk`` consecutive realizations of one point and returns their
-    results in order; the split depends on ``chunk`` alone, never on
-    ``workers``.  With one worker the tasks run in this process; otherwise
-    one process pool serves every point until the run ends.  The counts
-    are checked before the first task runs.
+    Realization r of point i is drawn from ``child_seed(seed, *salt, i, r)``.
+    A task takes ``(*points[i], seeds)``, the seeds of a chunk of
+    consecutive realizations of one point (``_chunk`` of the point's
+    configuration, ``points[i][0]``), and returns their results in order;
+    the split depends on the point alone, never on ``workers``.
+    With one worker the tasks run in this process, point by point.
+    Otherwise one process pool serves the run: every point's tasks are
+    submitted at once, so the points overlap, and each point is yielded as
+    soon as it and the points before it are done.  When the loop stops
+    early (a fault, or a caller that stops reading), the tasks not yet
+    started are cancelled.  The counts are checked before the first task
+    runs.
     """
     if n_channels < 1:
         raise ConfigError(f"n_channels must be >= 1, got {n_channels}")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    pool = None
-    if workers > 1:
-        # imported here: it loads multiprocessing, which one worker never needs
-        from concurrent.futures import ProcessPoolExecutor
+    tasks = []
+    for i, point in enumerate(points):
+        seeds = tuple(child_seed(seed, *salt, i, r) for r in range(n_channels))
+        size = _chunk(point[0])
+        tasks.append([(*point, seeds[k:k + size]) for k in range(0, n_channels, size)])
+    if workers == 1:
+        for point_tasks in tasks:
+            yield [x for part in map(task, point_tasks) for x in part]
+        return
+    # imported here: it loads multiprocessing, which one worker never needs
+    from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=workers)
-    with pool or nullcontext():
-        for i, point in enumerate(points):
-            seeds = [child_seed(seed, *salt, i, r) for r in range(n_channels)]
-            if chunk is None:
-                tasks = [(*point, s) for s in seeds]
-            else:
-                tasks = [(*point, tuple(seeds[k:k + chunk])) for k in range(0, n_channels, chunk)]
-            if pool is None:
-                results = map(task, tasks)
-            else:
-                results = pool.map(task, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
-            yield list(results) if chunk is None else [x for part in results for x in part]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [[pool.submit(task, t) for t in point_tasks] for point_tasks in tasks]
+        try:
+            for point_futures in futures:
+                yield [x for f in point_futures for x in f.result()]
+        finally:
+            for point_futures in futures:
+                for f in point_futures:
+                    f.cancel()
 
 
 def run_sweep(
@@ -412,7 +513,7 @@ def run_sweep(
     ]
     results = []
     with closing(
-        _realizations(_realization_stats, points, spec.n_channels, spec.seed, (), workers)
+        _realizations(_sweep_task, points, spec.n_channels, spec.seed, (), workers)
     ) as realizations:
         for rows, value in zip(realizations, spec.values):
             failed = [r["failed"] for r in rows if "failed" in r]
@@ -463,28 +564,25 @@ _STUDY_SALT = 0xA11E
 # The iteration cap of every study run: the study counts iterations to
 # convergence, so the cap only has to lie beyond any count it reports.
 _STUDY_MAX_ITER = 20000
-# Realizations of one point per study task, whose plain runs step in
-# lockstep (``run_plain_mm``).  A row's counts do not depend on its chunk.
-_STUDY_CHUNK = 32
 
 
 def _study_task(args) -> list:
     """Worker body: the four iteration counts of each realization of a chunk of one point.
 
-    The plain runs of the chunk's realizations go through ``run_plain_mm``
-    as one stack; the accelerated ones run one realization at a time.
+    Each of the four runs of the chunk's realizations goes through
+    ``_run_rows`` as one stack.
     """
     (cfg, geo, plain_accel, seeds) = args
     draws = [_draw(cfg, geo, seed) for seed in seeds]
-    psis = np.stack([psi for psi, _ in draws])
-    inits = np.stack([init for _, init in draws])
-    plain, accel = plain_accel
-    # every run starts at init, not continued as in _design_all: the study
+    psis = [psi for psi, _ in draws]
+    inits = [init for _, init in draws]
+    # every run starts at init, not continued as in _design_rows: the study
     # compares iteration counts from one start
-    columns = []
-    for run_cfg in (cfg, _nonrobust_config(cfg)):
-        columns.append([res.iterations for res in run_plain_mm(inits, psis, run_cfg, plain)])
-        columns.append([run_mm(init, psi, run_cfg, accel).iterations for psi, init in draws])
+    columns = [
+        [res.iterations for res in _run_rows(inits, psis, run_cfg, settings)]
+        for run_cfg in (cfg, _nonrobust_config(cfg))
+        for settings in plain_accel
+    ]
     return list(zip(*columns))
 
 
@@ -512,9 +610,7 @@ def run_iteration_study(
         raise ConfigError("sweep needs at least one value")
     rows = []
     with closing(
-        _realizations(
-            _study_task, points, n_channels, seed, (_STUDY_SALT,), workers, chunk=_STUDY_CHUNK
-        )
+        _realizations(_study_task, points, n_channels, seed, (_STUDY_SALT,), workers)
     ) as realizations:
         for counts, (cfg, *_) in zip(realizations, points):
             means = np.mean(np.array(counts, dtype=float), axis=0)

@@ -19,7 +19,7 @@ from irsbf.model import ConfigError, DegenerateChannelError
 from irsbf.sim import (
     Scheme,
     SweepSpec,
-    _realization_stats,
+    _sweep_task,
     child_seed,
     db2pow,
     load_setup,
@@ -204,9 +204,21 @@ class TestDeterminism:
         assert main([*args, "--workers", "2", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_worker_count_does_not_change_the_sweep_csv(self, tmp_path):
+        # two chunks per point, designed as stacks by either worker
+        assert sim_mod._CHUNK < 34
+        out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
+        args = [
+            "sweep-n", "--seed", "6", "--channels", "34", "--values", "4,8",
+            "--symbols", "40", "--no-bound",
+        ]
+        assert main([*args, "--workers", "1", "--out", str(out1)]) == 0
+        assert main([*args, "--workers", "2", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_worker_count_does_not_change_the_study_csv(self, tmp_path):
         # more channels than one chunk of the study's lockstep runs
-        assert sim_mod._STUDY_CHUNK < 34
+        assert sim_mod._CHUNK < 34
         out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
         args = ["iteration-study", "--seed", "6", "--channels", "34", "--values", "4,6"]
         assert main([*args, "--workers", "1", "--out", str(out1)]) == 0
@@ -446,9 +458,9 @@ class TestSubcommands:
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
         assert len(rows) == 3
         for r, row in enumerate(rows):
-            stats = _realization_stats(
-                (cfg, geo, MMSettings(), None, 0, True, child_seed(6, 0xB0, r))
-            )
+            stats = _sweep_task(
+                (cfg, geo, MMSettings(), None, 0, True, (child_seed(6, 0xB0, r),))
+            )[0]
             for column, scheme in (("snr_mm_db", Scheme.ROBUST_IRS),
                                    ("snr_bound_db", Scheme.UPPER_BOUND)):
                 reported = pow2db(stats[scheme.value][0])

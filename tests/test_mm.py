@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from irsbf.mm import (
     quantize_phases,
     random_lifted_init,
     run_mm,
-    run_plain_mm,
+    run_stacked_mm,
 )
 import irsbf.mm as mm_mod
 from irsbf.model import (
@@ -29,6 +32,7 @@ from irsbf.model import (
     lift_reflect,
 )
 
+from irsbf.sim import _draw, child_seed, table_defaults
 from irsbf.txbf import _row_power
 
 from conftest import complex_gaussian, random_channels
@@ -381,7 +385,7 @@ class TestStackedPlainLoop:
 
     @staticmethod
     def assert_rows_match_the_oracle(inits, psis, cfg, settings=PLAIN):
-        results = run_plain_mm(inits, psis, cfg, settings)
+        results = run_stacked_mm(inits, psis, cfg, settings)
         assert len(results) == len(inits)
         for init, psi, res in zip(inits, psis, results):
             tt, objectives, converged = plain_loop_oracle(init.copy(), psi, cfg, settings)
@@ -423,7 +427,7 @@ class TestStackedPlainLoop:
             return original(omega)
 
         monkeypatch.setattr(mm_mod, "lambda_max_power_iteration", counting)
-        results = run_plain_mm(inits, psis, cfg, PLAIN)
+        results = run_stacked_mm(inits, psis, cfg, PLAIN)
         if kappa == 0.0:
             # a = 0: the coupling term vanishes, and no eigensolve runs
             assert calls == []
@@ -454,14 +458,132 @@ class TestStackedPlainLoop:
         psis[1, 0, 0] = np.nan
         with np.errstate(invalid="ignore"):
             with pytest.raises(np.linalg.LinAlgError):
-                run_plain_mm(inits, psis, cfg, PLAIN)
+                run_stacked_mm(inits, psis, cfg, PLAIN)
             with pytest.raises(np.linalg.LinAlgError):
                 run_mm(inits[1], psis[1], cfg, PLAIN)
 
-    def test_accelerated_settings_are_rejected(self, rng):
-        cfg, psis, inits = stacked_problems(rng, 2)
-        with pytest.raises(ValueError, match="plain steps"):
-            run_plain_mm(inits, psis, cfg, MMSettings())
+
+def squarem_loop_oracle(tt, psi, cfg, settings):
+    """Oracle: the accelerated loop on one problem, and the candidates each cycle tried.
+
+    Composed of ``_step``, ``_evaluate`` and ``_project_unit``, as the
+    single-run loop was written before it gained a row axis.
+    """
+    run = _run_constants(psi, cfg)
+    ev = _evaluate(tt, run)
+    objectives, tries = [ev[2]], []
+    for _ in range(settings.max_iter):
+        x1 = _step(tt, ev, run)
+        x2 = _step(x1, _evaluate(x1, run), run)
+        ev2 = _evaluate(x2, run)
+        r = x1 - tt
+        v = x2 - x1 - r
+        nr, nv = math.sqrt(np.vdot(r, r).real), math.sqrt(np.vdot(v, v).real)
+        t0, (tt, ev) = tt, (x2, ev2)
+        tries.append(0)
+        alpha = -nr / nv if nr > 0.0 and nv > 0.0 else -1.0
+        for _ in range(60):
+            if abs(alpha + 1.0) < 1e-4:
+                break
+            cand = _project_unit(t0 - 2.0 * alpha * r + alpha**2 * v, x2)
+            ev_c = _evaluate(cand, run)
+            tries[-1] += 1
+            if ev_c[2] >= ev2[2]:
+                tt, ev = cand, ev_c
+                break
+            alpha = (alpha - 1.0) / 2.0
+        objectives.append(ev[2])
+        if abs(objectives[-1] - objectives[-2]) / max(1.0, abs(objectives[-2])) < settings.epsilon:
+            return tt, objectives, True, tries
+    return tt, objectives, False, tries
+
+
+ACCEL = MMSettings(epsilon=1e-6, max_iter=3000)
+
+
+class TestStackedSquarem:
+    """Each row of an accelerated stack runs bit for bit as SQUAREM on that row alone."""
+
+    @staticmethod
+    def assert_rows_match_the_oracle(inits, psis, cfg, settings=ACCEL):
+        results = run_stacked_mm(inits, psis, cfg, settings)
+        assert len(results) == len(inits)
+        tries = []
+        for init, psi, res in zip(inits, psis, results):
+            tt, objectives, converged, row_tries = squarem_loop_oracle(
+                init.copy(), psi, cfg, settings
+            )
+            assert res.objectives == tuple(objectives)
+            assert res.iterations == len(objectives) - 1
+            assert res.converged is converged
+            np.testing.assert_array_equal(res.reflect.phases, extract_reflect(tt).phases)
+            alone = run_mm(init, psi, cfg, settings)
+            assert (alone.objectives, alone.iterations, alone.converged) == (
+                res.objectives, res.iterations, res.converged
+            )
+            np.testing.assert_array_equal(alone.reflect.phases, res.reflect.phases)
+            tries.append(row_tries)
+        return results, tries
+
+    @pytest.mark.parametrize("n_rows", [1, 3, 17])
+    def test_rows_are_bitwise_their_own_runs(self, rng, n_rows):
+        cfg, psis, inits = stacked_problems(rng, n_rows, n_i=50)
+        results, _ = self.assert_rows_match_the_oracle(inits, psis, cfg)
+        assert all(res.converged for res in results)
+        if n_rows > 1:
+            # the rows leave the stack at different cycles
+            assert len({res.iterations for res in results}) > 1
+
+    def test_rows_backtrack_beside_rows_that_accept_at_once(self):
+        # the sweeps' operating point, where backtracking is common
+        cfg, geo = table_defaults()
+        cfg = replace(cfg, n_i=50)
+        draws = [_draw(cfg, geo, child_seed(3, r)) for r in range(17)]
+        # the draws as they come, in lists: each composite keeps its own
+        # memory layout, which the stack must keep to round as it does
+        psis = [psi for psi, _ in draws]
+        inits = [init for _, init in draws]
+        assert not psis[0].flags.c_contiguous
+        _, tries = self.assert_rows_match_the_oracle(inits, psis, cfg)
+        # per cycle, the candidates tried by each row still in the stack
+        cycles = [[t[c] for t in tries if len(t) > c] for c in range(max(map(len, tries)))]
+        # a row kept its first candidate while another backtracked alone ...
+        assert any(col.count(1) > 1 and sum(n > 1 for n in col) == 1 for col in cycles)
+        # ... and while several backtracked together
+        assert any(1 in col and sum(n > 1 for n in col) >= 2 for col in cycles)
+
+    def test_a_row_with_a_zero_step(self, rng):
+        cfg, psis, inits = stacked_problems(rng, 4)
+        psis[1] = 0.0  # every step keeps the start: r = 0, and no candidate is tried
+        results, tries = self.assert_rows_match_the_oracle(inits, psis, cfg)
+        assert results[1].objectives == (0.0, 0.0) and tries[1] == [0]
+        np.testing.assert_array_equal(results[1].reflect.phases, extract_reflect(inits[1]).phases)
+
+    @pytest.mark.parametrize(
+        "n_i, n_s, overrides",
+        [(0, 4, {}), (8, 1, {}), (0, 1, {}), (8, 9, {}), (8, 4, {"kappa_s": 0.0, "kappa_d": 0.0})],
+        ids=["n_i0", "n_s1", "n_i0-n_s1", "n_s9", "kappa0"],
+    )
+    def test_edge_sizes_and_kappa_zero(self, rng, n_i, n_s, overrides):
+        cfg, psis, inits = stacked_problems(rng, 5, n_i=n_i, n_s=n_s, **overrides)
+        self.assert_rows_match_the_oracle(inits, psis, cfg)
+
+    def test_rows_cut_at_max_iter_beside_converged_rows(self, rng):
+        cfg, psis, inits = stacked_problems(rng, 4)
+        psis[1] = 0.0  # converges at the first cycle
+        settings = MMSettings(epsilon=1e-12, max_iter=3)
+        results, _ = self.assert_rows_match_the_oracle(inits, psis, cfg, settings)
+        assert [res.converged for res in results] == [False, True, False, False]
+        assert [res.iterations for res in results] == [3, 1, 3, 3]
+
+    def test_nan_channel_raises(self, rng):
+        cfg, psis, inits = stacked_problems(rng, 3)
+        psis[1, 0, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(np.linalg.LinAlgError):
+                run_stacked_mm(inits, psis, cfg, ACCEL)
+            with pytest.raises(np.linalg.LinAlgError):
+                run_mm(inits[1], psis[1], cfg, ACCEL)
 
 
 class TestLambdaShift:

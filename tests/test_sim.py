@@ -20,7 +20,7 @@ from irsbf.sim import (
     _design_all,
     _draw,
     _nonrobust_config,
-    _realization_stats,
+    _sweep_task,
     child_seed,
     pow2db,
     run_iteration_study,
@@ -205,7 +205,7 @@ class TestContinuation:
         for n_i in (8, 16):
             point = (replace(cfg, n_i=n_i), geo, MMSettings(), bits, 0, False)
             for s in range(40):
-                out = _realization_stats((*point, child_seed(3, s)))
+                out = _sweep_task((*point, (child_seed(3, s),)))[0]
                 robust, nonrobust = out["robust_irs"][0], out["nonrobust_irs"][0]
                 assert robust >= nonrobust * (1.0 - 1e-12), (n_i, s)
 
@@ -410,9 +410,9 @@ class TestUpperBoundScheme:
         cfg, geo = table_defaults()
         cfg = replace(cfg, n_i=16)
         seed = child_seed(7, 16, 25)
-        out = _realization_stats(
-            (cfg, geo, MMSettings(), None, 0, True, seed)
-        )
+        out = _sweep_task(
+            (cfg, geo, MMSettings(), None, 0, True, (seed,))
+        )[0]
         bound = out[Scheme.UPPER_BOUND.value][0]
         assert bound >= out[Scheme.ROBUST_IRS.value][0]
         assert bound >= out[Scheme.NONROBUST_IRS.value][0]
@@ -430,10 +430,10 @@ class TestSerOrdering:
             (Scheme.ROBUST_NO_IRS, Scheme.NONROBUST_NO_IRS),
         )
         for s in range(20):
-            out = _realization_stats(
+            out = _sweep_task(
                 (cfg, geo, MMSettings(), None, 2000, False,
-                 child_seed(5, n_i, s))
-            )
+                 (child_seed(5, n_i, s),))
+            )[0]
             for robust, nonrobust in pairs:
                 assert out[robust.value][1] <= out[nonrobust.value][1], (s, robust)
 
@@ -499,10 +499,150 @@ class TestFailureHandling:
         def broken(*args, **kwargs):
             raise TypeError("injected")
 
+        # a chunk of three runs as a stack; a chunk of one, through run_mm
         monkeypatch.setattr(sim_mod, "run_mm", broken)
+        monkeypatch.setattr(sim_mod, "run_stacked_mm", broken)
         cfg, geo = small_setup(n_i=4)
         with pytest.raises(TypeError, match="injected"):
+            run_sweep(replace(self.SPEC, n_channels=1), cfg, geo)
+        with pytest.raises(TypeError, match="injected"):
             run_sweep(self.SPEC, cfg, geo)
+
+
+class TestSweepChunks:
+    """A sweep task designs a chunk of one point's realizations as MM stacks."""
+
+    @pytest.mark.parametrize("bits, bound", [(None, False), (2, True)])
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_rows_do_not_depend_on_the_chunk(self, monkeypatch, chunk, bits, bound):
+        # chunk 1 runs every design through run_mm; 3 runs stacks of three,
+        # a last chunk of one through run_mm; the default, one stack per run
+        cfg, geo = table_defaults()
+        spec = SweepSpec(
+            variable="n_i", values=(4.0, 50.0), n_channels=7, n_symbols=100, seed=17,
+            bits=bits, bound=bound,
+        )
+        default = run_sweep(spec, cfg, geo)
+        monkeypatch.setattr(sim_mod, "_CHUNK", chunk)
+        assert run_sweep(spec, cfg, geo) == default
+
+    def test_large_surfaces_make_smaller_chunks(self):
+        cfg, _ = table_defaults()  # n_s = 4: 64 bytes per element
+        sizes = (8, 200, sim_mod._CHUNK_BYTES // 128 - 1, 4000)
+        assert [sim_mod._chunk(replace(cfg, n_i=n_i)) for n_i in sizes] == [
+            32, sim_mod._CHUNK_BYTES // (64 * 201), 2, 1
+        ]
+
+    def test_rows_do_not_depend_on_the_chunk_bytes(self, monkeypatch):
+        cfg, geo = table_defaults()
+        spec = SweepSpec(variable="n_i", values=(200.0,), n_channels=9, n_symbols=100, seed=4,
+                         bound=False)
+        default = run_sweep(spec, cfg, geo)
+        assert sim_mod._chunk(replace(cfg, n_i=200)) > 3
+        # chunks of three
+        monkeypatch.setattr(sim_mod, "_CHUNK_BYTES", 3 * 64 * 201)
+        assert run_sweep(spec, cfg, geo) == default
+
+    def test_stacked_designs_are_each_realizations_own(self, mm_runs):
+        # the oracle: _design_all on each realization alone, through run_mm
+        cfg, geo = small_setup(n_i=8)
+        point = (cfg, geo, MMSettings(), 1, 100, True)
+        seeds = tuple(child_seed(8, r) for r in range(5))
+        stats = sim_mod._sweep_task((*point, seeds))
+        assert mm_runs == []  # both runs went through the stacks
+        for seed, out in zip(seeds, stats):
+            assert out == sim_mod._sweep_task((*point, (seed,)))[0]
+        assert len(mm_runs) == 2 * len(seeds)
+
+    def test_a_degenerate_channel_mid_chunk_fails_alone(self, monkeypatch):
+        cfg, geo = small_setup(n_i=6)
+        point = (cfg, geo, MMSettings(), None, 100, False)
+        seeds = tuple(child_seed(9, r) for r in range(5))
+        clean = sim_mod._sweep_task((*point, seeds))
+        original = sim_mod._draw
+
+        def no_direct_link_for_the_third(cfg, geo, seed):
+            psi, init = original(cfg, geo, seed)
+            if seed == seeds[2]:
+                psi = psi.copy()
+                psi[:, -1] = 0.0
+            return psi, init
+
+        monkeypatch.setattr(sim_mod, "_draw", no_direct_link_for_the_third)
+        out = sim_mod._sweep_task((*point, seeds))
+        assert out[2] == {
+            "failed": "DegenerateChannelError: degenerate channel: composite vector is zero"
+        }
+        assert out[:2] + out[3:] == clean[:2] + clean[3:]
+
+
+class _LazyFuture:
+    """A future whose task runs only when its result is asked for."""
+
+    def __init__(self, fn, arg, ran):
+        self.fn, self.arg, self.ran, self.cancelled = fn, arg, ran, False
+
+    def result(self):
+        assert not self.cancelled
+        self.ran.append(self.arg)
+        return self.fn(self.arg)
+
+    def cancel(self):
+        self.cancelled = True
+        return True
+
+
+class TestRealizationLoop:
+    """The loop under a stand-in process pool that runs a task when it is read."""
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        import concurrent.futures
+
+        state = {"futures": [], "ran": []}
+
+        class LazyPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, arg):
+                state["futures"].append(_LazyFuture(fn, arg, state["ran"]))
+                return state["futures"][-1]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", LazyPool)
+        monkeypatch.setattr(sim_mod, "_CHUNK", 2)
+        return state
+
+    POINTS = [(small_setup()[0], i) for i in range(3)]
+
+    @staticmethod
+    def task(args):
+        (_, point, seeds) = args
+        return [(point, seed) for seed in seeds]
+
+    def test_every_point_is_submitted_before_the_first_is_read(self, pool):
+        loop = sim_mod._realizations(self.task, self.POINTS, 3, 5, (), workers=2)
+        first = next(loop)
+        assert first == [(0, child_seed(5, 0, r)) for r in range(3)]
+        # three points of two chunks each: all submitted, the first point's read
+        assert len(pool["futures"]) == 6
+        assert [arg[1] for arg in pool["ran"]] == [0, 0]
+        assert [row for rows in loop for row in rows] == [
+            (i, child_seed(5, i, r)) for i in (1, 2) for r in range(3)
+        ]
+
+    def test_stopping_early_cancels_the_tasks_not_started(self, pool):
+        loop = sim_mod._realizations(self.task, self.POINTS, 3, 5, (), workers=2)
+        next(loop)
+        loop.close()
+        assert [arg[1] for arg in pool["ran"]] == [0, 0]
+        assert [f.cancelled for f in pool["futures"][2:]] == [True] * 4
 
 
 class TestCompositeOncePerRealization:
@@ -558,7 +698,7 @@ class TestIterationStudy:
     def test_rows_do_not_depend_on_the_chunk(self, monkeypatch, chunk):
         cfg, geo = small_setup()
         default = run_iteration_study([4, 8], cfg, geo, seed=13, n_channels=7)
-        monkeypatch.setattr(sim_mod, "_STUDY_CHUNK", chunk)
+        monkeypatch.setattr(sim_mod, "_CHUNK", chunk)
         assert run_iteration_study([4, 8], cfg, geo, seed=13, n_channels=7) == default
 
     def test_chunk_counts_are_each_realizations_own_runs(self):
