@@ -59,12 +59,31 @@ def path_loss_linear(d: float, gamma: float, geo: Geometry) -> float:
     return float(10.0 ** (pl_db / 10.0))
 
 
+def complex_gaussian(re: np.ndarray, im: np.ndarray, gain: float, out=None) -> np.ndarray:
+    """sqrt(gain / 2) (re + 1j im): complex Gaussian entries of variance ``gain`` from standard normals.
+
+    With ``out``, the entries are written there, elementwise the same.
+    """
+    out = np.multiply(1j, im, out=out)
+    np.add(re, out, out=out)
+    return np.multiply(np.sqrt(gain / 2.0), out, out=out)
+
+
 def sample_rayleigh(rng: np.random.Generator, rows: int, cols: int, gain: float) -> np.ndarray:
     """i.i.d. circularly symmetric complex Gaussian entries with variance ``gain``."""
     if gain < 0.0:
         raise ConfigError(f"gain must be non-negative, got {gain}")
-    scale = np.sqrt(gain / 2.0)
-    return scale * (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+    return complex_gaussian(rng.standard_normal((rows, cols)), rng.standard_normal((rows, cols)), gain)
+
+
+def link_gains(geo: Geometry) -> tuple[float, float, float]:
+    """The path-loss gains (g_si, g_id, g_sd) of the three links: their per-entry variances."""
+    d_sd, d_id = derive_distances(geo)
+    return (
+        path_loss_linear(geo.d_si, geo.gamma_si, geo),
+        path_loss_linear(d_id, geo.gamma_id, geo),
+        path_loss_linear(d_sd, geo.gamma_sd, geo),
+    )
 
 
 def generate_channels(rng: np.random.Generator, cfg: SystemConfig, geo: Geometry) -> ChannelSet:
@@ -74,10 +93,7 @@ def generate_channels(rng: np.random.Generator, cfg: SystemConfig, geo: Geometry
     Draw order is fixed (h_si, h_id, h_sd) so a seeded generator yields a
     reproducible realization.
     """
-    d_sd, d_id = derive_distances(geo)
-    g_si = path_loss_linear(geo.d_si, geo.gamma_si, geo)
-    g_id = path_loss_linear(d_id, geo.gamma_id, geo)
-    g_sd = path_loss_linear(d_sd, geo.gamma_sd, geo)
+    g_si, g_id, g_sd = link_gains(geo)
     h_si = sample_rayleigh(rng, cfg.n_i, cfg.n_s, g_si)
     h_id = sample_rayleigh(rng, cfg.n_i, 1, g_id).ravel()
     h_sd = sample_rayleigh(rng, cfg.n_s, 1, g_sd).ravel()

@@ -25,7 +25,7 @@ import numpy as np
 from .channels import Geometry, sample_los, sample_rayleigh
 from .los import solve_los
 from .mm import MMSettings, random_lifted_init, run_mm
-from .model import ChannelSet, ConfigError, SystemConfig, build_composite
+from .model import ChannelSet, ConfigError, DegenerateChannelError, SystemConfig, build_composite
 from .sim import (
     IterationStudyRow,
     Scheme,
@@ -242,8 +242,11 @@ def _run_bound_check(args, cfg: SystemConfig, geo: Geometry) -> int:
     violations = 0
     with _table(args, header) as add:
         for r in range(args.channels):
-            psi, init = _draw(cfg, geo, child_seed(args.seed, 0xB0, r))
-            designs, ub = _design_all(psi, cfg, MMSettings(), None, init, True)
+            (psi,), (init,) = _draw(cfg, geo, (child_seed(args.seed, 0xB0, r),))
+            try:
+                designs, ub = _design_all(psi, cfg, MMSettings(), None, init, True)
+            except DegenerateChannelError as exc:
+                raise DegenerateChannelError(f"channel {r}: {exc}") from None
             mm_pt = psi_tilde(designs[Scheme.ROBUST_IRS][1], psi, cfg)
             mm_db = pow2db(snr_from_psi_tilde(mm_pt, cfg))
             bound_db = pow2db(ub.bound_snr)
@@ -284,7 +287,7 @@ def main(argv=None) -> int:
     try:
         cfg, geo = load_setup(args.config) if args.config else table_defaults()
         return run(args, cfg, geo)
-    except (ValueError, OSError, SweepFailedError) as exc:
+    except (ValueError, OSError, SweepFailedError, DegenerateChannelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -247,6 +247,16 @@ def _step_length(r: np.ndarray, v: np.ndarray):
     return None if nr == 0.0 or nv == 0.0 else -nr / nv
 
 
+def _step_lengths(r: np.ndarray, v: np.ndarray) -> list:
+    """``_step_length`` of each row of the stacks ``r`` and ``v``, bit for bit, as a list.
+
+    Each squared norm is one batched product conj(r_k)^T r_k, which rounds
+    as ``np.vdot`` does.
+    """
+    nr, nv = (np.sqrt((x.conj()[:, None, :] @ x[:, :, None])[:, 0, 0].real).tolist() for x in (r, v))
+    return [None if a == 0.0 or b == 0.0 else -a / b for a, b in zip(nr, nv)]
+
+
 def _backtrack(tt, r, v, x2, ev2, run: _Run, alpha: float, tries: int):
     """SQUAREM's backtracking on one problem, from step length ``alpha``, at most ``tries`` times.
 
@@ -278,7 +288,7 @@ def _squarem_cycle(tt, ev, run: _Run):
     preserved; at a fixed point the cycle degenerates to the plain steps.
 
     On a stack the two steps and their evaluations run once over the rows.
-    Each row keeps its own step length (a per-row ``np.vdot``, as on one
+    Each row keeps its own step length (``_step_lengths``, as on one
     problem) and its own backtracking: the rows still backtracking
     evaluate their candidates together, and the last one left backtracks
     in the layout of a single run.
@@ -287,13 +297,15 @@ def _squarem_cycle(tt, ev, run: _Run):
     x2 = _step(x1, _evaluate(x1, run), run)
     ev2 = _evaluate(x2, run)
     r = x1 - tt
-    v = x2 - x1 - r
+    # v = x2 - x1 - r, written over x1, which is not needed past here
+    v = np.subtract(x2, x1, out=x1)
+    v -= r
     if run.m.ndim == 2:
         alpha = _step_length(r, v)
         if alpha is None:
             return x2, ev2
         return _backtrack(tt, r, v, x2, ev2, run, alpha, _BACKTRACKS)
-    alphas = [_step_length(r[k], v[k]) for k in range(len(r))]
+    alphas = _step_lengths(r, v)
     trying = [k for k, alpha in enumerate(alphas) if alpha is not None]
     # x2 and ev2 are this cycle's own arrays, and a row whose candidate is
     # kept is done, so its rows of them are overwritten in place
@@ -350,11 +362,15 @@ def random_lifted_init(rng: np.random.Generator, n_i: int) -> np.ndarray:
     return _project_unit(z, 1.0 + 0.0j)
 
 
-def _keep_rows(tt: np.ndarray, ev, run: _Run, keep: list):
+def _keep_rows(tt: np.ndarray, ev, run: _Run, keep: list, order: list):
     """The loop state (iterate, evaluation, constants) of rows ``keep`` of a stack.
 
     A single row leaves the stack for the layout of a single run, whose
-    arithmetic is the same with less dispatch.
+    arithmetic is the same with less dispatch.  Otherwise the kept rows
+    move to the front of the stack in place, so that no copy of it is
+    made: Psi by swaps, recorded in ``order`` (the caller's row at each
+    place of Psi), since Psi is the caller's array; Psi^H, the loop's own,
+    by overwriting.
     """
     if len(keep) == 1:
         (k,) = keep
@@ -363,13 +379,11 @@ def _keep_rows(tt: np.ndarray, ev, run: _Run, keep: list):
             (ev[0][k], ev[1][k], float(ev[2][k])),
             _Run(run.m[k], run.mh[k], run.gram[k], run.a, run.c),
         )
-    # the stack's constants are the loop's own (``run_stacked_mm``): the
-    # kept rows move to the front in place, one by one, so that no copy of
-    # the stack is made
     m, mc = run.m, np.swapaxes(run.mh, 1, 2)
     for j, k in enumerate(keep):
         if j < k:
-            m[j], mc[j] = m[k], mc[k]
+            _swap_rows(m, order, j, k)
+            mc[j] = mc[k]
     n = len(keep)
     return (
         tt[keep],
@@ -378,13 +392,19 @@ def _keep_rows(tt: np.ndarray, ev, run: _Run, keep: list):
     )
 
 
+def _swap_rows(m: np.ndarray, order: list, j: int, k: int) -> None:
+    """Swap matrices ``j`` and ``k`` of the stack ``m``, and entries ``j`` and ``k`` of ``order``."""
+    m[[j, k]] = m[[k, j]]
+    order[j], order[k] = order[k], order[j]
+
+
 def _plain_step(tt: np.ndarray, ev, run: _Run):
     """A plain step from ``tt``, whose evaluation is ``ev``: the new iterate and its evaluation."""
     tt = _step(tt, ev, run)
     return tt, _evaluate(tt, run)
 
 
-def _ascend_rows(tt: np.ndarray, run: _Run, settings: MMSettings):
+def _ascend_rows(tt: np.ndarray, run: _Run, settings: MMSettings, order=None):
     """The optimizer loop, on one phase vector or factor, or on the rows of a stack.
 
     Each pass is a SQUAREM cycle with ``settings.accelerate``, else a plain
@@ -398,7 +418,10 @@ def _ascend_rows(tt: np.ndarray, run: _Run, settings: MMSettings):
     test, the SQUAREM acceptance test and the next step.  No operation
     mixes rows, so a row's result does not depend on the others in the
     stack.  ``run`` holds the constants of the problem
-    (``_run_constants``).
+    (``_run_constants``).  ``tt`` is not changed.  On a stack, the loop
+    moves the kept matrices of Psi to the front in place as rows leave
+    (``_keep_rows``), and ``order``, which starts as 0, 1, ..., R - 1,
+    tracks the caller's row at each place.
     """
     advance = _squarem_cycle if settings.accelerate else _plain_step
     stacked = run.m.ndim == 3
@@ -407,7 +430,7 @@ def _ascend_rows(tt: np.ndarray, run: _Run, settings: MMSettings):
     ev = _evaluate(tt, run)
     objectives = [[obj] for obj in (ev[2].tolist() if stacked else [ev[2]])]
     if stacked and len(live) == 1:
-        tt, ev, run = _keep_rows(tt, ev, run, [0])
+        tt, ev, run = _keep_rows(tt, ev, run, [0], order)
         stacked = False
     for _ in range(settings.max_iter):
         tt, ev = advance(tt, ev, run)
@@ -426,7 +449,7 @@ def _ascend_rows(tt: np.ndarray, run: _Run, settings: MMSettings):
             live = [live[k] for k in keep]
             if not live:
                 break
-            tt, ev, run = _keep_rows(tt, ev, run, keep)
+            tt, ev, run = _keep_rows(tt, ev, run, keep, order)
             stacked = len(keep) > 1
     for k, r in enumerate(live):
         last[r] = tt[k] if stacked else tt
@@ -445,15 +468,25 @@ def run_stacked_mm(
     ``psis[r]`` (R x n_s x (n_i + 1)), each an array or a sequence of
     rows; every row shares ``cfg`` and ``settings``, plain steps or
     SQUAREM cycles alike.  A row stops as ``run_mm`` does, and its result
-    is bit for bit what ``run_mm`` returns for it.
+    is bit for bit what ``run_mm`` returns for it.  An array ``psis`` is
+    used in place, not copied, and holds the same bytes in the same order
+    when this returns.
     """
-    inits = np.asarray(inits)
-    tt = check_unit_modulus(inits).reshape(inits.shape).copy()
-    # the loop's own copy of the composites, which it compacts in place;
-    # np.stack keeps each matrix's memory layout, and with it the rounding
-    # of its products (the draws are Fortran-ordered, and np.array of a
-    # list of them would be C-ordered)
-    return _results(*_ascend_rows(tt, _run_constants(np.stack(psis), cfg), settings))
+    inits = np.asarray(inits, dtype=complex)
+    check_unit_modulus(inits)
+    if not isinstance(psis, np.ndarray):
+        # np.stack keeps each matrix's memory layout, and with it the
+        # rounding of its products (the draws are Fortran-ordered, and
+        # np.array of a list of them would be C-ordered)
+        psis = np.stack(psis)
+    order = list(range(len(psis)))
+    try:
+        return _results(*_ascend_rows(inits, _run_constants(psis, cfg), settings, order))
+    finally:
+        # the caller's matrices back in their places, returning or raising
+        for j in range(len(order)):
+            while order[j] != j:
+                _swap_rows(psis, order, j, order[j])
 
 
 def _results(last, objectives, converged) -> list:

@@ -22,16 +22,17 @@ Determinism contract: sweeps and the iteration study run their
 realizations through one loop, ``_realizations``, and draw each one by
 ``_draw`` from its own generator, whose seed is derived from the master
 seed, the point index and the realization index through a 64-bit mixing
-function.  A task is a chunk of consecutive realizations of one point
-(``_chunk``: up to ``_CHUNK``, fewer on large surfaces), whose MM runs
-step in lockstep as stacks (``_run_rows``): a sweep task designs its
-chunk's nonrobust reflections as one stack and the robust ones as
-another, and a study task runs each of its four kinds of run as one
-stack.  The chunk size depends on the point alone, never on
-``--workers``, and no realization's result depends on its chunk: each
-row of a stack is bit for bit its own ``run_mm``.  Workers therefore
-produce identical results regardless of how tasks are distributed, and
-the aggregation is an ordered reduction.  A degenerate channel is the
+function.  A task is a chunk of up to ``_CHUNK`` consecutive
+realizations of one point, at every surface size.  It draws them as one
+array (``_draw``), each realization still from its own generator, and
+its MM runs step in lockstep as stacks (``_run_rows``) on that array: a
+sweep task designs its chunk's nonrobust reflections as one stack and
+the robust ones as another, and a study task runs each of its four kinds
+of run as one stack.  The chunk size never depends on ``--workers``, and
+no realization's result depends on its chunk: each draw is bit for bit
+its own, and each row of a stack is bit for bit its own ``run_mm``.
+Workers therefore produce identical results regardless of how tasks are
+distributed, and the aggregation is an ordered reduction.  A degenerate channel is the
 only failure a realization reports, and it fails that realization alone.
 """
 
@@ -45,18 +46,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import Geometry, generate_channels
-from .mm import (
-    MMSettings,
-    check_bits,
-    quantize_phases,
-    random_lifted_init,
-    run_mm,
-    run_stacked_mm,
-)
-from .model import (
+# generate_channels and build_composite are not called here, since _draw
+# does their arithmetic on a whole chunk; the benchmark's tracer
+# (bench/tracing.py) wraps them under these names until the library owns
+# its spans (ROADMAP item 2).
+from .channels import Geometry, complex_gaussian, generate_channels, link_gains  # noqa: F401
+from .mm import MMSettings, _project_unit, check_bits, quantize_phases, run_mm, run_stacked_mm
+from .model import (  # noqa: F401
     ConfigError,
     DegenerateChannelError,
+    DimensionError,
     SystemConfig,
     build_composite,
     lift_reflect,
@@ -247,47 +246,39 @@ def _nonrobust_config(cfg: SystemConfig) -> SystemConfig:
     return replace(cfg, kappa_s=0.0, kappa_d=0.0)
 
 
-# Realizations of one point per task, at most.  A task runs their MM
-# designs as stacks (``_run_rows``); the split does not depend on
-# ``--workers``, and no realization's result depends on its chunk.
+# Realizations of one point per task, at most.  A task draws them as one
+# chunk (``_draw``) and runs their MM designs as stacks (``_run_rows``);
+# the split does not depend on ``--workers``, and no realization's result
+# depends on its chunk.
 _CHUNK = 32
-# Bytes of composites per task, at most (``_chunk``).  A task holds its
-# composites, and a stacked run about two more copies (its own and their
-# conjugates), while a large surface gains less from stacking, its
-# products outweighing the dispatch.
-_CHUNK_BYTES = 1 << 16
 # Fewer rows than this run one at a time through ``run_mm``: on the
 # sweeps' sizes, a stack of two accelerated runs is slower than two single
 # runs.
 _MIN_STACK = 3
 
 
-def _chunk(cfg: SystemConfig) -> int:
-    """Realizations per task at ``cfg``: ``_CHUNK``, or fewer on a surface too large for it."""
-    psi_bytes = np.dtype(complex).itemsize * cfg.n_s * (cfg.n_i + 1)
-    return max(1, min(_CHUNK, _CHUNK_BYTES // psi_bytes))
-
-
-def _run_rows(inits: list, psis: list, cfg: SystemConfig, settings: MMSettings) -> list:
+def _run_rows(inits, psis, cfg: SystemConfig, settings: MMSettings) -> list:
     """MM from each init on its composite, one ``MMResult`` each, bit for bit ``run_mm``'s.
 
-    The rows run as one stack (``run_stacked_mm``), or one at a time
-    through ``run_mm`` when there are fewer than ``_MIN_STACK``.
+    The rows run as one stack (``run_stacked_mm``, which uses an array
+    ``psis`` in place and leaves it as it was), or one at a time through
+    ``run_mm`` when there are fewer than ``_MIN_STACK``.
     """
     if len(psis) < _MIN_STACK:
         return [run_mm(init, psi, cfg, settings) for init, psi in zip(inits, psis)]
     return run_stacked_mm(inits, psis, cfg, settings)
 
 
-def _design_rows(draws: list, cfg: SystemConfig, settings: MMSettings, bits, bound: bool) -> list:
+def _design_rows(
+    psis: np.ndarray, inits: np.ndarray, cfg: SystemConfig, settings: MMSettings, bits, bound: bool
+) -> list:
     """Design the four beam schemes on each realization of a chunk.
 
-    ``draws`` holds each realization's composite channel and MM init
-    (``_draw``), or the ``DegenerateChannelError`` that failed its draw.
-    Returns, in that order, each realization's schemes' (w, theta,
-    iterations) in ``Scheme`` order with the relaxation bound
-    (``UpperBoundResult``, or None without ``bound``), or the
-    ``DegenerateChannelError`` that fails it.
+    ``psis`` and ``inits`` hold each realization's composite channel and
+    MM init (``_draw``).  Returns, in that order, each realization's
+    schemes' (w, theta, iterations) in ``Scheme`` order with the
+    relaxation bound (``UpperBoundResult``, or None without ``bound``), or
+    the ``DegenerateChannelError`` that fails it alone.
 
     The no-IRS beams come first: without a direct link they raise
     ``DegenerateChannelError``, and then before any MM run.  The
@@ -309,23 +300,28 @@ def _design_rows(draws: list, cfg: SystemConfig, settings: MMSettings, bits, bou
     """
     cfg0 = _nonrobust_config(cfg)
     budget_scale = math.sqrt(cfg.p_tilde / cfg0.p_tilde)
-    out, live = list(draws), []
-    for k, draw in enumerate(draws):
-        if isinstance(draw, DegenerateChannelError):
-            continue
-        psi = draw[0]
+    out, live = [], []
+    for k, psi in enumerate(psis):
         try:
-            out[k] = (
+            out.append((
                 optimal_transmit_beam(None, psi, cfg),
                 optimal_beam_from_v(composite_vector(None, psi), cfg0) * budget_scale,
-            )
+            ))
             live.append(k)
         except DegenerateChannelError as exc:
-            out[k] = exc
-    psis = [draws[k][0] for k in live]
-    runs_n = _run_rows([draws[k][1] for k in live], psis, cfg0, settings)
-    runs_r = _run_rows([lift_reflect(res.reflect) for res in runs_n], psis, cfg, settings)
-    for k, psi, res_n, res_r in zip(live, psis, runs_n, runs_r):
+            out.append(exc)
+    if len(live) < len(psis):
+        # a list of the live rows, which run_stacked_mm stacks in their layout
+        psis_live, inits = [psis[k] for k in live], inits[live]
+    else:
+        psis_live = psis
+    runs_n = _run_rows(inits, psis_live, cfg0, settings)
+    starts = np.empty_like(inits)
+    for start, res in zip(starts, runs_n):
+        start[:] = lift_reflect(res.reflect)
+    runs_r = _run_rows(starts, psis_live, cfg, settings)
+    for k, res_n, res_r in zip(live, runs_n, runs_r):
+        psi = psis[k]
         w_rn, w_nn = out[k]
         theta_r, theta_n = res_r.reflect, res_n.reflect
         try:
@@ -365,7 +361,7 @@ def _design_all(
     the relaxation bound (``UpperBoundResult``), or None without ``bound``;
     a degenerate channel raises ``DegenerateChannelError``.
     """
-    (design,) = _design_rows([(psi, init)], cfg, settings, bits, bound)
+    (design,) = _design_rows(psi[None], init[None], cfg, settings, bits, bound)
     if isinstance(design, DegenerateChannelError):
         raise design
     return design
@@ -387,31 +383,64 @@ def simulate_ser(snr: float, n_symbols: int) -> float:
     return 2.0 * q - q * q
 
 
-def _draw(cfg: SystemConfig, geo: Geometry, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """One realization's composite channel and MM init, from ``seed`` alone.
+def _draw(cfg: SystemConfig, geo: Geometry, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """The composite channels and MM inits of one realization per seed, as two stacks.
 
-    Every seeded output depends on this order: channels, then the init.
+    Realization k is ``psis[k]``, n_s x (n_i + 1), and ``inits[k]``, bit
+    for bit ``build_composite(generate_channels(rng, cfg, geo))`` followed
+    by ``random_lifted_init(rng, cfg.n_i)`` with ``rng`` seeded by
+    ``seeds[k]``: one ``standard_normal`` call fills its row of one block
+    with the stream of their eight calls (h_si, h_id, h_sd, then the init;
+    real parts before imaginary), and the arithmetic runs once over the
+    chunk, elementwise as there, straight into the composites.  Each
+    composite keeps ``build_composite``'s memory layout, on which the
+    rounding of its products depends: Fortran order when both of its
+    dimensions exceed one, else C order.
     """
-    rng = np.random.default_rng(seed)
-    psi = build_composite(generate_channels(rng, cfg, geo))
-    return psi, random_lifted_init(rng, cfg.n_i)
+    n_s, n_i = cfg.n_s, cfg.n_i
+    count = len(seeds)
+    sizes = (n_i * n_s, n_i, n_s, n_i + 1)
+    block = np.empty((count, 2 * sum(sizes)))
+    for row, seed in zip(block, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    re_si, im_si, re_id, im_id, re_sd, im_sd, re_0, im_0 = np.split(
+        block, np.cumsum(np.repeat(sizes, 2))[:-1], axis=1
+    )
+    inits = _project_unit(re_0 + 1j * im_0, 1.0 + 0.0j, rows=True)
+    g_si, g_id, g_sd = link_gains(geo)
+    # ChannelSet's check: the normals are finite, so a link's entries are
+    # finite exactly when its gain is, or when it has none
+    for name, gain, size in (("h_si", g_si, n_i), ("h_id", g_id, n_i), ("h_sd", g_sd, n_s)):
+        if size and not math.isfinite(gain):
+            raise DimensionError(f"{name} contains non-finite entries")
+    if n_s > 1 and n_i > 1:
+        psis = np.empty((count, n_i + 1, n_s), complex).swapaxes(1, 2)
+    else:
+        psis = np.empty((count, n_s, n_i + 1), complex)
+    # the reflected columns, transposed: h_si, then conj(h_si) h_id in place
+    reflect = psis[:, :, :n_i].swapaxes(1, 2)
+    complex_gaussian(re_si.reshape(count, n_i, n_s), im_si.reshape(count, n_i, n_s), g_si, reflect)
+    h_id = complex_gaussian(re_id, im_id, g_id)
+    np.conjugate(reflect, out=reflect)
+    np.multiply(reflect, h_id[:, :, None], out=reflect)
+    complex_gaussian(re_sd, im_sd, g_sd, psis[:, :, n_i])
+    return psis, inits
 
 
 def _realization_stats(args) -> dict:
     """Score one designed realization of a sweep point.
 
-    ``args`` is (cfg, n_symbols, draw, design), with the draw and the
-    design of ``_design_rows``.  Returns per-scheme (snr, ser, iterations)
-    tuples keyed by scheme name in ``Scheme`` order, the bound's last and
-    only with a bound; or {'failed': msg} for a degenerate channel, the
-    only failure a realization may have: the point's configuration was
-    checked when it was built, so any other error is a fault and
-    propagates.
+    ``args`` is (cfg, n_symbols, psi, design), with the composite channel
+    of ``_draw`` and the design of ``_design_rows``.  Returns per-scheme
+    (snr, ser, iterations) tuples keyed by scheme name in ``Scheme``
+    order, the bound's last and only with a bound; or {'failed': msg} for
+    a degenerate channel, the only failure a realization may have: the
+    point's configuration was checked when it was built, so any other
+    error is a fault and propagates.
     """
-    (cfg, n_symbols, draw, design) = args
+    (cfg, n_symbols, psi, design) = args
     if isinstance(design, DegenerateChannelError):
         return {"failed": f"{type(design).__name__}: {design}"}
-    psi = draw[0]
     designs, ub = design
     out = {}
     for scheme, (w, theta, iterations) in designs.items():
@@ -430,16 +459,10 @@ def _sweep_task(args) -> list:
     and the tuple of the chunk's seeds; the results keep their order.
     """
     (cfg, geo, settings, bits, n_symbols, bound, seeds) = args
-    draws = []
-    for seed in seeds:
-        try:
-            draws.append(_draw(cfg, geo, seed))
-        except DegenerateChannelError as exc:
-            draws.append(exc)
-    designs = _design_rows(draws, cfg, settings, bits, bound)
+    psis, inits = _draw(cfg, geo, seeds)
+    designs = _design_rows(psis, inits, cfg, settings, bits, bound)
     return [
-        _realization_stats((cfg, n_symbols, draw, design))
-        for draw, design in zip(draws, designs)
+        _realization_stats((cfg, n_symbols, psi, design)) for psi, design in zip(psis, designs)
     ]
 
 
@@ -447,10 +470,9 @@ def _realizations(task, points, n_channels: int, seed: int, salt: tuple, workers
     """The one realization loop: yields each point's task results in realization order.
 
     Realization r of point i is drawn from ``child_seed(seed, *salt, i, r)``.
-    A task takes ``(*points[i], seeds)``, the seeds of a chunk of
-    consecutive realizations of one point (``_chunk`` of the point's
-    configuration, ``points[i][0]``), and returns their results in order;
-    the split depends on the point alone, never on ``workers``.
+    A task takes ``(*points[i], seeds)``, the seeds of a chunk of up to
+    ``_CHUNK`` consecutive realizations of one point, and returns their
+    results in order; the split never depends on ``workers``.
     With one worker the tasks run in this process, point by point.
     Otherwise one process pool serves the run: every point's tasks are
     submitted at once, so the points overlap, and each point is yielded as
@@ -466,8 +488,7 @@ def _realizations(task, points, n_channels: int, seed: int, salt: tuple, workers
     tasks = []
     for i, point in enumerate(points):
         seeds = tuple(child_seed(seed, *salt, i, r) for r in range(n_channels))
-        size = _chunk(point[0])
-        tasks.append([(*point, seeds[k:k + size]) for k in range(0, n_channels, size)])
+        tasks.append([(*point, seeds[k:k + _CHUNK]) for k in range(0, n_channels, _CHUNK)])
     if workers == 1:
         for point_tasks in tasks:
             yield [x for part in map(task, point_tasks) for x in part]
@@ -573,9 +594,7 @@ def _study_task(args) -> list:
     ``_run_rows`` as one stack.
     """
     (cfg, geo, plain_accel, seeds) = args
-    draws = [_draw(cfg, geo, seed) for seed in seeds]
-    psis = [psi for psi, _ in draws]
-    inits = [init for _, init in draws]
+    psis, inits = _draw(cfg, geo, seeds)
     # every run starts at init, not continued as in _design_rows: the study
     # compares iteration counts from one start
     columns = [

@@ -15,7 +15,7 @@ import irsbf.cli as cli_mod
 import irsbf.sim as sim_mod
 from irsbf.cli import CSV_HEADER, _cell, build_parser, main
 from irsbf.mm import MMSettings
-from irsbf.model import ConfigError, DegenerateChannelError
+from irsbf.model import ConfigError
 from irsbf.sim import (
     Scheme,
     SweepSpec,
@@ -124,20 +124,46 @@ class TestConfigFile:
         rc = main(["sweep-n", "--config", str(path), "--channels", "1"])
         assert rc != 0
 
-    def test_sweep_with_every_realization_failed_reports_error(self, monkeypatch, capsys):
-        # every channel draw is degenerate
-        def degenerate(*args):
-            raise DegenerateChannelError("degenerate channel: injected")
+    @pytest.fixture
+    def degenerate_config(self, tmp_path):
+        # a reference path loss of -4000 dB underflows every link gain to 0
+        path = tmp_path / "degenerate.cfg"
+        path.write_text("pl_0 = -4000\n")
+        return str(path)
 
-        monkeypatch.setattr(sim_mod, "_draw", degenerate)
+    def test_sweep_with_every_realization_failed_reports_error(self, degenerate_config, capsys):
         rc = main([
-            "sweep-n", "--values", "4", "--channels", "2", "--symbols", "0", "--no-bound",
+            "sweep-n", "--config", degenerate_config, "--values", "4", "--channels", "2",
+            "--symbols", "0", "--no-bound",
         ])
         assert rc == 1
-        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        errors = error_lines(capsys)
         assert len(errors) == 1
         assert "all 2 realizations failed at n_i=4" in errors[0]
-        assert "DegenerateChannelError: degenerate channel: injected" in errors[0]
+        assert "DegenerateChannelError: degenerate channel: composite vector is zero" in errors[0]
+
+    @pytest.mark.parametrize("n_i, link", [(4, "h_si"), (0, "h_sd")])
+    def test_infinite_path_gain_reports_error(self, tmp_path, capsys, n_i, link):
+        # a reference path loss of +4000 dB overflows the link gains to inf
+        path = tmp_path / "infinite.cfg"
+        path.write_text("pl_0 = 4000\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = main([
+                "sweep-n", "--config", str(path), "--values", str(n_i), "--channels", "2",
+                "--no-bound",
+            ])
+        assert rc == 1
+        assert error_lines(capsys) == [f"error: {link} contains non-finite entries"]
+
+    def test_bound_check_on_a_degenerate_channel_reports_error(self, degenerate_config, capsys):
+        rc = main(["bound-check", "--config", degenerate_config, "--channels", "2"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "error: channel 0: degenerate channel: composite vector is zero"
+        ]
 
     def test_destination_on_the_surface_fails_before_any_row(self, tmp_path, capsys):
         # the second point puts the destination on the surface (d_v = 0, d_sd_h = d_si)

@@ -12,6 +12,8 @@ from irsbf.mm import (
     _project_unit,
     _run_constants,
     _step,
+    _step_length,
+    _step_lengths,
     _surrogate_coefficient,
     _top_eigenvalue,
     lambda_max_power_iteration,
@@ -538,11 +540,9 @@ class TestStackedSquarem:
         # the sweeps' operating point, where backtracking is common
         cfg, geo = table_defaults()
         cfg = replace(cfg, n_i=50)
-        draws = [_draw(cfg, geo, child_seed(3, r)) for r in range(17)]
-        # the draws as they come, in lists: each composite keeps its own
-        # memory layout, which the stack must keep to round as it does
-        psis = [psi for psi, _ in draws]
-        inits = [init for _, init in draws]
+        # the draws as they come, a stack used in place: each composite keeps
+        # its own memory layout, which rounds its products as a single run's
+        psis, inits = _draw(cfg, geo, tuple(child_seed(3, r) for r in range(17)))
         assert not psis[0].flags.c_contiguous
         _, tries = self.assert_rows_match_the_oracle(inits, psis, cfg)
         # per cycle, the candidates tried by each row still in the stack
@@ -584,6 +584,36 @@ class TestStackedSquarem:
                 run_stacked_mm(inits, psis, cfg, ACCEL)
             with pytest.raises(np.linalg.LinAlgError):
                 run_mm(inits[1], psis[1], cfg, ACCEL)
+
+    @pytest.mark.parametrize("settings", [ACCEL, PLAIN], ids=["squarem", "plain"])
+    def test_the_callers_stack_is_left_as_it_was(self, settings):
+        # the loop moves the kept rows of the caller's composites to the front
+        # in place as rows leave, and puts them back before it returns
+        cfg, geo = table_defaults()
+        cfg = replace(cfg, n_i=50)
+        psis, inits = _draw(cfg, geo, tuple(child_seed(4, r) for r in range(9)))
+        before, strides, inits_before = psis.copy(), psis.strides, inits.copy()
+        results = run_stacked_mm(inits, psis, cfg, settings)
+        # rows left at several different passes, not only from the back
+        iterations = [res.iterations for res in results]
+        assert len(set(iterations)) > 2 and iterations != sorted(iterations, reverse=True)
+        assert psis.strides == strides and psis.tobytes() == before.tobytes()
+        assert inits.tobytes() == inits_before.tobytes()
+
+
+class TestStepLengths:
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 333])
+    def test_batched_lengths_are_each_rows_own(self, rng, n):
+        r = rng.standard_normal((20, n)) + 1j * rng.standard_normal((20, n))
+        v = rng.standard_normal((20, n)) + 1j * rng.standard_normal((20, n))
+        r[1] = 0.0
+        v[2] = 0.0
+        r[3] = v[3] = 0.0
+        r[4] *= 1e-150
+        v[5] *= 1e150
+        lengths = _step_lengths(r, v)
+        assert lengths[1:4] == [None] * 3
+        assert lengths == [_step_length(a, b) for a, b in zip(r, v)]
 
 
 class TestLambdaShift:

@@ -232,7 +232,7 @@ class TestDualCertificate:
         cfg, geo = table_defaults()
         plain = extrapolated = 0
         for s in range(10):
-            psi, init = _draw(cfg, geo, child_seed(11, 50, s))
+            (psi,), (init,) = _draw(cfg, geo, (child_seed(11, 50, s),))
             run = run_mm(init, psi, cfg, MMSettings())
             b, m = certificate_inputs(lift_reflect(run.reflect)[:, None], psi, cfg)
             maps.clear()
@@ -258,7 +258,7 @@ def pinned_bounds(n_i, count=40, seed=11):
     cfg, geo = table_defaults()
     cfg = replace(cfg, n_i=n_i)
     for s in range(count):
-        psi, init = _draw(cfg, geo, child_seed(seed, n_i, s))
+        (psi,), (init,) = _draw(cfg, geo, (child_seed(seed, n_i, s),))
         designs, ub = _design_all(psi, cfg, MMSettings(), None, init, True)
         yield psi, cfg, designs, ub
 

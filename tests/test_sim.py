@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -156,7 +157,7 @@ class TestContinuation:
     def test_robust_run_starts_at_the_nonrobust_design(self, mm_runs):
         cfg, geo = table_defaults()
         for r in range(5):
-            psi, init = _draw(cfg, geo, child_seed(2, r))
+            (psi,), (init,) = _draw(cfg, geo, (child_seed(2, r),))
             mm_runs.clear()
             designs = _design_all(psi, cfg, MMSettings(), None, init, False)[0]
             res_n, res_r = mm_runs
@@ -213,7 +214,7 @@ class TestContinuation:
         cfg, geo = table_defaults()
         continued, cold = [], []
         for r in range(10):
-            psi, init = _draw(cfg, geo, child_seed(1, r))
+            (psi,), (init,) = _draw(cfg, geo, (child_seed(1, r),))
             designs = _design_all(psi, cfg, MMSettings(), None, init, False)[0]
             continued.append(designs[Scheme.ROBUST_IRS][2])
             cold.append(run_mm(init, psi, cfg, MMSettings()).iterations)
@@ -400,7 +401,7 @@ class TestUpperBoundScheme:
         cfg, geo = table_defaults()
         cfg = replace(cfg, n_i=n_i)
         for s in range(60):
-            psi, init = _draw(cfg, geo, child_seed(13, n_i, s))
+            (psi,), (init,) = _draw(cfg, geo, (child_seed(13, n_i, s),))
             designs, ub = _design_all(psi, cfg, MMSettings(), None, init, True)
             for scheme, (w, theta, _) in designs.items():
                 assert ub.bound_psi_tilde >= psi_tilde(theta, psi, cfg), (s, scheme)
@@ -467,22 +468,20 @@ class TestFailureHandling:
         assert "skipped 1/3" in caplog.text
 
     def test_domain_error_in_realization_is_skipped_and_logged(self, monkeypatch, caplog):
-        original = sim_mod.generate_channels
-        calls = {"n": 0}
+        original = sim_mod._draw
 
-        def degenerate_second(*args):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise DegenerateChannelError("degenerate channel: injected")
-            return original(*args)
+        def degenerate_second(cfg, geo, seeds):
+            psis, inits = original(cfg, geo, seeds)
+            psis[1] = 0.0
+            return psis, inits
 
-        monkeypatch.setattr(sim_mod, "generate_channels", degenerate_second)
+        monkeypatch.setattr(sim_mod, "_draw", degenerate_second)
         cfg, geo = small_setup(n_i=4)
         with caplog.at_level(logging.WARNING, logger="irsbf.sim"):
             results = run_sweep(self.SPEC, cfg, geo)
         assert len(results) == 1
         assert "skipped 1/3" in caplog.text
-        assert "DegenerateChannelError: degenerate channel: injected" in caplog.text
+        assert "DegenerateChannelError: degenerate channel: composite vector is zero" in caplog.text
 
     def test_config_error_in_realization_propagates(self, monkeypatch):
         # a realization's configuration was checked when its point was
@@ -490,7 +489,7 @@ class TestFailureHandling:
         def misconfigured(*args):
             raise ConfigError("injected")
 
-        monkeypatch.setattr(sim_mod, "generate_channels", misconfigured)
+        monkeypatch.setattr(sim_mod, "_draw", misconfigured)
         cfg, geo = small_setup(n_i=4)
         with pytest.raises(ConfigError, match="injected"):
             run_sweep(self.SPEC, cfg, geo)
@@ -526,21 +525,14 @@ class TestSweepChunks:
         monkeypatch.setattr(sim_mod, "_CHUNK", chunk)
         assert run_sweep(spec, cfg, geo) == default
 
-    def test_large_surfaces_make_smaller_chunks(self):
-        cfg, _ = table_defaults()  # n_s = 4: 64 bytes per element
-        sizes = (8, 200, sim_mod._CHUNK_BYTES // 128 - 1, 4000)
-        assert [sim_mod._chunk(replace(cfg, n_i=n_i)) for n_i in sizes] == [
-            32, sim_mod._CHUNK_BYTES // (64 * 201), 2, 1
-        ]
-
-    def test_rows_do_not_depend_on_the_chunk_bytes(self, monkeypatch):
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_large_surface_rows_do_not_depend_on_the_chunk(self, monkeypatch, chunk):
+        # n_i 200: the default is one stack of nine rows
         cfg, geo = table_defaults()
         spec = SweepSpec(variable="n_i", values=(200.0,), n_channels=9, n_symbols=100, seed=4,
                          bound=False)
         default = run_sweep(spec, cfg, geo)
-        assert sim_mod._chunk(replace(cfg, n_i=200)) > 3
-        # chunks of three
-        monkeypatch.setattr(sim_mod, "_CHUNK_BYTES", 3 * 64 * 201)
+        monkeypatch.setattr(sim_mod, "_CHUNK", chunk)
         assert run_sweep(spec, cfg, geo) == default
 
     def test_stacked_designs_are_each_realizations_own(self, mm_runs):
@@ -561,12 +553,10 @@ class TestSweepChunks:
         clean = sim_mod._sweep_task((*point, seeds))
         original = sim_mod._draw
 
-        def no_direct_link_for_the_third(cfg, geo, seed):
-            psi, init = original(cfg, geo, seed)
-            if seed == seeds[2]:
-                psi = psi.copy()
-                psi[:, -1] = 0.0
-            return psi, init
+        def no_direct_link_for_the_third(cfg, geo, seeds):
+            psis, inits = original(cfg, geo, seeds)
+            psis[2, :, -1] = 0.0
+            return psis, inits
 
         monkeypatch.setattr(sim_mod, "_draw", no_direct_link_for_the_third)
         out = sim_mod._sweep_task((*point, seeds))
@@ -574,6 +564,45 @@ class TestSweepChunks:
             "failed": "DegenerateChannelError: degenerate channel: composite vector is zero"
         }
         assert out[:2] + out[3:] == clean[:2] + clean[3:]
+
+
+    def test_a_whole_point_chunk_holds_few_copies_of_its_composites(self):
+        # tracemalloc's peak while a task designs 20 realizations at n_i 200
+        # with no bound, in composite stacks: 6.7 when the MM stacks copied
+        # the draws and their inits, under 5 with the draw used in place
+        cfg, geo = table_defaults()
+        cfg = replace(cfg, n_i=200)
+        seeds = tuple(child_seed(5, r) for r in range(20))
+        task = (cfg, geo, MMSettings(), None, 2000, False, seeds)
+        _sweep_task(task)  # numpy's one-time allocations
+        tracemalloc.start()
+        try:
+            _sweep_task(task)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = len(seeds) * cfg.n_s * (cfg.n_i + 1) * np.dtype(complex).itemsize
+        assert peak / stack < 5.3
+
+
+class TestChunkDraw:
+    @pytest.mark.parametrize("n_s", [1, 4])
+    @pytest.mark.parametrize("n_i", [0, 1, 8, 200])
+    def test_each_row_is_its_own_draw(self, n_i, n_s):
+        # bit for bit and in the same memory layout, which decides how the
+        # composite's products round
+        cfg, geo = table_defaults()
+        cfg = replace(cfg, n_i=n_i, n_s=n_s)
+        seeds = tuple(child_seed(21, n_i, n_s, r) for r in range(5))
+        psis, inits = _draw(cfg, geo, seeds)
+        assert psis.shape == (5, n_s, n_i + 1) and inits.shape == (5, n_i + 1)
+        for psi, init, seed in zip(psis, inits, seeds):
+            rng = np.random.default_rng(seed)
+            want = build_composite(generate_channels(rng, cfg, geo))
+            want_init = random_lifted_init(rng, n_i)
+            assert (psi.strides, init.strides) == (want.strides, want_init.strides)
+            assert psi.tobytes() == want.tobytes()
+            assert init.tobytes() == want_init.tobytes()
 
 
 class _LazyFuture:
@@ -647,14 +676,14 @@ class TestRealizationLoop:
 
 class TestCompositeOncePerRealization:
     def test_bound_reuses_the_designs_composite(self, monkeypatch):
-        original = sim_mod.build_composite
+        original = sim_mod._draw
         calls = {"n": 0}
 
-        def counting(ch):
-            calls["n"] += 1
-            return original(ch)
+        def counting(cfg, geo, seeds):
+            calls["n"] += len(seeds)
+            return original(cfg, geo, seeds)
 
-        monkeypatch.setattr(sim_mod, "build_composite", counting)
+        monkeypatch.setattr(sim_mod, "_draw", counting)
         cfg, geo = small_setup(n_i=4)
         spec = SweepSpec(
             variable="n_i", values=(4.0, 6.0), n_channels=3, n_symbols=0, seed=3,
@@ -709,7 +738,7 @@ class TestIterationStudy:
         counts = sim_mod._study_task((cfg, geo, plain_accel, seeds))
         assert len(counts) == len(seeds)
         for seed, row in zip(seeds, counts):
-            psi, init = _draw(cfg, geo, seed)
+            (psi,), (init,) = _draw(cfg, geo, (seed,))
             assert row == tuple(
                 run_mm(init, psi, run_cfg, settings).iterations
                 for run_cfg in (cfg, _nonrobust_config(cfg))
