@@ -16,7 +16,8 @@ class Geometry:
     The destination sits ``d_sd_h`` meters along the source-to-IRS axis and
     ``d_v`` meters off it, so the two derived link distances follow from
     right triangles; a zero one (the destination at the source or on the
-    surface) is rejected when the geometry is built.
+    surface) is rejected when the geometry is built, as is a link gain that
+    is not finite and positive.
     """
 
     d_si: float
@@ -42,6 +43,15 @@ class Geometry:
             raise ConfigError("destination coincides with the source (d_sd = 0)")
         if not (d_id > 0.0):
             raise ConfigError("destination coincides with the IRS (d_id = 0)")
+        with np.errstate(all="ignore"):
+            gains = link_gains(self)
+        gammas, distances = (self.gamma_si, self.gamma_id, self.gamma_sd), (self.d_si, d_id, d_sd)
+        for link, gamma, d, gain in zip(("si", "id", "sd"), gammas, distances, gains):
+            if not (0.0 < gain < np.inf):
+                raise ConfigError(
+                    f"pl0_db = {self.pl0_db:g} and gamma_{link} = {gamma:g} give h_{link}"
+                    f" a path-loss gain of {gain:g} at {d:g} m; it must be finite and positive"
+                )
 
 
 def derive_distances(geo: Geometry) -> tuple[float, float]:

@@ -32,7 +32,7 @@ from .sim import (
     SimResult,
     SweepFailedError,
     SweepSpec,
-    _design_all,
+    _design_rows,
     _draw,
     child_seed,
     load_setup,
@@ -242,11 +242,12 @@ def _run_bound_check(args, cfg: SystemConfig, geo: Geometry) -> int:
     violations = 0
     with _table(args, header) as add:
         for r in range(args.channels):
-            (psi,), (init,) = _draw(cfg, geo, (child_seed(args.seed, 0xB0, r),))
-            try:
-                designs, ub = _design_all(psi, cfg, MMSettings(), None, init, True)
-            except DegenerateChannelError as exc:
-                raise DegenerateChannelError(f"channel {r}: {exc}") from None
+            psis, inits = _draw(cfg, geo, (child_seed(args.seed, 0xB0, r),))
+            (design,) = _design_rows(psis, inits, cfg, MMSettings(), None, True)
+            if isinstance(design, DegenerateChannelError):
+                raise DegenerateChannelError(f"channel {r}: {design}")
+            designs, ub = design
+            psi = psis[0]
             mm_pt = psi_tilde(designs[Scheme.ROBUST_IRS][1], psi, cfg)
             mm_db = pow2db(snr_from_psi_tilde(mm_pt, cfg))
             bound_db = pow2db(ub.bound_snr)

@@ -16,7 +16,11 @@ reports the four designed schemes, plus the relaxation bound when
 ``bound`` is set, always in the order of ``Scheme``.  A realization
 designs the nonrobust reflection from its random start and continues it
 to the robust one (``_design_rows``); the iteration study runs both from
-the one random start, so that its iteration counts share a start.
+the one random start, so that its iteration counts share a start.  A
+chunk's schemes are scored as array operations over its rows, with no
+beam built: a robust scheme from its objective in closed form (the MM
+run's last, or the kept quantized profile's), a nonrobust one by the SNR
+of its mismatched beam, and the no-IRS schemes from the direct column.
 
 Determinism contract: sweeps and the iteration study run their
 realizations through one loop, ``_realizations``, and draw each one by
@@ -46,28 +50,26 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# generate_channels and build_composite are not called here, since _draw
-# does their arithmetic on a whole chunk; the benchmark's tracer
-# (bench/tracing.py) wraps them under these names until the library owns
-# its spans (ROADMAP item 2).
-from .channels import Geometry, complex_gaussian, generate_channels, link_gains  # noqa: F401
-from .mm import MMSettings, _project_unit, check_bits, quantize_phases, run_mm, run_stacked_mm
-from .model import (  # noqa: F401
-    ConfigError,
-    DegenerateChannelError,
-    DimensionError,
-    SystemConfig,
-    build_composite,
-    lift_reflect,
+from .channels import Geometry, complex_gaussian, link_gains
+from .mm import (
+    MMSettings,
+    _project_unit,
+    _times,
+    check_bits,
+    quantize_phases,
+    run_mm,
+    run_stacked_mm,
 )
+from .model import ConfigError, DegenerateChannelError, SystemConfig, lift_reflect
 from .sdr import solve_sdr
-from .txbf import (
-    composite_vector,
-    evaluate_snr,
-    optimal_beam_from_v,
-    optimal_transmit_beam,
-    psi_tilde,
-)
+from .txbf import matched_filter_snr, psi_tilde_from_powers, snr_from_psi_tilde
+
+# Not called here, since _draw and _design_rows do their arithmetic on a
+# whole chunk: the benchmark's tracer (bench/tracing.py) wraps these names
+# until the library owns its spans (ROADMAP item 2).
+from .channels import generate_channels  # noqa: F401
+from .model import build_composite  # noqa: F401
+from .txbf import evaluate_snr, optimal_beam_from_v, optimal_transmit_beam, psi_tilde  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -269,20 +271,25 @@ def _run_rows(inits, psis, cfg: SystemConfig, settings: MMSettings) -> list:
     return run_stacked_mm(inits, psis, cfg, settings)
 
 
+def _lifted(thetas) -> np.ndarray:
+    """The stack of ``lift_reflect`` of each reflection in ``thetas``."""
+    return np.array([lift_reflect(theta) for theta in thetas])
+
+
 def _design_rows(
     psis: np.ndarray, inits: np.ndarray, cfg: SystemConfig, settings: MMSettings, bits, bound: bool
 ) -> list:
-    """Design the four beam schemes on each realization of a chunk.
+    """Design and score the four beam schemes on each realization of a chunk.
 
     ``psis`` and ``inits`` hold each realization's composite channel and
     MM init (``_draw``).  Returns, in that order, each realization's
-    schemes' (w, theta, iterations) in ``Scheme`` order with the
+    schemes' (snr, theta, iterations) in ``Scheme`` order with the
     relaxation bound (``UpperBoundResult``, or None without ``bound``), or
-    the ``DegenerateChannelError`` that fails it alone.
+    the ``DegenerateChannelError`` that fails it alone: a realization
+    without a direct link fails before any MM run, and one whose designed
+    effective channel has no received power fails after.
 
-    The no-IRS beams come first: without a direct link they raise
-    ``DegenerateChannelError``, and then before any MM run.  The
-    nonrobust designs run from their inits as one stack, and the robust
+    The nonrobust designs run from their inits as one stack, and the robust
     designs as another (``_run_rows``).  The robust design is the
     kappa = 0 problem continued to the true distortion levels: its run
     starts at the nonrobust phase profile, so its iterations count only
@@ -290,81 +297,61 @@ def _design_rows(
     phases the robust SNR dominates the nonrobust one per realization,
     not just on average.  With ``bits`` the rounding can reorder the two,
     so the robust scheme keeps the better of both quantized profiles under
-    the true distortion levels.  Nonrobust beams keep the feasible norm
-    sqrt(p_tilde): the hardware consumes the distortion overhead no matter
-    what the designer assumed.
+    the true distortion levels.
+
+    The SNRs are array operations over the rows, and no beam is built.  A
+    robust scheme uses the optimal beam of its reflection, so its SNR is
+    ``snr_from_psi_tilde`` of its objective: the robust run's last, the
+    kept quantized profile's, or the direct column's.  A nonrobust scheme
+    uses the matched filter at the feasible norm sqrt(p_tilde), since the
+    hardware consumes the distortion overhead no matter what the designer
+    assumed (``matched_filter_snr``).
 
     The bound is certified from any start, but its ascent starts from the
     robust run's profile, before quantization: the best unit-modulus point
     at hand.
     """
-    cfg0 = _nonrobust_config(cfg)
-    budget_scale = math.sqrt(cfg.p_tilde / cfg0.p_tilde)
-    out, live = [], []
-    for k, psi in enumerate(psis):
-        try:
-            out.append((
-                optimal_transmit_beam(None, psi, cfg),
-                optimal_beam_from_v(composite_vector(None, psi), cfg0) * budget_scale,
-            ))
-            live.append(k)
-        except DegenerateChannelError as exc:
-            out.append(exc)
+    direct = np.abs(psis[:, :, -1]) ** 2
+    live = np.flatnonzero(direct.any(axis=1)).tolist()
+    out = [DegenerateChannelError("degenerate channel: composite vector is zero") for _ in psis]
+    if not live:
+        return out
     if len(live) < len(psis):
-        # a list of the live rows, which run_stacked_mm stacks in their layout
-        psis_live, inits = [psis[k] for k in live], inits[live]
+        # np.stack keeps each composite's memory layout
+        psis, inits, direct = np.stack([psis[k] for k in live]), inits[live], direct[live]
+    runs_n = _run_rows(inits, psis, _nonrobust_config(cfg), settings)
+    thetas_n = [res.reflect for res in runs_n]
+    starts = _lifted(thetas_n)
+    runs_r = _run_rows(starts, psis, cfg, settings)
+    thetas_r = [res.reflect for res in runs_r]
+    if bits is None:
+        robust = np.array([res.objectives[-1] for res in runs_r])
+        received = np.abs(_times(psis, starts, True)) ** 2
     else:
-        psis_live = psis
-    runs_n = _run_rows(inits, psis_live, cfg0, settings)
-    starts = np.empty_like(inits)
-    for start, res in zip(starts, runs_n):
-        start[:] = lift_reflect(res.reflect)
-    runs_r = _run_rows(starts, psis_live, cfg, settings)
-    for k, res_n, res_r in zip(live, runs_n, runs_r):
-        psi = psis[k]
-        w_rn, w_nn = out[k]
-        theta_r, theta_n = res_r.reflect, res_n.reflect
-        try:
-            if bits is not None:
-                theta_r = quantize_phases(theta_r, bits)
-                theta_n = quantize_phases(theta_n, bits)
-                if psi_tilde(theta_n, psi, cfg) > psi_tilde(theta_r, psi, cfg):
-                    theta_r = theta_n
-            w_r = optimal_transmit_beam(theta_r, psi, cfg)
-            w_n = optimal_beam_from_v(composite_vector(theta_n, psi), cfg0) * budget_scale
-            designs = {
-                Scheme.ROBUST_IRS: (w_r, theta_r, res_r.iterations),
-                Scheme.NONROBUST_IRS: (w_n, theta_n, res_n.iterations),
-                Scheme.ROBUST_NO_IRS: (w_rn, None, None),
-                Scheme.NONROBUST_NO_IRS: (w_nn, None, None),
-            }
-            ub = solve_sdr(psi, cfg, init=lift_reflect(res_r.reflect)) if bound else None
-        except DegenerateChannelError as exc:
-            out[k] = exc
-        else:
+        thetas_r = [quantize_phases(theta, bits) for theta in thetas_r]
+        thetas_n = [quantize_phases(theta, bits) for theta in thetas_n]
+        received = np.abs(_times(psis, _lifted(thetas_n), True)) ** 2
+        robust = psi_tilde_from_powers(np.abs(_times(psis, _lifted(thetas_r), True)) ** 2, cfg)
+        nonrobust = psi_tilde_from_powers(received, cfg)
+        keep_n = (nonrobust > robust).tolist()
+        robust = np.maximum(robust, nonrobust)
+        thetas_r = [n if k else r for r, n, k in zip(thetas_r, thetas_n, keep_n)]
+    ok = received.any(axis=1) & (robust > 0.0)
+    if not ok.all():
+        # finite placeholders for the failed rows, which are skipped below
+        robust, received = np.where(ok, robust, 0.0), np.where(ok[:, None], received, 1.0)
+    snrs = zip(*(x.tolist() for x in (
+        snr_from_psi_tilde(robust, cfg), matched_filter_snr(received, cfg),
+        snr_from_psi_tilde(psi_tilde_from_powers(direct, cfg), cfg),
+        matched_filter_snr(direct, cfg),
+    )))
+    for j, (k, snr, res_r, res_n) in enumerate(zip(live, snrs, runs_r, runs_n)):
+        if ok[j]:
+            designs = dict(zip(Scheme, zip(snr, (thetas_r[j], thetas_n[j], None, None),
+                                           (res_r.iterations, res_n.iterations, None, None))))
+            ub = solve_sdr(psis[j], cfg, init=lift_reflect(res_r.reflect)) if bound else None
             out[k] = (designs, ub)
     return out
-
-
-def _design_all(
-    psi: np.ndarray,
-    cfg: SystemConfig,
-    settings: MMSettings,
-    bits: int | None,
-    init: np.ndarray,
-    bound: bool,
-):
-    """Design the four beam schemes on one realization, as ``_design_rows`` does on a chunk.
-
-    ``psi`` is the realization's composite channel (``build_composite``).
-    Returns each scheme's (w, theta, iterations) in ``Scheme`` order, and
-    the relaxation bound (``UpperBoundResult``), or None without ``bound``;
-    a degenerate channel raises ``DegenerateChannelError``.
-    """
-    (design,) = _design_rows(psi[None], init[None], cfg, settings, bits, bound)
-    if isinstance(design, DegenerateChannelError):
-        raise design
-    return design
 
 
 def simulate_ser(snr: float, n_symbols: int) -> float:
@@ -407,12 +394,8 @@ def _draw(cfg: SystemConfig, geo: Geometry, seeds) -> tuple[np.ndarray, np.ndarr
         block, np.cumsum(np.repeat(sizes, 2))[:-1], axis=1
     )
     inits = _project_unit(re_0 + 1j * im_0, 1.0 + 0.0j, rows=True)
+    # Geometry checks that the gains are finite, so the entries are too
     g_si, g_id, g_sd = link_gains(geo)
-    # ChannelSet's check: the normals are finite, so a link's entries are
-    # finite exactly when its gain is, or when it has none
-    for name, gain, size in (("h_si", g_si, n_i), ("h_id", g_id, n_i), ("h_sd", g_sd, n_s)):
-        if size and not math.isfinite(gain):
-            raise DimensionError(f"{name} contains non-finite entries")
     if n_s > 1 and n_i > 1:
         psis = np.empty((count, n_i + 1, n_s), complex).swapaxes(1, 2)
     else:
@@ -428,23 +411,21 @@ def _draw(cfg: SystemConfig, geo: Geometry, seeds) -> tuple[np.ndarray, np.ndarr
 
 
 def _realization_stats(args) -> dict:
-    """Score one designed realization of a sweep point.
+    """The result of one designed realization of a sweep point.
 
-    ``args`` is (cfg, n_symbols, psi, design), with the composite channel
-    of ``_draw`` and the design of ``_design_rows``.  Returns per-scheme
-    (snr, ser, iterations) tuples keyed by scheme name in ``Scheme``
-    order, the bound's last and only with a bound; or {'failed': msg} for
-    a degenerate channel, the only failure a realization may have: the
-    point's configuration was checked when it was built, so any other
-    error is a fault and propagates.
+    ``args`` is (n_symbols, design), with the design of ``_design_rows``.
+    Returns per-scheme (snr, ser, iterations) tuples keyed by scheme name
+    in ``Scheme`` order, the bound's last and only with a bound; or
+    {'failed': msg} for a degenerate channel, the only failure a
+    realization may have: the point's configuration was checked when it
+    was built, so any other error is a fault and propagates.
     """
-    (cfg, n_symbols, psi, design) = args
+    (n_symbols, design) = args
     if isinstance(design, DegenerateChannelError):
         return {"failed": f"{type(design).__name__}: {design}"}
     designs, ub = design
     out = {}
-    for scheme, (w, theta, iterations) in designs.items():
-        snr = evaluate_snr(w, theta, psi, cfg)
+    for scheme, (snr, _, iterations) in designs.items():
         ser = simulate_ser(snr, n_symbols) if n_symbols > 0 else None
         out[scheme.value] = (snr, ser, iterations)
     if ub is not None:
@@ -461,9 +442,7 @@ def _sweep_task(args) -> list:
     (cfg, geo, settings, bits, n_symbols, bound, seeds) = args
     psis, inits = _draw(cfg, geo, seeds)
     designs = _design_rows(psis, inits, cfg, settings, bits, bound)
-    return [
-        _realization_stats((cfg, n_symbols, psi, design)) for psi, design in zip(psis, designs)
-    ]
+    return [_realization_stats((n_symbols, design)) for design in designs]
 
 
 def _realizations(task, points, n_channels: int, seed: int, salt: tuple, workers: int):

@@ -7,6 +7,12 @@ matrix.  With ideal hardware the weights collapse and the beam reduces to
 the conventional matched filter.  The SNR that beam achieves is a monotone
 function of the reflect objective, ``snr_from_psi_tilde``.
 
+A sweep builds no beam: it scores a chunk's robust schemes by
+``snr_from_psi_tilde`` of their objectives (the direct column's without an
+IRS), and its nonrobust ones by the SNR of their mismatched beam
+(``matched_filter_snr``), each an array operation over the chunk's rows.
+The functions of one realization are the public API and the tests' oracles.
+
 The channel argument ``psi`` of every function here is the composite
 n_s x (n_i + 1) array of ``model.build_composite``: a reflection enters
 only through the lifted product ``psi @ lift_reflect(theta)``, the
@@ -98,13 +104,25 @@ def _row_power(v: np.ndarray) -> np.ndarray:
     return p if p.ndim == 1 else p.sum(axis=1)
 
 
-def psi_tilde_from_powers(q: np.ndarray, cfg: SystemConfig) -> float:
-    """Reflect objective sum q / (a q + c) at received powers ``q``, one per source antenna."""
+def psi_tilde_from_powers(q: np.ndarray, cfg: SystemConfig):
+    """Reflect objective sum q / (a q + c) at powers ``q``, one per source antenna (per row)."""
     a, c = cfg.objective_coeffs
-    return float(np.sum(q / (a * q + c)))
+    terms = q / (a * q + c)
+    return float(np.sum(terms)) if terms.ndim == 1 else terms.sum(axis=1)
 
 
-def snr_from_psi_tilde(pt: float, cfg: SystemConfig) -> float:
+def matched_filter_snr(q: np.ndarray, cfg: SystemConfig):
+    """``evaluate_snr`` of the beam sqrt(p_tilde) v / |v|, from each row of powers q = |v|^2.
+
+    This matched filter is the nonrobust design's beam.  Over p_tilde, with
+    S = sum q (nonzero), its SNR is S / (kappa_d S + a sum(q^2) / S + c).
+    """
+    a, c = cfg.objective_coeffs
+    s = q.sum(axis=1)
+    return s / (cfg.kappa_d * s + a * (q * q).sum(axis=1) / s + c)
+
+
+def snr_from_psi_tilde(pt, cfg: SystemConfig):
     """Map the reflect objective to the receive SNR achieved by the optimal beam.
 
     Monotone increasing, which is what lets the reflect optimization work
@@ -112,8 +130,9 @@ def snr_from_psi_tilde(pt: float, cfg: SystemConfig) -> float:
     already carries the power budget through its noise-over-power term, so
     no extra power factor appears here: with kappa_d = 0 the SNR equals the
     objective itself, and as the objective grows the SNR saturates at
-    1/kappa_d.
+    1/kappa_d.  An array of objectives gives the array of their SNRs.
     """
-    if pt < 0.0:
-        raise ValueError(f"objective value must be non-negative, got {pt}")
-    return float(pt / (cfg.kappa_d * pt + 1.0))
+    if np.min(pt) < 0.0:
+        raise ValueError(f"objective value must be non-negative, got {np.min(pt)}")
+    snr = pt / (cfg.kappa_d * pt + 1.0)
+    return snr if np.ndim(snr) else float(snr)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from irsbf.model import ChannelSet, SystemConfig
+from irsbf.sim import _design_rows
 
 
 def complex_gaussian(rng, *shape):
@@ -24,3 +25,16 @@ def rng():
 @pytest.fixture
 def small_cfg():
     return SystemConfig(n_s=4, n_i=8, p=2.0, kappa_s=0.1, kappa_d=0.15, sigma_n2=0.05)
+
+
+def design_all(psi, cfg, settings, bits, init, bound):
+    """One realization's designs and bound, through the chunk path as a chunk of one.
+
+    Returns each scheme's (snr, theta, iterations) and the bound, as a
+    sweep scores them; a degenerate channel raises its
+    ``DegenerateChannelError``.
+    """
+    (design,) = _design_rows(psi[None], init[None], cfg, settings, bits, bound)
+    if isinstance(design, Exception):
+        raise design
+    return design

@@ -32,7 +32,6 @@ from irsbf.sdr import solve_sdr
 from irsbf.sim import (
     Scheme,
     SweepSpec,
-    _design_all,
     run_iteration_study,
     run_sweep,
     table_defaults,
@@ -44,7 +43,7 @@ from irsbf.txbf import (
     psi_tilde,
 )
 
-from conftest import complex_gaussian, random_channels
+from conftest import complex_gaussian, design_all, random_channels
 from test_mm import surrogate_value
 
 
@@ -249,11 +248,8 @@ def test_criterion_08_robust_dominance_and_kappa_gap_trend():
         for seed in range(30):
             psi = build_composite(generate_channels(np.random.default_rng(80_000 + seed), cfg, geo))
             init = random_lifted_init(np.random.default_rng(seed), cfg.n_i)
-            designs, _ = _design_all(psi, cfg, MMSettings(), None, init, False)
-            w_r, theta_r, _ = designs[Scheme.ROBUST_IRS]
-            w_n, theta_n, _ = designs[Scheme.NONROBUST_IRS]
-            snr_r = evaluate_snr(w_r, theta_r, psi, cfg)
-            snr_n = evaluate_snr(w_n, theta_n, psi, cfg)
+            designs, _ = design_all(psi, cfg, MMSettings(), None, init, False)
+            snr_r, snr_n = designs[Scheme.ROBUST_IRS][0], designs[Scheme.NONROBUST_IRS][0]
             assert snr_r >= snr_n - 1e-9, f"violated at seed {seed}"
         spec = SweepSpec(
             variable="kappa", values=(0.02, 0.15), n_channels=100, n_symbols=0,

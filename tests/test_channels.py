@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from irsbf.channels import (
     Geometry,
     derive_distances,
     generate_channels,
+    link_gains,
     path_loss_linear,
     sample_los,
     sample_rayleigh,
@@ -67,6 +70,31 @@ class TestGeometry:
     def test_vertical_only(self):
         d_sd, _ = derive_distances(table_geometry(d_sd_h=0.0))
         assert d_sd == pytest.approx(2.0, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "setting, link, gain",
+        [
+            (dict(pl0_db=4000.0), "si", "inf"),
+            (dict(gamma_sd=-400.0), "sd", "inf"),
+            (dict(pl0_db=-4000.0), "si", "0"),
+            (dict(gamma_id=float("nan")), "id", "nan"),
+            (dict(pl0_db=float("inf")), "si", "inf"),
+        ],
+    )
+    def test_link_gain_not_finite_and_positive_rejected_when_built(self, setting, link, gain):
+        name = next(iter(setting))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=rf"gamma_{link} = \S+ give h_{link} a "
+                               rf"path-loss gain of {gain} at .* finite and positive") as exc:
+                table_geometry(**setting)
+        assert f"{name} = {setting[name]:g}" in str(exc.value)
+
+    def test_extreme_but_representable_gains_accepted(self):
+        # 10**(-300 / 10) and 10**(300 / 10) are finite and positive
+        for pl0_db in (-300.0, 300.0):
+            gains = link_gains(table_geometry(pl0_db=pl0_db))
+            assert all(0.0 < g < np.inf for g in gains)
 
 
 class TestRayleigh:

@@ -125,16 +125,21 @@ class TestConfigFile:
         assert rc != 0
 
     @pytest.fixture
-    def degenerate_config(self, tmp_path):
-        # a reference path loss of -4000 dB underflows every link gain to 0
-        path = tmp_path / "degenerate.cfg"
-        path.write_text("pl_0 = -4000\n")
-        return str(path)
+    def degenerate_draws(self, monkeypatch):
+        # every realization drawn without any channel: no beam direction exists
+        draw = sim_mod._draw
 
-    def test_sweep_with_every_realization_failed_reports_error(self, degenerate_config, capsys):
+        def zero(cfg, geo, seeds):
+            psis, inits = draw(cfg, geo, seeds)
+            psis[...] = 0.0
+            return psis, inits
+
+        monkeypatch.setattr(sim_mod, "_draw", zero)
+        monkeypatch.setattr(cli_mod, "_draw", zero)
+
+    def test_sweep_with_every_realization_failed_reports_error(self, degenerate_draws, capsys):
         rc = main([
-            "sweep-n", "--config", degenerate_config, "--values", "4", "--channels", "2",
-            "--symbols", "0", "--no-bound",
+            "sweep-n", "--values", "4", "--channels", "2", "--symbols", "0", "--no-bound",
         ])
         assert rc == 1
         errors = error_lines(capsys)
@@ -142,22 +147,45 @@ class TestConfigFile:
         assert "all 2 realizations failed at n_i=4" in errors[0]
         assert "DegenerateChannelError: degenerate channel: composite vector is zero" in errors[0]
 
-    @pytest.mark.parametrize("n_i, link", [(4, "h_si"), (0, "h_sd")])
-    def test_infinite_path_gain_reports_error(self, tmp_path, capsys, n_i, link):
-        # a reference path loss of +4000 dB overflows the link gains to inf
-        path = tmp_path / "infinite.cfg"
-        path.write_text("pl_0 = 4000\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            rc = main([
-                "sweep-n", "--config", str(path), "--values", str(n_i), "--channels", "2",
-                "--no-bound",
-            ])
-        assert rc == 1
-        assert error_lines(capsys) == [f"error: {link} contains non-finite entries"]
+    # a reference path loss of +4000 dB overflows every link gain to inf, a
+    # path-loss exponent of -400 the direct link's, and -4000 dB underflows
+    # every gain to 0
+    BAD_PATH_LOSS = [
+        pytest.param("pl_0 = 4000", "pl0_db = 4000 and gamma_si = 2.5 give h_si a path-loss"
+                     " gain of inf", id="pl_0=4000"),
+        pytest.param("gamma_sd = -400", "pl0_db = -30 and gamma_sd = -400 give h_sd a path-loss"
+                     " gain of inf", id="gamma_sd=-400"),
+        pytest.param("pl_0 = -4000", "pl0_db = -4000 and gamma_si = 2.5 give h_si a path-loss"
+                     " gain of 0", id="pl_0=-4000"),
+    ]
 
-    def test_bound_check_on_a_degenerate_channel_reports_error(self, degenerate_config, capsys):
-        rc = main(["bound-check", "--config", degenerate_config, "--channels", "2"])
+    @pytest.mark.parametrize("line, message", BAD_PATH_LOSS)
+    def test_bad_path_loss_is_rejected_when_loaded(self, tmp_path, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{line}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as exc:
+                load_setup(str(path))
+        assert str(exc.value).startswith(f"{path}:1: {message} at ")
+        assert str(exc.value).endswith(" m; it must be finite and positive")
+
+    @pytest.mark.parametrize("line, message", BAD_PATH_LOSS)
+    @pytest.mark.parametrize("command", ["sweep-n", "bound-check"])
+    def test_bad_path_loss_reports_one_error_line(self, tmp_path, capsys, command, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{line}\n")
+        out = tmp_path / "rows.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, "--config", str(path), "--channels", "2", "--out", str(out)])
+        assert rc == 1
+        (error,) = capsys.readouterr().err.splitlines()
+        assert error.startswith(f"error: {path}:1: {message} at ")
+        assert not out.exists()
+
+    def test_bound_check_on_a_degenerate_channel_reports_error(self, degenerate_draws, capsys):
+        rc = main(["bound-check", "--channels", "2"])
         assert rc == 1
         out, err = capsys.readouterr()
         assert out == ""
@@ -447,14 +475,14 @@ class TestSubcommands:
 
     def test_bound_check_counts_any_bound_below_the_design(self, capsys, monkeypatch):
         # a bound 1e-9 relative below the design is a violation: no allowance
-        design_all = cli_mod._design_all
+        design_rows = cli_mod._design_rows
 
-        def below(psi, cfg, *args):
-            designs, ub = design_all(psi, cfg, *args)
-            design = psi_tilde(designs[Scheme.ROBUST_IRS][1], psi, cfg)
-            return designs, replace(ub, bound_psi_tilde=design * (1.0 - 1e-9))
+        def below(psis, inits, cfg, *args):
+            ((designs, ub),) = design_rows(psis, inits, cfg, *args)
+            design = psi_tilde(designs[Scheme.ROBUST_IRS][1], psis[0], cfg)
+            return [(designs, replace(ub, bound_psi_tilde=design * (1.0 - 1e-9)))]
 
-        monkeypatch.setattr(cli_mod, "_design_all", below)
+        monkeypatch.setattr(cli_mod, "_design_rows", below)
         rc = main(["bound-check", "--seed", "6", "--channels", "2", "--json"])
         assert rc == 1
         assert json.loads(capsys.readouterr().out)["dominance_violations"] == 2

@@ -20,10 +20,10 @@ from irsbf.sdr import (
     _dual_certificate,
     solve_sdr,
 )
-from irsbf.sim import Scheme, _design_all, _draw, child_seed, table_defaults
+from irsbf.sim import Scheme, _draw, child_seed, table_defaults
 from irsbf.txbf import psi_tilde, psi_tilde_from_powers, snr_from_psi_tilde
 
-from conftest import complex_gaussian
+from conftest import complex_gaussian, design_all
 
 
 def _diag_quad(psi_m, x):
@@ -259,7 +259,7 @@ def pinned_bounds(n_i, count=40, seed=11):
     cfg = replace(cfg, n_i=n_i)
     for s in range(count):
         (psi,), (init,) = _draw(cfg, geo, (child_seed(seed, n_i, s),))
-        designs, ub = _design_all(psi, cfg, MMSettings(), None, init, True)
+        designs, ub = design_all(psi, cfg, MMSettings(), None, init, True)
         yield psi, cfg, designs, ub
 
 

@@ -7,10 +7,11 @@ import pytest
 
 import irsbf.sim as sim_mod
 from irsbf.channels import Geometry, generate_channels
-from irsbf.mm import MMSettings, random_lifted_init, run_mm
+from irsbf.mm import MMResult, MMSettings, random_lifted_init, run_mm
 from irsbf.model import (
     ConfigError,
     DegenerateChannelError,
+    ReflectConfig,
     SystemConfig,
     build_composite,
     lift_reflect,
@@ -18,7 +19,6 @@ from irsbf.model import (
 from irsbf.sim import (
     Scheme,
     SweepSpec,
-    _design_all,
     _draw,
     _nonrobust_config,
     _sweep_task,
@@ -30,9 +30,15 @@ from irsbf.sim import (
     table_defaults,
     with_setting,
 )
-from irsbf.txbf import composite_vector, evaluate_snr, optimal_transmit_beam, psi_tilde
+from irsbf.txbf import (
+    composite_vector,
+    evaluate_snr,
+    optimal_transmit_beam,
+    psi_tilde,
+    snr_from_psi_tilde,
+)
 
-from conftest import random_channels
+from conftest import design_all, random_channels
 from test_properties import EDGES, make_problem
 
 
@@ -43,9 +49,28 @@ def small_setup(n_i=12):
 
 
 def design(psi, cfg, seed=0, bits=None):
-    """Each scheme's (w, theta, iterations) on ``psi``, from the init of ``default_rng(seed)``."""
+    """Each scheme's (snr, theta, iterations) on ``psi``, from the init of ``default_rng(seed)``."""
     init = random_lifted_init(np.random.default_rng(seed), psi.shape[1] - 1)
-    return _design_all(psi, cfg, MMSettings(), bits, init, False)[0]
+    return design_all(psi, cfg, MMSettings(), bits, init, False)[0]
+
+
+def beam_snrs(designs, psi, cfg):
+    """The oracle: each scheme's SNR as ``evaluate_snr`` of its per-realization ``txbf`` beam.
+
+    The robust schemes use the optimal beam of their reflection; the
+    nonrobust ones the kappa = 0 optimal beam, scaled to the feasible norm
+    sqrt(p_tilde).
+    """
+    cfg0 = _nonrobust_config(cfg)
+    scale = np.sqrt(cfg.p_tilde / cfg0.p_tilde)
+    theta_r, theta_n = designs[Scheme.ROBUST_IRS][1], designs[Scheme.NONROBUST_IRS][1]
+    beams = {
+        Scheme.ROBUST_IRS: (optimal_transmit_beam(theta_r, psi, cfg), theta_r),
+        Scheme.NONROBUST_IRS: (optimal_transmit_beam(theta_n, psi, cfg0) * scale, theta_n),
+        Scheme.ROBUST_NO_IRS: (optimal_transmit_beam(None, psi, cfg), None),
+        Scheme.NONROBUST_NO_IRS: (optimal_transmit_beam(None, psi, cfg0) * scale, None),
+    }
+    return {scheme: evaluate_snr(w, theta, psi, cfg) for scheme, (w, theta) in beams.items()}
 
 
 QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
@@ -93,10 +118,8 @@ class TestDesignBeams:
         cfg0 = SystemConfig(n_s=4, n_i=12, p=cfg.p, kappa_s=0.0, kappa_d=0.0, sigma_n2=cfg.sigma_n2)
         psi = build_composite(generate_channels(np.random.default_rng(1), cfg0, geo))
         designs = design(psi, cfg0, 5)
-        w_r, theta_r, _ = designs[Scheme.ROBUST_IRS]
-        w_n, theta_n, _ = designs[Scheme.NONROBUST_IRS]
-        assert evaluate_snr(w_r, theta_r, psi, cfg0) == pytest.approx(
-            evaluate_snr(w_n, theta_n, psi, cfg0), rel=1e-9
+        assert designs[Scheme.ROBUST_IRS][0] == pytest.approx(
+            designs[Scheme.NONROBUST_IRS][0], rel=1e-9
         )
 
     def test_robust_dominates_nonrobust_per_realization(self):
@@ -104,28 +127,33 @@ class TestDesignBeams:
         for seed in range(15):
             psi = build_composite(generate_channels(np.random.default_rng(seed), cfg, geo))
             designs = design(psi, cfg, seed)
-            w_r, theta_r, _ = designs[Scheme.ROBUST_IRS]
-            w_n, theta_n, _ = designs[Scheme.NONROBUST_IRS]
-            assert evaluate_snr(w_r, theta_r, psi, cfg) >= evaluate_snr(w_n, theta_n, psi, cfg) - 1e-9
+            assert designs[Scheme.ROBUST_IRS][0] >= designs[Scheme.NONROBUST_IRS][0] - 1e-9
 
     def test_no_irs_schemes(self):
         cfg, geo = small_setup()
         ch = generate_channels(np.random.default_rng(2), cfg, geo)
         psi = build_composite(ch)
         designs = design(psi, cfg)
-        w_r, theta_r, _ = designs[Scheme.ROBUST_NO_IRS]
-        w_mf, theta_mf, _ = designs[Scheme.NONROBUST_NO_IRS]
+        snr_r, theta_r, _ = designs[Scheme.ROBUST_NO_IRS]
+        snr_mf, theta_mf, _ = designs[Scheme.NONROBUST_NO_IRS]
         assert theta_r is None and theta_mf is None
-        np.testing.assert_allclose(np.linalg.norm(w_mf) ** 2, cfg.p_tilde, rtol=1e-12)
-        direction = w_mf / np.linalg.norm(w_mf)
-        ref = ch.h_sd / np.linalg.norm(ch.h_sd)
-        assert np.abs(np.vdot(direction, ref)) == pytest.approx(1.0, rel=1e-12)
-        assert evaluate_snr(w_r, None, psi, cfg) >= evaluate_snr(w_mf, None, psi, cfg) - 1e-12
+        # the matched filter on the direct link at the feasible norm
+        w_mf = np.sqrt(cfg.p_tilde) * ch.h_sd / np.linalg.norm(ch.h_sd)
+        assert snr_mf == pytest.approx(evaluate_snr(w_mf, None, psi, cfg), rel=1e-12, abs=0.0)
+        w_r = optimal_transmit_beam(None, psi, cfg)
+        assert snr_r == pytest.approx(evaluate_snr(w_r, None, psi, cfg), rel=1e-12, abs=0.0)
+        assert snr_r >= snr_mf - 1e-12
 
     def test_all_beams_respect_true_power_budget(self):
         cfg, geo = small_setup()
         psi = build_composite(generate_channels(np.random.default_rng(3), cfg, geo))
-        for w, _, _ in design(psi, cfg, 3).values():
+        designs = design(psi, cfg, 3)
+        cfg0 = _nonrobust_config(cfg)
+        for theta in (designs[Scheme.ROBUST_IRS][1], None):
+            w = optimal_transmit_beam(theta, psi, cfg)
+            assert np.linalg.norm(w) ** 2 <= cfg.p_tilde * (1 + 1e-9)
+        for theta in (designs[Scheme.NONROBUST_IRS][1], None):
+            w = optimal_transmit_beam(theta, psi, cfg0) * np.sqrt(cfg.p_tilde / cfg0.p_tilde)
             assert np.linalg.norm(w) ** 2 <= cfg.p_tilde * (1 + 1e-9)
 
     def test_discrete_mode_quantizes(self):
@@ -159,7 +187,7 @@ class TestContinuation:
         for r in range(5):
             (psi,), (init,) = _draw(cfg, geo, (child_seed(2, r),))
             mm_runs.clear()
-            designs = _design_all(psi, cfg, MMSettings(), None, init, False)[0]
+            designs = design_all(psi, cfg, MMSettings(), None, init, False)[0]
             res_n, res_r = mm_runs
             assert res_n.objectives == run_mm(init, psi, _nonrobust_config(cfg)).objectives
             assert res_r.objectives[0] == pytest.approx(
@@ -183,18 +211,15 @@ class TestContinuation:
                 # realization fails before any MM run; the continuation,
                 # run here, still dominates
                 with pytest.raises(DegenerateChannelError):
-                    _design_all(psi, cfg, MMSettings(), bits, init, False)
+                    design_all(psi, cfg, MMSettings(), bits, init, False)
                 assert mm_runs == []
                 res_n = run_mm(init, psi, _nonrobust_config(cfg))
                 res_r = run_mm(lift_reflect(res_n.reflect), psi, cfg)
                 nonrobust = psi_tilde(res_n.reflect, psi, cfg)
                 assert res_r.objectives[-1] >= nonrobust * (1.0 - 1e-12)
                 continue
-            designs = _design_all(psi, cfg, MMSettings(), bits, init, False)[0]
-            robust, nonrobust = (
-                evaluate_snr(w, theta, psi, cfg)
-                for w, theta, _ in (designs[Scheme.ROBUST_IRS], designs[Scheme.NONROBUST_IRS])
-            )
+            designs = design_all(psi, cfg, MMSettings(), bits, init, False)[0]
+            robust, nonrobust = designs[Scheme.ROBUST_IRS][0], designs[Scheme.NONROBUST_IRS][0]
             assert robust >= nonrobust * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("bits", [1, 2])
@@ -215,7 +240,7 @@ class TestContinuation:
         continued, cold = [], []
         for r in range(10):
             (psi,), (init,) = _draw(cfg, geo, (child_seed(1, r),))
-            designs = _design_all(psi, cfg, MMSettings(), None, init, False)[0]
+            designs = design_all(psi, cfg, MMSettings(), None, init, False)[0]
             continued.append(designs[Scheme.ROBUST_IRS][2])
             cold.append(run_mm(init, psi, cfg, MMSettings()).iterations)
         assert np.mean(continued) < np.mean(cold)
@@ -364,10 +389,7 @@ class TestTrends:
     def test_no_irs_collapse_at_zero_elements(self):
         cfg, geo = small_setup(n_i=0)
         psi = build_composite(generate_channels(np.random.default_rng(17), cfg, geo))
-        snrs = {
-            scheme: evaluate_snr(w, theta, psi, cfg)
-            for scheme, (w, theta, _) in design(psi, cfg, 17).items()
-        }
+        snrs = {scheme: snr for scheme, (snr, _, _) in design(psi, cfg, 17).items()}
         assert snrs[Scheme.ROBUST_IRS] == pytest.approx(snrs[Scheme.ROBUST_NO_IRS], rel=1e-9)
         assert snrs[Scheme.NONROBUST_IRS] == pytest.approx(snrs[Scheme.NONROBUST_NO_IRS], rel=1e-9)
         assert snrs[Scheme.ROBUST_IRS] >= snrs[Scheme.NONROBUST_IRS] - 1e-12
@@ -402,10 +424,10 @@ class TestUpperBoundScheme:
         cfg = replace(cfg, n_i=n_i)
         for s in range(60):
             (psi,), (init,) = _draw(cfg, geo, (child_seed(13, n_i, s),))
-            designs, ub = _design_all(psi, cfg, MMSettings(), None, init, True)
-            for scheme, (w, theta, _) in designs.items():
+            designs, ub = design_all(psi, cfg, MMSettings(), None, init, True)
+            for scheme, (snr, theta, _) in designs.items():
                 assert ub.bound_psi_tilde >= psi_tilde(theta, psi, cfg), (s, scheme)
-                assert ub.bound_snr >= evaluate_snr(w, theta, psi, cfg), (s, scheme)
+                assert ub.bound_snr >= snr, (s, scheme)
 
     def test_bound_not_below_designed_schemes(self):
         cfg, geo = table_defaults()
@@ -536,7 +558,7 @@ class TestSweepChunks:
         assert run_sweep(spec, cfg, geo) == default
 
     def test_stacked_designs_are_each_realizations_own(self, mm_runs):
-        # the oracle: _design_all on each realization alone, through run_mm
+        # the oracle: each realization as a chunk of one, through run_mm
         cfg, geo = small_setup(n_i=8)
         point = (cfg, geo, MMSettings(), 1, 100, True)
         seeds = tuple(child_seed(8, r) for r in range(5))
@@ -583,6 +605,118 @@ class TestSweepChunks:
             tracemalloc.stop()
         stack = len(seeds) * cfg.n_s * (cfg.n_i + 1) * np.dtype(complex).itemsize
         assert peak / stack < 5.3
+
+
+# the pinned edges, and tiny noise (sigma_n2 = 1e-30 W) at one antenna, at
+# kappa = 0 with extreme power, and at the defaults' distortion levels
+CHUNK_CASES = [(edge, None) for edge in EDGES] + [
+    (EDGES[1], 1e-30),
+    (EDGES[5], 1e-30),
+    (dict(n_s=4, n_i=6, kappa_s=0.07, kappa_d=0.07, log10_p=1.2, log10_snr=2.0,
+          direct=True, seed=9), 1e-30),
+]
+
+
+class TestChunkScoring:
+    """A chunk's four SNRs are array operations over its rows, equal to each realization's beam."""
+
+    @pytest.mark.parametrize("bits", [None, 1, 2])
+    @pytest.mark.parametrize("edge, sigma_n2", CHUNK_CASES)
+    def test_each_scheme_is_its_beams_snr_at_the_edges(self, edge, sigma_n2, bits):
+        problems = [make_problem(**{**edge, "seed": edge["seed"] + 1000 * j}) for j in range(4)]
+        cfg = problems[0][0]
+        if sigma_n2 is not None:
+            cfg = replace(cfg, sigma_n2=sigma_n2)
+        psis = np.stack([psi for _, psi, _ in problems])
+        inits = np.stack([random_lifted_init(rng, cfg.n_i) for _, _, rng in problems])
+        out = sim_mod._design_rows(psis, inits, cfg, MMSettings(), bits, False)
+        for psi, row in zip(psis, out):
+            if not edge["direct"]:
+                assert isinstance(row, DegenerateChannelError)
+                continue
+            designs, _ = row
+            oracle = beam_snrs(designs, psi, cfg)
+            for scheme, snr in oracle.items():
+                assert designs[scheme][0] == pytest.approx(snr, rel=1e-12, abs=0.0), scheme
+
+    @pytest.mark.parametrize("bits", [None, 1, 2])
+    @pytest.mark.parametrize("n_i", [0, 8, 50])
+    def test_each_scheme_is_its_beams_snr_on_the_sweeps_draws(self, n_i, bits):
+        cfg, geo = table_defaults()
+        cfg = replace(cfg, n_i=n_i)
+        psis, inits = _draw(cfg, geo, tuple(child_seed(31, n_i, r) for r in range(6)))
+        out = sim_mod._design_rows(psis, inits, cfg, MMSettings(), bits, False)
+        for psi, (designs, _) in zip(psis, out):
+            oracle = beam_snrs(designs, psi, cfg)
+            for scheme, snr in oracle.items():
+                assert designs[scheme][0] == pytest.approx(snr, rel=1e-12, abs=0.0), scheme
+
+    def test_robust_irs_is_the_objective_of_its_reflection(self):
+        cfg, geo = table_defaults()
+        psis, inits = _draw(cfg, geo, tuple(child_seed(32, r) for r in range(4)))
+        for psi, (designs, _) in zip(psis, sim_mod._design_rows(
+                psis, inits, cfg, MMSettings(), 2, False)):
+            snr, theta, _ = designs[Scheme.ROBUST_IRS]
+            assert snr == snr_from_psi_tilde(psi_tilde(theta, psi, cfg), cfg)
+
+    @pytest.mark.parametrize("bits, bound", [(None, False), (2, True)])
+    def test_a_missing_direct_link_mid_chunk_leaves_the_others_scored(self, bits, bound):
+        cfg, geo = small_setup(n_i=6)
+        psis, inits = _draw(cfg, geo, tuple(child_seed(33, r) for r in range(6)))
+        psis[3, :, -1] = 0.0
+        out = sim_mod._design_rows(psis, inits, cfg, MMSettings(), bits, bound)
+        assert isinstance(out[3], DegenerateChannelError)
+        assert str(out[3]) == "degenerate channel: composite vector is zero"
+        for k in (0, 1, 2, 4, 5):
+            (alone,) = sim_mod._design_rows(psis[k:k + 1], inits[k:k + 1], cfg, MMSettings(),
+                                            bits, bound)
+            designs, ub = out[k]
+            assert designs.keys() == alone[0].keys()
+            for scheme, (snr, theta, iterations) in designs.items():
+                snr_1, theta_1, iterations_1 = alone[0][scheme]
+                assert (snr, iterations) == (snr_1, iterations_1), (k, scheme)
+                assert (theta is None) == (theta_1 is None)
+                if theta is not None:
+                    assert theta.phases.tobytes() == theta_1.phases.tobytes()
+            assert (ub is None) == (alone[1] is None)
+            if bound:
+                assert ub.bound_psi_tilde == alone[1].bound_psi_tilde
+            oracle = beam_snrs(designs, psis[k], cfg)
+            for scheme, snr in oracle.items():
+                assert designs[scheme][0] == pytest.approx(snr, rel=1e-12, abs=0.0), scheme
+
+    @pytest.mark.parametrize("bits", [None, 1])
+    def test_a_zero_composite_mid_chunk_fails_alone(self, monkeypatch, bits):
+        # every design is the zero phase profile, under which the third
+        # realization's reflected column cancels its direct link exactly
+        def zero_phases(inits, psis, cfg, settings):
+            theta = ReflectConfig(np.zeros(cfg.n_i))
+            return [MMResult(theta, 1, True, (psi_tilde(theta, psi, cfg),)) for psi in psis]
+
+        monkeypatch.setattr(sim_mod, "_run_rows", zero_phases)
+        cfg = SystemConfig(n_s=2, n_i=1, p=10**1.2, kappa_s=0.07, kappa_d=0.07, sigma_n2=0.01)
+        rng = np.random.default_rng(35)
+        psis = cn(rng, (5, 2, 2))
+        psis[2, :, 0] = -psis[2, :, 1]
+        inits = np.ones((5, 2), complex)
+        out = sim_mod._design_rows(psis, inits, cfg, MMSettings(), bits, False)
+        assert isinstance(out[2], DegenerateChannelError)
+        assert str(out[2]) == "degenerate channel: composite vector is zero"
+        for k in (0, 1, 3, 4):
+            designs, _ = out[k]
+            oracle = beam_snrs(designs, psis[k], cfg)
+            for scheme, snr in oracle.items():
+                assert designs[scheme][0] == pytest.approx(snr, rel=1e-12, abs=0.0), scheme
+
+    def test_a_chunk_without_direct_links_runs_no_mm(self, mm_runs, monkeypatch):
+        monkeypatch.setattr(sim_mod, "run_stacked_mm", None)
+        cfg, geo = small_setup(n_i=6)
+        psis, inits = _draw(cfg, geo, tuple(child_seed(34, r) for r in range(4)))
+        psis[:, :, -1] = 0.0
+        out = sim_mod._design_rows(psis, inits, cfg, MMSettings(), 1, True)
+        assert [type(x) for x in out] == [DegenerateChannelError] * 4
+        assert len({id(x) for x in out}) == 4
+        assert mm_runs == []
 
 
 class TestChunkDraw:

@@ -12,8 +12,10 @@ from irsbf.model import (
 from irsbf.txbf import (
     composite_vector,
     evaluate_snr,
+    matched_filter_snr,
     optimal_transmit_beam,
     psi_tilde,
+    psi_tilde_from_powers,
     snr_from_psi_tilde,
 )
 
@@ -181,3 +183,35 @@ class TestObjectiveMaps:
         assert snr_from_psi_tilde(pt, small_cfg) == pytest.approx(
             evaluate_snr(w, mm.reflect, psi, small_cfg), rel=1e-9
         )
+
+
+class TestRowScoring:
+    """The stack forms score each row as the one-realization functions do."""
+
+    def test_objective_and_snr_map_per_row(self, rng, small_cfg):
+        q = np.abs(complex_gaussian(rng, 5, small_cfg.n_s)) ** 2
+        objectives = psi_tilde_from_powers(q, small_cfg)
+        assert objectives.shape == (5,)
+        for row, objective in zip(q, objectives):
+            assert objective == psi_tilde_from_powers(row, small_cfg)
+        snrs = snr_from_psi_tilde(objectives, small_cfg)
+        assert snrs.tolist() == [snr_from_psi_tilde(float(x), small_cfg) for x in objectives]
+        with pytest.raises(ValueError):
+            snr_from_psi_tilde(np.array([1.0, -1.0]), small_cfg)
+
+    @pytest.mark.parametrize("kappa_s", [0.0, 0.1])
+    def test_matched_filter_snr_is_the_matched_filters_evaluation(self, rng, kappa_s):
+        cfg = SystemConfig(n_s=4, n_i=3, p=2.0, kappa_s=kappa_s, kappa_d=0.15, sigma_n2=0.05)
+        psis = [build_composite(random_channels(rng, cfg.n_i, cfg.n_s)) for _ in range(5)]
+        thetas = [ReflectConfig(rng.uniform(0, 2 * np.pi, cfg.n_i)) for _ in psis]
+        vs = np.array([composite_vector(t, psi) for t, psi in zip(thetas, psis)])
+        snrs = matched_filter_snr(np.abs(vs) ** 2, cfg)
+        for snr, v, theta, psi in zip(snrs, vs, thetas, psis):
+            w = np.sqrt(cfg.p_tilde) * v / np.linalg.norm(v)
+            assert snr == pytest.approx(evaluate_snr(w, theta, psi, cfg), rel=1e-12, abs=0.0)
+            # never above the optimal beam's SNR, and equal to it without
+            # transmit distortion
+            optimal = snr_from_psi_tilde(psi_tilde(theta, psi, cfg), cfg)
+            assert snr <= optimal * (1.0 + 1e-12)
+            if kappa_s == 0.0:
+                assert snr == pytest.approx(optimal, rel=1e-12, abs=0.0)
