@@ -21,17 +21,20 @@ monotone.  ``run_mm`` runs one problem as the loop's one row;
 ``run_stacked_mm`` runs a stack of problems that share a configuration in
 lockstep, each operation once over the stack, the R eigensolves in one
 gufunc call, and each row with its own SQUAREM step length and
-backtracking.  A row leaves the stack when it converges, and the last one
+backtracking.  A backtracking round tries every row's candidate at once
+and writes the kept ones in place, by mask.  A row leaves the stack when
+it converges, its place taken by a row from the back, and the last one
 left runs in the layout of a single run.  No operation mixes rows, and
 each rounds row by row as it does on one problem (a stack keeps each
 composite's memory layout), so a row's result does not depend on the
-stack.  Both return the objective of each iterate; the last is the
-objective at the returned reflection, and ``txbf.snr_from_psi_tilde``
-maps it to the SNR of the optimal beam, so no beam is built to score a
-design.  The channel argument ``psi`` is the plain n_s x (n_i + 1)
-composite array of ``model.build_composite``, and a stack holds R of them;
-``quantize_phases`` rounds a continuous solution to the 2**bits levels of
-a b-bit phase set.
+stack; the stacked unit projection and the reflections read off a stack
+round as their one-row forms do.  Both return the objective of each
+iterate; the last is the objective at the returned reflection, and
+``txbf.snr_from_psi_tilde`` maps it to the SNR of the optimal beam, so no
+beam is built to score a design.  The channel argument ``psi`` is the
+plain n_s x (n_i + 1) composite array of ``model.build_composite``, and a
+stack holds R of them; ``quantize_phases`` rounds a continuous solution to
+the 2**bits levels of a b-bit phase set.
 
 The loop also ascends, as a single run, a Burer-Monteiro factor V of the
 relaxation X = V V^H (one unit-norm row per element), which ``sdr`` uses:
@@ -48,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .model import ConfigError, ReflectConfig, SystemConfig, check_unit_modulus, extract_reflect
+from .model import ConfigError, ReflectConfig, SystemConfig, check_unit_modulus
 from .txbf import _row_power, psi_tilde_from_powers
 
 # Multiplicative safety margin applied to the coupling eigenvalue so the
@@ -214,7 +217,14 @@ def _project_unit(vec: np.ndarray, fallback, rows: bool = False) -> np.ndarray:
 
     This is the surrogate's maximizer over the torus (over unit-norm rows
     for a factor) when ``vec`` is its linear coefficient.  With ``rows``,
-    ``vec`` is a stack of phase vectors, scaled entry by entry.
+    ``vec`` is a stack of phase vectors, scaled entry by entry: bit for bit
+    ``vec / |vec|``, the one-row form, but cheaper.  numpy divides by a
+    magnitude m, cast to complex, as ((re + im 0) (1/m), (im - re 0) (1/m)),
+    and the product with the complex 1/m - 0j rounds alike, signed zeros
+    included (with the real 1/m a zero part can flip its sign); only a
+    nonzero part under 2**-1074 m, which rounds to zero, can differ in sign.
+    The product is formed in the array that holds 1/m - 0j, so no
+    stack-sized cast buffer is made.
     """
     if vec.ndim == 1 or rows:
         mags = np.abs(vec)
@@ -223,7 +233,12 @@ def _project_unit(vec: np.ndarray, fallback, rows: bool = False) -> np.ndarray:
         # without its per-call dispatch
         mags = np.sqrt(np.add.reduce((vec.conj() * vec).real, axis=1, keepdims=True))
     if np.count_nonzero(mags) == mags.size:
-        return vec / mags
+        if not rows:
+            return vec / mags
+        scale = np.empty(vec.shape, complex)
+        np.divide(1.0, mags, out=scale.real)
+        scale.imag = -0.0
+        return np.multiply(vec, scale, out=scale)
     return np.where(mags > 0.0, vec / np.where(mags > 0.0, mags, 1.0), fallback)
 
 
@@ -289,9 +304,11 @@ def _squarem_cycle(tt, ev, run: _Run):
 
     On a stack the two steps and their evaluations run once over the rows.
     Each row keeps its own step length (``_step_lengths``, as on one
-    problem) and its own backtracking: the rows still backtracking
-    evaluate their candidates together, and the last one left backtracks
-    in the layout of a single run.
+    problem) and its own backtracking.  A round extrapolates every row,
+    evaluates the candidates together, decides acceptance with one
+    comparison masked to the rows still trying, and writes the kept rows
+    of ``x2`` and its evaluation in place (``np.copyto``).  The last row
+    left trying backtracks in the layout of a single run.
     """
     x1 = _step(tt, ev, run)
     x2 = _step(x1, _evaluate(x1, run), run)
@@ -305,44 +322,40 @@ def _squarem_cycle(tt, ev, run: _Run):
         if alpha is None:
             return x2, ev2
         return _backtrack(tt, r, v, x2, ev2, run, alpha, _BACKTRACKS)
-    alphas = _step_lengths(r, v)
-    trying = [k for k, alpha in enumerate(alphas) if alpha is not None]
+    # each row's step length, or -1 (the plain composition) without one
+    steps = [-1.0 if alpha is None else alpha for alpha in _step_lengths(r, v)]
     # x2 and ev2 are this cycle's own arrays, and a row whose candidate is
     # kept is done, so its rows of them are overwritten in place
     for tried in range(_BACKTRACKS):
-        trying = [k for k in trying if abs(alphas[k] + 1.0) >= 1e-4]
-        if len(trying) == 1:
-            (k,) = trying
+        going = [abs(alpha + 1.0) >= 1e-4 for alpha in steps]
+        trying = going.count(True)
+        if trying == 1:
+            k = going.index(True)
             row_ev = (ev2[0][k], ev2[1][k], float(ev2[2][k]))
             row_run = _Run(run.m[k], None, None, run.a, run.c)
             x2[k], ev_k = _backtrack(
-                tt[k], r[k], v[k], x2[k], row_ev, row_run, alphas[k], _BACKTRACKS - tried
+                tt[k], r[k], v[k], x2[k], row_ev, row_run, steps[k], _BACKTRACKS - tried
             )
             for whole, part in zip(ev2, ev_k):
                 whole[k] = part
             break
         if not trying:
             break
-        # every row is extrapolated, so that no stack is gathered: a row not
-        # trying takes step -1, and its candidate is ignored.  The scalars
-        # 2 alpha and alpha**2 are formed per row, as on one problem.
-        steps = [-1.0] * len(r)
-        for k in trying:
-            steps[k] = alphas[k]
-        two = np.array([2.0 * alpha for alpha in steps])[:, None]
-        square = np.array([alpha**2 for alpha in steps])[:, None]
-        cand = tt - two * r
-        cand += square * v
+        # every row is extrapolated, so that no stack is gathered, and the
+        # candidates of rows not trying are ignored.  The scalars 2 alpha and
+        # alpha**2 are formed per row, as on one problem, and as complex
+        # numbers, so that the products need no cast.
+        cand = np.multiply(np.array([2.0 * alpha for alpha in steps], complex)[:, None], r)
+        np.subtract(tt, cand, out=cand)
+        cand += np.array([alpha**2 for alpha in steps], complex)[:, None] * v
         cand = _project_unit(cand, x2, True)
         ev_c = _evaluate(cand, run)
-        kept = [k for k in trying if ev_c[2][k] >= ev2[2][k]]
-        if kept:
-            x2[kept] = cand[kept]
-            for whole, part in zip(ev2, ev_c):
-                whole[kept] = part[kept]
-            trying = [k for k in trying if k not in kept]
-        for k in trying:
-            alphas[k] = (alphas[k] - 1.0) / 2.0
+        kept = np.greater_equal(ev_c[2], ev2[2]) & going
+        for whole, part in zip((x2, *ev2), (cand, *ev_c)):
+            np.copyto(whole, part, where=kept if whole.ndim == 1 else kept[:, None])
+        for k, (go, keep) in enumerate(zip(going, kept.tolist())):
+            if go:
+                steps[k] = -1.0 if keep else (steps[k] - 1.0) / 2.0
     return x2, ev2
 
 
@@ -363,38 +376,41 @@ def random_lifted_init(rng: np.random.Generator, n_i: int) -> np.ndarray:
 
 
 def _keep_rows(tt: np.ndarray, ev, run: _Run, keep: list, order: list):
-    """The loop state (iterate, evaluation, constants) of rows ``keep`` of a stack.
+    """The loop state (iterate, evaluation, constants) of rows ``keep`` of a stack, and their places.
 
-    A single row leaves the stack for the layout of a single run, whose
-    arithmetic is the same with less dispatch.  Otherwise the kept rows
-    move to the front of the stack in place, so that no copy of it is
-    made: Psi by swaps, recorded in ``order`` (the caller's row at each
-    place of Psi), since Psi is the caller's array; Psi^H, the loop's own,
-    by overwriting.
+    Returns the state and the list of the stack's rows at the new state's
+    places.  A single row leaves the stack for the layout of a single run,
+    whose arithmetic is the same with less dispatch.  Otherwise each place
+    below ``len(keep)`` whose row departed takes, in place, a kept row from
+    the back of the stack, so that a compaction moves no more rows than
+    departed and copies nothing: Psi by swaps, recorded in ``order`` (the
+    caller's row at each place of Psi), since Psi is the caller's array;
+    the loop's own arrays (Psi^H, the Gram, the iterate and its
+    evaluation) by overwriting.
     """
     if len(keep) == 1:
         (k,) = keep
-        return (
-            tt[k],
-            (ev[0][k], ev[1][k], float(ev[2][k])),
-            _Run(run.m[k], run.mh[k], run.gram[k], run.a, run.c),
-        )
-    m, mc = run.m, np.swapaxes(run.mh, 1, 2)
-    for j, k in enumerate(keep):
-        if j < k:
-            _swap_rows(m, order, j, k)
-            mc[j] = mc[k]
+        row_run = _Run(run.m[k], run.mh[k], run.gram[k], run.a, run.c)
+        return tt[k], (ev[0][k], ev[1][k], float(ev[2][k])), row_run, keep
     n = len(keep)
-    return (
-        tt[keep],
-        tuple(x[keep] for x in ev),
-        _Run(m[:n], np.swapaxes(mc[:n], 1, 2), run.gram[keep], run.a, run.c),
-    )
+    places = list(range(n))
+    holes = sorted(set(places).difference(keep))
+    mc = np.swapaxes(run.mh, 1, 2)
+    # keep is ascending, so its last len(holes) rows lie behind place n
+    for j, k in zip(holes, reversed(keep[n - len(holes):])):
+        _swap_rows(run.m, order, j, k)
+        for x in (mc, run.gram, tt, *ev):
+            x[j] = x[k]
+        places[j] = k
+    row_run = _Run(run.m[:n], np.swapaxes(mc[:n], 1, 2), run.gram[:n], run.a, run.c)
+    return tt[:n], tuple(x[:n] for x in ev), row_run, places
 
 
 def _swap_rows(m: np.ndarray, order: list, j: int, k: int) -> None:
     """Swap matrices ``j`` and ``k`` of the stack ``m``, and entries ``j`` and ``k`` of ``order``."""
-    m[[j, k]] = m[[k, j]]
+    held = m[j].copy()
+    m[j] = m[k]
+    m[k] = held
     order[j], order[k] = order[k], order[j]
 
 
@@ -418,10 +434,10 @@ def _ascend_rows(tt: np.ndarray, run: _Run, settings: MMSettings, order=None):
     test, the SQUAREM acceptance test and the next step.  No operation
     mixes rows, so a row's result does not depend on the others in the
     stack.  ``run`` holds the constants of the problem
-    (``_run_constants``).  ``tt`` is not changed.  On a stack, the loop
-    moves the kept matrices of Psi to the front in place as rows leave
-    (``_keep_rows``), and ``order``, which starts as 0, 1, ..., R - 1,
-    tracks the caller's row at each place.
+    (``_run_constants``).  ``tt`` is not changed.  On a stack, as rows
+    leave, the loop fills their places of Psi in place with kept matrices
+    from the back (``_keep_rows``), and ``order``, which starts as 0, 1,
+    ..., R - 1, tracks the caller's row at each place.
     """
     advance = _squarem_cycle if settings.accelerate else _plain_step
     stacked = run.m.ndim == 3
@@ -430,7 +446,7 @@ def _ascend_rows(tt: np.ndarray, run: _Run, settings: MMSettings, order=None):
     ev = _evaluate(tt, run)
     objectives = [[obj] for obj in (ev[2].tolist() if stacked else [ev[2]])]
     if stacked and len(live) == 1:
-        tt, ev, run = _keep_rows(tt, ev, run, [0], order)
+        tt, ev, run, _ = _keep_rows(tt, ev, run, [0], order)
         stacked = False
     for _ in range(settings.max_iter):
         tt, ev = advance(tt, ev, run)
@@ -446,10 +462,10 @@ def _ascend_rows(tt: np.ndarray, run: _Run, settings: MMSettings, order=None):
                 last[live[k]] = tt[k].copy() if stacked else tt
                 converged[live[k]] = True
             keep = [k for k in range(len(live)) if k not in done]
-            live = [live[k] for k in keep]
-            if not live:
-                break
-            tt, ev, run = _keep_rows(tt, ev, run, keep, order)
+            if not keep:
+                return last, objectives, converged
+            tt, ev, run, places = _keep_rows(tt, ev, run, keep, order)
+            live = [live[k] for k in places]
             stacked = len(keep) > 1
     for k, r in enumerate(live):
         last[r] = tt[k] if stacked else tt
@@ -490,9 +506,19 @@ def run_stacked_mm(
 
 
 def _results(last, objectives, converged) -> list:
+    """One ``MMResult`` per row of ``_ascend_rows``'s output.
+
+    Each row's reflection is ``extract_reflect`` of its last iterate, bit
+    for bit, with its phases read off the stack of last iterates by one
+    division, one ``conj`` and one ``angle``.
+    """
+    tt = np.array(last)
+    theta = np.conjugate(tt[:, :-1] / tt[:, -1:])
+    if not theta.all():
+        raise ConfigError("cannot normalize a zero reflection coefficient")
     return [
-        MMResult(extract_reflect(t), len(o) - 1, c, tuple(o))
-        for t, o, c in zip(last, objectives, converged)
+        MMResult(ReflectConfig(p), len(o) - 1, c, tuple(o))
+        for p, o, c in zip(np.angle(theta), objectives, converged)
     ]
 
 

@@ -272,8 +272,10 @@ def _run_rows(inits, psis, cfg: SystemConfig, settings: MMSettings) -> list:
 
 
 def _lifted(thetas) -> np.ndarray:
-    """The stack of ``lift_reflect`` of each reflection in ``thetas``."""
-    return np.array([lift_reflect(theta) for theta in thetas])
+    """The stack of ``lift_reflect`` of each reflection in ``thetas``, bit for bit, in one ``conj``."""
+    lifted = np.ones((len(thetas), len(thetas[0].theta) + 1), complex)
+    np.conjugate([theta.theta for theta in thetas], out=lifted[:, :-1])
+    return lifted
 
 
 def _design_rows(

@@ -31,6 +31,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 CASES = {
     "sweep_n": (["sweep-n", "--seed", "3", "--channels", "6", "--symbols", "500",
                  "--values", "4,16,32"], True),
+    # 34 channels make two chunks per point, the first a stack of 32 rows up
+    # to n_i 200, which backtracks over several rounds in lockstep
+    "sweep_n_stack": (["sweep-n", "--seed", "1", "--channels", "34", "--symbols", "500",
+                       "--no-bound", "--values", "8,50,200"], True),
     "sweep_n_bits2": (["sweep-n", "--seed", "3", "--channels", "6", "--symbols", "500",
                        "--values", "4,16,32", "--bits", "2"], True),
     "sweep_kappa": (["sweep-kappa", "--seed", "4", "--channels", "4", "--symbols", "300",

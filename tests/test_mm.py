@@ -34,7 +34,7 @@ from irsbf.model import (
     lift_reflect,
 )
 
-from irsbf.sim import _draw, child_seed, table_defaults
+from irsbf.sim import _draw, _lifted, child_seed, table_defaults
 from irsbf.txbf import _row_power
 
 from conftest import complex_gaussian, random_channels
@@ -270,6 +270,18 @@ class TestKernels:
             out[live], f[live] / np.linalg.norm(f[live], axis=1, keepdims=True)
         )
         np.testing.assert_array_equal(out[4], 0.0)
+
+    def test_stack_projection_is_bitwise_the_division(self, rng):
+        # magnitudes over 300 decades, and entries with an exactly zero real
+        # or imaginary part of either sign, where a product with the real
+        # 1/|z| would flip the zero's sign
+        z = 10.0 ** rng.uniform(-150, 150, (5, 40)) * np.exp(1j * rng.uniform(-4, 4, (5, 40)))
+        parts = (1e-150, -1e-150, 3.0, -0.5, 1e150, -1e150)
+        z[0, :24] = [complex(zero, x) for zero in (0.0, -0.0) for x in parts * 2][:24]
+        z[1, :24] = [complex(x, zero) for zero in (0.0, -0.0) for x in parts * 2][:24]
+        z[2, :4] = [1e150 + 1e-150j, -1e-150 + 1e150j, 1e-150 - 1e150j, -1e150 - 1e-150j]
+        out = _project_unit(z, z, rows=True)
+        np.testing.assert_array_equal(out.view(np.uint64), (z / np.abs(z)).view(np.uint64))
 
     def test_unit_projection_keeps_the_fallback_at_zeros(self, rng):
         z = complex_gaussian(rng, 6)
@@ -599,6 +611,86 @@ class TestStackedSquarem:
         assert len(set(iterations)) > 2 and iterations != sorted(iterations, reverse=True)
         assert psis.strides == strides and psis.tobytes() == before.tobytes()
         assert inits.tobytes() == inits_before.tobytes()
+
+
+class TestRowCompaction:
+    """A row that leaves the stack is replaced by one from the back, not by every row behind it."""
+
+    @pytest.mark.parametrize("settings", [ACCEL, PLAIN], ids=["squarem", "plain"])
+    def test_a_pass_moves_no_more_matrices_than_rows_departed(self, monkeypatch, settings):
+        cfg, geo = table_defaults()
+        cfg = replace(cfg, n_i=50)
+        psis, inits = _draw(cfg, geo, tuple(child_seed(6, r) for r in range(9)))
+        psis[[0, 4]] = 0.0  # these converge at the first pass, from the front and the middle
+        before, strides = psis.copy(), psis.strides
+        swaps, passes = [], []
+        swap_rows, keep_rows = mm_mod._swap_rows, mm_mod._keep_rows
+
+        def counting_swap(m, order, j, k):
+            swaps.append((j, k))
+            swap_rows(m, order, j, k)
+
+        def recording_keep(tt, ev, run, keep, order):
+            start = len(swaps)
+            state = keep_rows(tt, ev, run, keep, order)
+            passes.append((len(tt), list(keep), len(swaps) - start))
+            return state
+
+        monkeypatch.setattr(mm_mod, "_swap_rows", counting_swap)
+        monkeypatch.setattr(mm_mod, "_keep_rows", recording_keep)
+        results = run_stacked_mm(inits, psis, cfg, settings)
+        # the first pass: rows 0 and 4 leave, rows 8 and 7 fill their places
+        assert passes[0] == (9, [1, 2, 3, 5, 6, 7, 8], 2)
+        assert len(passes) > 3
+        for rows, keep, moved in passes:
+            assert moved <= rows - len(keep)
+        # the restore undoes the loop's swaps, with no more swaps than those
+        departed = sum(rows - len(keep) for rows, keep, _ in passes)
+        assert len(swaps) <= 2 * departed
+        assert psis.strides == strides and psis.tobytes() == before.tobytes()
+        for init, psi, res in zip(inits, psis, results):
+            alone = run_mm(init, psi, cfg, settings)
+            assert (alone.objectives, alone.iterations, alone.converged) == (
+                res.objectives, res.iterations, res.converged
+            )
+            np.testing.assert_array_equal(alone.reflect.phases.view(np.uint64),
+                                          res.reflect.phases.view(np.uint64))
+
+
+class TestBatchedExtraction:
+    """The stack's phases and the robust starts are the per-row maps, bit for bit."""
+
+    @pytest.mark.parametrize("n_i, n_s", [(50, 4), (8, 1), (0, 4), (0, 1)])
+    def test_results_and_lifted_starts_are_each_rows_own(self, rng, n_i, n_s):
+        cfg, psis, inits = stacked_problems(rng, 6, n_i=n_i, n_s=n_s)
+        last, objectives, converged = mm_mod._ascend_rows(
+            inits, _run_constants(psis.copy(), cfg), ACCEL, list(range(6))
+        )
+        # iterates on the axes, with signed zeros, and a slack off 1
+        signed = [1.0, complex(-1.0, -0.0), 1j, complex(-0.0, -1.0), complex(-1.0, 0.0), -1j]
+        axes = np.resize(np.array(signed), n_i + 1)
+        axes[-1] = 0.6 - 0.8j
+        last.append(axes)
+        last.append(np.array([complex(-0.0, 1.0)] * n_i + [-1j]))
+        objectives += [[0.0], [0.0, 1.0]]
+        converged += [False, True]
+        results = mm_mod._results(last, objectives, converged)
+        starts = _lifted([res.reflect for res in results])
+        assert starts.shape == (len(last), n_i + 1)
+        for t, res, start, obj, conv in zip(last, results, starts, objectives, converged):
+            expected = extract_reflect(t)
+            for got, want in ((res.reflect.phases, expected.phases),
+                              (res.reflect.theta, expected.theta),
+                              (start, lift_reflect(expected))):
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert (res.objectives, res.iterations, res.converged) == (tuple(obj), len(obj) - 1, conv)
+
+    def test_a_zero_coefficient_raises_as_extraction_does(self):
+        last = [np.array([1.0, 1.0 + 0j]), np.array([0.0j, 1.0])]
+        with pytest.raises(ConfigError, match="zero reflection coefficient"):
+            extract_reflect(last[1])
+        with pytest.raises(ConfigError, match="zero reflection coefficient"):
+            mm_mod._results(last, [[0.0]] * 2, [True] * 2)
 
 
 class TestStepLengths:
