@@ -37,6 +37,7 @@ from .sim import (
     SweepFailedError,
     SweepSpec,
     load_setup,
+    run_bound_check,
     run_iteration_study,
     run_sweep,
     simulate_ser,

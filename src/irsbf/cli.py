@@ -25,18 +25,16 @@ import numpy as np
 from .channels import Geometry, sample_los, sample_rayleigh
 from .los import solve_los
 from .mm import MMSettings, random_lifted_init, run_mm
-from .model import ChannelSet, ConfigError, DegenerateChannelError, SystemConfig, build_composite
+from .model import ChannelSet, DegenerateChannelError, SystemConfig, build_composite
 from .sim import (
     IterationStudyRow,
-    Scheme,
     SimResult,
     SweepFailedError,
     SweepSpec,
-    _design_rows,
-    _draw,
     child_seed,
     load_setup,
     pow2db,
+    run_bound_check,
     run_iteration_study,
     run_sweep,
     table_defaults,
@@ -231,8 +229,6 @@ def _run_los_demo(args, cfg: SystemConfig, geo: Geometry) -> int:
 
 
 def _run_bound_check(args, cfg: SystemConfig, geo: Geometry) -> int:
-    if args.channels < 1:
-        raise ConfigError(f"n_channels must be >= 1, got {args.channels}")
     header = (
         "channel", "psi_tilde_mm", "psi_tilde_primal", "psi_tilde_bound",
         "snr_mm_db", "snr_bound_db", "gap_db", "certified_gap_db",
@@ -241,14 +237,10 @@ def _run_bound_check(args, cfg: SystemConfig, geo: Geometry) -> int:
     certified_gaps = []
     violations = 0
     with _table(args, header) as add:
-        for r in range(args.channels):
-            psis, inits = _draw(cfg, geo, (child_seed(args.seed, 0xB0, r),))
-            (design,) = _design_rows(psis, inits, cfg, MMSettings(), None, True)
+        for r, design in enumerate(run_bound_check(cfg, geo, args.channels, args.seed)):
             if isinstance(design, DegenerateChannelError):
                 raise DegenerateChannelError(f"channel {r}: {design}")
-            designs, ub = design
-            psi = psis[0]
-            mm_pt = psi_tilde(designs[Scheme.ROBUST_IRS][1], psi, cfg)
+            mm_pt, ub = design
             mm_db = pow2db(snr_from_psi_tilde(mm_pt, cfg))
             bound_db = pow2db(ub.bound_snr)
             gaps.append(bound_db - mm_db)

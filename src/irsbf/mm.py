@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .model import ConfigError, ReflectConfig, SystemConfig, check_unit_modulus
+from .model import ConfigError, ReflectConfig, SystemConfig, check_unit_modulus, extract_reflect
 from .txbf import _row_power, psi_tilde_from_powers
 
 # Multiplicative safety margin applied to the coupling eigenvalue so the
@@ -506,19 +506,10 @@ def run_stacked_mm(
 
 
 def _results(last, objectives, converged) -> list:
-    """One ``MMResult`` per row of ``_ascend_rows``'s output.
-
-    Each row's reflection is ``extract_reflect`` of its last iterate, bit
-    for bit, with its phases read off the stack of last iterates by one
-    division, one ``conj`` and one ``angle``.
-    """
-    tt = np.array(last)
-    theta = np.conjugate(tt[:, :-1] / tt[:, -1:])
-    if not theta.all():
-        raise ConfigError("cannot normalize a zero reflection coefficient")
+    """One ``MMResult`` per row of ``_ascend_rows``'s output, all rows extracted at once."""
     return [
-        MMResult(ReflectConfig(p), len(o) - 1, c, tuple(o))
-        for p, o, c in zip(np.angle(theta), objectives, converged)
+        MMResult(reflect, len(o) - 1, c, tuple(o))
+        for reflect, o, c in zip(extract_reflect(np.array(last)), objectives, converged)
     ]
 
 

@@ -148,22 +148,36 @@ class ReflectConfig:
         return cls(np.angle(theta))
 
 
-def lift_reflect(rc: ReflectConfig) -> np.ndarray:
+def lift_reflect(rc) -> np.ndarray:
     """Lifted phase vector: conjugated coefficients with a trailing unit slack.
 
     Conjugation happens exactly once, here, so that multiplying the
     composite matrix by the lifted vector reproduces the physical
-    end-to-end channel.
+    end-to-end channel.  A nonempty sequence of configs gives the stack of
+    their lifted vectors, one row each, in one ``conj``.
     """
-    return np.concatenate([np.conj(rc.theta), [1.0 + 0.0j]])
+    configs = [rc] if isinstance(rc, ReflectConfig) else rc
+    lifted = np.ones((len(configs), len(configs[0].theta) + 1), complex)
+    np.conjugate([c.theta for c in configs], out=lifted[:, :-1])
+    return lifted[0] if isinstance(rc, ReflectConfig) else lifted
 
 
-def extract_reflect(theta_tilde: np.ndarray) -> ReflectConfig:
-    """Undo the lifting: divide out the slack entry and conjugate back."""
-    tt = np.asarray(theta_tilde, dtype=complex).ravel()
-    if tt.shape[0] < 1:
+def extract_reflect(theta_tilde: np.ndarray):
+    """Undo the lifting: divide out the slack entry and conjugate back.
+
+    A 2-D stack of lifted vectors gives one ``ReflectConfig`` per row, its
+    phases read off the stack by one division, one ``conj`` and one
+    ``angle``; any other shape is one lifted vector.
+    """
+    tt = np.asarray(theta_tilde, dtype=complex)
+    rows = tt if tt.ndim == 2 else tt.reshape(1, -1)
+    if rows.shape[1] < 1:
         raise DimensionError("lifted vector must have at least the slack entry")
-    return ReflectConfig.from_theta(np.conj(tt[:-1] / tt[-1]))
+    theta = np.conjugate(rows[:, :-1] / rows[:, -1:])
+    if not theta.all():
+        raise ConfigError("cannot normalize a zero reflection coefficient")
+    configs = [ReflectConfig(phases) for phases in np.angle(theta)]
+    return configs if tt.ndim == 2 else configs[0]
 
 
 def check_unit_modulus(vec: np.ndarray, tol: float = UNIT_MODULUS_TOL) -> np.ndarray:

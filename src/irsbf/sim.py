@@ -22,22 +22,26 @@ beam built: a robust scheme from its objective in closed form (the MM
 run's last, or the kept quantized profile's), a nonrobust one by the SNR
 of its mismatched beam, and the no-IRS schemes from the direct column.
 
-Determinism contract: sweeps and the iteration study run their
-realizations through one loop, ``_realizations``, and draw each one by
-``_draw`` from its own generator, whose seed is derived from the master
-seed, the point index and the realization index through a 64-bit mixing
-function.  A task is a chunk of up to ``_CHUNK`` consecutive
-realizations of one point, at every surface size.  It draws them as one
-array (``_draw``), each realization still from its own generator, and
-its MM runs step in lockstep as stacks (``_run_rows``) on that array: a
-sweep task designs its chunk's nonrobust reflections as one stack and
-the robust ones as another, and a study task runs each of its four kinds
-of run as one stack.  The chunk size never depends on ``--workers``, and
+Determinism contract: sweeps, the iteration study and the bound check
+run their realizations through one loop, ``_realizations``, and draw
+each one by ``_draw`` from its own generator.  Each point has a seed
+key, a tuple of integers, and realization r of a point with key k is
+seeded by ``child_seed(seed, *k, r)``, a 64-bit mixing of the master
+seed, the key and r: a sweep keys point i as (i,), the study as
+(``_STUDY_SALT``, i), and the bound check its one point as (0xB0,).
+A task is a chunk of up to ``_CHUNK`` consecutive realizations of one
+point, at every surface size.  It draws them as one array (``_draw``),
+each realization still from its own generator, and its MM runs step in
+lockstep as stacks (``_run_rows``) on that array: a sweep or bound-check
+task designs its chunk's nonrobust reflections as one stack and the
+robust ones as another, and a study task runs each of its four kinds of
+run as one stack.  The chunk size never depends on ``--workers``, and
 no realization's result depends on its chunk: each draw is bit for bit
 its own, and each row of a stack is bit for bit its own ``run_mm``.
 Workers therefore produce identical results regardless of how tasks are
-distributed, and the aggregation is an ordered reduction.  A degenerate channel is the
-only failure a realization reports, and it fails that realization alone.
+distributed, and the aggregation is an ordered reduction.  A degenerate
+channel is the only failure a realization reports, and it fails that
+realization alone.
 """
 
 from __future__ import annotations
@@ -62,14 +66,14 @@ from .mm import (
 )
 from .model import ConfigError, DegenerateChannelError, SystemConfig, lift_reflect
 from .sdr import solve_sdr
-from .txbf import matched_filter_snr, psi_tilde_from_powers, snr_from_psi_tilde
+from .txbf import matched_filter_snr, psi_tilde, psi_tilde_from_powers, snr_from_psi_tilde
 
 # Not called here, since _draw and _design_rows do their arithmetic on a
 # whole chunk: the benchmark's tracer (bench/tracing.py) wraps these names
 # until the library owns its spans (ROADMAP item 2).
 from .channels import generate_channels  # noqa: F401
 from .model import build_composite  # noqa: F401
-from .txbf import evaluate_snr, optimal_beam_from_v, optimal_transmit_beam, psi_tilde  # noqa: F401
+from .txbf import evaluate_snr, optimal_beam_from_v, optimal_transmit_beam  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -253,9 +257,10 @@ def _nonrobust_config(cfg: SystemConfig) -> SystemConfig:
 # the split does not depend on ``--workers``, and no realization's result
 # depends on its chunk.
 _CHUNK = 32
-# Fewer rows than this run one at a time through ``run_mm``: on the
-# sweeps' sizes, a stack of two accelerated runs is slower than two single
-# runs.
+# Fewer rows than this run one at a time through ``run_mm``.  A whole run
+# of two rows measures no slower as a stack (ROADMAP item 8), but the
+# benchmark's tracer test counts ``run_mm`` calls on 2-row chunks until
+# the library owns its spans (ROADMAP item 2).
 _MIN_STACK = 3
 
 
@@ -269,13 +274,6 @@ def _run_rows(inits, psis, cfg: SystemConfig, settings: MMSettings) -> list:
     if len(psis) < _MIN_STACK:
         return [run_mm(init, psi, cfg, settings) for init, psi in zip(inits, psis)]
     return run_stacked_mm(inits, psis, cfg, settings)
-
-
-def _lifted(thetas) -> np.ndarray:
-    """The stack of ``lift_reflect`` of each reflection in ``thetas``, bit for bit, in one ``conj``."""
-    lifted = np.ones((len(thetas), len(thetas[0].theta) + 1), complex)
-    np.conjugate([theta.theta for theta in thetas], out=lifted[:, :-1])
-    return lifted
 
 
 def _design_rows(
@@ -310,8 +308,8 @@ def _design_rows(
     assumed (``matched_filter_snr``).
 
     The bound is certified from any start, but its ascent starts from the
-    robust run's profile, before quantization: the best unit-modulus point
-    at hand.
+    robust run's profile, lifted with the stack before quantization: the
+    best unit-modulus point at hand.
     """
     direct = np.abs(psis[:, :, -1]) ** 2
     live = np.flatnonzero(direct.any(axis=1)).tolist()
@@ -323,17 +321,20 @@ def _design_rows(
         psis, inits, direct = np.stack([psis[k] for k in live]), inits[live], direct[live]
     runs_n = _run_rows(inits, psis, _nonrobust_config(cfg), settings)
     thetas_n = [res.reflect for res in runs_n]
-    starts = _lifted(thetas_n)
+    starts = lift_reflect(thetas_n)
     runs_r = _run_rows(starts, psis, cfg, settings)
     thetas_r = [res.reflect for res in runs_r]
+    bound_starts = lift_reflect(thetas_r) if bound else None
     if bits is None:
         robust = np.array([res.objectives[-1] for res in runs_r])
         received = np.abs(_times(psis, starts, True)) ** 2
     else:
         thetas_r = [quantize_phases(theta, bits) for theta in thetas_r]
         thetas_n = [quantize_phases(theta, bits) for theta in thetas_n]
-        received = np.abs(_times(psis, _lifted(thetas_n), True)) ** 2
-        robust = psi_tilde_from_powers(np.abs(_times(psis, _lifted(thetas_r), True)) ** 2, cfg)
+        received = np.abs(_times(psis, lift_reflect(thetas_n), True)) ** 2
+        robust = psi_tilde_from_powers(
+            np.abs(_times(psis, lift_reflect(thetas_r), True)) ** 2, cfg
+        )
         nonrobust = psi_tilde_from_powers(received, cfg)
         keep_n = (nonrobust > robust).tolist()
         robust = np.maximum(robust, nonrobust)
@@ -351,7 +352,7 @@ def _design_rows(
         if ok[j]:
             designs = dict(zip(Scheme, zip(snr, (thetas_r[j], thetas_n[j], None, None),
                                            (res_r.iterations, res_n.iterations, None, None))))
-            ub = solve_sdr(psis[j], cfg, init=lift_reflect(res_r.reflect)) if bound else None
+            ub = solve_sdr(psis[j], cfg, init=bound_starts[j]) if bound else None
             out[k] = (designs, ub)
     return out
 
@@ -447,13 +448,16 @@ def _sweep_task(args) -> list:
     return [_realization_stats((n_symbols, design)) for design in designs]
 
 
-def _realizations(task, points, n_channels: int, seed: int, salt: tuple, workers: int):
+def _realizations(task, points, n_channels: int, seed: int, keys, workers: int):
     """The one realization loop: yields each point's task results in realization order.
 
-    Realization r of point i is drawn from ``child_seed(seed, *salt, i, r)``.
-    A task takes ``(*points[i], seeds)``, the seeds of a chunk of up to
-    ``_CHUNK`` consecutive realizations of one point, and returns their
-    results in order; the split never depends on ``workers``.
+    Its users are the sweeps, the iteration study and the bound check.
+    ``keys`` holds one seed key per point, a tuple of integers, and
+    realization r of the point with key k is drawn from
+    ``child_seed(seed, *k, r)``.  A task takes ``(*points[i], seeds)``,
+    the seeds of a chunk of up to ``_CHUNK`` consecutive realizations of
+    one point, and returns their results in order; the split never
+    depends on ``workers``.
     With one worker the tasks run in this process, point by point.
     Otherwise one process pool serves the run: every point's tasks are
     submitted at once, so the points overlap, and each point is yielded as
@@ -467,8 +471,8 @@ def _realizations(task, points, n_channels: int, seed: int, salt: tuple, workers
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     tasks = []
-    for i, point in enumerate(points):
-        seeds = tuple(child_seed(seed, *salt, i, r) for r in range(n_channels))
+    for point, key in zip(points, keys, strict=True):
+        seeds = tuple(child_seed(seed, *key, r) for r in range(n_channels))
         tasks.append([(*point, seeds[k:k + _CHUNK]) for k in range(0, n_channels, _CHUNK)])
     if workers == 1:
         for point_tasks in tasks:
@@ -515,7 +519,10 @@ def run_sweep(
     ]
     results = []
     with closing(
-        _realizations(_sweep_task, points, spec.n_channels, spec.seed, (), workers)
+        _realizations(
+            _sweep_task, points, spec.n_channels, spec.seed, [(i,) for i in range(len(points))],
+            workers,
+        )
     ) as realizations:
         for rows, value in zip(realizations, spec.values):
             failed = [r["failed"] for r in rows if "failed" in r]
@@ -549,6 +556,37 @@ def run_sweep(
             if on_point is not None:
                 on_point(point)
     return results
+
+
+def _bound_check_task(args) -> list:
+    """Worker body: each realization of a chunk's robust design against its relaxation bound.
+
+    ``args`` is (cfg, geo) and the tuple of the chunk's seeds.  Returns,
+    per realization in order, the robust design's ``psi_tilde`` on its own
+    composite with its ``UpperBoundResult``, or the
+    ``DegenerateChannelError`` that fails it.
+    """
+    (cfg, geo, seeds) = args
+    psis, inits = _draw(cfg, geo, seeds)
+    designs = _design_rows(psis, inits, cfg, MMSettings(), None, True)
+    return [
+        design if isinstance(design, DegenerateChannelError)
+        else (psi_tilde(design[0][Scheme.ROBUST_IRS][1], psi, cfg), design[1])
+        for psi, design in zip(psis, designs)
+    ]
+
+
+def run_bound_check(cfg: SystemConfig, geo: Geometry, n_channels: int, seed: int) -> list:
+    """The continuous-phase robust design of each channel against its relaxation bound.
+
+    Channel r is the realization drawn from ``child_seed(seed, 0xB0, r)``,
+    designed as a sweep designs it, at the default ``MMSettings``, in one
+    process.  Returns, per channel in order, the design's ``psi_tilde``
+    with its ``UpperBoundResult``, or the ``DegenerateChannelError`` of a
+    channel without a beam direction.
+    """
+    (rows,) = _realizations(_bound_check_task, [(cfg, geo)], n_channels, seed, [(0xB0,)], 1)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -610,7 +648,10 @@ def run_iteration_study(
         raise ConfigError("sweep needs at least one value")
     rows = []
     with closing(
-        _realizations(_study_task, points, n_channels, seed, (_STUDY_SALT,), workers)
+        _realizations(
+            _study_task, points, n_channels, seed,
+            [(_STUDY_SALT, i) for i in range(len(points))], workers,
+        )
     ) as realizations:
         for counts, (cfg, *_) in zip(realizations, points):
             means = np.mean(np.array(counts, dtype=float), axis=0)

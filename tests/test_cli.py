@@ -19,6 +19,8 @@ from irsbf.model import ConfigError
 from irsbf.sim import (
     Scheme,
     SweepSpec,
+    _design_rows,
+    _draw,
     _sweep_task,
     child_seed,
     db2pow,
@@ -27,7 +29,7 @@ from irsbf.sim import (
     run_sweep,
     table_defaults,
 )
-from irsbf.txbf import psi_tilde
+from irsbf.txbf import psi_tilde, snr_from_psi_tilde
 
 SETUP = Path(__file__).resolve().parent / "golden" / "setup.cfg"
 
@@ -135,7 +137,6 @@ class TestConfigFile:
             return psis, inits
 
         monkeypatch.setattr(sim_mod, "_draw", zero)
-        monkeypatch.setattr(cli_mod, "_draw", zero)
 
     def test_sweep_with_every_realization_failed_reports_error(self, degenerate_draws, capsys):
         rc = main([
@@ -383,7 +384,7 @@ class TestTable:
         [
             (["sweep-n", "--channels", "1", "--values", "4"], "run_sweep"),
             (["iteration-study", "--channels", "1", "--values", "4"], "run_iteration_study"),
-            (["bound-check", "--channels", "1"], "_draw"),
+            (["bound-check", "--channels", "1"], "run_bound_check"),
         ],
     )
     def test_out_is_opened_before_any_computation(
@@ -475,14 +476,16 @@ class TestSubcommands:
 
     def test_bound_check_counts_any_bound_below_the_design(self, capsys, monkeypatch):
         # a bound 1e-9 relative below the design is a violation: no allowance
-        design_rows = cli_mod._design_rows
+        design_rows = sim_mod._design_rows
 
         def below(psis, inits, cfg, *args):
-            ((designs, ub),) = design_rows(psis, inits, cfg, *args)
-            design = psi_tilde(designs[Scheme.ROBUST_IRS][1], psis[0], cfg)
-            return [(designs, replace(ub, bound_psi_tilde=design * (1.0 - 1e-9)))]
+            return [
+                (designs, replace(ub, bound_psi_tilde=psi_tilde(
+                    designs[Scheme.ROBUST_IRS][1], psi, cfg) * (1.0 - 1e-9)))
+                for psi, (designs, ub) in zip(psis, design_rows(psis, inits, cfg, *args))
+            ]
 
-        monkeypatch.setattr(cli_mod, "_design_rows", below)
+        monkeypatch.setattr(sim_mod, "_design_rows", below)
         rc = main(["bound-check", "--seed", "6", "--channels", "2", "--json"])
         assert rc == 1
         assert json.loads(capsys.readouterr().out)["dominance_violations"] == 2
@@ -519,6 +522,70 @@ class TestSubcommands:
                                    ("snr_bound_db", Scheme.UPPER_BOUND)):
                 reported = pow2db(stats[scheme.value][0])
                 assert float(row[column]) == pytest.approx(reported, rel=1e-9), (r, column)
+
+    def test_bound_check_across_a_chunk_boundary_is_each_channels_own(
+        self, tmp_path, monkeypatch
+    ):
+        # 34 channels: a chunk of 32 designed as MM stacks, then a chunk of 2
+        # that _MIN_STACK sends through run_mm one row at a time
+        stacked, single = [], []
+        run_stacked_mm, run_mm = sim_mod.run_stacked_mm, sim_mod.run_mm
+
+        def counted_stack(inits, psis, *args):
+            stacked.append(len(psis))
+            return run_stacked_mm(inits, psis, *args)
+
+        def counted_single(*args):
+            single.append(1)
+            return run_mm(*args)
+
+        monkeypatch.setattr(sim_mod, "run_stacked_mm", counted_stack)
+        monkeypatch.setattr(sim_mod, "run_mm", counted_single)
+        out = tmp_path / "bound.csv"
+        assert main(["bound-check", "--seed", "2", "--channels", "34", "--out", str(out)]) == 0
+        assert (stacked, len(single)) == ([32, 32], 4)
+        monkeypatch.undo()
+
+        # the oracle: each channel drawn and designed alone, from child_seed(seed, 0xB0, r)
+        cfg, geo = table_defaults()
+        lines = [",".join(("channel", "psi_tilde_mm", "psi_tilde_primal", "psi_tilde_bound",
+                           "snr_mm_db", "snr_bound_db", "gap_db", "certified_gap_db"))]
+        for r in range(34):
+            psis, inits = _draw(cfg, geo, (child_seed(2, 0xB0, r),))
+            ((designs, ub),) = _design_rows(psis, inits, cfg, MMSettings(), None, True)
+            mm_pt = psi_tilde(designs[Scheme.ROBUST_IRS][1], psis[0], cfg)
+            mm_db, bound_db = pow2db(snr_from_psi_tilde(mm_pt, cfg)), pow2db(ub.bound_snr)
+            primal_db = pow2db(snr_from_psi_tilde(ub.primal_psi_tilde, cfg))
+            lines.append(",".join(_cell(x) for x in (
+                r, mm_pt, ub.primal_psi_tilde, ub.bound_psi_tilde,
+                mm_db, bound_db, bound_db - mm_db, bound_db - primal_db,
+            )))
+        assert out.read_text() == "\n".join(lines) + "\n"
+
+    def test_bound_check_names_a_degenerate_channel_in_the_second_chunk(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        draw = sim_mod._draw
+        last = child_seed(2, 0xB0, 33)
+
+        def degenerate_last(cfg, geo, seeds):
+            psis, inits = draw(cfg, geo, seeds)
+            if last in seeds:
+                psis[seeds.index(last)] = 0.0
+            return psis, inits
+
+        monkeypatch.setattr(sim_mod, "_draw", degenerate_last)
+        out = tmp_path / "bound.csv"
+        rc = main(["bound-check", "--seed", "2", "--channels", "34", "--out", str(out)])
+        assert rc == 1
+        assert error_lines(capsys) == [
+            "error: channel 33: degenerate channel: composite vector is zero"
+        ]
+        # the channels before it are written, as in a run without the fault
+        monkeypatch.undo()
+        full = tmp_path / "full.csv"
+        assert main(["bound-check", "--seed", "2", "--channels", "33", "--out", str(full)]) == 0
+        assert out.read_text() == full.read_text()
 
     def test_usage_error_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:

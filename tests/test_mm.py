@@ -34,7 +34,7 @@ from irsbf.model import (
     lift_reflect,
 )
 
-from irsbf.sim import _draw, _lifted, child_seed, table_defaults
+from irsbf.sim import _draw, child_seed, table_defaults
 from irsbf.txbf import _row_power
 
 from conftest import complex_gaussian, random_channels
@@ -658,7 +658,7 @@ class TestRowCompaction:
 
 
 class TestBatchedExtraction:
-    """The stack's phases and the robust starts are the per-row maps, bit for bit."""
+    """``extract_reflect`` and ``lift_reflect`` of a stack are the one-row maps, bit for bit."""
 
     @pytest.mark.parametrize("n_i, n_s", [(50, 4), (8, 1), (0, 4), (0, 1)])
     def test_results_and_lifted_starts_are_each_rows_own(self, rng, n_i, n_s):
@@ -675,13 +675,16 @@ class TestBatchedExtraction:
         objectives += [[0.0], [0.0, 1.0]]
         converged += [False, True]
         results = mm_mod._results(last, objectives, converged)
-        starts = _lifted([res.reflect for res in results])
+        starts = lift_reflect([res.reflect for res in results])
         assert starts.shape == (len(last), n_i + 1)
         for t, res, start, obj, conv in zip(last, results, starts, objectives, converged):
-            expected = extract_reflect(t)
+            # the one-row maps, written out
+            expected = ReflectConfig.from_theta(np.conj(t[:-1] / t[-1]))
             for got, want in ((res.reflect.phases, expected.phases),
                               (res.reflect.theta, expected.theta),
-                              (start, lift_reflect(expected))):
+                              (extract_reflect(t).phases, expected.phases),
+                              (start, np.concatenate([np.conj(expected.theta), [1.0 + 0.0j]])),
+                              (lift_reflect(expected), start)):
                 np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
             assert (res.objectives, res.iterations, res.converged) == (tuple(obj), len(obj) - 1, conv)
 

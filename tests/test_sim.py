@@ -783,6 +783,7 @@ class TestRealizationLoop:
         return state
 
     POINTS = [(small_setup()[0], i) for i in range(3)]
+    KEYS = [(i,) for i in range(3)]
 
     @staticmethod
     def task(args):
@@ -790,7 +791,7 @@ class TestRealizationLoop:
         return [(point, seed) for seed in seeds]
 
     def test_every_point_is_submitted_before_the_first_is_read(self, pool):
-        loop = sim_mod._realizations(self.task, self.POINTS, 3, 5, (), workers=2)
+        loop = sim_mod._realizations(self.task, self.POINTS, 3, 5, self.KEYS, workers=2)
         first = next(loop)
         assert first == [(0, child_seed(5, 0, r)) for r in range(3)]
         # three points of two chunks each: all submitted, the first point's read
@@ -801,7 +802,7 @@ class TestRealizationLoop:
         ]
 
     def test_stopping_early_cancels_the_tasks_not_started(self, pool):
-        loop = sim_mod._realizations(self.task, self.POINTS, 3, 5, (), workers=2)
+        loop = sim_mod._realizations(self.task, self.POINTS, 3, 5, self.KEYS, workers=2)
         next(loop)
         loop.close()
         assert [arg[1] for arg in pool["ran"]] == [0, 0]
