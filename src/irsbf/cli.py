@@ -7,7 +7,9 @@ the variables the sweep commands step through, are those of
 this module formats them: every command that prints rows (the sweeps,
 ``iteration-study``, ``bound-check``) goes through one writer, ``_table``,
 which streams the ``--out`` CSV and prints the same cells as a table, or
-the rows as JSON objects keyed by the CSV header.
+the rows as JSON objects keyed by the CSV header.  Each command checks
+its sizes and settings before ``_table`` opens ``--out``, so a rejected
+command leaves no file.
 """
 
 from __future__ import annotations
@@ -31,12 +33,14 @@ from .sim import (
     SimResult,
     SweepFailedError,
     SweepSpec,
+    check_counts,
     child_seed,
     load_setup,
     pow2db,
     run_bound_check,
     run_iteration_study,
     run_sweep,
+    study_points,
     table_defaults,
     with_setting,
 )
@@ -177,6 +181,7 @@ def _run_sweep_command(args, cfg: SystemConfig, geo: Geometry) -> int:
         bound=not args.no_bound,
         epsilon=args.epsilon,
     )
+    check_counts(args.channels, args.workers)
 
     def rows(res: SimResult) -> list:
         return [
@@ -192,9 +197,12 @@ def _run_sweep_command(args, cfg: SystemConfig, geo: Geometry) -> int:
 
 def _run_iteration_study(args, cfg: SystemConfig, geo: Geometry) -> int:
     header = [f.name for f in fields(IterationStudyRow)]
+    values = _parse_values(args.values)
+    study_points(values, cfg, geo, args.epsilon)
+    check_counts(args.channels, args.workers)
     with _table(args, header, "iteration_study") as add:
         run_iteration_study(
-            _parse_values(args.values), cfg, geo, seed=args.seed, n_channels=args.channels,
+            values, cfg, geo, seed=args.seed, n_channels=args.channels,
             epsilon=args.epsilon, workers=args.workers, on_point=lambda row: add([astuple(row)]),
         )
     return 0
@@ -236,6 +244,7 @@ def _run_bound_check(args, cfg: SystemConfig, geo: Geometry) -> int:
     gaps = []
     certified_gaps = []
     violations = 0
+    check_counts(args.channels)
     with _table(args, header) as add:
         for r, design in enumerate(run_bound_check(cfg, geo, args.channels, args.seed)):
             if isinstance(design, DegenerateChannelError):

@@ -448,6 +448,14 @@ def _sweep_task(args) -> list:
     return [_realization_stats((n_symbols, design)) for design in designs]
 
 
+def check_counts(n_channels: int, workers: int = 1) -> None:
+    """Reject a realization count or a worker count below 1, as every run does before it starts."""
+    if n_channels < 1:
+        raise ConfigError(f"n_channels must be >= 1, got {n_channels}")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+
+
 def _realizations(task, points, n_channels: int, seed: int, keys, workers: int):
     """The one realization loop: yields each point's task results in realization order.
 
@@ -463,13 +471,10 @@ def _realizations(task, points, n_channels: int, seed: int, keys, workers: int):
     submitted at once, so the points overlap, and each point is yielded as
     soon as it and the points before it are done.  When the loop stops
     early (a fault, or a caller that stops reading), the tasks not yet
-    started are cancelled.  The counts are checked before the first task
-    runs.
+    started are cancelled.  The counts are checked (``check_counts``)
+    before the first task runs.
     """
-    if n_channels < 1:
-        raise ConfigError(f"n_channels must be >= 1, got {n_channels}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    check_counts(n_channels, workers)
     tasks = []
     for point, key in zip(points, keys, strict=True):
         seeds = tuple(child_seed(seed, *key, r) for r in range(n_channels))
@@ -624,6 +629,20 @@ def _study_task(args) -> list:
     return list(zip(*columns))
 
 
+def study_points(n_i_list, base_cfg: SystemConfig, geo: Geometry, epsilon: float) -> list:
+    """The study's points: per surface size, its (cfg, geo) and the plain and accelerated settings.
+
+    Surface sizes must be integers, and at least one is needed; they and
+    ``epsilon`` are checked here, so a caller can reject a study before
+    any work.
+    """
+    plain_accel = [MMSettings(epsilon, _STUDY_MAX_ITER, accel) for accel in (False, True)]
+    points = [(*with_setting(base_cfg, geo, "n_i", n_i), plain_accel) for n_i in n_i_list]
+    if not points:
+        raise ConfigError("sweep needs at least one value")
+    return points
+
+
 def run_iteration_study(
     n_i_list,
     base_cfg: SystemConfig,
@@ -637,15 +656,12 @@ def run_iteration_study(
     """Average iterations to convergence, robust/nonrobust x plain/accelerated.
 
     Accelerated counts are outer cycles (two fixed-point maps each), the
-    same bookkeeping used by ``run_mm``.  Surface sizes must be integers,
-    and at least one is needed; they and ``epsilon`` are checked before
-    the first realization runs.  ``on_point`` is invoked with each
-    finished row, letting callers persist partial output.
+    same bookkeeping used by ``run_mm``.  The surface sizes and
+    ``epsilon`` (``study_points``) and the counts (``check_counts``) are
+    checked before the first realization runs.  ``on_point`` is invoked
+    with each finished row, letting callers persist partial output.
     """
-    plain_accel = [MMSettings(epsilon, _STUDY_MAX_ITER, accel) for accel in (False, True)]
-    points = [(*with_setting(base_cfg, geo, "n_i", n_i), plain_accel) for n_i in n_i_list]
-    if not points:
-        raise ConfigError("sweep needs at least one value")
+    points = study_points(n_i_list, base_cfg, geo, epsilon)
     rows = []
     with closing(
         _realizations(

@@ -718,3 +718,27 @@ class TestArgumentChecks:
     def test_iteration_study_needs_a_value(self, capsys):
         assert main(["iteration-study", "--channels", "1", "--values", ""]) == 1
         assert error_lines(capsys) == ["error: sweep needs at least one value"]
+
+    REJECTED = [
+        (["iteration-study", "--channels", "0"], "n_channels must be >= 1, got 0"),
+        (["iteration-study", "--workers", "0"], "workers must be >= 1, got 0"),
+        (["iteration-study", "--epsilon", "0"], "epsilon must be positive and finite, got 0.0"),
+        (["iteration-study", "--values", "4.5"], "n_i must be an integer, got 4.5"),
+        (["iteration-study", "--values", ","], "sweep needs at least one value"),
+        (["bound-check", "--channels", "0"], "n_channels must be >= 1, got 0"),
+        (["bound-check", "--channels", "-1"], "n_channels must be >= 1, got -1"),
+        (["sweep-n", "--workers", "0"], "workers must be >= 1, got 0"),
+        (["sweep-n", "--workers", "-1"], "workers must be >= 1, got -1"),
+        (["sweep-kappa", "--workers", "0"], "workers must be >= 1, got 0"),
+        (["sweep-kappa", "--workers", "-1"], "workers must be >= 1, got -1"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, message", REJECTED, ids=[" ".join(argv) for argv, _ in REJECTED]
+    )
+    def test_a_rejected_command_leaves_no_out_file(self, argv, message, tmp_path, capsys):
+        # the sizes and settings are checked before --out is opened
+        out = tmp_path / "rows.csv"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert error_lines(capsys) == [f"error: {message}"]
+        assert not out.exists()

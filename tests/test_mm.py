@@ -34,7 +34,7 @@ from irsbf.model import (
     lift_reflect,
 )
 
-from irsbf.sim import _draw, child_seed, table_defaults
+from irsbf.sim import _draw, child_seed, table_defaults, with_setting
 from irsbf.txbf import _row_power
 
 from conftest import complex_gaussian, random_channels
@@ -477,11 +477,12 @@ class TestStackedPlainLoop:
                 run_mm(inits[1], psis[1], cfg, PLAIN)
 
 
-def squarem_loop_oracle(tt, psi, cfg, settings):
+def squarem_loop_oracle(tt, psi, cfg, settings, cap=None):
     """Oracle: the accelerated loop on one problem, and the candidates each cycle tried.
 
     Composed of ``_step``, ``_evaluate`` and ``_project_unit``, as the
-    single-run loop was written before it gained a row axis.
+    single-run loop was written before it gained a row axis.  A cycle tries
+    at most ``cap`` candidates, the library's cap by default.
     """
     run = _run_constants(psi, cfg)
     ev = _evaluate(tt, run)
@@ -496,7 +497,7 @@ def squarem_loop_oracle(tt, psi, cfg, settings):
         t0, (tt, ev) = tt, (x2, ev2)
         tries.append(0)
         alpha = -nr / nv if nr > 0.0 and nv > 0.0 else -1.0
-        for _ in range(60):
+        for _ in range(mm_mod._BACKTRACKS if cap is None else cap):
             if abs(alpha + 1.0) < 1e-4:
                 break
             cand = _project_unit(t0 - 2.0 * alpha * r + alpha**2 * v, x2)
@@ -611,6 +612,79 @@ class TestStackedSquarem:
         assert len(set(iterations)) > 2 and iterations != sorted(iterations, reverse=True)
         assert psis.strides == strides and psis.tobytes() == before.tobytes()
         assert inits.tobytes() == inits_before.tobytes()
+
+
+class TestBacktrackingCap:
+    """A SQUAREM cycle tries at most three candidates per row, then keeps the plain point x2."""
+
+    @staticmethod
+    def late_acceptance():
+        """Draws 33-35 at n_s 2, n_i 4, kappa 0; uncapped, row 1's cycle 3 keeps its try 4."""
+        cfg, geo = table_defaults()
+        for name, value in (("n_s", 2), ("n_i", 4), ("kappa", 0)):
+            cfg, geo = with_setting(cfg, geo, name, value)
+        psis, inits = _draw(cfg, geo, tuple(child_seed(1, r) for r in (33, 34, 35)))
+        return cfg, psis, inits
+
+    def test_the_uncapped_loop_keeps_a_fourth_candidate(self):
+        cfg, psis, inits = self.late_acceptance()
+        settings = MMSettings()
+        *_, tries = squarem_loop_oracle(inits[1].copy(), psis[1], cfg, settings, cap=60)
+        _, capped, _, capped_tries = squarem_loop_oracle(inits[1].copy(), psis[1], cfg, settings)
+        assert max(tries[:2]) <= 3 and tries[2] == 4 and capped_tries[2] == 3
+        # the runs agree up to cycle 3, which kept the fourth candidate uncapped
+        _, uncapped, _, _ = squarem_loop_oracle(inits[1].copy(), psis[1], cfg,
+                                                replace(settings, max_iter=3), cap=60)
+        assert uncapped[:3] == capped[:3] and uncapped[3] > capped[3]
+
+    @staticmethod
+    def cycle_3(cfg, psi, init):
+        """Cycle 3's start and its evaluation, and the plain two-step point x2 and its evaluation."""
+        tt, _, _, _ = squarem_loop_oracle(init.copy(), psi, cfg,
+                                          MMSettings(epsilon=1e-300, max_iter=2))
+        run = _run_constants(psi, cfg)
+        ev = _evaluate(tt, run)
+        x1 = _step(tt, ev, run)
+        x2 = _step(x1, _evaluate(x1, run), run)
+        return tt, ev, (x2, *_evaluate(x2, run))
+
+    @pytest.mark.parametrize("layout", ["single", "twin", "beside-zero"])
+    def test_a_capped_cycle_tries_three_and_returns_x2(self, monkeypatch, layout):
+        # "twin": two equal rows backtrack together for three stacked rounds;
+        # "beside-zero": a zero composite has no candidate to try, so the row
+        # backtracks alone from the first round
+        cfg, psis, inits = self.late_acceptance()
+        tt, ev, plain = self.cycle_3(cfg, psis[1], inits[1])
+        if layout == "single":
+            run = _run_constants(psis[1], cfg)
+        else:
+            other = psis[1] if layout == "twin" else np.zeros_like(psis[1])
+            run = _run_constants(np.stack([psis[1], other]), cfg)
+            tt = np.stack([tt, tt])
+            ev = _evaluate(tt, run)
+        evaluate, calls = mm_mod._evaluate, []
+
+        def counting(x, r):
+            calls.append(1)
+            return evaluate(x, r)
+
+        monkeypatch.setattr(mm_mod, "_evaluate", counting)
+        out = mm_mod._squarem_cycle(tt, ev, run)
+        # two plain steps, then three candidates, all rejected
+        assert len(calls) == 5
+        for want, got in zip(plain, (out[0], *out[1])):
+            got = got if layout == "single" else got[0]
+            assert np.asarray(want).tobytes() == np.asarray(got).tobytes()
+
+    def test_run_mm_and_the_stack_keep_x2_at_cycle_3(self):
+        cfg, psis, inits = self.late_acceptance()
+        _, tries = TestStackedSquarem.assert_rows_match_the_oracle(inits, psis, cfg, MMSettings())
+        assert tries[1][2] == 3
+        *_, plain = self.cycle_3(cfg, psis[1], inits[1])
+        three = MMSettings(epsilon=1e-300, max_iter=3)
+        for res in (run_mm(inits[1], psis[1], cfg, three), run_stacked_mm(inits, psis, cfg, three)[1]):
+            assert res.objectives[3] == plain[3]
+            assert res.reflect.phases.tobytes() == extract_reflect(plain[0]).phases.tobytes()
 
 
 class TestRowCompaction:
