@@ -18,6 +18,7 @@ import argparse
 import csv
 import functools
 import json
+import re
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import astuple, fields
@@ -284,6 +285,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):
+        # argparse reads a list such as -6,0 as a flag, so attach it to its
+        # --values (or to an abbreviation of --values, as argparse allows)
+        if len(argv[i]) > 2 and "--values".startswith(argv[i]) and re.match(r"-[\d.]", argv[i + 1]):
+            argv[i:i + 2] = [f"--values={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     run = _COMMANDS.get(args.command, _run_sweep_command)
     try:

@@ -30,14 +30,14 @@ it converges, its place taken by a row from the back, and the last one
 left runs in the layout of a single run.  No operation mixes rows, and
 each rounds row by row as it does on one problem (a stack keeps each
 composite's memory layout), so a row's result does not depend on the
-stack; the stacked unit projection and the reflections read off a stack
-round as their one-row forms do.  Both return the objective of each
-iterate; the last is the objective at the returned reflection, and
-``txbf.snr_from_psi_tilde`` maps it to the SNR of the optimal beam, so no
-beam is built to score a design.  The channel argument ``psi`` is the
-plain n_s x (n_i + 1) composite array of ``model.build_composite``, and a
-stack holds R of them; ``quantize_phases`` rounds a continuous solution to
-the 2**bits levels of a b-bit phase set.
+stack; the stacked unit projection rounds as its one-row form does.  Both
+return each run's last lifted iterate and the objective of each iterate;
+the last is the objective there, and ``txbf.snr_from_psi_tilde`` maps it
+to the SNR of the optimal beam, so no beam is built to score a design.
+The channel argument ``psi`` is the plain n_s x (n_i + 1) composite array
+of ``model.build_composite``, and a stack holds R of them;
+``quantize_phases`` rounds a continuous solution to the 2**bits levels of
+a b-bit phase set.
 
 The loop also ascends, as a single run, a Burer-Monteiro factor V of the
 relaxation X = V V^H (one unit-norm row per element), which ``sdr`` uses:
@@ -47,6 +47,7 @@ a row norm, and the unit projection normalizes rows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -55,7 +56,6 @@ import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .model import ConfigError, ReflectConfig, SystemConfig, check_unit_modulus, extract_reflect
-from .txbf import _row_power, psi_tilde_from_powers
 
 # Multiplicative safety margin applied to the coupling eigenvalue so the
 # shifted coupling matrix stays dominated despite the eigensolver's
@@ -83,9 +83,9 @@ def lifted_objective(theta_tilde: np.ndarray, psi: np.ndarray, cfg: SystemConfig
     """Objective of the lifted problem; equals the reflect objective after extraction.
 
     At a factor (one row per element) it is the relaxed objective at V V^H.
+    It is the objective of the optimizer's one evaluation, ``_evaluate``.
     """
-    tt = np.asarray(theta_tilde, dtype=complex)
-    return psi_tilde_from_powers(_row_power(psi @ (tt if tt.ndim == 2 else tt.ravel())), cfg)
+    return _evaluate(np.asarray(theta_tilde, dtype=complex), _run_constants(psi, cfg))[2]
 
 
 def _top_eigenvalue(h: np.ndarray):
@@ -113,20 +113,11 @@ def _top_eigenvalue(h: np.ndarray):
     return top
 
 
-def lambda_max_power_iteration(omega: np.ndarray):
-    """Largest eigenvalue of a Hermitian matrix, or of each in a stack, by an exact eigensolve.
-
-    Returns 0.0 for the empty matrix; otherwise the eigenvalue comes from
-    the LAPACK gufunc through ``_top_eigenvalue``, exactly 0.0 for the
-    all-zero matrix.  This is no longer a power iteration: the name stays
-    only as the hook that the benchmark's tracer wraps for the
-    ``mm.lambda_max`` span, and goes when the library owns its spans
-    (ROADMAP item 2).
-    """
-    omega = np.asarray(omega)
-    if omega.shape[0] == 0:
-        return 0.0
-    return _top_eigenvalue(omega)
+# The optimizer's eigensolves go through this module global, so that the
+# benchmark's tracer (bench/tracing.py) can wrap it for the ``mm.lambda_max``
+# span without counting the bound's; the name goes when the library owns
+# its spans (ROADMAP item 2).
+lambda_max_power_iteration = _top_eigenvalue
 
 
 class _Run(NamedTuple):
@@ -160,10 +151,9 @@ def _evaluate(tt: np.ndarray, run: _Run):
 
     ``v = Psi tt`` is the effective channel (one row per source antenna for
     a factor), ``xi = a |v|^2 + c`` the per-antenna weight, and ``obj`` the
-    lifted objective sum |v|^2 / xi, computed exactly as
-    ``lifted_objective`` computes it.  On a stack, ``tt`` holds one phase
-    vector per row, v and xi gain a leading row axis, and ``obj`` is the
-    array of the rows' objectives.
+    lifted objective sum |v|^2 / xi, which ``lifted_objective`` returns.
+    On a stack, ``tt`` holds one phase vector per row, v and xi gain a
+    leading row axis, and ``obj`` is the array of the rows' objectives.
     """
     rows = run.m.ndim == 3
     v = _times(run.m, tt, rows)
@@ -372,12 +362,20 @@ def _squarem_cycle(tt, ev, run: _Run):
 
 @dataclass(frozen=True)
 class MMResult:
-    """Outcome of a full optimizer run; ``objectives[-1]`` is the objective at ``reflect``."""
+    """Outcome of a full optimizer run; ``objectives[-1]`` is the objective at ``lifted``.
 
-    reflect: ReflectConfig
+    ``lifted`` is the last iterate, and ``reflect`` its reflection, read
+    off on first use: a caller that stays lifted never builds it.
+    """
+
+    lifted: np.ndarray
     iterations: int
     converged: bool
     objectives: tuple
+
+    @functools.cached_property
+    def reflect(self) -> ReflectConfig:
+        return extract_reflect(self.lifted)
 
 
 def random_lifted_init(rng: np.random.Generator, n_i: int) -> np.ndarray:
@@ -508,20 +506,13 @@ def run_stacked_mm(
         psis = np.stack(psis)
     order = list(range(len(psis)))
     try:
-        return _results(*_ascend_rows(inits, _run_constants(psis, cfg), settings, order))
+        last, objectives, converged = _ascend_rows(inits, _run_constants(psis, cfg), settings, order)
+        return [MMResult(t, len(o) - 1, c, tuple(o)) for t, o, c in zip(last, objectives, converged)]
     finally:
         # the caller's matrices back in their places, returning or raising
         for j in range(len(order)):
             while order[j] != j:
                 _swap_rows(psis, order, j, order[j])
-
-
-def _results(last, objectives, converged) -> list:
-    """One ``MMResult`` per row of ``_ascend_rows``'s output, all rows extracted at once."""
-    return [
-        MMResult(reflect, len(o) - 1, c, tuple(o))
-        for reflect, o, c in zip(extract_reflect(np.array(last)), objectives, converged)
-    ]
 
 
 def run_mm(
@@ -535,13 +526,14 @@ def run_mm(
     Stops when the relative objective change over one iteration (one
     accelerated cycle when ``settings.accelerate``) falls below
     ``settings.epsilon``, or flags non-convergence after
-    ``settings.max_iter`` iterations.  The reflection matrix is read off
-    the final lifted vector by dividing out the slack entry, which leaves
-    the objective unchanged.  It runs in the loop of ``run_stacked_mm``,
-    as its one row.
+    ``settings.max_iter`` iterations.  The result keeps the final lifted
+    vector; its reflection is read off by dividing out the slack entry,
+    which leaves the objective unchanged.  It runs in the loop of
+    ``run_stacked_mm``, as its one row.
     """
     tt = check_unit_modulus(init).copy()
-    return _results(*_ascend_rows(tt, _run_constants(psi, cfg), settings))[0]
+    ((last,), (objectives,), (converged,)) = _ascend_rows(tt, _run_constants(psi, cfg), settings)
+    return MMResult(last, len(objectives) - 1, converged, tuple(objectives))
 
 
 # Beyond this many bits, x = mod(phase, 2 pi) / step (below 2**bits) no
@@ -567,10 +559,15 @@ def quantize_phases(theta: ReflectConfig, bits: int) -> ReflectConfig:
     An exact tie (x a half-integer) goes to the lower index, and at the
     wrap (x = 2**bits - 1/2) to 2**bits - 1.
     """
+    return ReflectConfig(_quantized(theta.phases, bits))
+
+
+def _quantized(phases: np.ndarray, bits: int) -> np.ndarray:
+    """``quantize_phases``' rounding of a phase array of any shape, entry by entry."""
     if bits is None:
         raise ConfigError("quantize_phases needs bits >= 1, got None")
     check_bits(bits)
     n_levels = 2 ** int(bits)
-    x = np.mod(theta.phases, 2.0 * np.pi) / (2.0 * np.pi / n_levels)
+    x = np.mod(phases, 2.0 * np.pi) / (2.0 * np.pi / n_levels)
     k = np.mod(np.ceil(x - 0.5), n_levels)
-    return ReflectConfig(2.0 * np.pi * k / n_levels)
+    return 2.0 * np.pi * k / n_levels

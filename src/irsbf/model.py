@@ -1,9 +1,13 @@
 """Core domain types: system configuration, channel blocks, reflect configs.
 
 All powers are linear watts internally; dB values are converted only
-where an operating point is set by name (``sim.SETTINGS``).  All types are immutable value objects and safe to share
-across parallel workers.  The composite channel is a plain
-n_s x (n_i + 1) array, built by ``build_composite``.
+where an operating point is set by name (``sim.SETTINGS``).  All types
+are immutable value objects and safe to share across parallel workers.
+The composite channel is a plain n_s x (n_i + 1) array, built by
+``build_composite``.  A reflection enters as its lifted vector.  The
+canonical lift of lifted vectors, ``lift_phases(reflect_phases(tt))``,
+is ``lift_reflect(extract_reflect(row))`` of each row, bit for bit, with
+no ``ReflectConfig`` built.
 """
 
 from __future__ import annotations
@@ -148,36 +152,36 @@ class ReflectConfig:
         return cls(np.angle(theta))
 
 
-def lift_reflect(rc) -> np.ndarray:
-    """Lifted phase vector: conjugated coefficients with a trailing unit slack.
-
-    Conjugation happens exactly once, here, so that multiplying the
-    composite matrix by the lifted vector reproduces the physical
-    end-to-end channel.  A nonempty sequence of configs gives the stack of
-    their lifted vectors, one row each, in one ``conj``.
-    """
-    configs = [rc] if isinstance(rc, ReflectConfig) else rc
-    lifted = np.ones((len(configs), len(configs[0].theta) + 1), complex)
-    np.conjugate([c.theta for c in configs], out=lifted[:, :-1])
-    return lifted[0] if isinstance(rc, ReflectConfig) else lifted
+def lift_reflect(rc: ReflectConfig) -> np.ndarray:
+    """Lifted phase vector of a reflection (``lift_phases``)."""
+    return lift_phases(rc.phases)
 
 
-def extract_reflect(theta_tilde: np.ndarray):
-    """Undo the lifting: divide out the slack entry and conjugate back.
-
-    A 2-D stack of lifted vectors gives one ``ReflectConfig`` per row, its
-    phases read off the stack by one division, one ``conj`` and one
-    ``angle``; any other shape is one lifted vector.
-    """
-    tt = np.asarray(theta_tilde, dtype=complex)
-    rows = tt if tt.ndim == 2 else tt.reshape(1, -1)
-    if rows.shape[1] < 1:
+def extract_reflect(theta_tilde: np.ndarray) -> ReflectConfig:
+    """Undo the lifting of one lifted vector (``reflect_phases``)."""
+    tt = np.asarray(theta_tilde, dtype=complex).ravel()
+    if tt.size < 1:
         raise DimensionError("lifted vector must have at least the slack entry")
-    theta = np.conjugate(rows[:, :-1] / rows[:, -1:])
+    return ReflectConfig(reflect_phases(tt))
+
+
+def lift_phases(phases: np.ndarray) -> np.ndarray:
+    """Lifted vectors of phase profiles along the last axis: conjugated coefficients, unit slack.
+
+    Conjugation happens exactly once, here, so that Psi times the lifted
+    vector is the physical end-to-end channel.
+    """
+    lifted = np.ones((*phases.shape[:-1], phases.shape[-1] + 1), complex)
+    np.conjugate(np.exp(1j * phases), out=lifted[..., :-1])
+    return lifted
+
+
+def reflect_phases(theta_tilde: np.ndarray) -> np.ndarray:
+    """Undo the lifting along the last axis: divide out the slack entry, conjugate back, take phases."""
+    theta = np.conjugate(theta_tilde[..., :-1] / theta_tilde[..., -1:])
     if not theta.all():
         raise ConfigError("cannot normalize a zero reflection coefficient")
-    configs = [ReflectConfig(phases) for phases in np.angle(theta)]
-    return configs if tt.ndim == 2 else configs[0]
+    return np.angle(theta)
 
 
 def check_unit_modulus(vec: np.ndarray, tol: float = UNIT_MODULUS_TOL) -> np.ndarray:

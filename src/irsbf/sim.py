@@ -17,10 +17,11 @@ reports the four designed schemes, plus the relaxation bound when
 designs the nonrobust reflection from its random start and continues it
 to the robust one (``_design_rows``); the iteration study runs both from
 the one random start, so that its iteration counts share a start.  A
-chunk's schemes are scored as array operations over its rows, with no
-beam built: a robust scheme from its objective in closed form (the MM
-run's last, or the kept quantized profile's), a nonrobust one by the SNR
-of its mismatched beam, and the no-IRS schemes from the direct column.
+chunk's designs stay lifted vectors, with no ``ReflectConfig`` built, and
+its schemes are scored as array operations over its rows, with no beam
+built: a robust scheme from its objective in closed form (the MM run's
+last, or the kept quantized profile's), a nonrobust one by the SNR of its
+mismatched beam, and the no-IRS schemes from the direct column.
 
 Determinism contract: sweeps, the iteration study and the bound check
 run their realizations through one loop, ``_realizations``, and draw
@@ -55,25 +56,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import Geometry, complex_gaussian, link_gains
-from .mm import (
-    MMSettings,
-    _project_unit,
-    _times,
-    check_bits,
-    quantize_phases,
-    run_mm,
-    run_stacked_mm,
-)
-from .model import ConfigError, DegenerateChannelError, SystemConfig, lift_reflect
+from .mm import MMSettings, _project_unit, _quantized, _times, check_bits, run_mm, run_stacked_mm
+from .model import ConfigError, DegenerateChannelError, SystemConfig, lift_phases, reflect_phases
 from .sdr import solve_sdr
-from .txbf import matched_filter_snr, psi_tilde, psi_tilde_from_powers, snr_from_psi_tilde
+from .txbf import matched_filter_snr, psi_tilde_from_powers, snr_from_psi_tilde
 
 # Not called here, since _draw and _design_rows do their arithmetic on a
 # whole chunk: the benchmark's tracer (bench/tracing.py) wraps these names
 # until the library owns its spans (ROADMAP item 2).
 from .channels import generate_channels  # noqa: F401
 from .model import build_composite  # noqa: F401
-from .txbf import evaluate_snr, optimal_beam_from_v, optimal_transmit_beam  # noqa: F401
+from .txbf import evaluate_snr, optimal_beam_from_v, optimal_transmit_beam, psi_tilde  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -283,16 +276,19 @@ def _design_rows(
 
     ``psis`` and ``inits`` hold each realization's composite channel and
     MM init (``_draw``).  Returns, in that order, each realization's
-    schemes' (snr, theta, iterations) in ``Scheme`` order with the
+    schemes' (snr, lifted, iterations) in ``Scheme`` order with the
     relaxation bound (``UpperBoundResult``, or None without ``bound``), or
     the ``DegenerateChannelError`` that fails it alone: a realization
     without a direct link fails before any MM run, and one whose designed
-    effective channel has no received power fails after.
+    effective channel has no received power fails after.  ``lifted`` is
+    the lifted vector of the phases of the run's last iterate
+    (``model.reflect_phases``), or of their quantized profile, and None
+    without an IRS.
 
     The nonrobust designs run from their inits as one stack, and the robust
     designs as another (``_run_rows``).  The robust design is the
     kappa = 0 problem continued to the true distortion levels: its run
-    starts at the nonrobust phase profile, so its iterations count only
+    starts at the nonrobust design, so its iterations count only
     the continuation.  MM never lowers the objective, so with continuous
     phases the robust SNR dominates the nonrobust one per realization,
     not just on average.  With ``bits`` the rounding can reorder the two,
@@ -308,8 +304,8 @@ def _design_rows(
     assumed (``matched_filter_snr``).
 
     The bound is certified from any start, but its ascent starts from the
-    robust run's profile, lifted with the stack before quantization: the
-    best unit-modulus point at hand.
+    robust run's design before quantization: the best unit-modulus point
+    at hand.
     """
     direct = np.abs(psis[:, :, -1]) ** 2
     live = np.flatnonzero(direct.any(axis=1)).tolist()
@@ -320,25 +316,21 @@ def _design_rows(
         # np.stack keeps each composite's memory layout
         psis, inits, direct = np.stack([psis[k] for k in live]), inits[live], direct[live]
     runs_n = _run_rows(inits, psis, _nonrobust_config(cfg), settings)
-    thetas_n = [res.reflect for res in runs_n]
-    starts = lift_reflect(thetas_n)
-    runs_r = _run_rows(starts, psis, cfg, settings)
-    thetas_r = [res.reflect for res in runs_r]
-    bound_starts = lift_reflect(thetas_r) if bound else None
+    phases_n = reflect_phases(np.array([res.lifted for res in runs_n]))
+    lifted_n = lift_phases(phases_n)
+    runs_r = _run_rows(lifted_n, psis, cfg, settings)
+    phases_r = reflect_phases(np.array([res.lifted for res in runs_r]))
+    lifted_r = bound_starts = lift_phases(phases_r)
     if bits is None:
         robust = np.array([res.objectives[-1] for res in runs_r])
-        received = np.abs(_times(psis, starts, True)) ** 2
+        received = np.abs(_times(psis, lifted_n, True)) ** 2
     else:
-        thetas_r = [quantize_phases(theta, bits) for theta in thetas_r]
-        thetas_n = [quantize_phases(theta, bits) for theta in thetas_n]
-        received = np.abs(_times(psis, lift_reflect(thetas_n), True)) ** 2
-        robust = psi_tilde_from_powers(
-            np.abs(_times(psis, lift_reflect(thetas_r), True)) ** 2, cfg
-        )
+        lifted_r, lifted_n = (lift_phases(_quantized(p, bits)) for p in (phases_r, phases_n))
+        received = np.abs(_times(psis, lifted_n, True)) ** 2
+        robust = psi_tilde_from_powers(np.abs(_times(psis, lifted_r, True)) ** 2, cfg)
         nonrobust = psi_tilde_from_powers(received, cfg)
-        keep_n = (nonrobust > robust).tolist()
+        lifted_r = np.where((nonrobust > robust)[:, None], lifted_n, lifted_r)
         robust = np.maximum(robust, nonrobust)
-        thetas_r = [n if k else r for r, n, k in zip(thetas_r, thetas_n, keep_n)]
     ok = received.any(axis=1) & (robust > 0.0)
     if not ok.all():
         # finite placeholders for the failed rows, which are skipped below
@@ -350,7 +342,7 @@ def _design_rows(
     )))
     for j, (k, snr, res_r, res_n) in enumerate(zip(live, snrs, runs_r, runs_n)):
         if ok[j]:
-            designs = dict(zip(Scheme, zip(snr, (thetas_r[j], thetas_n[j], None, None),
+            designs = dict(zip(Scheme, zip(snr, (lifted_r[j], lifted_n[j], None, None),
                                            (res_r.iterations, res_n.iterations, None, None))))
             ub = solve_sdr(psis[j], cfg, init=bound_starts[j]) if bound else None
             out[k] = (designs, ub)
@@ -576,7 +568,8 @@ def _bound_check_task(args) -> list:
     designs = _design_rows(psis, inits, cfg, MMSettings(), None, True)
     return [
         design if isinstance(design, DegenerateChannelError)
-        else (psi_tilde(design[0][Scheme.ROBUST_IRS][1], psi, cfg), design[1])
+        else (psi_tilde_from_powers(np.abs(psi @ design[0][Scheme.ROBUST_IRS][1]) ** 2, cfg),
+              design[1])
         for psi, design in zip(psis, designs)
     ]
 

@@ -95,13 +95,7 @@ def optimal_transmit_beam(
 
 def psi_tilde(theta: ReflectConfig | None, psi: np.ndarray, cfg: SystemConfig) -> float:
     """Separable reflect-beamforming objective: sum of saturating per-antenna terms."""
-    return psi_tilde_from_powers(_row_power(composite_vector(theta, psi)), cfg)
-
-
-def _row_power(v: np.ndarray) -> np.ndarray:
-    """|v|^2 per entry of a vector, or summed along each row of a matrix."""
-    p = np.abs(v) ** 2
-    return p if p.ndim == 1 else p.sum(axis=1)
+    return psi_tilde_from_powers(np.abs(composite_vector(theta, psi)) ** 2, cfg)
 
 
 def psi_tilde_from_powers(q: np.ndarray, cfg: SystemConfig):

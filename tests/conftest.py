@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from irsbf.mm import lifted_objective
 from irsbf.model import ChannelSet, SystemConfig
 from irsbf.sim import _design_rows
+from irsbf.txbf import psi_tilde
 
 
 def complex_gaussian(rng, *shape):
@@ -30,7 +32,7 @@ def small_cfg():
 def design_all(psi, cfg, settings, bits, init, bound):
     """One realization's designs and bound, through the chunk path as a chunk of one.
 
-    Returns each scheme's (snr, theta, iterations) and the bound, as a
+    Returns each scheme's (snr, lifted, iterations) and the bound, as a
     sweep scores them; a degenerate channel raises its
     ``DegenerateChannelError``.
     """
@@ -38,3 +40,8 @@ def design_all(psi, cfg, settings, bits, init, bound):
     if isinstance(design, Exception):
         raise design
     return design
+
+
+def design_objective(lifted, psi, cfg):
+    """A design's reflect objective on ``psi``: its lifted vector's, or the direct link's without one."""
+    return psi_tilde(None, psi, cfg) if lifted is None else lifted_objective(lifted, psi, cfg)

@@ -14,7 +14,7 @@ import irsbf
 import irsbf.cli as cli_mod
 import irsbf.sim as sim_mod
 from irsbf.cli import CSV_HEADER, _cell, build_parser, main
-from irsbf.mm import MMSettings
+from irsbf.mm import MMSettings, lifted_objective
 from irsbf.model import ConfigError
 from irsbf.sim import (
     Scheme,
@@ -29,7 +29,7 @@ from irsbf.sim import (
     run_sweep,
     table_defaults,
 )
-from irsbf.txbf import psi_tilde, snr_from_psi_tilde
+from irsbf.txbf import snr_from_psi_tilde
 
 SETUP = Path(__file__).resolve().parent / "golden" / "setup.cfg"
 
@@ -480,7 +480,7 @@ class TestSubcommands:
 
         def below(psis, inits, cfg, *args):
             return [
-                (designs, replace(ub, bound_psi_tilde=psi_tilde(
+                (designs, replace(ub, bound_psi_tilde=lifted_objective(
                     designs[Scheme.ROBUST_IRS][1], psi, cfg) * (1.0 - 1e-9)))
                 for psi, (designs, ub) in zip(psis, design_rows(psis, inits, cfg, *args))
             ]
@@ -553,7 +553,7 @@ class TestSubcommands:
         for r in range(34):
             psis, inits = _draw(cfg, geo, (child_seed(2, 0xB0, r),))
             ((designs, ub),) = _design_rows(psis, inits, cfg, MMSettings(), None, True)
-            mm_pt = psi_tilde(designs[Scheme.ROBUST_IRS][1], psis[0], cfg)
+            mm_pt = lifted_objective(designs[Scheme.ROBUST_IRS][1], psis[0], cfg)
             mm_db, bound_db = pow2db(snr_from_psi_tilde(mm_pt, cfg)), pow2db(ub.bound_snr)
             primal_db = pow2db(snr_from_psi_tilde(ub.primal_psi_tilde, cfg))
             lines.append(",".join(_cell(x) for x in (
@@ -685,6 +685,27 @@ class TestArgumentChecks:
     def test_workers_below_one_rejected(self, command, workers, capsys):
         assert main([*command, "--workers", workers]) == 1
         assert error_lines(capsys) == [f"error: workers must be >= 1, got {workers}"]
+
+    def test_values_starting_with_a_negative_number(self, tmp_path, capsys):
+        # argparse reads a token that starts with '-' as a flag unless it is
+        # one number, so the list must be taken as the value of --values
+        common = ["sweep-power", "--channels", "2", "--no-bound", "--symbols", "0"]
+        attached, spaced = tmp_path / "attached.csv", tmp_path / "spaced.csv"
+        assert main([*common, "--values=-6,0", "--out", str(attached)]) == 0
+        assert "p_dbw,-6,robust_irs" in attached.read_text()
+        for flag in ("--values", "--val"):
+            assert main([*common, flag, "-6,0", "--out", str(spaced)]) == 0
+            assert spaced.read_bytes() == attached.read_bytes()
+
+    @pytest.mark.parametrize("command, message", [
+        ("sweep-n", "n_i must be a non-negative integer, got -1"),
+        ("sweep-distance", "d_sd_h must be non-negative, got -1.0"),
+        ("sweep-kappa", "kappa_s out of range [0, 1): -1.0"),
+    ])
+    def test_a_negative_value_list_reaches_the_value_check(self, command, message, capsys):
+        assert main([command, "--channels", "1", "--values", "-1,2", "--no-bound"]) == 1
+        (line,) = error_lines(capsys)
+        assert message in line
 
     def test_zero_bits_is_an_error_not_continuous(self, capsys):
         rc = main(["sweep-n", "--channels", "1", "--values", "4", "--symbols", "0", "--bits", "0"])

@@ -7,6 +7,7 @@ import pytest
 from irsbf.channels import sample_los
 from irsbf.mm import (
     _LAMBDA_MARGIN,
+    MMResult,
     MMSettings,
     _evaluate,
     _project_unit,
@@ -31,13 +32,20 @@ from irsbf.model import (
     SystemConfig,
     build_composite,
     extract_reflect,
+    lift_phases,
     lift_reflect,
+    reflect_phases,
 )
 
 from irsbf.sim import _draw, child_seed, table_defaults, with_setting
-from irsbf.txbf import _row_power
 
 from conftest import complex_gaussian, random_channels
+
+
+def row_power(v):
+    """|v|^2 per entry of a vector, or summed along each row of a matrix."""
+    p = np.abs(v) ** 2
+    return p if p.ndim == 1 else p.sum(axis=1)
 
 
 def random_problem(rng, n_i=8, n_s=4, **cfg_overrides):
@@ -64,7 +72,7 @@ def surrogate_value(tt, tt0, psi, cfg):
     alpha, d, lam = _surrogate_coefficient(tt0, v0, xi, run)
     term1 = 2.0 * float(np.real(np.vdot(alpha, tt)))
     term2 = -2.0 * run.a * tt0.shape[0] * lam
-    term3 = 2.0 * run.a * float(np.sum(d * _row_power(v0))) - f0
+    term3 = 2.0 * run.a * float(np.sum(d * row_power(v0))) - f0
     return term1 + term2 + term3
 
 
@@ -100,7 +108,7 @@ def _oracle_per_row(x, like):
 def evaluate_oracle(tt, run):
     """Oracle: the two-pass evaluation, with the objective summed by ``np.sum``."""
     v = run.m @ tt
-    q = _row_power(v)
+    q = row_power(v)
     xi = run.a * q + run.c
     return v, xi, float(np.sum(q / xi))
 
@@ -110,7 +118,7 @@ def surrogate_coefficient_oracle(tt0, v0, xi, run):
     u = v0 / _oracle_per_row(xi, v0)
     if run.a == 0.0:
         return run.mh @ u, np.zeros_like(xi), 0.0
-    d = _row_power(u)
+    d = row_power(u)
     lam = 0.0
     if d.any():
         sd = np.sqrt(d)
@@ -732,42 +740,55 @@ class TestRowCompaction:
 
 
 class TestBatchedExtraction:
-    """``extract_reflect`` and ``lift_reflect`` of a stack are the one-row maps, bit for bit."""
+    """The canonical lift of a stack, ``lift_phases(reflect_phases(stack))``, is the one-row map.
+
+    That is ``lift_reflect(extract_reflect(row))`` of each row, bit for bit.
+    """
+
+    @staticmethod
+    def assert_rows_own(stack):
+        lifted = lift_phases(reflect_phases(stack))
+        assert lifted.shape == stack.shape
+        for t, got in zip(stack, lifted):
+            want = lift_reflect(extract_reflect(t))
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            # and the one-row forms, written out
+            expected = ReflectConfig.from_theta(np.conj(t[:-1] / t[-1]))
+            written = np.concatenate([np.conj(expected.theta), [1.0 + 0.0j]])
+            np.testing.assert_array_equal(got.view(np.uint64), written.view(np.uint64))
 
     @pytest.mark.parametrize("n_i, n_s", [(50, 4), (8, 1), (0, 4), (0, 1)])
     def test_results_and_lifted_starts_are_each_rows_own(self, rng, n_i, n_s):
         cfg, psis, inits = stacked_problems(rng, 6, n_i=n_i, n_s=n_s)
-        last, objectives, converged = mm_mod._ascend_rows(
-            inits, _run_constants(psis.copy(), cfg), ACCEL, list(range(6))
-        )
+        last, _, _ = mm_mod._ascend_rows(inits, _run_constants(psis.copy(), cfg), ACCEL, list(range(6)))
         # iterates on the axes, with signed zeros, and a slack off 1
         signed = [1.0, complex(-1.0, -0.0), 1j, complex(-0.0, -1.0), complex(-1.0, 0.0), -1j]
         axes = np.resize(np.array(signed), n_i + 1)
         axes[-1] = 0.6 - 0.8j
-        last.append(axes)
-        last.append(np.array([complex(-0.0, 1.0)] * n_i + [-1j]))
-        objectives += [[0.0], [0.0, 1.0]]
-        converged += [False, True]
-        results = mm_mod._results(last, objectives, converged)
-        starts = lift_reflect([res.reflect for res in results])
-        assert starts.shape == (len(last), n_i + 1)
-        for t, res, start, obj, conv in zip(last, results, starts, objectives, converged):
-            # the one-row maps, written out
-            expected = ReflectConfig.from_theta(np.conj(t[:-1] / t[-1]))
-            for got, want in ((res.reflect.phases, expected.phases),
-                              (res.reflect.theta, expected.theta),
-                              (extract_reflect(t).phases, expected.phases),
-                              (start, np.concatenate([np.conj(expected.theta), [1.0 + 0.0j]])),
-                              (lift_reflect(expected), start)):
-                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-            assert (res.objectives, res.iterations, res.converged) == (tuple(obj), len(obj) - 1, conv)
+        stack = np.array([*last, axes, [complex(-0.0, 1.0)] * n_i + [-1j]])
+        self.assert_rows_own(stack)
+        # a single row, as a stack of one and as a vector
+        self.assert_rows_own(stack[-2:-1])
+        one = lift_phases(reflect_phases(stack[-2]))
+        np.testing.assert_array_equal(one.view(np.uint64), lift_reflect(extract_reflect(stack[-2])).view(np.uint64))
+
+    def test_results_keep_the_last_iterate(self, rng):
+        cfg, psis, inits = stacked_problems(rng, 5)
+        for k, res in enumerate(run_stacked_mm(inits, psis, cfg, ACCEL)):
+            assert res.objectives[-1] == lifted_objective(res.lifted, psis[k], cfg)
+            # the reflection is read off on first use, by the one-row extraction, and kept
+            assert "reflect" not in vars(res)
+            assert res.reflect.phases.tobytes() == extract_reflect(res.lifted).phases.tobytes()
+            assert res.reflect is res.reflect
 
     def test_a_zero_coefficient_raises_as_extraction_does(self):
-        last = [np.array([1.0, 1.0 + 0j]), np.array([0.0j, 1.0])]
+        stack = np.array([[1.0, 1.0 + 0j], [0.0j, 1.0]])
         with pytest.raises(ConfigError, match="zero reflection coefficient"):
-            extract_reflect(last[1])
+            extract_reflect(stack[1])
         with pytest.raises(ConfigError, match="zero reflection coefficient"):
-            mm_mod._results(last, [[0.0]] * 2, [True] * 2)
+            reflect_phases(stack)
+        with pytest.raises(ConfigError, match="zero reflection coefficient"):
+            MMResult(stack[1], 0, True, (0.0,)).reflect
 
 
 class TestStepLengths:

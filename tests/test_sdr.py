@@ -21,9 +21,9 @@ from irsbf.sdr import (
     solve_sdr,
 )
 from irsbf.sim import Scheme, _draw, child_seed, table_defaults
-from irsbf.txbf import psi_tilde, psi_tilde_from_powers, snr_from_psi_tilde
+from irsbf.txbf import psi_tilde_from_powers, snr_from_psi_tilde
 
-from conftest import complex_gaussian, design_all
+from conftest import complex_gaussian, design_all, design_objective
 
 
 def _diag_quad(psi_m, x):
@@ -268,15 +268,13 @@ class TestCertifyFirst:
     def test_kept_phases_certified_at_once(self, n_i):
         early = 0
         for psi, cfg, designs, ub in pinned_bounds(n_i):
-            for scheme, (_, theta, _) in designs.items():
-                assert ub.bound_psi_tilde >= psi_tilde(theta, psi, cfg), scheme
+            for scheme, (_, lifted, _) in designs.items():
+                assert ub.bound_psi_tilde >= design_objective(lifted, psi, cfg), scheme
             if ub.iterations == 0:
                 early += 1
                 assert ub.converged
                 assert ub.gap <= 1e-4 * ub.primal_psi_tilde
-                np.testing.assert_array_equal(
-                    ub.factor[:, 0], lift_reflect(designs[Scheme.ROBUST_IRS][1])
-                )
+                np.testing.assert_array_equal(ub.factor[:, 0], designs[Scheme.ROBUST_IRS][1])
         # without a surface, and with one element on these draws, the one-map
         # certificate of the kept phases is tight to rounding
         assert early == 40 if n_i < 2 else early >= 30

@@ -14,6 +14,7 @@ from irsbf.model import (
     ReflectConfig,
     SystemConfig,
     build_composite,
+    extract_reflect,
     lift_reflect,
 )
 from irsbf.sim import (
@@ -38,7 +39,7 @@ from irsbf.txbf import (
     snr_from_psi_tilde,
 )
 
-from conftest import design_all, random_channels
+from conftest import design_all, design_objective, random_channels
 from test_properties import EDGES, make_problem
 
 
@@ -49,7 +50,7 @@ def small_setup(n_i=12):
 
 
 def design(psi, cfg, seed=0, bits=None):
-    """Each scheme's (snr, theta, iterations) on ``psi``, from the init of ``default_rng(seed)``."""
+    """Each scheme's (snr, lifted, iterations) on ``psi``, from the init of ``default_rng(seed)``."""
     init = random_lifted_init(np.random.default_rng(seed), psi.shape[1] - 1)
     return design_all(psi, cfg, MMSettings(), bits, init, False)[0]
 
@@ -63,7 +64,7 @@ def beam_snrs(designs, psi, cfg):
     """
     cfg0 = _nonrobust_config(cfg)
     scale = np.sqrt(cfg.p_tilde / cfg0.p_tilde)
-    theta_r, theta_n = designs[Scheme.ROBUST_IRS][1], designs[Scheme.NONROBUST_IRS][1]
+    theta_r, theta_n = (extract_reflect(designs[s][1]) for s in (Scheme.ROBUST_IRS, Scheme.NONROBUST_IRS))
     beams = {
         Scheme.ROBUST_IRS: (optimal_transmit_beam(theta_r, psi, cfg), theta_r),
         Scheme.NONROBUST_IRS: (optimal_transmit_beam(theta_n, psi, cfg0) * scale, theta_n),
@@ -149,20 +150,20 @@ class TestDesignBeams:
         psi = build_composite(generate_channels(np.random.default_rng(3), cfg, geo))
         designs = design(psi, cfg, 3)
         cfg0 = _nonrobust_config(cfg)
-        for theta in (designs[Scheme.ROBUST_IRS][1], None):
+        for theta in (extract_reflect(designs[Scheme.ROBUST_IRS][1]), None):
             w = optimal_transmit_beam(theta, psi, cfg)
             assert np.linalg.norm(w) ** 2 <= cfg.p_tilde * (1 + 1e-9)
-        for theta in (designs[Scheme.NONROBUST_IRS][1], None):
+        for theta in (extract_reflect(designs[Scheme.NONROBUST_IRS][1]), None):
             w = optimal_transmit_beam(theta, psi, cfg0) * np.sqrt(cfg.p_tilde / cfg0.p_tilde)
             assert np.linalg.norm(w) ** 2 <= cfg.p_tilde * (1 + 1e-9)
 
     def test_discrete_mode_quantizes(self):
         cfg, geo = small_setup()
         psi = build_composite(generate_channels(np.random.default_rng(4), cfg, geo))
-        _, theta, _ = design(psi, cfg, 4, 2)[Scheme.ROBUST_IRS]
-        levels = 2 * np.pi * np.arange(4) / 4
-        for phase in theta.phases:
-            assert min(abs(phase - lv) for lv in levels) < 1e-12
+        _, lifted, _ = design(psi, cfg, 4, 2)[Scheme.ROBUST_IRS]
+        # every coefficient is one of the four levels exp(2 pi i k / 4), and the slack is 1
+        np.testing.assert_allclose(lifted[:-1] ** 4, 1.0, rtol=0.0, atol=1e-12)
+        assert lifted[-1] == 1.0
 
 
 @pytest.fixture
@@ -193,8 +194,10 @@ class TestContinuation:
             assert res_r.objectives[0] == pytest.approx(
                 psi_tilde(res_n.reflect, psi, cfg), rel=1e-12
             )
-            assert designs[Scheme.ROBUST_IRS][1:] == (res_r.reflect, res_r.iterations)
-            assert designs[Scheme.NONROBUST_IRS][1:] == (res_n.reflect, res_n.iterations)
+            for scheme, res in ((Scheme.ROBUST_IRS, res_r), (Scheme.NONROBUST_IRS, res_n)):
+                _, lifted, iterations = designs[scheme]
+                assert iterations == res.iterations
+                assert lifted.tobytes() == lift_reflect(res.reflect).tobytes()
 
     @pytest.mark.parametrize("bits", [None, 1, 2])
     @pytest.mark.parametrize("edge", EDGES)
@@ -425,8 +428,8 @@ class TestUpperBoundScheme:
         for s in range(60):
             (psi,), (init,) = _draw(cfg, geo, (child_seed(13, n_i, s),))
             designs, ub = design_all(psi, cfg, MMSettings(), None, init, True)
-            for scheme, (snr, theta, _) in designs.items():
-                assert ub.bound_psi_tilde >= psi_tilde(theta, psi, cfg), (s, scheme)
+            for scheme, (snr, lifted, _) in designs.items():
+                assert ub.bound_psi_tilde >= design_objective(lifted, psi, cfg), (s, scheme)
                 assert ub.bound_snr >= snr, (s, scheme)
 
     def test_bound_not_below_designed_schemes(self):
@@ -656,8 +659,8 @@ class TestChunkScoring:
         psis, inits = _draw(cfg, geo, tuple(child_seed(32, r) for r in range(4)))
         for psi, (designs, _) in zip(psis, sim_mod._design_rows(
                 psis, inits, cfg, MMSettings(), 2, False)):
-            snr, theta, _ = designs[Scheme.ROBUST_IRS]
-            assert snr == snr_from_psi_tilde(psi_tilde(theta, psi, cfg), cfg)
+            snr, lifted, _ = designs[Scheme.ROBUST_IRS]
+            assert snr == snr_from_psi_tilde(design_objective(lifted, psi, cfg), cfg)
 
     @pytest.mark.parametrize("bits, bound", [(None, False), (2, True)])
     def test_a_missing_direct_link_mid_chunk_leaves_the_others_scored(self, bits, bound):
@@ -677,7 +680,7 @@ class TestChunkScoring:
                 assert (snr, iterations) == (snr_1, iterations_1), (k, scheme)
                 assert (theta is None) == (theta_1 is None)
                 if theta is not None:
-                    assert theta.phases.tobytes() == theta_1.phases.tobytes()
+                    assert theta.tobytes() == theta_1.tobytes()
             assert (ub is None) == (alone[1] is None)
             if bound:
                 assert ub.bound_psi_tilde == alone[1].bound_psi_tilde
@@ -690,8 +693,8 @@ class TestChunkScoring:
         # every design is the zero phase profile, under which the third
         # realization's reflected column cancels its direct link exactly
         def zero_phases(inits, psis, cfg, settings):
-            theta = ReflectConfig(np.zeros(cfg.n_i))
-            return [MMResult(theta, 1, True, (psi_tilde(theta, psi, cfg),)) for psi in psis]
+            lifted = np.ones(cfg.n_i + 1, complex)
+            return [MMResult(lifted, 1, True, (design_objective(lifted, psi, cfg),)) for psi in psis]
 
         monkeypatch.setattr(sim_mod, "_run_rows", zero_phases)
         cfg = SystemConfig(n_s=2, n_i=1, p=10**1.2, kappa_s=0.07, kappa_d=0.07, sigma_n2=0.01)
@@ -827,6 +830,47 @@ class TestCompositeOncePerRealization:
         results = run_sweep(spec, cfg, geo)
         assert all(Scheme.UPPER_BOUND in r.stats for r in results)
         assert calls["n"] == 2 * 3
+
+
+class TestStaysLifted:
+    """A sweep task and a study task build no ``ReflectConfig``."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        count = []
+        post_init = ReflectConfig.__post_init__
+
+        def counting(self):
+            count.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(ReflectConfig, "__post_init__", counting)
+        return count
+
+    @pytest.mark.parametrize("bits, bound", [(None, False), (None, True), (1, True)])
+    @pytest.mark.parametrize("rows", [2, 5])
+    def test_sweep_task(self, built, bits, bound, rows):
+        cfg, geo = small_setup(n_i=6)
+        seeds = tuple(child_seed(36, r) for r in range(rows))
+        out = _sweep_task((cfg, geo, MMSettings(), bits, 2000, bound, seeds))
+        assert len(out) == rows and all("failed" not in r for r in out)
+        assert built == []
+
+    @pytest.mark.parametrize("rows", [2, 5])
+    def test_study_task(self, built, rows):
+        cfg, geo = small_setup(n_i=6)
+        plain_accel = [MMSettings(1e-5, sim_mod._STUDY_MAX_ITER, accel) for accel in (False, True)]
+        seeds = tuple(child_seed(37, r) for r in range(rows))
+        assert len(sim_mod._study_task((cfg, geo, plain_accel, seeds))) == rows
+        assert built == []
+
+    def test_the_counter_sees_a_reflection_read_off(self, built):
+        cfg, geo = small_setup(n_i=6)
+        (psi,), (init,) = _draw(cfg, geo, (child_seed(38, 0),))
+        res = run_mm(init, psi, cfg)
+        assert built == []
+        res.reflect
+        assert built == [1]
 
 
 class TestIterationStudy:
