@@ -4,14 +4,18 @@ Each step minorizes the separable objective with a tight
 linear-plus-constant surrogate built at the previous iterate; the
 surrogate's maximizer over the torus is the unit projection of its linear
 coefficient, which takes a single matrix-vector product.  The quadratic
-coupling term is bounded by shifting with the dominant eigenvalue of a
-positive semidefinite coupling matrix, computed exactly on an n_s x n_s
-Gram matrix by ``_top_eigenvalue``, which calls the LAPACK gufunc behind
-``np.linalg.eigvalsh`` directly, so the objective never decreases from
-step to step.  Each iterate is evaluated once: the effective channel
-Psi tt, the per-antenna weights and the objective computed there serve the
-convergence test, the SQUAREM acceptance test and the next step alike, so
-a plain step costs two products with Psi.
+coupling term is bounded by a diagonal majorizer diag(y) of its positive
+semidefinite coupling matrix, constant on the torus (Sun, Babu & Palomar,
+IEEE TSP 2017), so the objective never decreases from step to step.  y
+weights each element by the relaxation bound's image at the iterate, the
+MaxCut certificate of ``sdr``, scaled by the dominant eigenvalue of an
+n_s x n_s weighted Gram matrix: ``_top_eigenvalue`` computes it exactly,
+calling the LAPACK gufunc behind ``np.linalg.eigvalsh`` directly.  A
+weakly coupled element takes a long step.  Each iterate is evaluated
+once: the effective channel Psi tt, the per-antenna weights and the
+objective computed there serve the convergence test, the SQUAREM
+acceptance test and the next step alike, so a step costs two products
+with Psi, and a robust step two vector products and the weighted Gram more.
 
 The optimizer has one loop, over rows (``_ascend_rows``), with two kinds of
 pass: a plain step, or with ``MMSettings.accelerate`` a SQUAREM cycle
@@ -42,7 +46,8 @@ a b-bit phase set.
 The loop also ascends, as a single run, a Burer-Monteiro factor V of the
 relaxation X = V V^H (one unit-norm row per element), which ``sdr`` uses:
 the same surrogate coefficient applies with the per-antenna power taken as
-a row norm, and the unit projection normalizes rows.
+a row norm (tr V^H diag(y) V = sum(y) is constant too), and the unit
+projection normalizes rows.
 """
 
 from __future__ import annotations
@@ -57,11 +62,15 @@ from numpy.linalg import LinAlgError, _umath_linalg
 
 from .model import ConfigError, ReflectConfig, SystemConfig, check_unit_modulus, extract_reflect
 
-# Multiplicative safety margin applied to the coupling eigenvalue so the
-# shifted coupling matrix stays dominated despite the eigensolver's
+# Multiplicative safety margin applied to the majorizer's eigenvalue, so
+# that diag(y) - M stays positive semidefinite despite the eigensolver's
 # rounding.  The surrogate's tightness and gradient at the expansion point
-# are independent of the shift, so this only strengthens the minorization.
+# are independent of y, so this only strengthens the minorization.
 _LAMBDA_MARGIN = 1e-6
+# Weight of the identity in the image that weights the majorizer's elements.
+_BLEND = 0.3
+# Rows of a stack whose weighted Gram is formed at once (``_diagonal_certificate``).
+_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -121,15 +130,15 @@ lambda_max_power_iteration = _top_eigenvalue
 
 
 class _Run(NamedTuple):
-    """Constants of one optimizer run: Psi, Psi^H, the Gram Psi Psi^H and (a, c).
+    """Constants of one optimizer run: Psi, Psi^H, |Psi^H|^2 entrywise and (a, c).
 
-    For a stack of runs that share (a, c), Psi, Psi^H and the Gram hold one
-    matrix per row: a 3-D ``m`` marks a stack.
+    For a stack of runs that share (a, c), Psi, Psi^H and |Psi^H|^2 hold
+    one matrix per row: a 3-D ``m`` marks a stack.
     """
 
     m: np.ndarray
     mh: np.ndarray
-    gram: np.ndarray
+    power: np.ndarray
     a: float
     c: float
 
@@ -138,7 +147,7 @@ def _run_constants(psi: np.ndarray, cfg: SystemConfig) -> _Run:
     """The constants of a run on ``psi``, or of a stack of runs on ``psi`` (R, n_s, n_i + 1)."""
     mh = np.swapaxes(psi.conj(), -1, -2)
     a, c = cfg.objective_coeffs
-    return _Run(psi, mh, psi @ mh, a, c)
+    return _Run(psi, mh, np.abs(mh) ** 2, a, c)
 
 
 def _times(mat: np.ndarray, x: np.ndarray, rows: bool) -> np.ndarray:
@@ -165,44 +174,60 @@ def _evaluate(tt: np.ndarray, run: _Run):
     return v, xi, obj if rows else float(obj)
 
 
+def _diagonal_certificate(b, bh, u, top, margin, scale=None):
+    """(y, s): y = t u with t = (1 + margin) lambda_max(s) and s = b diag(1/u) b^H.
+
+    diag(1/sqrt(u)) b^H b diag(1/sqrt(u)) has the eigenvalues of s, so
+    diag(y) - b^H b is positive semidefinite for any u > 0: ``sdr``'s
+    MaxCut certificate, and the step's majorizer.  ``bh`` is b^H, and
+    ``scale`` scales the rows of b (b = diag(scale) b'), applied to s.  An
+    entry u_i = 0 gets y_i = 0, valid where column i of b is zero.  On a
+    stack each row gets its own t from one call of ``top``, and s is
+    formed ``_ROWS`` rows at a time, so that no temporary the size of the
+    stack is made.
+    """
+    inv = np.divide(1.0, u, out=np.zeros(u.shape), where=u > 0.0)
+    if b.ndim == 2:
+        s = (b * inv) @ bh
+    else:
+        s = np.concatenate([(b[k:k + _ROWS] * inv[k:k + _ROWS, None, :]) @ bh[k:k + _ROWS]
+                            for k in range(0, len(b), _ROWS)])
+    if scale is not None:
+        s = scale[..., :, None] * s * scale[..., None, :]
+    return (np.asarray(top(s)) * (1.0 + margin))[..., None] * u, s
+
+
 def _surrogate_coefficient(tt0: np.ndarray, v0: np.ndarray, xi: np.ndarray, run: _Run):
-    """Linear coefficient of the minorizer built at ``tt0``: (alpha, d, lam).
+    """Linear coefficient of the minorizer built at ``tt0``: (alpha, d, y).
 
     With u = v0 / xi, ``d`` = |u|^2 per antenna is the diagonal of the
-    coupling matrix factor, ``lam`` the margin-inflated dominant eigenvalue
-    of the coupling matrix Psi^H diag(d) Psi, and
-    alpha = Psi^H (u - a d v0) + a lam tt0, one matrix-vector product.  On a
-    stack each gains a leading row axis, and the rows' eigenvalues come
-    from one eigensolve of the stacked Grams.
+    coupling matrix factor, and ``y`` the diagonal of a majorizer
+    diag(y) - M >= 0 of the coupling matrix M = Psi^H diag(d) Psi;
+    alpha = Psi^H (u - a d v0) + a y tt0 is one matrix-vector product.
+    y = t w (``_diagonal_certificate`` of diag(sqrt(d)) Psi) weights each
+    element by the bound's image at the iterate (``sdr._linearize``): with
+    b = diag(sqrt(c) / xi) Psi and m = b tt0, w_i^2 = b_i^H z b_i for
+    z = (1 - beta) m m^H + beta |m|^2 / n_s I, which is positive on every
+    nonzero column of Psi unless d = 0.  On a stack each gains a leading
+    row axis, and the rows' t come from one eigensolve.
     """
     rows = run.m.ndim == 3
     factor = v0.ndim == 2 and not rows
-    u = v0 / (xi[:, None] if factor else xi)
+    per = (lambda x: x[:, None]) if factor else (lambda x: x)
+    u = v0 / per(xi)
     if run.a == 0.0:
-        return _times(run.mh, u, rows), np.zeros_like(xi), np.zeros(len(xi)) if rows else 0.0
+        return _times(run.mh, u, rows), np.zeros_like(xi), np.zeros(run.mh.shape[:-1])
     d = np.abs(u) ** 2
+    # w^2 over c^2, with b^H m = c Psi^H (u / xi) and |m|^2 = c sum(d)
+    w = np.abs(_times(run.mh, u / per(xi), rows)) ** 2
     if factor:
-        d = d.sum(axis=1)
-    # lambda_max of m^H diag(d) m equals that of the small Gram
-    # sqrt(d) (m m^H) sqrt(d), the same for a phase vector and a factor.
-    sd = np.sqrt(d)
-    if rows:
-        top = lambda_max_power_iteration(sd[:, :, None] * run.gram * sd[:, None, :])
-        # max(top, 0.0) per row, keeping -0.0 as Python's max does
-        lam = np.where(top < 0.0, 0.0, top) * (1.0 + _LAMBDA_MARGIN)
-        if np.count_nonzero(d) < d.size:
-            # a row with d = 0 takes 0, as a single run does without an eigensolve
-            lam[~d.any(axis=1)] = 0.0
-        shift = (run.a * lam)[:, None]
-    else:
-        lam = 0.0
-        if np.count_nonzero(d):
-            lam = lambda_max_power_iteration(sd[:, None] * run.gram * sd[None, :])
-            lam = max(lam, 0.0) * (1.0 + _LAMBDA_MARGIN)
-        shift = run.a * lam
-    ad = run.a * (d[:, None] if factor else d)
-    alpha = _times(run.mh, u - ad * v0, rows) + shift * tt0
-    return alpha, d, lam
+        d, w = d.sum(axis=1), w.sum(axis=1)
+    w *= 1.0 - _BLEND
+    w += (_BLEND / d.shape[-1]) * d.sum(axis=-1, keepdims=True) * _times(run.power, xi**-2.0, rows)
+    np.sqrt(w, out=w)
+    y = _diagonal_certificate(run.m, run.mh, w, lambda_max_power_iteration, _LAMBDA_MARGIN, np.sqrt(d))[0]
+    alpha = _times(run.mh, u - run.a * per(d) * v0, rows) + run.a * per(y) * tt0
+    return alpha, d, y
 
 
 def _project_unit(vec: np.ndarray, fallback, rows: bool = False) -> np.ndarray:
@@ -245,11 +270,11 @@ def _step(tt0: np.ndarray, ev, run: _Run) -> np.ndarray:
 
 
 # Cap on the candidates that one SQUAREM cycle tries per row: the step
-# lengths alpha0, (alpha0 - 1) / 2 and (alpha0 - 3) / 4.  Over sweeps at n_s
-# 1-8, n_i 4-200 and kappa 0-0.3, a fourth or later try was kept in about
-# 1 of 4,500 backtracking cycles, at a step within 0.1 of the plain
-# composition's -1, yet those tries were a fifth of all candidate
-# evaluations; without a kept candidate the cycle keeps the plain point.
+# lengths alpha0, (alpha0 - 1) / 2 and (alpha0 - 3) / 4.  Over robust runs
+# continued from the nonrobust design (8 draws each at n_s 1, 4, 8, n_i 4,
+# 32, 200 and kappa 0.05, 0.1, 0.3), uncapped cycles kept their first try
+# in 1006 of 1090, their second in 79 and their third in 3, and no later
+# one; without a kept candidate the cycle keeps the plain point.
 _BACKTRACKS = 3
 
 
@@ -394,12 +419,12 @@ def _keep_rows(tt: np.ndarray, ev, run: _Run, keep: list, order: list):
     the back of the stack, so that a compaction moves no more rows than
     departed and copies nothing: Psi by swaps, recorded in ``order`` (the
     caller's row at each place of Psi), since Psi is the caller's array;
-    the loop's own arrays (Psi^H, the Gram, the iterate and its
+    the loop's own arrays (Psi^H, |Psi^H|^2, the iterate and its
     evaluation) by overwriting.
     """
     if len(keep) == 1:
         (k,) = keep
-        row_run = _Run(run.m[k], run.mh[k], run.gram[k], run.a, run.c)
+        row_run = _Run(run.m[k], run.mh[k], run.power[k], run.a, run.c)
         return tt[k], (ev[0][k], ev[1][k], float(ev[2][k])), row_run, keep
     n = len(keep)
     places = list(range(n))
@@ -408,10 +433,10 @@ def _keep_rows(tt: np.ndarray, ev, run: _Run, keep: list, order: list):
     # keep is ascending, so its last len(holes) rows lie behind place n
     for j, k in zip(holes, reversed(keep[n - len(holes):])):
         _swap_rows(run.m, order, j, k)
-        for x in (mc, run.gram, tt, *ev):
+        for x in (mc, run.power, tt, *ev):
             x[j] = x[k]
         places[j] = k
-    row_run = _Run(run.m[:n], np.swapaxes(mc[:n], 1, 2), run.gram[:n], run.a, run.c)
+    row_run = _Run(run.m[:n], np.swapaxes(mc[:n], 1, 2), run.power[:n], run.a, run.c)
     return tt[:n], tuple(x[:n] for x in ev), row_run, places
 
 

@@ -143,14 +143,6 @@ class ReflectConfig:
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "theta", np.exp(1j * phases))
 
-    @classmethod
-    def from_theta(cls, theta: np.ndarray) -> "ReflectConfig":
-        """Build from arbitrary nonzero coefficients, renormalizing each entry."""
-        theta = np.asarray(theta, dtype=complex).ravel()
-        if np.any(np.abs(theta) == 0.0):
-            raise ConfigError("cannot normalize a zero reflection coefficient")
-        return cls(np.angle(theta))
-
 
 def lift_reflect(rc: ReflectConfig) -> np.ndarray:
     """Lifted phase vector of a reflection (``lift_phases``)."""

@@ -12,9 +12,9 @@ through q, so its gradient is G = B^H B with B the n_s x (n_i+1) matrix
 diag(sqrt(c) / (a q + c)) Psi, and by concavity
 f* <= f(X) + max_E <G, X'> - <G, X>.  MaxCut-style weak duality bounds the
 maximum by t sum(y) for any y > 0, where t = lambda_max(B diag(1/y) B^H) is
-an n_s x n_s eigenproblem solved exactly by LAPACK.  The bound is therefore
-certified from any start and needs no eigendecomposition of an
-(n_i+1)-square matrix.
+an n_s x n_s eigenproblem solved exactly by LAPACK (``mm._diagonal_certificate``,
+shared with the optimizer's majorizer).  The bound is thus certified from
+any start and needs no eigendecomposition of an (n_i+1)-square matrix.
 
 The given phases are certified first, by one dual map at X = tt tt^H, and
 returned at once when that certificate is within ``tol`` of f(X).
@@ -37,6 +37,7 @@ from numpy.linalg import _umath_linalg
 from .mm import (
     MMSettings,
     _ascend_rows,
+    _diagonal_certificate,
     _evaluate,
     _project_unit,
     _run_constants,
@@ -122,10 +123,9 @@ def _dual_certificate(b: np.ndarray, m: np.ndarray, tol: float) -> np.ndarray:
         # not u.all(): a NaN in u must stop the ascent too
         if not (u > 0.0).all():
             break
-        s = (b / u) @ bh
-        t = _top_eigenvalue(s) * (1.0 + _T_MARGIN)
-        if t * u.sum() < best_sum:
-            kept = t * u
+        y, s = _diagonal_certificate(b, bh, u, _top_eigenvalue, _T_MARGIN)
+        if y.sum() < best_sum:
+            kept = y
             best_sum = kept.sum()
         image = s @ z @ s
         trace = float(image.trace().real)
@@ -189,32 +189,31 @@ def _certify(v: np.ndarray, run, tol: float):
     return primal, dual, _bound(primal, dual, m)
 
 
-def _certify_phases(tt: np.ndarray, run):
-    """One dual map at X = tt tt^H: (f(X), y, bound, escape directions).
+def _certify_phases(tt: np.ndarray, run, tol: float):
+    """One dual map at X = tt tt^H: (f(X), y, bound, None), or (f(X), None, None, escape directions).
 
-    With m = b tt and u = |b^H m|, the eigenpairs (w_k, p_k) of
-    b diag(1/u) b^H hold the dual ascent's first map from the unblended
-    image m m^H: y = t u with t the inflated largest w_k, a certificate
-    when every u_i > 0 (else y and the bound are None).  The direction
-    x_k = diag(1/u) b^H p_k has x_k^H G x_k - sum_i u_i |x_k,i|^2 =
-    w_k (w_k - 1), and u_i >= Re(conj(tt_i) (G tt)_i), so appending it to
-    the factor raises <G, X> to second order in the step if w_k > 1.
-    Those directions are returned as columns, each weighted by
-    sqrt(w_k - 1).
+    With m = b tt and u = |b^H m|, y = t u (``mm._diagonal_certificate``)
+    is the dual ascent's first map from the unblended image m m^H, a
+    certificate when every u_i > 0.  It is returned when its bound is
+    within ``tol`` (relative) of f(X).  Otherwise the eigenpairs (w_k, p_k)
+    of s = b diag(1/u) b^H give the directions x_k = diag(1/u) b^H p_k,
+    with x_k^H G x_k - sum_i u_i |x_k,i|^2 = w_k (w_k - 1); as
+    u_i >= Re(conj(tt_i) (G tt)_i), appending x_k to the factor raises
+    <G, X> to second order in the step if w_k > 1.  Those directions are
+    returned as columns, each weighted by sqrt(w_k - 1).
     """
     primal, b = _linearize(tt, run)
     m = b @ tt
     bh = b.conj().T
     u = np.abs(bh @ m)
-    live = u > 0.0
-    inv = np.divide(1.0, u, out=np.zeros_like(u), where=live)
-    w, p = np.linalg.eigh((b * inv) @ bh)
+    dual, s = _diagonal_certificate(b, bh, u, _top_eigenvalue, _T_MARGIN)
+    bound = _bound(primal, dual, m)
+    if (u > 0.0).all() and bound - primal <= tol * primal:
+        return primal, dual, bound, None
+    w, p = np.linalg.eigh(s)
     escape = w > 1.0
-    directions = (bh @ p[:, escape]) * (inv[:, None] * np.sqrt(w[escape] - 1.0))
-    if not live.all():
-        return primal, None, None, directions
-    dual = (w[-1] * (1.0 + _T_MARGIN)) * u
-    return primal, dual, _bound(primal, dual, m), directions
+    inv = np.divide(1.0, u, out=np.zeros_like(u), where=u > 0.0)
+    return primal, None, None, (bh @ p[:, escape]) * (inv[:, None] * np.sqrt(w[escape] - 1.0))
 
 
 def _escape_start(tt: np.ndarray, directions: np.ndarray, primal: float, run) -> np.ndarray:
@@ -261,8 +260,8 @@ def solve_sdr(
     if tt.shape != (psi.shape[1],):
         raise ValueError(f"init must have {psi.shape[1]} entries, got {tt.shape[0]}")
     run = _run_constants(psi, cfg)
-    primal, dual, bound, directions = _certify_phases(tt, run)
-    if dual is not None and bound - primal <= tol * primal:
+    primal, dual, bound, directions = _certify_phases(tt, run, tol)
+    if directions is None:
         v, converged, iterations = tt[:, None], True, 0
     else:
         start = _escape_start(tt, directions, primal, run)

@@ -317,6 +317,9 @@ def _design_rows(
         psis, inits, direct = np.stack([psis[k] for k in live]), inits[live], direct[live]
     runs_n = _run_rows(inits, psis, _nonrobust_config(cfg), settings)
     phases_n = reflect_phases(np.array([res.lifted for res in runs_n]))
+    # the nonrobust iterates are freed before the robust runs start
+    iterations_n = [res.iterations for res in runs_n]
+    del runs_n
     lifted_n = lift_phases(phases_n)
     runs_r = _run_rows(lifted_n, psis, cfg, settings)
     phases_r = reflect_phases(np.array([res.lifted for res in runs_r]))
@@ -340,10 +343,10 @@ def _design_rows(
         snr_from_psi_tilde(psi_tilde_from_powers(direct, cfg), cfg),
         matched_filter_snr(direct, cfg),
     )))
-    for j, (k, snr, res_r, res_n) in enumerate(zip(live, snrs, runs_r, runs_n)):
+    for j, (k, snr, res_r, iters_n) in enumerate(zip(live, snrs, runs_r, iterations_n)):
         if ok[j]:
             designs = dict(zip(Scheme, zip(snr, (lifted_r[j], lifted_n[j], None, None),
-                                           (res_r.iterations, res_n.iterations, None, None))))
+                                           (res_r.iterations, iters_n, None, None))))
             ub = solve_sdr(psis[j], cfg, init=bound_starts[j]) if bound else None
             out[k] = (designs, ub)
     return out

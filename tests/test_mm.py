@@ -6,6 +6,7 @@ import pytest
 
 from irsbf.channels import sample_los
 from irsbf.mm import (
+    _BLEND,
     _LAMBDA_MARGIN,
     MMResult,
     MMSettings,
@@ -69,9 +70,10 @@ def surrogate_value(tt, tt0, psi, cfg):
     tt0 = np.asarray(tt0, dtype=complex).ravel()
     run = _run_constants(psi, cfg)
     v0, xi, f0 = _evaluate(tt0, run)
-    alpha, d, lam = _surrogate_coefficient(tt0, v0, xi, run)
+    alpha, d, y = _surrogate_coefficient(tt0, v0, xi, run)
     term1 = 2.0 * float(np.real(np.vdot(alpha, tt)))
-    term2 = -2.0 * run.a * tt0.shape[0] * lam
+    # tt^H diag(y) tt = sum(y) on the torus, at tt and at tt0 alike
+    term2 = -2.0 * run.a * float(np.sum(y))
     term3 = 2.0 * run.a * float(np.sum(d * row_power(v0))) - f0
     return term1 + term2 + term3
 
@@ -82,11 +84,11 @@ def run_steps(tt, psi, cfg, steps, accelerate=False):
 
 
 def quantities(tt0, psi, cfg):
-    """Surrogate quantities (v0, xi, d, lam) and coefficient alpha at tt0."""
+    """Surrogate quantities (v0, xi, d, y) and coefficient alpha at tt0."""
     run = _run_constants(psi, cfg)
     v0, xi, _ = _evaluate(tt0, run)
-    alpha, d, lam = _surrogate_coefficient(tt0, v0, xi, run)
-    return v0, xi, d, lam, alpha
+    alpha, d, y = _surrogate_coefficient(tt0, v0, xi, run)
+    return v0, xi, d, y, alpha
 
 
 def mm_step(tt0, psi, cfg):
@@ -113,19 +115,37 @@ def evaluate_oracle(tt, run):
     return v, xi, float(np.sum(q / xi))
 
 
+def majorizer_weights(tt0, psi, cfg):
+    """Oracle: the element weights w, b_i^H z b_i / c^2 for the bound's blended image z at tt0.
+
+    b = diag(sqrt(c) / xi) Psi and m = b tt0 (a factor's columns alike), and
+    z = (1 - beta) m m^H + beta |m|^2 / n_s I, written out.
+    """
+    a, c = cfg.objective_coeffs
+    v0 = psi @ tt0
+    xi = a * row_power(v0) + c
+    b = (np.sqrt(c) / xi)[:, None] * psi
+    m = b @ tt0
+    m = m if m.ndim == 2 else m[:, None]
+    z = (1.0 - _BLEND) * (m @ m.conj().T) + _BLEND * np.sum(np.abs(m) ** 2) / len(m) * np.eye(len(m))
+    return np.sqrt(np.einsum("mi,mn,ni->i", b.conj(), z, b).real) / c
+
+
 def surrogate_coefficient_oracle(tt0, v0, xi, run):
-    """Oracle: the surrogate coefficient with the eigenvalue from ``np.linalg.eigvalsh``."""
+    """Oracle: the surrogate coefficient, its majorizer's eigenvalue from ``np.linalg.eigvalsh``."""
     u = v0 / _oracle_per_row(xi, v0)
     if run.a == 0.0:
-        return run.mh @ u, np.zeros_like(xi), 0.0
+        return run.mh @ u, np.zeros_like(xi), np.zeros(len(tt0))
     d = row_power(u)
-    lam = 0.0
-    if d.any():
-        sd = np.sqrt(d)
-        lam = float(np.linalg.eigvalsh(sd[:, None] * run.gram * sd[None, :])[-1])
-        lam = max(lam, 0.0) * (1.0 + _LAMBDA_MARGIN)
-    alpha = run.mh @ (u - run.a * _oracle_per_row(d, v0) * v0) + (run.a * lam) * tt0
-    return alpha, d, lam
+    w = (1.0 - _BLEND) * row_power(run.mh @ (u / _oracle_per_row(xi, v0)))
+    w += (_BLEND / len(d)) * np.sum(d) * (run.power @ xi**-2.0)
+    w = np.sqrt(w)
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=w > 0.0)
+    sd = np.sqrt(d)
+    t = float(np.linalg.eigvalsh(sd[:, None] * ((run.m * inv) @ run.mh) * sd[None, :])[-1])
+    y = t * (1.0 + _LAMBDA_MARGIN) * w
+    alpha = run.mh @ (u - run.a * _oracle_per_row(d, v0) * v0) + run.a * _oracle_per_row(y, tt0) * tt0
+    return alpha, d, y
 
 
 class TestLiftedObjective:
@@ -209,11 +229,11 @@ class TestMMStep:
 
     def test_cached_quantities(self, rng):
         cfg, psi = random_problem(rng, n_i=5)
-        _, xi, _, lam, alpha = quantities(random_lifted_init(rng, 5), psi, cfg)
+        _, xi, _, y, alpha = quantities(random_lifted_init(rng, 5), psi, cfg)
         floor = (1 + cfg.kappa_d) * cfg.sigma_n2 / cfg.p_tilde
         assert np.all(xi >= floor * (1 - 1e-12))
-        assert lam >= 0.0
-        assert alpha.shape == (6,)
+        assert np.all(y > 0.0)
+        assert alpha.shape == y.shape == (6,)
 
 
 class TestKernels:
@@ -236,20 +256,20 @@ class TestKernels:
             m = psi
             a, _ = cfg.objective_coeffs
             for tt0 in (random_lifted_init(rng, n_i), random_factor(rng, n_i, 3)):
-                v0, xi, d, lam, alpha = quantities(tt0, psi, cfg)
+                v0, xi, d, y, alpha = quantities(tt0, psi, cfg)
                 per_row = (lambda x: x) if tt0.ndim == 1 else (lambda x: x[:, None])
                 two = m.conj().T @ (v0 / per_row(xi)) - a * (
-                    m.conj().T @ (per_row(d) * v0) - lam * tt0
+                    m.conj().T @ (per_row(d) * v0) - (y if tt0.ndim == 1 else y[:, None]) * tt0
                 )
                 assert np.linalg.norm(alpha - two) <= 1e-12 * np.linalg.norm(two)
 
-    def test_zero_channel_skips_the_eigenvalue(self):
+    def test_zero_channel_gets_a_zero_majorizer(self):
         cfg = SystemConfig(n_s=3, n_i=4, p=1.0, kappa_s=0.1, kappa_d=0.1, sigma_n2=0.1)
         ch = ChannelSet(
             h_si=np.zeros((4, 3), complex), h_id=np.zeros(4, complex), h_sd=np.zeros(3, complex)
         )
-        _, _, d, lam, alpha = quantities(np.ones(5, complex), build_composite(ch), cfg)
-        assert lam == 0.0
+        _, _, d, y, alpha = quantities(np.ones(5, complex), build_composite(ch), cfg)
+        np.testing.assert_array_equal(y, 0.0)
         np.testing.assert_array_equal(d, 0.0)
         np.testing.assert_array_equal(alpha, 0.0)
 
@@ -753,7 +773,7 @@ class TestBatchedExtraction:
             want = lift_reflect(extract_reflect(t))
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
             # and the one-row forms, written out
-            expected = ReflectConfig.from_theta(np.conj(t[:-1] / t[-1]))
+            expected = ReflectConfig(np.angle(np.conj(t[:-1] / t[-1])))
             written = np.concatenate([np.conj(expected.theta), [1.0 + 0.0j]])
             np.testing.assert_array_equal(got.view(np.uint64), written.view(np.uint64))
 
@@ -806,23 +826,36 @@ class TestStepLengths:
         assert lengths == [_step_length(a, b) for a, b in zip(r, v)]
 
 
-class TestLambdaShift:
+class TestMajorizer:
+    """diag(y) majorizes the coupling matrix M = Psi^H diag(d) Psi, weighted by the bound's image."""
+
     def test_shifted_coupling_matrix_is_psd(self, rng):
         for _ in range(10):
             cfg, psi = random_problem(rng, n_i=int(rng.integers(1, 10)))
-            _, _, d, lam, _ = quantities(random_lifted_init(rng, cfg.n_i), psi, cfg)
+            _, _, d, y, _ = quantities(random_lifted_init(rng, cfg.n_i), psi, cfg)
             omega = psi.conj().T @ (d[:, None] * psi)
-            shifted = lam * np.eye(omega.shape[0]) - omega
-            min_eig = float(np.linalg.eigvalsh(shifted)[0])
-            assert min_eig >= -1e-9 * max(1.0, lam)
+            min_eig = float(np.linalg.eigvalsh(np.diag(y) - omega)[0])
+            assert min_eig >= -1e-9 * max(1.0, np.max(y))
 
-    def test_phase_vector_and_one_column_factor_share_the_eigenvalue(self, rng):
+    def test_phase_vector_and_one_column_factor_share_the_majorizer(self, rng):
         for n_i, n_s in ((0, 1), (3, 1), (8, 4), (40, 3)):
             cfg, psi = random_problem(rng, n_i=n_i, n_s=n_s)
             tt = random_lifted_init(rng, n_i)
-            lam = quantities(tt, psi, cfg)[3]
-            assert lam > 0.0
-            assert quantities(tt[:, None], psi, cfg)[3] == lam
+            y = quantities(tt, psi, cfg)[3]
+            assert np.all(y > 0.0)
+            np.testing.assert_array_equal(quantities(tt[:, None], psi, cfg)[3], y)
+
+    def test_weights_are_the_bounds_blended_image(self, rng):
+        # y = t w with w_i^2 = b_i^H z b_i, written out, and t the exact
+        # eigenvalue of the coupling matrix scaled by diag(w)^(-1/2)
+        for n_i, n_s in ((0, 1), (6, 4), (30, 2)):
+            cfg, psi = random_problem(rng, n_i=n_i, n_s=n_s)
+            for tt in (random_lifted_init(rng, n_i), random_factor(rng, n_i, 3)):
+                _, _, d, y, _ = quantities(tt, psi, cfg)
+                w = majorizer_weights(tt, psi, cfg)
+                scaled = (psi / np.sqrt(w)).conj().T @ (d[:, None] * (psi / np.sqrt(w)))
+                t = float(np.linalg.eigvalsh(scaled)[-1]) * (1.0 + _LAMBDA_MARGIN)
+                np.testing.assert_allclose(y, t * w, rtol=1e-10, atol=0.0)
 
     def test_omega_psd(self, rng):
         cfg, psi = random_problem(rng, n_i=7)

@@ -141,15 +141,6 @@ class TestComposite:
 
 
 class TestReflectConfig:
-    def test_from_theta_renormalizes(self):
-        rc = ReflectConfig.from_theta(np.array([2.0 + 0j, -3j]))
-        np.testing.assert_allclose(np.abs(rc.theta), 1.0, atol=1e-15)
-        np.testing.assert_allclose(rc.theta, np.exp(1j * rc.phases), atol=1e-15)
-
-    def test_zero_coefficient_rejected(self):
-        with pytest.raises(ConfigError):
-            ReflectConfig.from_theta(np.array([1.0 + 0j, 0.0 + 0j]))
-
     def test_theta_is_derived_from_phases(self):
         # theta is not an argument, so it cannot disagree with the phases
         rc = ReflectConfig([0.0, np.pi / 2.0])

@@ -8,6 +8,8 @@ the objective is linear in the received powers), extreme power and a zero
 direct link.  Runs are derandomized so the suite is reproducible.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -37,7 +39,7 @@ from irsbf.sim import child_seed, db2pow
 from irsbf.txbf import composite_vector, evaluate_snr, optimal_transmit_beam
 
 from conftest import complex_gaussian
-from test_mm import surrogate_value
+from test_mm import majorizer_weights, surrogate_value
 from test_sdr import _diag_quad, _gradient_factor
 
 SIGMA_N2 = db2pow(-85.0)
@@ -131,24 +133,63 @@ def test_surrogate_tight_and_minorizing(problem):
 @given(problem=problems)
 @with_edges
 def test_shift_is_the_exact_coupling_eigenvalue(problem):
-    # the n_s x n_s Gram gives lambda_max of the full (n_i+1)-square
-    # coupling matrix m^H diag(d) m, margin included; with kappa_s = 0
-    # there is no coupling and the shift is exactly 0
+    # the shift is diag(y) with y = t w: w the bound's image weights, and t
+    # the exact largest eigenvalue of the full (n_i+1)-square coupling
+    # matrix m^H diag(d) m scaled by diag(w)^(-1/2) on the live columns,
+    # margin included; with kappa_s = 0 there is no coupling and y is 0
     cfg, psi, rng = make_problem(**problem)
     tt0 = random_lifted_init(rng, cfg.n_i)
     m = psi
     run = _run_constants(psi, cfg)
     v0, xi, _ = _evaluate(tt0, run)
-    _, d, lam = _surrogate_coefficient(tt0, v0, xi, run)
-    expected = (1.0 + _LAMBDA_MARGIN) * float(np.linalg.eigvalsh(m.conj().T @ (d[:, None] * m))[-1])
+    _, d, y = _surrogate_coefficient(tt0, v0, xi, run)
     if cfg.objective_coeffs[0] == 0.0:
-        assert lam == 0.0
-    assert abs(lam - expected) <= 1e-9 * abs(expected)
+        np.testing.assert_array_equal(y, 0.0)
+    else:
+        w = majorizer_weights(tt0, psi, cfg)
+        live = w > 0.0
+        scaled = m[:, live] / np.sqrt(w[live])
+        top = np.max(np.linalg.eigvalsh(scaled.conj().T @ (d[:, None] * scaled)), initial=0.0)
+        t = (1.0 + _LAMBDA_MARGIN) * float(top)
+        np.testing.assert_allclose(y, t * w, rtol=1e-9, atol=0.0)
     f0 = lifted_objective(tt0, psi, cfg)
     tol = 1e-9 * max(1.0, abs(f0))
     for _ in range(20):
         tt = random_lifted_init(rng, cfg.n_i)
         assert surrogate_value(tt, tt0, psi, cfg) <= lifted_objective(tt, psi, cfg) + tol
+
+
+@pytest.mark.parametrize("sigma_n2", [None, 1e-30], ids=["noise", "tiny-noise"])
+@pytest.mark.parametrize("edge", EDGES)
+def test_majorizer_dominates_the_coupling_in_every_layout_at_the_edges(edge, sigma_n2):
+    # diag(y) - Psi^H diag(d) Psi is PSD for a phase vector, each row of a
+    # stack and a factor; a zero column of Psi (an unreached element, or the
+    # slack without a direct link) gets y_i = 0, and with coupling every
+    # nonzero column gets y_i > 0
+    problems = [make_problem(**{**edge, "seed": edge["seed"] + 1000 * j}) for j in range(3)]
+    cfg = problems[0][0] if sigma_n2 is None else replace(problems[0][0], sigma_n2=sigma_n2)
+    psis = np.stack([psi for _, psi, _ in problems])
+    if cfg.n_i:
+        psis[1, :, 0] = 0.0
+    rng = problems[0][2]
+    tt = np.stack([random_lifted_init(rng, cfg.n_i) for _ in psis])
+    factor = complex_gaussian(rng, cfg.n_i + 1, min(cfg.n_s + 1, cfg.n_i + 1))
+    factor /= np.linalg.norm(factor, axis=1, keepdims=True)
+    run = _run_constants(psis, cfg)
+    stacked = _surrogate_coefficient(tt, *_evaluate(tt, run)[:2], run)
+    layouts = [(psi, stacked[1][k], stacked[2][k]) for k, psi in enumerate(psis)]
+    for psi, x in ((psis[0], tt[0]), (psis[1], factor)):
+        one = _run_constants(psi, cfg)
+        layouts.append((psi, *_surrogate_coefficient(x, *_evaluate(x, one)[:2], one)[1:]))
+    for psi, d, y in layouts:
+        coupling = psi.conj().T @ (d[:, None] * psi)
+        assert np.linalg.eigvalsh(np.diag(y) - coupling)[0] >= -1e-9 * np.max(y, initial=0.0)
+        live = np.abs(psi).any(axis=0)
+        np.testing.assert_array_equal(y[~live], 0.0)
+        if cfg.objective_coeffs[0] > 0.0 and d.any():
+            assert np.all(y[live] > 0.0)
+        else:
+            np.testing.assert_array_equal(y, 0.0)
 
 
 @pytest.mark.parametrize("edge", EDGES)
