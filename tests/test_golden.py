@@ -41,6 +41,10 @@ CASES = {
                      "--values", "0.05,0.1"], True),
     "iteration_study": (["iteration-study", "--seed", "5", "--channels", "5",
                          "--values", "4,16"], True),
+    # the benchmark's study shape: robust stacks of 4 rows up to n_i 200,
+    # which leave single-row tails as their rows converge
+    "iteration_study_stack": (["iteration-study", "--seed", "1", "--channels", "4",
+                               "--values", "8,50,200"], True),
     "bound_check": (["bound-check", "--seed", "2", "--channels", "3"], True),
     "bound_check_json": (["bound-check", "--seed", "2", "--channels", "3", "--json"], False),
     "los_demo_json": (["los-demo", "--seed", "4", "--n-i", "12", "--json"], False),
