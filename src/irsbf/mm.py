@@ -14,8 +14,8 @@ calling the LAPACK gufunc behind ``np.linalg.eigvalsh`` directly.  A
 weakly coupled element takes a long step.  Each iterate is evaluated
 once: the effective channel Psi tt, the per-antenna weights and the
 objective computed there serve the convergence test, the SQUAREM
-acceptance test and the next step alike, so a step costs two products
-with Psi, and a robust step two vector products and the weighted Gram more.
+acceptance test and the next step alike.  A step costs two products with
+Psi, and a robust step one with |Psi^H|^2 and the weighted Gram more.
 
 The optimizer has one loop, over rows (``_ascend_rows``), with two kinds of
 pass: a plain step, or with ``MMSettings.accelerate`` a SQUAREM cycle
@@ -166,11 +166,13 @@ def _evaluate(tt: np.ndarray, run: _Run):
     """
     rows = run.m.ndim == 3
     v = _times(run.m, tt, rows)
-    q = np.abs(v) ** 2
+    q = np.abs(v)
+    q *= q
     if q.ndim == 2 and not rows:
         q = q.sum(axis=1)
-    xi = run.a * q + run.c
-    obj = (q / xi).sum(axis=-1)
+    xi = run.a * q
+    xi += run.c
+    obj = np.divide(q, xi, out=q).sum(axis=-1)
     return v, xi, obj if rows else float(obj)
 
 
@@ -183,18 +185,22 @@ def _diagonal_certificate(b, bh, u, top, margin, scale=None):
     ``scale`` scales the rows of b (b = diag(scale) b'), applied to s.  An
     entry u_i = 0 gets y_i = 0, valid where column i of b is zero.  On a
     stack each row gets its own t from one call of ``top``, and s is
-    formed ``_ROWS`` rows at a time, so that no temporary the size of the
-    stack is made.
+    formed ``_ROWS`` rows at a time into one array, so that no other
+    temporary the size of the stack is made.
     """
-    inv = np.divide(1.0, u, out=np.zeros(u.shape), where=u > 0.0)
-    if b.ndim == 2:
-        s = (b * inv) @ bh
+    # an empty u has no minimum, and u.min() is NaN if any entry is
+    inv = 1.0 / u if u.size and u.min() > 0.0 else np.divide(1.0, u, out=np.zeros(u.shape), where=u > 0.0)
+    if b.ndim == 2 or len(b) <= _ROWS:
+        s = (b * inv[..., None, :]) @ bh
     else:
-        s = np.concatenate([(b[k:k + _ROWS] * inv[k:k + _ROWS, None, :]) @ bh[k:k + _ROWS]
-                            for k in range(0, len(b), _ROWS)])
+        s = np.empty((len(b), b.shape[1], bh.shape[2]), np.result_type(b, inv, bh))
+        for k in range(0, len(b), _ROWS):
+            np.matmul(b[k:k + _ROWS] * inv[k:k + _ROWS, None, :], bh[k:k + _ROWS], out=s[k:k + _ROWS])
     if scale is not None:
-        s = scale[..., :, None] * s * scale[..., None, :]
-    return (np.asarray(top(s)) * (1.0 + margin))[..., None] * u, s
+        s *= scale[..., :, None]
+        s *= scale[..., None, :]
+    t = top(s) * (1.0 + margin)
+    return (t * u if b.ndim == 2 else t[:, None] * u), s
 
 
 def _surrogate_coefficient(tt0: np.ndarray, v0: np.ndarray, xi: np.ndarray, run: _Run):
@@ -202,14 +208,14 @@ def _surrogate_coefficient(tt0: np.ndarray, v0: np.ndarray, xi: np.ndarray, run:
 
     With u = v0 / xi, ``d`` = |u|^2 per antenna is the diagonal of the
     coupling matrix factor, and ``y`` the diagonal of a majorizer
-    diag(y) - M >= 0 of the coupling matrix M = Psi^H diag(d) Psi;
-    alpha = Psi^H (u - a d v0) + a y tt0 is one matrix-vector product.
+    diag(y) - M >= 0 of the coupling matrix M = Psi^H diag(d) Psi.
     y = t w (``_diagonal_certificate`` of diag(sqrt(d)) Psi) weights each
     element by the bound's image at the iterate (``sdr._linearize``): with
     b = diag(sqrt(c) / xi) Psi and m = b tt0, w_i^2 = b_i^H z b_i for
-    z = (1 - beta) m m^H + beta |m|^2 / n_s I, which is positive on every
-    nonzero column of Psi unless d = 0.  On a stack each gains a leading
-    row axis, and the rows' t come from one eigensolve.
+    z = (1 - beta) m m^H + beta |m|^2 / n_s I, positive on every nonzero
+    column of Psi unless d = 0.  As u - a d v0 = c v0 / xi^2, alpha =
+    Psi^H (u - a d v0) + a y tt0 is b^H m + a y tt0, with w's product.
+    On a stack each gains a leading row axis; one eigensolve gives all t.
     """
     rows = run.m.ndim == 3
     factor = v0.ndim == 2 and not rows
@@ -218,15 +224,17 @@ def _surrogate_coefficient(tt0: np.ndarray, v0: np.ndarray, xi: np.ndarray, run:
     if run.a == 0.0:
         return _times(run.mh, u, rows), np.zeros_like(xi), np.zeros(run.mh.shape[:-1])
     d = np.abs(u) ** 2
-    # w^2 over c^2, with b^H m = c Psi^H (u / xi) and |m|^2 = c sum(d)
-    w = np.abs(_times(run.mh, u / per(xi), rows)) ** 2
+    # b^H m over c, which w^2 over c^2 takes with |m|^2 = c sum(d)
+    alpha = _times(run.mh, u / per(xi), rows)
+    w = np.abs(alpha) ** 2
     if factor:
         d, w = d.sum(axis=1), w.sum(axis=1)
     w *= 1.0 - _BLEND
     w += (_BLEND / d.shape[-1]) * d.sum(axis=-1, keepdims=True) * _times(run.power, xi**-2.0, rows)
     np.sqrt(w, out=w)
     y = _diagonal_certificate(run.m, run.mh, w, lambda_max_power_iteration, _LAMBDA_MARGIN, np.sqrt(d))[0]
-    alpha = _times(run.mh, u - run.a * per(d) * v0, rows) + run.a * per(y) * tt0
+    alpha *= run.c
+    alpha += run.a * per(y) * tt0
     return alpha, d, y
 
 

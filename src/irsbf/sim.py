@@ -286,12 +286,12 @@ def _design_rows(
     without an IRS.
 
     The nonrobust designs run from their inits as one stack, and the robust
-    designs as another (``_run_rows``).  The robust design is the
-    kappa = 0 problem continued to the true distortion levels: its run
-    starts at the nonrobust design, so its iterations count only
-    the continuation.  MM never lowers the objective, so with continuous
-    phases the robust SNR dominates the nonrobust one per realization,
-    not just on average.  With ``bits`` the rounding can reorder the two,
+    designs as another (``_run_rows``); the inits are dropped in between.
+    The robust design is the kappa = 0 problem continued to the true
+    distortion levels: its run starts at the nonrobust design, so its
+    iterations count only the continuation.  MM never lowers the
+    objective, so with continuous phases the robust SNR dominates the
+    nonrobust one per realization, not just on average.  With ``bits`` the rounding can reorder the two,
     so the robust scheme keeps the better of both quantized profiles under
     the true distortion levels.
 
@@ -317,9 +317,9 @@ def _design_rows(
         psis, inits, direct = np.stack([psis[k] for k in live]), inits[live], direct[live]
     runs_n = _run_rows(inits, psis, _nonrobust_config(cfg), settings)
     phases_n = reflect_phases(np.array([res.lifted for res in runs_n]))
-    # the nonrobust iterates are freed before the robust runs start
+    # the nonrobust iterates and the inits are freed before the robust runs start
     iterations_n = [res.iterations for res in runs_n]
-    del runs_n
+    del runs_n, inits
     lifted_n = lift_phases(phases_n)
     runs_r = _run_rows(lifted_n, psis, cfg, settings)
     phases_r = reflect_phases(np.array([res.lifted for res in runs_r]))
@@ -438,8 +438,9 @@ def _sweep_task(args) -> list:
     and the tuple of the chunk's seeds; the results keep their order.
     """
     (cfg, geo, settings, bits, n_symbols, bound, seeds) = args
-    psis, inits = _draw(cfg, geo, seeds)
-    designs = _design_rows(psis, inits, cfg, settings, bits, bound)
+    # the inits are handed on, not kept (CPython >= 3.11), so _design_rows frees them
+    drawn = list(_draw(cfg, geo, seeds))
+    designs = _design_rows(drawn[0], drawn.pop(), cfg, settings, bits, bound)
     return [_realization_stats((n_symbols, design)) for design in designs]
 
 

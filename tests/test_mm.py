@@ -8,8 +8,10 @@ from irsbf.channels import sample_los
 from irsbf.mm import (
     _BLEND,
     _LAMBDA_MARGIN,
+    _ROWS,
     MMResult,
     MMSettings,
+    _diagonal_certificate,
     _evaluate,
     _project_unit,
     _run_constants,
@@ -144,7 +146,8 @@ def surrogate_coefficient_oracle(tt0, v0, xi, run):
     sd = np.sqrt(d)
     t = float(np.linalg.eigvalsh(sd[:, None] * ((run.m * inv) @ run.mh) * sd[None, :])[-1])
     y = t * (1.0 + _LAMBDA_MARGIN) * w
-    alpha = run.mh @ (u - run.a * _oracle_per_row(d, v0) * v0) + run.a * _oracle_per_row(y, tt0) * tt0
+    # Psi^H (u - a d v0) as c Psi^H (u / xi), since u - a d v0 = c v0 / xi^2
+    alpha = run.c * (run.mh @ (u / _oracle_per_row(xi, v0))) + run.a * _oracle_per_row(y, tt0) * tt0
     return alpha, d, y
 
 
@@ -251,15 +254,34 @@ class TestKernels:
             assert _evaluate(factor, run)[2] == lifted_objective(factor, psi, cfg)
 
     def test_fused_alpha_matches_the_two_product_form(self, rng):
+        # alpha = c Psi^H (u / xi) + a y tt0 against Psi^H u - a (Psi^H (d v0) - y tt0)
+        # for a phase vector, a factor and each row of a stack of three, on
+        # random problems and at the pinned edges, also with tiny noise
+        from test_properties import EDGES, make_problem
+
+        stacks = []
         for n_i, n_s in ((0, 1), (6, 4), (50, 4)):
-            cfg, psi = random_problem(rng, n_i=n_i, n_s=n_s)
-            m = psi
+            cfg = random_problem(rng, n_i=n_i, n_s=n_s)[0]
+            stacks.append((cfg, [build_composite(random_channels(rng, n_i, n_s)) for _ in range(3)]))
+        for edge in EDGES:
+            problems = [make_problem(**{**edge, "seed": edge["seed"] + 1000 * j}) for j in range(3)]
+            cfg = problems[0][0]
+            for sigma_n2 in (cfg.sigma_n2, 1e-30):
+                stacks.append((replace(cfg, sigma_n2=sigma_n2), [psi for _, psi, _ in problems]))
+        for cfg, psis in stacks:
             a, _ = cfg.objective_coeffs
-            for tt0 in (random_lifted_init(rng, n_i), random_factor(rng, n_i, 3)):
-                v0, xi, d, y, alpha = quantities(tt0, psi, cfg)
+            n_i = cfg.n_i
+            cases = [(psis[0], random_lifted_init(rng, n_i)), (psis[1], random_factor(rng, n_i, 3))]
+            run = _run_constants(np.stack(psis), cfg)
+            tt = np.stack([random_lifted_init(rng, n_i) for _ in psis])
+            v0, xi, _ = _evaluate(tt, run)
+            alpha, d, y = _surrogate_coefficient(tt, v0, xi, run)
+            rows = [(psi, tt[k], v0[k], xi[k], d[k], y[k], alpha[k]) for k, psi in enumerate(psis)]
+            rows += [(psi, tt0, *quantities(tt0, psi, cfg)) for psi, tt0 in cases]
+            for m, tt0, v0, xi, d, y, alpha in rows:
                 per_row = (lambda x: x) if tt0.ndim == 1 else (lambda x: x[:, None])
                 two = m.conj().T @ (v0 / per_row(xi)) - a * (
-                    m.conj().T @ (per_row(d) * v0) - (y if tt0.ndim == 1 else y[:, None]) * tt0
+                    m.conj().T @ (per_row(d) * v0) - per_row(y) * tt0
                 )
                 assert np.linalg.norm(alpha - two) <= 1e-12 * np.linalg.norm(two)
 
@@ -863,6 +885,59 @@ class TestMajorizer:
         assert np.all(d >= 0.0)
         omega = psi.conj().T @ (d[:, None] * psi)
         assert float(np.linalg.eigvalsh(omega)[0]) >= -1e-12
+
+
+def certificate(b, u, scale=None):
+    """``_diagonal_certificate`` of b with the optimizer's eigensolve and margin."""
+    return _diagonal_certificate(b, np.swapaxes(b.conj(), -1, -2), u, _top_eigenvalue, _LAMBDA_MARGIN,
+                                 scale)
+
+
+class TestDiagonalCertificate:
+    """The certificate's edges: no entries, zero and NaN entries, and stacks chunked by ``_ROWS``."""
+
+    def test_empty_weights_give_an_empty_certificate(self):
+        for shape in ((3, 0), (2, 3, 0), (_ROWS + 1, 3, 0)):
+            y, s = certificate(np.zeros(shape, complex), np.zeros(shape[:-2] + (0,)))
+            assert y.shape == shape[:-2] + (0,)
+            assert s.shape == shape[:-1] + (3,)
+            np.testing.assert_array_equal(s, 0.0)
+
+    def test_a_zero_entry_gets_a_zero_weight_and_drops_its_column(self, rng):
+        b = complex_gaussian(rng, 4, 7)
+        u = rng.uniform(0.5, 2.0, 7)
+        u[2] = 0.0
+        y, s = certificate(b, u)
+        assert y[2] == 0.0
+        live = [0, 1, 3, 4, 5, 6]
+        reduced = (b[:, live] / u[live]) @ b[:, live].conj().T
+        np.testing.assert_allclose(s, reduced, rtol=1e-13, atol=0.0)
+        t = np.linalg.eigvalsh(reduced)[-1] * (1.0 + _LAMBDA_MARGIN)
+        np.testing.assert_allclose(y, t * u, rtol=1e-13, atol=0.0)
+
+    def test_a_nan_entry_gets_a_nan_weight_and_drops_its_column(self, rng):
+        b = complex_gaussian(rng, 4, 7)
+        u = rng.uniform(0.5, 2.0, 7)
+        u[5] = 0.0
+        y0, s0 = certificate(b, u)
+        u[5] = np.nan
+        y, s = certificate(b, u)
+        np.testing.assert_array_equal(s, s0)
+        assert np.isnan(y[5])
+        np.testing.assert_array_equal(np.delete(y, 5), np.delete(y0, 5))
+
+    @pytest.mark.parametrize("n_rows", [1, _ROWS, _ROWS + 1, 2 * _ROWS + 3])
+    def test_each_row_of_a_stack_is_bitwise_its_own_certificate(self, rng, n_rows):
+        b = complex_gaussian(rng, n_rows, 4, 9)
+        u = rng.uniform(0.5, 2.0, (n_rows, 9))
+        u[n_rows // 2, 3] = 0.0
+        scale = rng.uniform(0.5, 2.0, (n_rows, 4))
+        for sc in (None, scale):
+            y, s = certificate(b, u, sc)
+            for k in range(n_rows):
+                y_k, s_k = certificate(b[k], u[k], None if sc is None else sc[k])
+                np.testing.assert_array_equal(y[k], y_k)
+                np.testing.assert_array_equal(s[k], s_k)
 
 
 class TestSurrogate:
