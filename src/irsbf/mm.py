@@ -172,7 +172,7 @@ def _evaluate(tt: np.ndarray, run: _Run):
         q = q.sum(axis=1)
     xi = run.a * q
     xi += run.c
-    obj = np.divide(q, xi, out=q).sum(axis=-1)
+    obj = np.add.reduce(np.divide(q, xi, out=q), axis=-1)
     return v, xi, obj if rows else float(obj)
 
 
@@ -230,7 +230,7 @@ def _surrogate_coefficient(tt0: np.ndarray, v0: np.ndarray, xi: np.ndarray, run:
     if factor:
         d, w = d.sum(axis=1), w.sum(axis=1)
     w *= 1.0 - _BLEND
-    w += (_BLEND / d.shape[-1]) * d.sum(axis=-1, keepdims=True) * _times(run.power, xi**-2.0, rows)
+    w += (_BLEND / d.shape[-1]) * np.add.reduce(d, axis=-1, keepdims=True) * _times(run.power, xi**-2.0, rows)
     np.sqrt(w, out=w)
     y = _diagonal_certificate(run.m, run.mh, w, lambda_max_power_iteration, _LAMBDA_MARGIN, np.sqrt(d))[0]
     alpha *= run.c
