@@ -291,9 +291,9 @@ def _design_rows(
     distortion levels: its run starts at the nonrobust design, so its
     iterations count only the continuation.  MM never lowers the
     objective, so with continuous phases the robust SNR dominates the
-    nonrobust one per realization, not just on average.  With ``bits`` the rounding can reorder the two,
-    so the robust scheme keeps the better of both quantized profiles under
-    the true distortion levels.
+    nonrobust one per realization, not just on average.  With ``bits``
+    the rounding can reorder the two, so the robust scheme keeps the
+    better of both quantized profiles under the true distortion levels.
 
     The SNRs are array operations over the rows, and no beam is built.  A
     robust scheme uses the optimal beam of its reflection, so its SNR is

@@ -928,11 +928,14 @@ class TestDiagonalCertificate:
 
     @pytest.mark.parametrize("n_rows", [1, _ROWS, _ROWS + 1, 2 * _ROWS + 3])
     def test_each_row_of_a_stack_is_bitwise_its_own_certificate(self, rng, n_rows):
+        # every entry positive, and one zero entry, which sends the stack
+        # down the other path than its other rows take alone
         b = complex_gaussian(rng, n_rows, 4, 9)
-        u = rng.uniform(0.5, 2.0, (n_rows, 9))
-        u[n_rows // 2, 3] = 0.0
+        positive = rng.uniform(0.5, 2.0, (n_rows, 9))
+        one_zero = positive.copy()
+        one_zero[n_rows // 2, 3] = 0.0
         scale = rng.uniform(0.5, 2.0, (n_rows, 4))
-        for sc in (None, scale):
+        for u, sc in ((u, sc) for u in (positive, one_zero) for sc in (None, scale)):
             y, s = certificate(b, u, sc)
             for k in range(n_rows):
                 y_k, s_k = certificate(b[k], u[k], None if sc is None else sc[k])
