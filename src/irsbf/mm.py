@@ -5,17 +5,22 @@ linear-plus-constant surrogate built at the previous iterate; the
 surrogate's maximizer over the torus is the unit projection of its linear
 coefficient, which takes a single matrix-vector product.  The quadratic
 coupling term is bounded by a diagonal majorizer diag(y) of its positive
-semidefinite coupling matrix, constant on the torus (Sun, Babu & Palomar,
-IEEE TSP 2017), so the objective never decreases from step to step.  y
-weights each element by the relaxation bound's image at the iterate, the
-MaxCut certificate of ``sdr``, scaled by the dominant eigenvalue of an
-n_s x n_s weighted Gram matrix: ``_top_eigenvalue`` computes it exactly,
-calling the LAPACK gufunc behind ``np.linalg.eigvalsh`` directly.  A
-weakly coupled element takes a long step.  Each iterate is evaluated
-once: the effective channel Psi tt, the per-antenna weights and the
-objective computed there serve the convergence test, the SQUAREM
-acceptance test and the next step alike.  A step costs two products with
-Psi, and a robust step one with |Psi^H|^2 and the weighted Gram more.
+semidefinite coupling matrix M = Psi^H diag(d) Psi, constant on the torus
+(Sun, Babu & Palomar, IEEE TSP 2017), so the objective never decreases
+from step to step.  A robust run builds y fresh on every fourth of its
+steps (``_REFRESH``), the first included: y weights each element by the
+relaxation bound's image at the iterate, the MaxCut certificate of
+``sdr``, scaled by the dominant eigenvalue of an n_s x n_s weighted Gram
+matrix, which ``_top_eigenvalue`` computes exactly, calling the LAPACK
+gufunc behind ``np.linalg.eigvalsh`` directly.  A weakly coupled element
+takes a long step.  The steps in between scale the last fresh y_ref,
+built for d_ref, by rho = max_m d_m / d_ref_m: M is linear and monotone
+in d >= 0, so M(d) <= rho M(d_ref) <= rho diag(y_ref), and the step
+stays monotone (``_Majorizer``).  Each iterate is evaluated once: the
+effective channel Psi tt, the per-antenna weights and the objective
+computed there serve the convergence test, the SQUAREM acceptance test
+and the next step alike.  A step costs two products with Psi, and a
+fresh robust step one with |Psi^H|^2 and the weighted Gram more.
 
 The optimizer has one loop, over rows (``_ascend_rows``), with two kinds of
 pass: a plain step, or with ``MMSettings.accelerate`` a SQUAREM cycle
@@ -27,27 +32,29 @@ kept, and when it was, its step lay within 0.1 of the plain
 composition's.  ``run_mm`` runs one problem as the loop's one row;
 ``run_stacked_mm`` runs a stack of problems that share a configuration in
 lockstep, each operation once over the stack, the R eigensolves in one
-gufunc call, and each row with its own SQUAREM step length and
-backtracking.  A backtracking round tries every row's candidate at once
-and writes the kept ones in place, by mask.  A row leaves the stack when
-it converges, its place taken by a row from the back, and the last one
-left runs in the layout of a single run.  No operation mixes rows, and
-each rounds row by row as it does on one problem (a stack keeps each
-composite's memory layout), so a row's result does not depend on the
-stack; the stacked unit projection rounds as its one-row form does.  Both
-return each run's last lifted iterate and the objective of each iterate;
-the last is the objective there, and ``txbf.snr_from_psi_tilde`` maps it
-to the SNR of the optimal beam, so no beam is built to score a design.
-The channel argument ``psi`` is the plain n_s x (n_i + 1) composite array
-of ``model.build_composite``, and a stack holds R of them;
-``quantize_phases`` rounds a continuous solution to the 2**bits levels of
-a b-bit phase set.
+gufunc call, and each row with its own SQUAREM step length, backtracking
+and majorizer reference.  A backtracking round tries every row's
+candidate at once and writes the kept ones in place, by mask.  A row
+leaves the stack when it converges, its place taken by a row from the
+back, and the last one left runs in the layout of a single run.  No
+operation mixes rows, and each rounds row by row as it does on one
+problem (a stack keeps each composite's memory layout), so a row's result
+does not depend on the stack; the stacked unit projection rounds as its
+one-row form does.  Both return each run's last lifted iterate and the
+objective of each iterate; the last is the objective there, and
+``txbf.snr_from_psi_tilde`` maps it to the SNR of the optimal beam, so no
+beam is built to score a design.  The channel argument ``psi`` is the
+plain n_s x (n_i + 1) composite array of ``model.build_composite``, and a
+stack holds R of them; ``quantize_phases`` rounds a continuous solution
+to the 2**bits levels of a b-bit phase set.
 
 The loop also ascends, as a single run, a Burer-Monteiro factor V of the
 relaxation X = V V^H (one unit-norm row per element), which ``sdr`` uses:
 the same surrogate coefficient applies with the per-antenna power taken as
 a row norm (tr V^H diag(y) V = sum(y) is constant too), and the unit
-projection normalizes rows.
+projection normalizes rows.  The factor builds its majorizer fresh on
+every step: with scaled ones in between, its ascent, which stops on its
+relative change alone, left the bound's certified gap wider.
 """
 
 from __future__ import annotations
@@ -71,6 +78,9 @@ _LAMBDA_MARGIN = 1e-6
 _BLEND = 0.3
 # Rows of a stack whose weighted Gram is formed at once (``_diagonal_certificate``).
 _ROWS = 8
+# A robust run builds its majorizer fresh on every _REFRESH-th step, the
+# first included, and scales the last fresh one in between (``_Majorizer``).
+_REFRESH = 4
 
 
 @dataclass(frozen=True)
@@ -194,8 +204,14 @@ def _diagonal_certificate(b, bh, u, top, margin, scale=None):
         s = (b * inv[..., None, :]) @ bh
     else:
         s = np.empty((len(b), b.shape[1], bh.shape[2]), np.result_type(b, inv, bh))
+        # the first chunk's scaled copy, in the layout that the product gives
+        # it, holds each later chunk's too, so every chunk rounds alike
+        scaled = b[:_ROWS] * inv[:_ROWS, None, :]
         for k in range(0, len(b), _ROWS):
-            np.matmul(b[k:k + _ROWS] * inv[k:k + _ROWS, None, :], bh[k:k + _ROWS], out=s[k:k + _ROWS])
+            part = scaled[:len(b) - k]
+            if k:
+                np.multiply(b[k:k + _ROWS], inv[k:k + _ROWS, None, :], out=part)
+            np.matmul(part, bh[k:k + _ROWS], out=s[k:k + _ROWS])
     if scale is not None:
         s *= scale[..., :, None]
         s *= scale[..., None, :]
@@ -203,19 +219,105 @@ def _diagonal_certificate(b, bh, u, top, margin, scale=None):
     return (t * u if b.ndim == 2 else t[:, None] * u), s
 
 
-def _surrogate_coefficient(tt0: np.ndarray, v0: np.ndarray, xi: np.ndarray, run: _Run):
+def _fresh_majorizer(z: np.ndarray, d: np.ndarray, xi: np.ndarray, run: _Run, factor: bool):
+    """y = t w, the majorizer built at the iterate, from z = Psi^H (u / xi) (``_surrogate_coefficient``)."""
+    w = np.abs(z) ** 2
+    if factor:
+        w = w.sum(axis=1)
+    w *= 1.0 - _BLEND
+    w += (_BLEND / d.shape[-1]) * np.add.reduce(d, axis=-1, keepdims=True) * _times(
+        run.power, xi**-2.0, run.m.ndim == 3
+    )
+    np.sqrt(w, out=w)
+    return _diagonal_certificate(run.m, run.mh, w, lambda_max_power_iteration, _LAMBDA_MARGIN, np.sqrt(d))[0]
+
+
+class _Majorizer:
+    """A robust run's majorizer state, on a phase vector or a stack: its step count and last fresh majorizer.
+
+    ``y`` holds y_ref and ``d`` the d_ref it was built for, one row per row
+    of a stack, so that diag(y_ref) - Psi^H diag(d_ref) Psi >= 0; ``whole``
+    says whether every d_ref entry is positive.  The step count is the
+    run's own, so a row of a stack keeps the schedule of its single run.
+    """
+
+    def __init__(self):
+        self.steps = 0
+        self.y = self.d = None
+        self.whole = False
+
+    def next(self, z: np.ndarray, d: np.ndarray, xi: np.ndarray, run: _Run) -> np.ndarray:
+        """This step's y: fresh on every ``_REFRESH``-th step, the first included, else rho y_ref.
+
+        rho = max_m d_m / d_ref_m per row.  M = Psi^H diag(d) Psi is linear
+        and monotone in d >= 0, so diag(d) <= rho diag(d_ref) gives
+        M <= rho Psi^H diag(d_ref) Psi <= rho diag(y_ref).  A zero entry of
+        d_ref (or a NaN of d) leaves rho infinite or NaN, and that row's y
+        is built fresh, alone, and kept as its new reference.
+        """
+        fresh = self.steps % _REFRESH == 0
+        self.steps += 1
+        if not fresh:
+            if self.whole:
+                rho = np.maximum.reduce(d / self.d, axis=-1)
+            else:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    rho = np.maximum.reduce(d / self.d, axis=-1)
+            if run.m.ndim == 2:
+                if math.isfinite(rho):
+                    return rho * self.y
+            else:
+                stale = ~np.isfinite(rho)
+                if not stale.any():
+                    return rho[:, None] * self.y
+                if not stale.all():
+                    rho[stale] = 0.0
+                    y = rho[:, None] * self.y
+                    for k in np.flatnonzero(stale).tolist():
+                        # the row in the layout of its single run, which rounds alike
+                        row = _Run(run.m[k], run.mh[k], run.power[k], run.a, run.c)
+                        y[k] = self.y[k] = _fresh_majorizer(z[k], d[k], xi[k], row, False)
+                        self.d[k] = d[k]
+                    self.whole = bool(self.d.min() > 0.0)
+                    return y
+        self.y, self.d, self.whole = _fresh_majorizer(z, d, xi, run, False), d, bool(d.min() > 0.0)
+        return self.y
+
+    def take(self, places: list) -> None:
+        """The state of the rows ``places`` of a stack, the row at each new place (``_keep_rows``)."""
+        if self.y is None:
+            return
+        if len(places) == 1:
+            (k,) = places
+            self.y, self.d = self.y[k], self.d[k]
+            return
+        for j, k in enumerate(places):
+            if j != k:
+                self.y[j], self.d[j] = self.y[k], self.d[k]
+        self.y, self.d = self.y[:len(places)], self.d[:len(places)]
+
+
+def _surrogate_coefficient(tt0: np.ndarray, v0: np.ndarray, xi: np.ndarray, run: _Run, ref=None):
     """Linear coefficient of the minorizer built at ``tt0``: (alpha, d, y).
 
     With u = v0 / xi, ``d`` = |u|^2 per antenna is the diagonal of the
     coupling matrix factor, and ``y`` the diagonal of a majorizer
-    diag(y) - M >= 0 of the coupling matrix M = Psi^H diag(d) Psi.
-    y = t w (``_diagonal_certificate`` of diag(sqrt(d)) Psi) weights each
-    element by the bound's image at the iterate (``sdr._linearize``): with
-    b = diag(sqrt(c) / xi) Psi and m = b tt0, w_i^2 = b_i^H z b_i for
-    z = (1 - beta) m m^H + beta |m|^2 / n_s I, positive on every nonzero
-    column of Psi unless d = 0.  As u - a d v0 = c v0 / xi^2, alpha =
-    Psi^H (u - a d v0) + a y tt0 is b^H m + a y tt0, with w's product.
-    On a stack each gains a leading row axis; one eigensolve gives all t.
+    diag(y) - M >= 0 of the coupling matrix M = Psi^H diag(d) Psi.  A
+    fresh majorizer is y = t w (``_diagonal_certificate`` of
+    diag(sqrt(d)) Psi), which weights each element by the bound's image at
+    the iterate (``sdr._linearize``): with b = diag(sqrt(c) / xi) Psi and
+    m = b tt0, w_i^2 = b_i^H z b_i for z = (1 - beta) m m^H
+    + beta |m|^2 / n_s I, positive on every nonzero column of Psi unless
+    d = 0.  As u - a d v0 = c v0 / xi^2, alpha = Psi^H (u - a d v0)
+    + a y tt0 is b^H m + a y tt0, with w's product.
+
+    Without ``ref`` the call builds y fresh.  With the ``_Majorizer`` of a
+    run (a phase vector, or a stack), the run builds y fresh on every
+    ``_REFRESH``-th of its own steps, the first included, and keeps it as
+    y_ref with its d_ref; the steps in between take y = rho y_ref with
+    rho = max_m d_m / d_ref_m (``_Majorizer.next``), a majorizer of M
+    too, and skip the weights and the eigensolve.  On a stack each gains a
+    leading row axis; one eigensolve gives all t.
     """
     rows = run.m.ndim == 3
     factor = v0.ndim == 2 and not rows
@@ -224,15 +326,10 @@ def _surrogate_coefficient(tt0: np.ndarray, v0: np.ndarray, xi: np.ndarray, run:
     if run.a == 0.0:
         return _times(run.mh, u, rows), np.zeros_like(xi), np.zeros(run.mh.shape[:-1])
     d = np.abs(u) ** 2
-    # b^H m over c, which w^2 over c^2 takes with |m|^2 = c sum(d)
-    alpha = _times(run.mh, u / per(xi), rows)
-    w = np.abs(alpha) ** 2
     if factor:
-        d, w = d.sum(axis=1), w.sum(axis=1)
-    w *= 1.0 - _BLEND
-    w += (_BLEND / d.shape[-1]) * np.add.reduce(d, axis=-1, keepdims=True) * _times(run.power, xi**-2.0, rows)
-    np.sqrt(w, out=w)
-    y = _diagonal_certificate(run.m, run.mh, w, lambda_max_power_iteration, _LAMBDA_MARGIN, np.sqrt(d))[0]
+        d = d.sum(axis=1)
+    alpha = _times(run.mh, u / per(xi), rows)
+    y = _fresh_majorizer(alpha, d, xi, run, factor) if ref is None else ref.next(alpha, d, xi, run)
     alpha *= run.c
     alpha += run.a * per(y) * tt0
     return alpha, d, y
@@ -268,12 +365,13 @@ def _project_unit(vec: np.ndarray, fallback, rows: bool = False) -> np.ndarray:
     return np.where(mags > 0.0, vec / np.where(mags > 0.0, mags, 1.0), fallback)
 
 
-def _step(tt0: np.ndarray, ev, run: _Run) -> np.ndarray:
+def _step(tt0: np.ndarray, ev, run: _Run, ref=None) -> np.ndarray:
     """One minorize-maximize step from ``tt0``, whose evaluation is ``ev``.
 
     On a stack it steps each row.  Zero coefficients keep the old entry.
+    ``ref`` is the run's ``_Majorizer``, or None for a fresh majorizer.
     """
-    alpha = _surrogate_coefficient(tt0, ev[0], ev[1], run)[0]
+    alpha = _surrogate_coefficient(tt0, ev[0], ev[1], run, ref)[0]
     return _project_unit(alpha, tt0, run.m.ndim == 3)
 
 
@@ -324,8 +422,8 @@ def _backtrack(tt, r, v, x2, ev2, run: _Run, alpha: float, tries: int):
     return x2, ev2
 
 
-def _squarem_cycle(tt, ev, run: _Run):
-    """One accelerated cycle from ``tt``, whose evaluation is ``ev``.
+def _squarem_cycle(tt, ev, run: _Run, ref=None):
+    """One accelerated cycle from ``tt``, whose evaluation is ``ev``, and the run's ``ref``.
 
     Takes two MM steps, extrapolates through them with a negative squared
     step length, reprojects onto the torus, and backtracks the step toward
@@ -344,8 +442,8 @@ def _squarem_cycle(tt, ev, run: _Run):
     of ``x2`` and its evaluation in place (``np.copyto``).  The last row
     left trying backtracks in the layout of a single run.
     """
-    x1 = _step(tt, ev, run)
-    x2 = _step(x1, _evaluate(x1, run), run)
+    x1 = _step(tt, ev, run, ref)
+    x2 = _step(x1, _evaluate(x1, run), run, ref)
     ev2 = _evaluate(x2, run)
     r = x1 - tt
     # v = x2 - x1 - r, written over x1, which is not needed past here
@@ -456,9 +554,9 @@ def _swap_rows(m: np.ndarray, order: list, j: int, k: int) -> None:
     order[j], order[k] = order[k], order[j]
 
 
-def _plain_step(tt: np.ndarray, ev, run: _Run):
+def _plain_step(tt: np.ndarray, ev, run: _Run, ref=None):
     """A plain step from ``tt``, whose evaluation is ``ev``: the new iterate and its evaluation."""
-    tt = _step(tt, ev, run)
+    tt = _step(tt, ev, run, ref)
     return tt, _evaluate(tt, run)
 
 
@@ -479,10 +577,13 @@ def _ascend_rows(tt: np.ndarray, run: _Run, settings: MMSettings, order=None):
     (``_run_constants``).  ``tt`` is not changed.  On a stack, as rows
     leave, the loop fills their places of Psi in place with kept matrices
     from the back (``_keep_rows``), and ``order``, which starts as 0, 1,
-    ..., R - 1, tracks the caller's row at each place.
+    ..., R - 1, tracks the caller's row at each place.  A robust run's
+    majorizer state (``_Majorizer``) follows its rows; a factor, the
+    bound's ascent, builds a fresh majorizer on every step.
     """
     advance = _squarem_cycle if settings.accelerate else _plain_step
     stacked = run.m.ndim == 3
+    ref = None if tt.ndim == 2 and not stacked else _Majorizer()
     live = list(range(len(tt) if stacked else 1))
     last, converged = [None] * len(live), [False] * len(live)
     ev = _evaluate(tt, run)
@@ -491,7 +592,7 @@ def _ascend_rows(tt: np.ndarray, run: _Run, settings: MMSettings, order=None):
         tt, ev, run, _ = _keep_rows(tt, ev, run, [0], order)
         stacked = False
     for _ in range(settings.max_iter):
-        tt, ev = advance(tt, ev, run)
+        tt, ev = advance(tt, ev, run, ref)
         done = []
         for k, (r, obj_new) in enumerate(zip(live, ev[2].tolist() if stacked else [ev[2]])):
             obj = objectives[r][-1]
@@ -507,6 +608,8 @@ def _ascend_rows(tt: np.ndarray, run: _Run, settings: MMSettings, order=None):
             if not keep:
                 return last, objectives, converged
             tt, ev, run, places = _keep_rows(tt, ev, run, keep, order)
+            if ref is not None:
+                ref.take(places)
             live = [live[k] for k in places]
             stacked = len(keep) > 1
     for k, r in enumerate(live):

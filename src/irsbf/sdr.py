@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .mm import (
     MMSettings,
@@ -210,7 +210,10 @@ def _certify_phases(tt: np.ndarray, run, tol: float):
     bound = _bound(primal, dual, m)
     if (u > 0.0).all() and bound - primal <= tol * primal:
         return primal, dual, bound, None
-    w, p = np.linalg.eigh(s)
+    # the LAPACK gufunc behind np.linalg.eigh, as in ``_extrapolate``
+    w, p = _umath_linalg.eigh_lo(s, signature="D->dD" if s.dtype.kind == "c" else "d->dd")
+    if np.isnan(w).any():
+        raise LinAlgError("Eigenvalues did not converge")
     escape = w > 1.0
     inv = np.divide(1.0, u, out=np.zeros_like(u), where=u > 0.0)
     return primal, None, None, (bh @ p[:, escape]) * (inv[:, None] * np.sqrt(w[escape] - 1.0))

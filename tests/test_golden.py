@@ -10,7 +10,9 @@ A change that moves these bytes on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-and says why in CHANGES.md.  The comparison itself stays exact.
+and says why in CHANGES.md.  The rewrite prints, for each golden, "new",
+"unchanged" or the cells that moved, so the change can quote them.  The
+comparison itself stays exact.
 """
 
 from __future__ import annotations
@@ -121,12 +123,46 @@ def test_mismatch_report_names_cells_and_largest_change():
     assert "largest relative change: 3.333e-01" in report
 
 
+def rewrite(path: Path, data: bytes) -> str:
+    """Write ``data`` to the golden ``path``, and report what moved.
+
+    The report is "new" for a golden that did not exist, "unchanged" for
+    the same bytes, and otherwise ``describe_mismatch`` of the old and new
+    bytes, which a change that moves them can quote.
+    """
+    old = path.read_bytes() if path.exists() else None
+    path.write_bytes(data)
+    if old is None:
+        return "new"
+    return "unchanged" if old == data else describe_mismatch(old, data)
+
+
 def write_goldens(tmp: Path) -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name in sorted(CASES):
         for suffix, data in run_case(name, tmp).items():
-            (GOLDEN / f"{name}.{suffix}").write_bytes(data)
-            print(f"wrote {name}.{suffix}")
+            print(f"wrote {name}.{suffix}: {rewrite(GOLDEN / f'{name}.{suffix}', data)}")
+
+
+def test_write_reports_each_golden_as_new_unchanged_or_its_moved_cells(tmp_path, monkeypatch, capsys):
+    golden = tmp_path / "golden"
+    outputs = {"a": {"stdout": b"x,1.0\n", "csv": b"n,2\n"}, "b": {"stdout": b"y\n"}}
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", golden)
+    monkeypatch.setattr(sys.modules[__name__], "CASES", dict.fromkeys(outputs))
+    monkeypatch.setattr(sys.modules[__name__], "run_case", lambda name, tmp: outputs[name])
+    write_goldens(tmp_path)
+    assert capsys.readouterr().out.splitlines() == [
+        "wrote a.stdout: new", "wrote a.csv: new", "wrote b.stdout: new"
+    ]
+    outputs["a"]["stdout"] = b"x,1.5\n"
+    write_goldens(tmp_path)
+    assert capsys.readouterr().out.splitlines() == [
+        "wrote a.stdout: line 1 cell 2: 1.0 -> 1.5 (rel 3.333e-01)",
+        "largest relative change: 3.333e-01",
+        "wrote a.csv: unchanged",
+        "wrote b.stdout: unchanged",
+    ]
+    assert (golden / "a.stdout").read_bytes() == b"x,1.5\n"
 
 
 if __name__ == "__main__":

@@ -420,12 +420,16 @@ class TestLeanKernelsMatchTheirOracles:
 
 
 def plain_loop_oracle(tt, psi, cfg, settings):
-    """Oracle: the plain loop on one problem, composed of ``_step`` and ``_evaluate``."""
+    """Oracle: the plain loop on one problem, composed of ``_step`` and ``_evaluate``.
+
+    The steps share one majorizer state, as a run's steps do.
+    """
     run = _run_constants(psi, cfg)
     ev = _evaluate(tt, run)
     objectives = [ev[2]]
+    ref = mm_mod._Majorizer()
     for _ in range(settings.max_iter):
-        tt = _step(tt, ev, run)
+        tt = _step(tt, ev, run, ref)
         ev = _evaluate(tt, run)
         objectives.append(ev[2])
         if abs(objectives[-1] - objectives[-2]) / max(1.0, abs(objectives[-2])) < settings.epsilon:
@@ -496,7 +500,10 @@ class TestStackedPlainLoop:
             # a = 0: the coupling term vanishes, and no eigensolve runs
             assert calls == []
         else:
-            assert len(calls) == max(res.iterations for res in results)
+            # one eigensolve over the stack per fresh step, every
+            # _REFRESH-th step of the run, the first included
+            steps = max(res.iterations for res in results)
+            assert len(calls) == -(-steps // mm_mod._REFRESH)
             assert calls[0] == (6, 4, 4)
 
     @pytest.mark.parametrize("kappa", [0.0, 0.1])
@@ -531,15 +538,17 @@ def squarem_loop_oracle(tt, psi, cfg, settings, cap=None):
     """Oracle: the accelerated loop on one problem, and the candidates each cycle tried.
 
     Composed of ``_step``, ``_evaluate`` and ``_project_unit``, as the
-    single-run loop was written before it gained a row axis.  A cycle tries
-    at most ``cap`` candidates, the library's cap by default.
+    single-run loop was written before it gained a row axis; the steps
+    share one majorizer state, as a run's steps do.  A cycle tries at most
+    ``cap`` candidates, the library's cap by default.
     """
     run = _run_constants(psi, cfg)
     ev = _evaluate(tt, run)
     objectives, tries = [ev[2]], []
+    ref = mm_mod._Majorizer()
     for _ in range(settings.max_iter):
-        x1 = _step(tt, ev, run)
-        x2 = _step(x1, _evaluate(x1, run), run)
+        x1 = _step(tt, ev, run, ref)
+        x2 = _step(x1, _evaluate(x1, run), run, ref)
         ev2 = _evaluate(x2, run)
         r = x1 - tt
         v = x2 - x1 - r
@@ -941,6 +950,111 @@ class TestDiagonalCertificate:
                 y_k, s_k = certificate(b[k], u[k], None if sc is None else sc[k])
                 np.testing.assert_array_equal(y[k], y_k)
                 np.testing.assert_array_equal(s[k], s_k)
+
+
+def scaled_coefficient_oracle(tt0, v0, xi, run, y_ref, d_ref):
+    """Oracle: the coefficient of a step between refreshes, with y = rho y_ref written out."""
+    u = v0 / xi
+    d = row_power(u)
+    y = np.max(d / d_ref) * y_ref
+    return run.c * (run.mh @ (u / xi)) + run.a * y * tt0, d, y
+
+
+def robust_stack(seed, n_rows, n_i, kappa):
+    """The sweeps' operating point at ``n_i`` and ``kappa``: its configuration, drawn composites and inits."""
+    cfg, geo = table_defaults()
+    for name, value in (("n_i", n_i), ("kappa", kappa)):
+        cfg, geo = with_setting(cfg, geo, name, value)
+    psis, inits = _draw(cfg, geo, tuple(child_seed(seed, n_i, r) for r in range(n_rows)))
+    return cfg, psis, inits
+
+
+def assert_rows_are_their_own_runs(inits, psis, cfg, settings):
+    results = run_stacked_mm(inits, psis, cfg, settings)
+    for init, psi, res in zip(inits, psis, results):
+        alone = run_mm(init, psi, cfg, settings)
+        assert (alone.objectives, alone.iterations, alone.converged) == (
+            res.objectives, res.iterations, res.converged
+        )
+        assert alone.lifted.tobytes() == res.lifted.tobytes()
+    return results
+
+
+class TestMajorizerRefresh:
+    """A robust run builds its majorizer fresh every ``_REFRESH``-th step and scales it in between."""
+
+    @pytest.mark.parametrize("n_i, n_s", [(0, 1), (8, 4), (50, 4)])
+    def test_steps_between_refreshes_scale_the_last_fresh_majorizer(self, rng, n_i, n_s):
+        cfg, psi = random_problem(rng, n_i=n_i, n_s=n_s)
+        run = _run_constants(psi, cfg)
+        tt, ref = random_lifted_init(rng, n_i), mm_mod._Majorizer()
+        for k in range(3 * mm_mod._REFRESH + 1):
+            ev = _evaluate(tt, run)
+            got = _surrogate_coefficient(tt, ev[0], ev[1], run, ref)
+            if k % mm_mod._REFRESH == 0:
+                want = surrogate_coefficient_oracle(tt, ev[0], ev[1], run)
+                y_ref, d_ref = want[2], want[1]
+            else:
+                want = scaled_coefficient_oracle(tt, ev[0], ev[1], run, y_ref, d_ref)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+            assert ref.steps == k + 1
+            tt = _project_unit(got[0], tt)
+        # a call without the state stays a fresh step
+        ev = _evaluate(tt, run)
+        for g, w in zip(_surrogate_coefficient(tt, ev[0], ev[1], run),
+                        surrogate_coefficient_oracle(tt, ev[0], ev[1], run)):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("settings, seed", [(ACCEL, 5), (PLAIN, 1)], ids=["squarem", "plain"])
+    def test_rows_that_leave_between_refreshes(self, settings, seed):
+        cfg, psis, inits = robust_stack(seed, 12, 50, 0.07)
+        results = assert_rows_are_their_own_runs(inits, psis, cfg, settings)
+        steps = sorted(res.iterations * (2 if settings.accelerate else 1) for res in results)
+        # rows left the stack between refreshes, and so did the last row's
+        # partner, which handed the last row its reference alone
+        assert sum(n % mm_mod._REFRESH > 0 for n in steps) >= 3
+        assert steps[-2] < steps[-1] and steps[-2] % mm_mod._REFRESH > 0
+
+    @pytest.mark.parametrize("stale", [[1], [0, 1, 2, 3, 4]], ids=["one-row", "every-row"])
+    @pytest.mark.parametrize("settings", [ACCEL, PLAIN], ids=["squarem", "plain"])
+    def test_a_row_whose_reference_has_a_zero_goes_fresh_alone(self, monkeypatch, settings, stale):
+        cfg, psis, inits = robust_stack(2, 5, 8, 0.07)
+        psis[stale, 2, :] = 0.0  # one antenna unreached: d_ref has a zero entry after every refresh
+        calls = []
+        original = mm_mod.lambda_max_power_iteration
+
+        def counting(omega):
+            calls.append(omega.shape)
+            return original(omega)
+
+        monkeypatch.setattr(mm_mod, "lambda_max_power_iteration", counting)
+        results = run_stacked_mm(inits, psis, cfg, settings)
+        monkeypatch.undo()
+        steps = [res.iterations * (2 if settings.accelerate else 1) for res in results]
+        # per step, one eigensolve over the rows left on a refresh or when
+        # every row left goes fresh, and else one per such row alone
+        expected = []
+        for k in range(max(steps)):
+            live = [r for r, n in enumerate(steps) if n > k]
+            fresh = [r for r in live if r in stale]
+            if k % mm_mod._REFRESH == 0 or fresh == live:
+                expected.append((len(live), 4, 4) if len(live) > 1 else (4, 4))
+            else:
+                expected += [(4, 4)] * len(fresh)
+        assert calls == expected
+        assert sorted(steps)[-2] > mm_mod._REFRESH
+        assert_rows_are_their_own_runs(inits, psis, cfg, settings)
+
+    @pytest.mark.parametrize("kappa", [0.01, 0.07, 0.3])
+    @pytest.mark.parametrize("n_i", [1, 8, 50, 200])
+    def test_robust_runs_never_lower_their_objective(self, n_i, kappa):
+        cfg, psis, inits = robust_stack(3, 3, n_i, kappa)
+        assert cfg.objective_coeffs[0] > 0.0
+        for settings in (MMSettings(max_iter=400), MMSettings(max_iter=400, accelerate=False)):
+            for res in assert_rows_are_their_own_runs(inits, psis, cfg, settings):
+                objs = np.asarray(res.objectives)
+                assert np.all(objs[1:] >= objs[:-1] - 1e-12 * np.abs(objs[:-1]))
 
 
 class TestSurrogate:

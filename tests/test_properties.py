@@ -8,6 +8,7 @@ the objective is linear in the received powers), extreme power and a zero
 direct link.  Runs are derandomized so the suite is reproducible.
 """
 
+from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from irsbf.mm import (
     _LAMBDA_MARGIN,
     MMSettings,
+    _Majorizer,
     _evaluate,
     _run_constants,
     _step,
@@ -190,6 +192,35 @@ def test_majorizer_dominates_the_coupling_in_every_layout_at_the_edges(edge, sig
             assert np.all(y[live] > 0.0)
         else:
             np.testing.assert_array_equal(y, 0.0)
+
+
+@PROPERTY_SETTINGS
+@given(problem=problems)
+@with_edges
+def test_a_scaled_majorizer_dominates_the_coupling_at_any_later_point(problem):
+    # y_ref is built fresh at tt0; for any d >= 0, d <= rho d_ref entrywise
+    # with rho = max d / d_ref, so diag(rho y_ref) - Psi^H diag(d) Psi is
+    # PSD.  A step between refreshes takes that y at a later iterate, or a
+    # fresh one where d_ref has a zero entry
+    cfg, psi, rng = make_problem(**problem)
+    run = _run_constants(psi, cfg)
+    tt0 = random_lifted_init(rng, cfg.n_i)
+    # a run's state after its first step, which is fresh
+    first = _Majorizer()
+    _, d_ref, y_ref = _surrogate_coefficient(tt0, *_evaluate(tt0, run)[:2], run, first)
+
+    def dominates(d, y):
+        coupling = psi.conj().T @ (d[:, None] * psi)
+        return np.linalg.eigvalsh(np.diag(y) - coupling)[0] >= -1e-9 * np.max(y, initial=0.0)
+
+    for _ in range(20):
+        tt = random_lifted_init(rng, cfg.n_i)
+        _, d, y = _surrogate_coefficient(tt, *_evaluate(tt, run)[:2], run, deepcopy(first))
+        assert dominates(d, y)
+        if cfg.objective_coeffs[0] > 0.0 and d_ref.min() > 0.0:
+            np.testing.assert_array_equal(y, np.max(d / d_ref) * y_ref)
+            anywhere = d_ref * rng.uniform(0.0, 3.0, d_ref.shape)
+            assert dominates(anywhere, np.max(anywhere / d_ref) * y_ref)
 
 
 @pytest.mark.parametrize("edge", EDGES)

@@ -289,6 +289,43 @@ class TestCertifyFirst:
         assert fallbacks <= 6
 
 
+class TestCertifyPhases:
+    """The escape directions of ``_certify_phases``, from the LAPACK gufunc behind ``np.linalg.eigh``."""
+
+    @pytest.mark.parametrize("n_i, n_s", [(1, 1), (6, 3), (40, 4)])
+    def test_directions_are_bitwise_those_of_the_eigh_wrapper(self, rng, n_i, n_s):
+        for _ in range(5):
+            cfg, psi = small_problem(rng, n_i=n_i, n_s=n_s)
+            run = _run_constants(psi, cfg)
+            tt = random_lifted_init(rng, n_i)
+            # tol 0 leaves no certified gap small enough, so the eigenpairs are taken
+            primal, dual, bound, directions = sdr_mod._certify_phases(tt, run, 0.0)
+            assert dual is None and bound is None
+            _, b = sdr_mod._linearize(tt, run)
+            bh = b.conj().T
+            u = np.abs(bh @ (b @ tt))
+            _, s = sdr_mod._diagonal_certificate(b, bh, u, sdr_mod._top_eigenvalue, _T_MARGIN)
+            w, p = np.linalg.eigh(s)
+            escape = w > 1.0
+            inv = np.divide(1.0, u, out=np.zeros_like(u), where=u > 0.0)
+            want = (bh @ p[:, escape]) * (inv[:, None] * np.sqrt(w[escape] - 1.0))
+            assert directions.tobytes() == want.tobytes()
+
+    def test_a_nan_eigenvalue_raises(self, rng, monkeypatch):
+        cfg, psi = small_problem(rng, n_i=6, n_s=3)
+        run = _run_constants(psi, cfg)
+        certificate = sdr_mod._diagonal_certificate
+
+        def nan_gram(*args):
+            y, s = certificate(*args)
+            return y, np.full_like(s, np.nan)
+
+        monkeypatch.setattr(sdr_mod, "_diagonal_certificate", nan_gram)
+        # numpy's default error state also warns of the failed solve
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            sdr_mod._certify_phases(random_lifted_init(rng, 6), run, 0.0)
+
+
 class TestSolveSdr:
     def test_matches_2x2_grid_oracle(self, rng):
         for seed in range(5):
