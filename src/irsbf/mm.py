@@ -36,17 +36,19 @@ gufunc call, and each row with its own SQUAREM step length, backtracking
 and majorizer reference.  A backtracking round tries every row's
 candidate at once and writes the kept ones in place, by mask.  A row
 leaves the stack when it converges, its place taken by a row from the
-back, and the last one left runs in the layout of a single run.  No
-operation mixes rows, and each rounds row by row as it does on one
-problem (a stack keeps each composite's memory layout), so a row's result
-does not depend on the stack; the stacked unit projection rounds as its
-one-row form does.  Both return each run's last lifted iterate and the
-objective of each iterate; the last is the objective there, and
-``txbf.snr_from_psi_tilde`` maps it to the SNR of the optimal beam, so no
-beam is built to score a design.  The channel argument ``psi`` is the
-plain n_s x (n_i + 1) composite array of ``model.build_composite``, and a
-stack holds R of them; ``quantize_phases`` rounds a continuous solution
-to the 2**bits levels of a b-bit phase set.
+back with its iterate, evaluation and majorizer reference (``_keep_rows``,
+the one place where rows move), and the last one left runs in the layout
+of a single run.  No operation mixes rows, and each rounds row by row as
+it does on one problem (a stack keeps each composite's memory layout),
+so a row's result does not depend on the stack; the stacked unit
+projection rounds as its one-row form does.  Both return each run's last
+lifted iterate and the objective of each iterate; the last is the
+objective there, and ``txbf.snr_from_psi_tilde`` maps it to the SNR of
+the optimal beam, so no beam is built to score a design.  The channel
+argument ``psi`` is the plain n_s x (n_i + 1) composite array of
+``model.build_composite``, and a stack holds R of them;
+``quantize_phases`` rounds a continuous solution to the 2**bits levels of
+a b-bit phase set.
 
 The loop also ascends, as a single run, a Burer-Monteiro factor V of the
 relaxation X = V V^H (one unit-norm row per element), which ``sdr`` uses:
@@ -237,8 +239,9 @@ class _Majorizer:
 
     ``y`` holds y_ref and ``d`` the d_ref it was built for, one row per row
     of a stack, so that diag(y_ref) - Psi^H diag(d_ref) Psi >= 0; ``whole``
-    says whether every d_ref entry is positive.  The step count is the
-    run's own, so a row of a stack keeps the schedule of its single run.
+    says whether every d_ref entry is positive.  The rows move with the
+    stack's in ``_keep_rows``.  The step count is the run's own, so a row
+    of a stack keeps the schedule of its single run.
     """
 
     def __init__(self):
@@ -253,7 +256,8 @@ class _Majorizer:
         and monotone in d >= 0, so diag(d) <= rho diag(d_ref) gives
         M <= rho Psi^H diag(d_ref) Psi <= rho diag(y_ref).  A zero entry of
         d_ref (or a NaN of d) leaves rho infinite or NaN, and that row's y
-        is built fresh, alone, and kept as its new reference.
+        is built fresh and kept as its new reference: on a stack, copied by
+        mask from one build over the rows, each row bit for bit its own.
         """
         fresh = self.steps % _REFRESH == 0
         self.steps += 1
@@ -271,30 +275,13 @@ class _Majorizer:
                 if not stale.any():
                     return rho[:, None] * self.y
                 if not stale.all():
-                    rho[stale] = 0.0
-                    y = rho[:, None] * self.y
-                    for k in np.flatnonzero(stale).tolist():
-                        # the row in the layout of its single run, which rounds alike
-                        row = _Run(run.m[k], run.mh[k], run.power[k], run.a, run.c)
-                        y[k] = self.y[k] = _fresh_majorizer(z[k], d[k], xi[k], row, False)
-                        self.d[k] = d[k]
+                    np.copyto(self.y, _fresh_majorizer(z, d, xi, run, False), where=stale[:, None])
+                    np.copyto(self.d, d, where=stale[:, None])
+                    rho[stale] = 1.0
                     self.whole = bool(self.d.min() > 0.0)
-                    return y
+                    return rho[:, None] * self.y
         self.y, self.d, self.whole = _fresh_majorizer(z, d, xi, run, False), d, bool(d.min() > 0.0)
         return self.y
-
-    def take(self, places: list) -> None:
-        """The state of the rows ``places`` of a stack, the row at each new place (``_keep_rows``)."""
-        if self.y is None:
-            return
-        if len(places) == 1:
-            (k,) = places
-            self.y, self.d = self.y[k], self.d[k]
-            return
-        for j, k in enumerate(places):
-            if j != k:
-                self.y[j], self.d[j] = self.y[k], self.d[k]
-        self.y, self.d = self.y[:len(places)], self.d[:len(places)]
 
 
 def _surrogate_coefficient(tt0: np.ndarray, v0: np.ndarray, xi: np.ndarray, run: _Run, ref=None):
@@ -463,11 +450,7 @@ def _squarem_cycle(tt, ev, run: _Run, ref=None):
         trying = going.count(True)
         if trying == 1:
             k = going.index(True)
-            row_ev = (ev2[0][k], ev2[1][k], float(ev2[2][k]))
-            row_run = _Run(run.m[k], None, None, run.a, run.c)
-            x2[k], ev_k = _backtrack(
-                tt[k], r[k], v[k], x2[k], row_ev, row_run, steps[k], _BACKTRACKS - tried
-            )
+            x2[k], ev_k = _backtrack(tt[k], r[k], v[k], x2[k], *_row(ev2, run, k), steps[k], _BACKTRACKS - tried)
             for whole, part in zip(ev2, ev_k):
                 whole[k] = part
             break
@@ -515,23 +498,32 @@ def random_lifted_init(rng: np.random.Generator, n_i: int) -> np.ndarray:
     return _project_unit(z, 1.0 + 0.0j)
 
 
-def _keep_rows(tt: np.ndarray, ev, run: _Run, keep: list, order: list):
+def _row(ev, run: _Run, k: int):
+    """Row ``k`` of a stack's evaluation ``ev`` and constants ``run``, in the layout of a single run."""
+    return (ev[0][k], ev[1][k], float(ev[2][k])), _Run(run.m[k], run.mh[k], run.power[k], run.a, run.c)
+
+
+def _keep_rows(tt: np.ndarray, ev, run: _Run, keep: list, order: list, ref: _Majorizer):
     """The loop state (iterate, evaluation, constants) of rows ``keep`` of a stack, and their places.
 
     Returns the state and the list of the stack's rows at the new state's
-    places.  A single row leaves the stack for the layout of a single run,
-    whose arithmetic is the same with less dispatch.  Otherwise each place
-    below ``len(keep)`` whose row departed takes, in place, a kept row from
-    the back of the stack, so that a compaction moves no more rows than
-    departed and copies nothing: Psi by swaps, recorded in ``order`` (the
-    caller's row at each place of Psi), since Psi is the caller's array;
-    the loop's own arrays (Psi^H, |Psi^H|^2, the iterate and its
-    evaluation) by overwriting.
+    places; the rows of the run's majorizer state ``ref`` move with it, in
+    place.  This is the one place where a stack's rows move.  A single row
+    leaves the stack for the layout of a single run, whose arithmetic is
+    the same with less dispatch.  Otherwise each place below ``len(keep)``
+    whose row departed takes, in place, a kept row from the back of the
+    stack, so that a compaction moves no more rows than departed and copies
+    nothing: Psi by swaps, recorded in ``order`` (the caller's row at each
+    place of Psi), since Psi is the caller's array; the loop's own arrays
+    (Psi^H, |Psi^H|^2, the iterate, its evaluation and y_ref, d_ref) by
+    overwriting.
     """
+    held = () if ref.y is None else (ref.y, ref.d)
     if len(keep) == 1:
         (k,) = keep
-        row_run = _Run(run.m[k], run.mh[k], run.power[k], run.a, run.c)
-        return tt[k], (ev[0][k], ev[1][k], float(ev[2][k])), row_run, keep
+        if held:
+            ref.y, ref.d = ref.y[k], ref.d[k]
+        return (tt[k], *_row(ev, run, k), keep)
     n = len(keep)
     places = list(range(n))
     holes = sorted(set(places).difference(keep))
@@ -539,9 +531,11 @@ def _keep_rows(tt: np.ndarray, ev, run: _Run, keep: list, order: list):
     # keep is ascending, so its last len(holes) rows lie behind place n
     for j, k in zip(holes, reversed(keep[n - len(holes):])):
         _swap_rows(run.m, order, j, k)
-        for x in (mc, run.power, tt, *ev):
+        for x in (mc, run.power, tt, *ev, *held):
             x[j] = x[k]
         places[j] = k
+    if held:
+        ref.y, ref.d = ref.y[:n], ref.d[:n]
     row_run = _Run(run.m[:n], np.swapaxes(mc[:n], 1, 2), run.power[:n], run.a, run.c)
     return tt[:n], tuple(x[:n] for x in ev), row_run, places
 
@@ -567,7 +561,8 @@ def _ascend_rows(tt: np.ndarray, run: _Run, settings: MMSettings, order=None):
     step.  Row r of ``tt`` runs on row r of ``run``, and the rows pass in
     lockstep, each operation running once over the stack.  A row leaves
     the stack when its relative change falls below ``settings.epsilon``,
-    and the last one left runs on as a single run.  Returns per row the
+    and the last one left runs on as a single run (a stack of one row
+    stays stacked; ``sim._run_rows`` makes none).  Returns per row the
     last iterate, the objective after each pass (the start first) and
     whether the row converged within ``settings.max_iter`` passes.  Each
     iterate is evaluated once; that evaluation serves the convergence
@@ -578,8 +573,8 @@ def _ascend_rows(tt: np.ndarray, run: _Run, settings: MMSettings, order=None):
     leave, the loop fills their places of Psi in place with kept matrices
     from the back (``_keep_rows``), and ``order``, which starts as 0, 1,
     ..., R - 1, tracks the caller's row at each place.  A robust run's
-    majorizer state (``_Majorizer``) follows its rows; a factor, the
-    bound's ascent, builds a fresh majorizer on every step.
+    majorizer state (``_Majorizer``) moves with its rows there; a factor,
+    the bound's ascent, builds a fresh majorizer on every step.
     """
     advance = _squarem_cycle if settings.accelerate else _plain_step
     stacked = run.m.ndim == 3
@@ -588,9 +583,6 @@ def _ascend_rows(tt: np.ndarray, run: _Run, settings: MMSettings, order=None):
     last, converged = [None] * len(live), [False] * len(live)
     ev = _evaluate(tt, run)
     objectives = [[obj] for obj in (ev[2].tolist() if stacked else [ev[2]])]
-    if stacked and len(live) == 1:
-        tt, ev, run, _ = _keep_rows(tt, ev, run, [0], order)
-        stacked = False
     for _ in range(settings.max_iter):
         tt, ev = advance(tt, ev, run, ref)
         done = []
@@ -607,9 +599,7 @@ def _ascend_rows(tt: np.ndarray, run: _Run, settings: MMSettings, order=None):
             keep = [k for k in range(len(live)) if k not in done]
             if not keep:
                 return last, objectives, converged
-            tt, ev, run, places = _keep_rows(tt, ev, run, keep, order)
-            if ref is not None:
-                ref.take(places)
+            tt, ev, run, places = _keep_rows(tt, ev, run, keep, order, ref)
             live = [live[k] for k in places]
             stacked = len(keep) > 1
     for k, r in enumerate(live):
@@ -626,20 +616,14 @@ def run_stacked_mm(
     """MM on a stack of problems in lockstep, one ``MMResult`` per row.
 
     Row r starts at ``inits[r]`` (R x (n_i + 1)) on the composite
-    ``psis[r]`` (R x n_s x (n_i + 1)), each an array or a sequence of
-    rows; every row shares ``cfg`` and ``settings``, plain steps or
-    SQUAREM cycles alike.  A row stops as ``run_mm`` does, and its result
-    is bit for bit what ``run_mm`` returns for it.  An array ``psis`` is
-    used in place, not copied, and holds the same bytes in the same order
-    when this returns.
+    ``psis[r]`` of the array ``psis`` (R x n_s x (n_i + 1)); every row
+    shares ``cfg`` and ``settings``, plain steps or SQUAREM cycles alike.
+    A row stops as ``run_mm`` does, and its result is bit for bit what
+    ``run_mm`` returns for it.  ``psis`` is used in place, not copied, and
+    holds the same bytes in the same order when this returns.
     """
     inits = np.asarray(inits, dtype=complex)
     check_unit_modulus(inits)
-    if not isinstance(psis, np.ndarray):
-        # np.stack keeps each matrix's memory layout, and with it the
-        # rounding of its products (the draws are Fortran-ordered, and
-        # np.array of a list of them would be C-ordered)
-        psis = np.stack(psis)
     order = list(range(len(psis)))
     try:
         last, objectives, converged = _ascend_rows(inits, _run_constants(psis, cfg), settings, order)

@@ -179,6 +179,6 @@ def reflect_phases(theta_tilde: np.ndarray) -> np.ndarray:
 def check_unit_modulus(vec: np.ndarray, tol: float = UNIT_MODULUS_TOL) -> np.ndarray:
     vec = np.asarray(vec, dtype=complex).ravel()
     err = np.max(np.abs(np.abs(vec) - 1.0)) if vec.size else 0.0
-    if err > tol:
+    if not err <= tol:  # a NaN entry fails too
         raise ConfigError(f"entries deviate from unit modulus by {err:.3e}")
     return vec

@@ -524,6 +524,15 @@ class TestStackedPlainLoop:
         assert [res.converged for res in results] == [False, True, False, False]
         assert [res.iterations for res in results] == [4, 1, 4, 4]
 
+    @pytest.mark.parametrize("kappa", [0.0, 0.1])
+    def test_nan_init_raises_a_config_error(self, rng, kappa):
+        cfg, psis, inits = stacked_problems(rng, 3, kappa_s=kappa, kappa_d=kappa)
+        inits[1, 0] = np.nan
+        with pytest.raises(ConfigError, match="unit modulus"):
+            run_stacked_mm(inits, psis, cfg, PLAIN)
+        with pytest.raises(ConfigError, match="unit modulus"):
+            run_mm(inits[1], psis[1], cfg, PLAIN)
+
     def test_nan_channel_raises(self, rng):
         cfg, psis, inits = stacked_problems(rng, 3)
         psis[1, 0, 0] = np.nan
@@ -763,9 +772,9 @@ class TestRowCompaction:
             swaps.append((j, k))
             swap_rows(m, order, j, k)
 
-        def recording_keep(tt, ev, run, keep, order):
+        def recording_keep(tt, ev, run, keep, order, ref):
             start = len(swaps)
-            state = keep_rows(tt, ev, run, keep, order)
+            state = keep_rows(tt, ev, run, keep, order, ref)
             passes.append((len(tt), list(keep), len(swaps) - start))
             return state
 
@@ -1033,18 +1042,39 @@ class TestMajorizerRefresh:
         monkeypatch.undo()
         steps = [res.iterations * (2 if settings.accelerate else 1) for res in results]
         # per step, one eigensolve over the rows left on a refresh or when
-        # every row left goes fresh, and else one per such row alone
+        # any row left goes fresh, whose build is copied into such rows alone
         expected = []
         for k in range(max(steps)):
             live = [r for r, n in enumerate(steps) if n > k]
-            fresh = [r for r in live if r in stale]
-            if k % mm_mod._REFRESH == 0 or fresh == live:
+            if k % mm_mod._REFRESH == 0 or any(r in stale for r in live):
                 expected.append((len(live), 4, 4) if len(live) > 1 else (4, 4))
-            else:
-                expected += [(4, 4)] * len(fresh)
         assert calls == expected
         assert sorted(steps)[-2] > mm_mod._REFRESH
         assert_rows_are_their_own_runs(inits, psis, cfg, settings)
+
+    @pytest.mark.parametrize("settings", [ACCEL, PLAIN], ids=["squarem", "plain"])
+    def test_a_row_whose_ratio_is_infinite_goes_fresh(self, rng, monkeypatch, settings):
+        cfg, psis, inits = stacked_problems(rng, 3, n_i=1, n_s=2)
+        # (Psi tt)_0 of the middle row is exactly 0 at its start and nonzero
+        # after, so d_ref_0 = 0 < d_0 at the next step: rho is infinite
+        psis[1, 0] = [1.0, -1.0]
+        inits[1] = [1.0, 1.0]
+        infinite, original = [], mm_mod._Majorizer.next
+
+        def spying(ref, z, d, xi, run):
+            if ref.steps % mm_mod._REFRESH:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    infinite.append(int(np.count_nonzero(np.isposinf(np.max(d / ref.d, axis=-1)))))
+            return original(ref, z, d, xi, run)
+
+        monkeypatch.setattr(mm_mod._Majorizer, "next", spying)
+        results = run_stacked_mm(inits, psis, cfg, settings)
+        assert sum(infinite) == 1
+        monkeypatch.undo()
+        assert_rows_are_their_own_runs(inits, psis, cfg, settings)
+        for res in results:
+            objs = np.asarray(res.objectives)
+            assert np.all(objs[1:] >= objs[:-1] - 1e-12 * np.abs(objs[:-1]))
 
     @pytest.mark.parametrize("kappa", [0.01, 0.07, 0.3])
     @pytest.mark.parametrize("n_i", [1, 8, 50, 200])

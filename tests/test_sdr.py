@@ -12,7 +12,7 @@ from irsbf.mm import (
     random_lifted_init,
     run_mm,
 )
-from irsbf.model import SystemConfig, lift_reflect
+from irsbf.model import ConfigError, SystemConfig, lift_reflect
 from irsbf.sdr import (
     _DUAL_BLEND,
     _DUAL_MAX_MAPS,
@@ -334,6 +334,13 @@ class TestSolveSdr:
             oracle = elliptope_grid_max(psi, cfg)
             ub = solve_sdr(psi, cfg, tol=1e-9, max_iter=2000)
             assert ub.bound_psi_tilde == pytest.approx(oracle, rel=1e-3)
+
+    def test_nan_init_raises_a_config_error(self, rng):
+        cfg, psi = small_problem(rng, n_i=3)
+        init = np.ones(4, dtype=complex)
+        init[1] = np.nan
+        with pytest.raises(ConfigError, match="unit modulus"):
+            solve_sdr(psi, cfg, init=init)
 
     def test_dominates_mm_with_warm_start(self, rng):
         for seed in range(20):
