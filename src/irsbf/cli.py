@@ -8,8 +8,8 @@ this module formats them: every command that prints rows (the sweeps,
 ``iteration-study``, ``bound-check``) goes through one writer, ``_table``,
 which streams the ``--out`` CSV and prints the same cells as a table, or
 the rows as JSON objects keyed by the CSV header.  Each command checks
-its sizes and settings before ``_table`` opens ``--out``, so a rejected
-command leaves no file.
+its grid, counts, seed and settings before ``_table`` opens ``--out``, so
+a rejected command leaves no file.
 """
 
 from __future__ import annotations
@@ -28,20 +28,20 @@ import numpy as np
 from .channels import Geometry, sample_los, sample_rayleigh
 from .los import solve_los
 from .mm import MMSettings, random_lifted_init, run_mm
-from .model import ChannelSet, DegenerateChannelError, SystemConfig, build_composite
+from .model import ChannelSet, ConfigError, DegenerateChannelError, SystemConfig, build_composite
 from .sim import (
     IterationStudyRow,
     SimResult,
     SweepFailedError,
     SweepSpec,
-    check_counts,
+    check_run,
     child_seed,
     load_setup,
     pow2db,
     run_bound_check,
     run_iteration_study,
     run_sweep,
-    study_points,
+    sweep_points,
     table_defaults,
     with_setting,
 )
@@ -182,7 +182,8 @@ def _run_sweep_command(args, cfg: SystemConfig, geo: Geometry) -> int:
         bound=not args.no_bound,
         epsilon=args.epsilon,
     )
-    check_counts(args.channels, args.workers)
+    sweep_points(spec.variable, spec.values, cfg, geo)
+    check_run(args.channels, args.workers)
 
     def rows(res: SimResult) -> list:
         return [
@@ -199,8 +200,9 @@ def _run_sweep_command(args, cfg: SystemConfig, geo: Geometry) -> int:
 def _run_iteration_study(args, cfg: SystemConfig, geo: Geometry) -> int:
     header = [f.name for f in fields(IterationStudyRow)]
     values = _parse_values(args.values)
-    study_points(values, cfg, geo, args.epsilon)
-    check_counts(args.channels, args.workers)
+    MMSettings(epsilon=args.epsilon)
+    sweep_points("n_i", values, cfg, geo)
+    check_run(args.channels, args.workers)
     with _table(args, header, "iteration_study") as add:
         run_iteration_study(
             values, cfg, geo, seed=args.seed, n_channels=args.channels,
@@ -212,6 +214,8 @@ def _run_iteration_study(args, cfg: SystemConfig, geo: Geometry) -> int:
 def _run_los_demo(args, cfg: SystemConfig, geo: Geometry) -> int:
     if args.n_i is not None:
         cfg, geo = with_setting(cfg, geo, "n_i", args.n_i)
+    if cfg.n_i < 1:
+        raise ConfigError(f"los-demo needs n_i >= 1, got {cfg.n_i}")
     rng = np.random.default_rng(child_seed(args.seed, 0xD0E0))
     los = sample_los(rng, cfg.n_s, cfg.n_i, gain=1e-6)
     sigma_id2 = 1e-4
@@ -245,7 +249,7 @@ def _run_bound_check(args, cfg: SystemConfig, geo: Geometry) -> int:
     gaps = []
     certified_gaps = []
     violations = 0
-    check_counts(args.channels)
+    check_run(args.channels)
     with _table(args, header) as add:
         for r, design in enumerate(run_bound_check(cfg, geo, args.channels, args.seed)):
             if isinstance(design, DegenerateChannelError):

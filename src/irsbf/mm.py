@@ -371,11 +371,11 @@ def _step(tt0: np.ndarray, ev, run: _Run, ref=None) -> np.ndarray:
 _BACKTRACKS = 3
 
 
-def _step_length(r: np.ndarray, v: np.ndarray):
-    """SQUAREM's step length -|r| / |v|, or None when r or v is zero."""
+def _step_length(r: np.ndarray, v: np.ndarray) -> float:
+    """SQUAREM's step length -|r| / |v|, or -1 (the plain composition) when r or v is zero."""
     nr = math.sqrt(np.vdot(r, r).real)
     nv = math.sqrt(np.vdot(v, v).real)
-    return None if nr == 0.0 or nv == 0.0 else -nr / nv
+    return -1.0 if nr == 0.0 or nv == 0.0 else -nr / nv
 
 
 def _step_lengths(r: np.ndarray, v: np.ndarray) -> list:
@@ -385,7 +385,7 @@ def _step_lengths(r: np.ndarray, v: np.ndarray) -> list:
     as ``np.vdot`` does.
     """
     nr, nv = (np.sqrt((x.conj()[:, None, :] @ x[:, :, None])[:, 0, 0].real).tolist() for x in (r, v))
-    return [None if a == 0.0 or b == 0.0 else -a / b for a, b in zip(nr, nv)]
+    return [-1.0 if a == 0.0 or b == 0.0 else -a / b for a, b in zip(nr, nv)]
 
 
 def _backtrack(tt, r, v, x2, ev2, run: _Run, alpha: float, tries: int):
@@ -437,12 +437,8 @@ def _squarem_cycle(tt, ev, run: _Run, ref=None):
     v = np.subtract(x2, x1, out=x1)
     v -= r
     if run.m.ndim == 2:
-        alpha = _step_length(r, v)
-        if alpha is None:
-            return x2, ev2
-        return _backtrack(tt, r, v, x2, ev2, run, alpha, _BACKTRACKS)
-    # each row's step length, or -1 (the plain composition) without one
-    steps = [-1.0 if alpha is None else alpha for alpha in _step_lengths(r, v)]
+        return _backtrack(tt, r, v, x2, ev2, run, _step_length(r, v), _BACKTRACKS)
+    steps = _step_lengths(r, v)
     # x2 and ev2 are this cycle's own arrays, and a row whose candidate is
     # kept is done, so its rows of them are overwritten in place
     for tried in range(_BACKTRACKS):

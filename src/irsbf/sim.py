@@ -6,8 +6,8 @@ tables, CSV or JSON is the command line's job (``irsbf.cli``).
 An operating point is a ``SystemConfig`` and a ``Geometry``.  ``SETTINGS``
 is the one table of the names that set it, with their units (powers in
 dBW) and types; ``with_setting`` applies one name and value.  Config-file
-lines (``load_setup``), the sweep variable of a ``SweepSpec`` and the
-iteration study's surface sizes all go through it.
+lines (``load_setup``) and the grid points of the sweeps and the
+iteration study (``sweep_points``, their one grid builder) go through it.
 
 A sweep takes the paper's three inputs as plain values: the channel
 statistics (configuration and geometry), the distortion levels, and the
@@ -195,6 +195,8 @@ class SweepSpec:
 
     ``bits`` is None for continuous phases, else the resolution of a
     2**bits-level phase set; ``bound`` adds the relaxation bound's row.
+    ``check_run`` checks its count and seed here, and ``sweep_points`` its
+    values against the operating point when it runs.
     """
 
     variable: str  # a name of SETTINGS
@@ -214,12 +216,9 @@ class SweepSpec:
             raise ConfigError("sweep needs at least one value")
         if list(vals) != sorted(vals):
             raise ConfigError("sweep values must be sorted ascending")
-        if self.n_channels < 1:
-            raise ConfigError(f"n_channels must be >= 1, got {self.n_channels}")
+        check_run(self.n_channels, seed=self.seed)
         if self.n_symbols < 0:
             raise ConfigError(f"n_symbols must be >= 0, got {self.n_symbols}")
-        if not (0 <= self.seed <= _MASK64):
-            raise ConfigError("seed must fit in 64 unsigned bits")
         check_bits(self.bits)
         MMSettings(epsilon=self.epsilon)
         object.__setattr__(self, "values", vals)
@@ -324,12 +323,12 @@ def _design_rows(
     runs_r = _run_rows(lifted_n, psis, cfg, settings)
     phases_r = reflect_phases(np.array([res.lifted for res in runs_r]))
     lifted_r = bound_starts = lift_phases(phases_r)
+    if bits is not None:
+        lifted_r, lifted_n = (lift_phases(_quantized(p, bits)) for p in (phases_r, phases_n))
+    received = np.abs(_times(psis, lifted_n, True)) ** 2
     if bits is None:
         robust = np.array([res.objectives[-1] for res in runs_r])
-        received = np.abs(_times(psis, lifted_n, True)) ** 2
     else:
-        lifted_r, lifted_n = (lift_phases(_quantized(p, bits)) for p in (phases_r, phases_n))
-        received = np.abs(_times(psis, lifted_n, True)) ** 2
         robust = psi_tilde_from_powers(np.abs(_times(psis, lifted_r, True)) ** 2, cfg)
         nonrobust = psi_tilde_from_powers(received, cfg)
         lifted_r = np.where((nonrobust > robust)[:, None], lifted_n, lifted_r)
@@ -444,12 +443,26 @@ def _sweep_task(args) -> list:
     return [_realization_stats((n_symbols, design)) for design in designs]
 
 
-def check_counts(n_channels: int, workers: int = 1) -> None:
-    """Reject a realization count or a worker count below 1, as every run does before it starts."""
+def check_run(n_channels: int, workers: int = 1, seed: int = 0) -> None:
+    """Reject a count below 1 or a seed outside [0, 2**64), as every run does before it starts."""
     if n_channels < 1:
         raise ConfigError(f"n_channels must be >= 1, got {n_channels}")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    if not (0 <= seed <= _MASK64):
+        raise ConfigError("seed must fit in 64 unsigned bits")
+
+
+def sweep_points(variable: str, values, base_cfg: SystemConfig, geo: Geometry) -> list:
+    """The one grid builder: each value's (cfg, geo), so a bad value fails before any work.
+
+    At least one value is needed.  The sweeps, the iteration study and the
+    command line's checks before it opens ``--out`` all build grids here.
+    """
+    points = [with_setting(base_cfg, geo, variable, value) for value in values]
+    if not points:
+        raise ConfigError("sweep needs at least one value")
+    return points
 
 
 def _realizations(task, points, n_channels: int, seed: int, keys, workers: int):
@@ -467,10 +480,10 @@ def _realizations(task, points, n_channels: int, seed: int, keys, workers: int):
     submitted at once, so the points overlap, and each point is yielded as
     soon as it and the points before it are done.  When the loop stops
     early (a fault, or a caller that stops reading), the tasks not yet
-    started are cancelled.  The counts are checked (``check_counts``)
-    before the first task runs.
+    started are cancelled.  The counts and the seed are checked
+    (``check_run``) before the first task runs.
     """
-    check_counts(n_channels, workers)
+    check_run(n_channels, workers, seed)
     tasks = []
     for point, key in zip(points, keys, strict=True):
         seeds = tuple(child_seed(seed, *key, r) for r in range(n_channels))
@@ -507,17 +520,14 @@ def run_sweep(
     SER, or None when ``spec.n_symbols`` is 0.  Realizations with a
     degenerate channel are skipped and counted in the log; if every
     realization of a point fails, SweepFailedError names the first reason.
-    Any other exception propagates.  Every point, its geometry included,
-    is instantiated before the first one runs, so a bad value fails at
-    once.  ``on_point`` is invoked with each finished SimResult, letting
+    Any other exception propagates.  The grid (``sweep_points``) and the
+    counts and seed (``check_run``) are checked before the first point
+    runs.  ``on_point`` is invoked with each finished SimResult, letting
     callers persist partial output.
     """
     settings = MMSettings(epsilon=spec.epsilon)
-    points = [
-        (*with_setting(base_cfg, geo, spec.variable, value),
-         settings, spec.bits, spec.n_symbols, spec.bound)
-        for value in spec.values
-    ]
+    points = [(*point, settings, spec.bits, spec.n_symbols, spec.bound)
+              for point in sweep_points(spec.variable, spec.values, base_cfg, geo)]
     results = []
     with closing(
         _realizations(
@@ -626,20 +636,6 @@ def _study_task(args) -> list:
     return list(zip(*columns))
 
 
-def study_points(n_i_list, base_cfg: SystemConfig, geo: Geometry, epsilon: float) -> list:
-    """The study's points: per surface size, its (cfg, geo) and the plain and accelerated settings.
-
-    Surface sizes must be integers, and at least one is needed; they and
-    ``epsilon`` are checked here, so a caller can reject a study before
-    any work.
-    """
-    plain_accel = [MMSettings(epsilon, _STUDY_MAX_ITER, accel) for accel in (False, True)]
-    points = [(*with_setting(base_cfg, geo, "n_i", n_i), plain_accel) for n_i in n_i_list]
-    if not points:
-        raise ConfigError("sweep needs at least one value")
-    return points
-
-
 def run_iteration_study(
     n_i_list,
     base_cfg: SystemConfig,
@@ -653,12 +649,13 @@ def run_iteration_study(
     """Average iterations to convergence, robust/nonrobust x plain/accelerated.
 
     Accelerated counts are outer cycles (two fixed-point maps each), the
-    same bookkeeping used by ``run_mm``.  The surface sizes and
-    ``epsilon`` (``study_points``) and the counts (``check_counts``) are
+    same bookkeeping used by ``run_mm``.  ``epsilon``, the surface sizes
+    (``sweep_points`` of n_i) and the counts and seed (``check_run``) are
     checked before the first realization runs.  ``on_point`` is invoked
     with each finished row, letting callers persist partial output.
     """
-    points = study_points(n_i_list, base_cfg, geo, epsilon)
+    plain_accel = [MMSettings(epsilon, _STUDY_MAX_ITER, accel) for accel in (False, True)]
+    points = [(*point, plain_accel) for point in sweep_points("n_i", n_i_list, base_cfg, geo)]
     rows = []
     with closing(
         _realizations(

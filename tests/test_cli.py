@@ -205,7 +205,7 @@ class TestConfigFile:
         ])
         assert rc == 1
         assert error_lines(capsys) == ["error: destination coincides with the IRS (d_id = 0)"]
-        assert out.read_text() == ",".join(CSV_HEADER) + "\n"
+        assert not out.exists()
 
 
 class TestDeterminism:
@@ -752,6 +752,8 @@ class TestArgumentChecks:
         (["sweep-n", "--workers", "-1"], "workers must be >= 1, got -1"),
         (["sweep-kappa", "--workers", "0"], "workers must be >= 1, got 0"),
         (["sweep-kappa", "--workers", "-1"], "workers must be >= 1, got -1"),
+        (["sweep-n", "--values", "4.5"], "n_i must be an integer, got 4.5"),
+        (["sweep-kappa", "--values", "0.5,1.5"], "kappa_s out of range [0, 1): 1.5"),
     ]
 
     @pytest.mark.parametrize(
@@ -763,3 +765,12 @@ class TestArgumentChecks:
         assert main([*argv, "--out", str(out)]) == 1
         assert error_lines(capsys) == [f"error: {message}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_los_demo_needs_a_surface(self, source, tmp_path, capsys):
+        # los-demo takes no --out, so it is not among REJECTED
+        path = tmp_path / "no_surface.cfg"
+        path.write_text("n_i = 0\n")
+        argv = ["--n-i", "0"] if source == "flag" else ["--config", str(path)]
+        assert main(["los-demo", *argv]) == 1
+        assert error_lines(capsys) == ["error: los-demo needs n_i >= 1, got 0"]

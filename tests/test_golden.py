@@ -1,8 +1,9 @@
 """Golden fixed-seed outputs: pinned CLI invocations must reproduce their bytes.
 
-Each case runs ``python -m irsbf.cli`` in a subprocess with one BLAS
-thread and compares its stdout, and its ``--out`` CSV where the command
-writes one, with the files under ``tests/golden/`` byte for byte.  On a
+Each case runs ``python -W error::RuntimeWarning -m irsbf.cli`` in a
+subprocess with one BLAS thread, so a numerical warning fails the case,
+and compares its stdout, and its ``--out`` CSV where the command writes
+one, with the files under ``tests/golden/`` byte for byte.  On a
 mismatch the failure lists the cells that differ and the largest relative
 change among the numeric ones.
 
@@ -70,8 +71,10 @@ def run_case(name: str, tmp: Path) -> dict[str, bytes]:
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-m", "irsbf.cli", *argv], capture_output=True,
-                          env=env, timeout=600)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "irsbf.cli", *argv],
+        capture_output=True, env=env, timeout=600,
+    )
     assert proc.returncode == 0, proc.stderr.decode()
     outputs = {"stdout": proc.stdout}
     if takes_out:

@@ -862,7 +862,7 @@ class TestStepLengths:
         r[4] *= 1e-150
         v[5] *= 1e150
         lengths = _step_lengths(r, v)
-        assert lengths[1:4] == [None] * 3
+        assert lengths[1:4] == [-1.0] * 3
         assert lengths == [_step_length(a, b) for a, b in zip(r, v)]
 
 

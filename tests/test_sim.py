@@ -25,6 +25,7 @@ from irsbf.sim import (
     _sweep_task,
     child_seed,
     pow2db,
+    run_bound_check,
     run_iteration_study,
     run_sweep,
     simulate_ser,
@@ -883,6 +884,19 @@ class TestIterationStudy:
         cfg, geo = small_setup()
         with pytest.raises(ConfigError, match="n_i must be an integer, got 4.6"):
             run_iteration_study([4, 4.6], cfg, geo, seed=1, n_channels=1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_study_and_bound_check_reject_a_seed_before_the_first_draw(self, seed, monkeypatch):
+        # child_seed masks to 64 bits, so an unchecked seed would run as another
+        def drawn(*args):
+            raise AssertionError("a channel was drawn")
+
+        monkeypatch.setattr(sim_mod, "_draw", drawn)
+        cfg, geo = small_setup()
+        with pytest.raises(ConfigError, match=r"^seed must fit in 64 unsigned bits$"):
+            run_iteration_study([4], cfg, geo, seed=seed, n_channels=1)
+        with pytest.raises(ConfigError, match=r"^seed must fit in 64 unsigned bits$"):
+            run_bound_check(cfg, geo, 1, seed)
 
     @pytest.mark.parametrize("epsilon", [-1.0, float("inf")])
     def test_epsilon_checked_before_the_first_draw(self, epsilon, monkeypatch):
