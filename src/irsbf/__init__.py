@@ -23,11 +23,10 @@ from .model import (
     ConfigError,
     DegenerateChannelError,
     DimensionError,
-    ReflectConfig,
     SystemConfig,
     build_composite,
-    extract_reflect,
-    lift_reflect,
+    lift_phases,
+    reflect_phases,
 )
 from .sdr import UpperBoundResult, solve_sdr
 from .sim import (

@@ -224,13 +224,13 @@ def _run_los_demo(args, cfg: SystemConfig, geo: Geometry) -> int:
     psi = build_composite(
         ChannelSet(h_si=los.h_si, h_id=h_id, h_sd=np.zeros(cfg.n_s, dtype=complex))
     )
-    direct = evaluate_snr(sol.w, sol.theta, psi, cfg)
+    direct = evaluate_snr(sol.w, sol.phases, psi, cfg)
     mm_res = run_mm(random_lifted_init(rng, cfg.n_i), psi, cfg, MMSettings(epsilon=1e-9))
     payload = {
         "closed_form_snr_db": pow2db(sol.snr),
         "direct_evaluation_snr_db": pow2db(direct),
         "mm_psi_tilde": mm_res.objectives[-1],
-        "closed_form_psi_tilde": psi_tilde(sol.theta, psi, cfg),
+        "closed_form_psi_tilde": psi_tilde(sol.phases, psi, cfg),
         "asymptotic_snr_db": pow2db(sol.snr_asymptotic),
     }
     if args.json:

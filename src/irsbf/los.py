@@ -4,7 +4,8 @@ With the direct link gone and the first hop an outer product of steering
 vectors, the reflect optimization reduces to coherently combining the drop
 link: each element cancels the phase of its own channel product.  The
 matching transmit beam is the source steering vector at full budget, and
-the resulting SNR has a closed ratio plus a large-array limit.
+the resulting SNR has a closed ratio plus a large-array limit.  The
+solution's reflection is its array of n_i phases.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import LOSChannel
-from .model import ReflectConfig, SystemConfig
+from .model import DimensionError, SystemConfig
 
 
 @dataclass(frozen=True)
 class LOSSolution:
-    theta: ReflectConfig
+    phases: np.ndarray
     w: np.ndarray
     snr: float
     snr_asymptotic: float | None
@@ -43,15 +44,16 @@ def solve_los(ch: LOSChannel, h_id: np.ndarray, cfg: SystemConfig, sigma_id2: fl
     SNR field; leave it None when not applicable.
     """
     h_id = np.asarray(h_id, dtype=complex).ravel()
+    if len(h_id) != len(ch.a_i):
+        raise DimensionError(f"h_id has {len(h_id)} entries, expected {len(ch.a_i)} from a_i")
     phases = -(np.angle(np.conj(h_id)) + np.angle(ch.a_i))
-    theta = ReflectConfig(phases)
     w = np.sqrt(cfg.p_tilde / cfg.n_s) * ch.a_s
     eta_abs2 = float(np.abs(ch.eta) ** 2)
     snr = los_snr_closed(cfg, eta_abs2, float(np.sum(np.abs(h_id))))
     asym = None
     if sigma_id2 is not None:
         asym = asymptotic_snr(cfg, h_id.shape[0], sigma_id2, eta_abs2)
-    return LOSSolution(theta=theta, w=w, snr=snr, snr_asymptotic=asym)
+    return LOSSolution(phases=phases, w=w, snr=snr, snr_asymptotic=asym)
 
 
 def asymptotic_snr(cfg: SystemConfig, n_i: int, sigma_id2: float, eta_abs2: float) -> float:

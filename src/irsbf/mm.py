@@ -42,13 +42,13 @@ of a single run.  No operation mixes rows, and each rounds row by row as
 it does on one problem (a stack keeps each composite's memory layout),
 so a row's result does not depend on the stack; the stacked unit
 projection rounds as its one-row form does.  Both return each run's last
-lifted iterate and the objective of each iterate; the last is the
-objective there, and ``txbf.snr_from_psi_tilde`` maps it to the SNR of
-the optimal beam, so no beam is built to score a design.  The channel
-argument ``psi`` is the plain n_s x (n_i + 1) composite array of
-``model.build_composite``, and a stack holds R of them;
-``quantize_phases`` rounds a continuous solution to the 2**bits levels of
-a b-bit phase set.
+lifted iterate, its n_i phases (``MMResult.phases``) and the objective of
+each iterate; the last is the objective there, and
+``txbf.snr_from_psi_tilde`` maps it to the SNR of the optimal beam, so no
+beam is built to score a design.  The channel argument ``psi`` is the
+plain n_s x (n_i + 1) composite array of ``model.build_composite``, and a
+stack holds R of them, each with its init (``_check_init``);
+``quantize_phases`` rounds phases of any shape to a b-bit phase set.
 
 The loop also ascends, as a single run, a Burer-Monteiro factor V of the
 relaxation X = V V^H (one unit-norm row per element), which ``sdr`` uses:
@@ -63,13 +63,14 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .model import ConfigError, ReflectConfig, SystemConfig, check_unit_modulus, extract_reflect
+from .model import UNIT_MODULUS_TOL, ConfigError, DimensionError, SystemConfig, reflect_phases
 
 # Multiplicative safety margin applied to the majorizer's eigenvalue, so
 # that diag(y) - M stays positive semidefinite despite the eigensolver's
@@ -474,8 +475,9 @@ def _squarem_cycle(tt, ev, run: _Run, ref=None):
 class MMResult:
     """Outcome of a full optimizer run; ``objectives[-1]`` is the objective at ``lifted``.
 
-    ``lifted`` is the last iterate, and ``reflect`` its reflection, read
-    off on first use: a caller that stays lifted never builds it.
+    ``lifted`` is the last iterate, and ``phases`` its n_i phases
+    (``model.reflect_phases``), read off on first use: a caller that stays
+    lifted never computes them.
     """
 
     lifted: np.ndarray
@@ -484,8 +486,12 @@ class MMResult:
     objectives: tuple
 
     @functools.cached_property
-    def reflect(self) -> ReflectConfig:
-        return extract_reflect(self.lifted)
+    def phases(self) -> np.ndarray:
+        return reflect_phases(self.lifted)
+
+    # The benchmark's tracer (bench/tracing.py) reads ``reflect.theta`` of
+    # each run; the hook goes with the other hook names (ROADMAP item 8).
+    reflect = property(lambda self: types.SimpleNamespace(theta=np.exp(1j * self.phases)))
 
 
 def random_lifted_init(rng: np.random.Generator, n_i: int) -> np.ndarray:
@@ -603,6 +609,17 @@ def _ascend_rows(tt: np.ndarray, run: _Run, settings: MMSettings, order=None):
     return last, objectives, converged
 
 
+def _check_init(init, psi: np.ndarray) -> np.ndarray:
+    """A unit-modulus complex ``init`` of shape (n_i + 1,), or (R, n_i + 1) for a stack ``psi`` of R composites."""
+    init, shape = np.asarray(init, dtype=complex), psi.shape[:-2] + psi.shape[-1:]
+    if init.shape != shape:
+        raise DimensionError(f"init must have shape {shape}, got {init.shape}")
+    err = np.max(np.abs(np.abs(init) - 1.0), initial=0.0)
+    if not err <= UNIT_MODULUS_TOL:  # a NaN entry fails too
+        raise ConfigError(f"entries deviate from unit modulus by {err:.3e}")
+    return init
+
+
 def run_stacked_mm(
     inits: np.ndarray,
     psis: np.ndarray,
@@ -618,8 +635,7 @@ def run_stacked_mm(
     ``run_mm`` returns for it.  ``psis`` is used in place, not copied, and
     holds the same bytes in the same order when this returns.
     """
-    inits = np.asarray(inits, dtype=complex)
-    check_unit_modulus(inits)
+    inits = _check_init(inits, psis)
     order = list(range(len(psis)))
     try:
         last, objectives, converged = _ascend_rows(inits, _run_constants(psis, cfg), settings, order)
@@ -637,17 +653,17 @@ def run_mm(
     cfg: SystemConfig,
     settings: MMSettings = MMSettings(),
 ) -> MMResult:
-    """Iterate the optimizer to a stationary reflection configuration.
+    """Iterate the optimizer from the lifted ``init`` (n_i + 1 entries) to a stationary reflection.
 
     Stops when the relative objective change over one iteration (one
     accelerated cycle when ``settings.accelerate``) falls below
     ``settings.epsilon``, or flags non-convergence after
     ``settings.max_iter`` iterations.  The result keeps the final lifted
-    vector; its reflection is read off by dividing out the slack entry,
-    which leaves the objective unchanged.  It runs in the loop of
-    ``run_stacked_mm``, as its one row.
+    vector; its phases (``MMResult.phases``) are read off by dividing out
+    the slack entry, which leaves the objective unchanged.  It runs in the
+    loop of ``run_stacked_mm``, as its one row.
     """
-    tt = check_unit_modulus(init).copy()
+    tt = _check_init(init, psi).copy()
     ((last,), (objectives,), (converged,)) = _ascend_rows(tt, _run_constants(psi, cfg), settings)
     return MMResult(last, len(objectives) - 1, converged, tuple(objectives))
 
@@ -667,19 +683,15 @@ def check_bits(bits) -> None:
         raise ConfigError(f"discrete phases need bits <= {_MAX_BITS}, got {bits}")
 
 
-def quantize_phases(theta: ReflectConfig, bits: int) -> ReflectConfig:
-    """Round each phase to the nearest of the levels 2 pi k / 2**bits, in O(n_i).
+def quantize_phases(phases: np.ndarray, bits: int) -> np.ndarray:
+    """Round each phase of an array of any shape to the nearest level 2 pi k / 2**bits.
 
     With x = mod(phase, 2 pi) / (2 pi / 2**bits), the index is
     k = ceil(x - 1/2) mod 2**bits, the nearest level under angular distance.
     An exact tie (x a half-integer) goes to the lower index, and at the
-    wrap (x = 2**bits - 1/2) to 2**bits - 1.
+    wrap (x = 2**bits - 1/2) to 2**bits - 1.  Entries round one by one, so
+    a row of a stack (R, n_i) rounds as it does alone.
     """
-    return ReflectConfig(_quantized(theta.phases, bits))
-
-
-def _quantized(phases: np.ndarray, bits: int) -> np.ndarray:
-    """``quantize_phases``' rounding of a phase array of any shape, entry by entry."""
     if bits is None:
         raise ConfigError("quantize_phases needs bits >= 1, got None")
     check_bits(bits)

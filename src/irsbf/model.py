@@ -1,18 +1,18 @@
-"""Core domain types: system configuration, channel blocks, reflect configs.
+"""Core domain types: system configuration, channel blocks, the lift of a reflection.
 
 All powers are linear watts internally; dB values are converted only
 where an operating point is set by name (``sim.SETTINGS``).  All types
 are immutable value objects and safe to share across parallel workers.
 The composite channel is a plain n_s x (n_i + 1) array, built by
-``build_composite``.  A reflection enters as its lifted vector.  The
-canonical lift of lifted vectors, ``lift_phases(reflect_phases(tt))``,
-is ``lift_reflect(extract_reflect(row))`` of each row, bit for bit, with
-no ``ReflectConfig`` built.
+``build_composite``.  A reflection is its array of n_i phases, or a stack
+of them (..., n_i), and enters as its lifted vector: ``lift_phases`` and
+its inverse ``reflect_phases`` act along the last axis, each row of a
+stack bit for bit as alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,42 +127,13 @@ def build_composite(ch: ChannelSet) -> np.ndarray:
     return np.concatenate([reflect_cols, ch.h_sd[:, None]], axis=1)
 
 
-@dataclass(frozen=True)
-class ReflectConfig:
-    """Unit-modulus reflection coefficients, stored as the physical diagonal.
-
-    ``phases`` is canonical; ``theta`` is exp(1j*phases), derived from it
-    and therefore unit-modulus by construction.
-    """
-
-    phases: np.ndarray
-    theta: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        phases = np.asarray(self.phases, dtype=float).ravel()
-        object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "theta", np.exp(1j * phases))
-
-
-def lift_reflect(rc: ReflectConfig) -> np.ndarray:
-    """Lifted phase vector of a reflection (``lift_phases``)."""
-    return lift_phases(rc.phases)
-
-
-def extract_reflect(theta_tilde: np.ndarray) -> ReflectConfig:
-    """Undo the lifting of one lifted vector (``reflect_phases``)."""
-    tt = np.asarray(theta_tilde, dtype=complex).ravel()
-    if tt.size < 1:
-        raise DimensionError("lifted vector must have at least the slack entry")
-    return ReflectConfig(reflect_phases(tt))
-
-
 def lift_phases(phases: np.ndarray) -> np.ndarray:
     """Lifted vectors of phase profiles along the last axis: conjugated coefficients, unit slack.
 
     Conjugation happens exactly once, here, so that Psi times the lifted
     vector is the physical end-to-end channel.
     """
+    phases = np.asarray(phases, dtype=float)
     lifted = np.ones((*phases.shape[:-1], phases.shape[-1] + 1), complex)
     np.conjugate(np.exp(1j * phases), out=lifted[..., :-1])
     return lifted
@@ -175,10 +146,3 @@ def reflect_phases(theta_tilde: np.ndarray) -> np.ndarray:
         raise ConfigError("cannot normalize a zero reflection coefficient")
     return np.angle(theta)
 
-
-def check_unit_modulus(vec: np.ndarray, tol: float = UNIT_MODULUS_TOL) -> np.ndarray:
-    vec = np.asarray(vec, dtype=complex).ravel()
-    err = np.max(np.abs(np.abs(vec) - 1.0)) if vec.size else 0.0
-    if not err <= tol:  # a NaN entry fails too
-        raise ConfigError(f"entries deviate from unit modulus by {err:.3e}")
-    return vec

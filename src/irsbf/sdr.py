@@ -37,13 +37,14 @@ from numpy.linalg import LinAlgError, _umath_linalg
 from .mm import (
     MMSettings,
     _ascend_rows,
+    _check_init,
     _diagonal_certificate,
     _evaluate,
     _project_unit,
     _run_constants,
     _top_eigenvalue,
 )
-from .model import SystemConfig, check_unit_modulus
+from .model import SystemConfig
 from .txbf import snr_from_psi_tilde
 
 # Relative inflation of the exactly computed lambda_max: covers the rounding
@@ -259,9 +260,7 @@ def solve_sdr(
     ``converged`` says whether the relative change of one cycle fell below
     ``tol`` within ``max_iter`` cycles.
     """
-    tt = np.ones(psi.shape[1], dtype=complex) if init is None else check_unit_modulus(init)
-    if tt.shape != (psi.shape[1],):
-        raise ValueError(f"init must have {psi.shape[1]} entries, got {tt.shape[0]}")
+    tt = np.ones(psi.shape[1], dtype=complex) if init is None else _check_init(init, psi)
     run = _run_constants(psi, cfg)
     primal, dual, bound, directions = _certify_phases(tt, run, tol)
     if directions is None:

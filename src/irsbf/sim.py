@@ -17,7 +17,8 @@ reports the four designed schemes, plus the relaxation bound when
 designs the nonrobust reflection from its random start and continues it
 to the robust one (``_design_rows``); the iteration study runs both from
 the one random start, so that its iteration counts share a start.  A
-chunk's designs stay lifted vectors, with no ``ReflectConfig`` built, and
+chunk's designs stay lifted vectors, phases read off them as one array
+(``model.reflect_phases``) and rounded as one (``mm.quantize_phases``), and
 its schemes are scored as array operations over its rows, with no beam
 built: a robust scheme from its objective in closed form (the MM run's
 last, or the kept quantized profile's), a nonrobust one by the SNR of its
@@ -56,7 +57,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import Geometry, complex_gaussian, link_gains
-from .mm import MMSettings, _project_unit, _quantized, _times, check_bits, run_mm, run_stacked_mm
+from .mm import MMSettings, _project_unit, _times, check_bits, quantize_phases, run_mm, run_stacked_mm
 from .model import ConfigError, DegenerateChannelError, SystemConfig, lift_phases, reflect_phases
 from .sdr import solve_sdr
 from .txbf import matched_filter_snr, psi_tilde_from_powers, snr_from_psi_tilde
@@ -324,7 +325,7 @@ def _design_rows(
     phases_r = reflect_phases(np.array([res.lifted for res in runs_r]))
     lifted_r = bound_starts = lift_phases(phases_r)
     if bits is not None:
-        lifted_r, lifted_n = (lift_phases(_quantized(p, bits)) for p in (phases_r, phases_n))
+        lifted_r, lifted_n = (lift_phases(quantize_phases(p, bits)) for p in (phases_r, phases_n))
     received = np.abs(_times(psis, lifted_n, True)) ** 2
     if bits is None:
         robust = np.array([res.objectives[-1] for res in runs_r])

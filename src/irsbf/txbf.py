@@ -14,44 +14,46 @@ IRS), and its nonrobust ones by the SNR of their mismatched beam
 The functions of one realization are the public API and the tests' oracles.
 
 The channel argument ``psi`` of every function here is the composite
-n_s x (n_i + 1) array of ``model.build_composite``: a reflection enters
-only through the lifted product ``psi @ lift_reflect(theta)``, the
-paper's Psi theta-tilde, so the channel blocks are not needed after the
-draw.
+n_s x (n_i + 1) array of ``model.build_composite``, and a reflection is its
+array of n_i phases: it enters only through the lifted product
+``psi @ lift_phases(phases)``, the paper's Psi theta-tilde, so the channel
+blocks are not needed after the draw.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import DegenerateChannelError, ReflectConfig, SystemConfig, lift_reflect
+from .model import DegenerateChannelError, DimensionError, SystemConfig, lift_phases
 
 
-def composite_vector(theta: ReflectConfig | None, psi: np.ndarray) -> np.ndarray:
-    """Effective end-to-end channel seen by the destination.
+def composite_vector(phases: np.ndarray | None, psi: np.ndarray) -> np.ndarray:
+    """Effective end-to-end channel seen by the destination, at the n_i ``phases``.
 
-    ``theta=None`` means the IRS is absent or switched off, leaving only
+    ``phases=None`` means the IRS is absent or switched off, leaving only
     the direct link, the last column of ``psi``.
     """
-    if theta is None:
+    if phases is None:
         return psi[:, -1].copy()
-    return psi @ lift_reflect(theta)
+    if np.shape(phases) != (psi.shape[1] - 1,):
+        raise DimensionError(f"phases must have shape ({psi.shape[1] - 1},), got {np.shape(phases)}")
+    return psi @ lift_phases(phases)
 
 
 def evaluate_snr(
     w: np.ndarray,
-    theta: ReflectConfig | None,
+    phases: np.ndarray | None,
     psi: np.ndarray,
     cfg: SystemConfig,
 ) -> float:
-    """Receive SNR for a given beam and reflection configuration.
+    """Receive SNR for a given beam and reflection phases.
 
     The denominator collects the receive distortion (scaling with the total
     received signal power), the transmit distortion (scaling per antenna),
     and thermal noise; it is strictly positive, so the ratio is always
     defined.
     """
-    v = composite_vector(theta, psi)
+    v = composite_vector(phases, psi)
     w = np.asarray(w, dtype=complex).ravel()
     num = np.abs(np.vdot(v, w)) ** 2
     tx_dist = np.sum(np.abs(v) ** 2 * np.abs(w) ** 2)
@@ -79,7 +81,7 @@ def optimal_beam_from_v(v: np.ndarray, cfg: SystemConfig) -> np.ndarray:
 
 
 def optimal_transmit_beam(
-    theta: ReflectConfig | None,
+    phases: np.ndarray | None,
     psi: np.ndarray,
     cfg: SystemConfig,
 ) -> np.ndarray:
@@ -90,12 +92,12 @@ def optimal_transmit_beam(
     is monotone in the beam norm.  The global phase is normalized so the
     first nonzero entry is real positive.
     """
-    return optimal_beam_from_v(composite_vector(theta, psi), cfg)
+    return optimal_beam_from_v(composite_vector(phases, psi), cfg)
 
 
-def psi_tilde(theta: ReflectConfig | None, psi: np.ndarray, cfg: SystemConfig) -> float:
+def psi_tilde(phases: np.ndarray | None, psi: np.ndarray, cfg: SystemConfig) -> float:
     """Separable reflect-beamforming objective: sum of saturating per-antenna terms."""
-    return psi_tilde_from_powers(np.abs(composite_vector(theta, psi)) ** 2, cfg)
+    return psi_tilde_from_powers(np.abs(composite_vector(phases, psi)) ** 2, cfg)
 
 
 def psi_tilde_from_powers(q: np.ndarray, cfg: SystemConfig):

@@ -23,10 +23,9 @@ from irsbf.mm import (
 )
 from irsbf.model import (
     ChannelSet,
-    ReflectConfig,
     SystemConfig,
     build_composite,
-    lift_reflect,
+    lift_phases,
 )
 from irsbf.sdr import solve_sdr
 from irsbf.sim import (
@@ -70,8 +69,8 @@ def test_criterion_01_transmit_beam_closed_form_equivalence():
                 sigma_n2=float(rng.uniform(0.01, 1.0)),
             )
             psi = build_composite(random_channels(rng, n_i, n_s))
-            theta = ReflectConfig(rng.uniform(0, 2 * np.pi, n_i))
-            v = composite_vector(theta, psi)
+            phases = rng.uniform(0, 2 * np.pi, n_i)
+            v = composite_vector(phases, psi)
             dense = cfg.kappa_d * np.outer(v, np.conj(v)) + np.diag(
                 (1 + cfg.kappa_d) * cfg.kappa_s * np.abs(v) ** 2
                 + (1 + cfg.kappa_d) * cfg.sigma_n2 / cfg.p_tilde
@@ -79,7 +78,7 @@ def test_criterion_01_transmit_beam_closed_form_equivalence():
             oracle = np.linalg.solve(dense, v)
             oracle = np.sqrt(cfg.p_tilde) * oracle / np.linalg.norm(oracle)
             oracle *= np.exp(-1j * np.angle(oracle[np.flatnonzero(np.abs(oracle) > 0)[0]]))
-            w = optimal_transmit_beam(theta, psi, cfg)
+            w = optimal_transmit_beam(phases, psi, cfg)
             worst = max(worst, np.linalg.norm(w - oracle) / np.linalg.norm(oracle))
         elapsed = time.perf_counter() - start
         assert worst < 1e-10, f"worst relative deviation {worst:.3e}"
@@ -193,7 +192,7 @@ def test_criterion_05_bound_dominates_and_matches_tiny_oracle():
             ch = generate_channels(rng, cfg, geo)
             psi = build_composite(ch)
             res = run_mm(random_lifted_init(rng, cfg.n_i), psi, cfg, MMSettings())
-            ub = solve_sdr(psi, cfg, tol=1e-5, max_iter=15, init=lift_reflect(res.reflect))
+            ub = solve_sdr(psi, cfg, tol=1e-5, max_iter=15, init=lift_phases(res.phases))
             if ub.bound_psi_tilde < res.objectives[-1] - 1e-6:
                 failures += 1
         assert failures == 0, f"{failures}/500 dominance violations"
@@ -278,14 +277,14 @@ def test_criterion_09_los_closed_forms():
             h_id = complex_gaussian(rng, n_i)
             psi = build_composite(ChannelSet(h_si=los.h_si, h_id=h_id, h_sd=np.zeros(n_s, complex)))
             sol = solve_los(los, h_id, cfg)
-            direct = evaluate_snr(sol.w, sol.theta, psi, cfg)
+            direct = evaluate_snr(sol.w, sol.phases, psi, cfg)
             assert sol.snr == pytest.approx(direct, rel=1e-10)
             res = run_mm(
                 random_lifted_init(rng, n_i), psi, cfg,
                 MMSettings(epsilon=1e-10),
             )
             assert res.objectives[-1] == pytest.approx(
-                psi_tilde(sol.theta, psi, cfg), rel=1e-6
+                psi_tilde(sol.phases, psi, cfg), rel=1e-6
             )
         n_i, sigma_id2, eta_abs2 = 400, 0.04, 0.5
         cfg = SystemConfig(n_s=4, n_i=n_i, p=2.0, kappa_s=0.07, kappa_d=0.07, sigma_n2=40.0)
@@ -305,16 +304,14 @@ def test_criterion_10_saturation_and_error_floors():
     with criterion(10, "SNR saturates with power; robust error floor is lower"):
         cfg, geo = table_defaults()
         psi = build_composite(generate_channels(np.random.default_rng(1001), cfg, geo))
-        theta = ReflectConfig(
-            np.random.default_rng(1002).uniform(0, 2 * np.pi, cfg.n_i)
-        )
+        phases = np.random.default_rng(1002).uniform(0, 2 * np.pi, cfg.n_i)
         rngd = np.random.default_rng(1003)
         direction = complex_gaussian(rngd, cfg.n_s)
         direction /= np.linalg.norm(direction)
 
         def snr_at(scale):
             cfg_p = replace(cfg, p=cfg.p * scale)
-            return evaluate_snr(np.sqrt(cfg_p.p_tilde) * direction, theta, psi, cfg_p)
+            return evaluate_snr(np.sqrt(cfg_p.p_tilde) * direction, phases, psi, cfg_p)
 
         low, high = snr_at(1e6), snr_at(1e8)
         assert abs(high - low) / low < 1e-3, f"saturation gap {(high-low)/low:.2e}"

@@ -4,7 +4,7 @@ import pytest
 from irsbf.channels import sample_los, sample_rayleigh
 from irsbf.los import asymptotic_snr, los_snr_closed, solve_los
 from irsbf.mm import MMSettings, random_lifted_init, run_mm
-from irsbf.model import ChannelSet, ReflectConfig, SystemConfig, build_composite
+from irsbf.model import ChannelSet, DimensionError, SystemConfig, build_composite
 from irsbf.txbf import evaluate_snr, optimal_transmit_beam, psi_tilde
 
 from conftest import complex_gaussian
@@ -24,14 +24,14 @@ class TestClosedForm:
     def test_coherent_combining(self, rng):
         cfg, los, h_id, _ = los_instance(rng)
         sol = solve_los(los, h_id, cfg)
-        combined = np.abs(np.vdot(h_id, sol.theta.theta * los.a_i))
+        combined = np.abs(np.vdot(h_id, np.exp(1j * sol.phases) * los.a_i))
         assert combined == pytest.approx(np.sum(np.abs(h_id)), rel=1e-12)
 
     def test_closed_ratio_matches_direct_evaluation(self, rng):
         for _ in range(10):
             cfg, los, h_id, psi = los_instance(rng, n_i=int(rng.integers(2, 20)))
             sol = solve_los(los, h_id, cfg)
-            direct = evaluate_snr(sol.w, sol.theta, psi, cfg)
+            direct = evaluate_snr(sol.w, sol.phases, psi, cfg)
             assert sol.snr == pytest.approx(direct, rel=1e-10)
 
     def test_beam_norm_and_direction(self, rng):
@@ -48,25 +48,32 @@ class TestClosedForm:
         # a global phase)
         cfg, los, h_id, psi = los_instance(rng)
         sol = solve_los(los, h_id, cfg)
-        w_general = optimal_transmit_beam(sol.theta, psi, cfg)
-        assert evaluate_snr(w_general, sol.theta, psi, cfg) == pytest.approx(
-            evaluate_snr(sol.w, sol.theta, psi, cfg), rel=1e-9
+        w_general = optimal_transmit_beam(sol.phases, psi, cfg)
+        assert evaluate_snr(w_general, sol.phases, psi, cfg) == pytest.approx(
+            evaluate_snr(sol.w, sol.phases, psi, cfg), rel=1e-9
         )
 
     def test_global_optimality_against_random_reflections(self, rng):
         cfg, los, h_id, psi = los_instance(rng, n_i=8)
         sol = solve_los(los, h_id, cfg)
         for _ in range(10_000):
-            rc = ReflectConfig(rng.uniform(0, 2 * np.pi, 8))
-            assert psi_tilde(rc, psi, cfg) <= psi_tilde(sol.theta, psi, cfg) * (1 + 1e-12)
+            phases = rng.uniform(0, 2 * np.pi, 8)
+            assert psi_tilde(phases, psi, cfg) <= psi_tilde(sol.phases, psi, cfg) * (1 + 1e-12)
 
     def test_mm_reaches_closed_form(self, rng):
         cfg, los, h_id, psi = los_instance(rng, n_i=10)
         sol = solve_los(los, h_id, cfg)
         res = run_mm(random_lifted_init(rng, 10), psi, cfg, MMSettings(epsilon=1e-10))
         assert res.objectives[-1] == pytest.approx(
-            psi_tilde(sol.theta, psi, cfg), rel=1e-6
+            psi_tilde(sol.phases, psi, cfg), rel=1e-6
         )
+
+
+    @pytest.mark.parametrize("n", [1, 11, 13])
+    def test_a_drop_link_of_another_length_raises(self, rng, n):
+        cfg, los, h_id, _ = los_instance(rng, n_i=12)
+        with pytest.raises(DimensionError, match=f"h_id has {n} entries, expected 12 from a_i"):
+            solve_los(los, h_id[:n] if n < 12 else complex_gaussian(rng, n), cfg)
 
 
 class TestAsymptotic:

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -31,12 +32,10 @@ import irsbf.mm as mm_mod
 from irsbf.model import (
     ChannelSet,
     ConfigError,
-    ReflectConfig,
+    DimensionError,
     SystemConfig,
     build_composite,
-    extract_reflect,
     lift_phases,
-    lift_reflect,
     reflect_phases,
 )
 
@@ -207,7 +206,7 @@ class TestMMStep:
         res = run_steps(random_lifted_init(rng, 8), psi, cfg, 200)
         objs = res.objectives
         assert all(b >= a - 1e-12 for a, b in zip(objs, objs[1:]))
-        np.testing.assert_allclose(np.abs(res.reflect.theta), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(res.lifted), 1.0, atol=1e-12)
 
     def test_scalar_problem_fixed_point_in_one_step(self, rng):
         cfg, psi = random_problem(rng, n_i=0, n_s=3)
@@ -227,7 +226,7 @@ class TestMMStep:
         cfg = SystemConfig(n_s=1, n_i=6, p=1.0, kappa_s=0.0, kappa_d=0.0, sigma_n2=0.1)
         psi = build_composite(ch)
         res = run_mm(random_lifted_init(rng, 6), psi, cfg, MMSettings(epsilon=1e-12))
-        combined = np.abs(np.vdot(h_id, res.reflect.theta * los.a_i))
+        combined = np.abs(np.vdot(h_id, np.exp(1j * res.phases) * los.a_i))
         assert combined == pytest.approx(np.sum(np.abs(h_id)), rel=1e-6)
 
     def test_cached_quantities(self, rng):
@@ -460,10 +459,10 @@ class TestStackedPlainLoop:
             assert res.objectives == tuple(objectives)
             assert res.iterations == len(objectives) - 1
             assert res.converged is converged
-            np.testing.assert_array_equal(res.reflect.phases, extract_reflect(tt).phases)
+            np.testing.assert_array_equal(res.phases, reflect_phases(tt))
             alone = run_mm(init, psi, cfg, settings)
             assert alone.objectives == res.objectives
-            np.testing.assert_array_equal(alone.reflect.phases, res.reflect.phases)
+            np.testing.assert_array_equal(alone.phases, res.phases)
         return results
 
     @pytest.mark.parametrize("n_rows", [1, 3, 17])
@@ -514,7 +513,7 @@ class TestStackedPlainLoop:
         psis[2, :, 3] = 0.0  # one element unreached: with kappa 0, its coefficient is 0
         results = self.assert_rows_match_the_oracle(inits, psis, cfg)
         assert results[0].objectives == (0.0, 0.0) and results[0].converged
-        np.testing.assert_array_equal(results[0].reflect.phases, extract_reflect(inits[0]).phases)
+        np.testing.assert_array_equal(results[0].phases, reflect_phases(inits[0]))
 
     def test_rows_cut_at_max_iter_beside_converged_rows(self, rng):
         cfg, psis, inits = stacked_problems(rng, 4)
@@ -532,6 +531,18 @@ class TestStackedPlainLoop:
             run_stacked_mm(inits, psis, cfg, PLAIN)
         with pytest.raises(ConfigError, match="unit modulus"):
             run_mm(inits[1], psis[1], cfg, PLAIN)
+
+    @pytest.mark.parametrize("shape", [(8,), (10,), (9, 1), (1, 9)])
+    def test_a_single_init_of_another_shape_raises(self, rng, shape):
+        cfg, psis, _ = stacked_problems(rng, 1)
+        with pytest.raises(DimensionError, match=re.escape(f"init must have shape (9,), got {shape}")):
+            run_mm(np.ones(shape, complex), psis[0], cfg, PLAIN)
+
+    @pytest.mark.parametrize("shape", [(9,), (27,), (2, 9), (4, 9), (3, 8), (3, 9, 1)])
+    def test_a_stacked_init_of_another_shape_raises(self, rng, shape):
+        cfg, psis, _ = stacked_problems(rng, 3)
+        with pytest.raises(DimensionError, match=re.escape(f"init must have shape (3, 9), got {shape}")):
+            run_stacked_mm(np.ones(shape, complex), psis, cfg, PLAIN)
 
     def test_nan_channel_raises(self, rng):
         cfg, psis, inits = stacked_problems(rng, 3)
@@ -599,12 +610,12 @@ class TestStackedSquarem:
             assert res.objectives == tuple(objectives)
             assert res.iterations == len(objectives) - 1
             assert res.converged is converged
-            np.testing.assert_array_equal(res.reflect.phases, extract_reflect(tt).phases)
+            np.testing.assert_array_equal(res.phases, reflect_phases(tt))
             alone = run_mm(init, psi, cfg, settings)
             assert (alone.objectives, alone.iterations, alone.converged) == (
                 res.objectives, res.iterations, res.converged
             )
-            np.testing.assert_array_equal(alone.reflect.phases, res.reflect.phases)
+            np.testing.assert_array_equal(alone.phases, res.phases)
             tries.append(row_tries)
         return results, tries
 
@@ -638,7 +649,7 @@ class TestStackedSquarem:
         psis[1] = 0.0  # every step keeps the start: r = 0, and no candidate is tried
         results, tries = self.assert_rows_match_the_oracle(inits, psis, cfg)
         assert results[1].objectives == (0.0, 0.0) and tries[1] == [0]
-        np.testing.assert_array_equal(results[1].reflect.phases, extract_reflect(inits[1]).phases)
+        np.testing.assert_array_equal(results[1].phases, reflect_phases(inits[1]))
 
     @pytest.mark.parametrize(
         "n_i, n_s, overrides",
@@ -752,7 +763,7 @@ class TestBacktrackingCap:
         three = MMSettings(epsilon=1e-300, max_iter=3)
         for res in (run_mm(inits[1], psis[1], cfg, three), run_stacked_mm(inits, psis, cfg, three)[1]):
             assert res.objectives[3] == plain[3]
-            assert res.reflect.phases.tobytes() == extract_reflect(plain[0]).phases.tobytes()
+            assert res.phases.tobytes() == reflect_phases(plain[0]).tobytes()
 
 
 class TestRowCompaction:
@@ -795,14 +806,14 @@ class TestRowCompaction:
             assert (alone.objectives, alone.iterations, alone.converged) == (
                 res.objectives, res.iterations, res.converged
             )
-            np.testing.assert_array_equal(alone.reflect.phases.view(np.uint64),
-                                          res.reflect.phases.view(np.uint64))
+            np.testing.assert_array_equal(alone.phases.view(np.uint64),
+                                          res.phases.view(np.uint64))
 
 
 class TestBatchedExtraction:
     """The canonical lift of a stack, ``lift_phases(reflect_phases(stack))``, is the one-row map.
 
-    That is ``lift_reflect(extract_reflect(row))`` of each row, bit for bit.
+    That is ``lift_phases(reflect_phases(row))`` of each row, bit for bit.
     """
 
     @staticmethod
@@ -810,11 +821,11 @@ class TestBatchedExtraction:
         lifted = lift_phases(reflect_phases(stack))
         assert lifted.shape == stack.shape
         for t, got in zip(stack, lifted):
-            want = lift_reflect(extract_reflect(t))
+            want = lift_phases(reflect_phases(t))
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
             # and the one-row forms, written out
-            expected = ReflectConfig(np.angle(np.conj(t[:-1] / t[-1])))
-            written = np.concatenate([np.conj(expected.theta), [1.0 + 0.0j]])
+            expected = np.angle(np.conj(t[:-1] / t[-1]))
+            written = np.concatenate([np.conj(np.exp(1j * expected)), [1.0 + 0.0j]])
             np.testing.assert_array_equal(got.view(np.uint64), written.view(np.uint64))
 
     @pytest.mark.parametrize("n_i, n_s", [(50, 4), (8, 1), (0, 4), (0, 1)])
@@ -830,25 +841,25 @@ class TestBatchedExtraction:
         # a single row, as a stack of one and as a vector
         self.assert_rows_own(stack[-2:-1])
         one = lift_phases(reflect_phases(stack[-2]))
-        np.testing.assert_array_equal(one.view(np.uint64), lift_reflect(extract_reflect(stack[-2])).view(np.uint64))
+        np.testing.assert_array_equal(one.view(np.uint64), (lift_phases(reflect_phases(stack[-2:-1]))[0]).view(np.uint64))
 
     def test_results_keep_the_last_iterate(self, rng):
         cfg, psis, inits = stacked_problems(rng, 5)
         for k, res in enumerate(run_stacked_mm(inits, psis, cfg, ACCEL)):
             assert res.objectives[-1] == lifted_objective(res.lifted, psis[k], cfg)
-            # the reflection is read off on first use, by the one-row extraction, and kept
-            assert "reflect" not in vars(res)
-            assert res.reflect.phases.tobytes() == extract_reflect(res.lifted).phases.tobytes()
-            assert res.reflect is res.reflect
+            # the phases are read off on first use, by the one-row extraction, and kept
+            assert "phases" not in vars(res)
+            assert res.phases.tobytes() == reflect_phases(res.lifted).tobytes()
+            assert res.phases is res.phases
 
     def test_a_zero_coefficient_raises_as_extraction_does(self):
         stack = np.array([[1.0, 1.0 + 0j], [0.0j, 1.0]])
         with pytest.raises(ConfigError, match="zero reflection coefficient"):
-            extract_reflect(stack[1])
+            reflect_phases(stack[1])
         with pytest.raises(ConfigError, match="zero reflection coefficient"):
             reflect_phases(stack)
         with pytest.raises(ConfigError, match="zero reflection coefficient"):
-            MMResult(stack[1], 0, True, (0.0,)).reflect
+            MMResult(stack[1], 0, True, (0.0,)).phases
 
 
 class TestStepLengths:
@@ -1133,16 +1144,14 @@ class TestRunMM:
             )
             objs = res.objectives
             assert all(b >= a - 1e-12 for a, b in zip(objs, objs[1:]))
-            np.testing.assert_allclose(np.abs(res.reflect.theta), 1.0, atol=1e-12)
+            np.testing.assert_allclose(np.abs(res.lifted), 1.0, atol=1e-12)
             assert res.converged
 
     def test_extraction_preserves_objective(self, rng):
         cfg, psi = random_problem(rng, n_i=9)
         res = run_mm(random_lifted_init(rng, 9), psi, cfg, MMSettings())
-        ch_free = psi  # evaluate via the reflect config on the same composite
-        rc = res.reflect
-        tt = lift_reflect(rc)
-        assert lifted_objective(tt, ch_free, cfg) == pytest.approx(
+        tt = lift_phases(res.phases)  # the phases lifted again, on the same composite
+        assert lifted_objective(tt, psi, cfg) == pytest.approx(
             res.objectives[-1], rel=1e-12
         )
 
@@ -1165,14 +1174,14 @@ class TestRunMM:
         cfg, psi = random_problem(rng, n_i=4)
         a = run_mm(np.ones(5, dtype=complex), psi, cfg, MMSettings())
         b = run_mm(np.ones(5, dtype=complex), psi, cfg, MMSettings())
-        np.testing.assert_array_equal(a.reflect.theta, b.reflect.theta)
+        np.testing.assert_array_equal(a.phases, b.phases)
 
 
 class TestSquarem:
     def test_fixed_point_falls_back_to_plain_step(self, rng):
         cfg, psi = random_problem(rng, n_i=6)
         res = run_mm(random_lifted_init(rng, 6), psi, cfg, MMSettings(epsilon=1e-13))
-        state = lift_reflect(res.reflect)
+        state = lift_phases(res.phases)
         plain = run_steps(state, psi, cfg, 1)
         accel = run_steps(state, psi, cfg, 1, accelerate=True)
         assert accel.objectives[-1] == pytest.approx(plain.objectives[-1], rel=1e-10)
@@ -1184,7 +1193,7 @@ class TestSquarem:
             plain = run_steps(state, psi, cfg, 1)
             accel = run_steps(state, psi, cfg, 1, accelerate=True)
             assert accel.objectives[-1] >= plain.objectives[-1] - 1e-12
-            state = lift_reflect(accel.reflect)
+            state = lift_phases(accel.phases)
 
     def test_accelerated_converges_faster(self, rng):
         cfg, psi = random_problem(rng, n_i=20)
@@ -1198,30 +1207,20 @@ class TestSquarem:
 class TestQuantize:
     def test_exact_grid_point(self):
         for bits in (1, 2, 3):
-            rc = quantize_phases(ReflectConfig(np.zeros(3)), bits)
-            np.testing.assert_array_equal(rc.phases, 0.0)
+            np.testing.assert_array_equal(quantize_phases(np.zeros(3), bits), 0.0)
 
     def test_one_bit(self):
-        rc = quantize_phases(
-            ReflectConfig(np.array([0.9 * np.pi])), 1
-        )
-        assert rc.phases[0] == pytest.approx(np.pi)
+        assert quantize_phases(np.array([0.9 * np.pi]), 1)[0] == pytest.approx(np.pi)
 
     def test_wrap_around(self):
-        rc = quantize_phases(
-            ReflectConfig(np.array([1.99 * np.pi])), 2
-        )
-        assert rc.phases[0] == 0.0
+        assert quantize_phases(np.array([1.99 * np.pi]), 2)[0] == 0.0
 
     def test_tie_breaks_to_smaller_level(self):
-        rc = quantize_phases(
-            ReflectConfig(np.array([np.pi / 2.0])), 1
-        )
-        assert rc.phases[0] == 0.0
+        assert quantize_phases(np.array([np.pi / 2.0]), 1)[0] == 0.0
 
     def test_requires_discrete(self):
         with pytest.raises(ConfigError):
-            quantize_phases(ReflectConfig(np.zeros(2)), None)
+            quantize_phases(np.zeros(2), None)
 
     @pytest.mark.parametrize("bits", range(1, 9))
     def test_matches_the_distance_matrix_oracle(self, bits):
@@ -1231,7 +1230,7 @@ class TestQuantize:
         levels = 2.0 * np.pi * np.arange(2**bits) / 2**bits
         wrapped = np.abs((phases[:, None] - levels[None, :] + np.pi) % (2.0 * np.pi) - np.pi)
         oracle = levels[np.argmin(wrapped, axis=1)]
-        np.testing.assert_array_equal(quantize_phases(ReflectConfig(phases), bits).phases, oracle)
+        np.testing.assert_array_equal(quantize_phases(phases, bits), oracle)
 
     @pytest.mark.parametrize("bits", range(1, 9))
     def test_exact_ties_go_to_the_lower_index(self, bits):
@@ -1243,27 +1242,35 @@ class TestQuantize:
             phase = (j + 0.5) * step
             if np.mod(phase, 2.0 * np.pi) / step != j + 0.5:
                 continue  # the phase itself rounded off the midpoint
-            assert quantize_phases(ReflectConfig(np.array([phase])), bits).phases[0] == (
+            assert quantize_phases(np.array([phase]), bits)[0] == (
                 2.0 * np.pi * j / n
             )
-        assert quantize_phases(ReflectConfig(np.array([np.pi / n])), bits).phases[0] == 0.0
+        assert quantize_phases(np.array([np.pi / n]), bits)[0] == 0.0
 
     def test_fine_resolution_needs_no_level_table(self):
         phases = np.array([0.1, 3.0, -2.0])
-        fine = quantize_phases(ReflectConfig(phases), 40).phases
+        fine = quantize_phases(phases, 40)
         np.testing.assert_allclose(fine, np.mod(phases, 2.0 * np.pi), rtol=0.0, atol=1e-11)
-        quantize_phases(ReflectConfig(phases), 52)
+        quantize_phases(phases, 52)
         with pytest.raises(ConfigError, match="bits <= 52, got 53"):
-            quantize_phases(ReflectConfig(phases), 53)
+            quantize_phases(phases, 53)
+
+    @pytest.mark.parametrize("bits", [1, 2, 5])
+    def test_a_stack_rounds_each_row_as_alone(self, rng, bits):
+        phases = rng.uniform(-4.0 * np.pi, 4.0 * np.pi, (7, 9))
+        stacked = quantize_phases(phases, bits)
+        assert stacked.shape == phases.shape
+        for row, got in zip(phases, stacked):
+            assert got.tobytes() == quantize_phases(row, bits).tobytes()
 
     def test_quantized_never_beats_continuous(self, rng):
         for seed in range(10):
             local = np.random.default_rng(seed)
             cfg, psi = random_problem(local, n_i=6)
             res = run_mm(random_lifted_init(local, 6), psi, cfg, MMSettings())
-            quant = quantize_phases(res.reflect, 2)
+            quant = quantize_phases(res.phases, 2)
             cont_val = res.objectives[-1]
-            quant_val = lifted_objective(lift_reflect(quant), psi, cfg)
+            quant_val = lifted_objective(lift_phases(quant), psi, cfg)
             assert quant_val <= cont_val * (1 + 1e-9)
             assert quant_val >= 0.0
 
@@ -1272,13 +1279,12 @@ class TestQuantize:
         # between the projected solution and the continuous optimum
         cfg, psi = random_problem(rng, n_i=2)
         res = run_mm(random_lifted_init(rng, 2), psi, cfg, MMSettings(epsilon=1e-10))
-        quant = quantize_phases(res.reflect, 2)
-        quant_val = lifted_objective(lift_reflect(quant), psi, cfg)
+        quant = quantize_phases(res.phases, 2)
+        quant_val = lifted_objective(lift_phases(quant), psi, cfg)
         levels = 2 * np.pi * np.arange(4) / 4
         best = 0.0
         for p1 in levels:
             for p2 in levels:
-                rc = ReflectConfig(np.array([p1, p2]))
-                best = max(best, lifted_objective(lift_reflect(rc), psi, cfg))
+                best = max(best, lifted_objective(lift_phases(np.array([p1, p2])), psi, cfg))
         assert best >= quant_val - 1e-12
         assert best <= res.objectives[-1] * (1 + 1e-9)

@@ -5,11 +5,10 @@ from irsbf.model import (
     ChannelSet,
     ConfigError,
     DimensionError,
-    ReflectConfig,
     SystemConfig,
     build_composite,
-    extract_reflect,
-    lift_reflect,
+    lift_phases,
+    reflect_phases,
 )
 from irsbf.txbf import composite_vector
 
@@ -120,11 +119,11 @@ class TestComposite:
         for _ in range(20):
             n_i, n_s = int(rng.integers(1, 9)), int(rng.integers(1, 5))
             ch = random_channels(rng, n_i, n_s)
-            rc = ReflectConfig(rng.uniform(0, 2 * np.pi, n_i))
-            direct = ch.h_si.conj().T @ (np.conj(rc.theta) * ch.h_id) + ch.h_sd
-            via_psi = build_composite(ch) @ lift_reflect(rc)
+            phases = rng.uniform(0, 2 * np.pi, n_i)
+            direct = ch.h_si.conj().T @ (np.conj(np.exp(1j * phases)) * ch.h_id) + ch.h_sd
+            via_psi = build_composite(ch) @ lift_phases(phases)
             np.testing.assert_allclose(via_psi, direct, atol=1e-12 * max(1.0, np.abs(direct).max()))
-            np.testing.assert_array_equal(composite_vector(rc, build_composite(ch)), via_psi)
+            np.testing.assert_array_equal(composite_vector(phases, build_composite(ch)), via_psi)
 
     def test_no_irs_composite_vector_is_the_direct_link(self, rng):
         ch = random_channels(rng, 6, 3)
@@ -132,30 +131,33 @@ class TestComposite:
 
     def test_numerator_reconstruction_2x2(self, rng):
         ch = random_channels(rng, 2, 2)
-        rc = ReflectConfig(rng.uniform(0, 2 * np.pi, 2))
+        phases = rng.uniform(0, 2 * np.pi, 2)
         w = complex_gaussian(rng, 2)
-        v = ch.h_si.conj().T @ (np.conj(rc.theta) * ch.h_id) + ch.h_sd
+        v = ch.h_si.conj().T @ (np.conj(np.exp(1j * phases)) * ch.h_id) + ch.h_sd
         lhs = np.abs(np.vdot(v, w))
-        rhs = np.abs(np.vdot(build_composite(ch) @ lift_reflect(rc), w))
+        rhs = np.abs(np.vdot(build_composite(ch) @ lift_phases(phases), w))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-class TestReflectConfig:
-    def test_theta_is_derived_from_phases(self):
-        # theta is not an argument, so it cannot disagree with the phases
-        rc = ReflectConfig([0.0, np.pi / 2.0])
-        np.testing.assert_array_equal(rc.theta, np.exp(1j * rc.phases))
-        with pytest.raises(TypeError):
-            ReflectConfig(theta=np.array([0.5 + 0j]), phases=np.array([0.0]))
+class TestLiftPhases:
+    def test_lifted_vector_is_the_conjugate_coefficients_and_a_unit_slack(self):
+        phases = np.array([0.0, np.pi / 2.0])
+        np.testing.assert_array_equal(lift_phases(phases), np.append(np.conj(np.exp(1j * phases)), 1.0))
+        # any array-like, as the functions that take phases accept them
+        np.testing.assert_array_equal(lift_phases([0.0, np.pi / 2.0]), lift_phases(phases))
 
-    def test_lift_extract_round_trip(self, rng):
-        rc = ReflectConfig(rng.uniform(0, 2 * np.pi, 6))
-        back = extract_reflect(lift_reflect(rc))
-        np.testing.assert_allclose(back.theta, rc.theta, atol=1e-14)
+    @pytest.mark.parametrize("shape", [(6,), (3, 6)])
+    def test_lift_and_read_back_round_trip(self, rng, shape):
+        phases = rng.uniform(-np.pi, np.pi, shape)
+        back = reflect_phases(lift_phases(phases))
+        assert back.shape == shape
+        np.testing.assert_allclose(np.exp(1j * back), np.exp(1j * phases), atol=1e-14)
+        # each row of a stack lifts and reads back bit for bit as it does alone
+        for row, phases_row in zip(np.atleast_2d(back), np.atleast_2d(phases)):
+            assert row.tobytes() == reflect_phases(lift_phases(phases_row)).tobytes()
 
-    def test_extract_divides_out_slack(self, rng):
+    def test_reflect_phases_divides_out_slack(self, rng):
         phases = rng.uniform(0, 2 * np.pi, 4)
         slack = np.exp(1j * 0.7)
         tt = np.concatenate([np.conj(np.exp(1j * phases)) * slack, [slack]])
-        rc = extract_reflect(tt)
-        np.testing.assert_allclose(rc.theta, np.exp(1j * phases), atol=1e-14)
+        np.testing.assert_allclose(np.exp(1j * reflect_phases(tt)), np.exp(1j * phases), atol=1e-14)

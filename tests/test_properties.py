@@ -31,10 +31,9 @@ from irsbf.mm import (
 )
 from irsbf.model import (
     ChannelSet,
-    ReflectConfig,
     SystemConfig,
     build_composite,
-    lift_reflect,
+    lift_phases,
 )
 from irsbf.sdr import solve_sdr
 from irsbf.sim import child_seed, db2pow
@@ -111,8 +110,9 @@ def test_run_mm_monotone_unit_modulus_and_consistent(problem):
         res = run_mm(init, psi, cfg, MMSettings(accelerate=accelerate, max_iter=200))
         objs = np.asarray(res.objectives)
         assert np.all(objs[1:] >= objs[:-1] - 1e-11 * np.maximum(1.0, np.abs(objs[:-1])))
-        np.testing.assert_allclose(np.abs(res.reflect.theta), 1.0, atol=1e-12)
-        pt = lifted_objective(lift_reflect(res.reflect), psi, cfg)
+        np.testing.assert_allclose(np.abs(res.lifted), 1.0, atol=1e-12)
+        assert res.phases.shape == (cfg.n_i,) and np.isfinite(res.phases).all()
+        pt = lifted_objective(lift_phases(res.phases), psi, cfg)
         assert abs(pt - res.objectives[-1]) <= 1e-9 * max(1.0, abs(pt))
         assert res.objectives[-1] >= objs[0] - 1e-11 * max(1.0, abs(objs[0]))
 
@@ -253,7 +253,7 @@ def test_step_from_the_shared_evaluation_maximizes_a_tight_minorizer_at_the_edge
 def test_certified_bound_dominates_and_certificate_is_dual_feasible(problem):
     cfg, psi, rng = make_problem(**problem)
     mm = run_mm(random_lifted_init(rng, cfg.n_i), psi, cfg, MMSettings(max_iter=200))
-    ub = solve_sdr(psi, cfg, init=lift_reflect(mm.reflect))
+    ub = solve_sdr(psi, cfg, init=lift_phases(mm.phases))
     tol = 1e-12 * max(1.0, abs(ub.bound_psi_tilde))
     assert ub.bound_psi_tilde >= mm.objectives[-1] - tol
     assert ub.bound_psi_tilde >= ub.primal_psi_tilde - tol
@@ -275,16 +275,16 @@ def test_certified_bound_dominates_and_certificate_is_dual_feasible(problem):
 @with_edges
 def test_closed_form_beam_beats_random_beams_of_equal_norm(problem):
     cfg, psi, rng = make_problem(**problem)
-    theta = ReflectConfig(rng.uniform(0.0, 2.0 * np.pi, cfg.n_i))
-    if not np.any(composite_vector(theta, psi)):
+    phases = rng.uniform(0.0, 2.0 * np.pi, cfg.n_i)
+    if not np.any(composite_vector(phases, psi)):
         return  # no beam direction exists without any channel
-    w = optimal_transmit_beam(theta, psi, cfg)
+    w = optimal_transmit_beam(phases, psi, cfg)
     assert np.linalg.norm(w) ** 2 == pytest.approx(cfg.p_tilde, rel=1e-12)
-    best = evaluate_snr(w, theta, psi, cfg)
+    best = evaluate_snr(w, phases, psi, cfg)
     for _ in range(50):
         z = complex_gaussian(rng, cfg.n_s)
         z *= np.sqrt(cfg.p_tilde) / np.linalg.norm(z)
-        assert evaluate_snr(z, theta, psi, cfg) <= best * (1.0 + 1e-12)
+        assert evaluate_snr(z, phases, psi, cfg) <= best * (1.0 + 1e-12)
 
 
 @PROPERTY_SETTINGS
@@ -293,7 +293,7 @@ def test_closed_form_beam_beats_random_beams_of_equal_norm(problem):
     phases=st.lists(st.floats(-4.0 * np.pi, 4.0 * np.pi), min_size=1, max_size=12),
 )
 def test_quantize_phases_picks_the_nearest_level(bits, phases):
-    picked = quantize_phases(ReflectConfig(np.array(phases)), bits).phases
+    picked = quantize_phases(np.array(phases), bits)
     levels = 2.0 * np.pi * np.arange(2**bits) / 2**bits
 
     def wrapped(a, b):

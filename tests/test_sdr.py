@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from irsbf.mm import (
     random_lifted_init,
     run_mm,
 )
-from irsbf.model import ConfigError, SystemConfig, lift_reflect
+from irsbf.model import ConfigError, DimensionError, SystemConfig, lift_phases
 from irsbf.sdr import (
     _DUAL_BLEND,
     _DUAL_MAX_MAPS,
@@ -234,7 +235,7 @@ class TestDualCertificate:
         for s in range(10):
             (psi,), (init,) = _draw(cfg, geo, (child_seed(11, 50, s),))
             run = run_mm(init, psi, cfg, MMSettings())
-            b, m = certificate_inputs(lift_reflect(run.reflect)[:, None], psi, cfg)
+            b, m = certificate_inputs(lift_phases(run.phases)[:, None], psi, cfg)
             maps.clear()
             _dual_certificate(b, m, 1e-4)
             extrapolated += len(maps)
@@ -342,13 +343,19 @@ class TestSolveSdr:
         with pytest.raises(ConfigError, match="unit modulus"):
             solve_sdr(psi, cfg, init=init)
 
+    @pytest.mark.parametrize("shape", [(3,), (5,), (4, 1), (1, 4)])
+    def test_an_init_of_another_shape_raises(self, rng, shape):
+        cfg, psi = small_problem(rng, n_i=3)
+        with pytest.raises(DimensionError, match=re.escape(f"init must have shape (4,), got {shape}")):
+            solve_sdr(psi, cfg, init=np.ones(shape, dtype=complex))
+
     def test_dominates_mm_with_warm_start(self, rng):
         for seed in range(20):
             local = np.random.default_rng(7000 + seed)
             n_i = int(local.integers(2, 9))
             cfg, psi = small_problem(local, n_i=n_i)
             res = run_mm(random_lifted_init(local, n_i), psi, cfg, MMSettings())
-            ub = solve_sdr(psi, cfg, tol=1e-6, max_iter=25, init=lift_reflect(res.reflect))
+            ub = solve_sdr(psi, cfg, tol=1e-6, max_iter=25, init=lift_phases(res.phases))
             assert ub.bound_psi_tilde >= res.objectives[-1] - 1e-6
 
     def test_bound_dominates_without_a_warm_start_or_ascent(self):

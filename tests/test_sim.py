@@ -11,11 +11,10 @@ from irsbf.mm import MMResult, MMSettings, random_lifted_init, run_mm
 from irsbf.model import (
     ConfigError,
     DegenerateChannelError,
-    ReflectConfig,
     SystemConfig,
     build_composite,
-    extract_reflect,
-    lift_reflect,
+    lift_phases,
+    reflect_phases,
 )
 from irsbf.sim import (
     Scheme,
@@ -65,14 +64,14 @@ def beam_snrs(designs, psi, cfg):
     """
     cfg0 = _nonrobust_config(cfg)
     scale = np.sqrt(cfg.p_tilde / cfg0.p_tilde)
-    theta_r, theta_n = (extract_reflect(designs[s][1]) for s in (Scheme.ROBUST_IRS, Scheme.NONROBUST_IRS))
+    phases_r, phases_n = (reflect_phases(designs[s][1]) for s in (Scheme.ROBUST_IRS, Scheme.NONROBUST_IRS))
     beams = {
-        Scheme.ROBUST_IRS: (optimal_transmit_beam(theta_r, psi, cfg), theta_r),
-        Scheme.NONROBUST_IRS: (optimal_transmit_beam(theta_n, psi, cfg0) * scale, theta_n),
+        Scheme.ROBUST_IRS: (optimal_transmit_beam(phases_r, psi, cfg), phases_r),
+        Scheme.NONROBUST_IRS: (optimal_transmit_beam(phases_n, psi, cfg0) * scale, phases_n),
         Scheme.ROBUST_NO_IRS: (optimal_transmit_beam(None, psi, cfg), None),
         Scheme.NONROBUST_NO_IRS: (optimal_transmit_beam(None, psi, cfg0) * scale, None),
     }
-    return {scheme: evaluate_snr(w, theta, psi, cfg) for scheme, (w, theta) in beams.items()}
+    return {scheme: evaluate_snr(w, phases, psi, cfg) for scheme, (w, phases) in beams.items()}
 
 
 QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
@@ -82,13 +81,13 @@ def cn(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def symbol_oracle(w, theta, psi, cfg, n, rng):
+def symbol_oracle(w, phases, psi, cfg, n, rng):
     """Symbol-level link: x, z_s, z_d, y_tilde (before receive distortion) and y.
 
     Draws symbols, transmit distortion, receive distortion with the analytic
     second moment of the undistorted received signal, then noise.
     """
-    v = composite_vector(theta, psi)
+    v = composite_vector(phases, psi)
     g = np.vdot(v, w)
     x = QPSK[rng.integers(0, 4, n)]
     z_s = np.sqrt(cfg.kappa_s) * np.abs(w)[:, None] * cn(rng, (w.size, n))
@@ -98,10 +97,10 @@ def symbol_oracle(w, theta, psi, cfg, n, rng):
     return x, z_s, z_d, y_tilde, y_tilde + z_d
 
 
-def oracle_ser(w, theta, psi, cfg, n, rng):
+def oracle_ser(w, phases, psi, cfg, n, rng):
     """Error fraction of the oracle's equalized nearest-constellation decisions."""
-    x, _, _, _, y = symbol_oracle(w, theta, psi, cfg, n, rng)
-    eq = y / np.vdot(composite_vector(theta, psi), w)
+    x, _, _, _, y = symbol_oracle(w, phases, psi, cfg, n, rng)
+    eq = y / np.vdot(composite_vector(phases, psi), w)
     return float(np.mean(((eq.real < 0) != (x.real < 0)) | ((eq.imag < 0) != (x.imag < 0))))
 
 
@@ -151,11 +150,11 @@ class TestDesignBeams:
         psi = build_composite(generate_channels(np.random.default_rng(3), cfg, geo))
         designs = design(psi, cfg, 3)
         cfg0 = _nonrobust_config(cfg)
-        for theta in (extract_reflect(designs[Scheme.ROBUST_IRS][1]), None):
-            w = optimal_transmit_beam(theta, psi, cfg)
+        for phases in (reflect_phases(designs[Scheme.ROBUST_IRS][1]), None):
+            w = optimal_transmit_beam(phases, psi, cfg)
             assert np.linalg.norm(w) ** 2 <= cfg.p_tilde * (1 + 1e-9)
-        for theta in (extract_reflect(designs[Scheme.NONROBUST_IRS][1]), None):
-            w = optimal_transmit_beam(theta, psi, cfg0) * np.sqrt(cfg.p_tilde / cfg0.p_tilde)
+        for phases in (reflect_phases(designs[Scheme.NONROBUST_IRS][1]), None):
+            w = optimal_transmit_beam(phases, psi, cfg0) * np.sqrt(cfg.p_tilde / cfg0.p_tilde)
             assert np.linalg.norm(w) ** 2 <= cfg.p_tilde * (1 + 1e-9)
 
     def test_discrete_mode_quantizes(self):
@@ -193,12 +192,12 @@ class TestContinuation:
             res_n, res_r = mm_runs
             assert res_n.objectives == run_mm(init, psi, _nonrobust_config(cfg)).objectives
             assert res_r.objectives[0] == pytest.approx(
-                psi_tilde(res_n.reflect, psi, cfg), rel=1e-12
+                psi_tilde(res_n.phases, psi, cfg), rel=1e-12
             )
             for scheme, res in ((Scheme.ROBUST_IRS, res_r), (Scheme.NONROBUST_IRS, res_n)):
                 _, lifted, iterations = designs[scheme]
                 assert iterations == res.iterations
-                assert lifted.tobytes() == lift_reflect(res.reflect).tobytes()
+                assert lifted.tobytes() == lift_phases(res.phases).tobytes()
 
     @pytest.mark.parametrize("bits", [None, 1, 2])
     @pytest.mark.parametrize("edge", EDGES)
@@ -218,8 +217,8 @@ class TestContinuation:
                     design_all(psi, cfg, MMSettings(), bits, init, False)
                 assert mm_runs == []
                 res_n = run_mm(init, psi, _nonrobust_config(cfg))
-                res_r = run_mm(lift_reflect(res_n.reflect), psi, cfg)
-                nonrobust = psi_tilde(res_n.reflect, psi, cfg)
+                res_r = run_mm(lift_phases(res_n.phases), psi, cfg)
+                nonrobust = psi_tilde(res_n.phases, psi, cfg)
                 assert res_r.objectives[-1] >= nonrobust * (1.0 - 1e-12)
                 continue
             designs = design_all(psi, cfg, MMSettings(), bits, init, False)[0]
@@ -254,11 +253,9 @@ class TestSymbolSimulation:
     def test_perfect_hardware_noiseless_limit(self, rng):
         cfg = SystemConfig(n_s=3, n_i=4, p=2.0, kappa_s=0.0, kappa_d=0.0, sigma_n2=1e-300)
         psi = build_composite(random_channels(rng, 4, 3))
-        from irsbf.model import ReflectConfig
-
-        theta = ReflectConfig(rng.uniform(0, 2 * np.pi, 4))
-        w = optimal_transmit_beam(theta, psi, cfg)
-        assert simulate_ser(evaluate_snr(w, theta, psi, cfg), 2000) == 0.0
+        phases = rng.uniform(0, 2 * np.pi, 4)
+        w = optimal_transmit_beam(phases, psi, cfg)
+        assert simulate_ser(evaluate_snr(w, phases, psi, cfg), 2000) == 0.0
 
     def test_zero_beam_reports_random_guess(self, rng):
         cfg = SystemConfig(n_s=3, n_i=4, p=2.0, kappa_s=0.1, kappa_d=0.1, sigma_n2=0.1)
@@ -268,12 +265,10 @@ class TestSymbolSimulation:
     def test_moment_structure(self, rng):
         cfg = SystemConfig(n_s=4, n_i=5, p=2.0, kappa_s=0.08, kappa_d=0.12, sigma_n2=0.3)
         psi = build_composite(random_channels(rng, 5, 4))
-        from irsbf.model import ReflectConfig
-
-        theta = ReflectConfig(rng.uniform(0, 2 * np.pi, 5))
-        w = optimal_transmit_beam(theta, psi, cfg)
-        x, z_s, z_d, y_tilde, _ = symbol_oracle(w, theta, psi, cfg, 200_000, np.random.default_rng(8))
-        v = composite_vector(theta, psi)
+        phases = rng.uniform(0, 2 * np.pi, 5)
+        w = optimal_transmit_beam(phases, psi, cfg)
+        x, z_s, z_d, y_tilde, _ = symbol_oracle(w, phases, psi, cfg, 200_000, np.random.default_rng(8))
+        v = composite_vector(phases, psi)
         g = np.vdot(v, w)
         m2 = abs(g) ** 2 + cfg.kappa_s * np.sum(np.abs(v) ** 2 * np.abs(w) ** 2) + cfg.sigma_n2
         assert np.mean(np.abs(y_tilde) ** 2) == pytest.approx(m2, rel=0.02)
@@ -287,13 +282,11 @@ class TestSymbolSimulation:
     def test_ser_matches_gaussian_formula(self, rng):
         cfg = SystemConfig(n_s=4, n_i=6, p=2.0, kappa_s=0.05, kappa_d=0.05, sigma_n2=0.4)
         psi = build_composite(random_channels(rng, 6, 4))
-        from irsbf.model import ReflectConfig
-
-        theta = ReflectConfig(rng.uniform(0, 2 * np.pi, 6))
-        w = optimal_transmit_beam(theta, psi, cfg)
+        phases = rng.uniform(0, 2 * np.pi, 6)
+        w = optimal_transmit_beam(phases, psi, cfg)
         n = 200_000
-        ser = oracle_ser(w, theta, psi, cfg, n, np.random.default_rng(77))
-        expected = simulate_ser(evaluate_snr(w, theta, psi, cfg), n)
+        ser = oracle_ser(w, phases, psi, cfg, n, np.random.default_rng(77))
+        expected = simulate_ser(evaluate_snr(w, phases, psi, cfg), n)
         stderr = np.sqrt(expected * (1 - expected) / n)
         assert abs(ser - expected) < 3 * stderr
 
@@ -831,47 +824,6 @@ class TestCompositeOncePerRealization:
         results = run_sweep(spec, cfg, geo)
         assert all(Scheme.UPPER_BOUND in r.stats for r in results)
         assert calls["n"] == 2 * 3
-
-
-class TestStaysLifted:
-    """A sweep task and a study task build no ``ReflectConfig``."""
-
-    @pytest.fixture
-    def built(self, monkeypatch):
-        count = []
-        post_init = ReflectConfig.__post_init__
-
-        def counting(self):
-            count.append(1)
-            post_init(self)
-
-        monkeypatch.setattr(ReflectConfig, "__post_init__", counting)
-        return count
-
-    @pytest.mark.parametrize("bits, bound", [(None, False), (None, True), (1, True)])
-    @pytest.mark.parametrize("rows", [2, 5])
-    def test_sweep_task(self, built, bits, bound, rows):
-        cfg, geo = small_setup(n_i=6)
-        seeds = tuple(child_seed(36, r) for r in range(rows))
-        out = _sweep_task((cfg, geo, MMSettings(), bits, 2000, bound, seeds))
-        assert len(out) == rows and all("failed" not in r for r in out)
-        assert built == []
-
-    @pytest.mark.parametrize("rows", [2, 5])
-    def test_study_task(self, built, rows):
-        cfg, geo = small_setup(n_i=6)
-        plain_accel = [MMSettings(1e-5, sim_mod._STUDY_MAX_ITER, accel) for accel in (False, True)]
-        seeds = tuple(child_seed(37, r) for r in range(rows))
-        assert len(sim_mod._study_task((cfg, geo, plain_accel, seeds))) == rows
-        assert built == []
-
-    def test_the_counter_sees_a_reflection_read_off(self, built):
-        cfg, geo = small_setup(n_i=6)
-        (psi,), (init,) = _draw(cfg, geo, (child_seed(38, 0),))
-        res = run_mm(init, psi, cfg)
-        assert built == []
-        res.reflect
-        assert built == [1]
 
 
 class TestIterationStudy:

@@ -5,7 +5,7 @@ from irsbf.mm import MMSettings, random_lifted_init, run_mm
 from irsbf.model import (
     ChannelSet,
     DegenerateChannelError,
-    ReflectConfig,
+    DimensionError,
     SystemConfig,
     build_composite,
 )
@@ -22,9 +22,9 @@ from irsbf.txbf import (
 from conftest import complex_gaussian, random_channels
 
 
-def full_inverse_beam(theta, psi, cfg):
+def full_inverse_beam(phases, psi, cfg):
     """Independent oracle: the un-simplified optimizer with a dense Hermitian solve."""
-    v = composite_vector(theta, psi)
+    v = composite_vector(phases, psi)
     full = cfg.kappa_d * np.outer(v, np.conj(v)) + np.diag(
         (1.0 + cfg.kappa_d) * cfg.kappa_s * np.abs(v) ** 2
         + (1.0 + cfg.kappa_d) * cfg.sigma_n2 / cfg.p_tilde
@@ -38,8 +38,8 @@ def full_inverse_beam(theta, psi, cfg):
 class TestEvaluateSnr:
     def test_zero_beam(self, rng, small_cfg):
         psi = build_composite(random_channels(rng, small_cfg.n_i, small_cfg.n_s))
-        theta = ReflectConfig(rng.uniform(0, 2 * np.pi, small_cfg.n_i))
-        assert evaluate_snr(np.zeros(small_cfg.n_s, complex), theta, psi, small_cfg) == 0.0
+        phases = rng.uniform(0, 2 * np.pi, small_cfg.n_i)
+        assert evaluate_snr(np.zeros(small_cfg.n_s, complex), phases, psi, small_cfg) == 0.0
 
     def test_matched_filter_limit(self, rng):
         cfg = SystemConfig(n_s=5, n_i=0, p=3.0, kappa_s=0.0, kappa_d=0.0, sigma_n2=0.2)
@@ -51,7 +51,7 @@ class TestEvaluateSnr:
 
     def test_saturation_with_power(self, rng, small_cfg):
         psi = build_composite(random_channels(rng, small_cfg.n_i, small_cfg.n_s))
-        theta = ReflectConfig(rng.uniform(0, 2 * np.pi, small_cfg.n_i))
+        phases = rng.uniform(0, 2 * np.pi, small_cfg.n_i)
         direction = complex_gaussian(rng, small_cfg.n_s)
         direction /= np.linalg.norm(direction)
 
@@ -60,17 +60,17 @@ class TestEvaluateSnr:
                 n_s=small_cfg.n_s, n_i=small_cfg.n_i, p=small_cfg.p * p_scale,
                 kappa_s=small_cfg.kappa_s, kappa_d=small_cfg.kappa_d, sigma_n2=small_cfg.sigma_n2,
             )
-            return evaluate_snr(np.sqrt(cfg.p_tilde) * direction, theta, psi, cfg)
+            return evaluate_snr(np.sqrt(cfg.p_tilde) * direction, phases, psi, cfg)
 
         assert snr_at(1e6) == pytest.approx(snr_at(1e8), rel=0.01)
 
     def test_global_phase_invariance(self, rng, small_cfg):
         psi = build_composite(random_channels(rng, small_cfg.n_i, small_cfg.n_s))
-        theta = ReflectConfig(rng.uniform(0, 2 * np.pi, small_cfg.n_i))
-        w = optimal_transmit_beam(theta, psi, small_cfg)
+        phases = rng.uniform(0, 2 * np.pi, small_cfg.n_i)
+        w = optimal_transmit_beam(phases, psi, small_cfg)
         rotated = w * np.exp(1j * 1.234)
-        assert evaluate_snr(rotated, theta, psi, small_cfg) == pytest.approx(
-            evaluate_snr(w, theta, psi, small_cfg), rel=1e-12
+        assert evaluate_snr(rotated, phases, psi, small_cfg) == pytest.approx(
+            evaluate_snr(w, phases, psi, small_cfg), rel=1e-12
         )
 
 
@@ -78,17 +78,17 @@ class TestOptimalBeam:
     def test_matched_filter_at_zero_kappa(self, rng):
         cfg = SystemConfig(n_s=4, n_i=3, p=2.0, kappa_s=0.0, kappa_d=0.0, sigma_n2=0.1)
         psi = build_composite(random_channels(rng, 3, 4))
-        theta = ReflectConfig(rng.uniform(0, 2 * np.pi, 3))
-        v = composite_vector(theta, psi)
-        w = optimal_transmit_beam(theta, psi, cfg)
+        phases = rng.uniform(0, 2 * np.pi, 3)
+        v = composite_vector(phases, psi)
+        w = optimal_transmit_beam(phases, psi, cfg)
         mf = np.sqrt(cfg.p_tilde) * v / np.linalg.norm(v)
         mf *= np.exp(-1j * np.angle(mf[np.flatnonzero(np.abs(mf) > 0)[0]]))
         np.testing.assert_allclose(w, mf, atol=1e-12)
 
     def test_full_budget(self, rng, small_cfg):
         psi = build_composite(random_channels(rng, small_cfg.n_i, small_cfg.n_s))
-        theta = ReflectConfig(rng.uniform(0, 2 * np.pi, small_cfg.n_i))
-        w = optimal_transmit_beam(theta, psi, small_cfg)
+        phases = rng.uniform(0, 2 * np.pi, small_cfg.n_i)
+        w = optimal_transmit_beam(phases, psi, small_cfg)
         assert np.linalg.norm(w) ** 2 == pytest.approx(small_cfg.p_tilde, rel=1e-12)
 
     def test_matches_full_inverse_oracle(self, rng):
@@ -101,24 +101,33 @@ class TestOptimalBeam:
                 sigma_n2=float(rng.uniform(0.01, 1.0)),
             )
             psi = build_composite(random_channels(rng, n_i, n_s))
-            theta = ReflectConfig(rng.uniform(0, 2 * np.pi, n_i))
-            w = optimal_transmit_beam(theta, psi, cfg)
-            oracle = full_inverse_beam(theta, psi, cfg)
+            phases = rng.uniform(0, 2 * np.pi, n_i)
+            w = optimal_transmit_beam(phases, psi, cfg)
+            oracle = full_inverse_beam(phases, psi, cfg)
             worst = max(worst, np.linalg.norm(w - oracle) / np.linalg.norm(oracle))
         assert worst < 1e-10
 
     def test_beats_random_search(self, rng):
         cfg = SystemConfig(n_s=3, n_i=4, p=1.5, kappa_s=0.2, kappa_d=0.1, sigma_n2=0.3)
         psi = build_composite(random_channels(rng, 4, 3))
-        theta = ReflectConfig(rng.uniform(0, 2 * np.pi, 4))
-        w_star = optimal_transmit_beam(theta, psi, cfg)
-        best = evaluate_snr(w_star, theta, psi, cfg)
+        phases = rng.uniform(0, 2 * np.pi, 4)
+        w_star = optimal_transmit_beam(phases, psi, cfg)
+        best = evaluate_snr(w_star, phases, psi, cfg)
         draws = complex_gaussian(rng, 10_000, 3)
         norms = np.linalg.norm(draws, axis=1, keepdims=True)
         scales = np.sqrt(cfg.p_tilde) * rng.uniform(0, 1, (10_000, 1)) ** 0.5
         candidates = draws / norms * scales
         for w in candidates:
-            assert evaluate_snr(w, theta, psi, cfg) <= best * (1 + 1e-9)
+            assert evaluate_snr(w, phases, psi, cfg) <= best * (1 + 1e-9)
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (1, 4), (4, 1)])
+    def test_phases_of_another_shape_raise(self, rng, small_cfg, shape):
+        # psi has n_i + 1 = 5 columns, so only 4 phases fit it
+        psi = build_composite(random_channels(rng, 4, small_cfg.n_s))
+        phases = rng.uniform(0, 2 * np.pi, shape)
+        for call in (lambda: composite_vector(phases, psi), lambda: psi_tilde(phases, psi, small_cfg)):
+            with pytest.raises(DimensionError, match=r"phases must have shape \(4,\), got "):
+                call()
 
     def test_degenerate_channel_raises(self):
         cfg = SystemConfig(n_s=2, n_i=0, p=1.0, kappa_s=0.1, kappa_d=0.1, sigma_n2=0.1)
@@ -139,19 +148,19 @@ class TestObjectiveMaps:
     def test_kappa_s_zero_closed_form(self, rng):
         cfg = SystemConfig(n_s=4, n_i=5, p=2.0, kappa_s=0.0, kappa_d=0.3, sigma_n2=0.07)
         psi = build_composite(random_channels(rng, 5, 4))
-        theta = ReflectConfig(rng.uniform(0, 2 * np.pi, 5))
-        v = composite_vector(theta, psi)
+        phases = rng.uniform(0, 2 * np.pi, 5)
+        v = composite_vector(phases, psi)
         expected = cfg.p_tilde * np.linalg.norm(v) ** 2 / ((1 + cfg.kappa_d) * cfg.sigma_n2)
-        assert psi_tilde(theta, psi, cfg) == pytest.approx(expected, rel=1e-12)
+        assert psi_tilde(phases, psi, cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_snr_map_consistency_with_direct_evaluation(self, rng, small_cfg):
         # the mapped objective must equal the actual receive SNR at the
         # optimal beam, which pins down the map without any power prefactor
         psi = build_composite(random_channels(rng, small_cfg.n_i, small_cfg.n_s))
-        theta = ReflectConfig(rng.uniform(0, 2 * np.pi, small_cfg.n_i))
-        w = optimal_transmit_beam(theta, psi, small_cfg)
-        direct = evaluate_snr(w, theta, psi, small_cfg)
-        mapped = snr_from_psi_tilde(psi_tilde(theta, psi, small_cfg), small_cfg)
+        phases = rng.uniform(0, 2 * np.pi, small_cfg.n_i)
+        w = optimal_transmit_beam(phases, psi, small_cfg)
+        direct = evaluate_snr(w, phases, psi, small_cfg)
+        mapped = snr_from_psi_tilde(psi_tilde(phases, psi, small_cfg), small_cfg)
         assert mapped == pytest.approx(direct, rel=1e-9)
 
     def test_snr_map_edges(self, small_cfg):
@@ -178,10 +187,10 @@ class TestObjectiveMaps:
             random_lifted_init(rng, small_cfg.n_i), psi, small_cfg, MMSettings()
         )
         pt = mm.objectives[-1]
-        assert pt == pytest.approx(psi_tilde(mm.reflect, psi, small_cfg), rel=1e-9)
-        w = optimal_transmit_beam(mm.reflect, psi, small_cfg)
+        assert pt == pytest.approx(psi_tilde(mm.phases, psi, small_cfg), rel=1e-9)
+        w = optimal_transmit_beam(mm.phases, psi, small_cfg)
         assert snr_from_psi_tilde(pt, small_cfg) == pytest.approx(
-            evaluate_snr(w, mm.reflect, psi, small_cfg), rel=1e-9
+            evaluate_snr(w, mm.phases, psi, small_cfg), rel=1e-9
         )
 
 
@@ -203,15 +212,15 @@ class TestRowScoring:
     def test_matched_filter_snr_is_the_matched_filters_evaluation(self, rng, kappa_s):
         cfg = SystemConfig(n_s=4, n_i=3, p=2.0, kappa_s=kappa_s, kappa_d=0.15, sigma_n2=0.05)
         psis = [build_composite(random_channels(rng, cfg.n_i, cfg.n_s)) for _ in range(5)]
-        thetas = [ReflectConfig(rng.uniform(0, 2 * np.pi, cfg.n_i)) for _ in psis]
-        vs = np.array([composite_vector(t, psi) for t, psi in zip(thetas, psis)])
+        profiles = [rng.uniform(0, 2 * np.pi, cfg.n_i) for _ in psis]
+        vs = np.array([composite_vector(t, psi) for t, psi in zip(profiles, psis)])
         snrs = matched_filter_snr(np.abs(vs) ** 2, cfg)
-        for snr, v, theta, psi in zip(snrs, vs, thetas, psis):
+        for snr, v, phases, psi in zip(snrs, vs, profiles, psis):
             w = np.sqrt(cfg.p_tilde) * v / np.linalg.norm(v)
-            assert snr == pytest.approx(evaluate_snr(w, theta, psi, cfg), rel=1e-12, abs=0.0)
+            assert snr == pytest.approx(evaluate_snr(w, phases, psi, cfg), rel=1e-12, abs=0.0)
             # never above the optimal beam's SNR, and equal to it without
             # transmit distortion
-            optimal = snr_from_psi_tilde(psi_tilde(theta, psi, cfg), cfg)
+            optimal = snr_from_psi_tilde(psi_tilde(phases, psi, cfg), cfg)
             assert snr <= optimal * (1.0 + 1e-12)
             if kappa_s == 0.0:
                 assert snr == pytest.approx(optimal, rel=1e-12, abs=0.0)
