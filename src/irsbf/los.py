@@ -26,15 +26,19 @@ class LOSSolution:
     snr_asymptotic: float | None
 
 
-def los_snr_closed(cfg: SystemConfig, eta_abs2: float, h_id_l1: float) -> float:
-    """Closed SNR ratio at the aligned solution; ||.||_1 sums entry moduli."""
-    x = eta_abs2 * h_id_l1**2
+def _closed_ratio(cfg: SystemConfig, x: float) -> float:
+    """The aligned solution's SNR num / den at x = |eta|^2 ||h_id||_1^2."""
     num = cfg.p_tilde * cfg.n_s * x
     den = (
         cfg.p_tilde * (cfg.kappa_d * cfg.n_s + (1.0 + cfg.kappa_d) * cfg.kappa_s) * x
         + (1.0 + cfg.kappa_d) * cfg.sigma_n2
     )
     return float(num / den)
+
+
+def los_snr_closed(cfg: SystemConfig, eta_abs2: float, h_id_l1: float) -> float:
+    """Closed SNR ratio at the aligned solution; ||.||_1 sums entry moduli."""
+    return _closed_ratio(cfg, eta_abs2 * h_id_l1**2)
 
 
 def solve_los(ch: LOSChannel, h_id: np.ndarray, cfg: SystemConfig, sigma_id2: float | None = None) -> LOSSolution:
@@ -64,10 +68,5 @@ def asymptotic_snr(cfg: SystemConfig, n_i: int, sigma_id2: float, eta_abs2: floa
     """
     if n_i <= 0 or sigma_id2 <= 0.0 or eta_abs2 <= 0.0:
         raise ValueError("n_i, sigma_id2 and eta_abs2 must all be positive")
-    x = eta_abs2 * np.pi * n_i**2 * sigma_id2
-    num = cfg.p_tilde * cfg.n_s * x
-    den = (
-        cfg.p_tilde * (cfg.kappa_d * cfg.n_s + (1.0 + cfg.kappa_d) * cfg.kappa_s) * x
-        + 4.0 * (1.0 + cfg.kappa_d) * cfg.sigma_n2
-    )
-    return float(num / den)
+    # dividing by 4 is exact, so num and den each scale by exactly 4 and the ratio is unchanged
+    return _closed_ratio(cfg, eta_abs2 * np.pi * n_i**2 * sigma_id2 / 4.0)

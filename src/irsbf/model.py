@@ -141,6 +141,9 @@ def lift_phases(phases: np.ndarray) -> np.ndarray:
 
 def reflect_phases(theta_tilde: np.ndarray) -> np.ndarray:
     """Undo the lifting along the last axis: divide out the slack entry, conjugate back, take phases."""
+    theta_tilde = np.asarray(theta_tilde)
+    if theta_tilde.ndim == 0 or theta_tilde.shape[-1] == 0:
+        raise DimensionError(f"a lifted vector needs its slack entry, got shape {theta_tilde.shape}")
     theta = np.conjugate(theta_tilde[..., :-1] / theta_tilde[..., -1:])
     if not theta.all():
         raise ConfigError("cannot normalize a zero reflection coefficient")

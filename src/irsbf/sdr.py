@@ -182,14 +182,6 @@ def _bound(primal: float, dual: np.ndarray, m: np.ndarray) -> float:
     return (primal + float(np.sum(dual)) - float(np.sum(np.abs(m) ** 2))) * (1.0 + _BOUND_MARGIN)
 
 
-def _certify(v: np.ndarray, run, tol: float):
-    """Relaxed objective f(X) at X = v v^H, the dual certificate y at X, and the bound."""
-    primal, b = _linearize(v, run)
-    m = b @ v
-    dual = _dual_certificate(b, m, tol)
-    return primal, dual, _bound(primal, dual, m)
-
-
 def _certify_phases(tt: np.ndarray, run, tol: float):
     """One dual map at X = tt tt^H: (f(X), y, bound, None), or (f(X), None, None, escape directions).
 
@@ -270,7 +262,10 @@ def solve_sdr(
         settings = MMSettings(epsilon=tol, max_iter=max_iter)
         ((v,), (objectives,), (converged,)) = _ascend_rows(start, run, settings)
         iterations = len(objectives) - 1
-        primal, dual, bound = _certify(v, run, tol)
+        primal, b = _linearize(v, run)
+        m = b @ v
+        dual = _dual_certificate(b, m, tol)
+        bound = _bound(primal, dual, m)
     return UpperBoundResult(
         factor=v,
         dual=dual,

@@ -25,25 +25,27 @@ last, or the kept quantized profile's), a nonrobust one by the SNR of its
 mismatched beam, and the no-IRS schemes from the direct column.
 
 Determinism contract: sweeps, the iteration study and the bound check
-run their realizations through one loop, ``_realizations``, and draw
-each one by ``_draw`` from its own generator.  Each point has a seed
-key, a tuple of integers, and realization r of a point with key k is
-seeded by ``child_seed(seed, *k, r)``, a 64-bit mixing of the master
-seed, the key and r: a sweep keys point i as (i,), the study as
-(``_STUDY_SALT``, i), and the bound check its one point as (0xB0,).
-A task is a chunk of up to ``_CHUNK`` consecutive realizations of one
-point, at every surface size.  It draws them as one array (``_draw``),
-each realization still from its own generator, and its MM runs step in
-lockstep as stacks (``_run_rows``) on that array: a sweep or bound-check
-task designs its chunk's nonrobust reflections as one stack and the
-robust ones as another, and a study task runs each of its four kinds of
-run as one stack.  The chunk size never depends on ``--workers``, and
-no realization's result depends on its chunk: each draw is bit for bit
-its own, and each row of a stack is bit for bit its own ``run_mm``.
-Workers therefore produce identical results regardless of how tasks are
-distributed, and the aggregation is an ordered reduction.  A degenerate
-channel is the only failure a realization reports, and it fails that
-realization alone.
+each run as a task and a reduction through one point loop,
+``_realizations``: a task gives a chunk's results and the reduction a
+point's value.  Each realization is drawn by ``_draw`` from its own
+generator.  Each point has a seed key, a tuple of integers, and
+realization r of a point with key k is seeded by
+``child_seed(seed, *k, r)``, a 64-bit mixing of the master seed, the key
+and r: a sweep keys point i as (i,), the study as (``_STUDY_SALT``, i),
+and the bound check its one point as (0xB0,).  A task is a chunk of up
+to ``_CHUNK`` consecutive realizations of one point, at every surface
+size.  It draws them as one array (``_draw``), each realization still
+from its own generator, and its MM runs step in lockstep as stacks
+(``_run_rows``) on that array: a sweep or bound-check task designs its
+chunk's nonrobust reflections as one stack and the robust ones as
+another, and a study task runs each of its four kinds of run as one
+stack.  The chunk size never depends on ``--workers``, and no
+realization's result depends on its chunk: each draw is bit for bit its
+own, and each row of a stack is bit for bit its own ``run_mm``.  Workers
+therefore produce identical results regardless of how tasks are
+distributed, and each reduction sees its point's results in realization
+order.  A degenerate channel is the only failure a realization reports,
+and it fails that realization alone.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from contextlib import closing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -466,44 +467,49 @@ def sweep_points(variable: str, values, base_cfg: SystemConfig, geo: Geometry) -
     return points
 
 
-def _realizations(task, points, n_channels: int, seed: int, keys, workers: int):
-    """The one realization loop: yields each point's task results in realization order.
+def _realizations(task, points, n_channels: int, seed: int, keys, workers: int, reduce, on_point=None):
+    """The one point loop: runs each point's tasks and returns its reductions in point order.
 
-    Its users are the sweeps, the iteration study and the bound check.
-    ``keys`` holds one seed key per point, a tuple of integers, and
-    realization r of the point with key k is drawn from
-    ``child_seed(seed, *k, r)``.  A task takes ``(*points[i], seeds)``,
+    Its users are the sweeps, the iteration study and the bound check,
+    each a task and a reduction.  ``keys`` holds one seed key per point, a
+    tuple of integers, and realization r of the point with key k is drawn
+    from ``child_seed(seed, *k, r)``.  A task takes ``(*points[i], seeds)``,
     the seeds of a chunk of up to ``_CHUNK`` consecutive realizations of
     one point, and returns their results in order; the split never
-    depends on ``workers``.
+    depends on ``workers``.  Point i's results, in realization order, go
+    to ``reduce(i, results)``, and each value it returns goes to
+    ``on_point`` as soon as that point and the points before it are done.
     With one worker the tasks run in this process, point by point.
     Otherwise one process pool serves the run: every point's tasks are
-    submitted at once, so the points overlap, and each point is yielded as
-    soon as it and the points before it are done.  When the loop stops
-    early (a fault, or a caller that stops reading), the tasks not yet
-    started are cancelled.  The counts and the seed are checked
-    (``check_run``) before the first task runs.
+    submitted at once, so the points overlap.  A fault in a task, in
+    ``reduce`` or in ``on_point`` cancels the tasks not yet started.  The
+    counts and the seed are checked (``check_run``) before the first task
+    runs.
     """
     check_run(n_channels, workers, seed)
     tasks = []
     for point, key in zip(points, keys, strict=True):
         seeds = tuple(child_seed(seed, *key, r) for r in range(n_channels))
         tasks.append([(*point, seeds[k:k + _CHUNK]) for k in range(0, n_channels, _CHUNK)])
+
+    def finish(i, parts):
+        value = reduce(i, [x for part in parts for x in part])
+        if on_point is not None:
+            on_point(value)
+        return value
+
     if workers == 1:
-        for point_tasks in tasks:
-            yield [x for part in map(task, point_tasks) for x in part]
-        return
+        return [finish(i, map(task, point_tasks)) for i, point_tasks in enumerate(tasks)]
     # imported here: it loads multiprocessing, which one worker never needs
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [[pool.submit(task, t) for t in point_tasks] for point_tasks in tasks]
         try:
-            for point_futures in futures:
-                yield [x for f in point_futures for x in f.result()]
+            return [finish(i, (f.result() for f in fs)) for i, fs in enumerate(futures)]
         finally:
-            for point_futures in futures:
-                for f in point_futures:
+            for fs in futures:
+                for f in fs:
                     f.cancel()
 
 
@@ -514,7 +520,7 @@ def run_sweep(
     workers: int = 1,
     on_point=None,
 ) -> list[SimResult]:
-    """Run every scheme over the sweep grid and aggregate per point.
+    """Run every scheme over the sweep grid and reduce each point to its ``SimResult``.
 
     SNR is averaged in the linear domain and converted to dB afterwards;
     SER is the mean over channels of each realization's exact conditional
@@ -523,51 +529,41 @@ def run_sweep(
     realization of a point fails, SweepFailedError names the first reason.
     Any other exception propagates.  The grid (``sweep_points``) and the
     counts and seed (``check_run``) are checked before the first point
-    runs.  ``on_point`` is invoked with each finished SimResult, letting
-    callers persist partial output.
+    runs.  ``on_point`` is invoked with each finished SimResult, in point
+    order, letting callers persist partial output.
     """
     settings = MMSettings(epsilon=spec.epsilon)
     points = [(*point, settings, spec.bits, spec.n_symbols, spec.bound)
               for point in sweep_points(spec.variable, spec.values, base_cfg, geo)]
-    results = []
-    with closing(
-        _realizations(
-            _sweep_task, points, spec.n_channels, spec.seed, [(i,) for i in range(len(points))],
-            workers,
-        )
-    ) as realizations:
-        for rows, value in zip(realizations, spec.values):
-            failed = [r["failed"] for r in rows if "failed" in r]
-            if failed:
-                log.warning(
-                    "sweep %s=%g: skipped %d/%d realizations (first: %s)",
-                    spec.variable,
-                    value,
-                    len(failed),
-                    len(rows),
-                    failed[0],
-                )
-            good = [r for r in rows if "failed" not in r]
-            if not good:
-                raise SweepFailedError(
-                    f"all {len(rows)} realizations failed at {spec.variable}={value:g}"
-                    f" (first: {failed[0]})"
-                )
-            stats = {}
-            for name in good[0]:
-                snrs = np.array([r[name][0] for r in good])
-                sers = [r[name][1] for r in good]
-                iters = [r[name][2] for r in good]
-                stats[Scheme(name)] = SchemeStats(
-                    mean_snr_db=pow2db(float(np.mean(snrs))),
-                    ser=float(np.mean(sers)) if sers[0] is not None else None,
-                    mean_iterations=float(np.mean(iters)) if iters[0] is not None else None,
-                )
-            point = SimResult(sweep_variable=spec.variable, sweep_value=value, stats=stats)
-            results.append(point)
-            if on_point is not None:
-                on_point(point)
-    return results
+
+    def reduce(i, rows) -> SimResult:
+        value = spec.values[i]
+        failed = [r["failed"] for r in rows if "failed" in r]
+        if failed:
+            log.warning("sweep %s=%g: skipped %d/%d realizations (first: %s)",
+                        spec.variable, value, len(failed), len(rows), failed[0])
+        good = [r for r in rows if "failed" not in r]
+        if not good:
+            raise SweepFailedError(
+                f"all {len(rows)} realizations failed at {spec.variable}={value:g}"
+                f" (first: {failed[0]})"
+            )
+        stats = {}
+        for name in good[0]:
+            snrs = np.array([r[name][0] for r in good])
+            sers = [r[name][1] for r in good]
+            iters = [r[name][2] for r in good]
+            stats[Scheme(name)] = SchemeStats(
+                mean_snr_db=pow2db(float(np.mean(snrs))),
+                ser=float(np.mean(sers)) if sers[0] is not None else None,
+                mean_iterations=float(np.mean(iters)) if iters[0] is not None else None,
+            )
+        return SimResult(sweep_variable=spec.variable, sweep_value=value, stats=stats)
+
+    return _realizations(
+        _sweep_task, points, spec.n_channels, spec.seed, [(i,) for i in range(len(points))],
+        workers, reduce, on_point,
+    )
 
 
 def _bound_check_task(args) -> list:
@@ -594,11 +590,12 @@ def run_bound_check(cfg: SystemConfig, geo: Geometry, n_channels: int, seed: int
 
     Channel r is the realization drawn from ``child_seed(seed, 0xB0, r)``,
     designed as a sweep designs it, at the default ``MMSettings``, in one
-    process.  Returns, per channel in order, the design's ``psi_tilde``
-    with its ``UpperBoundResult``, or the ``DegenerateChannelError`` of a
-    channel without a beam direction.
+    process.  Its one point reduces to its rows, returned: per channel in
+    order, the design's ``psi_tilde`` with its ``UpperBoundResult``, or the
+    ``DegenerateChannelError`` of a channel without a beam direction.
     """
-    (rows,) = _realizations(_bound_check_task, [(cfg, geo)], n_channels, seed, [(0xB0,)], 1)
+    (rows,) = _realizations(_bound_check_task, [(cfg, geo)], n_channels, seed, [(0xB0,)], 1,
+                            lambda i, rows: rows)
     return rows
 
 
@@ -649,25 +646,22 @@ def run_iteration_study(
 ) -> list[IterationStudyRow]:
     """Average iterations to convergence, robust/nonrobust x plain/accelerated.
 
-    Accelerated counts are outer cycles (two fixed-point maps each), the
-    same bookkeeping used by ``run_mm``.  ``epsilon``, the surface sizes
+    Each point reduces to the mean counts.  Accelerated counts are outer
+    cycles (two fixed-point maps each), the same bookkeeping used by
+    ``run_mm``.  ``epsilon``, the surface sizes
     (``sweep_points`` of n_i) and the counts and seed (``check_run``) are
     checked before the first realization runs.  ``on_point`` is invoked
-    with each finished row, letting callers persist partial output.
+    with each finished row, in point order, letting callers persist
+    partial output.
     """
     plain_accel = [MMSettings(epsilon, _STUDY_MAX_ITER, accel) for accel in (False, True)]
     points = [(*point, plain_accel) for point in sweep_points("n_i", n_i_list, base_cfg, geo)]
-    rows = []
-    with closing(
-        _realizations(
-            _study_task, points, n_channels, seed,
-            [(_STUDY_SALT, i) for i in range(len(points))], workers,
-        )
-    ) as realizations:
-        for counts, (cfg, *_) in zip(realizations, points):
-            means = np.mean(np.array(counts, dtype=float), axis=0)
-            row = IterationStudyRow(cfg.n_i, *(float(m) for m in means))
-            rows.append(row)
-            if on_point is not None:
-                on_point(row)
-    return rows
+
+    def reduce(i, counts) -> IterationStudyRow:
+        means = np.mean(np.array(counts, dtype=float), axis=0)
+        return IterationStudyRow(points[i][0].n_i, *(float(m) for m in means))
+
+    return _realizations(
+        _study_task, points, n_channels, seed, [(_STUDY_SALT, i) for i in range(len(points))],
+        workers, reduce, on_point,
+    )

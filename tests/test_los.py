@@ -114,6 +114,35 @@ class TestAsymptotic:
             asymptotic_snr(cfg, n_i, sigma_id2, eta_abs2), rel=0.05
         )
 
+    def test_both_closed_forms_keep_their_written_out_ratios_bit_for_bit(self, rng):
+        # oracles: each ratio written out with its own num / den, the limit's
+        # with x = |eta|^2 pi n_i^2 sigma_id2 and its noise term times 4
+        def closed_oracle(cfg, eta_abs2, h_id_l1):
+            x = eta_abs2 * h_id_l1**2
+            num = cfg.p_tilde * cfg.n_s * x
+            den = (cfg.p_tilde * (cfg.kappa_d * cfg.n_s + (1.0 + cfg.kappa_d) * cfg.kappa_s) * x
+                   + (1.0 + cfg.kappa_d) * cfg.sigma_n2)
+            return float(num / den)
+
+        def asymptotic_oracle(cfg, n_i, sigma_id2, eta_abs2):
+            x = eta_abs2 * np.pi * n_i**2 * sigma_id2
+            num = cfg.p_tilde * cfg.n_s * x
+            den = (cfg.p_tilde * (cfg.kappa_d * cfg.n_s + (1.0 + cfg.kappa_d) * cfg.kappa_s) * x
+                   + 4.0 * (1.0 + cfg.kappa_d) * cfg.sigma_n2)
+            return float(num / den)
+
+        for k in range(500):
+            kappa_s, kappa_d = (0.0, 0.0) if k % 5 == 0 else rng.uniform(0.0, 0.3, 2)
+            # every third noise power tiny, down to where the ratio sits at its ceiling
+            sigma_n2 = 10.0 ** (rng.uniform(-30.0, -14.0) if k % 3 == 0 else rng.uniform(-12.0, 2.0))
+            cfg = SystemConfig(n_s=int(rng.integers(1, 9)), n_i=4, p=10.0 ** rng.uniform(-3.0, 3.0),
+                               kappa_s=kappa_s, kappa_d=kappa_d, sigma_n2=sigma_n2)
+            n_i = int(rng.integers(1, 500))
+            sigma_id2, eta_abs2, h_id_l1 = 10.0 ** rng.uniform(-6.0, 2.0, 3)
+            assert los_snr_closed(cfg, eta_abs2, h_id_l1) == closed_oracle(cfg, eta_abs2, h_id_l1)
+            limit = asymptotic_snr(cfg, n_i, sigma_id2, eta_abs2)
+            assert limit == asymptotic_oracle(cfg, n_i, sigma_id2, eta_abs2)
+
     def test_solution_carries_asymptotic_field(self, rng):
         cfg, los, h_id, _ = los_instance(rng)
         sol = solve_los(los, h_id, cfg, sigma_id2=0.1)

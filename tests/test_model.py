@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,17 @@ class TestLiftPhases:
         # each row of a stack lifts and reads back bit for bit as it does alone
         for row, phases_row in zip(np.atleast_2d(back), np.atleast_2d(phases)):
             assert row.tobytes() == reflect_phases(lift_phases(phases_row)).tobytes()
+
+    @pytest.mark.parametrize("lifted", [np.array([], complex), np.array(1.0 + 0.0j)], ids=["empty", "0-d"])
+    def test_a_lifted_vector_without_its_slack_entry_raises(self, lifted):
+        with pytest.raises(DimensionError, match=rf"slack entry, got shape {re.escape(str(lifted.shape))}"):
+            reflect_phases(lifted)
+
+    def test_reflect_phases_takes_any_array_like(self):
+        assert reflect_phases([1j, 1.0]).tobytes() == reflect_phases(np.array([1j, 1.0])).tobytes()
+        # no element (n_i = 0): the slack entry alone reads back as no phases
+        assert reflect_phases(np.array([1.0 + 0.0j])).shape == (0,)
+        assert reflect_phases(np.ones((3, 1), complex)).shape == (3, 0)
 
     def test_reflect_phases_divides_out_slack(self, rng):
         phases = rng.uniform(0, 2 * np.pi, 4)

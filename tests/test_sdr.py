@@ -64,7 +64,7 @@ def dual_certificate_oracle(b, m, tol):
 
 
 def certificate_inputs(v, psi, cfg):
-    """(b, m) of the dual ascent at X = v v^H, built as ``sdr._certify`` builds them."""
+    """(b, m) of the dual ascent at X = v v^H, built as ``sdr.solve_sdr`` builds them."""
     run = _run_constants(psi, cfg)
     xi = _evaluate(v, run)[1]
     b = (np.sqrt(run.c) / xi)[:, None] * run.m

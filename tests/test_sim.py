@@ -787,23 +787,45 @@ class TestRealizationLoop:
         (_, point, seeds) = args
         return [(point, seed) for seed in seeds]
 
-    def test_every_point_is_submitted_before_the_first_is_read(self, pool):
-        loop = sim_mod._realizations(self.task, self.POINTS, 3, 5, self.KEYS, workers=2)
-        first = next(loop)
-        assert first == [(0, child_seed(5, 0, r)) for r in range(3)]
-        # three points of two chunks each: all submitted, the first point's read
-        assert len(pool["futures"]) == 6
-        assert [arg[1] for arg in pool["ran"]] == [0, 0]
-        assert [row for rows in loop for row in rows] == [
-            (i, child_seed(5, i, r)) for i in (1, 2) for r in range(3)
-        ]
+    def test_every_point_is_submitted_before_the_first_is_reduced(self, pool):
+        seen = []
 
-    def test_stopping_early_cancels_the_tasks_not_started(self, pool):
-        loop = sim_mod._realizations(self.task, self.POINTS, 3, 5, self.KEYS, workers=2)
-        next(loop)
-        loop.close()
+        def reduce(i, rows):
+            seen.append((i, len(pool["futures"]), [arg[1] for arg in pool["ran"]]))
+            return rows
+
+        values = sim_mod._realizations(self.task, self.POINTS, 3, 5, self.KEYS, 2, reduce)
+        # three points of two chunks each: all submitted, the first point's run
+        assert seen[0] == (0, 6, [0, 0])
+        assert [i for i, *_ in seen] == [0, 1, 2]
+        assert values == [[(i, child_seed(5, i, r)) for r in range(3)] for i in range(3)]
+
+    @pytest.mark.parametrize("culprit", ["reduce", "on_point"])
+    def test_a_fault_in_reduce_or_on_point_cancels_the_tasks_not_started(self, pool, culprit):
+        def fail(*args):
+            raise RuntimeError(culprit)
+
+        hooks = {"reduce": lambda i, rows: rows, "on_point": None, culprit: fail}
+        with pytest.raises(RuntimeError, match=culprit):
+            sim_mod._realizations(self.task, self.POINTS, 3, 5, self.KEYS, 2, **hooks)
         assert [arg[1] for arg in pool["ran"]] == [0, 0]
         assert [f.cancelled for f in pool["futures"][2:]] == [True] * 4
+
+    def test_one_worker_runs_no_task_past_a_reduce_that_raises(self, pool):
+        ran = []
+
+        def task(args):
+            ran.append(args[1])
+            return self.task(args)
+
+        def reduce(i, rows):
+            raise RuntimeError("reduce")
+
+        with pytest.raises(RuntimeError, match="reduce"):
+            sim_mod._realizations(task, self.POINTS, 3, 5, self.KEYS, 1, reduce)
+        # point 0's two chunks ran in this process, and no task of point 1
+        assert ran == [0, 0]
+        assert pool["futures"] == []
 
 
 class TestCompositeOncePerRealization:
@@ -860,13 +882,20 @@ class TestIterationStudy:
         with pytest.raises(ConfigError, match="epsilon must be positive and finite"):
             run_iteration_study([4], cfg, geo, seed=1, n_channels=1, epsilon=epsilon)
 
-    def test_on_point_gets_each_row_in_order(self):
+    @pytest.mark.parametrize("run, value_of", [
+        (lambda cfg, geo, **kw: run_iteration_study([4, 6, 8], cfg, geo, seed=5, n_channels=3, **kw),
+         lambda row: row.n_i),
+        (lambda cfg, geo, **kw: run_sweep(
+            SweepSpec("n_i", (4, 6, 8), n_channels=3, n_symbols=0, seed=5, bound=False), cfg, geo, **kw
+        ), lambda res: res.sweep_value),
+    ], ids=["study", "sweep"])
+    def test_on_point_gets_each_row_in_order(self, run, value_of):
         cfg, geo = small_setup()
         seen = []
-        rows = run_iteration_study([4, 6, 8], cfg, geo, seed=5, n_channels=3, on_point=seen.append)
+        rows = run(cfg, geo, on_point=seen.append)
         assert seen == rows
-        assert [row.n_i for row in rows] == [4, 6, 8]
-        assert run_iteration_study([4, 6, 8], cfg, geo, seed=5, n_channels=3) == rows
+        assert [value_of(row) for row in rows] == [4, 6, 8]
+        assert run(cfg, geo) == rows
 
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_rows_do_not_depend_on_the_chunk(self, monkeypatch, chunk):

@@ -10,8 +10,9 @@ one run at a time, so the record takes about 3 minutes.  The record holds
 the benchmark's machine line, the median and interquartile range of each
 end-to-end metric per workload (with every run's value), each workload's
 traced per-layer metrics, the tier-1 suite's wall time, the SHA-256 of each
-file in ``tests/golden/`` and the digests of bench/README.md's reference
-recipe.  A later change to the program makes a new record the same way and
+file in ``tests/golden/``, the digests of bench/README.md's reference
+recipe and the total lines of the ``.py`` files under ``src/irsbf`` and
+``tests``.  A later change to the program makes a new record the same way and
 quotes its difference from an earlier one.
 """
 
@@ -108,6 +109,11 @@ def recipe_digests() -> dict:
     return digests
 
 
+def line_counts() -> dict:
+    return {d: sum(len(p.read_text().splitlines()) for p in (ROOT / d).rglob("*.py"))
+            for d in ("src/irsbf", "tests")}
+
+
 def main(argv: list) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -122,6 +128,7 @@ def main(argv: list) -> int:
     record["tier1"] = tier1()
     record["golden_sha256"] = {p.name: sha256(p) for p in sorted((ROOT / "tests" / "golden").iterdir())}
     record["recipe_sha256"] = recipe_digests()
+    record["lines"] = line_counts()
     Path(argv[0]).write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
