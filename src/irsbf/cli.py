@@ -59,7 +59,7 @@ def _parse_values(text: str) -> tuple:
     try:
         return tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
-        raise ValueError(f"bad value list {text!r}: {exc}") from None
+        raise ConfigError(f"bad value list {text!r}: {exc}") from None
 
 
 def _seed(text: str) -> int:
@@ -300,7 +300,8 @@ def main(argv=None) -> int:
     try:
         cfg, geo = load_setup(args.config) if args.config else table_defaults()
         return run(args, cfg, geo)
-    except (ValueError, OSError, SweepFailedError, DegenerateChannelError) as exc:
+    # input errors; a library fault, a LinAlgError say, propagates
+    except (ConfigError, UnicodeDecodeError, OSError, SweepFailedError, DegenerateChannelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -159,6 +159,8 @@ def with_setting(
     target, names, parse = SETTINGS[name]
     try:
         x = parse(value)
+    except OverflowError:
+        raise ConfigError(f"{name} out of range, got {value}") from None
     except (TypeError, ValueError):
         kind = "an integer" if parse is _integer else "a number"
         raise ConfigError(f"{name} must be {kind}, got {value}") from None
@@ -186,7 +188,7 @@ def load_setup(path: str) -> tuple[SystemConfig, Geometry]:
                 if not eq:
                     raise ConfigError(f"expected 'name = value', got {raw.strip()!r}")
                 cfg, geo = with_setting(cfg, geo, name.lower(), value)
-            except ValueError as exc:
+            except ConfigError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return cfg, geo
 
@@ -279,9 +281,9 @@ def _design_rows(
     MM init (``_draw``).  Returns, in that order, each realization's
     schemes' (snr, lifted, iterations) in ``Scheme`` order with the
     relaxation bound (``UpperBoundResult``, or None without ``bound``), or
-    the ``DegenerateChannelError`` that fails it alone: a realization
-    without a direct link fails before any MM run, and one whose designed
-    effective channel has no received power fails after.  ``lifted`` is
+    the ``DegenerateChannelError`` that fails it alone, after its designs:
+    when its direct column is zero, its designed effective channel receives
+    no power, or its robust objective is not positive.  ``lifted`` is
     the lifted vector of the phases of the run's last iterate
     (``model.reflect_phases``), or of their quantized profile, and None
     without an IRS.
@@ -308,14 +310,6 @@ def _design_rows(
     robust run's design before quantization: the best unit-modulus point
     at hand.
     """
-    direct = np.abs(psis[:, :, -1]) ** 2
-    live = np.flatnonzero(direct.any(axis=1)).tolist()
-    out = [DegenerateChannelError("degenerate channel: composite vector is zero") for _ in psis]
-    if not live:
-        return out
-    if len(live) < len(psis):
-        # np.stack keeps each composite's memory layout
-        psis, inits, direct = np.stack([psis[k] for k in live]), inits[live], direct[live]
     runs_n = _run_rows(inits, psis, _nonrobust_config(cfg), settings)
     phases_n = reflect_phases(np.array([res.lifted for res in runs_n]))
     # the nonrobust iterates and the inits are freed before the robust runs start
@@ -335,21 +329,25 @@ def _design_rows(
         nonrobust = psi_tilde_from_powers(received, cfg)
         lifted_r = np.where((nonrobust > robust)[:, None], lifted_n, lifted_r)
         robust = np.maximum(robust, nonrobust)
-    ok = received.any(axis=1) & (robust > 0.0)
+    direct = np.abs(psis[:, :, -1]) ** 2
+    ok = direct.any(axis=1) & received.any(axis=1) & (robust > 0.0)
     if not ok.all():
         # finite placeholders for the failed rows, which are skipped below
-        robust, received = np.where(ok, robust, 0.0), np.where(ok[:, None], received, 1.0)
+        robust = np.where(ok, robust, 0.0)
+        received, direct = (np.where(ok[:, None], x, 1.0) for x in (received, direct))
     snrs = zip(*(x.tolist() for x in (
         snr_from_psi_tilde(robust, cfg), matched_filter_snr(received, cfg),
         snr_from_psi_tilde(psi_tilde_from_powers(direct, cfg), cfg),
         matched_filter_snr(direct, cfg),
     )))
-    for j, (k, snr, res_r, iters_n) in enumerate(zip(live, snrs, runs_r, iterations_n)):
-        if ok[j]:
-            designs = dict(zip(Scheme, zip(snr, (lifted_r[j], lifted_n[j], None, None),
-                                           (res_r.iterations, iters_n, None, None))))
-            ub = solve_sdr(psis[j], cfg, init=bound_starts[j]) if bound else None
-            out[k] = (designs, ub)
+    out = []
+    for j, (snr, res_r, iters_n) in enumerate(zip(snrs, runs_r, iterations_n)):
+        if not ok[j]:
+            out.append(DegenerateChannelError("degenerate channel: composite vector is zero"))
+            continue
+        designs = dict(zip(Scheme, zip(snr, (lifted_r[j], lifted_n[j], None, None),
+                                       (res_r.iterations, iters_n, None, None))))
+        out.append((designs, solve_sdr(psis[j], cfg, init=bound_starts[j]) if bound else None))
     return out
 
 
@@ -480,11 +478,11 @@ def _realizations(task, points, n_channels: int, seed: int, keys, workers: int, 
     to ``reduce(i, results)``, and each value it returns goes to
     ``on_point`` as soon as that point and the points before it are done.
     With one worker the tasks run in this process, point by point.
-    Otherwise one process pool serves the run: every point's tasks are
-    submitted at once, so the points overlap.  A fault in a task, in
-    ``reduce`` or in ``on_point`` cancels the tasks not yet started.  The
-    counts and the seed are checked (``check_run``) before the first task
-    runs.
+    Otherwise one process pool of at most one worker per task serves the
+    run: every point's tasks are submitted at once, so the points overlap.
+    A fault in a task, in ``reduce`` or in ``on_point`` cancels the tasks
+    not yet started.  The counts and the seed are checked (``check_run``)
+    before the first task runs.
     """
     check_run(n_channels, workers, seed)
     tasks = []
@@ -503,7 +501,7 @@ def _realizations(task, points, n_channels: int, seed: int, keys, workers: int, 
     # imported here: it loads multiprocessing, which one worker never needs
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, sum(map(len, tasks)))) as pool:
         futures = [[pool.submit(task, t) for t in point_tasks] for point_tasks in tasks]
         try:
             return [finish(i, (f.result() for f in fs)) for i, fs in enumerate(futures)]

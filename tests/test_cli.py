@@ -8,6 +8,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import irsbf
@@ -99,11 +100,24 @@ class TestConfigFile:
             load_setup(str(path))
         assert str(exc.value) == f"{path}:3: {message}"
 
-    def test_cli_error_line_names_the_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line, message", [
+        ("n_i = 4.5", "n_i must be an integer, got 4.5"),
+        # 10 ** 500 overflows a float
+        ("p_dbw = 5000", "p_dbw out of range, got 5000"),
+    ])
+    def test_cli_error_line_names_the_file(self, tmp_path, capsys, line, message):
         path = tmp_path / "bad.cfg"
-        path.write_text("n_i = 4.5\n")
+        path.write_text(f"{line}\n")
         assert main(["los-demo", "--config", str(path)]) == 1
-        assert error_lines(capsys) == [f"error: {path}:1: n_i must be an integer, got 4.5"]
+        (error,) = capsys.readouterr().err.splitlines()
+        assert error == f"error: {path}:1: {message}"
+
+    def test_an_undecodable_config_file_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("# d\u00e9faut\nn_i = 8\n".encode("latin-1"))
+        assert main(["los-demo", "--config", str(path)]) == 1
+        (error,) = capsys.readouterr().err.splitlines()
+        assert error.startswith("error: 'utf-8' codec can't decode byte 0xe9")
 
     def test_lines_apply_in_file_order(self, tmp_path):
         path = tmp_path / "order.cfg"
@@ -754,6 +768,8 @@ class TestArgumentChecks:
         (["sweep-kappa", "--workers", "-1"], "workers must be >= 1, got -1"),
         (["sweep-n", "--values", "4.5"], "n_i must be an integer, got 4.5"),
         (["sweep-kappa", "--values", "0.5,1.5"], "kappa_s out of range [0, 1): 1.5"),
+        (["sweep-power", "--values", "4000"], "p_dbw out of range, got 4000.0"),
+        (["sweep-n", "--values", "4,x"], "bad value list '4,x': could not convert string to float: 'x'"),
     ]
 
     @pytest.mark.parametrize(
@@ -765,6 +781,15 @@ class TestArgumentChecks:
         assert main([*argv, "--out", str(out)]) == 1
         assert error_lines(capsys) == [f"error: {message}"]
         assert not out.exists()
+
+    def test_a_library_fault_propagates(self, monkeypatch):
+        # LinAlgError is a ValueError, but not an input error
+        def fault(*args):
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(sim_mod, "_design_rows", fault)
+        with pytest.raises(np.linalg.LinAlgError, match="injected"):
+            main(["sweep-n", "--channels", "1", "--values", "4", "--symbols", "0"])
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_los_demo_needs_a_surface(self, source, tmp_path, capsys):

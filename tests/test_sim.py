@@ -1,5 +1,6 @@
 import logging
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -211,13 +212,11 @@ class TestContinuation:
             mm_runs.clear()
             if not psi[:, -1].any():
                 # without a direct link there is no no-IRS beam, and the
-                # realization fails before any MM run; the continuation,
-                # run here, still dominates
+                # realization fails after its designs; its continuation
+                # still dominates
                 with pytest.raises(DegenerateChannelError):
                     design_all(psi, cfg, MMSettings(), bits, init, False)
-                assert mm_runs == []
-                res_n = run_mm(init, psi, _nonrobust_config(cfg))
-                res_r = run_mm(lift_phases(res_n.phases), psi, cfg)
+                res_n, res_r = mm_runs
                 nonrobust = psi_tilde(res_n.phases, psi, cfg)
                 assert res_r.objectives[-1] >= nonrobust * (1.0 - 1e-12)
                 continue
@@ -656,11 +655,13 @@ class TestChunkScoring:
             snr, lifted, _ = designs[Scheme.ROBUST_IRS]
             assert snr == snr_from_psi_tilde(design_objective(lifted, psi, cfg), cfg)
 
+    # the direct column alone, or the whole composite
+    @pytest.mark.parametrize("zeroed", [-1, slice(None)])
     @pytest.mark.parametrize("bits, bound", [(None, False), (2, True)])
-    def test_a_missing_direct_link_mid_chunk_leaves_the_others_scored(self, bits, bound):
+    def test_a_missing_direct_link_mid_chunk_leaves_the_others_scored(self, bits, bound, zeroed):
         cfg, geo = small_setup(n_i=6)
         psis, inits = _draw(cfg, geo, tuple(child_seed(33, r) for r in range(6)))
-        psis[3, :, -1] = 0.0
+        psis[3, :, zeroed] = 0.0
         out = sim_mod._design_rows(psis, inits, cfg, MMSettings(), bits, bound)
         assert isinstance(out[3], DegenerateChannelError)
         assert str(out[3]) == "degenerate channel: composite vector is zero"
@@ -705,15 +706,16 @@ class TestChunkScoring:
             for scheme, snr in oracle.items():
                 assert designs[scheme][0] == pytest.approx(snr, rel=1e-12, abs=0.0), scheme
 
-    def test_a_chunk_without_direct_links_runs_no_mm(self, mm_runs, monkeypatch):
-        monkeypatch.setattr(sim_mod, "run_stacked_mm", None)
+    def test_a_chunk_without_direct_links_fails_each_row_alone(self):
+        # the MM stacks run on every row, and no placeholder warns
         cfg, geo = small_setup(n_i=6)
         psis, inits = _draw(cfg, geo, tuple(child_seed(34, r) for r in range(4)))
         psis[:, :, -1] = 0.0
-        out = sim_mod._design_rows(psis, inits, cfg, MMSettings(), 1, True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = sim_mod._design_rows(psis, inits, cfg, MMSettings(), 1, True)
         assert [type(x) for x in out] == [DegenerateChannelError] * 4
         assert len({id(x) for x in out}) == 4
-        assert mm_runs == []
 
 
 class TestChunkDraw:
@@ -763,7 +765,7 @@ class TestRealizationLoop:
 
         class LazyPool:
             def __init__(self, max_workers):
-                pass
+                state["max_workers"] = max_workers
 
             def __enter__(self):
                 return self
@@ -799,6 +801,12 @@ class TestRealizationLoop:
         assert seen[0] == (0, 6, [0, 0])
         assert [i for i, *_ in seen] == [0, 1, 2]
         assert values == [[(i, child_seed(5, i, r)) for r in range(3)] for i in range(3)]
+
+    @pytest.mark.parametrize("workers, processes", [(50, 6), (2, 2)])
+    def test_the_pool_starts_no_more_workers_than_tasks(self, pool, workers, processes):
+        # three points of two chunks each are six tasks
+        sim_mod._realizations(self.task, self.POINTS, 3, 5, self.KEYS, workers, lambda i, rows: rows)
+        assert pool["max_workers"] == processes
 
     @pytest.mark.parametrize("culprit", ["reduce", "on_point"])
     def test_a_fault_in_reduce_or_on_point_cancels_the_tasks_not_started(self, pool, culprit):
