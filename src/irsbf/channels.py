@@ -43,15 +43,17 @@ class Geometry:
             raise ConfigError("destination coincides with the source (d_sd = 0)")
         if not (d_id > 0.0):
             raise ConfigError("destination coincides with the IRS (d_id = 0)")
-        with np.errstate(all="ignore"):
-            gains = link_gains(self)
         gammas, distances = (self.gamma_si, self.gamma_id, self.gamma_sd), (self.d_si, d_id, d_sd)
+        with np.errstate(all="ignore"):
+            gains = tuple(path_loss_linear(d, gamma, self) for d, gamma in zip(distances, gammas))
         for link, gamma, d, gain in zip(("si", "id", "sd"), gammas, distances, gains):
             if not (0.0 < gain < np.inf):
                 raise ConfigError(
                     f"pl0_db = {self.pl0_db:g} and gamma_{link} = {gamma:g} give h_{link}"
                     f" a path-loss gain of {gain:g} at {d:g} m; it must be finite and positive"
                 )
+        # kept on the instance, not as a field: a replaced geometry is built anew
+        object.__setattr__(self, "_link_gains", gains)
 
 
 def derive_distances(geo: Geometry) -> tuple[float, float]:
@@ -87,13 +89,11 @@ def sample_rayleigh(rng: np.random.Generator, rows: int, cols: int, gain: float)
 
 
 def link_gains(geo: Geometry) -> tuple[float, float, float]:
-    """The path-loss gains (g_si, g_id, g_sd) of the three links: their per-entry variances."""
-    d_sd, d_id = derive_distances(geo)
-    return (
-        path_loss_linear(geo.d_si, geo.gamma_si, geo),
-        path_loss_linear(d_id, geo.gamma_id, geo),
-        path_loss_linear(d_sd, geo.gamma_sd, geo),
-    )
+    """The path-loss gains (g_si, g_id, g_sd) of the three links: their per-entry variances.
+
+    The geometry derives them once, when it is built.
+    """
+    return geo._link_gains
 
 
 def generate_channels(rng: np.random.Generator, cfg: SystemConfig, geo: Geometry) -> ChannelSet:

@@ -54,6 +54,7 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -387,8 +388,9 @@ def _draw(cfg: SystemConfig, geo: Geometry, seeds) -> tuple[np.ndarray, np.ndarr
     block = np.empty((count, 2 * sum(sizes)))
     for row, seed in zip(block, seeds):
         np.random.default_rng(seed).standard_normal(out=row)
-    re_si, im_si, re_id, im_id, re_sd, im_sd, re_0, im_0 = np.split(
-        block, np.cumsum(np.repeat(sizes, 2))[:-1], axis=1
+    edges = (0, *accumulate(size for size in sizes for _ in ("re", "im")))
+    re_si, im_si, re_id, im_id, re_sd, im_sd, re_0, im_0 = (
+        block[:, a:b] for a, b in zip(edges, edges[1:])
     )
     inits = _project_unit(re_0 + 1j * im_0, 1.0 + 0.0j, rows=True)
     # Geometry checks that the gains are finite, so the entries are too
@@ -546,16 +548,15 @@ def run_sweep(
                 f"all {len(rows)} realizations failed at {spec.variable}={value:g}"
                 f" (first: {failed[0]})"
             )
+
+        def mean(column):
+            # np.mean's arithmetic, without its overhead: one pairwise sum, then one division
+            return None if column[0] is None else float(np.add.reduce(np.array(column)) / len(good))
+
         stats = {}
         for name in good[0]:
-            snrs = np.array([r[name][0] for r in good])
-            sers = [r[name][1] for r in good]
-            iters = [r[name][2] for r in good]
-            stats[Scheme(name)] = SchemeStats(
-                mean_snr_db=pow2db(float(np.mean(snrs))),
-                ser=float(np.mean(sers)) if sers[0] is not None else None,
-                mean_iterations=float(np.mean(iters)) if iters[0] is not None else None,
-            )
+            snrs, sers, iters = zip(*(r[name] for r in good))
+            stats[Scheme(name)] = SchemeStats(pow2db(mean(snrs)), mean(sers), mean(iters))
         return SimResult(sweep_variable=spec.variable, sweep_value=value, stats=stats)
 
     return _realizations(

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,6 +90,24 @@ class TestGeometry:
                                rf"path-loss gain of {gain} at .* finite and positive") as exc:
                 table_geometry(**setting)
         assert f"{name} = {setting[name]:g}" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(None, None), ("d_si", 60.0), ("d_v", 3.0), ("d_sd_h", 40.0), ("pl0_db", -20.0),
+         ("d0", 2.0), ("gamma_si", 2.0), ("gamma_id", 3.0), ("gamma_sd", 3.0)],
+    )
+    def test_link_gains_are_the_path_loss_values_after_a_replace(self, field, value):
+        # the geometry keeps its gains: a replaced one must not keep its source's
+        geo = table_geometry()
+        if field is not None:
+            geo = replace(geo, **{field: value})
+            assert link_gains(geo) != link_gains(table_geometry())
+        d_sd, d_id = derive_distances(geo)
+        assert link_gains(geo) == (
+            path_loss_linear(geo.d_si, geo.gamma_si, geo),
+            path_loss_linear(d_id, geo.gamma_id, geo),
+            path_loss_linear(d_sd, geo.gamma_sd, geo),
+        )
 
     def test_extreme_but_representable_gains_accepted(self):
         # 10**(-300 / 10) and 10**(300 / 10) are finite and positive

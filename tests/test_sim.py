@@ -380,6 +380,35 @@ class TestSweep:
             pow2db(float(np.mean(snrs))), abs=1e-9
         )
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 257])
+    def test_each_point_mean_is_np_mean_bit_for_bit(self, monkeypatch, n):
+        # n at the block edges of numpy's pairwise sum, and SNRs over 12
+        # decades: a sum in another order (math.fsum, a Python sum, a reduce
+        # along a non-contiguous axis) rounds some of these means differently
+        rng = np.random.default_rng(n)
+        rows = [
+            {scheme.value: (float(10.0 ** rng.uniform(-6.0, 6.0)), None, None)
+             if scheme is Scheme.UPPER_BOUND
+             else (float(10.0 ** rng.uniform(-6.0, 6.0)), float(rng.uniform(0.0, 0.75)),
+                   int(rng.integers(1, 20000)))
+             for scheme in Scheme}
+            for _ in range(n)
+        ]
+        fed = iter(rows)
+        monkeypatch.setattr(sim_mod, "_sweep_task", lambda args: [next(fed) for _ in args[-1]])
+        cfg, geo = small_setup(n_i=4)
+        (res,) = run_sweep(SweepSpec(variable="n_i", values=(4.0,), n_channels=n, seed=3), cfg, geo)
+        assert next(fed, None) is None
+        for scheme in Scheme:
+            snrs, sers, iters = ([r[scheme.value][k] for r in rows] for k in range(3))
+            stats = res.stats[scheme]
+            assert stats.mean_snr_db == pow2db(float(np.mean(snrs)))
+            if scheme is Scheme.UPPER_BOUND:
+                assert stats.ser is None and stats.mean_iterations is None
+            else:
+                assert stats.ser == float(np.mean(sers))
+                assert stats.mean_iterations == float(np.mean(iters))
+
 
 class TestTrends:
     def test_no_irs_collapse_at_zero_elements(self):

@@ -43,18 +43,22 @@ RECIPE = {
 }
 
 
-def environment() -> dict:
+def environment(root: Path = ROOT) -> dict:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     return env
 
 
-def bench_run(workload: str, seed: int, trace: int) -> tuple[str, dict]:
-    """One ``bench/run.py`` run: its machine line and its result, the last line of its output."""
+def bench_run(workload: str, seed: int, trace: int, root: Path = ROOT, seconds: str = SECONDS
+              ) -> tuple[str, dict]:
+    """One ``bench/run.py`` run in the checkout at ``root``.
+
+    Returns its machine line and its result, the last line of its output.
+    """
     out = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", SECONDS, "--trace", str(trace)],
-        cwd=ROOT, env=environment(), capture_output=True, text=True, check=True,
+        [sys.executable, str(root / "bench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", seconds, "--trace", str(trace)],
+        cwd=root, env=environment(root), capture_output=True, text=True, check=True,
     ).stdout.splitlines()
     machine = next(line for line in out if line.startswith("machine: "))
     return machine[len("machine: "):], json.loads(out[-1])
