@@ -275,12 +275,11 @@ class _Majorizer:
                 stale = ~np.isfinite(rho)
                 if not stale.any():
                     return rho[:, None] * self.y
-                if not stale.all():
-                    np.copyto(self.y, _fresh_majorizer(z, d, xi, run, False), where=stale[:, None])
-                    np.copyto(self.d, d, where=stale[:, None])
-                    rho[stale] = 1.0
-                    self.whole = bool(self.d.min() > 0.0)
-                    return rho[:, None] * self.y
+                np.copyto(self.y, _fresh_majorizer(z, d, xi, run, False), where=stale[:, None])
+                np.copyto(self.d, d, where=stale[:, None])
+                rho[stale] = 1.0
+                self.whole = bool(self.d.min() > 0.0)
+                return rho[:, None] * self.y
         self.y, self.d, self.whole = _fresh_majorizer(z, d, xi, run, False), d, bool(d.min() > 0.0)
         return self.y
 

@@ -28,7 +28,6 @@ X itself is never formed: q is the row power of Psi V, read from the factor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +41,7 @@ from .mm import (
     _evaluate,
     _project_unit,
     _run_constants,
+    _step_length,
     _top_eigenvalue,
 )
 from .model import SystemConfig
@@ -100,34 +100,32 @@ def _dual_certificate(b: np.ndarray, m: np.ndarray, tol: float) -> np.ndarray:
     t u, and each image gives the feasible value trace(z).  Both are
     invariant to the scale of z, so the ascent runs on the trace-normalized
     image and is extrapolated by SQUAREM (Varadhan & Roland, Scand. J.
-    Stat. 2008): two maps, a squared extrapolation, and a projection onto
-    the PSD cone, so that the extrapolated z is again the image of a
-    feasible point.  Any u > 0 is a certificate, so no step needs a
-    safeguard.  The smallest certificate is kept, and the loop stops once
-    it is within ``tol`` (relative) of the largest feasible value seen, or
-    after ``_DUAL_MAX_MAPS`` maps.  The Cauchy-Schwarz certificate
-    |b_i| sum_j |b_j| is the fallback; zero columns get y_i = 0.
+    Stat. 2008) with the optimizer's step length (``_extrapolate``).  Any
+    u > 0 is a certificate, so no step needs a safeguard; a zero column
+    has u_i = 0, and ``mm._diagonal_certificate`` gives it y_i = 0.  The
+    smallest certificate is kept, and the loop stops once it is within
+    ``tol`` (relative) of the largest feasible value seen, or after
+    ``_DUAL_MAX_MAPS`` maps.  The Cauchy-Schwarz certificate
+    |b_i| sum_j |b_j| is the fallback.
     """
     norms = np.linalg.norm(b, axis=0)
     best = norms * np.sum(norms)
     best_sum = best.sum()
-    live = norms > 0.0
-    b = b[:, live]
+    dead = norms == 0.0
     bc = b.conj()
     bh = bc.T
     z = (1.0 - _DUAL_BLEND) * (m @ m.conj().T) + _DUAL_BLEND * (b @ bh)
-    kept = None
     feasible = 0.0
     images = []
     for _ in range(_DUAL_MAX_MAPS):
         u = np.sqrt(np.maximum((bc * (z @ b)).sum(axis=0).real, 0.0))
         # not u.all(): a NaN in u must stop the ascent too
-        if not (u > 0.0).all():
+        if not ((u > 0.0) | dead).all():
             break
         y, s = _diagonal_certificate(b, bh, u, _top_eigenvalue, _T_MARGIN)
         if y.sum() < best_sum:
-            kept = y
-            best_sum = kept.sum()
+            best = y
+            best_sum = best.sum()
         image = s @ z @ s
         trace = float(image.trace().real)
         feasible = max(feasible, trace)
@@ -138,9 +136,6 @@ def _dual_certificate(b: np.ndarray, m: np.ndarray, tol: float) -> np.ndarray:
         if len(images) == 2:
             z = _extrapolate(images[0], images[1], z)
             images = []
-    if kept is not None:
-        best = np.zeros_like(norms)
-        best[live] = kept
     return best
 
 
@@ -148,17 +143,14 @@ def _extrapolate(z0: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     """SQUAREM point through z0 and its two maps z1, z2, projected onto the PSD cone.
 
     z1 and z2 have unit trace, and z0 is brought to it.  With r = z1 - z0
-    and v = z2 - 2 z1 + z0, the step length is -|r| / |v|, at least as long
-    as the plain double map (step -1).  The result has unit trace; a zero
-    ``v`` or a projection to zero keeps z2.
+    and v = z2 - 2 z1 + z0, the step length is the optimizer's
+    (``mm._step_length``) capped at -1, the plain double map, which gives
+    z2.  The result has unit trace; a projection to zero keeps z2.
     """
     z0 = z0 / z0.trace().real
     r = z1 - z0
     v = z2 - z1 - r
-    vv = np.vdot(v, v).real
-    if vv == 0.0:
-        return z2
-    alpha = min(-math.sqrt(np.vdot(r, r).real / vv), -1.0)
+    alpha = min(_step_length(r, v), -1.0)
     w, q = _umath_linalg.eigh_lo(z0 - 2.0 * alpha * r + alpha**2 * v, signature="D->dD")
     w = np.maximum(w, 0.0)
     total = w.sum()

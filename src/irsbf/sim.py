@@ -53,6 +53,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
+import operator
 from dataclasses import dataclass, replace
 from itertools import accumulate
 
@@ -446,7 +447,12 @@ def _sweep_task(args) -> list:
 
 
 def check_run(n_channels: int, workers: int = 1, seed: int = 0) -> None:
-    """Reject a count below 1 or a seed outside [0, 2**64), as every run does before it starts."""
+    """Reject a non-integer count, worker number or seed, a count below 1 or a seed outside [0, 2**64)."""
+    for name, value in (("n_channels", n_channels), ("workers", workers), ("seed", seed)):
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ConfigError(f"{name} must be an integer, got {value!r}") from None
     if n_channels < 1:
         raise ConfigError(f"n_channels must be >= 1, got {n_channels}")
     if workers < 1:

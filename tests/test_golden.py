@@ -50,6 +50,9 @@ CASES = {
                                "--values", "8,50,200"], True),
     "bound_check": (["bound-check", "--seed", "2", "--channels", "3"], True),
     "bound_check_json": (["bound-check", "--seed", "2", "--channels", "3", "--json"], False),
+    # 40 channels make two chunks, stacks of 32 and 8 rows, and the bound's
+    # dual ascent certifies 37 of them
+    "bound_check_stack": (["bound-check", "--seed", "2", "--channels", "40", "--json"], True),
     "los_demo_json": (["los-demo", "--seed", "4", "--n-i", "12", "--json"], False),
     "sweep_distance": (["sweep-distance", "--seed", "6", "--channels", "3", "--symbols", "100",
                         "--values", "45,50"], True),

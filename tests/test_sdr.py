@@ -9,6 +9,7 @@ from irsbf.mm import (
     MMSettings,
     _evaluate,
     _run_constants,
+    _step_length,
     lifted_objective,
     random_lifted_init,
     run_mm,
@@ -252,6 +253,46 @@ class TestDualCertificate:
         np.testing.assert_array_equal(y, dual_certificate_oracle(b, m, 1e-4))
         norms = np.linalg.norm(b, axis=0)
         np.testing.assert_array_equal(y, norms * np.sum(norms))
+
+
+def unit_trace_psd(rng, n_s, scale=1.0):
+    """A random Hermitian PSD n_s x n_s matrix of trace ``scale``."""
+    a = complex_gaussian(rng, n_s, int(rng.integers(1, n_s + 1)))
+    z = a @ a.conj().T
+    return z * (scale / z.trace().real)
+
+
+def extrapolation_oracle(z0, z1, z2):
+    """Oracle: the SQUAREM point with the optimizer's step length, capped at -1, projected."""
+    z0 = z0 / z0.trace().real
+    r = z1 - z0
+    v = z2 - z1 - r
+    alpha = min(_step_length(r, v), -1.0)
+    w, q = np.linalg.eigh(z0 - 2.0 * alpha * r + alpha**2 * v)
+    w = np.maximum(w, 0.0)
+    return (q * (w / w.sum())) @ q.conj().T
+
+
+class TestExtrapolate:
+    def test_steps_by_the_optimizers_step_length_bit_for_bit(self, rng):
+        for _ in range(200):
+            n_s = int(rng.integers(1, 5))
+            z0, z1, z2 = (unit_trace_psd(rng, n_s, scale) for scale in (rng.uniform(0.5, 2.0), 1.0, 1.0))
+            np.testing.assert_array_equal(sdr_mod._extrapolate(z0, z1, z2), extrapolation_oracle(z0, z1, z2))
+
+    @pytest.mark.parametrize("z0, z1, z2", [
+        # dyadic entries, so r and v are exact: v = 0, r = 0, and both
+        ([[0.75, 0.25j], [-0.25j, 0.25]], [[0.5, 0.125j], [-0.125j, 0.5]], [[0.25, 0.0], [0.0, 0.75]]),
+        ([[0.5, 0.25], [0.25, 0.5]], [[0.5, 0.25], [0.25, 0.5]], [[0.75, 0.0], [0.0, 0.25]]),
+        ([[0.5, 0.25], [0.25, 0.5]], [[0.5, 0.25], [0.25, 0.5]], [[0.5, 0.25], [0.25, 0.5]]),
+    ], ids=["zero-v", "zero-r", "zero-r-and-v"])
+    def test_a_zero_r_or_v_takes_the_plain_double_map(self, z0, z1, z2):
+        z0, z1, z2 = (np.array(z, dtype=complex) for z in (z0, z1, z2))
+        z = sdr_mod._extrapolate(z0, z1, z2)
+        np.testing.assert_allclose(z, z2, rtol=0.0, atol=1e-15)
+        assert z.trace().real == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(z, z.conj().T, rtol=0.0, atol=1e-15)
+        assert np.linalg.eigvalsh(z)[0] >= -1e-15
 
 
 def pinned_bounds(n_i, count=40, seed=11):

@@ -1,4 +1,5 @@
 import logging
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -908,6 +909,35 @@ class TestIterationStudy:
             run_iteration_study([4], cfg, geo, seed=seed, n_channels=1)
         with pytest.raises(ConfigError, match=r"^seed must fit in 64 unsigned bits$"):
             run_bound_check(cfg, geo, 1, seed)
+
+    @pytest.mark.parametrize("run, name, value", [
+        ("sweep", "n_channels", 2.5),
+        ("sweep", "workers", 1.5),
+        ("sweep", "seed", 1.5),
+        ("study", "n_channels", 2.5),
+        ("study", "workers", 1.5),
+        ("study", "seed", 1.5),
+        ("study", "seed", "3"),
+        ("bound_check", "n_channels", 2.5),
+        ("bound_check", "seed", 1.5),
+    ])
+    def test_a_non_integer_count_or_seed_fails_before_the_first_draw(self, run, name, value, monkeypatch):
+        def drawn(*args):
+            raise AssertionError("a channel was drawn")
+
+        monkeypatch.setattr(sim_mod, "_draw", drawn)
+        cfg, geo = small_setup()
+        args = {"n_channels": 1, "workers": 1, "seed": 0, name: value}
+        runs = {
+            "sweep": lambda: run_sweep(
+                SweepSpec("n_i", (4,), n_channels=args["n_channels"], n_symbols=0, seed=args["seed"]),
+                cfg, geo, workers=args["workers"],
+            ),
+            "study": lambda: run_iteration_study([4], cfg, geo, **args),
+            "bound_check": lambda: run_bound_check(cfg, geo, args["n_channels"], args["seed"]),
+        }
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{name} must be an integer, got {value!r}')}$"):
+            runs[run]()
 
     @pytest.mark.parametrize("epsilon", [-1.0, float("inf")])
     def test_epsilon_checked_before_the_first_draw(self, epsilon, monkeypatch):
