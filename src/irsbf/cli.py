@@ -246,22 +246,19 @@ def _run_bound_check(args, cfg: SystemConfig, geo: Geometry) -> int:
         "channel", "psi_tilde_mm", "psi_tilde_primal", "psi_tilde_bound",
         "snr_mm_db", "snr_bound_db", "gap_db", "certified_gap_db",
     )
-    gaps = []
-    certified_gaps = []
-    violations = 0
+    rows = []
     check_run(args.channels)
     with _table(args, header) as add:
         for r, design in enumerate(run_bound_check(cfg, geo, args.channels, args.seed)):
             if isinstance(design, DegenerateChannelError):
                 raise DegenerateChannelError(f"channel {r}: {design}")
             mm_pt, ub = design
-            mm_db = pow2db(snr_from_psi_tilde(mm_pt, cfg))
-            bound_db = pow2db(ub.bound_snr)
-            gaps.append(bound_db - mm_db)
-            certified_gaps.append(bound_db - pow2db(snr_from_psi_tilde(ub.primal_psi_tilde, cfg)))
-            violations += ub.bound_psi_tilde < mm_pt
-            add([[r, mm_pt, ub.primal_psi_tilde, ub.bound_psi_tilde,
-                  mm_db, bound_db, gaps[-1], certified_gaps[-1]]])
+            psi_tildes = (mm_pt, ub.primal_psi_tilde, ub.bound_psi_tilde)
+            mm_db, primal_db, bound_db = (pow2db(snr_from_psi_tilde(p, cfg)) for p in psi_tildes)
+            rows.append([r, *psi_tildes, mm_db, bound_db, bound_db - mm_db, bound_db - primal_db])
+            add(rows[-1:])
+    gaps, certified_gaps = list(zip(*rows))[6:]
+    violations = sum(bound < mm for _, mm, _, bound, *_ in rows)
     summary = {
         "channels": args.channels,
         "mean_gap_db": float(np.mean(gaps)),

@@ -519,6 +519,11 @@ def _realizations(task, points, n_channels: int, seed: int, keys, workers: int, 
                     f.cancel()
 
 
+def _mean(column):
+    """A column's mean as np.mean computes it, without its overhead; None for a column of None."""
+    return None if column[0] is None else float(np.add.reduce(np.array(column)) / len(column))
+
+
 def run_sweep(
     spec: SweepSpec,
     base_cfg: SystemConfig,
@@ -555,14 +560,10 @@ def run_sweep(
                 f" (first: {failed[0]})"
             )
 
-        def mean(column):
-            # np.mean's arithmetic, without its overhead: one pairwise sum, then one division
-            return None if column[0] is None else float(np.add.reduce(np.array(column)) / len(good))
-
         stats = {}
         for name in good[0]:
             snrs, sers, iters = zip(*(r[name] for r in good))
-            stats[Scheme(name)] = SchemeStats(pow2db(mean(snrs)), mean(sers), mean(iters))
+            stats[Scheme(name)] = SchemeStats(pow2db(_mean(snrs)), _mean(sers), _mean(iters))
         return SimResult(sweep_variable=spec.variable, sweep_value=value, stats=stats)
 
     return _realizations(
@@ -663,8 +664,7 @@ def run_iteration_study(
     points = [(*point, plain_accel) for point in sweep_points("n_i", n_i_list, base_cfg, geo)]
 
     def reduce(i, counts) -> IterationStudyRow:
-        means = np.mean(np.array(counts, dtype=float), axis=0)
-        return IterationStudyRow(points[i][0].n_i, *(float(m) for m in means))
+        return IterationStudyRow(points[i][0].n_i, *map(_mean, zip(*counts)))
 
     return _realizations(
         _study_task, points, n_channels, seed, [(_STUDY_SALT, i) for i in range(len(points))],

@@ -273,23 +273,39 @@ class TestDeterminism:
         assert main([*args, "--workers", "2", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_worker_count_does_not_change_the_sweep_csv(self, tmp_path):
+    @pytest.mark.parametrize("args", [
         # two chunks per point, designed as stacks by either worker
+        pytest.param(["sweep-n", "--seed", "6", "--channels", "34", "--values", "4,8",
+                      "--symbols", "40", "--no-bound"], id="small"),
+        # a sweep task designs a chunk of up to 32 of one point's realizations
+        # as MM stacks at every surface size; 34 channels make two chunks per
+        # point, the first a stack of 32 rows even at n_i 200
+        pytest.param(["sweep-n", "--values", "8,50,200", "--channels", "34", "--no-bound",
+                      "--seed", "1"], id="n_i-200"),
+        # with --bits a chunk scores the kept quantized profiles as one stack,
+        # and the bound starts from each realization's robust design
+        pytest.param(["sweep-n", "--values", "8,50", "--channels", "34", "--bits", "2",
+                      "--seed", "1"], id="bits2-bound"),
+    ])
+    def test_worker_count_does_not_change_the_sweep_csv(self, tmp_path, args):
         assert sim_mod._CHUNK < 34
         out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-        args = [
-            "sweep-n", "--seed", "6", "--channels", "34", "--values", "4,8",
-            "--symbols", "40", "--no-bound",
-        ]
         assert main([*args, "--workers", "1", "--out", str(out1)]) == 0
         assert main([*args, "--workers", "2", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_worker_count_does_not_change_the_study_csv(self, tmp_path):
+    @pytest.mark.parametrize("args", [
         # more channels than one chunk of the study's lockstep runs
+        pytest.param(["iteration-study", "--seed", "6", "--channels", "34", "--values", "4,6"],
+                     id="two-chunks"),
+        # the study's runs step in lockstep over one point's realizations, up
+        # to n_i 200; the CSV must not depend on how workers share them
+        pytest.param(["iteration-study", "--values", "8,50,200", "--channels", "6",
+                      "--seed", "1"], id="n_i-200"),
+    ])
+    def test_worker_count_does_not_change_the_study_csv(self, tmp_path, args):
         assert sim_mod._CHUNK < 34
         out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-        args = ["iteration-study", "--seed", "6", "--channels", "34", "--values", "4,6"]
         assert main([*args, "--workers", "1", "--out", str(out1)]) == 0
         assert main([*args, "--workers", "2", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()

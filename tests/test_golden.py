@@ -14,10 +14,17 @@ A change that moves these bytes on purpose regenerates them with
 and says why in CHANGES.md.  The rewrite prints, for each golden, "new",
 "unchanged" or the cells that moved, so the change can quote them.  The
 comparison itself stays exact.
+
+The bound gate reads the ``bound_check_stack`` golden: no relaxation bound
+below its MM design, and no certified gap above 0.002 dB.  A rewrite whose
+``bound_check_stack`` output breaks the gate still fails the suite.  The
+worker-count comparisons, which run commands at ``--workers 1`` and ``2``
+and compare the CSVs, are ``TestDeterminism`` in ``tests/test_cli.py``.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -120,6 +127,13 @@ def test_golden_bytes(name, tmp_path):
         assert actual == expected, (
             f"{name}.{suffix} differs from its golden:\n{describe_mismatch(expected, actual)}"
         )
+
+
+def test_bound_check_stack_golden_meets_the_bound_gate():
+    # test_golden_bytes ties this summary to the program's output
+    summary = json.loads((GOLDEN / "bound_check_stack.stdout").read_bytes())
+    assert summary["dominance_violations"] == 0
+    assert summary["max_certified_gap_db"] <= 0.002
 
 
 def test_mismatch_report_names_cells_and_largest_change():
