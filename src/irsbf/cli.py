@@ -85,12 +85,12 @@ def _add_common(parser: argparse.ArgumentParser, workers: bool = True, out: bool
 
 def _add_sweep_args(parser: argparse.ArgumentParser, default_values: str) -> None:
     _add_common(parser)
-    parser.add_argument("--channels", type=int, default=500, help="channel realizations per point")
-    parser.add_argument("--symbols", type=int, default=2000, help="0 skips the QPSK SER; any positive value gives the exact SER")
+    parser.add_argument("--channels", type=int, default=SweepSpec.n_channels, help="channel realizations per point")
+    parser.add_argument("--symbols", type=int, default=SweepSpec.n_symbols, help="0 skips the QPSK SER; any positive value gives the exact SER")
     parser.add_argument("--bits", type=int, default=None, help="discrete phase bits, 1 to 52; omit for continuous")
     parser.add_argument("--values", default=default_values, help="comma-separated sweep values")
     parser.add_argument("--no-bound", action="store_true", help="skip the relaxation benchmark")
-    parser.add_argument("--epsilon", type=float, default=1e-5, help="optimizer convergence accuracy, positive and finite")
+    parser.add_argument("--epsilon", type=float, default=MMSettings.epsilon, help="optimizer convergence accuracy, positive and finite")
 
 
 @functools.cache
@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--values", default="4,18,32,46,60", help="surface sizes")
     p.add_argument("--channels", type=int, default=100, help="channel realizations per surface size")
-    p.add_argument("--epsilon", type=float, default=1e-5, help="optimizer convergence accuracy, positive and finite")
+    p.add_argument("--epsilon", type=float, default=MMSettings.epsilon, help="optimizer convergence accuracy, positive and finite")
     p = sub.add_parser("los-demo", help="closed forms for the rank-one no-direct-link case")
     _add_common(p, workers=False, out=False)
     p.add_argument("--n-i", type=int, help="surface size (default: the operating point's n_i)")

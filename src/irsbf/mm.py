@@ -70,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .model import UNIT_MODULUS_TOL, ConfigError, DimensionError, SystemConfig, reflect_phases
+from .model import UNIT_MODULUS_TOL, ConfigError, DimensionError, SystemConfig, check_count, reflect_phases
 
 # Multiplicative safety margin applied to the majorizer's eigenvalue, so
 # that diag(y) - M stays positive semidefinite despite the eigensolver's
@@ -97,8 +97,7 @@ class MMSettings:
     def __post_init__(self):
         if not (0.0 < self.epsilon < math.inf):
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
+        check_count("max_iter", self.max_iter, 1)
 
 
 def lifted_objective(theta_tilde: np.ndarray, psi: np.ndarray, cfg: SystemConfig) -> float:
@@ -674,12 +673,8 @@ _MAX_BITS = 52
 
 def check_bits(bits) -> None:
     """Reject a phase resolution other than None (continuous) or an integer in [1, 52]."""
-    if bits is None:
-        return
-    if not (int(bits) == bits and bits >= 1):
-        raise ConfigError(f"discrete phases need bits >= 1, got {bits}")
-    if bits > _MAX_BITS:
-        raise ConfigError(f"discrete phases need bits <= {_MAX_BITS}, got {bits}")
+    if bits is not None:
+        check_count("bits", bits, 1, _MAX_BITS)
 
 
 def quantize_phases(phases: np.ndarray, bits: int) -> np.ndarray:
@@ -691,10 +686,8 @@ def quantize_phases(phases: np.ndarray, bits: int) -> np.ndarray:
     wrap (x = 2**bits - 1/2) to 2**bits - 1.  Entries round one by one, so
     a row of a stack (R, n_i) rounds as it does alone.
     """
-    if bits is None:
-        raise ConfigError("quantize_phases needs bits >= 1, got None")
-    check_bits(bits)
-    n_levels = 2 ** int(bits)
+    check_count("bits", bits, 1, _MAX_BITS)
+    n_levels = 2**bits
     x = np.mod(phases, 2.0 * np.pi) / (2.0 * np.pi / n_levels)
     k = np.mod(np.ceil(x - 0.5), n_levels)
     return 2.0 * np.pi * k / n_levels

@@ -12,6 +12,7 @@ stack bit for bit as alone.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,17 @@ UNIT_MODULUS_TOL = 1e-12
 
 class ConfigError(ValueError):
     """Raised when a configuration value is outside its allowed range."""
+
+
+def check_count(name: str, value, low: int, high: int | None = None) -> None:
+    """Reject a count that ``operator.index`` refuses or that lies outside [low, high]."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if n < low or (high is not None and n > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"{name} must be {bounds}, got {value}")
 
 
 class DimensionError(ValueError):
@@ -52,10 +64,8 @@ class SystemConfig:
     sigma_n2: float
 
     def __post_init__(self):
-        if int(self.n_s) != self.n_s or self.n_s < 1:
-            raise ConfigError(f"n_s must be a positive integer, got {self.n_s}")
-        if int(self.n_i) != self.n_i or self.n_i < 0:
-            raise ConfigError(f"n_i must be a non-negative integer, got {self.n_i}")
+        check_count("n_s", self.n_s, 1)
+        check_count("n_i", self.n_i, 0)
         if not (self.p > 0.0) or not np.isfinite(self.p):
             raise ConfigError(f"p must be positive and finite, got {self.p}")
         if not (0.0 <= self.kappa_s < 1.0):

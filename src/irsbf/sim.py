@@ -53,7 +53,6 @@ from __future__ import annotations
 import enum
 import logging
 import math
-import operator
 from dataclasses import dataclass, replace
 from itertools import accumulate
 
@@ -61,7 +60,7 @@ import numpy as np
 
 from .channels import Geometry, complex_gaussian, link_gains
 from .mm import MMSettings, _project_unit, _times, check_bits, quantize_phases, run_mm, run_stacked_mm
-from .model import ConfigError, DegenerateChannelError, SystemConfig, lift_phases, reflect_phases
+from .model import ConfigError, DegenerateChannelError, SystemConfig, check_count, lift_phases, reflect_phases
 from .sdr import solve_sdr
 from .txbf import matched_filter_snr, psi_tilde_from_powers, snr_from_psi_tilde
 
@@ -212,19 +211,21 @@ class SweepSpec:
     seed: int = 0
     bits: int | None = None
     bound: bool = True
-    epsilon: float = 1e-5  # the optimizer's convergence accuracy, in (0, inf)
+    epsilon: float = MMSettings.epsilon  # the optimizer's convergence accuracy, in (0, inf)
 
     def __post_init__(self):
         if self.variable not in SETTINGS:
             raise ConfigError(f"unknown sweep variable {self.variable!r}")
-        vals = tuple(float(v) for v in self.values)
+        try:
+            vals = tuple(float(v) for v in self.values)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"sweep values must be numbers, got {self.values!r}") from None
         if not vals:
             raise ConfigError("sweep needs at least one value")
         if list(vals) != sorted(vals):
             raise ConfigError("sweep values must be sorted ascending")
         check_run(self.n_channels, seed=self.seed)
-        if self.n_symbols < 0:
-            raise ConfigError(f"n_symbols must be >= 0, got {self.n_symbols}")
+        check_count("n_symbols", self.n_symbols, 0)
         check_bits(self.bits)
         MMSettings(epsilon=self.epsilon)
         object.__setattr__(self, "values", vals)
@@ -448,17 +449,9 @@ def _sweep_task(args) -> list:
 
 def check_run(n_channels: int, workers: int = 1, seed: int = 0) -> None:
     """Reject a non-integer count, worker number or seed, a count below 1 or a seed outside [0, 2**64)."""
-    for name, value in (("n_channels", n_channels), ("workers", workers), ("seed", seed)):
-        try:
-            operator.index(value)
-        except TypeError:
-            raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-    if n_channels < 1:
-        raise ConfigError(f"n_channels must be >= 1, got {n_channels}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    if not (0 <= seed <= _MASK64):
-        raise ConfigError("seed must fit in 64 unsigned bits")
+    check_count("n_channels", n_channels, 1)
+    check_count("workers", workers, 1)
+    check_count("seed", seed, 0, _MASK64)
 
 
 def sweep_points(variable: str, values, base_cfg: SystemConfig, geo: Geometry) -> list:
@@ -646,7 +639,7 @@ def run_iteration_study(
     geo: Geometry,
     seed: int,
     n_channels: int = 100,
-    epsilon: float = 1e-5,
+    epsilon: float = MMSettings.epsilon,
     workers: int = 1,
     on_point=None,
 ) -> list[IterationStudyRow]:

@@ -728,7 +728,7 @@ class TestArgumentChecks:
             assert spaced.read_bytes() == attached.read_bytes()
 
     @pytest.mark.parametrize("command, message", [
-        ("sweep-n", "n_i must be a non-negative integer, got -1"),
+        ("sweep-n", "n_i must be >= 0, got -1"),
         ("sweep-distance", "d_sd_h must be non-negative, got -1.0"),
         ("sweep-kappa", "kappa_s out of range [0, 1): -1.0"),
     ])
@@ -740,14 +740,14 @@ class TestArgumentChecks:
     def test_zero_bits_is_an_error_not_continuous(self, capsys):
         rc = main(["sweep-n", "--channels", "1", "--values", "4", "--symbols", "0", "--bits", "0"])
         assert rc == 1
-        assert error_lines(capsys) == ["error: discrete phases need bits >= 1, got 0"]
+        assert error_lines(capsys) == ["error: bits must be in [1, 52], got 0"]
 
     @pytest.mark.parametrize("bits", ["53", "1024"])
     def test_bits_beyond_float64_resolution_is_an_error(self, bits, capsys):
         rc = main(["sweep-n", "--channels", "1", "--values", "4", "--symbols", "0",
                    "--no-bound", "--bits", bits])
         assert rc == 1
-        assert error_lines(capsys) == [f"error: discrete phases need bits <= 52, got {bits}"]
+        assert error_lines(capsys) == [f"error: bits must be in [1, 52], got {bits}"]
 
     def test_fine_bits_run_without_a_level_table(self, capsys):
         rc = main(["sweep-n", "--channels", "1", "--values", "4", "--symbols", "0",

@@ -1,17 +1,21 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from irsbf.mm import MMSettings, check_bits, quantize_phases
 from irsbf.model import (
     ChannelSet,
     ConfigError,
     DimensionError,
     SystemConfig,
     build_composite,
+    check_count,
     lift_phases,
     reflect_phases,
 )
+from irsbf.sim import SweepSpec, check_run, table_defaults
 from irsbf.txbf import composite_vector
 
 from conftest import complex_gaussian, random_channels
@@ -81,6 +85,46 @@ class TestSystemConfig:
         expected = (1 + cfg.kappa_d) * cfg.kappa_s * np.abs(v) ** 2
         expected += (1 + cfg.kappa_d) * cfg.sigma_n2 / cfg.p_tilde
         np.testing.assert_allclose(a * np.abs(v) ** 2 + c, expected, rtol=1e-14)
+
+
+def _bad_counts():
+    """(check, name, value) for each caller of ``check_count`` and each value it must refuse."""
+    callers = [
+        # (id, the count's name, a call that checks it, low, high, whether None means no count)
+        ("SystemConfig.n_s", "n_s", lambda v: table_config(n_s=v), 1, None, False),
+        ("SystemConfig.n_i", "n_i", lambda v: table_config(n_i=v), 0, None, False),
+        ("MMSettings.max_iter", "max_iter", lambda v: MMSettings(max_iter=v), 1, None, False),
+        ("check_bits", "bits", check_bits, 1, 52, True),
+        ("quantize_phases", "bits", lambda v: quantize_phases(np.zeros(3), v), 1, 52, False),
+        ("check_run.n_channels", "n_channels", check_run, 1, None, False),
+        ("check_run.workers", "workers", lambda v: check_run(1, workers=v), 1, None, False),
+        ("check_run.seed", "seed", lambda v: check_run(1, seed=v), 0, 2**64 - 1, False),
+        ("SweepSpec.n_symbols", "n_symbols", lambda v: SweepSpec("n_i", (4,), n_symbols=v), 0, None, False),
+    ]
+    for caller, name, check, low, high, optional in callers:
+        values = [2.5, 4.0, float("nan"), float("inf"), "3", low - 1]
+        values += [] if optional else [None]
+        values += [] if high is None else [high + 1]
+        for value in values:
+            yield pytest.param(check, name, value, id=f"{caller}-{value!r}")
+
+
+class TestCounts:
+    @pytest.mark.parametrize("check, name, value", _bad_counts())
+    def test_a_bad_count_is_a_config_error_naming_it(self, check, name, value):
+        with pytest.raises(ConfigError) as exc:
+            check(value)
+        message = str(exc.value)
+        assert message.startswith(f"{name} must be ") and message.endswith(f", got {value!r}")
+
+    def test_a_float_source_count_fails_when_the_config_is_built(self):
+        # before the count rule this config built, and a sweep on it died in the draw
+        with pytest.raises(ConfigError, match=r"^n_s must be an integer, got 4\.0$"):
+            replace(table_defaults()[0], n_s=4.0)
+
+    @pytest.mark.parametrize("value", [1, np.int64(3)])
+    def test_an_index_in_range_is_a_count(self, value):
+        check_count("n", value, 1, 3)
 
 
 class TestChannelSet:

@@ -303,10 +303,17 @@ class TestSweep:
             SweepSpec(variable="frequency", values=(4,))
         with pytest.raises(ConfigError, match="epsilon must be positive and finite, got inf"):
             SweepSpec(variable="n_i", values=(4,), epsilon=float("inf"))
+        for values in (("x",), (4, None)):
+            with pytest.raises(ConfigError, match=f"^sweep values must be numbers, got {re.escape(repr(values))}$"):
+                SweepSpec(variable="n_i", values=values)
 
-    @pytest.mark.parametrize("bits", [0, -1, 1.5])
-    def test_bits_must_be_a_positive_integer(self, bits):
-        with pytest.raises(ConfigError, match="bits >= 1"):
+    @pytest.mark.parametrize("bits, message", [
+        (0, "bits must be in [1, 52], got 0"),
+        (-1, "bits must be in [1, 52], got -1"),
+        (1.5, "bits must be an integer, got 1.5"),
+    ])
+    def test_bits_must_be_a_positive_integer(self, bits, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             SweepSpec(variable="n_i", values=(4,), bits=bits)
 
     def test_non_integer_surface_size_rejected_before_any_point_runs(self):
@@ -905,9 +912,10 @@ class TestIterationStudy:
 
         monkeypatch.setattr(sim_mod, "_draw", drawn)
         cfg, geo = small_setup()
-        with pytest.raises(ConfigError, match=r"^seed must fit in 64 unsigned bits$"):
+        message = f"^{re.escape(f'seed must be in [0, {2**64 - 1}], got {seed}')}$"
+        with pytest.raises(ConfigError, match=message):
             run_iteration_study([4], cfg, geo, seed=seed, n_channels=1)
-        with pytest.raises(ConfigError, match=r"^seed must fit in 64 unsigned bits$"):
+        with pytest.raises(ConfigError, match=message):
             run_bound_check(cfg, geo, 1, seed)
 
     @pytest.mark.parametrize("run, name, value", [

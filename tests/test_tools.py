@@ -1,11 +1,15 @@
-"""The claim rule of ``tools/bench_pairs.py``, a pure function of paired runs."""
+"""The claim rule of ``tools/bench_pairs.py``, a pure function of paired runs, and its runner."""
 
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import bench_record  # noqa: E402
 from bench_pairs import claim  # noqa: E402
 
 # ten runs with median 104.5 and quartiles 102.25 and 106.75: an IQR of 4.5
@@ -46,3 +50,23 @@ class TestClaim:
     def test_unpaired_runs_are_rejected(self):
         with pytest.raises(ValueError):
             claim(PARENT, PARENT[:-1], "higher")
+
+
+class TestBenchRun:
+    def test_a_relative_root_is_resolved_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def run(args, cwd, env, **kwargs):
+            calls.append((args, cwd, env))
+            return subprocess.CompletedProcess(args, 0, f"machine: m\n{json.dumps({'ok': 1})}\n")
+
+        monkeypatch.setattr(bench_record.subprocess, "run", run)
+        base = tmp_path.resolve()
+        (base / "change").mkdir()
+        monkeypatch.chdir(base)
+        assert bench_record.bench_run("design-sweep", 1, 0, Path("change")) == ("m", {"ok": 1})
+        ((args, cwd, env),) = calls
+        # absolute paths, so that cwd=root does not apply the relative root a second time
+        assert Path(args[1]) == base / "change" / "bench" / "run.py"
+        assert Path(env["PYTHONPATH"].split(os.pathsep)[0]) == base / "change" / "src"
+        assert Path(cwd) == base / "change"

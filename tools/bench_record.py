@@ -54,7 +54,9 @@ def bench_run(workload: str, seed: int, trace: int, root: Path = ROOT, seconds: 
     """One ``bench/run.py`` run in the checkout at ``root``.
 
     Returns its machine line and its result, the last line of its output.
+    A relative ``root`` is taken from the current directory, once.
     """
+    root = root.resolve()
     out = subprocess.run(
         [sys.executable, str(root / "bench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", seconds, "--trace", str(trace)],
