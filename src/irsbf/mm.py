@@ -7,20 +7,22 @@ coefficient, which takes a single matrix-vector product.  The quadratic
 coupling term is bounded by a diagonal majorizer diag(y) of its positive
 semidefinite coupling matrix M = Psi^H diag(d) Psi, constant on the torus
 (Sun, Babu & Palomar, IEEE TSP 2017), so the objective never decreases
-from step to step.  A robust run builds y fresh on every fourth of its
-steps (``_REFRESH``), the first included: y weights each element by the
-relaxation bound's image at the iterate, the MaxCut certificate of
-``sdr``, scaled by the dominant eigenvalue of an n_s x n_s weighted Gram
-matrix, which ``_top_eigenvalue`` computes exactly, calling the LAPACK
-gufunc behind ``np.linalg.eigvalsh`` directly.  A weakly coupled element
-takes a long step.  The steps in between scale the last fresh y_ref,
-built for d_ref, by rho = max_m d_m / d_ref_m: M is linear and monotone
-in d >= 0, so M(d) <= rho M(d_ref) <= rho diag(y_ref), and the step
-stays monotone (``_Majorizer``).  Each iterate is evaluated once: the
-effective channel Psi tt, the per-antenna weights and the objective
-computed there serve the convergence test, the SQUAREM acceptance test
-and the next step alike.  A step costs two products with Psi, and a
-fresh robust step one with |Psi^H|^2 and the weighted Gram more.
+from step to step.  A robust run builds y fresh on every eighth of its
+steps (``_REFRESH``), the first included: a fresh build costs 3 to 6 times
+a scaled step, and building on every eighth step in place of every fourth
+added at most about a tenth to the iterations.  A fresh y weights each
+element by the relaxation bound's image at the iterate, the MaxCut
+certificate of ``sdr``, scaled by the dominant eigenvalue of an n_s x n_s
+weighted Gram matrix, which ``_top_eigenvalue`` computes exactly, calling
+the LAPACK gufunc behind ``np.linalg.eigvalsh`` directly.  A weakly
+coupled element takes a long step.  The steps in between scale the last
+fresh y_ref, built for d_ref, by rho = max_m d_m / d_ref_m: M is linear
+and monotone in d >= 0, so M(d) <= rho M(d_ref) <= rho diag(y_ref), and
+the step stays monotone (``_Majorizer``).  Each iterate is evaluated once:
+the effective channel Psi tt, the per-antenna weights and the objective
+computed there serve the convergence test, the SQUAREM acceptance test and
+the next step alike.  A step costs two products with Psi, and a fresh
+robust step one with |Psi^H|^2 and the weighted Gram more.
 
 The optimizer has one loop, over rows (``_ascend_rows``), with two kinds of
 pass: a plain step, or with ``MMSettings.accelerate`` a SQUAREM cycle
@@ -83,7 +85,9 @@ _BLEND = 0.3
 _ROWS = 8
 # A robust run builds its majorizer fresh on every _REFRESH-th step, the
 # first included, and scales the last fresh one in between (``_Majorizer``).
-_REFRESH = 4
+# A fresh build costs 3 to 6 times a scaled step, and 8 in place of 4 added
+# at most about a tenth to the iterations.
+_REFRESH = 8
 
 
 @dataclass(frozen=True)

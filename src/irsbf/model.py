@@ -64,8 +64,13 @@ class SystemConfig:
     sigma_n2: float
 
     def __post_init__(self):
-        check_count("n_s", self.n_s, 1)
+        # Bounded so that numpy can index one realization's draw block
+        # (``sim._draw``): n_i (n_s + 2) + n_s + 1 complex normals.  A
+        # negative n_i keeps its own message, ">= 0", ahead of the bound.
+        entries = np.iinfo(np.intp).max // 16
+        check_count("n_s", self.n_s, 1, entries - 1)
         check_count("n_i", self.n_i, 0)
+        check_count("n_i", self.n_i, 0, (entries - 1 - self.n_s) // (self.n_s + 2))
         if not (self.p > 0.0) or not np.isfinite(self.p):
             raise ConfigError(f"p must be positive and finite, got {self.p}")
         if not (0.0 <= self.kappa_s < 1.0):

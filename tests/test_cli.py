@@ -91,6 +91,8 @@ class TestConfigFile:
             ("Frequency = 2e9", "unknown setting 'frequency'"),
             ("nonsense line", "expected 'name = value', got 'nonsense line'"),
             ("kappa = 1.5", "kappa_s out of range [0, 1): 1.5"),
+            # numpy could not index the draw block of one realization
+            ("n_s = 1e30", "n_s must be in [1, 576460752303423486], got 1000000000000000019884624838656"),
         ],
     )
     def test_error_names_file_line_and_key(self, tmp_path, line, message):
@@ -786,6 +788,11 @@ class TestArgumentChecks:
         (["sweep-kappa", "--values", "0.5,1.5"], "kappa_s out of range [0, 1): 1.5"),
         (["sweep-power", "--values", "4000"], "p_dbw out of range, got 4000.0"),
         (["sweep-n", "--values", "4,x"], "bad value list '4,x': could not convert string to float: 'x'"),
+        # a surface too large for numpy to index one realization's draw block
+        (["sweep-n", "--values", "1e30", "--channels", "1", "--symbols", "0", "--no-bound"],
+         "n_i must be in [0, 96076792050570580], got 1000000000000000019884624838656"),
+        (["iteration-study", "--values", "1e30", "--channels", "1"],
+         "n_i must be in [0, 96076792050570580], got 1000000000000000019884624838656"),
     ]
 
     @pytest.mark.parametrize(
@@ -815,3 +822,9 @@ class TestArgumentChecks:
         argv = ["--n-i", "0"] if source == "flag" else ["--config", str(path)]
         assert main(["los-demo", *argv]) == 1
         assert error_lines(capsys) == ["error: los-demo needs n_i >= 1, got 0"]
+
+    def test_los_demo_rejects_a_surface_too_large_to_draw(self, capsys):
+        assert main(["los-demo", "--n-i", "100000000000000000000"]) == 1
+        assert error_lines(capsys) == [
+            "error: n_i must be in [0, 96076792050570580], got 100000000000000000000"
+        ]
